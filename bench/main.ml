@@ -1103,8 +1103,8 @@ let print_store config =
     Persist.save st ~path
   in
   (* O(dirty): an incremental save of [dirty] changed records into an
-     [n]-record store, vs the monolithic FFSTORE2 full rewrite the old
-     format paid on every checkpoint of the same store. *)
+     [n]-record store, vs a full rewrite of the same store (every shard
+     log plus the manifest) into a fresh path. *)
   let opath = base ^ ".odirty.bin" in
   cleanup opath;
   let st = Store.create () in
@@ -1125,7 +1125,8 @@ let print_store config =
   let fpath = base ^ ".full.bin" in
   let best_full = ref infinity in
   for _ = 1 to reps do
-    let (), s = wall (fun () -> Persist.save_legacy_v2 st ~path:fpath) in
+    cleanup fpath;
+    let (), s = wall (fun () -> ignore (save st fpath)) in
     if s < !best_full then best_full := s
   done;
   (* The delta log must still read back bit-identically. *)
@@ -1232,7 +1233,7 @@ let print_store config =
     cleanup ppath
   done;
   cleanup opath;
-  (try Sys.remove fpath with Sys_error _ -> ());
+  cleanup fpath;
   let saves_counted = Telemetry.value m_saves - saves0 in
   Telemetry.set_enabled was_enabled;
   let r =

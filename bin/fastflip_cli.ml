@@ -131,17 +131,14 @@ let shards_arg =
   Arg.(value & opt (some int) None & info [ "shards" ] ~docv:"N"
          ~doc:"Shard count when $(b,--store) creates a fresh store (default 16).               An existing store keeps its on-disk layout regardless; reshard               with $(b,fastflip store compact --shards).")
 
-(* Loading through [load_v] keeps the store's generation so the save can
-   prove it has already seen everything on disk — over a legacy v1/v2
-   file that skips the merge re-read the migration would otherwise pay. *)
 let with_store ~strict ?shards store_path k =
   match store_path with
   | None -> k (Fastflip.Store.create ())
   | Some path ->
-    let store, generation =
+    let store =
       if Fastflip.Persist.present ~path then begin
-        match Fastflip.Persist.load_v ~path with
-        | Ok (store, skipped, generation) ->
+        match Fastflip.Persist.load ~path with
+        | Ok (store, skipped) ->
           if skipped > 0 then begin
             if strict then begin
               Printf.eprintf "fastflip: store %s: %d corrupt record(s) refused by --strict-store\n"
@@ -151,19 +148,19 @@ let with_store ~strict ?shards store_path k =
             Printf.eprintf "warning: store %s: skipped %d corrupt record(s)\n" path skipped
           end;
           Printf.printf "loaded %d section records from %s\n" (Fastflip.Store.size store) path;
-          (store, Some generation)
+          store
         | Error e ->
           if strict then begin
             Printf.eprintf "fastflip: store %s refused by --strict-store: %s\n" path e;
             exit 1
           end;
           Printf.eprintf "ignoring store %s: %s\n" path e;
-          (Fastflip.Store.create (), None)
+          Fastflip.Store.create ()
       end
-      else (Fastflip.Store.create (), None)
+      else Fastflip.Store.create ()
     in
     let result = k store in
-    let stats = Fastflip.Persist.save ?known_generation:generation ?shards store ~path in
+    let stats = Fastflip.Persist.save ?shards store ~path in
     Printf.printf "saved %d section records to %s\n" stats.Fastflip.Persist.sv_live path;
     result
 
@@ -434,32 +431,30 @@ let store_stat_cmd =
       Printf.eprintf "fastflip: %s: %s\n" path e;
       exit 1
     | Ok info ->
-      Printf.printf "format:     %s\n" info.st_format;
+      Printf.printf "format:     FFSTORE3\n";
       Printf.printf "shards:     %d\n" info.st_shards;
       Printf.printf "generation: %Ld\n" info.st_generation;
       Printf.printf "records:    %d live, %d dead frame(s)\n" info.st_live info.st_dead;
       Printf.printf "bytes:      %d\n" info.st_bytes;
       if info.st_skipped > 0 then
         Printf.printf "skipped:    %d corrupt record(s)/region(s)\n" info.st_skipped;
-      if String.equal info.st_format "FFSTORE3" then begin
-        let t =
-          Table.create ~title:"shard logs"
+      let t =
+        Table.create ~title:"shard logs"
+          [
+            ("Shard", Table.Left); ("Frames", Table.Right); ("Live", Table.Right);
+            ("Bytes", Table.Right); ("Skipped", Table.Right);
+          ]
+      in
+      List.iter
+        (fun s ->
+          Table.add_row t
             [
-              ("Shard", Table.Left); ("Frames", Table.Right); ("Live", Table.Right);
-              ("Bytes", Table.Right); ("Skipped", Table.Right);
-            ]
-        in
-        List.iter
-          (fun s ->
-            Table.add_row t
-              [
-                Printf.sprintf "s%02d" s.sh_index; string_of_int s.sh_frames;
-                string_of_int s.sh_live; string_of_int s.sh_bytes;
-                string_of_int s.sh_skipped;
-              ])
-          info.st_per_shard;
-        Table.print t
-      end
+              Printf.sprintf "s%02d" s.sh_index; string_of_int s.sh_frames;
+              string_of_int s.sh_live; string_of_int s.sh_bytes;
+              string_of_int s.sh_skipped;
+            ])
+        info.st_per_shard;
+      Table.print t
   in
   Cmd.v
     (Cmd.info "stat"
@@ -479,7 +474,7 @@ let store_compact_cmd =
   in
   Cmd.v
     (Cmd.info "compact"
-       ~doc:"Rewrite a store down to its live records under the shard locks.               $(b,--shards) reshards to a new layout width; a legacy               FFSTORE1/FFSTORE2 file is migrated to the sharded FFSTORE3 layout.")
+       ~doc:"Rewrite a store down to its live records under the shard locks.               $(b,--shards) reshards to a new layout width. Only FFSTORE3               stores are accepted; a legacy FFSTORE1/FFSTORE2 file is refused.")
     Term.(const run $ store_pos_arg $ shards_arg)
 
 let store_cmd =

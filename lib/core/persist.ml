@@ -12,12 +12,8 @@ let m_skipped = Telemetry.counter "persist.records_skipped"
 let m_appends = Telemetry.counter "persist.appends"
 let m_appended = Telemetry.counter "persist.records_appended"
 let m_compactions = Telemetry.counter "persist.compactions"
-let m_migrations = Telemetry.counter "persist.migrations"
-let m_gen_skips = Telemetry.counter "persist.merge_loads_skipped"
 
 let magic_v3 = "FFSTORE3"
-let magic_v2 = "FFSTORE2"
-let magic_v1 = "FFSTORE1"
 let magic_shard = "FFSHARD1"
 let default_shards = 16
 let max_shards = 64
@@ -43,7 +39,7 @@ let read_file path =
   | exception End_of_file -> Error (path ^ ": truncated while reading")
 
 (* First [n] bytes of [path] (fewer if the file is shorter) — enough to
-   classify a store format without reading a possibly-huge legacy file. *)
+   classify a file without reading all of it. *)
 let read_prefix path n =
   match Unix.openfile path [ Unix.O_RDONLY; Unix.O_CLOEXEC ] 0 with
   | exception Unix.Unix_error (e, _, _) -> Error e
@@ -155,16 +151,24 @@ let has_magic data magic =
   String.length data >= String.length magic
   && String.equal (String.sub data 0 (String.length magic)) magic
 
-type disk_format = D_v3 | D_v2 | D_v1 | D_missing | D_other
+(* The monolithic pre-sharding formats are recognized only to refuse
+   them by name. *)
+let legacy_magic data = List.find_opt (has_magic data) [ "FFSTORE1"; "FFSTORE2" ]
+
+let not_a_store data =
+  match legacy_magic data with
+  | Some m -> Printf.sprintf "unsupported store format %s (only %s is read)" m magic_v3
+  | None -> "not a FastFlip store file"
+
+(* [D_other] carries the file's first bytes ([""] if unreadable). *)
+type disk_format = D_v3 | D_missing | D_other of string
 
 let classify path =
   match read_prefix path 8 with
   | Error Unix.ENOENT -> D_missing
-  | Error _ -> D_other
+  | Error _ -> D_other ""
   | Ok m when String.equal m magic_v3 -> D_v3
-  | Ok m when String.equal m magic_v2 -> D_v2
-  | Ok m when String.equal m magic_v1 -> D_v1
-  | Ok _ -> D_other
+  | Ok m -> D_other m
 
 (* The manifest (the file at [path] itself): magic, then one CRC frame
    declaring the layout width, a generation counter bumped by every
@@ -217,25 +221,7 @@ let read_manifest path =
   | Ok data when has_magic data magic_v3 -> decode_manifest data
   | Ok _ | Error _ -> None
 
-(* Content version for legacy v1/v2 files: a digest of the file identity
-   (device, inode, size, mtime). Bit 62 is forced so a legacy fingerprint
-   can never collide with the small v3 generation counters. *)
-let legacy_bit = 0x4000_0000_0000_0000L
-
-let legacy_generation path =
-  match Unix.stat path with
-  | exception Unix.Unix_error _ -> 0L
-  | st ->
-    let h = Hashing.create () in
-    Hashing.add_int h st.Unix.st_dev;
-    Hashing.add_int h st.Unix.st_ino;
-    Hashing.add_int h st.Unix.st_size;
-    Hashing.add_float h st.Unix.st_mtime;
-    Int64.logor (Hashing.value h) legacy_bit
-
-let next_generation = function
-  | Some g when g >= 0L && Int64.equal (Int64.logand g legacy_bit) 0L -> Int64.add g 1L
-  | Some _ | None -> 1L
+let next_generation g = Int64.succ (max 0L g)
 
 (* --- crash-test hook --------------------------------------------------------- *)
 
@@ -347,60 +333,9 @@ let load_shard store ~index ~declared spath =
 
 (* --- load -------------------------------------------------------------------- *)
 
-let load_v2 data =
-  let frames, frame_skips = Wire.read_frames ~pos:(String.length magic_v2 + 8) data in
-  let store = Store.create () in
-  let decode_skips = ref 0 in
-  List.iter
-    (fun payload ->
-      match
-        let c = Wire.cursor payload in
-        let record = Wire.r_record c in
-        if Wire.at_end c then Some record else None
-      with
-      | Some record -> Store.add_clean store record
-      | None -> incr decode_skips
-      | exception Wire.Corrupt _ -> incr decode_skips)
-    frames;
-  (* The declared record count catches what frame CRCs cannot: a clean
-     truncation that removes whole trailing frames. A corrupted count is
-     itself CRC-less, so only trust it when plausible. *)
-  let declared =
-    let c = Wire.cursor ~pos:(String.length magic_v2) data in
-    match Wire.r_length c "record count" with
-    | n -> Some n
-    | exception Wire.Corrupt _ -> None
-  in
-  let skipped = frame_skips + !decode_skips in
-  let skipped =
-    match declared with
-    | Some n when n > Store.size store -> max skipped (n - Store.size store)
-    | Some _ | None -> skipped
-  in
-  Ok (store, skipped)
-
-let load_v1 data =
-  let c = Wire.cursor ~pos:(String.length magic_v1) data in
-  match Wire.r_length c "record count" with
-  | exception Wire.Corrupt what -> Error ("corrupt store file: " ^ what)
-  | count ->
-    let store = Store.create () in
-    let corrupt = ref false in
-    (try
-       for _ = 1 to count do
-         Store.add_clean store (Wire.r_record c)
-       done
-     with Wire.Corrupt _ -> corrupt := true);
-    let skipped = count - Store.size store in
-    (* Trailing bytes after a fully-parsed v1 store are corruption too;
-       report them as one skip so [--strict-store] notices. *)
-    let skipped = if (not !corrupt) && not (Wire.at_end c) then skipped + 1 else skipped in
-    Ok (store, skipped)
-
 (* One full decode of whatever sits at [path], shared by [load]/[stat]/
    [compact]. *)
 type scan = {
-  sc_format : string;
   sc_store : Store.t;
   sc_generation : int64;
   sc_shards : int;
@@ -425,25 +360,12 @@ let salvage_scan ~manifest_bytes path store =
         else None)
       (List.init max_shards Fun.id)
   in
-  { sc_format = magic_v3;
-    sc_store = store;
+  { sc_store = store;
     sc_generation = 0L;
     sc_shards = List.fold_left (fun acc s -> max acc (s.sh_index + 1)) 0 infos;
     sc_manifest_bytes = manifest_bytes;
     sc_per_shard = infos;
     sc_skipped = 1 + sum_skips infos }
-
-let legacy_scan format path data store skipped =
-  let n = Store.size store in
-  { sc_format = format;
-    sc_store = store;
-    sc_generation = legacy_generation path;
-    sc_shards = 1;
-    sc_manifest_bytes = 0;
-    sc_per_shard =
-      [ { sh_index = 0; sh_bytes = String.length data; sh_frames = n;
-          sh_live = n; sh_skipped = skipped } ];
-    sc_skipped = skipped }
 
 let shard_salvageable path =
   let rec go i =
@@ -474,8 +396,7 @@ let read_store ~path =
               load_shard store ~index:i ~declared:mf.mf_frames.(i) (shard_path path i))
         in
         Ok
-          { sc_format = magic_v3;
-            sc_store = store;
+          { sc_store = store;
             sc_generation = mf.mf_generation;
             sc_shards = mf.mf_shards;
             sc_manifest_bytes = String.length data;
@@ -483,37 +404,24 @@ let read_store ~path =
             sc_skipped = sum_skips infos }
       | None -> Ok (salvage_scan ~manifest_bytes:(String.length data) path store)
     end
-    else if has_magic data magic_v2 then
-      Result.map (fun (store, skipped) -> legacy_scan magic_v2 path data store skipped) (load_v2 data)
-    else if has_magic data magic_v1 then
-      Result.map (fun (store, skipped) -> legacy_scan magic_v1 path data store skipped) (load_v1 data)
-    else if shard_salvageable path then
+    else if legacy_magic data = None && shard_salvageable path then
       Ok (salvage_scan ~manifest_bytes:(String.length data) path (Store.create ()))
-    else Error "not a FastFlip store file"
+    else Error (not_a_store data)
 
 let present ~path = Sys.file_exists path || shard_salvageable path
 
-let load_v ~path =
+let load ~path =
   Telemetry.incr m_loads;
   match read_store ~path with
   | Error e -> Error e
   | Ok sc ->
     Telemetry.add m_loaded (Store.size sc.sc_store);
     Telemetry.add m_skipped sc.sc_skipped;
-    Ok (sc.sc_store, sc.sc_skipped, sc.sc_generation)
-
-let load ~path = Result.map (fun (store, skipped, _) -> (store, skipped)) (load_v ~path)
-
-let generation ~path =
-  match classify path with
-  | D_v3 -> Some (match read_manifest path with Some mf -> mf.mf_generation | None -> 0L)
-  | D_v2 | D_v1 -> Some (legacy_generation path)
-  | D_missing | D_other -> None
+    Ok (sc.sc_store, sc.sc_skipped)
 
 (* --- stat -------------------------------------------------------------------- *)
 
 type info = {
-  st_format : string;
   st_shards : int;
   st_generation : int64;
   st_live : int;
@@ -533,8 +441,7 @@ let stat ~path =
     in
     let live = Store.size sc.sc_store in
     Ok
-      { st_format = sc.sc_format;
-        st_shards = sc.sc_shards;
+      { st_shards = sc.sc_shards;
         st_generation = sc.sc_generation;
         st_live = live;
         st_dead = max 0 (frames - live);
@@ -666,8 +573,8 @@ let save_v3 store ~path (mf0 : manifest) =
             sv_generation = gen })
   end
 
-(* Full-write path: fresh stores, migration from v1/v2, salvage of a
-   store whose manifest was destroyed, and reshards. Writes every shard
+(* Full-write path: fresh stores, salvage of a store whose manifest was
+   destroyed or never written, and reshards. Writes every shard
    log of the target layout (so stale logs from a previous layout cannot
    resurrect deleted records), then declares them in the manifest. *)
 let write_full ~path ~shards ~gen records =
@@ -689,47 +596,30 @@ let write_full ~path ~shards ~gen records =
   with_lock ~lockfile:(path ^ ".lock") (fun () ->
       write_atomic ~path (encode_manifest { mf_shards = shards; mf_generation = gen; mf_frames = frames }))
 
-let save_rebuild ?known_generation ~shards ~lock_hi store ~path =
+(* Rebuild the whole layout, merging whatever [read_store] can still
+   read at [path] — a healthy store written since we loaded, or shard
+   logs orphaned by a crash before the first manifest write — with our
+   records winning on collisions. Anything unreadable is replaced. *)
+let save_rebuild ~shards ~lock_hi store ~path =
   with_locks (List.init lock_hi (shard_lockfile path)) @@ fun () ->
   let ours = Store.records store in
-  let disk_state = classify path in
   let records, gen =
-    match disk_state with
-    | D_missing -> (ours, 1L)
-    (* Something unrecognizable at [path]: replace it, as the monolithic
-       writer always did. *)
-    | D_other -> (ours, 1L)
-    | D_v3 | D_v2 | D_v1 ->
-      let disk_gen = generation ~path in
-      if known_generation <> None && known_generation = disk_gen then begin
-        (* The caller proved it has already seen everything on disk —
-           the whole point of the generation hint: skip the merge load. *)
-        Telemetry.incr m_gen_skips;
-        (ours, next_generation disk_gen)
-      end
-      else begin
-        Telemetry.incr m_loads;
-        match read_store ~path with
-        | Error _ -> (ours, 1L)
-        | Ok sc ->
-          (* Merge-don't-clobber: fold in whatever another writer put on
-             disk since we loaded, our records winning on collisions. *)
-          let mine = Hashtbl.create 64 in
-          List.iter
-            (fun (record : Store.section_record) -> Hashtbl.replace mine record.Store.rec_key ())
-            ours;
-          let extra =
-            List.filter
-              (fun (record : Store.section_record) -> not (Hashtbl.mem mine record.Store.rec_key))
-              (Store.records sc.sc_store)
-          in
-          if extra <> [] then Telemetry.add m_merged (List.length extra);
-          (extra @ ours, next_generation (Some sc.sc_generation))
-      end
+    match read_store ~path with
+    | Error _ -> (ours, 1L)
+    | Ok sc ->
+      Telemetry.incr m_loads;
+      let mine = Hashtbl.create 64 in
+      List.iter
+        (fun (record : Store.section_record) -> Hashtbl.replace mine record.Store.rec_key ())
+        ours;
+      let extra =
+        List.filter
+          (fun (record : Store.section_record) -> not (Hashtbl.mem mine record.Store.rec_key))
+          (Store.records sc.sc_store)
+      in
+      if extra <> [] then Telemetry.add m_merged (List.length extra);
+      (extra @ ours, next_generation sc.sc_generation)
   in
-  (match disk_state with
-  | D_v2 | D_v1 -> Telemetry.incr m_migrations
-  | D_v3 | D_missing | D_other -> ());
   write_full ~path ~shards ~gen records;
   Store.clean store records;
   { sv_appended = List.length records;
@@ -737,10 +627,10 @@ let save_rebuild ?known_generation ~shards ~lock_hi store ~path =
     sv_compacted = 0;
     sv_generation = gen }
 
-let save ?known_generation ?(shards = default_shards) store ~path =
+let save ?(shards = default_shards) store ~path =
   check_shards "Persist.save" shards;
   Telemetry.incr m_saves;
-  let rebuild lock_hi = save_rebuild ?known_generation ~shards ~lock_hi store ~path in
+  let rebuild lock_hi = save_rebuild ~shards ~lock_hi store ~path in
   let rec attempt tries =
     match classify path with
     | D_v3 -> (
@@ -757,7 +647,7 @@ let save ?known_generation ?(shards = default_shards) store ~path =
         (* v3 magic but an unreadable manifest frame: rebuild the layout,
            salvaging whatever the shard logs still hold. *)
         rebuild max_shards)
-    | D_v2 | D_v1 | D_missing | D_other -> rebuild shards
+    | D_missing | D_other _ -> rebuild shards
   in
   attempt 4
 
@@ -774,8 +664,8 @@ let compact ?shards ~path () =
   (match shards with Some s -> check_shards "Persist.compact" s | None -> ());
   match classify path with
   | D_missing -> Error (path ^ ": no such store")
-  | D_other -> Error "not a FastFlip store file"
-  | (D_v3 | D_v2 | D_v1) as format ->
+  | D_other prefix -> Error (not_a_store prefix)
+  | D_v3 ->
     let current =
       match read_manifest path with Some mf -> Some mf.mf_shards | None -> None
     in
@@ -785,11 +675,7 @@ let compact ?shards ~path () =
       | None, Some n -> n
       | None, None -> default_shards
     in
-    let lock_hi =
-      match current with
-      | Some n -> max n target
-      | None -> ( match format with D_v3 -> max_shards | _ -> target)
-    in
+    let lock_hi = match current with Some n -> max n target | None -> max_shards in
     with_locks (List.init lock_hi (shard_lockfile path)) @@ fun () ->
     (match read_store ~path with
     | Error e -> Error e
@@ -797,37 +683,10 @@ let compact ?shards ~path () =
       let records = Store.records sc.sc_store in
       let live = List.length records in
       let frames = List.fold_left (fun acc s -> acc + s.sh_frames) 0 sc.sc_per_shard in
-      let gen = next_generation (Some sc.sc_generation) in
+      let gen = next_generation sc.sc_generation in
       write_full ~path ~shards:target ~gen records;
       Telemetry.add m_compactions target;
       Ok { cp_live = live; cp_dropped = max 0 (frames - live); cp_shards = target; cp_generation = gen })
-
-(* --- legacy writers ----------------------------------------------------------- *)
-
-let encode_v2 store =
-  let records = Store.records store in
-  let buf = Buffer.create (1 lsl 16) in
-  Buffer.add_string buf magic_v2;
-  Wire.w_int buf (List.length records);
-  List.iter
-    (fun record ->
-      let payload = Buffer.create 1024 in
-      Wire.w_record payload record;
-      Wire.add_frame buf (Buffer.contents payload))
-    records;
-  Buffer.contents buf
-
-(* Legacy writers: kept so compatibility fixtures (and downgrade tooling)
-   can produce real FFSTORE1/FFSTORE2 files; [save] always writes v3. *)
-let save_legacy_v2 store ~path = write_atomic ~path (encode_v2 store)
-
-let save_legacy_v1 store ~path =
-  let buf = Buffer.create (1 lsl 16) in
-  Buffer.add_string buf magic_v1;
-  Wire.w_list buf Wire.w_record (Store.records store);
-  let oc = open_out_bin path in
-  Buffer.output_buffer oc buf;
-  close_out oc
 
 (* --- structural equality (tests) --------------------------------------------- *)
 

@@ -51,8 +51,9 @@
        to the live set (original payload bytes preserved); {!compact}
        does it store-wide and can reshard.}}
 
-    Legacy [FFSTORE2]/[FFSTORE1] files still load; the first {!save} over
-    one migrates it to v3 in place. *)
+    [FFSTORE3] is the only format read or written: a file holding one of
+    the older monolithic encodings ([FFSTORE1]/[FFSTORE2]) is refused with
+    an error naming its format. *)
 
 val default_shards : int
 (** Layout width given to newly created stores when [?shards] is omitted
@@ -78,22 +79,18 @@ type save_stats = {
   sv_generation : int64;  (** the store's generation after the save *)
 }
 
-val save : ?known_generation:int64 -> ?shards:int -> Store.t -> path:string -> save_stats
-(** Persist [store]'s dirty records to the v3 store at [path] and mark
-    them clean.
+val save : ?shards:int -> Store.t -> path:string -> save_stats
+(** Persist [store]'s dirty records to the store at [path] and mark them
+    clean.
 
-    Over an existing v3 store this appends the dirty records to their
-    shard logs and bumps the manifest — O(dirty) work; the layout width
-    on disk wins and [?shards] is ignored. A missing [path] creates a
-    fresh [?shards]-wide store (default {!default_shards}) holding every
-    record; a legacy v1/v2 file is migrated: its records are merged in
-    (ours winning on collisions) and the whole store is rewritten as v3.
-
-    [?known_generation] is the caller's proof of freshness: if it equals
-    the current on-disk generation (as returned by {!load_v} or a
-    previous save), the migration path skips re-reading the legacy file
-    it would otherwise have to merge — the daemon's save-on-exit uses
-    this after having loaded the store itself.
+    Over an existing store this appends the dirty records to their shard
+    logs and bumps the manifest — O(dirty) work; the layout width on disk
+    wins and [?shards] is ignored. Otherwise it writes a fresh
+    [?shards]-wide store (default {!default_shards}) holding every record,
+    merged (ours winning on collisions) with whatever {!load} can still
+    read at [path] — e.g. shard logs whose manifest a crash never wrote.
+    A file that is not a readable store (including a legacy
+    [FFSTORE1]/[FFSTORE2] file) is replaced.
 
     Raises [Sys_error] / [Unix.Unix_error] on I/O failure and
     [Invalid_argument] on a [?shards] outside [1, {!max_shards}] — never
@@ -103,28 +100,20 @@ val save : ?known_generation:int64 -> ?shards:int -> Store.t -> path:string -> s
 
 val present : path:string -> bool
 (** Whether there is anything at [path] worth loading: a manifest (or
-    legacy store file), or — after a crash that never reached the first
+    any other file), or — after a crash that never reached the first
     manifest write — recognizable shard logs to salvage. Callers that
     used to gate a load on [Sys.file_exists] should use this instead, or
     a mid-first-save crash looks like a missing store. *)
 
 val load : path:string -> (Store.t * int, string) result
-(** Read the store at [path] (v3, or a legacy v2/v1 file).
-    [Ok (store, skipped)] holds every record that survived CRC and
-    structural validation plus the number of corrupt records/regions
-    skipped; [skipped = 0] means the store was pristine. [Error] only for
-    a missing/unreadable file or one that is not a FastFlip store at all.
-    Never raises on corrupt input (including files truncated or appended
-    to concurrently with the read). *)
-
-val load_v : path:string -> (Store.t * int * int64, string) result
-(** {!load}, also returning the store's generation — pass it back to
-    {!save} as [?known_generation]. Legacy files report a stat-derived
-    fingerprint that plays the same role. *)
-
-val generation : path:string -> int64 option
-(** The current on-disk generation without reading any records; [None]
-    if [path] is missing or not a store. *)
+(** Read the store at [path]. [Ok (store, skipped)] holds every record
+    that survived CRC and structural validation plus the number of
+    corrupt records/regions skipped; [skipped = 0] means the store was
+    pristine. [Error] only for a missing/unreadable file, a legacy
+    [FFSTORE1]/[FFSTORE2] file (the message names the format), or one
+    that is not a FastFlip store at all. Never raises on corrupt input
+    (including files truncated or appended to concurrently with the
+    read). *)
 
 (** {1 Inspection and maintenance} *)
 
@@ -137,19 +126,18 @@ type shard_info = {
 }
 
 type info = {
-  st_format : string;  (** ["FFSTORE3"], ["FFSTORE2"] or ["FFSTORE1"] *)
   st_shards : int;
   st_generation : int64;
   st_live : int;
   st_dead : int;  (** superseded frames awaiting compaction *)
   st_bytes : int;  (** manifest + all logs *)
   st_skipped : int;
-  st_per_shard : shard_info list;  (** one synthetic entry for legacy files *)
+  st_per_shard : shard_info list;
 }
 
 val stat : path:string -> (info, string) result
 (** Scan the store at [path] without locking (racing writers can only
-    make the numbers momentarily conservative). *)
+    make the numbers momentarily conservative). Fails like {!load}. *)
 
 type compact_stats = {
   cp_live : int;
@@ -161,21 +149,10 @@ type compact_stats = {
 val compact : ?shards:int -> path:string -> unit -> (compact_stats, string) result
 (** Rewrite the whole store down to its live records, under every shard
     lock. [?shards] reshards to a new layout width; omitted, the current
-    width is kept (legacy input: {!default_shards} — compacting a v1/v2
-    file migrates it). Concurrent readers may transiently over-count
-    [skipped] during a reshard; they never lose records. *)
-
-(** {1 Legacy writers} *)
-
-val save_legacy_v1 : Store.t -> path:string -> unit
-(** Write the pre-hardening [FFSTORE1] encoding (no framing, no CRC, not
-    atomic). Exists so compatibility fixtures exercise the real legacy
-    format; production code paths always use {!save}. *)
-
-val save_legacy_v2 : Store.t -> path:string -> unit
-(** Write the monolithic [FFSTORE2] encoding (one atomic file of CRC
-    frames). Exists for migration fixtures and the corrupt-store fuzz
-    that targets the v2 salvage path. *)
+    width is kept ({!default_shards} if the manifest is unreadable).
+    [Error] for a missing path or a file that is not a store, legacy
+    formats named as for {!load}. Concurrent readers may transiently
+    over-count [skipped] during a reshard; they never lose records. *)
 
 (** {1 Structural equality (tests)} *)
 

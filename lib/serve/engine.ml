@@ -87,8 +87,8 @@ let backing t =
    [backing], so the lock makes the snapshot consistent. Incremental v3
    saves are O(dirty), so the pause requests can observe is proportional
    to what changed since the last save, not to the store. *)
-let save ?known_generation ?shards t ~path =
-  locked t.store_mu (fun () -> Persist.save ?known_generation ?shards t.e_store ~path)
+let save ?shards t ~path =
+  locked t.store_mu (fun () -> Persist.save ?shards t.e_store ~path)
 
 let analyze t ~source (query : Protocol.query) =
   let t0 = Telemetry.now_ns () in

@@ -37,12 +37,7 @@ val create :
 
 val store : t -> Fastflip.Store.t
 
-val save :
-  ?known_generation:int64 ->
-  ?shards:int ->
-  t ->
-  path:string ->
-  Fastflip.Persist.save_stats
+val save : ?shards:int -> t -> path:string -> Fastflip.Persist.save_stats
 (** {!Fastflip.Persist.save} under the store lock, so the dirty-set
     snapshot is consistent with concurrent request threads publishing
     records. Used for the daemon's periodic checkpoints and its

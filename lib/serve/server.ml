@@ -6,14 +6,13 @@ module Store = Fastflip.Store
 let m_connections = Telemetry.counter "serve.connections"
 let m_malformed = Telemetry.counter "serve.malformed"
 
-(* Loading also captures the store's generation: passed back to every
-   save as the freshness hint, it lets a save-on-exit over a legacy file
-   skip the redundant merge re-read of what this process just loaded. *)
+(* [Persist.present], not [Sys.file_exists]: shard logs orphaned by a
+   crash before the first manifest write are still a store to load. *)
 let load_store ~strict path =
-  if not (Sys.file_exists path) then (Store.create (), None)
+  if not (Persist.present ~path) then Store.create ()
   else
-    match Persist.load_v ~path with
-    | Ok (store, skipped, generation) ->
+    match Persist.load ~path with
+    | Ok (store, skipped) ->
       if skipped > 0 then begin
         if strict then
           failwith
@@ -23,12 +22,12 @@ let load_store ~strict path =
           skipped
       end;
       Printf.eprintf "loaded %d section records from %s\n%!" (Store.size store) path;
-      (store, Some generation)
+      store
     | Error e ->
       if strict then
         failwith (Printf.sprintf "store %s refused by --strict-store: %s" path e);
       Printf.eprintf "ignoring store %s: %s\n%!" path e;
-      (Store.create (), None)
+      Store.create ()
 
 (* One request/response exchange at a time per connection; the protocol
    has no pipelining. Any transport or decode violation drops only this
@@ -57,12 +56,11 @@ let handle_connection engine shutdown fd =
 
 let run ~socket ?store_path ?(strict_store = false) ?save_every ?shards
     ?(pool = Pool.serial) () =
-  let store, generation =
+  let store =
     match store_path with
     | Some path -> load_store ~strict:strict_store path
-    | None -> (Store.create (), None)
+    | None -> Store.create ()
   in
-  let generation = ref generation in
   let engine = Engine.create ~store ~pool () in
   if Sys.file_exists socket then Unix.unlink socket;
   let listen_fd = Unix.socket Unix.PF_UNIX Unix.SOCK_STREAM 0 in
@@ -77,9 +75,7 @@ let run ~socket ?store_path ?(strict_store = false) ?save_every ?shards
   let active = Atomic.make 0 in
   (* Periodic background checkpoint: a long-lived daemon should not keep
      hours of campaign results only in memory. Each tick appends the
-     records published since the last save — O(dirty) — and remembers the
-     resulting generation so the next save (and the exit save) can prove
-     freshness. *)
+     records published since the last save — O(dirty). *)
   let saver =
     match (store_path, save_every) with
     | Some path, Some every when every > 0.0 ->
@@ -92,9 +88,8 @@ let run ~socket ?store_path ?(strict_store = false) ?save_every ?shards
                if (not (Atomic.get shutdown)) && Unix.gettimeofday () -. !last >= every
                then begin
                  last := Unix.gettimeofday ();
-                 match Engine.save ?known_generation:!generation ?shards engine ~path with
+                 match Engine.save ?shards engine ~path with
                  | stats ->
-                   generation := Some stats.Persist.sv_generation;
                    if stats.Persist.sv_appended > 0 then
                      Printf.eprintf "checkpointed %d section record(s) to %s\n%!"
                        stats.Persist.sv_appended path
@@ -144,7 +139,7 @@ let run ~socket ?store_path ?(strict_store = false) ?save_every ?shards
   (match saver with Some thread -> Thread.join thread | None -> ());
   (match store_path with
   | Some path ->
-    let stats = Engine.save ?known_generation:!generation ?shards engine ~path in
+    let stats = Engine.save ?shards engine ~path in
     Printf.eprintf "saved %d section records to %s\n%!" stats.Persist.sv_live path
   | None -> ());
   Sys.set_signal Sys.sigterm prev_term;

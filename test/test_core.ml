@@ -285,28 +285,46 @@ let test_store_counters () =
 
 (* --- crash safety: hardened persistence ----------------------------------- *)
 
-(* One analyzed store and its pristine FFSTORE2 bytes, shared by the
-   corruption tests below (the analysis is the expensive part). The
-   monolithic v2 image keeps this fuzz aimed at the legacy salvage path;
-   the sharded FFSTORE3 layout gets its own fuzz in test_store3.ml. *)
+let slurp path =
+  let ic = open_in_bin path in
+  let data = really_input_string ic (in_channel_length ic) in
+  close_in ic;
+  data
+
+let spit path data =
+  let oc = open_out_bin path in
+  output_string oc data;
+  close_out oc
+
+let remove_store path =
+  (try Sys.remove path with Sys_error _ -> ());
+  (try Sys.remove (path ^ ".lock") with Sys_error _ -> ());
+  for i = 0 to Persist.max_shards - 1 do
+    let sp = Persist.shard_path path i in
+    (try Sys.remove sp with Sys_error _ -> ());
+    (try Sys.remove (sp ^ ".lock") with Sys_error _ -> ())
+  done
+
+(* One analyzed store and the pristine bytes of its single-shard image
+   (manifest, shard log), shared by the corruption fuzz below (the
+   analysis is the expensive part). One shard puts every record behind
+   one manifest entry; test_store3.ml fuzzes the multi-shard layout. *)
 let pristine = lazy (
   let store = Store.create () in
   let _ = Pipeline.analyze ~store quick_config (compile program_src) in
   let path = Filename.temp_file "ffstore" ".bin" in
-  Persist.save_legacy_v2 store ~path;
-  let ic = open_in_bin path in
-  let data = really_input_string ic (in_channel_length ic) in
-  close_in ic;
   Sys.remove path;
-  (store, data))
+  let _ = Persist.save store ~path ~shards:1 in
+  let files = (slurp path, slurp (Persist.shard_path path 0)) in
+  remove_store path;
+  (store, files))
 
-let load_bytes data =
+let load_files (manifest, log) =
   let path = Filename.temp_file "fffuzz" ".bin" in
-  let oc = open_out_bin path in
-  output_string oc data;
-  close_out oc;
+  spit path manifest;
+  spit (Persist.shard_path path 0) log;
   let result = Persist.load ~path in
-  Sys.remove path;
+  remove_store path;
   result
 
 (* Every record a salvaging load returns must be one of the original
@@ -322,9 +340,11 @@ let survivors_intact original loaded =
 let prop_corrupt_store_salvage =
   QCheck2.Test.make ~count:250
     ~name:"corrupt store: load never raises and survivors are intact"
-    QCheck2.Gen.(triple (int_range 0 3) (float_bound_exclusive 1.0) (int_range 0 255))
-    (fun (kind, frac, byte) ->
-      let store, data0 = Lazy.force pristine in
+    QCheck2.Gen.(
+      quad bool (int_range 0 3) (float_bound_exclusive 1.0) (int_range 0 255))
+    (fun (hit_manifest, kind, frac, byte) ->
+      let store, (manifest, log) = Lazy.force pristine in
+      let data0 = if hit_manifest then manifest else log in
       let n = String.length data0 in
       let off = min (n - 1) (int_of_float (frac *. float_of_int n)) in
       let data =
@@ -349,37 +369,14 @@ let prop_corrupt_store_salvage =
           ^ String.make 5 (Char.chr byte)
           ^ String.sub data0 off (n - off)
       in
-      match load_bytes data with
-      | Error _ -> true (* header destroyed: refusing the file outright is fine *)
+      let files = if hit_manifest then (data, log) else (manifest, data) in
+      match load_files files with
+      | Error _ -> true (* magic destroyed: refusing the store outright is fine *)
       | Ok (loaded, skipped) ->
         Store.size loaded <= Store.size store
         (* losing a record silently is the one unforgivable outcome *)
         && (Store.size loaded = Store.size store || skipped > 0)
         && survivors_intact store loaded)
-
-let test_persist_v1_compat () =
-  let store, _ = Lazy.force pristine in
-  let path = Filename.temp_file "ffv1" ".bin" in
-  Persist.save_legacy_v1 store ~path;
-  (match Persist.load ~path with
-  | Error e -> Alcotest.failf "v1 load failed: %s" e
-  | Ok (loaded, skipped) ->
-    Alcotest.(check int) "nothing skipped" 0 skipped;
-    Alcotest.(check int) "all records load" (Store.size store) (Store.size loaded);
-    Alcotest.(check bool) "records intact" true (survivors_intact store loaded));
-  (* v1 has no framing, so a truncated file salvages the record prefix. *)
-  let ic = open_in_bin path in
-  let data = really_input_string ic (in_channel_length ic - 10) in
-  close_in ic;
-  let oc = open_out_bin path in
-  output_string oc data;
-  close_out oc;
-  (match Persist.load ~path with
-  | Error e -> Alcotest.failf "truncated v1 should salvage: %s" e
-  | Ok (loaded, skipped) ->
-    Alcotest.(check bool) "truncation reported" true (skipped > 0);
-    Alcotest.(check bool) "prefix intact" true (survivors_intact store loaded));
-  Sys.remove path
 
 let test_persist_concurrent_writers_merge () =
   (* Two processes sharing a store path must union their records, not
@@ -420,13 +417,7 @@ let test_persist_concurrent_writers_merge () =
   let w3 = Persist.save store1 ~path in
   Alcotest.(check int) "clean re-save appends nothing" 0 w3.Persist.sv_appended;
   check_union "after idempotent re-save";
-  Sys.remove path;
-  (try Sys.remove (path ^ ".lock") with Sys_error _ -> ());
-  for i = 0 to Persist.max_shards - 1 do
-    let sp = Persist.shard_path path i in
-    (try Sys.remove sp with Sys_error _ -> ());
-    (try Sys.remove (sp ^ ".lock") with Sys_error _ -> ())
-  done
+  remove_store path
 
 (* --- crash safety: checkpointed campaigns ---------------------------------- *)
 
@@ -572,7 +563,6 @@ let test_crash_safety_counters_in_metrics () =
       "persist.records_loaded"; "persist.records_skipped";
       "persist.saves.merged_records"; "persist.appends";
       "persist.records_appended"; "persist.compactions";
-      "persist.merge_loads_skipped";
     ]
 
 (* --- adjust / compare --------------------------------------------------------- *)
@@ -658,7 +648,6 @@ let () =
       ( "crash safety",
         [
           QCheck_alcotest.to_alcotest prop_corrupt_store_salvage;
-          Alcotest.test_case "FFSTORE1 compat" `Quick test_persist_v1_compat;
           Alcotest.test_case "concurrent writers merge" `Quick
             test_persist_concurrent_writers_merge;
           Alcotest.test_case "kill and resume is bit-identical" `Quick

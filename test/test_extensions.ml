@@ -280,30 +280,51 @@ let test_persist_enables_cross_process_reuse () =
 
 let test_persist_rejects_garbage () =
   let path = Filename.temp_file "ffstore" ".bin" in
-  let oc = open_out path in
-  output_string oc "definitely not a store";
-  close_out oc;
+  let write data =
+    let oc = open_out_bin path in
+    output_string oc data;
+    close_out oc
+  in
+  write "definitely not a store";
   (match Persist.load ~path with
   | Ok _ -> Alcotest.fail "garbage accepted"
   | Error _ -> ());
+  (* The pre-sharding formats are refused by name, by every entry point
+     that reads a store. *)
+  List.iter
+    (fun magic ->
+      write (magic ^ String.make 32 '\000');
+      let named what = function
+        | Ok _ -> Alcotest.failf "%s accepted a %s file" what magic
+        | Error e ->
+          Alcotest.(check string) (what ^ " names " ^ magic)
+            (Printf.sprintf "unsupported store format %s (only FFSTORE3 is read)" magic)
+            e
+      in
+      named "load" (Persist.load ~path);
+      named "stat" (Persist.stat ~path);
+      named "compact" (Persist.compact ~path ()))
+    [ "FFSTORE1"; "FFSTORE2" ];
   Sys.remove path;
   match Persist.load ~path:"/nonexistent/nope.bin" with
   | Ok _ -> Alcotest.fail "missing file accepted"
   | Error _ -> ()
 
 let test_persist_salvages_truncation () =
-  (* FFSTORE2 salvage: chopping the tail loses at most the records whose
-     frames were damaged — [load] succeeds, reports the damage, and every
-     surviving record is intact. *)
+  (* Chopping a shard log's tail loses at most the record whose frame was
+     damaged — [load] succeeds, reports the damage, and every surviving
+     record is intact. *)
   let store = Store.create () in
   let _ = Pipeline.analyze ~store quick_config (compile chain_src) in
   let path = Filename.temp_file "ffstore" ".bin" in
-  Persist.save_legacy_v2 store ~path;
-  let ic = open_in_bin path in
+  Sys.remove path;
+  let _ = Persist.save store ~path ~shards:1 in
+  let log = Persist.shard_path path 0 in
+  let ic = open_in_bin log in
   let n = in_channel_length ic in
   let data = really_input_string ic (n - 16) in
   close_in ic;
-  let oc = open_out_bin path in
+  let oc = open_out_bin log in
   output_string oc data;
   close_out oc;
   (match Persist.load ~path with
@@ -320,7 +341,9 @@ let test_persist_salvages_truncation () =
           Alcotest.(check bool) "survivor intact" true
             (Persist.roundtrip_equal original r))
       (Store.records loaded));
-  Sys.remove path
+  List.iter
+    (fun f -> try Sys.remove f with Sys_error _ -> ())
+    [ path; path ^ ".lock"; log; log ^ ".lock" ]
 
 (* --- evolution --------------------------------------------------------------------- *)
 

@@ -1,8 +1,6 @@
 (* FFSTORE3 sharded-store tests: layout and placement, O(dirty)
-   incremental saves, legacy migration differentials, per-shard
-   corruption salvage, compaction, and multi-domain writers racing a
-   reader. The legacy monolithic salvage paths keep their own coverage
-   in test_core.ml / test_extensions.ml. *)
+   incremental saves, reload identity, per-shard corruption salvage,
+   compaction, and multi-domain writers racing a reader. *)
 
 module Site = Ff_inject.Site
 module Campaign = Ff_inject.Campaign
@@ -117,7 +115,6 @@ let test_sharded_layout_and_stat () =
   (match Persist.stat ~path with
   | Error e -> Alcotest.failf "stat failed: %s" e
   | Ok info ->
-    Alcotest.(check string) "format" "FFSTORE3" info.Persist.st_format;
     Alcotest.(check int) "shards" 4 info.Persist.st_shards;
     Alcotest.(check int) "live" 20 info.Persist.st_live;
     Alcotest.(check int) "no dead frames" 0 info.Persist.st_dead;
@@ -164,42 +161,6 @@ let test_save_is_o_dirty () =
     Alcotest.(check int) "size" 23 (Store.size loaded);
     check_records_match ~msg:"delta log" (Store.records store) loaded
 
-(* --- migration ------------------------------------------------------------- *)
-
-let test_migration_differential () =
-  let store = Store.create () in
-  let _ = Pipeline.analyze ~store quick_config (compile program_src) in
-  List.iter (Store.add store) (List.init 10 (fun i -> mk_record (100 + i)));
-  List.iter
-    (fun (name, write_legacy) ->
-      with_temp_store @@ fun path ->
-      write_legacy store ~path;
-      match Persist.load_v ~path with
-      | Error e -> Alcotest.failf "%s: load failed: %s" name e
-      | Ok (loaded, skipped, gen) ->
-        Alcotest.(check int) (name ^ ": fixture pristine") 0 skipped;
-        Alcotest.(check int) (name ^ ": fixture size") (Store.size store)
-          (Store.size loaded);
-        (* The first save migrates in place; the generation hint proves
-           we just loaded the file, so no merge re-read is needed. *)
-        let s = Persist.save ~known_generation:gen loaded ~path in
-        Alcotest.(check int) (name ^ ": migration rewrites everything")
-          (Store.size store) s.Persist.sv_appended;
-        (match Persist.stat ~path with
-        | Error e -> Alcotest.failf "%s: stat failed: %s" name e
-        | Ok info ->
-          Alcotest.(check string) (name ^ ": migrated format") "FFSTORE3"
-            info.Persist.st_format);
-        (match Persist.load ~path with
-        | Error e -> Alcotest.failf "%s: reload failed: %s" name e
-        | Ok (re, skipped2) ->
-          Alcotest.(check int) (name ^ ": reload pristine") 0 skipped2;
-          Alcotest.(check int) (name ^ ": reload size") (Store.size store)
-            (Store.size re);
-          check_records_match ~msg:(name ^ ": bit-identical after migration")
-            (Store.records store) re))
-    [ ("FFSTORE1", Persist.save_legacy_v1); ("FFSTORE2", Persist.save_legacy_v2) ]
-
 let selection_equal a b =
   let sa = Pipeline.select a ~target:0.9 and sb = Pipeline.select b ~target:0.9 in
   sa.Knapsack.pcs = sb.Knapsack.pcs
@@ -219,54 +180,29 @@ let check_bit_identical ~msg (a : Pipeline.analysis) (b : Pipeline.analysis) =
     (a.Pipeline.valuation.Valuation.values = b.Pipeline.valuation.Valuation.values);
   Alcotest.(check bool) (msg ^ ": knapsack selection") true (selection_equal a b)
 
-let test_pipeline_bit_identity_across_formats () =
-  (* The acceptance contract: an analysis served from a migrated
-     FFSTORE2 fixture and one served from a fresh FFSTORE3 store are
-     bit-identical to the from-scratch reference. *)
+let test_pipeline_bit_identity_after_reload () =
+  (* The incremental contract: an analysis served from a saved and
+     reloaded store is bit-identical to the from-scratch reference, and
+     stays so across a second save/load round. *)
   with_temp_store @@ fun path ->
   let program = compile program_src in
   let store = Store.create () in
   let reference = Pipeline.analyze ~store quick_config program in
-  Persist.save_legacy_v2 store ~path;
-  (match Persist.load ~path with
-  | Error e -> Alcotest.failf "v2 fixture load failed: %s" e
-  | Ok (v2_store, _) ->
-    let from_v2 = Pipeline.analyze ~store:v2_store quick_config program in
-    Alcotest.(check int) "v2 fixture: everything reused" 0
-      from_v2.Pipeline.sections_analyzed;
-    check_bit_identical ~msg:"FFSTORE2 fixture" reference from_v2;
-    (* Migrate to the sharded format and go around once more. *)
-    let _ = Persist.save v2_store ~path in
-    ());
-  match Persist.load ~path with
-  | Error e -> Alcotest.failf "v3 load failed: %s" e
-  | Ok (v3_store, skipped) ->
-    Alcotest.(check int) "v3 store pristine" 0 skipped;
-    let from_v3 = Pipeline.analyze ~store:v3_store quick_config program in
-    Alcotest.(check int) "v3 store: everything reused" 0
-      from_v3.Pipeline.sections_analyzed;
-    check_bit_identical ~msg:"migrated FFSTORE3" reference from_v3
-
-let test_generation_hint_daemon_flow () =
-  (* The daemon's save-on-exit over a legacy store: load (capturing the
-     generation), accumulate, save with the hint. The hint skips the
-     merge re-read; no record may be lost for it. *)
-  with_temp_store @@ fun path ->
-  let origin = Store.create () in
-  List.iter (Store.add origin) (List.init 6 mk_record);
-  Persist.save_legacy_v2 origin ~path;
-  match Persist.load_v ~path with
-  | Error e -> Alcotest.failf "load failed: %s" e
-  | Ok (mine, _, gen) ->
-    List.iter (Store.add mine) [ mk_record 100; mk_record 101 ];
-    let s = Persist.save ~known_generation:gen mine ~path in
-    Alcotest.(check int) "migration writes the union" 8 s.Persist.sv_appended;
+  let _ = Persist.save store ~path in
+  let reload msg =
     match Persist.load ~path with
-    | Error e -> Alcotest.failf "reload failed: %s" e
+    | Error e -> Alcotest.failf "%s: load failed: %s" msg e
     | Ok (loaded, skipped) ->
-      Alcotest.(check int) "pristine" 0 skipped;
-      Alcotest.(check int) "union size" 8 (Store.size loaded);
-      check_records_match ~msg:"hinted migration" (Store.records mine) loaded
+      Alcotest.(check int) (msg ^ ": pristine") 0 skipped;
+      let served = Pipeline.analyze ~store:loaded quick_config program in
+      Alcotest.(check int) (msg ^ ": everything reused") 0
+        served.Pipeline.sections_analyzed;
+      check_bit_identical ~msg reference served;
+      loaded
+  in
+  let first = reload "first reload" in
+  let _ = Persist.save first ~path in
+  ignore (reload "second reload")
 
 (* --- corruption ------------------------------------------------------------ *)
 
@@ -293,18 +229,19 @@ let corrupt ~kind ~frac ~byte data =
       (Char.chr (Char.code (Bytes.get b off) lxor (1 + (byte mod 255))));
     Bytes.to_string b
   | 1 -> String.sub data 0 off
-  | _ ->
+  | 2 ->
     let b = Bytes.of_string data in
     for i = off to min (n - 1) (off + 15) do
       Bytes.set b i '\000'
     done;
     Bytes.to_string b
+  | _ -> String.sub data 0 off ^ String.make 5 (Char.chr byte) ^ String.sub data off (n - off)
 
 let prop_corrupt_shard_salvage =
   QCheck2.Test.make ~count:100
     ~name:"corrupt shard: load never raises, siblings survive intact"
     QCheck2.Gen.(
-      quad (int_range 0 3) (int_range 0 2) (float_bound_exclusive 1.0)
+      quad (int_range 0 3) (int_range 0 3) (float_bound_exclusive 1.0)
         (int_range 0 255))
     (fun (victim, kind, frac, byte) ->
       let store, manifest, shards = Lazy.force sharded_pristine in
@@ -392,6 +329,28 @@ let test_missing_manifest_salvages_from_shards () =
   match Persist.load ~path:empty with
   | Error _ -> ()
   | Ok _ -> Alcotest.fail "a path with no files at all should not load"
+
+let test_save_over_orphaned_logs_keeps_them () =
+  (* The mid-first-save crash window again, now followed by a save from
+     a process that never loaded the orphaned logs: the rebuild must merge
+     them, not overwrite them with its own records. *)
+  with_temp_store @@ fun path ->
+  let store = Store.create () in
+  let records = List.init 10 mk_record in
+  List.iter (Store.add store) records;
+  let _ = Persist.save store ~path in
+  Sys.remove path;
+  let fresh = Store.create () in
+  let extra = mk_record 10 in
+  Store.add fresh extra;
+  let s = Persist.save fresh ~path in
+  Alcotest.(check int) "rebuild writes the union" 11 s.Persist.sv_appended;
+  match Persist.load ~path with
+  | Error e -> Alcotest.failf "load failed: %s" e
+  | Ok (loaded, skipped) ->
+    Alcotest.(check int) "pristine after the rebuild" 0 skipped;
+    Alcotest.(check int) "orphaned records survive" 11 (Store.size loaded);
+    check_records_match ~msg:"orphaned logs" (extra :: records) loaded
 
 (* --- compaction ------------------------------------------------------------ *)
 
@@ -542,13 +501,10 @@ let () =
             test_sharded_layout_and_stat;
           Alcotest.test_case "save is O(dirty)" `Quick test_save_is_o_dirty;
         ] );
-      ( "migration",
+      ( "reload",
         [
-          Alcotest.test_case "v1/v2 differential" `Quick test_migration_differential;
-          Alcotest.test_case "pipeline bit-identity across formats" `Quick
-            test_pipeline_bit_identity_across_formats;
-          Alcotest.test_case "generation hint daemon flow" `Quick
-            test_generation_hint_daemon_flow;
+          Alcotest.test_case "pipeline bit-identity" `Quick
+            test_pipeline_bit_identity_after_reload;
         ] );
       ( "corruption",
         [
@@ -557,6 +513,8 @@ let () =
             test_manifest_corruption_salvages_from_shards;
           Alcotest.test_case "missing manifest salvages from shards" `Quick
             test_missing_manifest_salvages_from_shards;
+          Alcotest.test_case "save over orphaned shard logs keeps them" `Quick
+            test_save_over_orphaned_logs_keeps_them;
         ] );
       ( "compaction",
         [
