@@ -15,8 +15,9 @@
 
    Campaigns and sensitivity sampling run on FF_DOMAINS domains (default:
    the recommended domain count); every artifact is bit-identical to the
-   serial run. Each invocation appends wall-clock timings per artifact to
-   BENCH_parallel.json so the perf trajectory is tracked across PRs. *)
+   serial run. Timings use the monotonic clock. A run that includes
+   `parallel` overwrites BENCH_parallel.json with its serial-vs-parallel
+   phases and the time of every artifact it ran. *)
 
 open Ff_benchmarks
 module Pipeline = Fastflip.Pipeline
@@ -33,16 +34,19 @@ let quick_config =
     sensitivity_samples = 60;
   }
 
+(* Seconds on the monotonic clock (immune to wall-clock adjustments). *)
+let now () = Bechamel.Toolkit.Monotonic_clock.get () *. 1e-9
+
 let timed label f =
-  let t0 = Unix.gettimeofday () in
+  let t0 = now () in
   let result = f () in
-  Printf.printf "[%s: %.1fs]\n%!" label (Unix.gettimeofday () -. t0);
+  Printf.printf "[%s: %.1fs]\n%!" label (now () -. t0);
   result
 
 let wall f =
-  let t0 = Unix.gettimeofday () in
+  let t0 = now () in
   let result = f () in
-  (result, Unix.gettimeofday () -. t0)
+  (result, now () -. t0)
 
 (* The shared campaign pool: FF_DOMAINS wide, created on first use. *)
 let pool = lazy (Pool.create ~domains:(Pool.default_domains ()))
@@ -931,8 +935,8 @@ let print_server config =
   let server =
     Thread.create (fun () -> Ff_serve.Server.run ~socket ~pool:(Lazy.force pool) ()) ()
   in
-  let deadline = Unix.gettimeofday () +. 10.0 in
-  while not (Sys.file_exists socket) && Unix.gettimeofday () < deadline do
+  let deadline = now () +. 10.0 in
+  while not (Sys.file_exists socket) && now () < deadline do
     Thread.delay 0.01
   done;
   if not (Sys.file_exists socket) then failwith "daemon did not come up within 10s";

@@ -166,16 +166,16 @@ let with_store ~strict ?shards store_path k =
 
 let checkpoint_every_arg =
   Arg.(value & opt int 0 & info [ "checkpoint-every" ] ~docv:"N"
-         ~doc:"Checkpoint campaign progress every $(docv) equivalence classes to               a journal next to the store ($(b,--store) required); a killed run               restarted with $(b,--resume) replays only the unfinished classes.               0 (the default) disables checkpointing.")
+         ~doc:"Checkpoint campaign progress every $(docv) equivalence classes to               a progress log next to the store ($(b,--store) required); a killed run               restarted with $(b,--resume) replays only the unfinished classes.               0 (the default) disables checkpointing.")
 
 let resume_arg =
   Arg.(value & flag & info [ "resume" ]
-         ~doc:"Resume from the checkpoint journal left by a killed run               (requires $(b,--checkpoint-every)). Results are bit-identical to               an uninterrupted run.")
+         ~doc:"Resume from the checkpoint progress log left by a killed run               (requires $(b,--checkpoint-every)). Results are bit-identical to               an uninterrupted run.")
 
-(* The journal outlives the process on a crash by design; it is removed
-   only after [k] returns, i.e. after the store save inside it succeeded.
-   Progress chatter goes to stderr so resumed stdout diffs clean against
-   an uninterrupted run. *)
+(* The progress log outlives the process on a crash by design; it is
+   removed only after [k] returns, i.e. after the store save inside it
+   succeeded. Progress chatter goes to stderr so resumed stdout diffs
+   clean against an uninterrupted run. *)
 let with_checkpoint ~store_path ~every ~resume k =
   if every < 0 then begin
     Printf.eprintf "fastflip: --checkpoint-every must be >= 0\n";
@@ -194,20 +194,19 @@ let with_checkpoint ~store_path ~every ~resume k =
       Printf.eprintf "fastflip: --checkpoint-every requires --store\n";
       exit 1
     | Some path -> (
-      let jpath = path ^ ".journal" in
-      match Fastflip.Checkpoint.start ~path:jpath ~every ~resume () with
+      let lpath = Fastflip.Persist.progress_path path in
+      match Fastflip.Persist.open_progress ~path ~every ~resume with
       | Error e ->
-        Printf.eprintf "fastflip: cannot open checkpoint journal %s: %s\n" jpath e;
+        Printf.eprintf "fastflip: cannot open progress log %s: %s\n" lpath e;
         exit 1
-      | Ok ckpt ->
+      | Ok (progress, loaded, skipped) ->
         if resume then
-          Printf.eprintf "resuming: %d class outcome(s) restored from %s%s\n%!"
-            (Fastflip.Checkpoint.loaded ckpt) jpath
-            (match Fastflip.Checkpoint.skipped ckpt with
+          Printf.eprintf "resuming: %d class outcome(s) restored from %s%s\n%!" loaded lpath
+            (match skipped with
             | 0 -> ""
             | n -> Printf.sprintf " (%d corrupt region(s) skipped)" n);
-        let result = k (Some ckpt) in
-        Fastflip.Checkpoint.remove ckpt;
+        let result = k (Some (fun key -> Fastflip.Persist.progress_journal progress ~key)) in
+        Fastflip.Persist.remove_progress progress;
         result)
 
 (* --- compile -------------------------------------------------------------- *)
@@ -252,9 +251,9 @@ let analyze_cmd =
     let analysis =
       with_metrics metrics (fun () ->
           with_jobs jobs (fun pool ->
-              with_checkpoint ~store_path ~every ~resume (fun checkpoint ->
+              with_checkpoint ~store_path ~every ~resume (fun journal ->
                   with_store ~strict ?shards store_path (fun store ->
-                      Pipeline.analyze ~store ~pool ?checkpoint config program))))
+                      Pipeline.analyze ~store ~pool ?journal config program))))
     in
     print_string (Ff_serve.Report.analysis ~target analysis)
   in

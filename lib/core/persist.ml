@@ -1,5 +1,7 @@
 module Telemetry = Ff_support.Telemetry
 module Hashing = Ff_support.Hashing
+module Outcome = Ff_inject.Outcome
+module Campaign = Ff_inject.Campaign
 
 (* Salvage and write-path telemetry: how often the store survives a
    corrupt file, how much it loses when it does, and how much work the
@@ -12,6 +14,9 @@ let m_skipped = Telemetry.counter "persist.records_skipped"
 let m_appends = Telemetry.counter "persist.appends"
 let m_appended = Telemetry.counter "persist.records_appended"
 let m_compactions = Telemetry.counter "persist.compactions"
+let m_progress_appended = Telemetry.counter "checkpoint.classes_appended"
+let m_progress_loaded = Telemetry.counter "checkpoint.classes_loaded"
+let m_progress_skipped = Telemetry.counter "checkpoint.skipped_regions"
 
 let magic_v3 = "FFSTORE3"
 let magic_shard = "FFSHARD1"
@@ -226,8 +231,10 @@ let next_generation g = Int64.succ (max 0L g)
 (* --- crash-test hook --------------------------------------------------------- *)
 
 (* FF_PERSIST_KILL_AFTER=k SIGKILLs the process right after the k-th
-   shard-log write of this process (data fsynced, manifest not yet
-   updated) — the window the store-recovery smoke test aims at. *)
+   log write of this process (data fsynced, manifest not yet updated) —
+   the window the store-recovery smoke test aims at. Progress-log
+   appends count too, so the crash-recovery smoke uses it to kill a
+   checkpointed campaign right after a batch is durable. *)
 let kill_after_env () =
   match Sys.getenv_opt "FF_PERSIST_KILL_AFTER" with
   | None -> None
@@ -273,19 +280,19 @@ let write_shard ~spath records =
   write_atomic ~path:spath (Buffer.contents buf);
   kill_tick ()
 
-(* Decode a log's frame payloads into records, in file order; corrupt or
+(* Decode a log's frame payloads with [read], in file order; corrupt or
    trailing-garbage payloads count as skips. *)
-let decode_shard_payloads payloads =
+let decode_payloads read payloads =
   let skips = ref 0 in
   let entries =
     List.filter_map
       (fun payload ->
         match
           let c = Wire.cursor payload in
-          let record = Wire.r_record c in
-          if Wire.at_end c then Some record else None
+          let v = read c in
+          if Wire.at_end c then Some v else None
         with
-        | Some record -> Some (payload, record)
+        | Some v -> Some (payload, v)
         | None ->
           incr skips;
           None
@@ -313,7 +320,7 @@ let load_shard store ~index ~declared spath =
     let magic_ok = has_magic data magic_shard in
     let pos = if magic_ok then String.length magic_shard else 0 in
     let frames, frame_skips = Wire.read_frames ~pos data in
-    let entries, decode_skips = decode_shard_payloads frames in
+    let entries, decode_skips = decode_payloads Wire.r_record frames in
     let keys = Hashtbl.create 16 in
     List.iter
       (fun (_, (record : Store.section_record)) ->
@@ -470,7 +477,7 @@ let stage_compaction path i =
   | Ok data ->
     let pos = if has_magic data magic_shard then String.length magic_shard else 0 in
     let frames, _ = Wire.read_frames ~pos data in
-    let entries, _ = decode_shard_payloads frames in
+    let entries, _ = decode_payloads Wire.r_record frames in
     let last = Hashtbl.create 64 in
     List.iteri
       (fun idx (payload, (record : Store.section_record)) ->
@@ -688,10 +695,91 @@ let compact ?shards ~path () =
       Telemetry.add m_compactions target;
       Ok { cp_live = live; cp_dropped = max 0 (frames - live); cp_shards = target; cp_generation = gen })
 
+(* --- campaign progress log ------------------------------------------------------ *)
+
+(* In-flight campaign outcomes for [--checkpoint-every]/[--resume]: a
+   sibling log at [path.progress] in the shard-log format, appended by
+   [append_shard] under its own lock and read by the same salvaging frame
+   reader. One frame is one batch: a store key plus its
+   [(class_index, outcome, work)] triples. *)
+let progress_path path = path ^ ".progress"
+
+type progress = {
+  pg_path : string;
+  pg_every : int;
+  pg_done : (Store.key * int, Outcome.section_outcome * int) Hashtbl.t;
+}
+
+let r_batch c =
+  let key = Wire.r_key c in
+  let r_entry c =
+    let idx = Wire.r_int c in
+    let outcome = Wire.r_section_outcome c in
+    let work = Wire.r_int c in
+    (idx, outcome, work)
+  in
+  (key, Wire.r_list c r_entry "progress batch")
+
+(* Fold every salvageable batch into [pg_done] (a later entry for the
+   same class wins); returns the skipped regions. An empty file is an
+   empty log: a crash between [append_shard]'s create and its first
+   write leaves one. *)
+let read_progress lpath pg_done =
+  match read_file lpath with
+  | Error e -> Error e
+  | Ok data when data <> "" && not (has_magic data magic_shard) ->
+    Error (lpath ^ ": not a FastFlip progress log")
+  | Ok data ->
+    let frames, frame_skips = Wire.read_frames ~pos:(String.length magic_shard) data in
+    let batches, decode_skips = decode_payloads r_batch frames in
+    List.iter
+      (fun (_, (key, batch)) ->
+        List.iter (fun (idx, outcome, work) -> Hashtbl.replace pg_done (key, idx) (outcome, work)) batch)
+      batches;
+    Ok (frame_skips + decode_skips)
+
+let open_progress ~path ~every ~resume =
+  if every < 1 then invalid_arg "Persist.open_progress: every must be >= 1";
+  let lpath = progress_path path in
+  let lockfile = lpath ^ ".lock" in
+  let pg_done = Hashtbl.create 256 in
+  match
+    with_lock ~lockfile @@ fun () ->
+    if resume && Sys.file_exists lpath then read_progress lpath pg_done
+    else begin
+      (try Sys.remove lpath with Sys_error _ -> ());
+      Ok 0
+    end
+  with
+  | exception Unix.Unix_error (e, _, _) -> Error (lockfile ^ ": " ^ Unix.error_message e)
+  | Error e -> Error e
+  | Ok skipped ->
+    Telemetry.add m_progress_loaded (Hashtbl.length pg_done);
+    Telemetry.add m_progress_skipped skipped;
+    Ok ({ pg_path = lpath; pg_every = every; pg_done }, Hashtbl.length pg_done, skipped)
+
+let progress_journal pg ~key =
+  let j_done = Hashtbl.create 64 in
+  Hashtbl.iter (fun (k, idx) v -> if k = key then Hashtbl.replace j_done idx v) pg.pg_done;
+  let append batch =
+    let payload = Buffer.create 1024 in
+    Wire.w_key payload key;
+    Wire.w_list payload
+      (fun buf (idx, outcome, work) ->
+        Wire.w_int buf idx;
+        Wire.w_section_outcome buf outcome;
+        Wire.w_int buf work)
+      batch;
+    let frame = Wire.frame (Buffer.contents payload) in
+    with_lock ~lockfile:(pg.pg_path ^ ".lock") (fun () -> append_shard ~spath:pg.pg_path frame);
+    Telemetry.add m_progress_appended (List.length batch)
+  in
+  { Campaign.j_every = pg.pg_every; j_done; j_append = append }
+
+let remove_progress pg = try Sys.remove pg.pg_path with Sys_error _ -> ()
+
 (* --- structural equality (tests) --------------------------------------------- *)
 
-module Outcome = Ff_inject.Outcome
-module Campaign = Ff_inject.Campaign
 module Sensitivity = Ff_sensitivity.Sensitivity
 
 let float_equal a b = Int64.equal (Int64.bits_of_float a) (Int64.bits_of_float b)

@@ -20,7 +20,11 @@
        of CRC-framed records ({!Wire.frame}). Records are hash-sharded by
        store key, so each key lives in exactly one log; within a log a
        later frame for the same key supersedes the earlier one (a
-       {e delta log}).}}
+       {e delta log}).}
+    {- [path.progress] — the campaign progress log (present only while a
+       checkpointed analysis is in flight, see {!open_progress}): the
+       shard-log file format, one frame per checkpointed batch. {!load},
+       {!stat}, {!compact} and {!present} never look at it.}}
 
     {2 Guarantees}
 
@@ -153,6 +157,40 @@ val compact : ?shards:int -> path:string -> unit -> (compact_stats, string) resu
     [Error] for a missing path or a file that is not a store, legacy
     formats named as for {!load}. Concurrent readers may transiently
     over-count [skipped] during a reshard; they never lose records. *)
+
+(** {1 Campaign progress}
+
+    A checkpointed analysis keeps its completed equivalence-class
+    outcomes in the progress log [path.progress]: one CRC frame per
+    campaign batch (the section's store key and its
+    [(class_index, outcome, work)] triples), appended and fsynced under
+    [path.progress.lock] like a shard-log write — [FF_PERSIST_KILL_AFTER]
+    counts these appends too. It is in-flight work, not part of the
+    store: remove it once the final {!save} has succeeded. *)
+
+type progress
+
+val progress_path : string -> string
+(** [progress_path path] is the progress-log file name [path.progress]. *)
+
+val open_progress :
+  path:string -> every:int -> resume:bool -> (progress * int * int, string) result
+(** Open the progress log of the store at [path], checkpointing every
+    [every] classes ([Invalid_argument] unless [every >= 1]). With
+    [resume = false] (or no log on disk) any leftover log is discarded;
+    with [resume = true] every batch the salvaging frame reader recovers
+    is loaded and new batches are appended after it. Returns the handle,
+    the class outcomes restored and the corrupt regions skipped. [Error]
+    for an unreadable log, a file that is not a progress log, or a lock
+    file that cannot be created. *)
+
+val progress_journal : progress -> key:Store.key -> Ff_inject.Campaign.journal
+(** One section's campaign view: its restored outcomes as [j_done], and a
+    [j_append] that frames, appends and fsyncs each completed batch (safe
+    from pool worker domains). *)
+
+val remove_progress : progress -> unit
+(** Delete the progress log. *)
 
 (** {1 Structural equality (tests)} *)
 

@@ -180,7 +180,7 @@ type backing = {
 let backing_of_store store =
   { lookup = Store.find store; publish = Store.add store }
 
-let analyze_prepared ?backing ?(pool = Pool.serial) ?checkpoint config prepared =
+let analyze_prepared ?backing ?(pool = Pool.serial) ?journal config prepared =
   let golden = prepared.p_golden in
   let dataflow = prepared.p_dataflow in
   let keys = prepared.p_keys in
@@ -222,7 +222,7 @@ let analyze_prepared ?backing ?(pool = Pool.serial) ?checkpoint config prepared 
     let key = keys.(section_index) in
     (* Checkpointed campaigns: completed classes of this key restore from
        the journal; fresh batches append to it (safe from pool domains). *)
-    let journal = Option.map (fun c -> Checkpoint.journal c ~key) checkpoint in
+    let journal = Option.map (fun journal_of -> journal_of key) journal in
     let record = analyze_section ~pool ?journal config golden ~section_index ~key in
     Telemetry.step meter;
     record
@@ -312,12 +312,12 @@ let analyze_prepared ?backing ?(pool = Pool.serial) ?checkpoint config prepared 
     sections_analyzed = !analyzed;
   }
 
-let analyze ?store ?pool ?checkpoint config program =
+let analyze ?store ?pool ?journal config program =
   Telemetry.span "pipeline.analyze" @@ fun () ->
   let prepared = prepare config program in
   analyze_prepared
     ?backing:(Option.map backing_of_store store)
-    ?pool ?checkpoint config prepared
+    ?pool ?journal config prepared
 
 let ground_truth_for_section ?pool analysis ~section_index campaign_config =
   (* §4.10 "simultaneous" ground-truth labels: reuse the equivalence

@@ -85,7 +85,7 @@ val backing_of_store : Store.t -> backing
 val analyze_prepared :
   ?backing:backing ->
   ?pool:Ff_support.Pool.t ->
-  ?checkpoint:Checkpoint.t ->
+  ?journal:(Store.key -> Ff_inject.Campaign.journal) ->
   config ->
   prepared ->
   analysis
@@ -97,7 +97,7 @@ val analyze_prepared :
 val analyze :
   ?store:Store.t ->
   ?pool:Ff_support.Pool.t ->
-  ?checkpoint:Checkpoint.t ->
+  ?journal:(Store.key -> Ff_inject.Campaign.journal) ->
   config ->
   Ff_ir.Program.t ->
   analysis
@@ -113,9 +113,10 @@ val analyze :
     valuation, solution, work and reuse counters, store telemetry — is
     bit-identical to the serial run for any pool width.
 
-    With a [checkpoint], every cache-miss campaign journals its completed
-    equivalence classes ({!Checkpoint}): an analysis killed mid-campaign
-    and re-run against the resumed journal replays only the unfinished
+    With a [journal], every cache-miss campaign journals its completed
+    equivalence classes through [journal key] (the CLI passes
+    {!Persist.progress_journal}): an analysis killed mid-campaign and
+    re-run against the resumed journal replays only the unfinished
     classes and produces the same analysis bit-for-bit — sections,
     valuation, solution, and work counters — as an uninterrupted run, for
     any pool width. *)

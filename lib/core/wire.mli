@@ -1,5 +1,5 @@
-(** The binary codec shared by the persistent store ({!Persist}) and the
-    campaign checkpoint journal ({!Checkpoint}).
+(** The binary codec of the persistent store ({!Persist}): its manifest,
+    shard logs and campaign progress log.
 
     Two layers:
 
@@ -33,7 +33,7 @@ val w_list : Buffer.t -> (Buffer.t -> 'a -> unit) -> 'a list -> unit
 exception Corrupt of string
 (** Raised by readers on a tag, length, or bounds violation. Framed
     readers catch it per frame; it never escapes {!Persist.load} or
-    {!Checkpoint.start}. *)
+    {!Persist.open_progress}. *)
 
 type cursor = {
   data : string;

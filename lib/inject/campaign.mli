@@ -57,8 +57,9 @@ type journal = {
   j_append : (int * Outcome.section_outcome * int) list -> unit;
   (** called once per completed batch with [(class_index, outcome, work)]
       triples; expected to make them durable before returning (the
-      {!Fastflip.Checkpoint} implementation appends a CRC-framed batch
-      and fsyncs). May be called from a pool worker domain. *)
+      [Fastflip.Persist.progress_journal] implementation appends one
+      CRC-framed batch to the store's progress log and fsyncs). May be
+      called from a pool worker domain. *)
 }
 (** Checkpointing hooks for {!run_section}. The class enumeration for a
     fixed (kernel code, golden input, config) key is deterministic, so

@@ -70,7 +70,8 @@ let is_number_char c =
   is_digit c || c = '-' || c = '+' || c = '.' || c = 'x' || c = 'X' || c = 'p' || c = 'P'
   || (c >= 'a' && c <= 'f')
   || (c >= 'A' && c <= 'F')
-  || c = 'n' (* nan *) || c = 'i' (* inf *)
+  || c = 'n' || c = 'i' || c = 't' || c = 'y' (* nan, infinity *)
+  || c = ':' (* nan:0xBITS *)
 
 let scan_int sc =
   let s = scan_while sc (fun c -> is_digit c || c = '-') in
@@ -84,9 +85,20 @@ let scan_int64 sc =
   | Some v -> v
   | None -> fail sc.line "invalid integer %S" s
 
+(* Finite values and infinities in [%h] form; a NaN as [nan:0xBITS], its
+   full bit pattern (see [Instr.pp]). *)
 let scan_float sc =
   let s = scan_while sc is_number_char in
-  match float_of_string_opt s with
+  let parsed =
+    match String.split_on_char ':' s with
+    | [ "nan"; bits ] -> (
+      match Option.map Int64.float_of_bits (Int64.of_string_opt bits) with
+      | Some v when Float.is_nan v -> Some v
+      | Some _ | None -> None)
+    | [ _ ] -> float_of_string_opt s
+    | _ -> None
+  in
+  match parsed with
   | Some v -> v
   | None -> fail sc.line "invalid float %S" s
 

@@ -13,6 +13,10 @@
         5: halt
     v}
 
+    [fconst] operands are in [%h] form ([infinity]/[-infinity] for the
+    infinities); a NaN prints as [nan:0xBITS], its full 64-bit pattern,
+    so every float constant round-trips bit for bit.
+
     Instruction indices at the start of each line are optional and, when
     present, must match the instruction's position. Register counts come
     from the header comment when present ([; N regs]) or are inferred as

@@ -144,6 +144,9 @@ let cast_name = function Itof -> "itof" | Ftoi -> "ftoi" | Fbits -> "fbits" | Bi
 let pp fmt = function
   | Mov (d, s) -> Format.fprintf fmt "r%d <- mov r%d" d s
   | Iconst (d, v) -> Format.fprintf fmt "r%d <- iconst %Ld" d v
+  | Fconst (d, v) when Float.is_nan v ->
+    (* [%h] prints every NaN as a payload-less [nan]; keep the bits. *)
+    Format.fprintf fmt "r%d <- fconst nan:0x%016Lx" d (Int64.bits_of_float v)
   | Fconst (d, v) -> Format.fprintf fmt "r%d <- fconst %h" d v
   | Ibin (op, d, a, b) -> Format.fprintf fmt "r%d <- %s r%d, r%d" d (ibinop_name op) a b
   | Fbin (op, d, a, b) -> Format.fprintf fmt "r%d <- %s r%d, r%d" d (fbinop_name op) a b

@@ -35,7 +35,7 @@ val crc32 : ?pos:int -> ?len:int -> string -> int
 (** CRC-32 (IEEE 802.3 polynomial, reflected) of [len] bytes of [s]
     starting at [pos] (default: the whole string), as a non-negative int
     in [0, 2^32). Unlike FNV (a speed-oriented digest), CRC-32 detects
-    {e every} burst error up to 32 bits, which is what the on-disk store
-    and checkpoint journal framing rely on to salvage intact records from
+    {e every} burst error up to 32 bits, which is what the on-disk store's
+    log framing relies on to salvage intact records from
     a corrupted file. Raises [Invalid_argument] on an out-of-range
     [pos]/[len]. *)

@@ -16,7 +16,7 @@
 #   BENCH_prune.json     well-formed, all identical, aggregate
 #                        speedup >= 1.0
 #   BENCH_server.json    well-formed, identical responses, warm
-#                        speedup > 1.0
+#                        speedup > 1.0, cold_ms >= 10 x warm_p50_ms
 #   BENCH_faults.json    well-formed, every fault model identical between
 #                        serial and pooled runs, bitflip prover prunes
 #                        >= 20% of classes, throughput above a sanity
@@ -125,6 +125,16 @@ gate_server() {
   require_identical "$f" "daemon responses diverged from the one-shot CLI"
   require_floor "$f" warm_speedup ">" 1.0 "warm daemon state buys nothing"
   require_floor "$f" throughput_rps ">" 0 "no concurrent throughput recorded"
+  # The warm p50 must sit at least 10x below the cold request (measured
+  # ~50x). Checked on the raw latencies: the one-decimal warm_speedup
+  # would round a 9.96x run up to 10.0.
+  cold=$(json_num "$f" cold_ms)
+  warm=$(json_num "$f" warm_p50_ms)
+  if [ -z "$cold" ] || [ -z "$warm" ]; then
+    violation "$f: malformed, no numeric \"cold_ms\"/\"warm_p50_ms\""
+  elif ! awk -v c="$cold" -v w="$warm" 'BEGIN { exit !(c > 0 && w > 0 && c >= 10 * w) }'; then
+    violation "$f: warm p50 ${warm}ms is not 10x below cold ${cold}ms"
+  fi
 }
 
 gate_faults() {

@@ -4,8 +4,9 @@
 #   - every response byte-identical to the one-shot `fastflip analyze`,
 #   - warm (cached) queries faster than the cold one,
 #   - a clean shutdown on SIGTERM (store saved, socket removed),
-#   - a BENCH_server.json from the bench harness whose warm p50 is at
-#     least 10x below the cold request.
+#   - a BENCH_server.json from the bench harness that passes the bench
+#     gate (whose floors include a warm p50 at least 10x below the cold
+#     request).
 # Also available as a dune alias: dune build @serve-smoke
 set -eu
 
@@ -113,22 +114,11 @@ grep -q "shut down cleanly" "$WORK/server.out" || fail "daemon did not report a 
 [ -s "$WORK/serve.store" ] || fail "daemon did not save its store on shutdown"
 
 # 7. Bench artifact: honest cold/warm numbers over the same transport,
-#    gated at a 10x warm win (measured ~50x).
+#    gated by scripts/bench_gate.sh (warm p50 at least 10x below cold).
 ROOT=$(pwd)
 (cd "$WORK" && FF_DOMAINS=2 "$ROOT/$BENCH" quick server >bench.out 2>&1) \
   || { cat "$WORK/bench.out" >&2; fail "bench server artifact failed"; }
 mv "$WORK/BENCH_server.json" BENCH_server.json
 scripts/bench_gate.sh BENCH_server.json || fail "bench gate rejected BENCH_server.json"
-awk '
-  /"cold_ms"/ { gsub(/[^0-9.]/, "", $2); cold = $2 + 0 }
-  /"warm_p50_ms"/ { gsub(/[^0-9.]/, "", $2); warm = $2 + 0 }
-  END {
-    if (cold <= 0 || warm <= 0) { print "missing latencies"; exit 1 }
-    if (cold < 10 * warm) {
-      printf "warm p50 %.3fms not 10x below cold %.3fms\n", warm, cold
-      exit 1
-    }
-  }
-' BENCH_server.json || fail "BENCH_server.json warm p50 not >=10x below cold"
 
 echo "server smoke: OK (cold ${cold_ms}ms, 4 warm clients ${warm4_ms}ms, byte-identical, clean SIGTERM)"

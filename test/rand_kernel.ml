@@ -45,7 +45,7 @@ let gen_float =
         oneofl [ 0.0; -0.0; Float.nan; Float.infinity; Float.neg_infinity; 1e308; -2.5 ];
       ])
 
-let gen_instr ~floats ~ninstrs =
+let gen_instr ~ninstrs =
   QCheck2.Gen.(
     let reg = int_range 0 (nregs - 1) in
     let label = int_range 0 ninstrs in
@@ -53,7 +53,7 @@ let gen_instr ~floats ~ninstrs =
     oneof
       [
         map2 (fun d v -> Instr.Iconst (d, v)) reg gen_int64;
-        map2 (fun d v -> Instr.Fconst (d, v)) reg floats;
+        map2 (fun d v -> Instr.Fconst (d, v)) reg gen_float;
         map2 (fun d s -> Instr.Mov (d, s)) reg reg;
         map3 (fun op (d, a) b -> Instr.Ibin (op, d, a, b)) (oneofl all_ibinops)
           (pair reg reg) reg;
@@ -74,12 +74,11 @@ let gen_instr ~floats ~ninstrs =
       ])
 
 (* Signature [(n: int, x: float, inout fb: float[], inout ib: int[])];
-   every label targets an instruction or the trailing [halt]. [floats]
-   draws the [fconst] operands. *)
-let gen_kernel_with ~floats =
+   every label targets an instruction or the trailing [halt]. *)
+let gen_kernel =
   QCheck2.Gen.(
     int_range 1 24 >>= fun ninstrs ->
-    list_repeat ninstrs (gen_instr ~floats ~ninstrs) >|= fun body ->
+    list_repeat ninstrs (gen_instr ~ninstrs) >|= fun body ->
     {
       Kernel.name = "randk";
       params =
@@ -92,5 +91,3 @@ let gen_kernel_with ~floats =
       code = Array.of_list (body @ [ Instr.Halt ]);
       nregs;
     })
-
-let gen_kernel = gen_kernel_with ~floats:gen_float

@@ -477,65 +477,73 @@ let test_checkpoint_kill_and_resume () =
       Ff_support.Pool.with_pool ~domains (fun pool ->
           let reference = Pipeline.analyze ~pool quick_config program in
           List.iter
-            (fun crash_after ->
-              let msg = Printf.sprintf "domains=%d kill=%d" domains crash_after in
-              let jpath = Filename.temp_file "ffjournal" ".bin" in
-              (* The killed run: the journal hook raises after the
-                 [crash_after]-th durable append — exactly the on-disk
-                 state a real SIGKILL at that point leaves behind. *)
-              (match
-                 Checkpoint.start ~crash_after ~path:jpath ~every:2 ~resume:false ()
-               with
-              | Error e -> Alcotest.failf "%s: start failed: %s" msg e
-              | Ok ckpt ->
-                (match Pipeline.analyze ~pool ~checkpoint:ckpt quick_config program with
-                | _ -> Alcotest.failf "%s: expected the simulated crash" msg
-                | exception Checkpoint.Simulated_crash -> ());
-                Checkpoint.close ckpt);
+            (fun after ->
+              let msg = Printf.sprintf "domains=%d kill=%d" domains after in
+              let path = Filename.temp_file "ffprogress" ".bin" in
+              Kill_resume.kill ~pool ~after ~path quick_config program;
               (* The resumed run must match the uninterrupted one bit for
                  bit — outcomes AND work counters. *)
-              match Checkpoint.start ~path:jpath ~every:2 ~resume:true () with
-              | Error e -> Alcotest.failf "%s: resume failed: %s" msg e
-              | Ok ckpt ->
-                Alcotest.(check bool) (msg ^ ": crashed progress survives") true
-                  (Checkpoint.loaded ckpt > 0);
-                Alcotest.(check int) (msg ^ ": journal pristine") 0
-                  (Checkpoint.skipped ckpt);
-                let resumed = Pipeline.analyze ~pool ~checkpoint:ckpt quick_config program in
-                Checkpoint.remove ckpt;
-                Alcotest.(check bool) (msg ^ ": journal removed") false
-                  (Sys.file_exists jpath);
-                check_bit_identical ~msg reference resumed)
+              let resumed, loaded, skipped =
+                Kill_resume.resume ~pool ~path quick_config program
+              in
+              Alcotest.(check bool) (msg ^ ": crashed progress survives") true (loaded > 0);
+              Alcotest.(check int) (msg ^ ": progress log pristine") 0 skipped;
+              check_bit_identical ~msg reference resumed)
             kill_points))
     [ 1; 4 ]
 
 let test_checkpoint_survives_torn_tail () =
-  (* A real crash can tear the journal mid-write; resume must salvage the
-     intact prefix and re-run the rest, not refuse or mis-restore. *)
+  (* A real crash can tear the progress log mid-write; resume must
+     salvage the intact prefix and re-run the rest, not refuse or
+     mis-restore. *)
   let program = compile program_src in
-  let jpath = Filename.temp_file "ffjournal" ".bin" in
+  let path = Filename.temp_file "ffprogress" ".bin" in
   let reference = Pipeline.analyze quick_config program in
-  (match Checkpoint.start ~crash_after:2 ~path:jpath ~every:2 ~resume:false () with
-  | Error e -> Alcotest.failf "start failed: %s" e
-  | Ok ckpt ->
-    (match Pipeline.analyze ~checkpoint:ckpt quick_config program with
-    | _ -> Alcotest.fail "expected the simulated crash"
-    | exception Checkpoint.Simulated_crash -> ());
-    Checkpoint.close ckpt);
+  Kill_resume.kill ~after:2 ~path quick_config program;
   (* Tear the last 7 bytes off, as a power loss mid-append would. *)
-  let ic = open_in_bin jpath in
-  let data = really_input_string ic (in_channel_length ic - 7) in
-  close_in ic;
-  let oc = open_out_bin jpath in
-  output_string oc data;
-  close_out oc;
-  match Checkpoint.start ~path:jpath ~every:2 ~resume:true () with
-  | Error e -> Alcotest.failf "torn resume failed: %s" e
-  | Ok ckpt ->
-    Alcotest.(check bool) "torn region reported" true (Checkpoint.skipped ckpt > 0);
-    let resumed = Pipeline.analyze ~checkpoint:ckpt quick_config program in
-    Checkpoint.remove ckpt;
-    check_bit_identical ~msg:"torn tail" reference resumed
+  let lpath = Persist.progress_path path in
+  let data = slurp lpath in
+  spit lpath (String.sub data 0 (String.length data - 7));
+  let resumed, _, skipped = Kill_resume.resume ~path quick_config program in
+  Alcotest.(check bool) "torn region reported" true (skipped > 0);
+  check_bit_identical ~msg:"torn tail" reference resumed;
+  (* A crash between the log's creation and its first write leaves it
+     empty: that resumes as an empty log, not an error. *)
+  spit lpath "";
+  let _, loaded, skipped = Kill_resume.open_progress ~path ~resume:true in
+  Alcotest.(check (pair int int)) "empty log resumes empty" (0, 0) (loaded, skipped);
+  Kill_resume.cleanup path
+
+(* The progress log is a sibling of the store, not part of it: load, stat
+   and compact answer exactly as they do without it, compaction leaves
+   it in place, and a progress log alone is no store. *)
+let test_progress_log_invisible_to_store () =
+  let store, _ = Lazy.force pristine in
+  let path = Filename.temp_file "ffsibling" ".bin" in
+  Sys.remove path;
+  let ok what = function Ok v -> v | Error e -> Alcotest.failf "%s: %s" what e in
+  let observe () =
+    let _ = Persist.save store ~path ~shards:4 in
+    let loaded, skipped = ok "load" (Persist.load ~path) in
+    let info = ok "stat" (Persist.stat ~path) in
+    let compacted = ok "compact" (Persist.compact ~path ()) in
+    let compacted_info = ok "stat" (Persist.stat ~path) in
+    remove_store path;
+    (List.map (fun r -> r.Store.rec_key) (Store.records loaded), skipped, info, compacted,
+     compacted_info)
+  in
+  let without_log = observe () in
+  let progress, _, _ = Kill_resume.open_progress ~path ~resume:false in
+  let key = (List.hd (Store.records store)).Store.rec_key in
+  (Persist.progress_journal progress ~key).Campaign.j_append
+    [ (0, Ff_inject.Outcome.S_detected Ff_inject.Outcome.Crash, 7) ];
+  let log = slurp (Persist.progress_path path) in
+  Alcotest.(check bool) "progress log alone is no store" false (Persist.present ~path);
+  Alcotest.(check bool) "load/stat/compact ignore the progress log" true
+    (observe () = without_log);
+  Alcotest.(check string) "compact leaves the progress log in place" log
+    (slurp (Persist.progress_path path));
+  Kill_resume.cleanup path
 
 let test_crash_safety_counters_in_metrics () =
   (* The hardened layers' counters are interned in the process registry,
@@ -558,8 +566,8 @@ let test_crash_safety_counters_in_metrics () =
     [
       "pool.retries"; "pool.quarantined"; "campaign.retries";
       "campaign.quarantined"; "campaign.journal.batches";
-      "campaign.journal.restored"; "checkpoint.appends";
-      "checkpoint.classes_appended"; "checkpoint.classes_loaded";
+      "campaign.journal.restored"; "checkpoint.classes_appended";
+      "checkpoint.classes_loaded"; "checkpoint.skipped_regions";
       "persist.records_loaded"; "persist.records_skipped";
       "persist.saves.merged_records"; "persist.appends";
       "persist.records_appended"; "persist.compactions";
@@ -654,6 +662,8 @@ let () =
             test_checkpoint_kill_and_resume;
           Alcotest.test_case "torn journal tail" `Quick
             test_checkpoint_survives_torn_tail;
+          Alcotest.test_case "progress log invisible to the store" `Quick
+            test_progress_log_invisible_to_store;
           Alcotest.test_case "counters exported" `Quick
             test_crash_safety_counters_in_metrics;
         ] );

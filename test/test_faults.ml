@@ -286,32 +286,19 @@ let test_checkpoint_resume_under_model () =
       in
       Pool.with_pool ~domains:2 @@ fun pool ->
       let reference = Pipeline.analyze ~pool config program in
-      let jpath = Filename.temp_file "fffaults" ".bin" in
-      (match
-         Checkpoint.start ~crash_after:1 ~path:jpath ~every:2 ~resume:false ()
-       with
-      | Error e -> Alcotest.failf "%s: start failed: %s" name e
-      | Ok ckpt ->
-        (match Pipeline.analyze ~pool ~checkpoint:ckpt config program with
-        | _ -> Alcotest.failf "%s: expected the simulated crash" name
-        | exception Checkpoint.Simulated_crash -> ());
-        Checkpoint.close ckpt);
-      match Checkpoint.start ~path:jpath ~every:2 ~resume:true () with
-      | Error e -> Alcotest.failf "%s: resume failed: %s" name e
-      | Ok ckpt ->
-        Alcotest.(check bool) (name ^ ": crashed progress survives") true
-          (Checkpoint.loaded ckpt > 0);
-        let resumed = Pipeline.analyze ~pool ~checkpoint:ckpt config program in
-        Checkpoint.remove ckpt;
-        Array.iteri
-          (fun i ra ->
-            Alcotest.(check bool)
-              (Printf.sprintf "%s: section %d identical after resume" name i)
-              true
-              (Persist.roundtrip_equal ra resumed.Pipeline.sections.(i)))
-          reference.Pipeline.sections;
-        Alcotest.(check int) (name ^ ": work identical") reference.Pipeline.work
-          resumed.Pipeline.work)
+      let path = Filename.temp_file "fffaults" ".bin" in
+      Kill_resume.kill ~pool ~after:1 ~path config program;
+      let resumed, loaded, _ = Kill_resume.resume ~pool ~path config program in
+      Alcotest.(check bool) (name ^ ": crashed progress survives") true (loaded > 0);
+      Array.iteri
+        (fun i ra ->
+          Alcotest.(check bool)
+            (Printf.sprintf "%s: section %d identical after resume" name i)
+            true
+            (Persist.roundtrip_equal ra resumed.Pipeline.sections.(i)))
+        reference.Pipeline.sections;
+      Alcotest.(check int) (name ^ ": work identical") reference.Pipeline.work
+        resumed.Pipeline.work)
     [ Fault_model.Skip; Fault_model.Memflip { burst = 1 } ]
 
 (* --- directed model semantics ----------------------------------------------- *)

@@ -357,7 +357,10 @@ let test_asm_rejects_bad_input () =
   store b0[r0] <- r0
   halt";
   expect_error "trailing tokens" "kernel k()
-  halt junk"
+  halt junk";
+  expect_error "nan bits that are not a NaN" "kernel k()
+  r0 <- fconst nan:0x0
+  halt"
 
 let test_asm_executes_handwritten () =
   let listing =
@@ -374,16 +377,34 @@ let test_asm_executes_handwritten () =
   Alcotest.(check bool) "finished" true (run.Ff_vm.Machine.status = Ff_vm.Machine.Finished);
   Alcotest.(check bool) "doubled" true (buffers.(0).(0) = Value.Float 42.0)
 
-(* qcheck: random valid kernels must round-trip through the assembler.
-   [fconst] draws finite constants only: the listing prints infinities as
-   [infinity], which the float scanner does not read back, and every NaN
-   as a payload-less [nan]. *)
+(* Every float bit pattern an [fconst] can carry survives print -> parse:
+   both infinities, both NaN signs and a NaN with a payload. *)
+let test_asm_nonfinite_fconst () =
+  List.iter
+    (fun (label, v) ->
+      let k =
+        { Kernel.name = "k"; params = []; code = [| Instr.Fconst (0, v); Instr.Halt |];
+          nregs = 1 }
+      in
+      match Asm.parse_kernel (Asm.print_kernel k) with
+      | Error e -> Alcotest.failf "%s: %s" label (Format.asprintf "%a" Asm.pp_error e)
+      | Ok k' ->
+        (* [Instr.equal] compares float constants by bit pattern. *)
+        Alcotest.(check bool) (label ^ " bits") true (Instr.equal k.code.(0) k'.code.(0));
+        Alcotest.(check int64) (label ^ " code hash") (Kernel.code_hash k)
+          (Kernel.code_hash k'))
+    [
+      ("infinity", Float.infinity);
+      ("-infinity", Float.neg_infinity);
+      ("nan", Float.nan);
+      ("-nan", Float.neg Float.nan);
+      ("payload nan", Int64.float_of_bits 0x7ff0000000000001L);
+    ]
+
+(* qcheck: random valid kernels must round-trip through the assembler. *)
 let prop_asm_roundtrip =
-  let floats =
-    QCheck2.Gen.map (fun x -> if Float.is_finite x then x else 0.0) Rand_kernel.gen_float
-  in
   QCheck2.Test.make ~count:200 ~name:"random kernels round-trip through asm"
-    ~print:Asm.print_kernel (Rand_kernel.gen_kernel_with ~floats)
+    ~print:Asm.print_kernel Rand_kernel.gen_kernel
     (fun k ->
       match Asm.parse_kernel (Asm.print_kernel k) with
       | Ok k' -> Int64.equal (Kernel.code_hash k) (Kernel.code_hash k')
@@ -435,6 +456,8 @@ let () =
             test_asm_roundtrip_benchmarks;
           Alcotest.test_case "handwritten listing" `Quick test_asm_parses_handwritten;
           Alcotest.test_case "rejects bad input" `Quick test_asm_rejects_bad_input;
+          Alcotest.test_case "non-finite fconst round-trips" `Quick
+            test_asm_nonfinite_fconst;
           Alcotest.test_case "executes handwritten" `Quick test_asm_executes_handwritten;
           QCheck_alcotest.to_alcotest prop_asm_roundtrip;
         ] );
