@@ -779,7 +779,7 @@ let print_detect config =
         {
           dr_bench = name;
           dr_total_value = total;
-          dr_target_value = int_of_float (ceil (target *. float_of_int total));
+          dr_target_value = Fastflip.Knapsack.integer_target ~total target;
           dr_pure_value = serial.Protect.r_pure.Fastflip.Knapsack.value;
           dr_pure_cost = serial.Protect.r_pure.Fastflip.Knapsack.cost;
           dr_mixed_value = serial.Protect.r_mixed.Select.sel_value;

@@ -67,8 +67,20 @@ let fault_model_arg =
 let file_arg =
   Arg.(required & pos 0 (some file) None & info [] ~docv:"FILE" ~doc:"Kernel-language source file.")
 
+(* A fraction outside [0,1] clamps (Knapsack.integer_target); a
+   non-finite one is refused here, as the serve protocol refuses it. *)
+let target_conv =
+  let parse s =
+    match float_of_string_opt s with
+    | Some t when Float.is_finite t -> Ok t
+    | Some _ -> Error (`Msg (Printf.sprintf "target %s is not a finite number" s))
+    | None -> Error (`Msg (Printf.sprintf "invalid target %S, expected a number" s))
+  in
+  Arg.conv ~docv:"V" (parse, Format.pp_print_float)
+
 let target_arg =
-  Arg.(value & opt float 0.9 & info [ "t"; "target" ] ~docv:"V" ~doc:"Target protection value v_trgt in [0,1].")
+  Arg.(value & opt target_conv 0.9 & info [ "t"; "target" ] ~docv:"V"
+         ~doc:"Target protection value v_trgt in [0,1]; larger values select                 like 1, negative ones like 0.")
 
 let bits_arg =
   Arg.(value & opt (list int) [] & info [ "bits" ] ~docv:"B1,B2,..."

@@ -21,6 +21,5 @@ let revaluate t ~epsilon =
   { t with valuation; solution }
 
 let select t ~target =
-  let total = float_of_int t.valuation.Valuation.total_value in
-  let integer_target = int_of_float (ceil (target *. total)) in
-  Knapsack.select t.solution ~target:integer_target
+  let total = t.valuation.Valuation.total_value in
+  Knapsack.select t.solution ~target:(Knapsack.integer_target ~total target)

@@ -25,4 +25,4 @@ val revaluate : t -> epsilon:float -> t
 
 val select : t -> target:float -> Knapsack.selection
 (** Cheapest selection achieving a fractional target of the baseline's
-    own value mass. *)
+    own value mass, converted by {!Knapsack.integer_target}. *)

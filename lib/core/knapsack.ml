@@ -22,12 +22,25 @@ type solution = {
 
 let infinite_cost = max_int / 2
 
-let bit_get bytes v = Char.code (Bytes.get bytes (v lsr 3)) land (1 lsl (v land 7)) <> 0
+(* Rows are cut at their prefix sum (see [solve]); a bit past the end of
+   a row was never set. *)
+let bit_get bytes v =
+  let i = v lsr 3 in
+  i < Bytes.length bytes && Char.code (Bytes.unsafe_get bytes i) land (1 lsl (v land 7)) <> 0
 
+(* Only called with v <= the row's prefix sum, so i is in range. *)
 let bit_set bytes v =
   let i = v lsr 3 in
-  Bytes.set bytes i (Char.chr (Char.code (Bytes.get bytes i) lor (1 lsl (v land 7))))
+  Bytes.unsafe_set bytes i
+    (Char.unsafe_chr (Char.code (Bytes.unsafe_get bytes i) lor (1 lsl (v land 7))))
 
+(* Row i only sweeps v in [1, S_i], S_i = Σ value over items 0..i: before
+   item i, dp.(u) = infinite_cost for every u > S_{i-1}, so a cell above
+   S_i reads prev = infinite_cost and can never improve. The sweep
+   splits at the item's value: at or below it, max 0 (v - value) = 0 and
+   prev = dp.(0) = 0. The descending order and the strict [<] are the
+   same as in a full-width sweep, so dp and every bit [select] can read
+   are too. *)
 let solve items =
   Telemetry.span "knapsack.solve" @@ fun () ->
   let items =
@@ -38,28 +51,47 @@ let solve items =
   let total_value = Array.fold_left (fun acc item -> acc + item.value) 0 items in
   let dp = Array.make (total_value + 1) infinite_cost in
   dp.(0) <- 0;
-  let bytes_per_row = (total_value / 8) + 1 in
-  let take = Array.map (fun _ -> Bytes.make bytes_per_row '\000') items in
-  Array.iteri
-    (fun i item ->
-      let row = take.(i) in
-      for v = total_value downto 1 do
-        let prev = dp.(max 0 (v - item.value)) in
-        if prev < infinite_cost then begin
-          let candidate = prev + item.cost in
-          if candidate < dp.(v) then begin
-            dp.(v) <- candidate;
-            bit_set row v
-          end
+  let take = Array.make (Array.length items) Bytes.empty in
+  let take_bytes = ref 0 in
+  let s = ref 0 in
+  for i = 0 to Array.length items - 1 do
+    let w = items.(i).value and c = items.(i).cost in
+    s := !s + w;
+    let s = !s in
+    let row = Bytes.make ((s / 8) + 1) '\000' in
+    take.(i) <- row;
+    take_bytes := !take_bytes + Bytes.length row;
+    (* v in (w, S_i]: 1 <= v - w <= S_{i-1}, and S_i <= total_value *)
+    for v = s downto w + 1 do
+      let prev = Array.unsafe_get dp (v - w) in
+      if prev < infinite_cost then begin
+        let candidate = prev + c in
+        if candidate < Array.unsafe_get dp v then begin
+          Array.unsafe_set dp v candidate;
+          bit_set row v
         end
-      done)
-    items;
+      end
+    done;
+    (* v in [1, w]: prev = dp.(0) = 0 *)
+    for v = w downto 1 do
+      if c < Array.unsafe_get dp v then begin
+        Array.unsafe_set dp v c;
+        bit_set row v
+      end
+    done
+  done;
   Telemetry.incr m_solves;
   Telemetry.add m_items (Array.length items);
   Telemetry.add m_dp_cells (total_value + 1);
-  Telemetry.add m_take_bytes (Array.length items * bytes_per_row);
+  Telemetry.add m_take_bytes !take_bytes;
   Telemetry.observe h_dp_cells (total_value + 1);
   { items; dp; take; total_value }
+
+let integer_target ~total fraction =
+  if not (Float.is_finite fraction) then
+    invalid_arg (Printf.sprintf "Knapsack.integer_target: non-finite target %g" fraction);
+  let total_f = float_of_int total in
+  int_of_float (Float.min total_f (Float.max 0.0 (ceil (fraction *. total_f))))
 
 let max_value s = s.total_value
 

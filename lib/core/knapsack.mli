@@ -16,7 +16,12 @@ type item = {
 type solution
 
 val solve : item list -> solution
-(** Build the DP table. O(Σvalue × #items) time. *)
+(** Build the DP table. Items are taken in pc order and item [i] sweeps
+    only the values [1 .. S_i], where [S_i] is the sum of the values of
+    items [0 .. i]: O(Σ_i S_i) time, at most Σvalue × #items. The
+    retained [take] bits cost Σ_i (S_i/8 + 1) bytes (the
+    [knapsack.take_bytes] counter); the [dp] array Σvalue + 1 cells
+    ([knapsack.dp_cells]). *)
 
 val max_value : solution -> int
 (** Σ of all item values: the largest reachable target. *)
@@ -26,6 +31,13 @@ type selection = {
   value : int;                   (** Σ value over the selection *)
   cost : int;                    (** Σ cost over the selection *)
 }
+
+val integer_target : total:int -> float -> int
+(** [integer_target ~total fraction] is the integer knapsack target for
+    a protection-value fraction of [total]: [ceil (fraction × total)]
+    clamped to [[0, total]], so a fraction above 1 selects like 1 and a
+    negative one like 0. Raises [Invalid_argument] if [fraction] is not
+    finite. *)
 
 val select : solution -> target:int -> selection
 (** Cheapest selection with [value ≥ min target (max_value)]; a

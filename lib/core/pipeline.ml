@@ -329,9 +329,8 @@ let ground_truth_for_section ?pool analysis ~section_index campaign_config =
     campaign_config
 
 let select analysis ~target =
-  let total = float_of_int analysis.valuation.Valuation.total_value in
-  let integer_target = int_of_float (ceil (target *. total)) in
-  Knapsack.select analysis.solution ~target:integer_target
+  let total = analysis.valuation.Valuation.total_value in
+  Knapsack.select analysis.solution ~target:(Knapsack.integer_target ~total target)
 
 let revaluate analysis ~epsilon =
   let campaigns = Array.map (fun r -> r.Store.rec_campaign) analysis.sections in

@@ -134,7 +134,9 @@ val ground_truth_for_section :
 
 val select : analysis -> target:float -> Knapsack.selection
 (** Knapsack selection for a fractional target v_trgt ∈ [0, 1] of this
-    analysis' own value mass. *)
+    analysis' own value mass, converted by {!Knapsack.integer_target}
+    (out-of-range targets clamp; a non-finite one raises
+    [Invalid_argument]). *)
 
 val revaluate : analysis -> epsilon:float -> analysis
 (** Re-label the stored injection outcomes under a different ε and

@@ -159,9 +159,8 @@ let analyze ?pool ?engine ~epsilon golden (config : Campaign.config) =
   }
 
 let protect_first t ~target =
-  let total = float_of_int t.s_valuation.Valuation.total_value in
-  let integer_target = int_of_float (ceil (target *. total)) in
-  Knapsack.select t.s_solution ~target:integer_target
+  let total = t.s_valuation.Valuation.total_value in
+  Knapsack.select t.s_solution ~target:(Knapsack.integer_target ~total target)
 
 let pct part whole =
   if whole = 0 then 0.0 else 100.0 *. float_of_int part /. float_of_int whole

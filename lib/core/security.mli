@@ -65,8 +65,9 @@ val analyze :
     for the attacker. Deterministic for any pool width and engine. *)
 
 val protect_first : t -> target:float -> Knapsack.selection
-(** The knapsack selection covering [target] (in [0,1]) of the silent
-    damage at minimum dynamic-instruction cost. *)
+(** The knapsack selection covering [target] (in [0,1], converted by
+    {!Knapsack.integer_target}) of the silent damage at minimum
+    dynamic-instruction cost. *)
 
 val findings_json : t -> string
 (** The findings as deterministic JSON: campaign summary (model, ε,

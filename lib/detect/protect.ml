@@ -69,7 +69,7 @@ let run ?(pool = Pool.serial) ?engine ?backing ?(detectors_enabled = true)
   in
   let select = Select.build ?max_detectors valuation coverages in
   let target_value =
-    int_of_float (ceil (target *. float_of_int select.Select.t_total_value))
+    Knapsack.integer_target ~total:select.Select.t_total_value target
   in
   let mixed = Select.selection_at select ~target:target_value in
   let pure = Knapsack.select select.Select.t_pure ~target:target_value in

@@ -36,8 +36,9 @@ val run :
 (** Synthesis seeds from [config]'s perturbation magnitude, safety
     factor, and RNG seed, so the whole protect run is a pure function
     of (program, config, target, focus) — byte-identical at any pool
-    width. Coverage replays go through [backing] when given, reusing
-    cached measurements across runs. *)
+    width. [target] is converted by {!Fastflip.Knapsack.integer_target}.
+    Coverage replays go through [backing] when given, reusing cached
+    measurements across runs. *)
 
 val report : t -> string
 (** Human-readable report: synthesis/coverage summary, the surviving

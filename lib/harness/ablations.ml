@@ -37,9 +37,7 @@ let cost_models runs =
       let cost_at model =
         let items = Costmodel.items model ~valuation ~golden in
         let solution = Knapsack.solve items in
-        let target =
-          int_of_float (ceil (0.9 *. float_of_int (Knapsack.max_value solution)))
-        in
+        let target = Knapsack.integer_target ~total:(Knapsack.max_value solution) 0.9 in
         let selection = Knapsack.select solution ~target in
         let covered =
           Costmodel.expand_block_selection ~golden selection.Knapsack.pcs

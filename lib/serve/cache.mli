@@ -1,14 +1,14 @@
 (** The daemon's warm-state cache: completed analyses keyed by
     [(program source, full config)] digest.
 
-    A cached {!Fastflip.Pipeline.analysis} transitively pins everything
-    expensive to rebuild: the golden run with its pre-decoded kernels
-    (and hence the {!Ff_vm.Workspace} plans and prover recordings cached
-    off the decoded form), the per-section campaign and sensitivity
-    records, the Chisel propagation, and the solved knapsack. A warm hit
-    therefore answers a repeat query with {e zero} decodes, replays, or
-    store lookups — only a fresh knapsack selection at the requested
-    target and a report render.
+    A cached {!Fastflip.Pipeline.analysis} pins what a report needs:
+    the golden run with its pre-decoded kernels, the per-section
+    campaign and sensitivity records, the Chisel propagation, the
+    valuation, and the solved knapsack. {!Ff_vm.Workspace} plans and the
+    prover's liveness live in separate capped caches and are not pinned;
+    a warm hit needs neither. It answers a repeat query with {e zero}
+    decodes, replays, or store lookups — only a fresh knapsack selection
+    at the requested target and a report render.
 
     Concurrent identical requests {e coalesce}: the first computes, the
     rest block on a condition variable and wake to the finished entry.

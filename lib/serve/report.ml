@@ -32,9 +32,11 @@ let analysis ~target (a : Pipeline.analysis) =
   Buffer.add_string buf (Table.render t);
   Buffer.add_char buf '\n';
   let selection = Pipeline.select a ~target in
+  (* the selection clamps the fraction to [0, 1]; so does the echo *)
+  let shown = if target > 1.0 then 1.0 else if target < 0.0 then 0.0 else target in
   add
     "\nknapsack selection for v_trgt = %.2f: %d instructions, cost %d dyn instrs (%.1f%% of trace)\n"
-    target
+    shown
     (List.length selection.Knapsack.pcs)
     selection.Knapsack.cost
     (100.0

@@ -8,4 +8,6 @@
 val analysis : target:float -> Fastflip.Pipeline.analysis -> string
 (** Exactly what [fastflip analyze] prints for this analysis and knapsack
     target: reuse/work counters, the end-to-end SDC specification, the
-    per-instruction value/cost table, and the selection for [target]. *)
+    per-instruction value/cost table, and the selection for [target].
+    A [target] outside [0, 1] selects and is echoed as its clamped
+    value, so [-t 1e300] prints exactly what [-t 1.0] prints. *)

@@ -3,6 +3,8 @@
 # query it from several concurrent clients, and require
 #   - every response byte-identical to the one-shot `fastflip analyze`,
 #   - warm (cached) queries faster than the cold one,
+#   - a non-finite target refused and a huge one clamped to 1.0, by
+#     both the CLI and the daemon,
 #   - a clean shutdown on SIGTERM (store saved, socket removed),
 #   - a BENCH_server.json from the bench harness that passes the bench
 #     gate (whose floors include a warm p50 at least 10x below the cold
@@ -97,7 +99,25 @@ done
 [ "$warm4_ms" -lt "$cold_ms" ] \
   || fail "4 warm queries (${warm4_ms}ms) not faster than 1 cold query (${cold_ms}ms)"
 
-# 6. Clean SIGTERM shutdown: daemon saves its store, removes the socket,
+# 6. Out-of-range targets: a non-finite one is refused by both the
+#    one-shot CLI and the client, with an error naming the target; a huge
+#    finite one clamps, so it reports exactly what -t 1.0 reports.
+for cmd in "analyze" "query $SOCK"; do
+  if $FASTFLIP $cmd $ARGS -t inf >"$WORK/inf.out" 2>"$WORK/inf.err"; then
+    fail "$cmd -t inf exited 0"
+  fi
+  grep -q "target inf" "$WORK/inf.err" || fail "$cmd -t inf error does not name the target"
+done
+$FASTFLIP query "$SOCK" $ARGS -t 1.0 >"$WORK/t1.out" || fail "query -t 1.0 failed"
+$FASTFLIP analyze $ARGS -t 1e300 >"$WORK/huge_oneshot.out" 2>/dev/null \
+  || fail "analyze -t 1e300 failed"
+$FASTFLIP query "$SOCK" $ARGS -t 1e300 >"$WORK/huge_query.out" || fail "query -t 1e300 failed"
+for out in huge_oneshot huge_query; do
+  diff -u "$WORK/t1.out" "$WORK/$out.out" >&2 \
+    || fail "$out: -t 1e300 report differs from -t 1.0"
+done
+
+# 7. Clean SIGTERM shutdown: daemon saves its store, removes the socket,
 #    and exits 0.
 kill -TERM "$SERVER_PID"
 tries=0
@@ -113,7 +133,7 @@ grep -q "shut down cleanly" "$WORK/server.out" || fail "daemon did not report a 
 [ ! -e "$SOCK" ] || fail "daemon left its socket behind"
 [ -s "$WORK/serve.store" ] || fail "daemon did not save its store on shutdown"
 
-# 7. Bench artifact: honest cold/warm numbers over the same transport,
+# 8. Bench artifact: honest cold/warm numbers over the same transport,
 #    gated by scripts/bench_gate.sh (warm p50 at least 10x below cold).
 ROOT=$(pwd)
 (cd "$WORK" && FF_DOMAINS=2 "$ROOT/$BENCH" quick server >bench.out 2>&1) \
@@ -121,4 +141,4 @@ ROOT=$(pwd)
 mv "$WORK/BENCH_server.json" BENCH_server.json
 scripts/bench_gate.sh BENCH_server.json || fail "bench gate rejected BENCH_server.json"
 
-echo "server smoke: OK (cold ${cold_ms}ms, 4 warm clients ${warm4_ms}ms, byte-identical, clean SIGTERM)"
+echo "server smoke: OK (cold ${cold_ms}ms, 4 warm clients ${warm4_ms}ms, byte-identical, targets clamped, clean SIGTERM)"

@@ -113,6 +113,147 @@ let prop_knapsack_cost_monotone =
       in
       ascending costs)
 
+(* The full-width DP that [Knapsack.solve] replaced: every item sweeps
+   all of 1..Σvalue through [max], into a rectangular take table. Kept
+   only as the oracle the prefix-bounded kernel must match bit for bit. *)
+module Rect = struct
+  type t = {
+    items : Knapsack.item array;
+    dp : int array;
+    take : Bytes.t array;
+    total_value : int;
+  }
+
+  let infinite_cost = max_int / 2
+
+  let bit_get bytes v = Char.code (Bytes.get bytes (v lsr 3)) land (1 lsl (v land 7)) <> 0
+
+  let bit_set bytes v =
+    let i = v lsr 3 in
+    Bytes.set bytes i (Char.chr (Char.code (Bytes.get bytes i) lor (1 lsl (v land 7))))
+
+  let solve items =
+    let items =
+      List.filter (fun (item : Knapsack.item) -> item.Knapsack.value > 0) items
+      |> List.sort (fun (a : Knapsack.item) b -> Site.compare_pc a.Knapsack.pc b.Knapsack.pc)
+      |> Array.of_list
+    in
+    let total_value =
+      Array.fold_left (fun acc (item : Knapsack.item) -> acc + item.Knapsack.value) 0 items
+    in
+    let dp = Array.make (total_value + 1) infinite_cost in
+    dp.(0) <- 0;
+    let bytes_per_row = (total_value / 8) + 1 in
+    let take = Array.map (fun _ -> Bytes.make bytes_per_row '\000') items in
+    Array.iteri
+      (fun i (item : Knapsack.item) ->
+        let row = take.(i) in
+        for v = total_value downto 1 do
+          let prev = dp.(max 0 (v - item.Knapsack.value)) in
+          if prev < infinite_cost then begin
+            let candidate = prev + item.Knapsack.cost in
+            if candidate < dp.(v) then begin
+              dp.(v) <- candidate;
+              bit_set row v
+            end
+          end
+        done)
+      items;
+    { items; dp; take; total_value }
+
+  let select s ~target : Knapsack.selection =
+    if target <= 0 then { Knapsack.pcs = []; value = 0; cost = 0 }
+    else begin
+      let target = min target s.total_value in
+      let v = ref target and pcs = ref [] and value = ref 0 and cost = ref 0 in
+      for i = Array.length s.items - 1 downto 0 do
+        if !v > 0 && bit_get s.take.(i) !v then begin
+          let item = s.items.(i) in
+          pcs := item.Knapsack.pc :: !pcs;
+          value := !value + item.Knapsack.value;
+          cost := !cost + item.Knapsack.cost;
+          v := max 0 (!v - item.Knapsack.value)
+        end
+      done;
+      { Knapsack.pcs = !pcs; value = !value; cost = !cost }
+    end
+
+  let points s =
+    let pts = ref [] in
+    for v = s.total_value downto 1 do
+      if s.dp.(v) < infinite_cost && (v = s.total_value || s.dp.(v) < s.dp.(v + 1)) then
+        pts := (v, s.dp.(v)) :: !pts
+    done;
+    (0, 0) :: !pts
+end
+
+(* Large values (so early rows are far shorter than Σvalue), small ones,
+   zero-value items, few distinct costs (ties), repeated pcs, and lists
+   of length 0 and 1. *)
+let gen_oracle_items =
+  QCheck2.Gen.(
+    let value = frequency [ (6, int_range 1 5000); (3, int_range 1 12); (1, return 0) ] in
+    let cost = frequency [ (6, int_range 1 6); (1, int_range 1 1_000_000) ] in
+    let item =
+      map4
+        (fun k i value cost -> { Knapsack.pc = pc k i; value; cost })
+        (int_range 0 2) (int_range 0 40) value cost
+    in
+    frequency
+      [ (1, return []); (2, map (fun it -> [ it ]) item); (8, list_size (int_range 2 10) item) ])
+
+let print_items items =
+  String.concat "; "
+    (List.map
+       (fun (it : Knapsack.item) ->
+         Printf.sprintf "k%d:%d v=%d c=%d" it.Knapsack.pc.Site.kernel it.Knapsack.pc.Site.instr
+           it.Knapsack.value it.Knapsack.cost)
+       items)
+
+let prop_knapsack_matches_rectangular_dp =
+  QCheck2.Test.make ~count:200 ~name:"solve matches the full-width DP at every target"
+    ~print:print_items gen_oracle_items
+    (fun items ->
+      let sol = Knapsack.solve items and oracle = Rect.solve items in
+      let top = Knapsack.max_value sol in
+      let rec selects_agree target =
+        target > top + 1
+        || Knapsack.select sol ~target = Rect.select oracle ~target
+           && selects_agree (target + 1)
+      in
+      top = oracle.Rect.total_value
+      && Knapsack.points sol = Rect.points oracle
+      && selects_agree (-1))
+
+let test_knapsack_take_bytes () =
+  let module Telemetry = Ff_support.Telemetry in
+  Telemetry.reset ();
+  Telemetry.set_enabled true;
+  Fun.protect ~finally:(fun () -> Telemetry.set_enabled false) @@ fun () ->
+  ignore (Knapsack.solve [ item 0 0 3 1; item 0 1 5 1; item 0 2 9 1 ]);
+  let counter name = List.assoc name (Telemetry.snapshot ()).Telemetry.snap_counters in
+  (* prefix sums 3, 8, 17: rows of 1 + 2 + 3 bytes, not 3 rows of 17/8 + 1 *)
+  Alcotest.(check int) "take bytes" 6 (counter "knapsack.take_bytes");
+  Alcotest.(check int) "dp cells: Σvalue + 1" 18 (counter "knapsack.dp_cells");
+  Alcotest.(check int) "items" 3 (counter "knapsack.items")
+
+let test_knapsack_integer_target () =
+  let raises fraction =
+    match Knapsack.integer_target ~total:40 fraction with
+    | _ -> false
+    | exception Invalid_argument _ -> true
+  in
+  List.iter
+    (fun f -> Alcotest.(check bool) (Printf.sprintf "%g raises" f) true (raises f))
+    [ infinity; neg_infinity; nan ];
+  List.iter
+    (fun (f, want) ->
+      Alcotest.(check int) (Printf.sprintf "%g of 40" f) want
+        (Knapsack.integer_target ~total:40 f))
+    [ (0.0, 0); (0.9, 36); (0.901, 37); (1.0, 40); (1.7, 40); (1e300, 40); (-0.5, 0);
+      (-1e300, 0) ];
+  Alcotest.(check int) "empty total" 0 (Knapsack.integer_target ~total:0 1e300)
+
 (* --- pipeline on a small program ------------------------------------------- *)
 
 let program_src =
@@ -201,6 +342,26 @@ let test_baseline_valuation () =
     Valuation.value_fraction b.Baseline.valuation ~selected:sel.Knapsack.pcs
   in
   Alcotest.(check bool) "baseline meets own target" true (achieved >= 0.9 -. 1e-9)
+
+(* Out-of-range fractions clamp to [0, 1]; non-finite ones are refused
+   instead of wrapping to min_int and protecting nothing. *)
+let test_select_out_of_range_targets () =
+  let check_clamps name select =
+    let same a b = select ~target:a = select ~target:b in
+    Alcotest.(check bool) (name ^ ": 1e300 selects like 1.0") true (same 1e300 1.0);
+    Alcotest.(check bool) (name ^ ": -1e300 selects like 0.0") true (same (-1e300) 0.0);
+    List.iter
+      (fun target ->
+        Alcotest.(check bool)
+          (Printf.sprintf "%s: %g raises" name target)
+          true
+          (match select ~target with
+           | _ -> false
+           | exception Invalid_argument _ -> true))
+      [ infinity; nan ]
+  in
+  check_clamps "pipeline" (Pipeline.select (Lazy.force analysis));
+  check_clamps "baseline" (Baseline.select (Lazy.force base))
 
 (* --- store / incremental ---------------------------------------------------- *)
 
@@ -634,6 +795,9 @@ let () =
           QCheck_alcotest.to_alcotest prop_knapsack_optimal;
           QCheck_alcotest.to_alcotest prop_knapsack_selection_consistent;
           QCheck_alcotest.to_alcotest prop_knapsack_cost_monotone;
+          QCheck_alcotest.to_alcotest prop_knapsack_matches_rectangular_dp;
+          Alcotest.test_case "take bytes follow prefix sums" `Quick test_knapsack_take_bytes;
+          Alcotest.test_case "integer target" `Quick test_knapsack_integer_target;
         ] );
       ( "pipeline",
         [
@@ -643,6 +807,7 @@ let () =
           Alcotest.test_case "select meets target" `Quick test_select_meets_target;
           Alcotest.test_case "revaluate epsilon" `Quick test_revaluate_epsilon;
           Alcotest.test_case "baseline" `Quick test_baseline_valuation;
+          Alcotest.test_case "out-of-range targets" `Quick test_select_out_of_range_targets;
         ] );
       ( "store",
         [
