@@ -63,6 +63,6 @@ val hash_fold : Ff_support.Hashing.t -> t -> unit
 
 val builtin : t list
 (** Canonical representative of each model family, exercised by
-    [scripts/faults_smoke.sh] and [bench/main.exe faults]. *)
+    [bench/main.exe faults]. *)
 
 val pp : Format.formatter -> t -> unit

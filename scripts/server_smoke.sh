@@ -6,9 +6,8 @@
 #   - a non-finite target refused and a huge one clamped to 1.0, by
 #     both the CLI and the daemon,
 #   - a clean shutdown on SIGTERM (store saved, socket removed),
-#   - a BENCH_server.json from the bench harness that passes the bench
-#     gate (whose floors include a warm p50 at least 10x below the cold
-#     request).
+#   - a BENCH_server.json from the bench harness, which checks its own
+#     floors (among them a warm p50 at least 10x below the cold request).
 # Also available as a dune alias: dune build @serve-smoke
 set -eu
 
@@ -133,12 +132,15 @@ grep -q "shut down cleanly" "$WORK/server.out" || fail "daemon did not report a 
 [ ! -e "$SOCK" ] || fail "daemon left its socket behind"
 [ -s "$WORK/serve.store" ] || fail "daemon did not save its store on shutdown"
 
-# 8. Bench artifact: honest cold/warm numbers over the same transport,
-#    gated by scripts/bench_gate.sh (warm p50 at least 10x below cold).
+# 8. Bench artifact: honest cold/warm numbers over the same transport.
+#    The bench exits 1 when a floor fails (warm p50 at least 10x below
+#    cold, among others), after writing the JSON, which is kept either way.
 ROOT=$(pwd)
+bench_status=0
 (cd "$WORK" && FF_DOMAINS=2 "$ROOT/$BENCH" quick server >bench.out 2>&1) \
+  || bench_status=$?
+[ ! -e "$WORK/BENCH_server.json" ] || mv "$WORK/BENCH_server.json" BENCH_server.json
+[ "$bench_status" -eq 0 ] \
   || { cat "$WORK/bench.out" >&2; fail "bench server artifact failed"; }
-mv "$WORK/BENCH_server.json" BENCH_server.json
-scripts/bench_gate.sh BENCH_server.json || fail "bench gate rejected BENCH_server.json"
 
 echo "server smoke: OK (cold ${cold_ms}ms, 4 warm clients ${warm4_ms}ms, byte-identical, targets clamped, clean SIGTERM)"
