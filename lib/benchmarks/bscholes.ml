@@ -123,7 +123,7 @@ let small_source =
     ~d_args:"o, opts, dvals" ~extra_buffers:""
 
 let large_source =
-  lazy
+  Gen.once (fun () ->
     begin
       let golden = Gen.golden_of_source none_source in
       let dvals = Array.of_list (Gen.final_floats golden "dvals") in
@@ -158,12 +158,12 @@ let large_source =
       in
       version_source ~poly:cndf_poly_none ~d_kernel:lut_kernel
         ~d_args:"o, opts, bsd_lut, dvals" ~extra_buffers:lut_buffer
-    end
+    end)
 
 let source = function
   | Defs.V_none -> none_source
   | Defs.V_small -> small_source
-  | Defs.V_large -> Lazy.force large_source
+  | Defs.V_large -> large_source ()
 
 let modification_desc = function
   | Defs.V_none -> "unmodified"

@@ -144,7 +144,7 @@ let small_source =
     ~demosaic_args:"raw, rgb" ~extra_buffers:""
 
 let large_source =
-  lazy
+  Gen.once (fun () ->
     begin
       let golden = Gen.golden_of_source none_source in
       let rgb = Gen.exit_floats golden ~label_prefix:"demosaic" ~buffer:"rgb" in
@@ -175,12 +175,12 @@ let large_source =
       in
       assemble ~demosaic:lut_kernel ~gamut:(gamut_kernel ~hoisted:false)
         ~demosaic_args:"raw, dm_lut, rgb" ~extra_buffers:lut_buffer
-    end
+    end)
 
 let source = function
   | Defs.V_none -> none_source
   | Defs.V_small -> small_source
-  | Defs.V_large -> Lazy.force large_source
+  | Defs.V_large -> large_source ()
 
 let modification_desc = function
   | Defs.V_none -> "unmodified"

@@ -97,7 +97,7 @@ let small_source =
     ~bitrev_args:"xre, xim, re, im" ~extra_buffers:""
 
 let large_source =
-  lazy
+  Gen.once (fun () ->
     begin
       let golden = Gen.golden_of_source none_source in
       let rev_re = Gen.exit_floats golden ~label_prefix:"bitrev" ~buffer:"re" in
@@ -132,12 +132,12 @@ let large_source =
       in
       assemble ~bitrev:lut_kernel ~stage:(stage_kernel ~hoisted:false)
         ~bitrev_args:"xre, xim, br_lut, re, im" ~extra_buffers:lut_buffer
-    end
+    end)
 
 let source = function
   | Defs.V_none -> none_source
   | Defs.V_small -> small_source
-  | Defs.V_large -> Lazy.force large_source
+  | Defs.V_large -> large_source ()
 
 let modification_desc = function
   | Defs.V_none -> "unmodified"

@@ -71,3 +71,17 @@ let exit_floats golden ~label_prefix ~buffer = as_floats (exit_state golden ~lab
 let entry_ints golden ~label_prefix ~buffer = as_ints (entry_state golden ~label_prefix ~buffer)
 
 let exit_ints golden ~label_prefix ~buffer = as_ints (exit_state golden ~label_prefix ~buffer)
+
+(* A mutex-guarded memo: OCaml 5 raises [CamlinternalLazy.Undefined] when
+   a second domain forces a [lazy] that another is still forcing, and
+   benchmark sources are built from inside pooled tasks. *)
+let once f =
+  let mu = Mutex.create () and memo = ref None in
+  fun () ->
+    Mutex.protect mu (fun () ->
+        match !memo with
+        | Some v -> v
+        | None ->
+          let v = f () in
+          memo := Some v;
+          v)

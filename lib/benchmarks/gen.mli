@@ -38,3 +38,9 @@ val exit_floats : Ff_vm.Golden.t -> label_prefix:string -> buffer:string -> floa
 val entry_ints : Ff_vm.Golden.t -> label_prefix:string -> buffer:string -> int64 list
 
 val exit_ints : Ff_vm.Golden.t -> label_prefix:string -> buffer:string -> int64 list
+
+val once : (unit -> 'a) -> unit -> 'a
+(** [once f] computes [f ()] on its first call and returns that value
+    from then on. Unlike [lazy], it is safe to force from several
+    domains or threads at once: later callers wait for the first. A
+    raising [f] memoizes nothing. *)

@@ -187,7 +187,7 @@ let small_source =
   assemble ~lu0:lu0_kernel ~bmod:bmod_kernel_small ~lu0_args:"k, a" ~extra_buffers:""
 
 let large_source =
-  lazy
+  Gen.once (fun () ->
     begin
       let golden = Gen.golden_of_source none_source in
       let block_of values k =
@@ -235,12 +235,12 @@ let large_source =
       in
       assemble ~lu0:lut_kernel ~bmod:bmod_kernel_none ~lu0_args:"k, lu0_lut, a"
         ~extra_buffers:lut_buffer
-    end
+    end)
 
 let source = function
   | Defs.V_none -> none_source
   | Defs.V_small -> small_source
-  | Defs.V_large -> Lazy.force large_source
+  | Defs.V_large -> large_source ()
 
 let modification_desc = function
   | Defs.V_none -> "unmodified"

@@ -155,7 +155,7 @@ let small_source =
     ~compress_args:"w, kconst, state" ~extra_buffers:""
 
 let large_source =
-  lazy
+  Gen.once (fun () ->
     begin
       let golden = Gen.golden_of_source none_source in
       let w_entry = Gen.entry_ints golden ~label_prefix:"sha_compress" ~buffer:"w" in
@@ -193,12 +193,12 @@ let large_source =
       in
       assemble ~compress:lut_kernel ~compress_args:"w, kconst, cmp_lut, state"
         ~extra_buffers:lut_buffer
-    end
+    end)
 
 let source = function
   | Defs.V_none -> none_source
   | Defs.V_small -> small_source
-  | Defs.V_large -> Lazy.force large_source
+  | Defs.V_large -> large_source ()
 
 let modification_desc = function
   | Defs.V_none -> "unmodified"

@@ -34,14 +34,19 @@ exception Corrupt of string
 type cursor = {
   data : string;
   mutable pos : int;
+  limit : int;
 }
 
-let cursor ?(pos = 0) data = { data; pos }
+let cursor ?(pos = 0) ?len data =
+  let limit = match len with Some len -> pos + len | None -> String.length data in
+  if pos < 0 || pos > limit || limit > String.length data then
+    invalid_arg "Wire.cursor";
+  { data; pos; limit }
 
-let at_end c = c.pos = String.length c.data
+let at_end c = c.pos = c.limit
 
 let r_int64 c =
-  if c.pos + 8 > String.length c.data then raise (Corrupt "truncated int64");
+  if c.pos + 8 > c.limit then raise (Corrupt "truncated int64");
   let v = ref 0L in
   for i = 7 downto 0 do
     v := Int64.logor (Int64.shift_left !v 8) (Int64.of_int (Char.code c.data.[c.pos + i]))
@@ -57,13 +62,17 @@ let r_length c what =
   if n < 0 || n > 100_000_000 then raise (Corrupt ("implausible length for " ^ what));
   n
 
-let r_string c what =
+let r_span c what =
   let n = r_int c in
-  if n < 0 || n > String.length c.data - c.pos then
+  if n < 0 || n > c.limit - c.pos then
     raise (Corrupt ("implausible byte length for " ^ what));
-  let s = String.sub c.data c.pos n in
-  c.pos <- c.pos + n;
-  s
+  let pos = c.pos in
+  c.pos <- pos + n;
+  (pos, n)
+
+let r_string c what =
+  let pos, n = r_span c what in
+  String.sub c.data pos n
 
 let r_array c r_elem what =
   let n = r_length c what in

@@ -38,9 +38,13 @@ exception Corrupt of string
 type cursor = {
   data : string;
   mutable pos : int;
+  limit : int;  (** readers never read at or past this offset *)
 }
 
-val cursor : ?pos:int -> string -> cursor
+val cursor : ?pos:int -> ?len:int -> string -> cursor
+(** A reader over the [len] bytes of [data] from [pos] (default: to the
+    end). Raises [Invalid_argument] on an out-of-range slice. *)
+
 val at_end : cursor -> bool
 val r_int64 : cursor -> int64
 val r_int : cursor -> int
@@ -51,6 +55,10 @@ val r_length : cursor -> string -> int
 val r_string : cursor -> string -> string
 (** Length-prefixed bytes; the length is bounds-checked against the
     remaining input before any allocation. *)
+
+val r_span : cursor -> string -> int * int
+(** As {!r_string}, but returns the bytes' [(offset, length)] in
+    [data] instead of copying them. *)
 
 val r_array : cursor -> (cursor -> 'a) -> string -> 'a array
 val r_list : cursor -> (cursor -> 'a) -> string -> 'a list

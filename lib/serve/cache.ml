@@ -3,9 +3,39 @@ module Telemetry = Ff_support.Telemetry
 let m_entries = Telemetry.counter "serve.cache.entries"
 let m_evictions = Telemetry.counter "serve.cache.evictions"
 
+(* Rendered reports, most recently rendered first, keyed by the target's
+   float bits (0.0 and -0.0 render differently). Replaced whole by
+   compare-and-set, so a lookup takes no lock. *)
+type entry = {
+  analysis : Fastflip.Pipeline.analysis;
+  reports : (int64 * string) list Atomic.t;
+}
+
+let report_capacity = 8
+
+let report entry ~target =
+  let bits = Int64.bits_of_float target in
+  match List.assoc_opt bits (Atomic.get entry.reports) with
+  | Some text -> text
+  | None ->
+    let text = Report.analysis ~target entry.analysis in
+    (* A racing render of the same target made the same bytes; keep one. *)
+    let rec publish () =
+      let held = Atomic.get entry.reports in
+      if (not (List.mem_assoc bits held))
+         && not
+              (Atomic.compare_and_set entry.reports held
+                 (List.filteri (fun i _ -> i < report_capacity) ((bits, text) :: held)))
+      then publish ()
+    in
+    publish ();
+    text
+
+let reports_held entry = List.length (Atomic.get entry.reports)
+
 type state =
   | Computing
-  | Ready of Fastflip.Pipeline.analysis
+  | Ready of entry
 
 type slot = {
   mutable state : state;
@@ -67,11 +97,11 @@ let find_or_compute t ~key ~compute =
   Mutex.lock t.mu;
   let rec claim waited =
     match Hashtbl.find_opt t.table key with
-    | Some ({ state = Ready a; _ } as slot) ->
+    | Some ({ state = Ready entry; _ } as slot) ->
       t.tick <- t.tick + 1;
       slot.last_used <- t.tick;
       Mutex.unlock t.mu;
-      (Ok a, if waited then Coalesced else Hit)
+      (Ok entry, if waited then Coalesced else Hit)
     | Some { state = Computing; _ } ->
       Condition.wait t.cond t.mu;
       claim true
@@ -85,12 +115,14 @@ let find_or_compute t ~key ~compute =
     let slot = { state = Computing; last_used = 0 } in
     Hashtbl.replace t.table key slot;
     Mutex.unlock t.mu;
-    let result = try Ok (compute ()) with e -> Error e in
+    let result =
+      try Ok { analysis = compute (); reports = Atomic.make [] } with e -> Error e
+    in
     Mutex.lock t.mu;
     (match result with
-    | Ok a ->
+    | Ok entry ->
       t.tick <- t.tick + 1;
-      slot.state <- Ready a;
+      slot.state <- Ready entry;
       slot.last_used <- t.tick;
       Telemetry.incr m_entries;
       enforce_capacity t

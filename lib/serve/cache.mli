@@ -1,14 +1,16 @@
 (** The daemon's warm-state cache: completed analyses keyed by
-    [(program source, full config)] digest.
+    [(program source, full config)] digest, each with the reports
+    already rendered from it.
 
     A cached {!Fastflip.Pipeline.analysis} pins what a report needs:
     the golden run with its pre-decoded kernels, the per-section
     campaign and sensitivity records, the Chisel propagation, the
     valuation, and the solved knapsack. {!Ff_vm.Workspace} plans and the
     prover's liveness live in separate capped caches and are not pinned;
-    a warm hit needs neither. It answers a repeat query with {e zero}
-    decodes, replays, or store lookups — only a fresh knapsack selection
-    at the requested target and a report render.
+    a warm hit needs neither. The entry also memoizes the report text
+    {!Report.analysis} rendered for each recent target, so a repeat
+    query is a hash, an LRU lookup and the memoized bytes: {e zero}
+    compiles, decodes, replays, store lookups, selections or renders.
 
     Concurrent identical requests {e coalesce}: the first computes, the
     rest block on a condition variable and wake to the finished entry.
@@ -28,6 +30,22 @@ val create : ?capacity:int -> unit -> t
     store access — useful in tests). In-flight computations are never
     evicted. Raises [Invalid_argument] on a negative capacity. *)
 
+type entry
+(** A completed analysis and its memoized reports. *)
+
+val report : entry -> target:float -> string
+(** [Report.analysis ~target] of the entry's analysis, rendered on the
+    first request for these exact target bits and memoized for the
+    {!report_capacity} most recently rendered targets. Lock-free and
+    safe from any thread. *)
+
+val report_capacity : int
+(** Reports memoized per entry (8): a fixed bound, so an entry's
+    footprint cannot grow with the number of distinct targets asked. *)
+
+val reports_held : entry -> int
+(** Reports the entry currently memoizes. *)
+
 type outcome =
   | Hit        (** served from a completed warm entry *)
   | Coalesced  (** waited on another request's in-flight computation *)
@@ -37,10 +55,11 @@ val find_or_compute :
   t ->
   key:int64 ->
   compute:(unit -> Fastflip.Pipeline.analysis) ->
-  (Fastflip.Pipeline.analysis, exn) result * outcome
+  (entry, exn) result * outcome
 (** [compute] runs without the cache lock. A raising [compute] is not
-    cached: its exception is propagated to this caller and every
-    coalesced waiter, and the next request with the same key retries. *)
+    cached: its exception is returned to this caller, and every
+    coalesced waiter and later request with the same key runs [compute]
+    again, so a deterministic failure gives each the same error. *)
 
 val size : t -> int
 (** Completed entries currently held. *)

@@ -45,10 +45,11 @@ let config_of_query (q : Protocol.query) =
 
 (* The warm-state key: program text plus the full analysis configuration
    (the knapsack target is deliberately excluded — selection at any
-   target reuses the same cached analysis). *)
-let cache_key ~source config =
+   target reuses the same cached analysis). Hashed in place, so a warm
+   hit never copies or compiles the source. *)
+let cache_key (source : Protocol.view) config =
   let h = Hashing.create () in
-  Hashing.add_string h source;
+  Hashing.add_substring h source.Protocol.data source.Protocol.pos source.Protocol.len;
   Hashing.add_int64 h (Pipeline.config_hash config);
   Hashing.value h
 
@@ -71,6 +72,7 @@ let create ?(cache_capacity = 32) ?(store = Store.create ()) ?(pool = Pool.seria
   }
 
 let store t = t.e_store
+let cache_size t = Cache.size t.cache
 
 let locked mu f =
   Mutex.lock mu;
@@ -90,50 +92,55 @@ let backing t =
 let save ?shards t ~path =
   locked t.store_mu (fun () -> Persist.save ?shards t.e_store ~path)
 
-let analyze t ~source (query : Protocol.query) =
+(* The one Analyze path, for the socket and for [handle] alike. Only a
+   miss copies the source out of its view and compiles it; a compile
+   error raises inside [compute], which the cache never stores, so the
+   next request gets the same error. *)
+let analyze t (source : Protocol.view) (query : Protocol.query) =
   let t0 = Telemetry.now_ns () in
-  match Ff_lang.Frontend.compile source with
-  | Error e -> Error (Format.asprintf "%a" Ff_lang.Frontend.pp_error e)
-  | Ok program -> (
-    let config = config_of_query query in
-    let key = cache_key ~source config in
-    let compute () =
-      (* Admission control: derive the replay-free state, then classify
-         the request before it may touch the campaign lane. *)
-      let prepared = Pipeline.prepare config program in
-      let covered =
-        locked t.store_mu (fun () ->
-            Array.for_all
-              (fun k -> Store.peek t.e_store k <> None)
-              prepared.Pipeline.p_keys)
-      in
-      if covered then begin
-        (* Pure store-lookup + knapsack: stays on this thread, never
-           queues behind an injection-bound request. *)
-        Telemetry.incr m_fast_path;
-        Pipeline.analyze_prepared ~backing:(backing t) config prepared
-      end
-      else begin
-        Telemetry.incr m_slow_path;
-        locked t.lane_mu (fun () ->
-            Pipeline.analyze_prepared ~backing:(backing t) ~pool:t.pool config
-              prepared)
-      end
+  let config = config_of_query query in
+  let compute () =
+    let program =
+      match Ff_lang.Frontend.compile (Protocol.string_of_view source) with
+      | Ok program -> program
+      | Error e -> failwith (Format.asprintf "%a" Ff_lang.Frontend.pp_error e)
     in
-    match Cache.find_or_compute t.cache ~key ~compute with
-    | Ok a, outcome ->
-      let report = Report.analysis ~target:query.Protocol.q_target a in
-      (match outcome with
-      | Cache.Hit ->
-        Telemetry.incr m_warm_hits;
-        Telemetry.observe m_warm_latency ((Telemetry.now_ns () - t0) / 1000)
-      | Cache.Coalesced -> Telemetry.incr m_coalesced
-      | Cache.Miss -> Telemetry.incr m_cold);
-      Ok report
-    | Error (Failure msg), _ -> Error msg
-    | Error e, _ -> Error (Printexc.to_string e))
+    (* Admission control: derive the replay-free state, then classify
+       the request before it may touch the campaign lane. *)
+    let prepared = Pipeline.prepare config program in
+    let covered =
+      locked t.store_mu (fun () ->
+          Array.for_all
+            (fun k -> Store.peek t.e_store k <> None)
+            prepared.Pipeline.p_keys)
+    in
+    if covered then begin
+      (* Pure store-lookup + knapsack: stays on this thread, never
+         queues behind an injection-bound request. *)
+      Telemetry.incr m_fast_path;
+      Pipeline.analyze_prepared ~backing:(backing t) config prepared
+    end
+    else begin
+      Telemetry.incr m_slow_path;
+      locked t.lane_mu (fun () ->
+          Pipeline.analyze_prepared ~backing:(backing t) ~pool:t.pool config
+            prepared)
+    end
+  in
+  match Cache.find_or_compute t.cache ~key:(cache_key source config) ~compute with
+  | Ok entry, outcome ->
+    let report = Cache.report entry ~target:query.Protocol.q_target in
+    (match outcome with
+    | Cache.Hit ->
+      Telemetry.incr m_warm_hits;
+      Telemetry.observe m_warm_latency ((Telemetry.now_ns () - t0) / 1000)
+    | Cache.Coalesced -> Telemetry.incr m_coalesced
+    | Cache.Miss -> Telemetry.incr m_cold);
+    Ok report
+  | Error (Failure msg), _ -> Error msg
+  | Error e, _ -> Error (Printexc.to_string e)
 
-let handle t (req : Protocol.request) : Protocol.response =
+let handle_view t (req : Protocol.view Protocol.message) : Protocol.response =
   Telemetry.incr m_requests;
   Telemetry.timed m_latency (fun () ->
       match req with
@@ -142,8 +149,10 @@ let handle t (req : Protocol.request) : Protocol.response =
         Protocol.Stats_json (Telemetry.to_json (Telemetry.snapshot ()))
       | Protocol.Shutdown -> Protocol.Bye
       | Protocol.Analyze { source; query } -> (
-        match analyze t ~source query with
+        match analyze t source query with
         | Ok report -> Protocol.Report report
         | Error msg ->
           Telemetry.incr m_errors;
           Protocol.Error msg))
+
+let handle t req = handle_view t (Protocol.map_source Protocol.view_of_string req)

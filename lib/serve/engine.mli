@@ -4,11 +4,15 @@
     Three-tier admission control per [Analyze] request:
 
     {ol
-    {- {b warm}: the [(source, config)] digest hits the {!Cache} — answer
-       with a fresh knapsack selection over the cached analysis. Zero
-       decodes, replays, or store lookups; never blocks behind anything
-       but the microseconds-scale cache lock.}
-    {- {b fast path}: cache miss, but after {!Fastflip.Pipeline.prepare}
+    {- {b warm}: the [(source, config)] digest, hashed from the request
+       bytes in place, hits the {!Cache} — answer with the report the
+       entry memoized for this target, written in place by the server.
+       A warm hit is a hash, an LRU lookup and memoized bytes: no
+       compile, decode, replay, store lookup, selection or render, and
+       no allocation that outlives the minor heap; it never blocks
+       behind anything but the microseconds-scale cache lock.}
+    {- {b fast path}: cache miss — only now is the source copied and
+       compiled — but after {!Fastflip.Pipeline.prepare}
        every section key is already in the shared store (probed with the
        uncounted {!Fastflip.Store.peek}). Pure store-lookup + knapsack
        work: runs on the connection's own thread, taking the store lock
@@ -45,9 +49,19 @@ val save : ?shards:int -> t -> path:string -> Fastflip.Persist.save_stats
 
 val handle : t -> Protocol.request -> Protocol.response
 (** Total: any per-request failure (compile error, golden trap) becomes
-    [Protocol.Error]; warm state is never corrupted by a failed request.
+    [Protocol.Error]; warm state is never corrupted by a failed request,
+    and a failed request is not cached, so a repeat gets the same error.
     [Shutdown] answers [Bye] — actually stopping the accept loop is the
-    server's job. *)
+    server's job. [handle t r] is [handle_view] on [r] with its source
+    viewed whole. *)
+
+val handle_view : t -> Protocol.view Protocol.message -> Protocol.response
+(** {!handle} for a request decoded in place ({!Protocol.recv_view}):
+    the source view is only read during the call, and copied only on a
+    cache miss. *)
+
+val cache_size : t -> int
+(** Completed analyses held warm. *)
 
 val config_of :
   ?model:Ff_inject.Fault_model.t ->

@@ -21,14 +21,31 @@ let default_query =
     q_model = Fault_model.default;
   }
 
-type request =
+type view = {
+  data : string;
+  pos : int;
+  len : int;
+}
+
+let view_of_string s = { data = s; pos = 0; len = String.length s }
+let string_of_view v = String.sub v.data v.pos v.len
+
+type 'source message =
   | Ping
   | Analyze of {
-      source : string;
+      source : 'source;
       query : query;
     }
   | Stats
   | Shutdown
+
+type request = string message
+
+let map_source f = function
+  | Ping -> Ping
+  | Analyze { source; query } -> Analyze { source = f source; query }
+  | Stats -> Stats
+  | Shutdown -> Shutdown
 
 type response =
   | Pong
@@ -87,34 +104,39 @@ let encode_request req =
 let finish c v =
   if Wire.at_end c then Ok v else Stdlib.Error "trailing bytes after message"
 
-let decode_request data =
-  let c = Wire.cursor data in
+(* The one request decoder: an Analyze source comes back as a view into
+   [data], which [decode_request] then copies. *)
+let decode_view data ~len =
+  let c = Wire.cursor ~len data in
   try
     match Wire.r_int c with
     | 0 -> finish c Ping
     | 1 ->
-      let source = Wire.r_string c "program source" in
+      let pos, n = Wire.r_span c "program source" in
       let query = r_query c in
-      finish c (Analyze { source; query })
+      finish c (Analyze { source = { data; pos; len = n }; query })
     | 2 -> finish c Stats
     | 3 -> finish c Shutdown
     | tag -> Stdlib.Error (Printf.sprintf "unknown request tag %d" tag)
   with Wire.Corrupt msg -> Stdlib.Error msg
 
+let decode_request data =
+  Result.map (map_source string_of_view) (decode_view data ~len:(String.length data))
+
+(* A response payload is its tag, then, for the text-carrying ones, the
+   length-prefixed text. *)
+let response_parts = function
+  | Pong -> (0, None)
+  | Report text -> (1, Some text)
+  | Stats_json text -> (2, Some text)
+  | Error text -> (3, Some text)
+  | Bye -> (4, None)
+
 let encode_response resp =
   let buf = Buffer.create 256 in
-  (match resp with
-  | Pong -> Wire.w_int buf 0
-  | Report text ->
-    Wire.w_int buf 1;
-    Wire.w_string buf text
-  | Stats_json text ->
-    Wire.w_int buf 2;
-    Wire.w_string buf text
-  | Error text ->
-    Wire.w_int buf 3;
-    Wire.w_string buf text
-  | Bye -> Wire.w_int buf 4);
+  let tag, text = response_parts resp in
+  Wire.w_int buf tag;
+  Option.iter (Wire.w_string buf) text;
   Buffer.contents buf
 
 let decode_response data =
@@ -143,24 +165,57 @@ type recv_result =
   | Closed
   | Malformed of string
 
-let rec write_all fd bytes pos len =
+let rec write_all fd s pos len =
   if len > 0 then begin
     let n =
-      try Unix.write fd bytes pos len
+      try Unix.write_substring fd s pos len
       with Unix.Unix_error (Unix.EINTR, _, _) -> 0
     in
-    write_all fd bytes (pos + n) (len - n)
+    write_all fd s (pos + n) (len - n)
   end
 
-let send_frame fd payload =
-  let framed = Bytes.unsafe_of_string (Wire.frame payload) in
-  write_all fd framed 0 (Bytes.length framed)
+let send_request fd req =
+  let framed = Wire.frame (encode_request req) in
+  write_all fd framed 0 (String.length framed)
 
-(* Read exactly [len] bytes. [`Eof n] reports how many arrived first. *)
-let read_exact fd len =
-  let buf = Bytes.create len in
+(* The frame of [encode_response resp], written without building it: one
+   small block holds the header and the payload's tag and text length,
+   then the text goes out straight from the response. The payload CRC
+   runs over that prefix and continues over the text. *)
+let send_response fd resp =
+  let tag, text = response_parts resp in
+  let text_len = match text with Some t -> String.length t | None -> 0 in
+  let head = Bytes.create (frame_header_size + if text = None then 8 else 16) in
+  let prefix_len = Bytes.length head - frame_header_size in
+  Bytes.set_int64_le head frame_header_size (Int64.of_int tag);
+  if text <> None then
+    Bytes.set_int64_le head (frame_header_size + 8) (Int64.of_int text_len);
+  let crc = Hashing.crc32 ~pos:frame_header_size (Bytes.unsafe_to_string head) in
+  let crc = match text with Some t -> Hashing.crc32 ~init:crc t | None -> crc in
+  Bytes.blit_string frame_marker 0 head 0 4;
+  Bytes.set_int64_le head 4 (Int64.of_int (prefix_len + text_len));
+  Bytes.set_int64_le head 12 (Int64.of_int crc);
+  Bytes.set_int64_le head 20
+    (Int64.of_int (Hashing.crc32 ~len:20 (Bytes.unsafe_to_string head)));
+  write_all fd (Bytes.unsafe_to_string head) 0 (Bytes.length head);
+  Option.iter (fun t -> write_all fd t 0 text_len) text
+
+(* A connection's receive side: the header and payload buffers are reused
+   by every frame, so a steady stream of requests allocates nothing large.
+   The payload buffer grows to the largest frame seen, up to max_payload. *)
+type receiver = {
+  fd : Unix.file_descr;
+  header : bytes;
+  mutable payload : bytes;
+}
+
+let receiver fd = { fd; header = Bytes.create frame_header_size; payload = Bytes.empty }
+
+(* Read exactly [len] bytes into [buf]. [`Eof n] reports how many arrived
+   first. *)
+let read_exact fd buf len =
   let rec go pos =
-    if pos = len then `Exact buf
+    if pos = len then `Exact
     else
       match Unix.read fd buf pos (len - pos) with
       | 0 -> `Eof pos
@@ -172,52 +227,57 @@ let read_exact fd len =
   in
   go 0
 
-let int64_le s pos =
-  let v = ref 0L in
-  for i = 7 downto 0 do
-    v := Int64.logor (Int64.shift_left !v 8) (Int64.of_int (Char.code s.[pos + i]))
-  done;
-  !v
-
-let recv_frame fd =
-  match read_exact fd frame_header_size with
-  | `Eof 0 -> Closed
-  | `Eof _ -> Malformed "EOF inside frame header"
-  | `Exact header ->
-    let header = Bytes.unsafe_to_string header in
+(* One frame into [r.payload]; [Ok len] is the validated payload length. *)
+let recv_payload r =
+  match read_exact r.fd r.header frame_header_size with
+  | `Eof 0 -> Stdlib.Error `Closed
+  | `Eof _ -> Stdlib.Error (`Malformed "EOF inside frame header")
+  | `Exact ->
+    let header = Bytes.unsafe_to_string r.header in
+    let int_at pos = Int64.to_int (String.get_int64_le header pos) in
     if not (String.equal (String.sub header 0 4) frame_marker) then
-      Malformed "bad frame marker"
-    else if
-      Hashing.crc32 ~pos:0 ~len:20 header
-      <> Int64.to_int (int64_le header 20)
-    then Malformed "frame header CRC mismatch"
+      Stdlib.Error (`Malformed "bad frame marker")
+    else if Hashing.crc32 ~len:20 header <> int_at 20 then
+      Stdlib.Error (`Malformed "frame header CRC mismatch")
     else begin
-      let len64 = int64_le header 4 in
-      let payload_crc = Int64.to_int (int64_le header 12) in
+      let len64 = String.get_int64_le header 4 in
       if Int64.compare len64 0L < 0 || Int64.compare len64 (Int64.of_int max_payload) > 0
-      then Malformed "frame length out of bounds"
+      then Stdlib.Error (`Malformed "frame length out of bounds")
       else
         let len = Int64.to_int len64 in
-        match read_exact fd len with
-        | `Eof _ -> Malformed "EOF inside frame payload"
-        | `Exact payload ->
-          let payload = Bytes.unsafe_to_string payload in
-          if Hashing.crc32 payload <> payload_crc then
-            Malformed "frame payload CRC mismatch"
-          else Frame payload
+        if Bytes.length r.payload < len then
+          r.payload <- Bytes.create (min max_payload (max len (2 * Bytes.length r.payload)));
+        match read_exact r.fd r.payload len with
+        | `Eof _ -> Stdlib.Error (`Malformed "EOF inside frame payload")
+        | `Exact ->
+          if Hashing.crc32 ~len (Bytes.unsafe_to_string r.payload) <> int_at 12 then
+            Stdlib.Error (`Malformed "frame payload CRC mismatch")
+          else Ok len
     end
 
-let send_request fd req = send_frame fd (encode_request req)
-let send_response fd resp = send_frame fd (encode_response resp)
+let recv_frame fd =
+  let r = receiver fd in
+  match recv_payload r with
+  (* A fresh receiver grows its buffer to exactly [len], and nothing
+     else holds it: hand it over without a copy. *)
+  | Ok len when Bytes.length r.payload = len -> Frame (Bytes.unsafe_to_string r.payload)
+  | Ok len -> Frame (Bytes.sub_string r.payload 0 len)
+  | Stdlib.Error `Closed -> Closed
+  | Stdlib.Error (`Malformed msg) -> Malformed msg
 
-let recv_message decode fd =
+let recv_view r =
+  match recv_payload r with
+  | Ok len -> (
+    match decode_view (Bytes.unsafe_to_string r.payload) ~len with
+    | Ok msg -> Ok msg
+    | Stdlib.Error msg -> Stdlib.Error (`Malformed msg))
+  | Stdlib.Error _ as e -> e
+
+let recv_response fd =
   match recv_frame fd with
   | Frame payload -> (
-    match decode payload with
+    match decode_response payload with
     | Ok msg -> Ok msg
     | Stdlib.Error msg -> Stdlib.Error (`Malformed msg))
   | Closed -> Stdlib.Error `Closed
   | Malformed msg -> Stdlib.Error (`Malformed msg)
-
-let recv_request fd = recv_message decode_request fd
-let recv_response fd = recv_message decode_response fd

@@ -31,12 +31,15 @@ let load_store ~strict path =
 
 (* One request/response exchange at a time per connection; the protocol
    has no pipelining. Any transport or decode violation drops only this
-   connection. *)
-let handle_connection engine shutdown fd =
+   connection. Requests are read into the connection's one receiver and
+   answered in place, so a warm hit allocates nothing that outlives the
+   minor heap. *)
+let handle_connection engine ~shutdown fd =
+  let rx = Protocol.receiver fd in
   let rec loop () =
-    match Protocol.recv_request fd with
+    match Protocol.recv_view rx with
     | Ok req ->
-      let resp = Engine.handle engine req in
+      let resp = Engine.handle_view engine req in
       let sent = try Protocol.send_response fd resp; true with _ -> false in
       (match req with
       | Protocol.Shutdown -> Atomic.set shutdown true
@@ -118,7 +121,7 @@ let run ~socket ?store_path ?(strict_store = false) ?save_every ?shards
                (fun () ->
                  Fun.protect
                    ~finally:(fun () -> Atomic.decr active)
-                   (fun () -> handle_connection engine shutdown conn))
+                   (fun () -> handle_connection engine ~shutdown conn))
                ())
         | exception
             Unix.Unix_error

@@ -35,3 +35,9 @@ val run :
     (scripts wait for it). Raises [Unix.Unix_error] if the socket cannot
     be bound, and exits nonzero via [Failure] if [strict_store] rejects a
     corrupt store. *)
+
+val handle_connection :
+  Engine.t -> shutdown:bool Atomic.t -> Unix.file_descr -> unit
+(** Serve one connection until the peer closes it, sends garbage, or
+    asks for [Shutdown] (which also sets [shutdown]); then close [fd].
+    What {!run} runs on each connection's thread. *)

@@ -3,6 +3,8 @@
 # query it from several concurrent clients, and require
 #   - every response byte-identical to the one-shot `fastflip analyze`,
 #   - warm (cached) queries faster than the cold one,
+#   - a bad source answered twice with the same error the one-shot CLI
+#     prints (a failed compile is never cached),
 #   - a non-finite target refused and a huge one clamped to 1.0, by
 #     both the CLI and the daemon,
 #   - a clean shutdown on SIGTERM (store saved, socket removed),
@@ -98,6 +100,25 @@ done
 [ "$warm4_ms" -lt "$cold_ms" ] \
   || fail "4 warm queries (${warm4_ms}ms) not faster than 1 cold query (${cold_ms}ms)"
 
+# 5b. A source that does not compile: the daemon compiles only on a cache
+#     miss and never caches a failure, so asking twice must give the same
+#     error bytes both times, and the one-shot CLI's. The client prefixes
+#     the daemon's message with "fastflip: ".
+printf 'kernel broken(' >"$WORK/bad.ff"
+if $FASTFLIP analyze "$WORK/bad.ff" >/dev/null 2>"$WORK/bad_oneshot.err"; then
+  fail "one-shot analyze of a bad source exited 0"
+fi
+for i in 1 2; do
+  if $FASTFLIP query "$SOCK" "$WORK/bad.ff" >/dev/null 2>"$WORK/bad_query$i.err"; then
+    fail "query $i of a bad source exited 0"
+  fi
+done
+cmp "$WORK/bad_query1.err" "$WORK/bad_query2.err" >&2 \
+  || fail "the daemon's two errors for one bad source differ"
+sed 's/^fastflip: //' "$WORK/bad_query1.err" >"$WORK/bad_daemon.err"
+diff -u "$WORK/bad_oneshot.err" "$WORK/bad_daemon.err" >&2 \
+  || fail "the daemon's compile error differs from one-shot analyze"
+
 # 6. Out-of-range targets: a non-finite one is refused by both the
 #    one-shot CLI and the client, with an error naming the target; a huge
 #    finite one clamps, so it reports exactly what -t 1.0 reports.
@@ -143,4 +164,4 @@ bench_status=0
 [ "$bench_status" -eq 0 ] \
   || { cat "$WORK/bench.out" >&2; fail "bench server artifact failed"; }
 
-echo "server smoke: OK (cold ${cold_ms}ms, 4 warm clients ${warm4_ms}ms, byte-identical, targets clamped, clean SIGTERM)"
+echo "server smoke: OK (cold ${cold_ms}ms, 4 warm clients ${warm4_ms}ms, byte-identical, compile errors identical, targets clamped, clean SIGTERM)"

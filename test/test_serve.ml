@@ -1,10 +1,12 @@
 (* Tests for the serve daemon: protocol codec roundtrips, frame fuzzing
    (a hostile or broken client must never crash the daemon or corrupt its
-   warm state), the warm cache (a repeat request re-runs nothing), and
-   the store-covered fast path. *)
+   warm state), in-place response framing, the warm cache (a repeat
+   request re-runs nothing and allocates nothing lasting), its report
+   memo, and the store-covered fast path. *)
 
 module Protocol = Ff_serve.Protocol
 module Engine = Ff_serve.Engine
+module Cache = Ff_serve.Cache
 module Wire = Fastflip.Wire
 module Hashing = Ff_support.Hashing
 module Telemetry = Ff_support.Telemetry
@@ -165,6 +167,105 @@ let test_frame_fuzz () =
   Alcotest.(check bool) "negative length" true
     (check_frame (recv_of (crafted_header ~len:(-1))) = `Malformed)
 
+(* --- in-place response framing --------------------------------------------- *)
+
+(* Run [send] on a thread against one end of a socketpair (large frames
+   exceed the socket buffer) and [recv] on the other end. *)
+let over_socketpair send recv =
+  let a, b = Unix.socketpair Unix.PF_UNIX Unix.SOCK_STREAM 0 in
+  let writer =
+    Thread.create (fun () -> Fun.protect ~finally:(fun () -> Unix.close a) (fun () -> send a)) ()
+  in
+  Fun.protect
+    ~finally:(fun () ->
+      Thread.join writer;
+      Unix.close b)
+    (fun () -> recv b)
+
+(* Fill the first [len] bytes of [buf] from [fd]. *)
+let read_into fd buf len =
+  let rec go pos =
+    if pos < len then
+      match Unix.read fd buf pos (len - pos) with
+      | 0 -> Alcotest.failf "EOF after %d of %d bytes" pos len
+      | n -> go (pos + n)
+  in
+  go 0
+
+let read_all fd =
+  let buf = Buffer.create 4096 and chunk = Bytes.create 65536 in
+  let rec go () =
+    match Unix.read fd chunk 0 (Bytes.length chunk) with
+    | 0 -> Buffer.contents buf
+    | n ->
+      Buffer.add_subbytes buf chunk 0 n;
+      go ()
+  in
+  go ()
+
+let response_gen =
+  QCheck.Gen.(
+    let text =
+      frequency
+        [
+          (4, string_size (int_range 0 300));
+          (1, string_size (int_range 2000 20_000));
+          (1, string_size (int_range 65_536 70_000));
+        ]
+    in
+    frequency
+      [
+        (1, return Protocol.Pong);
+        (1, return Protocol.Bye);
+        (4, map (fun t -> Protocol.Report t) text);
+        (1, map (fun t -> Protocol.Stats_json t) text);
+        (1, map (fun t -> Protocol.Error t) text);
+      ])
+
+let print_response r =
+  let tag, len =
+    match r with
+    | Protocol.Pong -> ("Pong", 0)
+    | Protocol.Bye -> ("Bye", 0)
+    | Protocol.Report t -> ("Report", String.length t)
+    | Protocol.Stats_json t -> ("Stats_json", String.length t)
+    | Protocol.Error t -> ("Error", String.length t)
+  in
+  Printf.sprintf "%s (%d bytes)" tag len
+
+(* Each response is sent twice: the first frame is compared byte for
+   byte with the built frame, the second must decode back to it. *)
+let send_response_property =
+  QCheck.Test.make ~count:60 ~name:"send_response writes Wire.frame (encode_response r)"
+    (QCheck.make ~print:print_response response_gen)
+    (fun resp ->
+      let expected = Wire.frame (Protocol.encode_response resp) in
+      over_socketpair
+        (fun fd ->
+          Protocol.send_response fd resp;
+          Protocol.send_response fd resp)
+        (fun fd ->
+          let first = Bytes.create (String.length expected) in
+          read_into fd first (Bytes.length first);
+          let second = Protocol.recv_response fd in
+          String.equal expected (Bytes.to_string first)
+          && second = Ok resp
+          && String.equal (read_all fd) ""))
+
+let test_send_response_edges () =
+  List.iter
+    (fun resp ->
+      let framed =
+        over_socketpair (fun fd -> Protocol.send_response fd resp) read_all
+      in
+      Alcotest.(check string) (print_response resp)
+        (Wire.frame (Protocol.encode_response resp)) framed)
+    [
+      Protocol.Report "";
+      Protocol.Report (String.init 200_000 (fun i -> Char.chr (i land 0xFF)));
+      Protocol.Pong;
+    ]
+
 (* --- live daemon: a hostile client never corrupts warm state -------------- *)
 
 let temp_socket () =
@@ -300,6 +401,146 @@ let test_fast_path_skips_injections () =
   Alcotest.(check int) "both requests ran the pipeline" 2
     (Telemetry.value c_pipeline_runs)
 
+(* --- warm hits: no compile, memoized reports, nothing lasting --------------- *)
+
+(* [source] behind a comment long enough that a request is several KiB:
+   every block over 2 KiB goes straight to the major heap, so a warm hit
+   that copied the request or its source would show below. *)
+let padded_source = String.make 6000 '/' ^ "\n" ^ source
+
+let c_cold = Telemetry.counter "serve.cold"
+
+let test_one_byte_misses () =
+  with_telemetry @@ fun () ->
+  let engine = Engine.create () in
+  let req source = Protocol.Analyze { source; query = quick_query } in
+  let first = report_of engine (req padded_source) in
+  (* Flip one byte of the comment: the same program, a different text. *)
+  let edited = Bytes.of_string padded_source in
+  Bytes.set edited 100 'x';
+  let second = report_of engine (req (Bytes.to_string edited)) in
+  Alcotest.(check int) "no warm hit" 0 (Telemetry.value c_warm_hits);
+  Alcotest.(check int) "both requests missed" 2 (Telemetry.value c_cold);
+  Alcotest.(check int) "two entries" 2 (Engine.cache_size engine);
+  (* The second miss found the program's section in the store. *)
+  let reuse report = List.hd (String.split_on_char '\n' report) in
+  Alcotest.(check string) "first analysed" "sections reused from the store: 0/1" (reuse first);
+  Alcotest.(check string) "second from the store" "sections reused from the store: 1/1"
+    (reuse second)
+
+let test_bad_source_not_cached () =
+  let engine = Engine.create () in
+  ignore (report_of engine (Protocol.Analyze { source; query = quick_query }));
+  let bad = "kernel broken(" in
+  let expected =
+    match Ff_lang.Frontend.compile bad with
+    | Ok _ -> Alcotest.fail "bad source compiled"
+    | Error e -> Format.asprintf "%a" Ff_lang.Frontend.pp_error e
+  in
+  let reply () =
+    Protocol.encode_response
+      (Engine.handle engine (Protocol.Analyze { source = bad; query = quick_query }))
+  in
+  let first = reply () in
+  Alcotest.(check string) "the compile error, as the CLI renders it"
+    (Protocol.encode_response (Protocol.Error expected)) first;
+  Alcotest.(check string) "same error bytes again" first (reply ());
+  Alcotest.(check int) "cache holds only the good entry" 1 (Engine.cache_size engine)
+
+let test_report_memo_bound () =
+  let config =
+    Engine.config_of ~bits:quick_query.Protocol.q_bits
+      ~samples:quick_query.Protocol.q_samples ~epsilon:0.0 ~prove:true ()
+  in
+  let analysis = Fastflip.Pipeline.analyze config (Ff_lang.Frontend.compile_exn source) in
+  let cache = Cache.create () in
+  let entry =
+    match Cache.find_or_compute cache ~key:1L ~compute:(fun () -> analysis) with
+    | Ok entry, Cache.Miss -> entry
+    | _ -> Alcotest.fail "expected a fresh entry"
+  in
+  for round = 1 to 2 do
+    for i = 0 to 99 do
+      let target = float_of_int i /. 99.0 in
+      Alcotest.(check string)
+        (Printf.sprintf "round %d, target %d: the rendered report" round i)
+        (Ff_serve.Report.analysis ~target analysis)
+        (Cache.report entry ~target);
+      Alcotest.(check bool) "memo within its bound" true
+        (Cache.reports_held entry <= Cache.report_capacity)
+    done
+  done;
+  Alcotest.(check int) "memo full" Cache.report_capacity (Cache.reports_held entry);
+  (* 0.0 and -0.0 render differently ("0.00" vs "-0.00"): keyed by bits. *)
+  Alcotest.(check string) "-0.0 is its own target"
+    (Ff_serve.Report.analysis ~target:(-0.0) analysis)
+    (Cache.report entry ~target:(-0.0))
+
+(* Requests 500 warm hits from the server's connection loop over a
+   socketpair. The client side writes pre-built frames and reads into
+   one buffer, so any major-heap words are the server's. *)
+let test_warm_hits_allocate_nothing_major () =
+  let engine = Engine.create () in
+  let a, b = Unix.socketpair Unix.PF_UNIX Unix.SOCK_STREAM 0 in
+  let server =
+    Thread.create
+      (fun () -> Ff_serve.Server.handle_connection engine ~shutdown:(Atomic.make false) a)
+      ()
+  in
+  let frames =
+    Array.map
+      (fun target ->
+        Wire.frame
+          (Protocol.encode_request
+             (Protocol.Analyze
+                { source = padded_source; query = { quick_query with Protocol.q_target = target } })))
+      [| 0.5; 0.9; 1.0 |]
+  in
+  let send frame = ignore (Unix.write_substring b frame 0 (String.length frame)) in
+  (* Warm-up: the miss, then one render per target. *)
+  let expected =
+    Array.map
+      (fun frame ->
+        send frame;
+        match Protocol.recv_response b with
+        | Ok (Protocol.Report _ as resp) -> Wire.frame (Protocol.encode_response resp)
+        | _ -> Alcotest.fail "warm-up request failed")
+      frames
+  in
+  let buf = Bytes.create (Array.fold_left (fun m e -> max m (String.length e)) 0 expected) in
+  let mismatches = ref 0 in
+  (* Empty the minor heap at both ends, so the warm-up's survivors are
+     promoted before the window and the window's own inside it. The
+     statistics are sampled at the start of a minor collection, so the
+     second one makes them count the first's promotions. *)
+  let major_words () =
+    Gc.minor ();
+    Gc.minor ();
+    (Gc.quick_stat ()).Gc.major_words
+  in
+  let before = major_words () in
+  for i = 1 to 500 do
+    let k = i mod Array.length frames in
+    send frames.(k);
+    let want = expected.(k) in
+    let len = String.length want in
+    read_into b buf len;
+    for j = 0 to len - 1 do
+      if Bytes.unsafe_get buf j <> String.unsafe_get want j then incr mismatches
+    done
+  done;
+  let major_words = major_words () -. before in
+  send (Wire.frame (Protocol.encode_request Protocol.Shutdown));
+  ignore (Protocol.recv_response b);
+  Thread.join server;
+  Unix.close b;
+  Alcotest.(check int) "every warm response byte-identical" 0 !mismatches;
+  (* Measured: under 40 words here; the connection loop that compiled,
+     rendered and copied per request allocated ~1.07M. *)
+  if major_words >= 1024.0 then
+    Alcotest.failf "500 warm hits allocated %.0f major-heap words (bound 1024)"
+      major_words
+
 let () =
   Alcotest.run "serve"
     [
@@ -308,6 +549,8 @@ let () =
           Alcotest.test_case "codec roundtrips" `Quick test_codec_roundtrips;
           Alcotest.test_case "codec rejects bad payloads" `Quick test_codec_rejects;
           Alcotest.test_case "frame fuzz" `Quick test_frame_fuzz;
+          QCheck_alcotest.to_alcotest send_response_property;
+          Alcotest.test_case "send_response edge sizes" `Quick test_send_response_edges;
         ] );
       ( "server",
         [
@@ -320,5 +563,10 @@ let () =
             test_warm_cache_runs_nothing;
           Alcotest.test_case "fast path skips injections" `Quick
             test_fast_path_skips_injections;
+          Alcotest.test_case "one changed byte misses" `Quick test_one_byte_misses;
+          Alcotest.test_case "bad source is not cached" `Quick test_bad_source_not_cached;
+          Alcotest.test_case "report memo stays bounded" `Quick test_report_memo_bound;
+          Alcotest.test_case "warm hits allocate nothing major" `Quick
+            test_warm_hits_allocate_nothing_major;
         ] );
     ]

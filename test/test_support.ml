@@ -208,6 +208,61 @@ let test_crc32_detects_flips () =
     done
   done
 
+(* The FNV-1a definition, one byte at a time: the streaming hasher must
+   give exactly these digests (store keys are built from them). *)
+let reference_fnv bytes =
+  List.fold_left
+    (fun acc b -> Int64.mul (Int64.logxor acc (Int64.of_int b)) 0x100000001B3L)
+    0xCBF29CE484222325L bytes
+
+let le_bytes v = List.init 8 (fun i -> Int64.to_int (Int64.shift_right_logical v (8 * i)) land 0xFF)
+let string_bytes s = List.init (String.length s) (fun i -> Char.code s.[i])
+
+type feed =
+  | Int64 of int64
+  | Float of float
+  | Slice of string * int * int * bool
+      (* pos and len within bounds; true feeds a copy via add_string *)
+
+let feed_gen =
+  QCheck.Gen.(
+    oneof
+      [
+        map (fun v -> Int64 v) ui64;
+        map (fun v -> Float v) float;
+        (string_size (int_range 0 300) >>= fun s ->
+         int_range 0 (String.length s) >>= fun pos ->
+         int_range 0 (String.length s - pos) >>= fun len ->
+         bool >|= fun copy -> Slice (s, pos, len, copy));
+      ])
+
+let fnv_reference_property =
+  QCheck.Test.make ~count:300 ~name:"streaming FNV ≡ byte-at-a-time FNV"
+    (QCheck.make QCheck.Gen.(list_size (int_range 0 6) feed_gen))
+    (fun feeds ->
+      let h = Hashing.create () in
+      let bytes =
+        List.concat_map
+          (function
+            | Int64 v ->
+              Hashing.add_int64 h v;
+              le_bytes v
+            | Float v ->
+              Hashing.add_float h v;
+              le_bytes (Int64.bits_of_float v)
+            | Slice (s, pos, len, copy) ->
+              if copy then Hashing.add_string h (String.sub s pos len)
+              else Hashing.add_substring h s pos len;
+              le_bytes (Int64.of_int len) @ string_bytes (String.sub s pos len))
+          feeds
+      in
+      Int64.equal (Hashing.value h) (reference_fnv bytes))
+
+let crc32_continues_property =
+  QCheck.Test.make ~count:300 ~name:"crc32 ~init:(crc32 a) b = crc32 (a ^ b)"
+    QCheck.(pair string string)
+    (fun (a, b) -> Hashing.crc32 ~init:(Hashing.crc32 a) b = Hashing.crc32 (a ^ b))
+
 let test_crc32_rejects_bad_slice () =
   Alcotest.check_raises "len past end"
     (Invalid_argument "Hashing.crc32") (fun () ->
@@ -464,6 +519,8 @@ let () =
           Alcotest.test_case "crc32 vectors" `Quick test_crc32_known_vectors;
           Alcotest.test_case "crc32 flip detection" `Quick test_crc32_detects_flips;
           Alcotest.test_case "crc32 slice validation" `Quick test_crc32_rejects_bad_slice;
+          QCheck_alcotest.to_alcotest fnv_reference_property;
+          QCheck_alcotest.to_alcotest crc32_continues_property;
         ] );
       ( "table",
         [
