@@ -1067,8 +1067,8 @@ let print_store config =
         };
     }
   in
-  (* Records are real analysis output (~100s of KB each), so the store
-     sizes here are small in record count but service-scale in bytes. *)
+  (* Records are real analysis output (~11 KB each in the compact
+     encoding), so saves here cost what real ones do. *)
   let n = 256 and dirty = 4 in
   let base =
     Filename.concat (Filename.get_temp_dir_name ())

@@ -442,7 +442,7 @@ let store_stat_cmd =
       Printf.eprintf "fastflip: %s: %s\n" path e;
       exit 1
     | Ok info ->
-      Printf.printf "format:     FFSTORE3\n";
+      Printf.printf "format:     FFSTORE4\n";
       Printf.printf "shards:     %d\n" info.st_shards;
       Printf.printf "generation: %Ld\n" info.st_generation;
       Printf.printf "records:    %d live, %d dead frame(s)\n" info.st_live info.st_dead;
@@ -485,7 +485,7 @@ let store_compact_cmd =
   in
   Cmd.v
     (Cmd.info "compact"
-       ~doc:"Rewrite a store down to its live records under the shard locks.               $(b,--shards) reshards to a new layout width. Only FFSTORE3               stores are accepted; a legacy FFSTORE1/FFSTORE2 file is refused.")
+       ~doc:"Rewrite a store down to its live records under the shard locks.               $(b,--shards) reshards to a new layout width. Only FFSTORE4               stores are accepted; a legacy FFSTORE1/FFSTORE2/FFSTORE3 file is               refused (re-run the analysis to rebuild it).")
     Term.(const run $ store_pos_arg $ shards_arg)
 
 let store_cmd =

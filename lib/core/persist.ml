@@ -18,8 +18,8 @@ let m_progress_appended = Telemetry.counter "checkpoint.classes_appended"
 let m_progress_loaded = Telemetry.counter "checkpoint.classes_loaded"
 let m_progress_skipped = Telemetry.counter "checkpoint.skipped_regions"
 
-let magic_v3 = "FFSTORE3"
-let magic_shard = "FFSHARD1"
+let magic_store = "FFSTORE4"
+let magic_shard = "FFSHARD2"
 let default_shards = 16
 let max_shards = 64
 
@@ -156,23 +156,26 @@ let has_magic data magic =
   String.length data >= String.length magic
   && String.equal (String.sub data 0 (String.length magic)) magic
 
-(* The monolithic pre-sharding formats are recognized only to refuse
-   them by name. *)
-let legacy_magic data = List.find_opt (has_magic data) [ "FFSTORE1"; "FFSTORE2" ]
+(* Earlier formats — the monolithic pre-sharding ones and the sharded
+   store with fixed-width records — are recognized only to refuse them
+   by name. There is no migration: re-running the analysis rebuilds the
+   store. *)
+let legacy_magic data =
+  List.find_opt (has_magic data) [ "FFSTORE1"; "FFSTORE2"; "FFSTORE3" ]
 
 let not_a_store data =
   match legacy_magic data with
-  | Some m -> Printf.sprintf "unsupported store format %s (only %s is read)" m magic_v3
+  | Some m -> Printf.sprintf "unsupported store format %s (only %s is read)" m magic_store
   | None -> "not a FastFlip store file"
 
 (* [D_other] carries the file's first bytes ([""] if unreadable). *)
-type disk_format = D_v3 | D_missing | D_other of string
+type disk_format = D_store | D_missing | D_other of string
 
 let classify path =
   match read_prefix path 8 with
   | Error Unix.ENOENT -> D_missing
   | Error _ -> D_other ""
-  | Ok m when String.equal m magic_v3 -> D_v3
+  | Ok m when String.equal m magic_store -> D_store
   | Ok m -> D_other m
 
 (* The manifest (the file at [path] itself): magic, then one CRC frame
@@ -197,12 +200,12 @@ let encode_manifest mf =
   Wire.w_int64 payload mf.mf_generation;
   Wire.w_array payload Wire.w_int mf.mf_frames;
   let buf = Buffer.create 128 in
-  Buffer.add_string buf magic_v3;
+  Buffer.add_string buf magic_store;
   Wire.add_frame buf (Buffer.contents payload);
   Buffer.contents buf
 
 let decode_manifest data =
-  match Wire.read_frames ~pos:(String.length magic_v3) data with
+  match Wire.read_frames ~pos:(String.length magic_store) data with
   | [ payload ], 0 -> (
     try
       let c = Wire.cursor payload in
@@ -223,7 +226,7 @@ let decode_manifest data =
 
 let read_manifest path =
   match read_file path with
-  | Ok data when has_magic data magic_v3 -> decode_manifest data
+  | Ok data when has_magic data magic_store -> decode_manifest data
   | Ok _ | Error _ -> None
 
 let next_generation g = Int64.succ (max 0L g)
@@ -394,7 +397,7 @@ let read_store ~path =
       Ok (salvage_scan ~manifest_bytes:0 path (Store.create ()))
     else Error e
   | Ok data ->
-    if has_magic data magic_v3 then begin
+    if has_magic data magic_store then begin
       let store = Store.create () in
       match decode_manifest data with
       | Some mf ->
@@ -490,14 +493,14 @@ let stage_compaction path i =
     List.iter (fun (_, payload) -> Wire.add_frame buf payload) live;
     Some (i, Buffer.contents buf, List.length live)
 
-(* Incremental path: [path] already holds a v3 store with layout [mf0].
+(* Incremental path: [path] already holds a store with layout [mf0].
    Appends the dirty records to their shard logs under the per-shard
    locks, then folds the frame-count deltas into the manifest under the
    manifest lock — O(dirty) I/O, no read of the existing records.
    [`Retry] means the layout changed underneath us (a concurrent reshard)
    and the caller should re-classify; nothing was cleaned, so no record
    is lost. *)
-let save_v3 store ~path (mf0 : manifest) =
+let save_append store ~path (mf0 : manifest) =
   let shards = mf0.mf_shards in
   let dirty = Store.dirty_records store in
   if dirty = [] then
@@ -640,10 +643,10 @@ let save ?(shards = default_shards) store ~path =
   let rebuild lock_hi = save_rebuild ~shards ~lock_hi store ~path in
   let rec attempt tries =
     match classify path with
-    | D_v3 -> (
+    | D_store -> (
       match read_manifest path with
       | Some mf -> (
-        match save_v3 store ~path mf with
+        match save_append store ~path mf with
         | `Done stats -> stats
         | `Retry when tries > 0 -> attempt (tries - 1)
         | `Retry -> (
@@ -651,7 +654,7 @@ let save ?(shards = default_shards) store ~path =
           | Some mf -> rebuild (max shards mf.mf_shards)
           | None -> rebuild max_shards))
       | None ->
-        (* v3 magic but an unreadable manifest frame: rebuild the layout,
+        (* Store magic but an unreadable manifest frame: rebuild the layout,
            salvaging whatever the shard logs still hold. *)
         rebuild max_shards)
     | D_missing | D_other _ -> rebuild shards
@@ -672,7 +675,7 @@ let compact ?shards ~path () =
   match classify path with
   | D_missing -> Error (path ^ ": no such store")
   | D_other prefix -> Error (not_a_store prefix)
-  | D_v3 ->
+  | D_store ->
     let current =
       match read_manifest path with Some mf -> Some mf.mf_shards | None -> None
     in

@@ -8,7 +8,7 @@
     deployments see — and to charge saves for what changed, not for what
     exists.
 
-    {2 Layout (format [FFSTORE3])}
+    {2 Layout (format [FFSTORE4])}
 
     A store at [path] is a {e manifest} plus [N] {e shard logs}:
 
@@ -17,7 +17,10 @@
        layout width [N], a {e generation} counter bumped by every
        content-changing save, and the record-frame count of each log.}
     {- [path.sNN] — shard log [NN]: magic, then an append-only sequence
-       of CRC-framed records ({!Wire.frame}). Records are hash-sharded by
+       of CRC-framed records ({!Wire.frame}) in the compact encoding of
+       {!Wire.w_record}: varint ints, each class group's member list
+       written once, shared again by the classes of the group after
+       {!load}. Records are hash-sharded by
        store key, so each key lives in exactly one log; within a log a
        later frame for the same key supersedes the earlier one (a
        {e delta log}).}
@@ -55,9 +58,11 @@
        to the live set (original payload bytes preserved); {!compact}
        does it store-wide and can reshard.}}
 
-    [FFSTORE3] is the only format read or written: a file holding one of
-    the older monolithic encodings ([FFSTORE1]/[FFSTORE2]) is refused with
-    an error naming its format. *)
+    [FFSTORE4] is the only format read or written: a file holding an
+    older encoding — the monolithic [FFSTORE1]/[FFSTORE2], or [FFSTORE3]
+    with fixed-width records — is refused with an error naming its
+    format. There is no migration: re-running the analysis rebuilds the
+    store. *)
 
 val default_shards : int
 (** Layout width given to newly created stores when [?shards] is omitted
@@ -94,7 +99,7 @@ val save : ?shards:int -> Store.t -> path:string -> save_stats
     merged (ours winning on collisions) with whatever {!load} can still
     read at [path] — e.g. shard logs whose manifest a crash never wrote.
     A file that is not a readable store (including a legacy
-    [FFSTORE1]/[FFSTORE2] file) is replaced.
+    [FFSTORE1]/[FFSTORE2]/[FFSTORE3] file) is replaced.
 
     Raises [Sys_error] / [Unix.Unix_error] on I/O failure and
     [Invalid_argument] on a [?shards] outside [1, {!max_shards}] — never
@@ -114,7 +119,7 @@ val load : path:string -> (Store.t * int, string) result
     that survived CRC and structural validation plus the number of
     corrupt records/regions skipped; [skipped = 0] means the store was
     pristine. [Error] only for a missing/unreadable file, a legacy
-    [FFSTORE1]/[FFSTORE2] file (the message names the format), or one
+    [FFSTORE1]/[FFSTORE2]/[FFSTORE3] file (the message names the format), or one
     that is not a FastFlip store at all. Never raises on corrupt input
     (including files truncated or appended to concurrently with the
     read). *)

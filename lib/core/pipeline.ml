@@ -52,14 +52,24 @@ type analysis = {
 }
 
 (* A reused record may come from a version where the section sat at a
-   different schedule index; rewrite the indices to the current one. *)
+   different schedule index; rewrite the indices to the current one.
+   The bit classes of a group are adjacent and share one member array,
+   so each distinct array is rebased once and stays shared. *)
 let rebase_record (record : Store.section_record) ~section_index =
   if record.Store.rec_campaign.Campaign.section_index = section_index then record
   else begin
+    let last_src = ref [||] and last_dst = ref [||] in
+    let rebase_members members =
+      if members != !last_src then begin
+        last_src := members;
+        last_dst := Array.map (fun (_, dyn) -> (section_index, dyn)) members
+      end;
+      !last_dst
+    in
     let rebase_class (cls : Eqclass.t) =
       {
         cls with
-        Eqclass.members = Array.map (fun (_, dyn) -> (section_index, dyn)) cls.Eqclass.members;
+        Eqclass.members = rebase_members cls.Eqclass.members;
         pilot = { cls.Eqclass.pilot with Site.section = section_index };
       }
     in
@@ -105,7 +115,7 @@ let section_key config (section : Golden.section_run) =
          Hashing.value h);
   }
 
-(* A disjoint key space in the same FFSTORE3 store for injection-measured
+(* A disjoint key space in the same persistent store for injection-measured
    detector coverage: the section's campaign key, scoped by the hash of
    the exact candidate detector set (and a format version, so a future
    coverage encoding never reads old frames as current ones). Campaign

@@ -46,7 +46,7 @@ val config_hash : config -> int64
 
 val coverage_key :
   config -> Ff_vm.Golden.section_run -> detector_hash:int64 -> Store.key
-(** The FFSTORE3 key under which injection-measured detector coverage of
+(** The store key under which injection-measured detector coverage of
     this section is cached: the section's campaign store key scoped by
     [detector_hash] (the digest of the exact candidate detector set), a
     coverage-format version, and ε (the bad-class set being measured is

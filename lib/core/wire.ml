@@ -82,93 +82,76 @@ let r_list c r_elem what =
   let n = r_length c what in
   List.init n (fun _ -> r_elem c)
 
+(* --- varints ----------------------------------------------------------------- *)
+
+(* Unsigned LEB128 over the 63-bit two's-complement image of an int, so
+   every int round-trips (a negative one costs 9 bytes). *)
+let rec w_uvar buf v =
+  if v land lnot 0x7f = 0 then Buffer.add_char buf (Char.unsafe_chr v)
+  else begin
+    Buffer.add_char buf (Char.unsafe_chr (v land 0x7f lor 0x80));
+    w_uvar buf (v lsr 7)
+  end
+
+let rec r_uvar_from c acc shift =
+  if c.pos >= c.limit then raise (Corrupt "truncated varint");
+  let b = Char.code (String.unsafe_get c.data c.pos) in
+  c.pos <- c.pos + 1;
+  let acc = acc lor ((b land 0x7f) lsl shift) in
+  if b land 0x80 = 0 then acc
+  else if shift >= 56 then raise (Corrupt "overlong varint")
+  else r_uvar_from c acc (shift + 7)
+
+let r_uvar c = r_uvar_from c 0 0
+
+(* Zigzag: small negative deltas stay small. *)
+let w_svar buf v = w_uvar buf ((v lsl 1) lxor (v asr (Sys.int_size - 1)))
+
+let r_svar c =
+  let u = r_uvar c in
+  (u lsr 1) lxor -(u land 1)
+
+(* An element count whose elements take at least [unit] bytes each:
+   bounded by the bytes left, so a corrupt count cannot allocate more
+   than the payload could hold. *)
+let r_count c ~unit what =
+  let n = r_uvar c in
+  if n < 0 || n > (c.limit - c.pos) / unit then
+    raise (Corrupt ("implausible count for " ^ what));
+  n
+
+let w_uvars buf arr =
+  w_uvar buf (Array.length arr);
+  Array.iter (w_uvar buf) arr
+
+let r_uvars c what =
+  let n = r_count c ~unit:1 what in
+  Array.init n (fun _ -> r_uvar c)
+
+let w_floats buf arr =
+  w_uvar buf (Array.length arr);
+  Array.iter (w_float buf) arr
+
+let r_floats c what =
+  let n = r_count c ~unit:8 what in
+  Array.init n (fun _ -> r_float c)
+
 (* --- domain codecs ---------------------------------------------------------- *)
 
-let w_pc buf (pc : Site.pc) =
-  w_int buf pc.Site.kernel;
-  w_int buf pc.Site.instr
+let detected_code = function
+  | Outcome.Crash -> 0
+  | Outcome.Timed_out -> 1
+  | Outcome.Misformatted -> 2
 
-let r_pc c =
-  let kernel = r_int c in
-  let instr = r_int c in
-  { Site.kernel; instr }
+let w_detected buf kind = w_int buf (detected_code kind)
 
-let w_operand buf = function
-  | Site.Src i ->
-    w_int buf 0;
-    w_int buf i
-  | Site.Dst ->
-    w_int buf 1;
-    w_int buf 0
-  | Site.Op ->
-    w_int buf 2;
-    w_int buf 0
-  | Site.Mem b ->
-    w_int buf 3;
-    w_int buf b
-
-let r_operand c =
-  match r_int c with
-  | 0 -> Site.Src (r_int c)
-  | 1 ->
-    ignore (r_int c);
-    Site.Dst
-  | 2 ->
-    ignore (r_int c);
-    Site.Op
-  | 3 -> Site.Mem (r_int c)
-  | _ -> raise (Corrupt "operand tag")
-
-let w_site buf (site : Site.t) =
-  w_int buf site.Site.section;
-  w_int buf site.Site.dyn;
-  w_pc buf site.Site.pc;
-  w_operand buf site.Site.operand;
-  w_int buf site.Site.bit
-
-let r_site c =
-  let section = r_int c in
-  let dyn = r_int c in
-  let pc = r_pc c in
-  let operand = r_operand c in
-  let bit = r_int c in
-  { Site.section; dyn; pc; operand; bit }
-
-let w_member buf (section, dyn) =
-  w_int buf section;
-  w_int buf dyn
-
-let r_member c =
-  let section = r_int c in
-  let dyn = r_int c in
-  (section, dyn)
-
-let w_class buf (cls : Eqclass.t) =
-  w_pc buf cls.Eqclass.pc;
-  w_operand buf cls.Eqclass.operand;
-  w_int buf cls.Eqclass.bit;
-  w_array buf w_member cls.Eqclass.members;
-  w_site buf cls.Eqclass.pilot
-
-let r_class c =
-  let pc = r_pc c in
-  let operand = r_operand c in
-  let bit = r_int c in
-  let members = r_array c r_member "class members" in
-  let pilot = r_site c in
-  { Eqclass.pc; operand; bit; members; pilot }
-
-let w_detected buf = function
-  | Outcome.Crash -> w_int buf 0
-  | Outcome.Timed_out -> w_int buf 1
-  | Outcome.Misformatted -> w_int buf 2
-
-let r_detected c =
-  match r_int c with
+let r_detected_tag = function
   | 0 -> Outcome.Crash
   | 1 -> Outcome.Timed_out
   | 2 -> Outcome.Misformatted
   | _ -> raise (Corrupt "detected tag")
+
+let r_detected c = r_detected_tag (r_int c)
 
 let w_magnitude buf (idx, m) =
   w_int buf idx;
@@ -193,49 +176,6 @@ let r_section_outcome c =
   | 1 -> Outcome.S_sdc (r_array c r_magnitude "magnitudes")
   | _ -> raise (Corrupt "outcome tag")
 
-let w_campaign buf (camp : Campaign.section_result) =
-  w_int buf camp.Campaign.section_index;
-  w_array buf
-    (fun buf (cls, outcome) ->
-      w_class buf cls;
-      w_section_outcome buf outcome)
-    camp.Campaign.s_classes;
-  w_int buf camp.Campaign.s_work;
-  w_int buf camp.Campaign.s_injections;
-  w_int buf camp.Campaign.s_sites
-
-let r_campaign c =
-  let section_index = r_int c in
-  let s_classes =
-    r_array c
-      (fun c ->
-        let cls = r_class c in
-        let outcome = r_section_outcome c in
-        (cls, outcome))
-      "classes"
-  in
-  let s_work = r_int c in
-  let s_injections = r_int c in
-  let s_sites = r_int c in
-  { Campaign.section_index; s_classes; s_work; s_injections; s_sites }
-
-let w_sensitivity buf (s : Sensitivity.t) =
-  w_int buf s.Sensitivity.section_index;
-  w_array buf w_int s.Sensitivity.input_buffers;
-  w_array buf w_int s.Sensitivity.output_buffers;
-  w_array buf (fun buf row -> w_array buf w_float row) s.Sensitivity.k;
-  w_int buf s.Sensitivity.samples_used;
-  w_int buf s.Sensitivity.work
-
-let r_sensitivity c =
-  let section_index = r_int c in
-  let input_buffers = r_array c r_int "inputs" in
-  let output_buffers = r_array c r_int "outputs" in
-  let k = r_array c (fun c -> r_array c r_float "k row") "k" in
-  let samples_used = r_int c in
-  let work = r_int c in
-  { Sensitivity.section_index; input_buffers; output_buffers; k; samples_used; work }
-
 let w_key buf (key : Store.key) =
   w_int64 buf key.Store.code_hash;
   w_int64 buf key.Store.input_hash;
@@ -247,18 +187,224 @@ let r_key c =
   let config_hash = r_int64 c in
   { Store.code_hash; input_hash; config_hash }
 
+(* --- compact store records -------------------------------------------------- *)
+
+(* A record is written as: key (3 x 8 bytes), the campaign's section
+   index, its counters, the classes, then the sensitivity matrix. Every
+   int is a varint except key hashes and floats (8 bytes each). The
+   section index is written once; members and pilots that sit in it (all
+   of them, for a per-section campaign) omit it. A class whose member
+   list equals the previous class's list — the other bit classes of its
+   (pc, operand) group — writes a one-byte back-reference instead, and
+   the reader hands both classes the same array. Equality is decided on
+   contents, so the bytes depend only on the record's value. *)
+
+let w_operand buf = function
+  | Site.Src i ->
+    w_uvar buf 0;
+    w_uvar buf i
+  | Site.Dst -> w_uvar buf 1
+  | Site.Op -> w_uvar buf 2
+  | Site.Mem b ->
+    w_uvar buf 3;
+    w_uvar buf b
+
+let r_operand c =
+  match r_uvar c with
+  | 0 -> Site.Src (r_uvar c)
+  | 1 -> Site.Dst
+  | 2 -> Site.Op
+  | 3 -> Site.Mem (r_uvar c)
+  | _ -> raise (Corrupt "operand tag")
+
+let w_pc buf (pc : Site.pc) =
+  w_uvar buf pc.Site.kernel;
+  w_uvar buf pc.Site.instr
+
+let r_pc c =
+  let kernel = r_uvar c in
+  let instr = r_uvar c in
+  { Site.kernel; instr }
+
+let same_members (a : (int * int) array) b =
+  a == b
+  || Array.length a = Array.length b
+     &&
+     let rec go i =
+       i < 0
+       ||
+       let sa, da = a.(i) and sb, db = b.(i) in
+       sa = sb && da = db && go (i - 1)
+     in
+     go (Array.length a - 1)
+
+(* Tag 0: the previous class's list; 1: a list of dynamic indices in the
+   record's section; 2: a list of (section, dynamic index) pairs.
+   Dynamic indices are in trace order, so their zigzag deltas are small. *)
+let w_members buf ~section ~prev members =
+  if Array.length members > 0 && same_members members prev then w_uvar buf 0
+  else begin
+    let in_section = Array.for_all (fun (s, _) -> s = section) members in
+    w_uvar buf (if in_section then 1 else 2);
+    w_uvar buf (Array.length members);
+    let last = ref 0 in
+    Array.iter
+      (fun (s, dyn) ->
+        if not in_section then w_uvar buf s;
+        w_svar buf (dyn - !last);
+        last := dyn)
+      members
+  end
+
+let r_members c ~section ~prev =
+  let fresh ~unit read_section =
+    let n = r_count c ~unit "class members" in
+    let last = ref 0 in
+    Array.init n (fun _ ->
+        let s = read_section () in
+        last := !last + r_svar c;
+        (s, !last))
+  in
+  match r_uvar c with
+  | 0 when Array.length prev > 0 -> prev
+  | 0 -> raise (Corrupt "member back-reference without a previous list")
+  | 1 -> fresh ~unit:1 (fun () -> section)
+  | 2 -> fresh ~unit:2 (fun () -> r_uvar c)
+  | _ -> raise (Corrupt "members tag")
+
+let w_site buf (site : Site.t) =
+  w_uvar buf site.Site.section;
+  w_uvar buf site.Site.dyn;
+  w_pc buf site.Site.pc;
+  w_operand buf site.Site.operand;
+  w_uvar buf site.Site.bit
+
+let r_site c =
+  let section = r_uvar c in
+  let dyn = r_uvar c in
+  let pc = r_pc c in
+  let operand = r_operand c in
+  let bit = r_uvar c in
+  { Site.section; dyn; pc; operand; bit }
+
+let w_class buf ~section ~prev (cls : Eqclass.t) =
+  w_pc buf cls.Eqclass.pc;
+  w_operand buf cls.Eqclass.operand;
+  w_uvar buf cls.Eqclass.bit;
+  w_members buf ~section ~prev cls.Eqclass.members;
+  let p = cls.Eqclass.pilot in
+  if
+    p.Site.section = section
+    && p.Site.pc = cls.Eqclass.pc
+    && p.Site.operand = cls.Eqclass.operand
+    && p.Site.bit = cls.Eqclass.bit
+  then begin
+    (* the class's own site in the record's section: only its dyn *)
+    w_uvar buf 0;
+    w_uvar buf p.Site.dyn
+  end
+  else begin
+    w_uvar buf 1;
+    w_site buf p
+  end
+
+let r_class c ~section ~prev =
+  let pc = r_pc c in
+  let operand = r_operand c in
+  let bit = r_uvar c in
+  let members = r_members c ~section ~prev in
+  let pilot =
+    match r_uvar c with
+    | 0 -> { Site.section; dyn = r_uvar c; pc; operand; bit }
+    | 1 -> r_site c
+    | _ -> raise (Corrupt "pilot tag")
+  in
+  { Eqclass.pc; operand; bit; members; pilot }
+
+(* {!w_section_outcome} with varint tags and buffer indices. *)
+let w_outcome buf = function
+  | Outcome.S_detected kind ->
+    w_uvar buf 0;
+    w_uvar buf (detected_code kind)
+  | Outcome.S_sdc magnitudes ->
+    w_uvar buf 1;
+    w_uvar buf (Array.length magnitudes);
+    Array.iter
+      (fun (idx, m) ->
+        w_uvar buf idx;
+        w_float buf m)
+      magnitudes
+
+let r_outcome c =
+  match r_uvar c with
+  | 0 -> Outcome.S_detected (r_detected_tag (r_uvar c))
+  | 1 ->
+    let n = r_count c ~unit:9 "magnitudes" in
+    Outcome.S_sdc
+      (Array.init n (fun _ ->
+           let idx = r_uvar c in
+           let m = r_float c in
+           (idx, m)))
+  | _ -> raise (Corrupt "outcome tag")
+
 let w_record buf (r : Store.section_record) =
+  let camp = r.Store.rec_campaign and sens = r.Store.rec_sensitivity in
+  let section = camp.Campaign.section_index in
   w_key buf r.Store.rec_key;
-  w_campaign buf r.Store.rec_campaign;
-  w_sensitivity buf r.Store.rec_sensitivity;
-  w_int buf r.Store.rec_work
+  w_uvar buf section;
+  w_uvar buf camp.Campaign.s_work;
+  w_uvar buf camp.Campaign.s_injections;
+  w_uvar buf camp.Campaign.s_sites;
+  w_uvar buf r.Store.rec_work;
+  w_uvar buf (Array.length camp.Campaign.s_classes);
+  let prev = ref [||] in
+  Array.iter
+    (fun ((cls : Eqclass.t), outcome) ->
+      w_class buf ~section ~prev:!prev cls;
+      w_outcome buf outcome;
+      prev := cls.Eqclass.members)
+    camp.Campaign.s_classes;
+  w_svar buf (sens.Sensitivity.section_index - section);
+  w_uvars buf sens.Sensitivity.input_buffers;
+  w_uvars buf sens.Sensitivity.output_buffers;
+  w_uvar buf (Array.length sens.Sensitivity.k);
+  Array.iter (w_floats buf) sens.Sensitivity.k;
+  w_uvar buf sens.Sensitivity.samples_used;
+  w_uvar buf sens.Sensitivity.work
 
 let r_record c =
   let rec_key = r_key c in
-  let rec_campaign = r_campaign c in
-  let rec_sensitivity = r_sensitivity c in
-  let rec_work = r_int c in
-  { Store.rec_key; rec_campaign; rec_sensitivity; rec_work }
+  let section = r_uvar c in
+  let s_work = r_uvar c in
+  let s_injections = r_uvar c in
+  let s_sites = r_uvar c in
+  let rec_work = r_uvar c in
+  let n = r_count c ~unit:1 "classes" in
+  let prev = ref [||] in
+  let s_classes =
+    Array.init n (fun _ ->
+        let cls = r_class c ~section ~prev:!prev in
+        let outcome = r_outcome c in
+        prev := cls.Eqclass.members;
+        (cls, outcome))
+  in
+  let section_index = section + r_svar c in
+  let input_buffers = r_uvars c "inputs" in
+  let output_buffers = r_uvars c "outputs" in
+  let k =
+    let rows = r_count c ~unit:1 "k" in
+    Array.init rows (fun _ -> r_floats c "k row")
+  in
+  let samples_used = r_uvar c in
+  let work = r_uvar c in
+  {
+    Store.rec_key;
+    rec_campaign =
+      { Campaign.section_index = section; s_classes; s_work; s_injections; s_sites };
+    rec_sensitivity =
+      { Sensitivity.section_index; input_buffers; output_buffers; k; samples_used; work };
+    rec_work;
+  }
 
 (* --- CRC frames ------------------------------------------------------------- *)
 

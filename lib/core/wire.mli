@@ -4,11 +4,12 @@
     Two layers:
 
     {ul
-    {- {b value codecs}: little-endian writers into a [Buffer.t] and
-       cursor-based readers for every analysis type that goes to disk —
-       sites, equivalence classes, outcomes, campaign results,
-       sensitivity matrices, full store records. Readers validate tags
-       and lengths and raise {!Corrupt} rather than producing garbage.}
+    {- {b value codecs}: writers into a [Buffer.t] and cursor-based
+       readers for what goes to disk or over the serve socket —
+       fixed-width little-endian ints, floats and strings, store keys and
+       section outcomes, and the compact varint encoding of full store
+       records. Readers validate tags and lengths and raise {!Corrupt}
+       rather than producing garbage.}
     {- {b CRC frames}: a self-describing record framing
        ([marker ∥ length ∥ crc32(payload) ∥ crc32(header) ∥ payload]) such
        that {!read_frames} can salvage every intact frame from a file with
@@ -65,20 +66,27 @@ val r_list : cursor -> (cursor -> 'a) -> string -> 'a list
 
 (** {1 Analysis-type codecs} *)
 
-val w_site : Buffer.t -> Ff_inject.Site.t -> unit
-val r_site : cursor -> Ff_inject.Site.t
-val w_class : Buffer.t -> Ff_inject.Eqclass.t -> unit
-val r_class : cursor -> Ff_inject.Eqclass.t
 val w_section_outcome : Buffer.t -> Ff_inject.Outcome.section_outcome -> unit
 val r_section_outcome : cursor -> Ff_inject.Outcome.section_outcome
-val w_campaign : Buffer.t -> Ff_inject.Campaign.section_result -> unit
-val r_campaign : cursor -> Ff_inject.Campaign.section_result
-val w_sensitivity : Buffer.t -> Ff_sensitivity.Sensitivity.t -> unit
-val r_sensitivity : cursor -> Ff_sensitivity.Sensitivity.t
+(** Fixed-width, as the campaign progress log writes outcomes. *)
+
 val w_key : Buffer.t -> Store.key -> unit
 val r_key : cursor -> Store.key
+
 val w_record : Buffer.t -> Store.section_record -> unit
+(** The compact store-record encoding of the shard logs: the key hashes
+    and floats as 8 bytes, every other int as a LEB128 varint (member
+    dynamic indices as zigzag deltas), the campaign's section index once
+    per record, and a one-byte back-reference for a class whose member
+    list equals the previous class's — the other bit classes of its
+    (pc, operand) group. The bytes depend only on the record's value,
+    never on which arrays happen to be shared in memory. *)
+
 val r_record : cursor -> Store.section_record
+(** Decodes {!w_record}'s bytes. Classes written with a back-reference
+    share one [members] array. Every count is bounded by the bytes left
+    before anything is allocated; any malformed input raises {!Corrupt}
+    and nothing else. *)
 
 (** {1 CRC frames} *)
 

@@ -59,7 +59,7 @@ for j in 1 4; do
   # 3. The torn store is still inspectable: stat salvages from the logs.
   $FASTFLIP store stat "$WORK/crash.store" >"$WORK/stat.out" 2>/dev/null \
     || fail "-j $j: store stat refused the torn store"
-  grep -q 'FFSTORE3' "$WORK/stat.out" \
+  grep -q 'FFSTORE4' "$WORK/stat.out" \
     || fail "-j $j: stat did not identify the salvaged layout"
 
   # 4. Rerun on the torn store: the salvaged section records are reused

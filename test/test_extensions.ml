@@ -289,8 +289,9 @@ let test_persist_rejects_garbage () =
   (match Persist.load ~path with
   | Ok _ -> Alcotest.fail "garbage accepted"
   | Error _ -> ());
-  (* The pre-sharding formats are refused by name, by every entry point
-     that reads a store. *)
+  (* Earlier formats — the pre-sharding ones and the fixed-width-record
+     sharded store — are refused by name, by every entry point that
+     reads a store. *)
   List.iter
     (fun magic ->
       write (magic ^ String.make 32 '\000');
@@ -298,13 +299,13 @@ let test_persist_rejects_garbage () =
         | Ok _ -> Alcotest.failf "%s accepted a %s file" what magic
         | Error e ->
           Alcotest.(check string) (what ^ " names " ^ magic)
-            (Printf.sprintf "unsupported store format %s (only FFSTORE3 is read)" magic)
+            (Printf.sprintf "unsupported store format %s (only FFSTORE4 is read)" magic)
             e
       in
       named "load" (Persist.load ~path);
       named "stat" (Persist.stat ~path);
       named "compact" (Persist.compact ~path ()))
-    [ "FFSTORE1"; "FFSTORE2" ];
+    [ "FFSTORE1"; "FFSTORE2"; "FFSTORE3" ];
   Sys.remove path;
   match Persist.load ~path:"/nonexistent/nope.bin" with
   | Ok _ -> Alcotest.fail "missing file accepted"

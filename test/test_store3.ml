@@ -1,10 +1,18 @@
-(* FFSTORE3 sharded-store tests: layout and placement, O(dirty)
-   incremental saves, reload identity, per-shard corruption salvage,
-   compaction, and multi-domain writers racing a reader. *)
+(* FFSTORE4 sharded-store tests: layout and placement, O(dirty)
+   incremental saves, reload identity, the compact record codec (every
+   benchmark round-trips, group member lists stay shared, corrupt
+   payloads raise only [Wire.Corrupt], the LUD store stays small),
+   per-shard corruption salvage, compaction, and multi-domain writers
+   racing a reader. *)
 
 module Site = Ff_inject.Site
+module Eqclass = Ff_inject.Eqclass
+module Outcome = Ff_inject.Outcome
 module Campaign = Ff_inject.Campaign
+module Sensitivity = Ff_sensitivity.Sensitivity
 module Frontend = Ff_lang.Frontend
+module Defs = Ff_benchmarks.Defs
+module Registry = Ff_benchmarks.Registry
 open Fastflip
 
 let program_src =
@@ -203,6 +211,262 @@ let test_pipeline_bit_identity_after_reload () =
   let first = reload "first reload" in
   let _ = Persist.save first ~path in
   ignore (reload "second reload")
+
+(* --- record codec ------------------------------------------------------------ *)
+
+let encode record =
+  let buf = Buffer.create 1024 in
+  Wire.w_record buf record;
+  Buffer.contents buf
+
+let decode ?len payload = Wire.r_record (Wire.cursor ?len payload)
+
+(* The bit classes of a (pc, operand) group are adjacent and must hold
+   one physically shared member array. *)
+let check_groups_share ~msg (record : Store.section_record) =
+  let classes = record.Store.rec_campaign.Campaign.s_classes in
+  let groups = ref 0 in
+  for i = 1 to Array.length classes - 1 do
+    let (a : Eqclass.t), _ = classes.(i - 1) and (b : Eqclass.t), _ = classes.(i) in
+    if a.Eqclass.pc = b.Eqclass.pc && a.Eqclass.operand = b.Eqclass.operand then begin
+      incr groups;
+      if a.Eqclass.members != b.Eqclass.members then
+        Alcotest.failf "%s: classes %d and %d of one group hold separate member arrays"
+          msg (i - 1) i
+    end
+  done;
+  Alcotest.(check bool) (msg ^ ": has multi-bit groups") true (!groups > 0)
+
+(* Default-config None analyses of every benchmark, each in its own
+   store (what the CI flow persists before the first edit). *)
+let benchmark_stores = lazy (
+  List.map
+    (fun (bench : Defs.t) ->
+      let store = Store.create () in
+      let program = compile (bench.Defs.source Defs.V_none) in
+      ignore (Pipeline.analyze ~store Pipeline.default_config program);
+      (bench.Defs.name, store))
+    Registry.all)
+
+let shard_log_bytes path =
+  List.fold_left
+    (fun acc i ->
+      let sp = Persist.shard_path path i in
+      if Sys.file_exists sp then acc + (Unix.stat sp).Unix.st_size else acc)
+    0
+    (List.init Persist.max_shards Fun.id)
+
+let test_benchmark_records_roundtrip () =
+  List.iter
+    (fun (name, store) ->
+      with_temp_store @@ fun path ->
+      let records = Store.records store in
+      List.iter
+        (fun r ->
+          let bytes = encode r in
+          let back = decode bytes in
+          Alcotest.(check bool) (name ^ ": codec round-trip") true
+            (Persist.roundtrip_equal r back);
+          Alcotest.(check string) (name ^ ": re-encoding is byte-identical") bytes
+            (encode back))
+        records;
+      let _ = Persist.save store ~path in
+      match Persist.load ~path with
+      | Error e -> Alcotest.failf "%s: load failed: %s" name e
+      | Ok (loaded, skipped) ->
+        Alcotest.(check int) (name ^ ": pristine") 0 skipped;
+        Alcotest.(check int) (name ^ ": size") (List.length records) (Store.size loaded);
+        check_records_match ~msg:name records loaded;
+        List.iter (check_groups_share ~msg:(name ^ " after load")) (Store.records loaded))
+    (Lazy.force benchmark_stores)
+
+let test_lud_store_size () =
+  (* 14.2 MB with fixed-width ints and every class's member list
+     written in full. *)
+  with_temp_store @@ fun path ->
+  let _ = Persist.save (List.assoc "LUD" (Lazy.force benchmark_stores)) ~path in
+  let bytes = shard_log_bytes path in
+  if bytes > 1 lsl 20 then
+    Alcotest.failf "LUD/None store: shard logs total %d bytes, more than 1 MiB" bytes
+
+(* Every path of the codec, including the ones per-section campaigns
+   never take: members and a pilot outside the record's section, a
+   pilot that is not the class's own site, negative and large ints, and
+   equal member lists that are not physically shared. *)
+let synthetic_record () =
+  let p = Lazy.force proto in
+  let camp = p.Store.rec_campaign in
+  let classes = Array.copy camp.Campaign.s_classes in
+  let cls0, _ = classes.(0) in
+  let odd =
+    {
+      cls0 with
+      Eqclass.members = [| (7, 100); (camp.Campaign.section_index, -3); (max_int, min_int) |];
+      pilot = { cls0.Eqclass.pilot with Site.section = 5; operand = Site.Mem 2; bit = 63 };
+    }
+  in
+  let copy = { odd with Eqclass.members = Array.copy odd.Eqclass.members } in
+  let sdc = Outcome.S_sdc [| (0, 0.0); (3, -1.5e300); (1, Float.nan) |] in
+  let extra = [| (odd, Outcome.S_detected Outcome.Timed_out); (copy, sdc) |] in
+  {
+    p with
+    Store.rec_work = -1;
+    rec_campaign =
+      { camp with Campaign.s_classes = Array.append classes extra; s_work = max_int };
+    rec_sensitivity =
+      { p.Store.rec_sensitivity with Sensitivity.section_index = -2; samples_used = 1 lsl 40 };
+  }
+
+let test_synthetic_roundtrip () =
+  let r = synthetic_record () in
+  let bytes = encode r in
+  let back = decode bytes in
+  Alcotest.(check bool) "every codec path round-trips" true (Persist.roundtrip_equal r back);
+  Alcotest.(check string) "content decides the bytes, not sharing" bytes (encode back);
+  let classes = back.Store.rec_campaign.Campaign.s_classes in
+  let n = Array.length classes in
+  let (a : Eqclass.t), _ = classes.(n - 2) and (b : Eqclass.t), _ = classes.(n - 1) in
+  Alcotest.(check bool) "equal member lists decode shared" true
+    (a.Eqclass.members == b.Eqclass.members)
+
+(* Words the decoder may allocate per payload byte. Well-formed records
+   of the five benchmarks take at most ≈40; a count that outran the
+   bytes left would allocate a word per claimed element, however short
+   the payload. *)
+let max_alloc_per_byte = 160.0
+
+(* Decode [len] bytes of [payload]: [`Ok] or [`Corrupt], never another
+   exception, and never more allocation than the bytes justify. *)
+(* [Gc.counters]'s minor count lags until the next minor collection;
+   [Gc.minor_words] does not. *)
+let allocated_words () =
+  let _, promoted, major = Gc.counters () in
+  Gc.minor_words () +. major -. promoted
+
+let decode_bounded ?len payload =
+  let bytes = match len with Some l -> l | None -> String.length payload in
+  let before = allocated_words () in
+  let result =
+    match decode ?len payload with
+    | _ -> `Ok
+    | exception Wire.Corrupt _ -> `Corrupt
+  in
+  let words = allocated_words () -. before in
+  if words > (max_alloc_per_byte *. float_of_int bytes) +. 4096.0 then
+    Alcotest.failf "decoding %d bytes allocated %.0f words" bytes words;
+  result
+
+let test_truncation_raises_only_corrupt () =
+  List.iter
+    (fun (what, r) ->
+      let payload = encode r in
+      for len = 0 to String.length payload - 1 do
+        match decode_bounded ~len payload with
+        | `Corrupt -> ()
+        | `Ok -> Alcotest.failf "%s: a %d-byte prefix decoded" what len
+      done)
+    [ ("proto", Lazy.force proto); ("synthetic", synthetic_record ()) ]
+
+let prop_flipped_bytes_raise_only_corrupt =
+  QCheck2.Test.make ~count:500
+    ~name:"flipped payload bytes: r_record raises only Corrupt, allocation bounded"
+    QCheck2.Gen.(
+      pair bool (list_size (int_range 1 6) (pair (float_bound_exclusive 1.0) (int_range 1 255))))
+    (fun (synthetic, flips) ->
+      let payload = encode (if synthetic then synthetic_record () else Lazy.force proto) in
+      let b = Bytes.of_string payload in
+      List.iter
+        (fun (frac, x) ->
+          let off = int_of_float (frac *. float_of_int (Bytes.length b)) in
+          Bytes.set b off (Char.chr (Char.code (Bytes.get b off) lxor x)))
+        flips;
+      match decode_bounded (Bytes.to_string b) with `Ok | `Corrupt -> true)
+
+let test_huge_count_is_refused () =
+  (* Class counts past the bytes left, right after a valid header, each
+     followed by one well-formed class: refused before an array of that
+     many elements is allocated. *)
+  let r = Lazy.force proto in
+  let header = String.sub (encode r) 0 24 in
+  let uvar v =
+    let buf = Buffer.create 10 in
+    let rec go v =
+      if v < 0x80 then Buffer.add_char buf (Char.chr v)
+      else begin
+        Buffer.add_char buf (Char.chr (v land 0x7f lor 0x80));
+        go (v lsr 7)
+      end
+    in
+    go v;
+    Buffer.contents buf
+  in
+  (* pc (0, 0), Dst, bit 0, one in-section member at dyn 0, the derived
+     pilot at dyn 0, a crash outcome. *)
+  let one_class = String.concat "" (List.map uvar [ 0; 0; 1; 0; 1; 1; 0; 0; 0; 0; 0 ]) in
+  List.iter
+    (fun count ->
+      let payload =
+        header ^ String.concat "" (List.map uvar [ 0; 0; 0; 0; 0; count ]) ^ one_class
+      in
+      match decode_bounded payload with
+      | `Corrupt -> ()
+      | `Ok -> Alcotest.failf "a class count of %d decoded" count)
+    [ 1 lsl 40; 1_000_000 ]
+
+(* --- rebased records ---------------------------------------------------------- *)
+
+(* [program_src] with an unrelated section scheduled first: both of its
+   sections are reused one schedule index later. Buffers are appended so
+   the existing sections keep their golden input hashes. *)
+let shifted_src =
+  {|buffer a : float[2] = { 0.5, 0.25 };
+buffer mid : float[2] = zeros;
+output buffer res : float[2] = zeros;
+buffer b : float[2] = { 1.5, 2.5 };
+output buffer res2 : float[2] = zeros;
+kernel first(in a: float[], out mid: float[]) {
+  for i in 0..2 { mid[i] = a[i] * 2.0; }
+}
+kernel second(in mid: float[], out res: float[]) {
+  for i in 0..2 { res[i] = mid[i] + 0.5; }
+}
+kernel third(in b: float[], out res2: float[]) {
+  for i in 0..2 { res2[i] = b[i] - 1.0; }
+}
+schedule {
+  call third(b, res2);
+  call first(a, mid);
+  call second(mid, res);
+}|}
+
+let test_rebase_keeps_members_shared () =
+  with_temp_store @@ fun path ->
+  let store = Store.create () in
+  let original = Pipeline.analyze ~store quick_config (compile program_src) in
+  Array.iter (check_groups_share ~msg:"fresh analysis") original.Pipeline.sections;
+  let _ = Persist.save store ~path in
+  let loaded =
+    match Persist.load ~path with
+    | Ok (loaded, 0) -> loaded
+    | Ok (_, skipped) -> Alcotest.failf "load skipped %d" skipped
+    | Error e -> Alcotest.failf "load failed: %s" e
+  in
+  List.iter (check_groups_share ~msg:"after load") (Store.records loaded);
+  let shifted = Pipeline.analyze ~store:loaded quick_config (compile shifted_src) in
+  Alcotest.(check int) "both old sections reused" 2 shifted.Pipeline.sections_reused;
+  Array.iteri
+    (fun i (r : Store.section_record) ->
+      Alcotest.(check int) "rebased to its schedule index" i
+        r.Store.rec_campaign.Campaign.section_index;
+      check_groups_share ~msg:(Printf.sprintf "section %d after rebase" i) r;
+      Array.iter
+        (fun ((cls : Eqclass.t), _) ->
+          Array.iter
+            (fun (s, _) -> Alcotest.(check int) "member section rebased" i s)
+            cls.Eqclass.members)
+        r.Store.rec_campaign.Campaign.s_classes)
+    shifted.Pipeline.sections
+
 
 (* --- corruption ------------------------------------------------------------ *)
 
@@ -505,6 +769,21 @@ let () =
         [
           Alcotest.test_case "pipeline bit-identity" `Quick
             test_pipeline_bit_identity_after_reload;
+          Alcotest.test_case "rebase keeps group members shared" `Quick
+            test_rebase_keeps_members_shared;
+        ] );
+      ( "codec",
+        [
+          Alcotest.test_case "every benchmark's None records round-trip" `Quick
+            test_benchmark_records_roundtrip;
+          Alcotest.test_case "LUD/None store fits in 1 MiB" `Quick test_lud_store_size;
+          Alcotest.test_case "synthetic record round-trips" `Quick
+            test_synthetic_roundtrip;
+          Alcotest.test_case "truncation raises only Corrupt" `Quick
+            test_truncation_raises_only_corrupt;
+          QCheck_alcotest.to_alcotest prop_flipped_bytes_raise_only_corrupt;
+          Alcotest.test_case "huge count is refused" `Quick
+            test_huge_count_is_refused;
         ] );
       ( "corruption",
         [
