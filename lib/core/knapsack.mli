@@ -4,7 +4,7 @@
     target, by dynamic programming over the (integer) value dimension.
     One {!solve} supports extraction at every target — FastFlip sweeps a
     range of targets (the ε-constraint method) and the adaptive target
-    adjustment probes many candidates, all against the same DP table. *)
+    adjustment probes many candidates, all against the same solution. *)
 
 type item = {
   pc : Ff_inject.Site.pc;
@@ -16,12 +16,15 @@ type item = {
 type solution
 
 val solve : item list -> solution
-(** Build the DP table. Items are taken in pc order and item [i] sweeps
-    only the values [1 .. S_i], where [S_i] is the sum of the values of
-    items [0 .. i]: O(Σ_i S_i) time, at most Σvalue × #items. The
-    retained [take] bits cost Σ_i (S_i/8 + 1) bytes (the
-    [knapsack.take_bytes] counter); the [dp] array Σvalue + 1 cells
-    ([knapsack.dp_cells]). *)
+(** Run the DP. Items are taken in pc order and item [i] sweeps only the
+    values [1 .. S_i], where [S_i] is the sum of the values of items
+    [0 .. i]: O(Σ_i S_i) time, at most Σvalue × #items, over a dp array
+    of Σvalue + 1 cells ([knapsack.dp_cells]) that does not outlive the
+    call. The solution retains, per item, the maximal runs of values the
+    item improved, as descending inclusive bounds (8 bytes each; their
+    sum is the [knapsack.take_bytes] counter), and the frontier
+    {!points} reads: a bitset over the values plus the cost of each
+    marked value. *)
 
 val max_value : solution -> int
 (** Σ of all item values: the largest reachable target. *)
@@ -41,8 +44,8 @@ val integer_target : total:int -> float -> int
 
 val select : solution -> target:int -> selection
 (** Cheapest selection with [value ≥ min target (max_value)]; a
-    non-positive target yields the empty selection. O(#items + target)
-    per call. *)
+    non-positive target yields the empty selection. O(#items · log runs)
+    per call: each item's take bit is a binary search over its runs. *)
 
 val points : solution -> (int * int) list
 (** The achievable (value, min-cost) frontier of the DP, ascending and
@@ -50,7 +53,8 @@ val points : solution -> (int * int) list
     pair is achieved exactly — [select ~target:value] reconstructs the
     selection behind it at the stated cost. This is the per-solution
     Pareto front the mixed duplication-vs-detector optimizer merges
-    across detector subsets. *)
+    across detector subsets. Read from the frontier {!solve} recorded:
+    O(Σvalue) per call. *)
 
 val items_of_valuation : Valuation.t -> item list
 (** One item per pc that has any SDC-Bad value. *)

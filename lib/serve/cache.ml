@@ -3,11 +3,13 @@ module Telemetry = Ff_support.Telemetry
 let m_entries = Telemetry.counter "serve.cache.entries"
 let m_evictions = Telemetry.counter "serve.cache.evictions"
 
-(* Rendered reports, most recently rendered first, keyed by the target's
-   float bits (0.0 and -0.0 render differently). Replaced whole by
-   compare-and-set, so a lookup takes no lock. *)
+(* The report basis, not the analysis, so the entry does not pin the
+   golden run or the valuation's labels. Rendered reports, most recently
+   rendered first, keyed by the target's float bits (0.0 and -0.0 render
+   differently). Replaced whole by compare-and-set, so a lookup takes no
+   lock. *)
 type entry = {
-  analysis : Fastflip.Pipeline.analysis;
+  basis : Report.basis;
   reports : (int64 * string) list Atomic.t;
 }
 
@@ -18,7 +20,7 @@ let report entry ~target =
   match List.assoc_opt bits (Atomic.get entry.reports) with
   | Some text -> text
   | None ->
-    let text = Report.analysis ~target entry.analysis in
+    let text = Report.render entry.basis ~target in
     (* A racing render of the same target made the same bytes; keep one. *)
     let rec publish () =
       let held = Atomic.get entry.reports in
@@ -116,7 +118,8 @@ let find_or_compute t ~key ~compute =
     Hashtbl.replace t.table key slot;
     Mutex.unlock t.mu;
     let result =
-      try Ok { analysis = compute (); reports = Atomic.make [] } with e -> Error e
+      try Ok { basis = Report.basis (compute ()); reports = Atomic.make [] }
+      with e -> Error e
     in
     Mutex.lock t.mu;
     (match result with

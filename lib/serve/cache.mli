@@ -2,15 +2,19 @@
     [(program source, full config)] digest, each with the reports
     already rendered from it.
 
-    A cached {!Fastflip.Pipeline.analysis} pins what a report needs:
-    the golden run with its pre-decoded kernels, the per-section
-    campaign and sensitivity records, the Chisel propagation, the
-    valuation, and the solved knapsack. {!Ff_vm.Workspace} plans and the
-    prover's liveness live in separate capped caches and are not pinned;
-    a warm hit needs neither. The entry also memoizes the report text
-    {!Report.analysis} rendered for each recent target, so a repeat
-    query is a hash, an LRU lookup and the memoized bytes: {e zero}
-    compiles, decodes, replays, store lookups, selections or renders.
+    An entry keeps a {!Report.basis}, not the
+    {!Fastflip.Pipeline.analysis}: the report head (counters, the
+    end-to-end SDC specification and the value/cost table) rendered
+    once, the solved knapsack (run-encoded take rows and its frontier),
+    and the valuation's total value and cost. The golden run, the
+    dataflow graph, the Chisel propagation and the valuation's class
+    labels are collectable once the basis is built; the section records
+    stay in the shared store. {!Ff_vm.Workspace} plans and the prover's
+    liveness live in separate capped caches, and a warm hit needs
+    neither. The entry also memoizes the report text rendered for each
+    recent target, so a repeat query is a hash, an LRU lookup and the
+    memoized bytes: {e zero} compiles, decodes, replays, store lookups,
+    selections or renders.
 
     Concurrent identical requests {e coalesce}: the first computes, the
     rest block on a condition variable and wake to the finished entry.
@@ -31,13 +35,13 @@ val create : ?capacity:int -> unit -> t
     evicted. Raises [Invalid_argument] on a negative capacity. *)
 
 type entry
-(** A completed analysis and its memoized reports. *)
+(** A completed analysis's report basis and its memoized reports. *)
 
 val report : entry -> target:float -> string
-(** [Report.analysis ~target] of the entry's analysis, rendered on the
-    first request for these exact target bits and memoized for the
-    {!report_capacity} most recently rendered targets. Lock-free and
-    safe from any thread. *)
+(** [Report.analysis ~target] of the entry's analysis, rendered from its
+    basis ({!Report.render}) on the first request for these exact target
+    bits and memoized for the {!report_capacity} most recently rendered
+    targets. Lock-free and safe from any thread. *)
 
 val report_capacity : int
 (** Reports memoized per entry (8): a fixed bound, so an entry's
@@ -56,8 +60,9 @@ val find_or_compute :
   key:int64 ->
   compute:(unit -> Fastflip.Pipeline.analysis) ->
   (entry, exn) result * outcome
-(** [compute] runs without the cache lock. A raising [compute] is not
-    cached: its exception is returned to this caller, and every
+(** [compute] and the {!Report.basis} of its analysis run without the
+    cache lock; the entry keeps only the basis. A raising [compute] is
+    not cached: its exception is returned to this caller, and every
     coalesced waiter and later request with the same key runs [compute]
     again, so a deterministic failure gives each the same error. *)
 

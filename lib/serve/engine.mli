@@ -7,6 +7,10 @@
     {- {b warm}: the [(source, config)] digest, hashed from the request
        bytes in place, hits the {!Cache} — answer with the report the
        entry memoized for this target, written in place by the server.
+       An entry holds a {!Report.basis} (the rendered report head, the
+       solved knapsack and two totals), not the analysis, so a target
+       first asked for later costs one O(#items · log runs) selection
+       and a render of the selection tail.
        A warm hit is a hash, an LRU lookup and memoized bytes: no
        compile, decode, replay, store lookup, selection or render, and
        no allocation that outlives the minor heap; it never blocks

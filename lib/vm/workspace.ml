@@ -93,13 +93,13 @@ let build_plan (golden : Golden.t) =
    path, so the hit case must be a plain load plus a short walk, with no
    lock traffic between domains. Small bound — evicting merely re-pays
    one build; a lost CAS race at worst builds a duplicate, and the
-   retry's cache check makes every domain settle on one winner. *)
-let plan_cache : (Golden.t * plan) list Atomic.t = Atomic.make []
+   retry's cache check makes every domain settle on one winner. Each
+   entry is an ephemeron on its golden run, so the cache never keeps a
+   golden run (or its plan) alive that nothing else holds. *)
+let plan_cache : (Golden.t, plan) Ephemeron.K1.t list Atomic.t = Atomic.make []
 let plan_cache_cap = 8
 
-let rec cache_find golden = function
-  | [] -> None
-  | (g, p) :: tl -> if g == golden then Some p else cache_find golden tl
+let cache_find golden = List.find_map (fun e -> Ephemeron.K1.query e golden)
 
 let plan_of golden =
   match cache_find golden (Atomic.get plan_cache) with
@@ -116,7 +116,8 @@ let plan_of golden =
             List.filteri (fun i _ -> i < plan_cache_cap - 1) cur
           else cur
         in
-        if Atomic.compare_and_set plan_cache cur ((golden, p) :: kept) then p
+        if Atomic.compare_and_set plan_cache cur (Ephemeron.K1.make golden p :: kept)
+        then p
         else publish ()
     in
     publish ()
@@ -157,16 +158,17 @@ let create plan =
 
 (* One scratch per (domain × plan), via domain-local storage: pool
    workers each reuse their own workspace across every replay they run,
-   with no locking on the replay path. *)
-let dls_key : (plan * t) list ref Domain.DLS.key =
+   with no locking on the replay path. Ephemerons on the plan, as in
+   [plan_cache]. *)
+let dls_key : (plan, t) Ephemeron.K1.t list ref Domain.DLS.key =
   Domain.DLS.new_key (fun () -> ref [])
 
 let workspace_cache_cap = 4
 
 let get plan =
   let cache = Domain.DLS.get dls_key in
-  match List.find_opt (fun (p, _) -> p == plan) !cache with
-  | Some (_, ws) -> ws
+  match List.find_map (fun e -> Ephemeron.K1.query e plan) !cache with
+  | Some ws -> ws
   | None ->
     let ws = create plan in
     let kept =
@@ -174,7 +176,7 @@ let get plan =
         List.filteri (fun i _ -> i < workspace_cache_cap - 1) !cache
       else !cache
     in
-    cache := (plan, ws) :: kept;
+    cache := Ephemeron.K1.make plan ws :: kept;
     ws
 
 let load_entry ws i = Ustate.blit ~src:ws.plan.states.(i) ~dst:ws.state

@@ -27,7 +27,9 @@ type plan = {
 
 val plan_of : Golden.t -> plan
 (** The shared plan for a golden run. Cached by physical identity and
-    safe to request from any domain; the first caller pays the build. *)
+    safe to request from any domain; the first caller pays the build.
+    The cache holds its golden runs weakly: it keeps neither a golden run
+    nor its plan alive. *)
 
 type t = {
   plan : plan;
@@ -45,7 +47,7 @@ val get : plan -> t
 (** This domain's workspace for [plan] — created on first use, then
     reused for every subsequent replay on this domain (domain-local
     storage; never shared across domains, so no locking on the replay
-    path). *)
+    path). Held weakly, like {!plan_of}'s cache. *)
 
 val load_entry : t -> int -> unit
 (** [load_entry ws i] resets the scratch state to section [i]'s golden

@@ -232,10 +232,72 @@ let test_knapsack_take_bytes () =
   Fun.protect ~finally:(fun () -> Telemetry.set_enabled false) @@ fun () ->
   ignore (Knapsack.solve [ item 0 0 3 1; item 0 1 5 1; item 0 2 9 1 ]);
   let counter name = List.assoc name (Telemetry.snapshot ()).Telemetry.snap_counters in
-  (* prefix sums 3, 8, 17: rows of 1 + 2 + 3 bytes, not 3 rows of 17/8 + 1 *)
-  Alcotest.(check int) "take bytes" 6 (counter "knapsack.take_bytes");
+  (* each row improves one run: [3..1], [8..4] and [17..6], so the
+     traceback keeps 6 bounds of 8 bytes *)
+  Alcotest.(check int) "take bytes" 48 (counter "knapsack.take_bytes");
   Alcotest.(check int) "dp cells: Σvalue + 1" 18 (counter "knapsack.dp_cells");
   Alcotest.(check int) "items" 3 (counter "knapsack.items")
+
+(* Row shapes the run encoding must get right, each checked against the
+   [Rect] oracle at every target from -1 to max + 1 and on [points]. *)
+let test_knapsack_run_edges () =
+  let agree name items =
+    let sol = Knapsack.solve items and oracle = Rect.solve items in
+    let top = Knapsack.max_value sol in
+    Alcotest.(check int) (name ^ ": max value") oracle.Rect.total_value top;
+    Alcotest.(check (list (pair int int)))
+      (name ^ ": points") (Rect.points oracle) (Knapsack.points sol);
+    for target = -1 to top + 1 do
+      let got = Knapsack.select sol ~target and want = Rect.select oracle ~target in
+      Alcotest.(check bool)
+        (Printf.sprintf "%s: select at %d" name target)
+        true (got = want)
+    done
+  in
+  (* row 0 improves [3..1]: its run closes at v = 1 *)
+  agree "run ends at v = 1" [ item 0 0 3 5 ];
+  (* row 1 (value 3) improves [4..1]: v = 4 in the sweep above its
+     value, v = 3..1 in the one below *)
+  agree "run crosses the v = w split" [ item 0 0 1 5; item 0 1 3 1 ];
+  (* every later row improves at least dp(S_i), which was infinite; only
+     a cost of [max_int / 2] (the DP's infinity) leaves a row empty *)
+  agree "row without improvement" [ item 0 0 2 1; item 0 1 3 (max_int / 2) ];
+  agree "single-cell row" [ item 0 0 1 7 ];
+  agree "total value 0" [ item 0 0 0 3; item 0 1 0 1 ];
+  agree "no items" []
+
+(* What a solved knapsack retains, on the default-config LUD/None
+   analysis: run bounds and a frontier, never the dp array or a bitmap
+   per row. The bitflip bound is a quarter of the bitmap layout's 4.15
+   MiB; under skip, where almost every v is a frontier point, the bound
+   is the bitmap layout's own 24 622 words. *)
+let test_knapsack_retained_size () =
+  let source =
+    (Option.get (Ff_benchmarks.Registry.find "LUD")).Ff_benchmarks.Defs.source
+      Ff_benchmarks.Defs.V_none
+  in
+  let words model =
+    let cfg = Pipeline.default_config in
+    let config =
+      {
+        cfg with
+        Pipeline.campaign =
+          {
+            cfg.Pipeline.campaign with
+            Campaign.model = Ff_inject.Fault_model.of_string_exn model;
+          };
+      }
+    in
+    let a = Pipeline.analyze config (Frontend.compile_exn source) in
+    Obj.reachable_words (Obj.repr a.Pipeline.solution)
+  in
+  let bitflip = words "bitflip" in
+  Alcotest.(check bool)
+    (Printf.sprintf "bitflip: %d words <= 1 MiB" bitflip)
+    true
+    (bitflip * (Sys.word_size / 8) <= 1 lsl 20);
+  let skip = words "skip" in
+  Alcotest.(check bool) (Printf.sprintf "skip: %d words <= 24622" skip) true (skip <= 24_622)
 
 let test_knapsack_integer_target () =
   let raises fraction =
@@ -796,8 +858,11 @@ let () =
           QCheck_alcotest.to_alcotest prop_knapsack_selection_consistent;
           QCheck_alcotest.to_alcotest prop_knapsack_cost_monotone;
           QCheck_alcotest.to_alcotest prop_knapsack_matches_rectangular_dp;
-          Alcotest.test_case "take bytes follow prefix sums" `Quick test_knapsack_take_bytes;
+          Alcotest.test_case "take bytes count run bounds" `Quick test_knapsack_take_bytes;
+          Alcotest.test_case "run edge cases match the full-width DP" `Quick
+            test_knapsack_run_edges;
           Alcotest.test_case "integer target" `Quick test_knapsack_integer_target;
+          Alcotest.test_case "retained size" `Quick test_knapsack_retained_size;
         ] );
       ( "pipeline",
         [

@@ -2,7 +2,8 @@
    (a hostile or broken client must never crash the daemon or corrupt its
    warm state), in-place response framing, the warm cache (a repeat
    request re-runs nothing and allocates nothing lasting), its report
-   memo, and the store-covered fast path. *)
+   memo, an entry that does not keep its analysis alive, and the
+   store-covered fast path. *)
 
 module Protocol = Ff_serve.Protocol
 module Engine = Ff_serve.Engine
@@ -476,6 +477,41 @@ let test_report_memo_bound () =
     (Ff_serve.Report.analysis ~target:(-0.0) analysis)
     (Cache.report entry ~target:(-0.0))
 
+(* A warm entry keeps the report basis, not the analysis: once the
+   caller drops the analysis, its golden run is collectable, and every
+   report still comes out byte for byte, also for a target first
+   rendered after the collection. *)
+let test_entry_does_not_pin_analysis () =
+  let config =
+    Engine.config_of ~bits:quick_query.Protocol.q_bits
+      ~samples:quick_query.Protocol.q_samples ~epsilon:0.0 ~prove:true ()
+  in
+  let targets = [ 0.9; 0.95; 0.99; -0.0; 1.0; 1e300 ] in
+  let golden = Weak.create 1 in
+  let cache = Cache.create () in
+  (* The analysis is reachable only from this function's frame. *)
+  let cache_fresh_analysis () =
+    let analysis =
+      Fastflip.Pipeline.analyze config (Ff_lang.Frontend.compile_exn source)
+    in
+    let report target = (target, Ff_serve.Report.analysis ~target analysis) in
+    let expected = List.map report targets in
+    let late = report 0.5 in
+    Weak.set golden 0 (Some analysis.Fastflip.Pipeline.golden);
+    match Cache.find_or_compute cache ~key:1L ~compute:(fun () -> analysis) with
+    | Ok entry, Cache.Miss -> (late :: expected, entry)
+    | _ -> Alcotest.fail "expected a fresh entry"
+  in
+  let expected, entry = cache_fresh_analysis () in
+  List.iter (fun target -> ignore (Cache.report entry ~target)) targets;
+  Gc.full_major ();
+  Alcotest.(check bool) "the golden run was collected" false (Weak.check golden 0);
+  List.iter
+    (fun (target, text) ->
+      Alcotest.(check string) (Printf.sprintf "report at %h" target) text
+        (Cache.report entry ~target))
+    expected
+
 (* Requests 500 warm hits from the server's connection loop over a
    socketpair. The client side writes pre-built frames and reads into
    one buffer, so any major-heap words are the server's. *)
@@ -566,6 +602,8 @@ let () =
           Alcotest.test_case "one changed byte misses" `Quick test_one_byte_misses;
           Alcotest.test_case "bad source is not cached" `Quick test_bad_source_not_cached;
           Alcotest.test_case "report memo stays bounded" `Quick test_report_memo_bound;
+          Alcotest.test_case "an entry does not pin its analysis" `Quick
+            test_entry_does_not_pin_analysis;
           Alcotest.test_case "warm hits allocate nothing major" `Quick
             test_warm_hits_allocate_nothing_major;
         ] );
