@@ -72,9 +72,9 @@ let () =
   List.iter
     (fun cls ->
       let outcome =
-        inject ~dyn:cls.Eqclass.pilot.Site.dyn
+        inject ~dyn:(Eqclass.pilot cls).Site.dyn
           ~operand:
-            (match cls.Eqclass.operand with
+            (match Eqclass.operand cls with
             | Site.Src i -> Machine.Osrc i
             | Site.Dst -> Machine.Odst
             | Site.Op | Site.Mem _ ->

@@ -785,17 +785,6 @@ let remove_progress pg = try Sys.remove pg.pg_path with Sys_error _ -> ()
 
 module Sensitivity = Ff_sensitivity.Sensitivity
 
-let float_equal a b = Int64.equal (Int64.bits_of_float a) (Int64.bits_of_float b)
-
-let outcome_equal a b =
-  match (a, b) with
-  | Outcome.S_detected x, Outcome.S_detected y -> x = y
-  | Outcome.S_sdc xs, Outcome.S_sdc ys ->
-    Array.length xs = Array.length ys
-    && Array.for_all2 (fun (i, m) (j, n) -> i = j && float_equal m n) xs ys
-  | Outcome.S_detected _, Outcome.S_sdc _ | Outcome.S_sdc _, Outcome.S_detected _ ->
-    false
-
 let sensitivity_equal (a : Sensitivity.t) (b : Sensitivity.t) =
   a.Sensitivity.section_index = b.Sensitivity.section_index
   && a.Sensitivity.input_buffers = b.Sensitivity.input_buffers
@@ -804,7 +793,8 @@ let sensitivity_equal (a : Sensitivity.t) (b : Sensitivity.t) =
   && a.Sensitivity.work = b.Sensitivity.work
   && Array.length a.Sensitivity.k = Array.length b.Sensitivity.k
   && Array.for_all2
-       (fun ra rb -> Array.length ra = Array.length rb && Array.for_all2 float_equal ra rb)
+       (fun ra rb ->
+         Array.length ra = Array.length rb && Array.for_all2 Outcome.float_equal ra rb)
        a.Sensitivity.k b.Sensitivity.k
 
 let roundtrip_equal (a : Store.section_record) (b : Store.section_record) =
@@ -819,6 +809,6 @@ let roundtrip_equal (a : Store.section_record) (b : Store.section_record) =
   && Array.length a.Store.rec_campaign.Campaign.s_classes
      = Array.length b.Store.rec_campaign.Campaign.s_classes
   && Array.for_all2
-       (fun (ca, oa) (cb, ob) -> ca = cb && outcome_equal oa ob)
+       (fun (ca, oa) (cb, ob) -> ca = cb && Outcome.section_equal oa ob)
        a.Store.rec_campaign.Campaign.s_classes b.Store.rec_campaign.Campaign.s_classes
   && sensitivity_equal a.Store.rec_sensitivity b.Store.rec_sensitivity

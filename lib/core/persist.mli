@@ -200,5 +200,5 @@ val remove_progress : progress -> unit
 (** {1 Structural equality (tests)} *)
 
 val roundtrip_equal : Store.section_record -> Store.section_record -> bool
-(** Structural equality of two records (exposed for tests; floats compare
-    by bit pattern). *)
+(** Structural equality of two records (exposed for tests; outcomes by
+    {!Ff_inject.Outcome.section_equal}, floats by bit pattern). *)

@@ -53,8 +53,10 @@ type analysis = {
 
 (* A reused record may come from a version where the section sat at a
    different schedule index; rewrite the indices to the current one.
-   The bit classes of a group are adjacent and share one member array,
-   so each distinct array is rebased once and stays shared. *)
+   The bit classes of a group are adjacent and share one group, so each
+   distinct group is rebased once (members and representative together)
+   and stays shared; groups that share a member array keep sharing the
+   rebased one. *)
 let rebase_record (record : Store.section_record) ~section_index =
   if record.Store.rec_campaign.Campaign.section_index = section_index then record
   else begin
@@ -66,12 +68,23 @@ let rebase_record (record : Store.section_record) ~section_index =
       end;
       !last_dst
     in
+    let last_group = ref None in
+    let rebase_group (g : Eqclass.group) =
+      match !last_group with
+      | Some (src, dst) when src == g -> dst
+      | _ ->
+        let dst =
+          {
+            g with
+            Eqclass.g_members = rebase_members g.Eqclass.g_members;
+            g_representative = (section_index, snd g.Eqclass.g_representative);
+          }
+        in
+        last_group := Some (g, dst);
+        dst
+    in
     let rebase_class (cls : Eqclass.t) =
-      {
-        cls with
-        Eqclass.members = rebase_members cls.Eqclass.members;
-        pilot = { cls.Eqclass.pilot with Site.section = section_index };
-      }
+      { cls with Eqclass.group = rebase_group cls.Eqclass.group }
     in
     let campaign =
       {

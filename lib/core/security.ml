@@ -67,24 +67,24 @@ let instr_at code (pc : Site.pc) =
   else None
 
 let kind_of code (cls : Eqclass.t) =
-  match cls.Eqclass.operand with
+  match Eqclass.operand cls with
   | Site.Mem _ -> State_corruption
   | Site.Src _ | Site.Dst | Site.Op -> (
-    match instr_at code cls.Eqclass.pc with
+    match instr_at code (Eqclass.pc cls) with
     | Some (Instr.Icmp _ | Instr.Fcmp _ | Instr.Br _ | Instr.Select _) ->
       Check_bypass
     | Some (Instr.Load _ | Instr.Store _) -> State_corruption
     | Some _ | None -> Compute_corruption)
 
 let instr_label golden code (cls : Eqclass.t) =
-  match cls.Eqclass.operand with
+  match Eqclass.operand cls with
   | Site.Mem b -> (
     let buffers = golden.Golden.program.Program.buffers in
     match List.nth_opt buffers b with
     | Some buf -> Printf.sprintf "buffer %s" buf.Program.buf_name
     | None -> Printf.sprintf "buffer #%d" b)
   | Site.Src _ | Site.Dst | Site.Op -> (
-    match instr_at code cls.Eqclass.pc with
+    match instr_at code (Eqclass.pc cls) with
     | Some i -> Instr.to_string i
     | None -> "<out of range>")
 
@@ -110,20 +110,20 @@ let analyze ?pool ?engine ~epsilon golden (config : Campaign.config) =
     (fun { Valuation.cls; bad } ->
       let w = Eqclass.size cls in
       let f =
-        match Hashtbl.find_opt by_pc cls.Eqclass.pc with
+        match Hashtbl.find_opt by_pc (Eqclass.pc cls) with
         | Some f -> f
         | None ->
           let f =
             ref
               {
-                f_pc = cls.Eqclass.pc;
+                f_pc = Eqclass.pc cls;
                 f_kind = kind_of code cls;
                 f_instr = instr_label golden code cls;
                 f_bad_sites = 0;
                 f_total_sites = 0;
               }
           in
-          Hashtbl.add by_pc cls.Eqclass.pc f;
+          Hashtbl.add by_pc (Eqclass.pc cls) f;
           order := f :: !order;
           f
       in

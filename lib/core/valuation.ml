@@ -47,7 +47,7 @@ let finish golden epsilon labels =
   List.iter
     (fun { cls; bad } ->
       if bad then begin
-        let pc = cls.Eqclass.pc in
+        let pc = Eqclass.pc cls in
         let size = Eqclass.size cls in
         Hashtbl.replace values_table pc
           (size + Option.value ~default:0 (Hashtbl.find_opt values_table pc));
@@ -114,7 +114,7 @@ let with_untested t untested =
 
 let bad_labels_in_section t ~section =
   List.filter
-    (fun { cls; bad } -> bad && cls.Eqclass.pilot.Site.section = section)
+    (fun { cls; bad } -> bad && fst cls.Eqclass.group.Eqclass.g_representative = section)
     t.labels
 
 let value_fraction t ~selected =
@@ -138,7 +138,7 @@ let pruned_bad_fraction t ~selected =
   let pruned = ref 0 in
   List.iter
     (fun { cls; bad } ->
-      if bad && Hashtbl.mem selected_table cls.Eqclass.pc then begin
+      if bad && Hashtbl.mem selected_table (Eqclass.pc cls) then begin
         let size = Eqclass.size cls in
         total := !total + size;
         pruned := !pruned + (size - 1)

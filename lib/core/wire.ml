@@ -287,39 +287,61 @@ let r_site c =
   let bit = r_uvar c in
   { Site.section; dyn; pc; operand; bit }
 
+(* The pilot is the group's representative at the class's own pc,
+   operand and bit. Tag 0: it lies in the record's section, so only its
+   dyn is written; tag 1: a full site. *)
 let w_class buf ~section ~prev (cls : Eqclass.t) =
-  w_pc buf cls.Eqclass.pc;
-  w_operand buf cls.Eqclass.operand;
+  let g = cls.Eqclass.group in
+  w_pc buf g.Eqclass.g_pc;
+  w_operand buf g.Eqclass.g_operand;
   w_uvar buf cls.Eqclass.bit;
-  w_members buf ~section ~prev cls.Eqclass.members;
-  let p = cls.Eqclass.pilot in
-  if
-    p.Site.section = section
-    && p.Site.pc = cls.Eqclass.pc
-    && p.Site.operand = cls.Eqclass.operand
-    && p.Site.bit = cls.Eqclass.bit
-  then begin
-    (* the class's own site in the record's section: only its dyn *)
+  w_members buf ~section ~prev g.Eqclass.g_members;
+  let rep_section, rep_dyn = g.Eqclass.g_representative in
+  if rep_section = section then begin
     w_uvar buf 0;
-    w_uvar buf p.Site.dyn
+    w_uvar buf rep_dyn
   end
   else begin
     w_uvar buf 1;
-    w_site buf p
+    w_site buf (Eqclass.pilot cls)
   end
 
-let r_class c ~section ~prev =
+(* [prev] is the previous class's group. A class joins it when its
+   member list was the back-reference and its pc, operand and pilot
+   agree, so the bit classes of a group decode onto one shared group. *)
+let r_class c ~section ~(prev : Eqclass.group option) =
   let pc = r_pc c in
   let operand = r_operand c in
   let bit = r_uvar c in
-  let members = r_members c ~section ~prev in
-  let pilot =
+  let prev_members = match prev with Some g -> g.Eqclass.g_members | None -> [||] in
+  let members = r_members c ~section ~prev:prev_members in
+  let representative =
     match r_uvar c with
-    | 0 -> { Site.section; dyn = r_uvar c; pc; operand; bit }
-    | 1 -> r_site c
+    | 0 -> (section, r_uvar c)
+    | 1 ->
+      let p = r_site c in
+      if p.Site.pc <> pc || p.Site.operand <> operand || p.Site.bit <> bit then
+        raise (Corrupt "pilot is not the class's own site");
+      (p.Site.section, p.Site.dyn)
     | _ -> raise (Corrupt "pilot tag")
   in
-  { Eqclass.pc; operand; bit; members; pilot }
+  let group =
+    match prev with
+    | Some g
+      when g.Eqclass.g_members == members
+           && g.Eqclass.g_pc = pc
+           && g.Eqclass.g_operand = operand
+           && g.Eqclass.g_representative = representative ->
+      g
+    | _ ->
+      {
+        Eqclass.g_pc = pc;
+        g_operand = operand;
+        g_members = members;
+        g_representative = representative;
+      }
+  in
+  { Eqclass.group; bit }
 
 (* {!w_section_outcome} with varint tags and buffer indices. *)
 let w_outcome buf = function
@@ -362,7 +384,7 @@ let w_record buf (r : Store.section_record) =
     (fun ((cls : Eqclass.t), outcome) ->
       w_class buf ~section ~prev:!prev cls;
       w_outcome buf outcome;
-      prev := cls.Eqclass.members)
+      prev := Eqclass.members cls)
     camp.Campaign.s_classes;
   w_svar buf (sens.Sensitivity.section_index - section);
   w_uvars buf sens.Sensitivity.input_buffers;
@@ -380,12 +402,13 @@ let r_record c =
   let s_sites = r_uvar c in
   let rec_work = r_uvar c in
   let n = r_count c ~unit:1 "classes" in
-  let prev = ref [||] in
+  let prev = ref None in
+  let intern = Outcome.section_interner () in
   let s_classes =
     Array.init n (fun _ ->
         let cls = r_class c ~section ~prev:!prev in
-        let outcome = r_outcome c in
-        prev := cls.Eqclass.members;
+        let outcome = intern (r_outcome c) in
+        prev := Some cls.Eqclass.group;
         (cls, outcome))
   in
   let section_index = section + r_svar c in

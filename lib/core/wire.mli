@@ -84,9 +84,13 @@ val w_record : Buffer.t -> Store.section_record -> unit
 
 val r_record : cursor -> Store.section_record
 (** Decodes {!w_record}'s bytes. Classes written with a back-reference
-    share one [members] array. Every count is bounded by the bytes left
-    before anything is allocated; any malformed input raises {!Corrupt}
-    and nothing else. *)
+    share one [members] array, and the bit classes of a (pc, operand)
+    share one {!Ff_inject.Eqclass.group}; bit-equal outcomes of the record
+    are one value ({!Ff_inject.Outcome.section_interner}). A pilot written
+    in full must be its class's own site (pc, operand and bit), since
+    pilots are derived from the group. Every count is bounded by the
+    bytes left before anything is allocated; any malformed input raises
+    {!Corrupt} and nothing else. *)
 
 (** {1 CRC frames} *)
 

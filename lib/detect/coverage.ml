@@ -89,10 +89,10 @@ let encode_record key ~section_index ~work (class_masks : (Eqclass.t * int) arra
   }
 
 let same_class (a : Eqclass.t) (b : Eqclass.t) =
-  Site.compare_pc a.Eqclass.pc b.Eqclass.pc = 0
-  && a.Eqclass.operand = b.Eqclass.operand
+  Site.compare_pc (Eqclass.pc a) (Eqclass.pc b) = 0
+  && Eqclass.operand a = Eqclass.operand b
   && a.Eqclass.bit = b.Eqclass.bit
-  && Array.length a.Eqclass.members = Array.length b.Eqclass.members
+  && Array.length (Eqclass.members a) = Array.length (Eqclass.members b)
 
 let decode_record (record : Store.section_record) ~n_detectors
     (classes : Eqclass.t array) =
@@ -204,7 +204,7 @@ let measure ?(pool = Pool.serial) ?(engine = Replay.default_engine) ?backing
         detectors
     in
     let run_one (cls : Eqclass.t) =
-      let injection = Site.replay_injection ~model cls.Eqclass.pilot in
+      let injection = Site.replay_injection ~model (Eqclass.pilot cls) in
       let replay, captured =
         Replay.run_section_capture ~burst ~engine golden section injection
           ~timeout_factor ~buffers:capture_idx

@@ -103,7 +103,7 @@ let build ?(max_detectors = 8) (valuation : Valuation.t) coverages =
                    then gmask := !gmask lor (1 lsl g))
                  chosen;
                if !gmask = 0 then None
-               else Some (cls.Eqclass.pc, Eqclass.size cls, !gmask))
+               else Some (Eqclass.pc cls, Eqclass.size cls, !gmask))
              (Array.to_list c.Coverage.c_classes))
          coverages)
   in

@@ -237,7 +237,7 @@ let run_section ?(pool = Pool.serial) ?(engine = Replay.default_engine) ?classes
   let residual = prove_slots proofs slots in
   let run_one i =
     let cls = classes.(i) in
-    let injection = Site.replay_injection ~model cls.Eqclass.pilot in
+    let injection = Site.replay_injection ~model (Eqclass.pilot cls) in
     let replay =
       Replay.run_section ~burst:(Fault_model.reg_burst model) ~engine golden section
         injection ~timeout_factor:config.timeout_factor
@@ -250,11 +250,14 @@ let run_section ?(pool = Pool.serial) ?(engine = Replay.default_engine) ?classes
     let results = run_plain ~pool ~quarantined run_one residual in
     Array.iteri (fun k i -> slots.(i) <- Some results.(k)) residual
   | Some journal -> run_journaled ~pool ~journal ~quarantined run_one residual slots);
+  (* Masked and crash outcomes repeat across most classes: the result
+     holds each distinct outcome once. *)
+  let intern = Outcome.section_interner () in
   let tagged =
     Array.mapi
       (fun i slot ->
         match slot with
-        | Some (outcome, work) -> ((classes.(i), outcome), work)
+        | Some (outcome, work) -> ((classes.(i), intern outcome), work)
         | None -> assert false)
       slots
   in
@@ -293,10 +296,11 @@ let run_baseline ?(pool = Pool.serial) ?(engine = Replay.default_engine) golden 
     run_plain ~pool
       ~quarantined:(fun cls e -> quarantined_final ~model cls e)
       (fun cls ->
-        let injection = Site.replay_injection ~model cls.Eqclass.pilot in
+        let pilot = Eqclass.pilot cls in
+        let injection = Site.replay_injection ~model pilot in
         let replay =
           Replay.run_to_end ~burst:(Fault_model.reg_burst model) ~engine golden
-            ~from_section:cls.Eqclass.pilot.Site.section injection
+            ~from_section:pilot.Site.section injection
             ~timeout_factor:config.timeout_factor
         in
         (Outcome.of_program_replay replay, replay.Replay.p_executed))
@@ -344,7 +348,7 @@ let final_outcomes_for_section ?(pool = Pool.serial) ?(engine = Replay.default_e
       ~quarantined:(fun i e -> quarantined_final ~model classes.(i) e)
       (fun i ->
         let cls = classes.(i) in
-        let injection = Site.replay_injection ~model cls.Eqclass.pilot in
+        let injection = Site.replay_injection ~model (Eqclass.pilot cls) in
         let replay =
           Replay.run_to_end ~burst:(Fault_model.reg_burst model) ~engine golden
             ~from_section:section_index injection
@@ -354,11 +358,12 @@ let final_outcomes_for_section ?(pool = Pool.serial) ?(engine = Replay.default_e
       residual
   in
   Array.iteri (fun k i -> slots.(i) <- Some results.(k)) residual;
+  let intern = Outcome.final_interner () in
   let tagged =
     Array.mapi
       (fun i slot ->
         match slot with
-        | Some (outcome, work) -> ((classes.(i), outcome), work)
+        | Some (outcome, work) -> ((classes.(i), intern outcome), work)
         | None -> assert false)
       slots
   in

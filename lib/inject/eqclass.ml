@@ -1,13 +1,5 @@
 open Ff_vm
 
-type t = {
-  pc : Site.pc;
-  operand : Site.operand;
-  bit : int;
-  members : (int * int) array;
-  pilot : Site.t;
-}
-
 type group = {
   g_pc : Site.pc;
   g_operand : Site.operand;
@@ -15,10 +7,25 @@ type group = {
   g_representative : int * int;
 }
 
-let size t = Array.length t.members
+type t = {
+  group : group;
+  bit : int;
+}
+
+let pc t = t.group.g_pc
+let operand t = t.group.g_operand
+let members t = t.group.g_members
+
+let pilot t =
+  let section, dyn = t.group.g_representative in
+  { Site.section; dyn; pc = t.group.g_pc; operand = t.group.g_operand; bit = t.bit }
+
+let size t = Array.length t.group.g_members
 
 let members_in_section t section =
-  Array.fold_left (fun acc (s, _) -> if s = section then acc + 1 else acc) 0 t.members
+  Array.fold_left
+    (fun acc (s, _) -> if s = section then acc + 1 else acc)
+    0 t.group.g_members
 
 let operand_key = function
   | Site.Src i -> i
@@ -26,17 +33,14 @@ let operand_key = function
   | Site.Op -> -2
   | Site.Mem b -> -(3 + b)
 
-let compare_class a b =
-  match Site.compare_pc a.pc b.pc with
-  | 0 -> (
-    match compare (operand_key a.operand) (operand_key b.operand) with
-    | 0 -> compare a.bit b.bit
-    | c -> c)
-  | c -> c
-
 let compare_group a b =
   match Site.compare_pc a.g_pc b.g_pc with
   | 0 -> compare (operand_key a.g_operand) (operand_key b.g_operand)
+  | c -> c
+
+let compare_class a b =
+  match compare_group a.group b.group with
+  | 0 -> compare a.bit b.bit
   | c -> c
 
 let representative members = members.(Array.length members / 2)
@@ -109,23 +113,7 @@ let groups_of_table table =
 let groups_of_section ?model section = groups_of_table (table_of_section ?model section)
 
 let classes_of_groups groups bits =
-  List.concat_map
-    (fun g ->
-      let pilot_section, pilot_dyn = g.g_representative in
-      List.map
-        (fun bit ->
-          let pilot =
-            {
-              Site.section = pilot_section;
-              dyn = pilot_dyn;
-              pc = g.g_pc;
-              operand = g.g_operand;
-              bit;
-            }
-          in
-          { pc = g.g_pc; operand = g.g_operand; bit; members = g.g_members; pilot })
-        bits)
-    groups
+  List.concat_map (fun group -> List.map (fun bit -> { group; bit }) bits) groups
   |> List.sort compare_class
 
 let for_section ?(model = Fault_model.default) section policy =

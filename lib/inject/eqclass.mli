@@ -17,15 +17,6 @@
     that, like the paper's pilots, is not a perfect predictor for the
     pruned members (§5.6 "pruning error range"). *)
 
-type t = {
-  pc : Site.pc;
-  operand : Site.operand;
-  bit : int;
-  members : (int * int) array;
-  (** (section index, dynamic index) of every member site, trace order *)
-  pilot : Site.t;
-}
-
 type group = {
   g_pc : Site.pc;
   g_operand : Site.operand;
@@ -40,6 +31,28 @@ type group = {
     one per (pc, operand) target of the fault model, before the bit
     dimension multiplies it into classes. *)
 
+type t = {
+  group : group;
+  (** physically shared by every bit class of the (pc, operand) *)
+  bit : int;
+}
+(** A class is a view of its group at one bit: the pc, operand and
+    member list are the group's, never copied per bit, and the pilot is
+    derived from the group's representative rather than stored, so it
+    cannot disagree with its class. *)
+
+val pc : t -> Site.pc
+
+val operand : t -> Site.operand
+
+val members : t -> (int * int) array
+(** (section index, dynamic index) of every member site, trace order. *)
+
+val pilot : t -> Site.t
+(** The site injected for the whole class: the group's representative at
+    the class's pc, operand and bit. Built on each call; callers take it
+    once per injection and let it die young. *)
+
 val size : t -> int
 (** Number of member sites. *)
 
@@ -52,8 +65,8 @@ val groups_of_section :
     {!Fault_model.default}), in deterministic (pc, operand) order. *)
 
 val classes_of_groups : group list -> int list -> t list
-(** Expand groups over a bit list into classes, pilot = the group's
-    representative, in deterministic (pc, operand, bit) order. *)
+(** Expand groups over a bit list into classes that share their group,
+    in deterministic (pc, operand, bit) order. *)
 
 val for_section :
   ?model:Fault_model.t -> Ff_vm.Golden.section_run -> Site.bit_policy -> t list

@@ -25,6 +25,44 @@ let final_is_bad ~epsilon = function
   | F_detected _ -> false
   | F_sdc magnitudes -> List.exists (fun (_, m) -> m > epsilon) magnitudes
 
+let float_equal a b = Int64.equal (Int64.bits_of_float a) (Int64.bits_of_float b)
+
+let magnitude_equal (i, m) (j, n) = i = j && float_equal m n
+
+let section_equal a b =
+  match (a, b) with
+  | S_detected x, S_detected y -> x = y
+  | S_sdc xs, S_sdc ys ->
+    Array.length xs = Array.length ys && Array.for_all2 magnitude_equal xs ys
+  | S_detected _, S_sdc _ | S_sdc _, S_detected _ -> false
+
+let final_equal a b =
+  match (a, b) with
+  | F_detected x, F_detected y -> x = y
+  | F_sdc xs, F_sdc ys -> List.equal magnitude_equal xs ys
+  | F_detected _, F_sdc _ | F_sdc _, F_detected _ -> false
+
+(* [Hashtbl.hash] folds -0.0 into 0.0 and every NaN into one value, so
+   bit-equal outcomes always land in one bucket; [equal] then keeps the
+   bit patterns apart. *)
+let interner (type o) (equal : o -> o -> bool) () =
+  let module H = Hashtbl.Make (struct
+    type t = o
+
+    let equal = equal
+    let hash = Hashtbl.hash
+  end) in
+  let held = H.create 64 in
+  fun outcome ->
+    match H.find_opt held outcome with
+    | Some first -> first
+    | None ->
+      H.add held outcome outcome;
+      outcome
+
+let section_interner () = interner section_equal ()
+let final_interner () = interner final_equal ()
+
 let detected_of_anomaly = function
   | Replay.Trap _ -> Crash
   | Replay.Timeout -> Timed_out

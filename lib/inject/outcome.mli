@@ -33,6 +33,26 @@ val final_is_bad : epsilon:float -> final_outcome -> bool
 (** SDC-Bad: some final output magnitude strictly exceeds ε. Detected
     outcomes are never SDC-Bad. *)
 
+val float_equal : float -> float -> bool
+(** Equality of IEEE-754 bit patterns: [-0.0] and [0.0] differ, and so
+    do NaNs with different payloads. *)
+
+val section_equal : section_outcome -> section_outcome -> bool
+(** Bit equality: same constructor, buffer indices and magnitudes by
+    {!float_equal}. The one definition the store's round-trip check and
+    the interners use. *)
+
+val final_equal : final_outcome -> final_outcome -> bool
+
+val section_interner : unit -> section_outcome -> section_outcome
+(** A fresh interner: each call returns the first outcome it was given
+    that is {!section_equal} to its argument, so repeated outcomes (masked
+    and crash results recur across most classes of a section) are held
+    once. One interner per record; it keeps everything it has seen. *)
+
+val final_interner : unit -> final_outcome -> final_outcome
+(** {!section_interner} under {!final_equal}. *)
+
 val of_section_replay : Ff_vm.Replay.section_replay -> section_outcome
 
 val of_program_replay : Ff_vm.Replay.program_replay -> final_outcome

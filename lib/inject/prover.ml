@@ -2,6 +2,7 @@ open Ff_ir
 open Ff_vm
 module Hashing = Ff_support.Hashing
 module Telemetry = Ff_support.Telemetry
+module Ephemeron_cache = Ff_support.Ephemeron_cache
 module Liveness = Ff_chisel.Dataflow.Liveness
 
 (* Static outcome prover: decide the outcome of whole equivalence
@@ -238,67 +239,28 @@ let record (section : Golden.section_run) golden_exit =
 
 (* Per-kernel liveness cache, keyed by physical identity of the decoded
    form (Golden shares one [decoded] across every section calling the
-   same kernel) — the same lock-free capped-list idiom as
-   Workspace.plan_of: losing a CAS race merely recomputes a fixpoint. *)
-let liveness_cache : (Decode.t * Liveness.t) list Atomic.t = Atomic.make []
-let liveness_cache_cap = 16
+   same kernel): a fixpoint lives as long as its decoded kernel. *)
+let liveness_cache : (Decode.t, Liveness.t) Ephemeron_cache.t = Ephemeron_cache.create 16
 
-let rec cache_find decoded = function
-  | [] -> None
-  | (d, l) :: tl -> if d == decoded then Some l else cache_find decoded tl
-
-let rec liveness_of decoded =
-  match cache_find decoded (Atomic.get liveness_cache) with
-  | Some l -> l
-  | None -> (
-    let l = Liveness.of_decoded decoded in
-    let cur = Atomic.get liveness_cache in
-    match cache_find decoded cur with
-    | Some l -> l
-    | None ->
-      let kept =
-        if List.length cur >= liveness_cache_cap then
-          List.filteri (fun i _ -> i < liveness_cache_cap - 1) cur
-        else cur
-      in
-      if Atomic.compare_and_set liveness_cache cur ((decoded, l) :: kept) then l
-      else liveness_of decoded)
+let liveness_of decoded =
+  Ephemeron_cache.find_or_compute liveness_cache decoded (fun () ->
+      Liveness.of_decoded decoded)
 
 (* Recording cache, keyed by physical identity of the section run: a
    section is recorded once and then shared by the section pre-pass, the
    final-outcome pre-pass, and any repeated campaign over the same
-   golden run. [None] caches a failed self-validation so an invalid
-   section is not re-executed on every attempt. Recordings are immutable
-   after construction, so sharing across domains is safe. *)
-let recording_cache : (Golden.section_run * recording option) list Atomic.t =
-  Atomic.make []
+   golden run, and the recording dies with its section run. [None]
+   caches a failed self-validation so an invalid section is not
+   re-executed on every attempt. Recordings are immutable after
+   construction, so sharing across domains is safe. *)
+let recording_cache : (Golden.section_run, recording option) Ephemeron_cache.t =
+  Ephemeron_cache.create 32
 
-let recording_cache_cap = 32
-
-let rec rcache_find section = function
-  | [] -> None
-  | (s, r) :: tl -> if s == section then Some r else rcache_find section tl
-
-let rec recording_of section golden_exit =
-  match rcache_find section (Atomic.get recording_cache) with
-  | Some r -> r
-  | None -> (
-    let r =
+let recording_of section golden_exit =
+  Ephemeron_cache.find_or_compute recording_cache section (fun () ->
       match record section golden_exit with
       | r -> Some r
-      | exception Invalid_recording -> None
-    in
-    let cur = Atomic.get recording_cache in
-    match rcache_find section cur with
-    | Some r -> r
-    | None ->
-      let kept =
-        if List.length cur >= recording_cache_cap then
-          List.filteri (fun i _ -> i < recording_cache_cap - 1) cur
-        else cur
-      in
-      if Atomic.compare_and_set recording_cache cur ((section, r) :: kept) then r
-      else recording_of section golden_exit)
+      | exception Invalid_recording -> None)
 
 let prepare golden ~section_index ~timeout_factor policy ~burst =
   if not policy.enabled then None
@@ -616,7 +578,7 @@ let walkable = function
   | Site.Op | Site.Mem _ -> false
 
 let prove_class sp (cls : Eqclass.t) =
-  let pilot = cls.Eqclass.pilot in
+  let pilot = Eqclass.pilot cls in
   if
     (not (walkable pilot.Site.operand))
     || pilot.Site.section <> sp.section.Golden.section_index
@@ -630,7 +592,7 @@ let prove_class sp (cls : Eqclass.t) =
     | W_complete mem -> section_outcome_of_mem sp mem
 
 let prove_final_class sp (cls : Eqclass.t) =
-  let pilot = cls.Eqclass.pilot in
+  let pilot = Eqclass.pilot cls in
   if
     (not (walkable pilot.Site.operand))
     || pilot.Site.section <> sp.section.Golden.section_index

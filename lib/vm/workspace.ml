@@ -88,39 +88,17 @@ let build_plan (golden : Golden.t) =
 
 (* Plans are cached by physical identity of the golden run: the pipeline
    holds one Golden.t per program and fans replays out across domains,
-   so every worker finds the same shared plan. The cache is a lock-free
-   immutable list behind an Atomic: [plan_of] sits on the per-replay
-   path, so the hit case must be a plain load plus a short walk, with no
-   lock traffic between domains. Small bound — evicting merely re-pays
-   one build; a lost CAS race at worst builds a duplicate, and the
-   retry's cache check makes every domain settle on one winner. Each
-   entry is an ephemeron on its golden run, so the cache never keeps a
-   golden run (or its plan) alive that nothing else holds. *)
-let plan_cache : (Golden.t, plan) Ephemeron.K1.t list Atomic.t = Atomic.make []
-let plan_cache_cap = 8
-
-let cache_find golden = List.find_map (fun e -> Ephemeron.K1.query e golden)
+   so every worker finds the same shared plan. [plan_of] sits on the
+   per-replay path, so the hit case must be a plain load plus a short
+   walk, with no lock traffic between domains. Small bound — evicting
+   merely re-pays one build. The cache never keeps a golden run (or its
+   plan) alive that nothing else holds. *)
+let plan_cache : (Golden.t, plan) Ff_support.Ephemeron_cache.t =
+  Ff_support.Ephemeron_cache.create 8
 
 let plan_of golden =
-  match cache_find golden (Atomic.get plan_cache) with
-  | Some p -> p
-  | None ->
-    let p = build_plan golden in
-    let rec publish () =
-      let cur = Atomic.get plan_cache in
-      match cache_find golden cur with
-      | Some winner -> winner
-      | None ->
-        let kept =
-          if List.length cur >= plan_cache_cap then
-            List.filteri (fun i _ -> i < plan_cache_cap - 1) cur
-          else cur
-        in
-        if Atomic.compare_and_set plan_cache cur (Ephemeron.K1.make golden p :: kept)
-        then p
-        else publish ()
-    in
-    publish ()
+  Ff_support.Ephemeron_cache.find_or_compute plan_cache golden (fun () ->
+      build_plan golden)
 
 type t = {
   plan : plan;

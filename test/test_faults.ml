@@ -144,17 +144,17 @@ let test_enumeration_is_model_driven () =
           match
             List.find_opt
               (fun grp ->
-                grp.Eqclass.g_pc = cls.Eqclass.pc
-                && grp.Eqclass.g_operand = cls.Eqclass.operand)
+                grp.Eqclass.g_pc = Eqclass.pc cls
+                && grp.Eqclass.g_operand = Eqclass.operand cls)
               groups
           with
           | None -> Alcotest.fail "class without a group"
           | Some grp ->
             Alcotest.(check bool) "pilot is the group representative" true
               (grp.Eqclass.g_representative
-              = (cls.Eqclass.pilot.Site.section, cls.Eqclass.pilot.Site.dyn));
+              = ((Eqclass.pilot cls).Site.section, (Eqclass.pilot cls).Site.dyn));
             Alcotest.(check bool) "members coincide" true
-              (grp.Eqclass.g_members = cls.Eqclass.members))
+              (grp.Eqclass.g_members = Eqclass.members cls))
         classes)
     models
 
@@ -204,7 +204,7 @@ let test_replay_parity () =
         (fun section ->
           List.iter
             (fun cls ->
-              let pilot = cls.Eqclass.pilot in
+              let pilot = Eqclass.pilot cls in
               let injection = Site.replay_injection ~model pilot in
               let both f = (attempt (f Replay.Boxed), attempt (f Replay.Unboxed)) in
               let sb, su =
@@ -250,7 +250,7 @@ let test_prover_never_disagrees_any_model () =
               | None -> ()
               | Some claimed ->
                 incr decided;
-                let injection = Site.replay_injection ~model:m classes.(i).Eqclass.pilot in
+                let injection = Site.replay_injection ~model:m (Eqclass.pilot classes.(i)) in
                 let actual =
                   Outcome.of_section_replay
                     (Replay.run_section ~burst:(Fault_model.reg_burst m) g

@@ -119,7 +119,7 @@ let test_cross_section_merging () =
     (List.length merged);
   List.iter
     (fun cls ->
-      Alcotest.(check int) "4 members per merged class" 4 (Array.length cls.Eqclass.members))
+      Alcotest.(check int) "4 members per merged class" 4 (Array.length (Eqclass.members cls)))
     merged
 
 let test_pilot_is_median_member () =
@@ -128,10 +128,10 @@ let test_pilot_is_median_member () =
   List.iter
     (fun cls ->
       let expected_section, expected_dyn =
-        cls.Eqclass.members.(Array.length cls.Eqclass.members / 2)
+        (Eqclass.members cls).(Array.length (Eqclass.members cls) / 2)
       in
-      Alcotest.(check int) "pilot section" expected_section cls.Eqclass.pilot.Site.section;
-      Alcotest.(check int) "pilot dyn" expected_dyn cls.Eqclass.pilot.Site.dyn)
+      Alcotest.(check int) "pilot section" expected_section (Eqclass.pilot cls).Site.section;
+      Alcotest.(check int) "pilot dyn" expected_dyn (Eqclass.pilot cls).Site.dyn)
     merged
 
 let test_members_sorted () =
@@ -139,9 +139,9 @@ let test_members_sorted () =
   let merged = Eqclass.for_program g Site.default_bits in
   List.iter
     (fun cls ->
-      let sorted = Array.copy cls.Eqclass.members in
+      let sorted = Array.copy (Eqclass.members cls) in
       Array.sort compare sorted;
-      Alcotest.(check bool) "members ascending" true (sorted = cls.Eqclass.members))
+      Alcotest.(check bool) "members ascending" true (sorted = Eqclass.members cls))
     merged
 
 let test_members_in_section () =

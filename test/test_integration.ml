@@ -40,13 +40,13 @@ schedule { call k(a, res); }|}
   in
   let ff_bad =
     List.filter_map
-      (fun { Valuation.cls; bad } -> if bad then Some (cls.Eqclass.pc, cls.Eqclass.operand, cls.Eqclass.bit) else None)
+      (fun { Valuation.cls; bad } -> if bad then Some (Eqclass.pc cls, Eqclass.operand cls, cls.Eqclass.bit) else None)
       ff.Pipeline.valuation.Valuation.labels
     |> List.sort compare
   in
   let base_bad =
     List.filter_map
-      (fun { Valuation.cls; bad } -> if bad then Some (cls.Eqclass.pc, cls.Eqclass.operand, cls.Eqclass.bit) else None)
+      (fun { Valuation.cls; bad } -> if bad then Some (Eqclass.pc cls, Eqclass.operand cls, cls.Eqclass.bit) else None)
       base.Baseline.valuation.Valuation.labels
     |> List.sort compare
   in

@@ -82,7 +82,9 @@ let check_proofs_against_oracle ?(burst = 1) g =
           match proof with
           | None -> ()
           | Some claimed ->
-            let injection = Replay.Fault (Site.machine_injection classes.(i).Eqclass.pilot) in
+            let injection =
+              Replay.Fault (Site.machine_injection (Eqclass.pilot classes.(i)))
+            in
             let replay =
               Replay.run_section ~burst ~engine:Replay.Boxed g section injection
                 ~timeout_factor:5.0
@@ -91,7 +93,7 @@ let check_proofs_against_oracle ?(burst = 1) g =
             if Stdlib.compare claimed oracle <> 0 then
               QCheck2.Test.fail_reportf
                 "section proof diverged (section %d, %a): proved %a, replay %a" si
-                Site.pp classes.(i).Eqclass.pilot Outcome.pp_section claimed
+                Site.pp (Eqclass.pilot classes.(i)) Outcome.pp_section claimed
                 Outcome.pp_section oracle)
         proofs;
       let fproofs =
@@ -103,7 +105,9 @@ let check_proofs_against_oracle ?(burst = 1) g =
           match proof with
           | None -> ()
           | Some claimed ->
-            let injection = Replay.Fault (Site.machine_injection classes.(i).Eqclass.pilot) in
+            let injection =
+              Replay.Fault (Site.machine_injection (Eqclass.pilot classes.(i)))
+            in
             let replay =
               Replay.run_to_end ~burst ~engine:Replay.Boxed g ~from_section:si injection
                 ~timeout_factor:5.0
@@ -112,7 +116,7 @@ let check_proofs_against_oracle ?(burst = 1) g =
             if Stdlib.compare claimed oracle <> 0 then
               QCheck2.Test.fail_reportf
                 "final proof diverged (section %d, %a): proved %a, replay %a" si
-                Site.pp classes.(i).Eqclass.pilot Outcome.pp_final claimed
+                Site.pp (Eqclass.pilot classes.(i)) Outcome.pp_final claimed
                 Outcome.pp_final oracle)
         fproofs)
     g.Golden.sections
@@ -251,8 +255,8 @@ let prove_site ?(policy = Prover.on) ~instr ~operand ~bit () =
   let found = ref None in
   Array.iteri
     (fun i (cls : Eqclass.t) ->
-      if cls.Eqclass.pc.Site.instr = instr && cls.Eqclass.operand = operand then begin
-        let injection = Replay.Fault (Site.machine_injection cls.Eqclass.pilot) in
+      if (Eqclass.pc cls).Site.instr = instr && Eqclass.operand cls = operand then begin
+        let injection = Replay.Fault (Site.machine_injection (Eqclass.pilot cls)) in
         let replay =
           Replay.run_section ~burst:1 ~engine:Replay.Boxed g section injection
             ~timeout_factor:5.0
@@ -442,6 +446,37 @@ let test_journal_skips_proved_classes () =
     (Stdlib.compare first.Campaign.s_classes second.Campaign.s_classes = 0);
   Alcotest.(check int) "resume work matches" first.Campaign.s_work second.Campaign.s_work
 
+(* The prover's recording and liveness caches hold their section run
+   and decoded kernel through ephemerons: once the caller drops a golden
+   run, nothing the prover cached keeps it, its section runs or its
+   decoded kernels alive. *)
+let[@inline never] prove_and_keep_weakly weak =
+  let g = Golden.run unit_program in
+  let section = g.Golden.sections.(0) in
+  let classes = Array.of_list (Eqclass.for_section section (Site.Bit_list [ 0; 62 ])) in
+  let proofs =
+    Prover.prove_section g ~section_index:0 ~timeout_factor:5.0
+      ~model:Fault_model.default Prover.on classes
+  in
+  let fproofs =
+    Prover.prove_final g ~section_index:0 ~timeout_factor:5.0
+      ~model:Fault_model.default Prover.on classes
+  in
+  Weak.set weak 0 (Some (Obj.repr g));
+  Weak.set weak 1 (Some (Obj.repr section));
+  Weak.set weak 2 (Some (Obj.repr section.Golden.decoded));
+  Array.exists Option.is_some proofs && Array.exists Option.is_some fproofs
+
+let test_recordings_do_not_pin_their_section () =
+  let weak = Weak.create 3 in
+  Alcotest.(check bool) "the section was recorded and proved" true
+    (prove_and_keep_weakly weak);
+  Gc.full_major ();
+  List.iteri
+    (fun i what ->
+      Alcotest.(check bool) (what ^ " was collected") false (Weak.check weak i))
+    [ "the golden run"; "its section run"; "its decoded kernel" ]
+
 let () =
   Alcotest.run "prover"
     [
@@ -480,5 +515,10 @@ let () =
             test_final_outcomes_parity_on_off;
           Alcotest.test_case "journal skips proved classes" `Quick
             test_journal_skips_proved_classes;
+        ] );
+      ( "caches",
+        [
+          Alcotest.test_case "recordings do not pin their section" `Quick
+            test_recordings_do_not_pin_their_section;
         ] );
     ]

@@ -222,20 +222,32 @@ let encode record =
 let decode ?len payload = Wire.r_record (Wire.cursor ?len payload)
 
 (* The bit classes of a (pc, operand) group are adjacent and must hold
-   one physically shared member array. *)
+   one physically shared group, and so one member array; bit-equal
+   outcomes within the record must be one physical value. *)
 let check_groups_share ~msg (record : Store.section_record) =
   let classes = record.Store.rec_campaign.Campaign.s_classes in
   let groups = ref 0 in
   for i = 1 to Array.length classes - 1 do
     let (a : Eqclass.t), _ = classes.(i - 1) and (b : Eqclass.t), _ = classes.(i) in
-    if a.Eqclass.pc = b.Eqclass.pc && a.Eqclass.operand = b.Eqclass.operand then begin
+    if Eqclass.pc a = Eqclass.pc b && Eqclass.operand a = Eqclass.operand b then begin
       incr groups;
-      if a.Eqclass.members != b.Eqclass.members then
-        Alcotest.failf "%s: classes %d and %d of one group hold separate member arrays"
+      if a.Eqclass.group != b.Eqclass.group then
+        Alcotest.failf "%s: classes %d and %d of one (pc, operand) hold separate groups"
           msg (i - 1) i
     end
   done;
-  Alcotest.(check bool) (msg ^ ": has multi-bit groups") true (!groups > 0)
+  Alcotest.(check bool) (msg ^ ": has multi-bit groups") true (!groups > 0);
+  let held = Hashtbl.create 64 in
+  Array.iteri
+    (fun i (_, outcome) ->
+      let h = Hashtbl.hash outcome in
+      let bucket = Option.value ~default:[] (Hashtbl.find_opt held h) in
+      match List.find_opt (Outcome.section_equal outcome) bucket with
+      | Some first when first != outcome ->
+        Alcotest.failf "%s: class %d holds its own copy of an earlier outcome" msg i
+      | Some _ -> ()
+      | None -> Hashtbl.replace held h (outcome :: bucket))
+    classes
 
 (* Default-config None analyses of every benchmark, each in its own
    store (what the CI flow persists before the first edit). *)
@@ -261,6 +273,7 @@ let test_benchmark_records_roundtrip () =
     (fun (name, store) ->
       with_temp_store @@ fun path ->
       let records = Store.records store in
+      List.iter (check_groups_share ~msg:name) records;
       List.iter
         (fun r ->
           let bytes = encode r in
@@ -289,23 +302,61 @@ let test_lud_store_size () =
   if bytes > 1 lsl 20 then
     Alcotest.failf "LUD/None store: shard logs total %d bytes, more than 1 MiB" bytes
 
+(* A class is a bit over a shared group and its outcome is interned, so
+   a record costs a few words per class beyond the groups' member lists
+   and the distinct outcomes: ≈10.9 here, 23.8 when every class held its
+   own pc, operand, pilot site and outcome. Fresh and after a reload. *)
+let max_words_per_class = 12.0
+
+let test_lud_records_stay_lean () =
+  let check msg records =
+    let classes =
+      List.fold_left
+        (fun acc (r : Store.section_record) ->
+          acc + Array.length r.Store.rec_campaign.Campaign.s_classes)
+        0 records
+    in
+    let words = Obj.reachable_words (Obj.repr records) in
+    let per_class = float_of_int words /. float_of_int classes in
+    if per_class > max_words_per_class then
+      Alcotest.failf "%s: LUD/None records take %.1f words per class, more than %.0f" msg
+        per_class max_words_per_class
+  in
+  let store = List.assoc "LUD" (Lazy.force benchmark_stores) in
+  check "fresh" (Store.records store);
+  with_temp_store @@ fun path ->
+  let _ = Persist.save store ~path in
+  match Persist.load ~path with
+  | Ok (loaded, 0) -> check "after load" (Store.records loaded)
+  | Ok (_, skipped) -> Alcotest.failf "load skipped %d" skipped
+  | Error e -> Alcotest.failf "load failed: %s" e
+
 (* Every path of the codec, including the ones per-section campaigns
-   never take: members and a pilot outside the record's section, a
-   pilot that is not the class's own site, negative and large ints, and
-   equal member lists that are not physically shared. *)
+   never take: members and a pilot outside the record's section (the
+   pilot through the group's representative), a memory operand, negative
+   and large ints, and equal member lists that are not physically
+   shared. *)
 let synthetic_record () =
   let p = Lazy.force proto in
   let camp = p.Store.rec_campaign in
   let classes = Array.copy camp.Campaign.s_classes in
   let cls0, _ = classes.(0) in
-  let odd =
+  let group =
     {
-      cls0 with
-      Eqclass.members = [| (7, 100); (camp.Campaign.section_index, -3); (max_int, min_int) |];
-      pilot = { cls0.Eqclass.pilot with Site.section = 5; operand = Site.Mem 2; bit = 63 };
+      cls0.Eqclass.group with
+      Eqclass.g_operand = Site.Mem 2;
+      g_members = [| (7, 100); (camp.Campaign.section_index, -3); (max_int, min_int) |];
+      g_representative = (5, snd cls0.Eqclass.group.Eqclass.g_representative);
     }
   in
-  let copy = { odd with Eqclass.members = Array.copy odd.Eqclass.members } in
+  let odd = { Eqclass.group; bit = 63 } in
+  let copy =
+    {
+      odd with
+      Eqclass.group =
+        { group with Eqclass.g_members = Array.copy group.Eqclass.g_members };
+    }
+  in
   let sdc = Outcome.S_sdc [| (0, 0.0); (3, -1.5e300); (1, Float.nan) |] in
   let extra = [| (odd, Outcome.S_detected Outcome.Timed_out); (copy, sdc) |] in
   {
@@ -327,7 +378,9 @@ let test_synthetic_roundtrip () =
   let n = Array.length classes in
   let (a : Eqclass.t), _ = classes.(n - 2) and (b : Eqclass.t), _ = classes.(n - 1) in
   Alcotest.(check bool) "equal member lists decode shared" true
-    (a.Eqclass.members == b.Eqclass.members)
+    (Eqclass.members a == Eqclass.members b);
+  Alcotest.(check bool) "and so does their group" true
+    (a.Eqclass.group == b.Eqclass.group)
 
 (* Words the decoder may allocate per payload byte. Well-formed records
    of the five benchmarks take at most ≈40; a count that outran the
@@ -382,36 +435,66 @@ let prop_flipped_bytes_raise_only_corrupt =
         flips;
       match decode_bounded (Bytes.to_string b) with `Ok | `Corrupt -> true)
 
+(* Hand-built payloads: the key hashes of a real record, then
+   non-negative ints as LEB128 varints. *)
+let key_bytes = lazy (String.sub (encode (Lazy.force proto)) 0 24)
+
+let uvars vs =
+  let buf = Buffer.create 16 in
+  let rec go v =
+    if v < 0x80 then Buffer.add_char buf (Char.chr v)
+    else begin
+      Buffer.add_char buf (Char.chr (v land 0x7f lor 0x80));
+      go (v lsr 7)
+    end
+  in
+  List.iter go vs;
+  Buffer.contents buf
+
+(* pc (0, 0), Dst, bit 0, one in-section member at dyn 0, the derived
+   pilot at dyn 0, a crash outcome. *)
+let one_class = [ 0; 0; 1; 0; 1; 1; 0; 0; 0; 0; 0 ]
+
 let test_huge_count_is_refused () =
   (* Class counts past the bytes left, right after a valid header, each
      followed by one well-formed class: refused before an array of that
      many elements is allocated. *)
-  let r = Lazy.force proto in
-  let header = String.sub (encode r) 0 24 in
-  let uvar v =
-    let buf = Buffer.create 10 in
-    let rec go v =
-      if v < 0x80 then Buffer.add_char buf (Char.chr v)
-      else begin
-        Buffer.add_char buf (Char.chr (v land 0x7f lor 0x80));
-        go (v lsr 7)
-      end
-    in
-    go v;
-    Buffer.contents buf
-  in
-  (* pc (0, 0), Dst, bit 0, one in-section member at dyn 0, the derived
-     pilot at dyn 0, a crash outcome. *)
-  let one_class = String.concat "" (List.map uvar [ 0; 0; 1; 0; 1; 1; 0; 0; 0; 0; 0 ]) in
   List.iter
     (fun count ->
-      let payload =
-        header ^ String.concat "" (List.map uvar [ 0; 0; 0; 0; 0; count ]) ^ one_class
-      in
+      let payload = Lazy.force key_bytes ^ uvars ([ 0; 0; 0; 0; 0; count ] @ one_class) in
       match decode_bounded payload with
       | `Corrupt -> ()
       | `Ok -> Alcotest.failf "a class count of %d decoded" count)
     [ 1 lsl 40; 1_000_000 ]
+
+let test_foreign_pilot_is_refused () =
+  (* One class at pc (0, 0), Dst, bit 0, with one member, whose pilot is
+     written in full (tag 1), then a crash outcome and an empty
+     sensitivity. A class's pilot is derived from its group, so a pilot
+     naming another pc, operand or bit has no representation and must
+     be refused; the class's own site decodes. *)
+  let payload pilot =
+    Lazy.force key_bytes
+    ^ uvars
+        ([ 0; 0; 0; 0; 0; 1 ] @ [ 0; 0; 1; 0; 1; 1; 0; 1 ] @ pilot
+        @ [ 0; 0 ] @ [ 0; 0; 0; 0; 0; 0 ])
+  in
+  (* section, dyn, pc (kernel, instr), operand, bit *)
+  let own = [ 0; 0; 0; 0; 1; 0 ] in
+  (match decode_bounded (payload own) with
+  | `Ok -> ()
+  | `Corrupt -> Alcotest.fail "the class's own site, written in full, was refused");
+  List.iter
+    (fun (what, pilot) ->
+      match decode_bounded (payload pilot) with
+      | `Corrupt -> ()
+      | `Ok -> Alcotest.failf "a pilot at another %s decoded" what)
+    [
+      ("bit", [ 0; 0; 0; 0; 1; 5 ]);
+      ("instruction", [ 0; 0; 0; 3; 1; 0 ]);
+      ("kernel", [ 0; 0; 2; 0; 1; 0 ]);
+      ("operand", [ 0; 0; 0; 0; 0; 1; 0 ]);
+    ]
 
 (* --- rebased records ---------------------------------------------------------- *)
 
@@ -463,7 +546,7 @@ let test_rebase_keeps_members_shared () =
         (fun ((cls : Eqclass.t), _) ->
           Array.iter
             (fun (s, _) -> Alcotest.(check int) "member section rebased" i s)
-            cls.Eqclass.members)
+            (Eqclass.members cls))
         r.Store.rec_campaign.Campaign.s_classes)
     shifted.Pipeline.sections
 
@@ -777,11 +860,15 @@ let () =
           Alcotest.test_case "every benchmark's None records round-trip" `Quick
             test_benchmark_records_roundtrip;
           Alcotest.test_case "LUD/None store fits in 1 MiB" `Quick test_lud_store_size;
+          Alcotest.test_case "LUD/None records stay lean" `Quick
+            test_lud_records_stay_lean;
           Alcotest.test_case "synthetic record round-trips" `Quick
             test_synthetic_roundtrip;
           Alcotest.test_case "truncation raises only Corrupt" `Quick
             test_truncation_raises_only_corrupt;
           QCheck_alcotest.to_alcotest prop_flipped_bytes_raise_only_corrupt;
+          Alcotest.test_case "a pilot off its class is refused" `Quick
+            test_foreign_pilot_is_refused;
           Alcotest.test_case "huge count is refused" `Quick
             test_huge_count_is_refused;
         ] );
