@@ -1,6 +1,9 @@
 open Ff_ir
 module Golden = Ff_vm.Golden
 module Machine = Ff_vm.Machine
+module Replay = Ff_vm.Replay
+module Ustate = Ff_vm.Ustate
+module Workspace = Ff_vm.Workspace
 module Site = Ff_inject.Site
 module Sensitivity = Ff_sensitivity.Sensitivity
 module Hashing = Ff_support.Hashing
@@ -24,79 +27,49 @@ type t = {
   work : int;
 }
 
-(* ε-perturbation of one entry element, mirroring the sensitivity
-   estimator's benign model: floats move by a signed δ ≤ max_perturbation
-   (never exactly 0), ints by ±max(1, round max_perturbation). *)
-let perturb_element rng max_perturbation arr i =
-  match arr.(i) with
-  | Value.Float x ->
-    let delta = ref (Rng.float_signed rng max_perturbation) in
-    if !delta = 0.0 then delta := max_perturbation;
-    arr.(i) <- Value.Float (x +. !delta)
-  | Value.Int x ->
-    let range = Int64.to_int (Int64.of_float (Float.max 1.0 (Float.round max_perturbation))) in
-    let delta = ref (Rng.int rng ((2 * range) + 1) - range) in
-    if !delta = 0 then delta := 1;
-    arr.(i) <- Value.Int (Int64.add x (Int64.of_int !delta))
-
-(* One benign run: perturb one readable buffer of the section's entry
-   state (single element, a random subset, or all elements), execute the
-   section, and return the post-exec state together with the perturbed
-   entry sum of the chosen buffer (the Linear invariant's input side).
-   The run's randomness comes entirely from [rng], which callers derive
-   from (seed, section, run index) — never from scheduling. *)
+(* One benign run: the sensitivity estimator's perturbation of one
+   readable buffer of the section's entry state, then the section. The
+   run's randomness comes entirely from [rng], which callers derive from
+   (seed, section, run index) — never from scheduling. *)
 type benign_run = {
   br_ok : bool;  (** finished within budget; trapped runs observe nothing *)
-  br_state : Value.t array array;
+  br_outputs : (int * Value.t array) array;
+  (** exit contents per spec output buffer, in spec order (empty unless
+      [br_ok]) *)
   br_in_sums : (int * float) array;  (** perturbed entry sum per input buffer *)
   br_work : int;
 }
 
 let run_benign rng golden ~max_perturbation ~section_index
     ~(spec : Sensitivity.t) =
-  let section = golden.Golden.sections.(section_index) in
-  let state = Array.map Array.copy section.Golden.entry_state in
   let inputs = spec.Sensitivity.input_buffers in
-  if Array.length inputs > 0 then begin
-    let target = state.(inputs.(Rng.int rng (Array.length inputs))) in
-    let n = Array.length target in
-    if n > 0 then
-      match Rng.int rng 3 with
-      | 0 -> perturb_element rng max_perturbation target (Rng.int rng n)
-      | 1 ->
-        let count = 1 + Rng.int rng (max 1 (n / 2)) in
-        for _ = 1 to count do
-          perturb_element rng max_perturbation target (Rng.int rng n)
-        done
-      | _ ->
-        for e = 0 to n - 1 do
-          perturb_element rng max_perturbation target e
-        done
-  end;
-  let in_sums = Array.map (fun i -> (i, Detector.sum state.(i))) inputs in
-  let buffers = Array.map (fun (idx, _) -> state.(idx)) section.Golden.bindings in
-  let budget =
-    max 16 (int_of_float (ceil (5.0 *. float_of_int section.Golden.dyn_count)))
+  let in_sums = ref [||] in
+  let ws, run =
+    Replay.exec_section golden golden.Golden.sections.(section_index)
+      ~timeout_factor:Sensitivity.timeout_factor ~edit:(fun u ->
+        if Array.length inputs > 0 then
+          Sensitivity.perturb rng ~max_perturbation u
+            inputs.(Rng.int rng (Array.length inputs));
+        in_sums := Array.map (fun i -> (i, Detector.sum (Ustate.values u i))) inputs)
   in
-  let run =
-    Machine.exec section.Golden.kernel ~scalars:section.Golden.scalars ~buffers ~budget ()
-  in
+  let ok = run.Machine.status = Machine.Finished in
+  let state = ws.Workspace.state in
   {
-    br_ok = (run.Machine.status = Machine.Finished);
-    br_state = state;
-    br_in_sums = in_sums;
+    br_ok = ok;
+    br_outputs =
+      (if ok then
+         Array.map (fun o -> (o, Ustate.values state o)) spec.Sensitivity.output_buffers
+       else [||]);
+    br_in_sums = !in_sums;
     br_work = run.Machine.executed;
   }
 
-let in_sum_of br buffer =
-  let n = Array.length br.br_in_sums in
-  let rec go i =
-    if i >= n then 0.0
-    else
-      let b, s = br.br_in_sums.(i) in
-      if b = buffer then s else go (i + 1)
-  in
-  go 0
+let find_buffer pairs buffer ~default =
+  match Array.find_opt (fun (b, _) -> b = buffer) pairs with
+  | Some (_, x) -> x
+  | None -> default
+
+let in_sum_of br buffer = find_buffer br.br_in_sums buffer ~default:0.0
 
 (* Least-squares fit y = scale·x + offset; None when x carries no
    variance (a constant input sum cannot predict anything) or any
@@ -187,9 +160,8 @@ let run ?(pool = Pool.serial) ?(train = 40) ?(validate = 40) ?(max_perturbation 
           match spec.Sensitivity.input_buffers with [| i |] -> Some i | _ -> None
         in
         Array.iter
-          (fun o ->
+          (fun (o, buf) ->
             let x = obs_of si o in
-            let buf = br.br_state.(o) in
             for e = 0 to Array.length buf - 1 do
               let v =
                 match buf.(e) with
@@ -202,7 +174,7 @@ let run ?(pool = Pool.serial) ?(train = 40) ?(validate = 40) ?(max_perturbation 
             match single_input with
             | Some i -> x.o_points <- (in_sum_of br i, Detector.sum buf) :: x.o_points
             | None -> ())
-          spec.Sensitivity.output_buffers
+          br.br_outputs
       end)
     train_results;
   (* --- phase 2: candidate construction (coordinating domain) ---------- *)
@@ -303,7 +275,8 @@ let run ?(pool = Pool.serial) ?(train = 40) ?(validate = 40) ?(max_perturbation 
                 | Detector.Linear { input; _ } -> in_sum_of br input
                 | Detector.Finite | Detector.Range _ -> 0.0
               in
-              if Detector.fires d ~entry_sum br.br_state.(d.Detector.d_buffer) then
+              let exit_values = find_buffer br.br_outputs d.Detector.d_buffer ~default:[||] in
+              if Detector.fires d ~entry_sum exit_values then
                 mask := !mask lor (1 lsl j))
             candidates.(si);
         (!mask, br.br_work))

@@ -16,9 +16,9 @@
        invariant is sound against perturbations of any input), with
        tolerance = max training residual × [safety_factor].}}
 
-    Training and validation runs are ε-perturbed golden entries executed
-    on the reference engine, chunk-seeded exactly like
-    {!Ff_sensitivity.Sensitivity.estimate} — deterministic at any pool
+    Training and validation runs are golden entries ε-perturbed by
+    {!Ff_sensitivity.Sensitivity.perturb}, the estimator's own model,
+    seeded from (seed, section, run index) — deterministic at any pool
     width. Candidates that fire on any validation run are dropped, so
     the surviving set has a {e measured} benign false-positive rate of
     zero by construction (reported, not assumed). *)

@@ -540,24 +540,32 @@ let walk sp ~at_dyn ~operand ~bit =
 
 (* Map a completed walk's memory taint to the exact section outcome a
    replay would report: per-writable-buffer max |Δ| in the plan's
-   writable order, Misformatted and side-effect cases declined. *)
+   writable order, Misformatted and side-effect cases declined. So is a
+   tainted element whose type differs from golden (an untyped kernel can
+   store either kind): the replay's distance raises on it, so there is
+   no outcome to claim. *)
 let section_outcome_of_mem sp mem =
   if sp.exit_nonfinite then None
   else begin
     let nonfinite = ref false in
     let side_effect = ref false in
+    let mistyped = ref false in
     let mags = Hashtbl.create 8 in
     Hashtbl.iter
       (fun (bidx, e) v ->
-        let d = Value.abs_diff sp.golden_exit.(bidx).(e) v in
-        if sp.writable.(bidx) then begin
-          if not (Value.is_finite v) then nonfinite := true;
-          let cur = match Hashtbl.find_opt mags bidx with Some m -> m | None -> 0.0 in
-          if d > cur then Hashtbl.replace mags bidx d
-        end
-        else if d > 0.0 then side_effect := true)
+        let g = sp.golden_exit.(bidx).(e) in
+        if not (Value.ty_equal (Value.ty g) (Value.ty v)) then mistyped := true
+        else begin
+          let d = Value.abs_diff g v in
+          if sp.writable.(bidx) then begin
+            if not (Value.is_finite v) then nonfinite := true;
+            let cur = match Hashtbl.find_opt mags bidx with Some m -> m | None -> 0.0 in
+            if d > cur then Hashtbl.replace mags bidx d
+          end
+          else if d > 0.0 then side_effect := true
+        end)
       mem;
-    if !nonfinite || !side_effect then None
+    if !nonfinite || !side_effect || !mistyped then None
     else begin
       let sdc =
         Array.map

@@ -1,5 +1,6 @@
 open Ff_ir
 open Ff_vm
+module A1 = Bigarray.Array1
 module Rng = Ff_support.Rng
 module Hashing = Ff_support.Hashing
 module Pool = Ff_support.Pool
@@ -26,35 +27,40 @@ let readable_buffers (section : Golden.section_run) =
          if Kernel.role_readable role then Some idx else None)
   |> List.sort_uniq compare
 
-let writable_buffers (section : Golden.section_run) =
-  Array.to_list section.Golden.bindings
-  |> List.filter_map (fun (idx, role) ->
-         if Kernel.role_writable role then Some idx else None)
-  |> List.sort_uniq compare
+let timeout_factor = 5.0
 
-let buffer_distance golden actual =
-  let worst = ref 0.0 in
-  for i = 0 to Array.length golden - 1 do
-    let d = Value.abs_diff golden.(i) actual.(i) in
-    if d > !worst then worst := d
-  done;
-  !worst
-
-(* Perturb one element in place; returns |δ| actually applied (> 0). *)
-let perturb_element rng max_perturbation arr i =
-  match arr.(i) with
-  | Value.Float x ->
-    let delta = ref (Rng.float_signed rng max_perturbation) in
-    if !delta = 0.0 then delta := max_perturbation;
-    arr.(i) <- Value.Float (x +. !delta);
-    Float.abs !delta
-  | Value.Int x ->
-    let m = Int64.of_float (Float.max 1.0 (Float.round max_perturbation)) in
-    let range = Int64.to_int m in
-    let delta = ref (Rng.int rng (2 * range + 1) - range) in
-    if !delta = 0 then delta := 1;
-    arr.(i) <- Value.Int (Int64.add x (Int64.of_int !delta));
-    Float.abs (float_of_int !delta)
+(* Single element, a random subset, or all elements (§5.6). Floats move
+   by a signed δ with |δ| ≤ max_perturbation, never exactly 0; ints by a
+   nonzero δ within ±max(1, round max_perturbation). *)
+let perturb rng ~max_perturbation (u : Ustate.t) buf =
+  let words = u.Ustate.words.(buf) and tags = u.Ustate.tags.(buf) in
+  let bits = Ustate.as_bits words in
+  let range = Int64.to_int (Int64.of_float (Float.max 1.0 (Float.round max_perturbation))) in
+  let nudge e =
+    if Bytes.get tags e = Ustate.tag_float then begin
+      let delta = Rng.float_signed rng max_perturbation in
+      let delta = if delta = 0.0 then max_perturbation else delta in
+      A1.set words e (A1.get words e +. delta)
+    end
+    else begin
+      let delta = Rng.int rng ((2 * range) + 1) - range in
+      let delta = if delta = 0 then 1 else delta in
+      A1.set bits e (Int64.add (A1.get bits e) (Int64.of_int delta))
+    end
+  in
+  let n = Ustate.dim words in
+  if n > 0 then
+    match Rng.int rng 3 with
+    | 0 -> nudge (Rng.int rng n)
+    | 1 ->
+      let count = 1 + Rng.int rng (max 1 (n / 2)) in
+      for _ = 1 to count do
+        nudge (Rng.int rng n)
+      done
+    | _ ->
+      for e = 0 to n - 1 do
+        nudge e
+      done
 
 (* The sample loop is split into fixed-size chunks, each drawing from its
    own generator derived from (base seed, input index, chunk index). The
@@ -69,13 +75,12 @@ let estimate ?(samples = 200) ?(max_perturbation = 0.01) ?(safety_factor = 1.25)
     ~attrs:[ ("section", string_of_int section_index) ]
   @@ fun () ->
   let section = golden.Golden.sections.(section_index) in
+  let plan = Workspace.plan_of golden in
+  let entry = plan.Workspace.states.(section_index)
+  and exit = plan.Workspace.states.(section_index + 1) in
   let inputs = Array.of_list (readable_buffers section) in
-  let outputs = Array.of_list (writable_buffers section) in
-  let golden_exit = Golden.exit_state golden section_index in
+  let outputs = plan.Workspace.writable_idx.(section_index) in
   let k = Array.make_matrix (Array.length outputs) (Array.length inputs) 0.0 in
-  let budget =
-    max 16 (int_of_float (ceil (5.0 *. float_of_int section.Golden.dyn_count)))
-  in
   (* Advances the caller's generator exactly once, whatever the chunking. *)
   let base = Rng.int64 rng in
   let chunks_per_input = (samples + sample_chunk - 1) / sample_chunk in
@@ -95,29 +100,13 @@ let estimate ?(samples = 200) ?(max_perturbation = 0.01) ?(safety_factor = 1.25)
     let col = Array.make (Array.length outputs) 0.0 in
     let work = ref 0 in
     for _ = 1 to count do
-      let state = Array.map Array.copy section.Golden.entry_state in
-      let target = state.(input_buf) in
-      let n = Array.length target in
-      (* Single element, a random subset, or all elements (§5.6). *)
-      let mode = Rng.int rng 3 in
-      (match mode with
-      | 0 -> ignore (perturb_element rng max_perturbation target (Rng.int rng n))
-      | 1 ->
-        let count = 1 + Rng.int rng (max 1 (n / 2)) in
-        for _ = 1 to count do
-          ignore (perturb_element rng max_perturbation target (Rng.int rng n))
-        done
-      | _ ->
-        for e = 0 to n - 1 do
-          ignore (perturb_element rng max_perturbation target e)
-        done);
-      (* |Δi| is the realized perturbation (an element hit twice
-         accumulates), not the largest single nudge. *)
-      let delta = ref (buffer_distance section.Golden.entry_state.(input_buf) target) in
-      let buffers = Array.map (fun (idx, _) -> state.(idx)) section.Golden.bindings in
-      let run =
-        Machine.exec section.Golden.kernel ~scalars:section.Golden.scalars ~buffers
-          ~budget ()
+      let delta = ref 0.0 in
+      let ws, run =
+        Replay.exec_section golden section ~timeout_factor ~edit:(fun u ->
+            perturb rng ~max_perturbation u input_buf;
+            (* |Δi| is the realized perturbation (an element hit twice
+               accumulates), not the largest single nudge. *)
+            delta := Ustate.buffer_distance entry input_buf u input_buf)
       in
       work := !work + run.Machine.executed;
       match run.Machine.status with
@@ -127,7 +116,9 @@ let estimate ?(samples = 200) ?(max_perturbation = 0.01) ?(safety_factor = 1.25)
             (* For an inout buffer perturbed directly, measure against the
                perturbed-input baseline only through the golden exit: the
                ratio |s(x+δ) - s(x)| / |δ| of Equation 1. *)
-            let d_out = buffer_distance golden_exit.(output_buf) state.(output_buf) in
+            let d_out =
+              Ustate.buffer_distance exit output_buf ws.Workspace.state output_buf
+            in
             let ratio = d_out /. !delta in
             if Float.is_nan ratio then ()
             else if ratio > col.(o_idx) then col.(o_idx) <- ratio)

@@ -27,6 +27,21 @@ type t = {
   work : int;                  (** dynamic instructions simulated *)
 }
 
+val perturb :
+  Ff_support.Rng.t -> max_perturbation:float -> Ff_vm.Ustate.t -> int -> unit
+(** [perturb rng ~max_perturbation u b] applies the benign perturbation
+    model to buffer [b] of [u] in place: it hits a single element, a
+    random subset, or all elements (drawn from [rng]). Floats move by a
+    signed δ with 0 < |δ| ≤ [max_perturbation]; ints by a nonzero δ
+    within ±[max 1 (round max_perturbation)]. An empty buffer is left
+    alone and draws nothing. Detector synthesis reuses it for its benign
+    runs. *)
+
+val timeout_factor : float
+(** Every perturbed run gets [timeout_factor ×] the section's golden
+    dynamic instruction count ({!Ff_vm.Replay.budget_of}): 5, the
+    paper's replay budget. *)
+
 val estimate :
   ?samples:int ->
   ?max_perturbation:float ->
@@ -42,7 +57,9 @@ val estimate :
     The sample loop runs in fixed-size chunks, each seeded from [rng]'s
     next output combined with the (input, chunk) index — never from the
     scheduling — so the estimate is identical for every [pool] width
-    (including no pool). [rng] advances exactly once per call. *)
+    (including no pool). [rng] advances exactly once per call. Each
+    sample runs on {!Ff_vm.Replay.exec_section}, from the section's
+    golden entry with one input buffer {!perturb}ed. *)
 
 val amplification : t -> output:int -> input:int -> float
 (** K for a (program-buffer, program-buffer) pair; 0 when the output does

@@ -113,25 +113,6 @@ let exit_state t i =
   if i = Array.length t.sections - 1 then t.final_state
   else t.sections.(i + 1).entry_state
 
-let section_buffers _t section ~state =
-  Array.map (fun (idx, _) -> state.(idx)) section.bindings
-
 let outputs t =
   Program.output_buffers t.program
   |> List.map (fun (i, b) -> (i, b.Program.buf_name, t.final_state.(i)))
-
-let buffer_distance golden actual =
-  let n = Array.length golden in
-  if Array.length actual <> n then infinity
-  else begin
-    let worst = ref 0.0 in
-    for i = 0 to n - 1 do
-      let d = Value.abs_diff golden.(i) actual.(i) in
-      if d > !worst then worst := d
-    done;
-    !worst
-  end
-
-let output_distance t state =
-  Program.output_buffers t.program
-  |> List.map (fun (i, _) -> (i, buffer_distance t.final_state.(i) state.(i)))

@@ -43,16 +43,5 @@ val exit_state : t -> int -> Ff_ir.Value.t array array
 (** [exit_state g i] is the global buffer state right after section [i]
     (the entry state of section [i+1], or the final state). *)
 
-val section_buffers : t -> section_run -> state:Ff_ir.Value.t array array
-  -> Ff_ir.Value.t array array
-(** Views of the given global [state] restricted to the section's buffer
-    slots, aliasing (not copying) the per-buffer arrays. *)
-
 val outputs : t -> (int * string * Ff_ir.Value.t array) list
 (** Final program outputs: (buffer index, name, contents). *)
-
-val output_distance :
-  t -> Ff_ir.Value.t array array -> (int * float) list
-(** Per output buffer, the max element-wise |Δ| between the given final
-    state and the golden final state — the paper's SDC magnitude metric
-    (§5.6). *)

@@ -21,8 +21,9 @@ type engine =
 
 (* The unboxed engine is the default: it is bit-identical to the boxed
    oracle (differentially tested) and several times faster per replay.
-   FF_ENGINE=boxed forces the reference interpreter everywhere — the
-   escape hatch when triaging a suspected engine divergence. *)
+   FF_ENGINE=boxed forces the reference interpreter for injected
+   replays — the escape hatch when triaging a suspected engine
+   divergence. *)
 let default_engine =
   match Sys.getenv_opt "FF_ENGINE" with
   | Some s when String.lowercase_ascii s = "boxed" -> Boxed
@@ -97,23 +98,6 @@ let apply_mem_flip_unboxed (u : Ustate.t) { mf_buffer; mf_elem; mf_bits } =
 
 let machine_injection_of = function Fault f -> Some f | Mem_flip _ -> None
 
-(* Faulty exit-state capture for detector evaluation: the requested
-   buffers are deep-copied out of the replay's scratch state before the
-   workspace is reused. Both appliers produce boxed [Value.t] arrays so
-   the detector arithmetic is engine-independent; [Ustate.value_of] is
-   the same word+tag reconstruction the differential engine tests rely
-   on, so the two captures are bit-identical. *)
-let capture_boxed (state : Value.t array array) idx =
-  Array.map (fun i -> Array.copy state.(i)) idx
-
-let capture_unboxed (u : Ustate.t) idx =
-  Array.map
-    (fun i ->
-      let w = u.Ustate.words.(i) and tags = u.Ustate.tags.(i) in
-      Array.init (Ustate.dim w) (fun j ->
-          Ustate.value_of (Bigarray.Array1.get w j) (Bytes.get tags j)))
-    idx
-
 let anomalous_section run =
   {
     s_anomaly = status_anomaly run.Machine.status;
@@ -169,28 +153,40 @@ let run_section_boxed ~burst ~capture golden (section : Golden.section_run) inje
         s_nonfinite = nonfinite;
         s_executed = run.Machine.executed;
       },
-      Option.map (capture_boxed state) capture )
+      (* Captures are deep copies, taken before the state is reused; both
+         engines capture boxed values, bit-identical to each other. *)
+      Option.map (Array.map (fun i -> Array.copy state.(i))) capture )
 
-let run_section_unboxed ~burst ~capture golden (section : Golden.section_run) injection
+let exec_section ?(burst = 1) ?injection golden (section : Golden.section_run) ~edit
     ~timeout_factor =
   let plan = Workspace.plan_of golden in
   let ws = Workspace.get plan in
   let si = section.Golden.section_index in
   Workspace.load_section_entry ws si;
-  (match injection with
-  | Mem_flip m -> apply_mem_flip_unboxed ws.Workspace.state m
-  | Fault _ -> ());
-  let budget = budget_of ~timeout_factor section.Golden.dyn_count in
+  edit ws.Workspace.state;
   let run =
     Unboxed.exec section.Golden.decoded ~regs:ws.Workspace.regs ~rtags:ws.Workspace.rtags
       ~scal_words:plan.Workspace.scal_words.(si) ~scal_tags:plan.Workspace.scal_tags.(si)
-      ~buffers:ws.Workspace.views.(si) ~btags:ws.Workspace.vtags.(si) ~budget
-      ?injection:(machine_injection_of injection)
-      ~burst ()
+      ~buffers:ws.Workspace.views.(si) ~btags:ws.Workspace.vtags.(si)
+      ~budget:(budget_of ~timeout_factor section.Golden.dyn_count)
+      ?injection ~burst ()
+  in
+  (ws, run)
+
+let run_section_unboxed ~burst ~capture golden (section : Golden.section_run) injection
+    ~timeout_factor =
+  let edit =
+    match injection with Mem_flip m -> fun u -> apply_mem_flip_unboxed u m | Fault _ -> ignore
+  in
+  let ws, run =
+    exec_section ~burst ?injection:(machine_injection_of injection) golden section ~edit
+      ~timeout_factor
   in
   match status_anomaly run.Machine.status with
   | Some _ -> (anomalous_section run, None)
   | None ->
+    let plan = ws.Workspace.plan in
+    let si = section.Golden.section_index in
     let exit_u = plan.Workspace.states.(si + 1) in
     let state = ws.Workspace.state in
     let writable_idx = plan.Workspace.writable_idx.(si) in
@@ -220,7 +216,7 @@ let run_section_unboxed ~burst ~capture golden (section : Golden.section_run) in
         s_nonfinite = nonfinite;
         s_executed = run.Machine.executed;
       },
-      Option.map (capture_unboxed state) capture )
+      Option.map (Array.map (Ustate.values state)) capture )
 
 let run_section ?(burst = 1) ?(engine = default_engine) golden
     (section : Golden.section_run) injection ~timeout_factor =

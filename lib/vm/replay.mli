@@ -39,10 +39,12 @@ type engine =
                  faster *)
 
 val default_engine : engine
-(** [Unboxed], unless the [FF_ENGINE=boxed] environment variable forces
-    the reference interpreter (the triage escape hatch). Both engines
-    produce bit-identical classifications, so the choice never changes
-    results — only speed. *)
+(** The engine {!run_section} and {!run_to_end} use when none is given:
+    [Unboxed], unless the [FF_ENGINE=boxed] environment variable forces
+    the reference interpreter for these replays (the triage escape
+    hatch). {!exec_section}, and so sensitivity sampling and detector
+    synthesis, always run unboxed. Both engines produce bit-identical
+    classifications, so the choice never changes results — only speed. *)
 
 val budget_of : timeout_factor:float -> int -> int
 (** The dynamic-instruction budget a replay grants a section whose golden
@@ -58,6 +60,22 @@ val buffer_distance :
     [distance > threshold] (e.g. the side-effect scan) avoid reading the
     rest of the buffer; the early-exited value is only guaranteed to be
     on the same side of [stop_at] as the true maximum. *)
+
+val exec_section :
+  ?burst:int ->
+  ?injection:Machine.injection ->
+  Golden.t -> Golden.section_run -> edit:(Ustate.t -> unit) -> timeout_factor:float ->
+  Workspace.t * Machine.run
+(** The one path every unboxed single-section run takes: injected
+    replays ({!run_section}), sensitivity sampling and detector
+    synthesis. Resets this domain's {!Workspace} to the section's golden
+    entry, applies [edit] to that state (a memory flip, a benign
+    perturbation, or nothing), then runs the section on the {!Unboxed}
+    engine with [injection] under [timeout_factor ×] its golden budget
+    ({!budget_of}). Returns the workspace, whose [state] holds the
+    section's exit (compare it against [plan.states.(i + 1)]); it is
+    valid only until the next run on this domain. Only the section's
+    bound buffers are reset, and only they can affect the run. *)
 
 type section_replay = {
   s_anomaly : anomaly option;

@@ -14,20 +14,4 @@ let add t x =
   t.data.(t.len) <- x;
   t.len <- t.len + 1
 
-let clear t = t.len <- 0
-
-let length t = t.len
-
-let get t i =
-  if i < 0 || i >= t.len then invalid_arg "Trace.get: index out of range";
-  t.data.(i)
-
 let to_array t = Array.sub t.data 0 t.len
-
-let pc_counts t ~ninstrs =
-  let counts = Array.make ninstrs 0 in
-  for i = 0 to t.len - 1 do
-    let pc = t.data.(i) in
-    if pc >= 0 && pc < ninstrs then counts.(pc) <- counts.(pc) + 1
-  done;
-  counts

@@ -10,18 +10,4 @@ val create : unit -> t
 
 val add : t -> int -> unit
 
-val clear : t -> unit
-(** Reset to length zero, keeping the backing storage — replay
-    workspaces reuse one trace across thousands of runs. *)
-
-val length : t -> int
-
-val get : t -> int -> int
-(** Raises [Invalid_argument] when out of range. *)
-
 val to_array : t -> int array
-
-val pc_counts : t -> ninstrs:int -> int array
-(** [pc_counts t ~ninstrs] is, for each static instruction index below
-    [ninstrs], the number of its dynamic instances in the trace — the raw
-    material of the protection cost c(pc). *)

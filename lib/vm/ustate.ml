@@ -31,8 +31,6 @@ let dim = A1.dim
 let tag_int = '\000'
 let tag_float = '\001'
 
-let tag_of_ty = function Value.TInt -> tag_int | Value.TFloat -> tag_float
-
 type t = {
   words : words array;
   tags : Bytes.t array;
@@ -92,15 +90,9 @@ let blit_buffers ~src ~dst idx =
     Bytes.blit src.tags.(i) 0 dst.tags.(i) 0 (Bytes.length src.tags.(i))
   done
 
-let write_back t state =
-  let n = Array.length state in
-  for i = 0 to n - 1 do
-    let words = t.words.(i) and tags = t.tags.(i) in
-    let buf = state.(i) in
-    for j = 0 to Array.length buf - 1 do
-      buf.(j) <- value_of (A1.unsafe_get words j) (Bytes.unsafe_get tags j)
-    done
-  done
+let values t i =
+  let words = t.words.(i) and tags = t.tags.(i) in
+  Array.init (dim words) (fun j -> value_of (A1.get words j) (Bytes.get tags j))
 
 let scalars_of_values values =
   let arr = Array.of_list values in

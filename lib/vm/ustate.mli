@@ -26,8 +26,6 @@ val dim : words -> int
 val tag_int : char
 val tag_float : char
 
-val tag_of_ty : Ff_ir.Value.scalar_ty -> char
-
 type t = {
   words : words array;   (** per program buffer: raw 64-bit words *)
   tags : Bytes.t array;  (** per program buffer: element type tags *)
@@ -55,8 +53,9 @@ val blit_buffers : src:t -> dst:t -> int array -> unit
     [idx] — the partial reset for a section replay, which can only ever
     read or write the buffers bound to its slots. *)
 
-val write_back : t -> Ff_ir.Value.t array array -> unit
-(** Write the unboxed contents back into a same-shape boxed state. *)
+val values : t -> int -> Ff_ir.Value.t array
+(** [values t i] is a fresh boxed copy of buffer [i] — what a caller
+    keeps of a scratch state that the next run will overwrite. *)
 
 val scalars_of_values : Ff_ir.Value.t list -> words * Bytes.t
 (** Scalar arguments in register-staging form. *)

@@ -137,6 +137,18 @@ let prop_prover_vs_replay =
           check_proofs_against_oracle ~burst g;
           true))
 
+(* Seeds at which the random run draws a kernel whose memory taint
+   changes a value's type (for example a [Select] on a tainted
+   condition in an untyped kernel): the prover must abstain there, not
+   raise. *)
+let regression_seeds = [ 265; 1093; 3303; 3331 ]
+
+let test_prover_vs_replay_at_fixed_seeds () =
+  List.iter
+    (fun seed ->
+      QCheck2.Test.check_exn ~rand:(Random.State.make [| seed |]) prop_prover_vs_replay)
+    regression_seeds
+
 (* --- fixed pipelines: the prover must actually prune ------------------------ *)
 
 let pipeline_src =
@@ -483,6 +495,8 @@ let () =
       ( "differential",
         [
           QCheck_alcotest.to_alcotest prop_prover_vs_replay;
+          Alcotest.test_case "prover ≡ replay at fixed regression seeds" `Quick
+            test_prover_vs_replay_at_fixed_seeds;
           Alcotest.test_case "fixed pipeline, bursts 1 and 2" `Quick
             test_fixed_pipeline_differential;
         ] );

@@ -139,6 +139,32 @@ let test_work_accounted () =
   Alcotest.(check bool) "simulated instructions charged" true
     (spec.Sensitivity.work > 0)
 
+(* Sampling is part of every section record's identity (its spec hash is
+   stored and keyed on), so any change to the perturbation model, the
+   per-sample budget, the engine or the chunk seeding must show up here:
+   one K bit or one unit of sampling work anywhere over the 105 sections
+   of the 15 built-in versions moves these totals. *)
+let test_builtin_sampling_unchanged () =
+  let hash = ref 0L and work = ref 0 in
+  List.iter
+    (fun (b : Ff_benchmarks.Defs.t) ->
+      List.iter
+        (fun v ->
+          let g = golden (b.Ff_benchmarks.Defs.source v) in
+          Array.iteri
+            (fun si _ ->
+              let spec =
+                Sensitivity.estimate ~rng:(Rng.create (Int64.of_int (si + 7))) g
+                  ~section_index:si
+              in
+              hash := Int64.add !hash (Sensitivity.spec_hash spec);
+              work := !work + spec.Sensitivity.work)
+            g.Golden.sections)
+        Ff_benchmarks.Defs.all_versions)
+    Ff_benchmarks.Registry.all;
+  Alcotest.(check int64) "sum of spec hashes" 0x9e65086b8dad37a4L !hash;
+  Alcotest.(check int) "sampling work" 33_822_745 !work
+
 let () =
   Alcotest.run "sensitivity"
     [
@@ -158,5 +184,7 @@ let () =
           Alcotest.test_case "deterministic" `Quick test_deterministic_given_rng;
           Alcotest.test_case "hash sensitive" `Quick test_spec_hash_sensitive;
           Alcotest.test_case "work accounted" `Quick test_work_accounted;
+          Alcotest.test_case "built-in sampling unchanged" `Quick
+            test_builtin_sampling_unchanged;
         ] );
     ]

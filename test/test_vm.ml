@@ -258,9 +258,8 @@ let test_golden_outputs_and_distance () =
   | _ -> Alcotest.fail "expected one output");
   let copy = Array.map Array.copy golden.Golden.final_state in
   copy.(2).(0) <- Value.Float 3.5;
-  match Golden.output_distance golden copy with
-  | [ (2, d) ] -> Alcotest.(check (float 1e-12)) "distance" 0.5 d
-  | _ -> Alcotest.fail "distance shape"
+  Alcotest.(check (float 1e-12)) "distance" 0.5
+    (Replay.buffer_distance golden.Golden.final_state.(2) copy.(2))
 
 let test_golden_input_hash_tracks_inputs () =
   let golden1 = Golden.run (compile pipeline_src) in
