@@ -118,7 +118,7 @@ let with_jobs jobs k =
 
 let metrics_arg =
   Arg.(value & opt (some string) None & info [ "metrics" ] ~docv:"FILE"
-         ~doc:"Write engine telemetry (campaign injection counts, store               hit/miss counts, pool task counts, span timings) as deterministic               JSON to $(docv). Timing and scheduling-dependent fields are               segregated under the top-level \\\"timings\\\" key; everything else is               bit-stable across runs with the same seed.")
+         ~doc:"Write engine telemetry (campaign injection counts, store               hit/miss counts, pool task counts, span timings) as deterministic               JSON to $(docv). Timing and scheduling-dependent fields are               segregated under the top-level \"timings\" key; everything else is               bit-stable across runs with the same seed.")
 
 let with_metrics metrics k =
   match metrics with
@@ -376,7 +376,7 @@ let serve_cmd =
   in
   Cmd.v
     (Cmd.info "serve"
-       ~doc:"Run the analysis-as-a-service daemon: accept analyze requests from               many concurrent clients over $(docv), keeping decoded kernels,               golden traces, workspace plans, and the store hot across requests.               Responses are byte-identical to the one-shot $(b,analyze) command.               Stop with SIGTERM/SIGINT or the $(b,shutdown) subcommand.")
+       ~doc:"Run the analysis-as-a-service daemon: accept analyze requests from               many concurrent clients over the Unix-domain socket $(i,SOCKET), keeping decoded kernels,               golden traces, workspace plans, and the store hot across requests.               Responses are byte-identical to the one-shot $(b,analyze) command.               Stop with SIGTERM/SIGINT or the $(b,shutdown) subcommand.")
     Term.(const run $ socket_arg $ store_arg $ strict_store_arg $ shards_arg $ save_every_arg $ jobs_arg $ metrics_arg)
 
 let query_cmd =

@@ -64,71 +64,6 @@ let writers_of t buffer =
   |> List.filter_map (fun io ->
          if List.mem buffer io.writes then Some io.section_index else None)
 
-(* Static backward register liveness over a decoded kernel's CFG. The
-   injection prover uses it as an O(1) masking certificate: a destination
-   flip into a register that is not live-out cannot be observed before it
-   is overwritten, on any path the faulty run could take. *)
-module Liveness = struct
-  type t = {
-    live_in : bool array array;
-    live_out : bool array array;
-    readers : int list array;  (* per register: static pcs reading it *)
-  }
-
-  let of_decoded (decoded : Decode.t) =
-    let n = Decode.length decoded in
-    let nregs = decoded.Decode.nregs in
-    let succ = Decode.successors decoded in
-    let live_in = Array.make_matrix n nregs false in
-    let live_out = Array.make_matrix n nregs false in
-    let changed = ref true in
-    while !changed do
-      changed := false;
-      for pc = n - 1 downto 0 do
-        let o = live_out.(pc) in
-        Array.iter
-          (fun s ->
-            let si = live_in.(s) in
-            for r = 0 to nregs - 1 do
-              if si.(r) && not o.(r) then begin
-                o.(r) <- true;
-                changed := true
-              end
-            done)
-          succ.(pc);
-        let i = live_in.(pc) in
-        let d = Decode.dst_at decoded pc in
-        for r = 0 to nregs - 1 do
-          if o.(r) && r <> d && not i.(r) then begin
-            i.(r) <- true;
-            changed := true
-          end
-        done;
-        Array.iter
-          (fun r ->
-            if not i.(r) then begin
-              i.(r) <- true;
-              changed := true
-            end)
-          (Decode.srcs_at decoded pc)
-      done
-    done;
-    let readers = Array.make nregs [] in
-    for pc = n - 1 downto 0 do
-      Array.iter
-        (fun r ->
-          match readers.(r) with
-          | p :: _ when p = pc -> ()
-          | _ -> readers.(r) <- pc :: readers.(r))
-        (Decode.srcs_at decoded pc)
-    done;
-    { live_in; live_out; readers }
-
-  let live_in t ~pc ~reg = t.live_in.(pc).(reg)
-  let live_out t ~pc ~reg = t.live_out.(pc).(reg)
-  let readers_of t reg = t.readers.(reg)
-end
-
 let pp fmt t =
   Format.fprintf fmt "@[<v>";
   Array.iter

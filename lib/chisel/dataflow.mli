@@ -4,7 +4,8 @@
     outputs of one section flow into inputs of later ones; here it is
     derived from the kernels' declared in/out/inout buffer parameters.
     FastFlip's incremental engine also uses it to find the downstream
-    sections a semantic change can reach (§4.7). *)
+    sections a semantic change can reach (§4.7). Register liveness
+    inside a kernel is {!Ff_vm.Liveness}. *)
 
 type section_io = {
   section_index : int;
@@ -30,30 +31,5 @@ val downstream : t -> int -> int list
 
 val writers_of : t -> int -> int list
 (** Sections writing a given buffer, in schedule order. *)
-
-(** Static backward register liveness over a decoded kernel's CFG
-    (successors from {!Ff_vm.Decode.successors}, use/def from
-    [srcs_at]/[dst_at]). The injection prover's fast masking
-    certificate: a destination flip into a register that is not live-out
-    at its pc is overwritten before any read on {e every} static path,
-    so no faulty run can observe it. *)
-module Liveness : sig
-  type t
-
-  val of_decoded : Ff_vm.Decode.t -> t
-  (** One backward fixpoint per decoded kernel; reusable across every
-      section that calls the kernel. *)
-
-  val live_in : t -> pc:int -> reg:int -> bool
-  (** May the value [reg] holds on entry to [pc] be read before being
-      overwritten, on some path from [pc]? *)
-
-  val live_out : t -> pc:int -> reg:int -> bool
-  (** Same question right after [pc] executed (its def excluded). *)
-
-  val readers_of : t -> int -> int list
-  (** Use chain: the static pcs whose instruction reads the register, in
-      ascending order. *)
-end
 
 val pp : Format.formatter -> t -> unit

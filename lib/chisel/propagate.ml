@@ -55,15 +55,6 @@ let bound_for_injection t ~output ~section ~magnitudes =
       in
       find 0)
 
-(* Inverting Equation 4: a per-section SDC of magnitude phi moves output
-   lambda by at most sum_coeffs(f_{T,lambda,s}) * phi, so any injection
-   whose section-level magnitude stays below epsilon / sum_coeffs
-   provably keeps that output within epsilon end to end. *)
-let benign_floor t ~output ~section ~epsilon =
-  let spec = specialized t ~output ~section in
-  let s = Affine.sum_coeffs spec in
-  if s = 0.0 then infinity else epsilon /. s
-
 let pp fmt t =
   Format.fprintf fmt "@[<v>";
   List.iter

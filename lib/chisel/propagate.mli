@@ -32,13 +32,5 @@ val bound_for_injection :
     injection produced — the RHS of Equation 4 used by Algorithm 2.
     [magnitudes] pairs program-buffer indices with r_k. *)
 
-val benign_floor : t -> output:int -> section:int -> epsilon:float -> float
-(** The largest per-section SDC magnitude that provably keeps [output]
-    within [epsilon] end to end — Equation 4 inverted through
-    {!Affine.sup}: [epsilon /. sum_coeffs f_{T,λ,s}]. [infinity] when
-    the section cannot reach the output at all, [0.] when a coefficient
-    is infinite (nothing is provably benign). Feed the minimum over all
-    outputs to the outcome prover's benign rule. *)
-
 val pp : Format.formatter -> t -> unit
 (** Renders the final-output specifications like Equation 2. *)

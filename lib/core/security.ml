@@ -50,10 +50,7 @@ type t = {
   s_detected : int;  (** failed attacks: trap/timeout/misformatted *)
   s_masked : int;    (** absorbed: output unchanged (or within epsilon) *)
   s_findings : finding list;  (** descending damage, then pc order *)
-  s_valuation : Valuation.t;
-  s_solution : Knapsack.solution;
-  s_work : int;
-  s_injections : int;
+  s_baseline : Baseline.t;
 }
 
 let kernel_code golden =
@@ -88,9 +85,9 @@ let instr_label golden code (cls : Eqclass.t) =
     | Some i -> Instr.to_string i
     | None -> "<out of range>")
 
-let analyze ?pool ?engine ~epsilon golden (config : Campaign.config) =
-  let baseline = Campaign.run_baseline ?pool ?engine golden config in
-  let valuation = Valuation.of_baseline golden ~baseline ~epsilon in
+let analyze ?pool ~epsilon golden (config : Campaign.config) =
+  let b = Baseline.analyze ?pool config ~epsilon golden in
+  let baseline = b.Baseline.result and valuation = b.Baseline.valuation in
   let code = kernel_code golden in
   let silent = ref 0 and detected = ref 0 and masked = ref 0 in
   Array.iter
@@ -142,7 +139,6 @@ let analyze ?pool ?engine ~epsilon golden (config : Campaign.config) =
            | 0 -> Site.compare_pc a.f_pc b.f_pc
            | c -> c)
   in
-  let solution = Knapsack.solve (Knapsack.items_of_valuation valuation) in
   {
     s_model = config.Campaign.model;
     s_epsilon = epsilon;
@@ -152,15 +148,10 @@ let analyze ?pool ?engine ~epsilon golden (config : Campaign.config) =
     s_detected = !detected;
     s_masked = !masked;
     s_findings = findings;
-    s_valuation = valuation;
-    s_solution = solution;
-    s_work = baseline.Campaign.b_work;
-    s_injections = baseline.Campaign.b_injections;
+    s_baseline = b;
   }
 
-let protect_first t ~target =
-  let total = t.s_valuation.Valuation.total_value in
-  Knapsack.select t.s_solution ~target:(Knapsack.integer_target ~total target)
+let protect_first t ~target = Baseline.select t.s_baseline ~target
 
 let pct part whole =
   if whole = 0 then 0.0 else 100.0 *. float_of_int part /. float_of_int whole
@@ -248,6 +239,7 @@ let report ?(target = 0.9) t =
     Buffer.add_char buf '\n'
   end;
   let sel = protect_first t ~target in
+  let valuation = t.s_baseline.Baseline.valuation in
   (match sel.Knapsack.pcs with
   | [] ->
     Buffer.add_string buf
@@ -260,7 +252,6 @@ let report ?(target = 0.9) t =
          target
          (String.concat ", "
             (List.map (fun pc -> Format.asprintf "%a" Site.pp_pc pc) pcs))
-         (pct sel.Knapsack.value t.s_valuation.Valuation.total_value)
-         (100.0
-         *. Valuation.cost_fraction t.s_valuation ~selected:sel.Knapsack.pcs)));
+         (pct sel.Knapsack.value valuation.Valuation.total_value)
+         (100.0 *. Valuation.cost_fraction valuation ~selected:sel.Knapsack.pcs)));
   Buffer.contents buf

@@ -47,22 +47,20 @@ type t = {
   s_detected : int;
   s_masked : int;
   s_findings : finding list;
-  s_valuation : Valuation.t;
-  s_solution : Knapsack.solution;
-  s_work : int;
-  s_injections : int;
+  s_baseline : Baseline.t;
+      (** the whole-trace campaign, its valuation and knapsack solution *)
 }
 
 val analyze :
   ?pool:Ff_support.Pool.t ->
-  ?engine:Ff_vm.Replay.engine ->
   epsilon:float ->
   Ff_vm.Golden.t ->
   Ff_inject.Campaign.config ->
   t
 (** Run the whole-trace campaign under [config] (whose
     [Campaign.config.model] is the threat model) and label every class
-    for the attacker. Deterministic for any pool width and engine. *)
+    for the attacker, on top of {!Baseline.analyze}. Deterministic for
+    any pool width. *)
 
 val protect_first : t -> target:float -> Knapsack.selection
 (** The knapsack selection covering [target] (in [0,1], converted by

@@ -145,7 +145,7 @@ let entry_sum_under section injection buffer ~base =
         in
         base -. scalar old_v +. scalar new_v
 
-let measure ?(pool = Pool.serial) ?(engine = Replay.default_engine) ?backing
+let measure ?(pool = Pool.serial) ?backing
     (config : Pipeline.config) golden ~section_index ~detectors ~classes =
   Telemetry.span "detect.coverage"
     ~attrs:[ ("section", string_of_int section_index) ]
@@ -206,7 +206,7 @@ let measure ?(pool = Pool.serial) ?(engine = Replay.default_engine) ?backing
     let run_one (cls : Eqclass.t) =
       let injection = Site.replay_injection ~model (Eqclass.pilot cls) in
       let replay, captured =
-        Replay.run_section_capture ~burst ~engine golden section injection
+        Replay.run_section_capture ~burst golden section injection
           ~timeout_factor ~buffers:capture_idx
       in
       let mask = ref 0 in

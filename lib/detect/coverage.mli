@@ -5,7 +5,7 @@
     and evaluate every candidate detector against the faulty exit
     buffers: a detector {e covers} the class iff it fires on the pilot.
     The replays reuse the campaign's exact fault lowering (model burst,
-    pilot site, timeout budget) and the unboxed engine, pooled over
+    pilot site, timeout budget) and {!Ff_vm.Replay.default_engine}, pooled over
     classes with order-independent merging — deterministic at any pool
     width.
 
@@ -31,7 +31,6 @@ type t = {
 
 val measure :
   ?pool:Ff_support.Pool.t ->
-  ?engine:Ff_vm.Replay.engine ->
   ?backing:Fastflip.Pipeline.backing ->
   Fastflip.Pipeline.config ->
   Ff_vm.Golden.t ->

@@ -26,7 +26,7 @@ type t = {
 let synth_seed (config : Pipeline.config) =
   Hashing.combine config.Pipeline.seed 0x6465746563L
 
-let run ?(pool = Pool.serial) ?engine ?backing ?(detectors_enabled = true)
+let run ?(pool = Pool.serial) ?backing ?(detectors_enabled = true)
     ?max_detectors ?train ?validate ?focus (config : Pipeline.config)
     (analysis : Pipeline.analysis) ~target =
   Telemetry.span "detect.protect" @@ fun () ->
@@ -59,7 +59,7 @@ let run ?(pool = Pool.serial) ?engine ?backing ?(detectors_enabled = true)
             if Array.length candidates = 0 || bad = [] then None
             else
               Some
-                (Coverage.measure ~pool ?engine ?backing config golden
+                (Coverage.measure ~pool ?backing config golden
                    ~section_index:si ~detectors:candidates
                    ~classes:(List.map (fun l -> l.Valuation.cls) bad)))
           (List.init (Array.length golden.Golden.sections) Fun.id)

@@ -22,7 +22,6 @@ type t = {
 
 val run :
   ?pool:Ff_support.Pool.t ->
-  ?engine:Ff_vm.Replay.engine ->
   ?backing:Fastflip.Pipeline.backing ->
   ?detectors_enabled:bool ->
   ?max_detectors:int ->

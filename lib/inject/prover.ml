@@ -3,7 +3,6 @@ open Ff_vm
 module Hashing = Ff_support.Hashing
 module Telemetry = Ff_support.Telemetry
 module Ephemeron_cache = Ff_support.Ephemeron_cache
-module Liveness = Ff_chisel.Dataflow.Liveness
 
 (* Static outcome prover: decide the outcome of whole equivalence
    classes from the decoded IR and the golden trace alone, before any
@@ -23,18 +22,15 @@ module Liveness = Ff_chisel.Dataflow.Liveness
    fanned out to the replay pool as before: the prover may abstain, it
    may never disagree.
 
-   Soundness rests on three guards:
+   Soundness rests on two guards:
    - the golden recording pass is self-validating: it re-executes the
-     section with the boxed semantics and aborts (disabling the prover
-     for the section) unless its pc stream and exit buffers match the
-     golden run bit for bit;
+     section with {!Machine.step} and aborts (disabling the prover for
+     the section) unless its pc stream and exit buffers match the golden
+     run bit for bit;
    - sections whose replay budget could not even cover the golden
      schedule, or whose golden exit already holds non-finite writable
      values (where even a masked replay reports Misformatted), are
-     refused wholesale;
-   - decided SDC magnitudes above [policy.benign_floor] are demoted to
-     undecided, so a deliberately small floor confines proofs to
-     provably-benign flips (see {!Ff_chisel.Propagate.benign_floor}).
+     refused wholesale.
 
    Store keys fold {!policy_hash} — which includes {!version} — so
    cached records and checkpoint journals never mix prover generations
@@ -51,13 +47,10 @@ let m_final_undecided = Telemetry.counter "prover.final_undecided"
 
 let version = 1
 
-type policy = {
-  enabled : bool;
-  benign_floor : float;
-}
+type policy = { enabled : bool }
 
-let off = { enabled = false; benign_floor = infinity }
-let on = { enabled = true; benign_floor = infinity }
+let off = { enabled = false }
+let on = { enabled = true }
 
 (* FF_PROVE=off mirrors FF_ENGINE=boxed: the field escape hatch when
    bisecting a suspected prover divergence. *)
@@ -70,12 +63,13 @@ let policy_hash p =
   let h = Hashing.create () in
   Hashing.add_int h version;
   Hashing.add_int h (if p.enabled then 1 else 0);
-  Hashing.add_float h p.benign_floor;
+  (* the retired benign floor, always infinite: kept so store keys stay
+     stable *)
+  Hashing.add_float h infinity;
   Hashing.value h
 
 type section_prover = {
   section : Golden.section_run;
-  policy : policy;
   burst : int;
   decoded : Decode.t;
   code : Instr.t array;
@@ -105,7 +99,7 @@ type recording = {
   r_mem_access : (int * int, int array) Hashtbl.t;
 }
 
-(* Re-execute the section with the boxed semantics, recording the golden
+(* Re-execute the section with {!Machine.step}, recording the golden
    value of every source operand (before) and destination (after) of
    every dynamic instruction. The pc stream is checked against the
    golden trace step by step and the final buffers against the golden
@@ -148,18 +142,6 @@ let record (section : Golden.section_run) golden_exit =
     | Some l -> l := j :: !l
     | None -> Hashtbl.add accesses key (ref [ j ])
   in
-  let load_slot slot idx =
-    let store = buffers.(slot) in
-    let i = Int64.to_int idx in
-    if idx < 0L || idx >= Int64.of_int (Array.length store) then raise Invalid_recording
-    else store.(i)
-  in
-  let store_slot slot idx v =
-    let store = buffers.(slot) in
-    let i = Int64.to_int idx in
-    if idx < 0L || idx >= Int64.of_int (Array.length store) then raise Invalid_recording
-    else store.(i) <- v
-  in
   (try
      let pc = ref 0 in
      for j = 0 to dyn_count - 1 do
@@ -167,49 +149,16 @@ let record (section : Golden.section_run) golden_exit =
        let instr = code.(!pc) in
        let base = soff.(j) in
        Array.iteri (fun k r -> svals.(base + k) <- regs.(r)) (Decode.srcs_at decoded !pc);
-       let next = ref (!pc + 1) in
+       let next = Machine.step regs buffers instr ~pc:!pc in
+       (* A Load's or Store's first source is its index. *)
        (match instr with
-       | Instr.Mov (d, s) -> regs.(d) <- regs.(s)
-       | Instr.Iconst (d, v) -> regs.(d) <- Value.Int v
-       | Instr.Fconst (d, v) -> regs.(d) <- Value.Float v
-       | Instr.Ibin (op, d, a, b) ->
-         regs.(d) <-
-           Value.Int (Machine.eval_ibin op (Machine.as_int regs.(a)) (Machine.as_int regs.(b)))
-       | Instr.Fbin (op, d, a, b) ->
-         regs.(d) <-
-           Value.Float
-             (Machine.eval_fbin op (Machine.as_float regs.(a)) (Machine.as_float regs.(b)))
-       | Instr.Iun (op, d, a) -> regs.(d) <- Value.Int (Machine.eval_iun op (Machine.as_int regs.(a)))
-       | Instr.Fun1 (op, d, a) ->
-         regs.(d) <- Value.Float (Machine.eval_funop op (Machine.as_float regs.(a)))
-       | Instr.Icmp (c, d, a, b) ->
-         let v =
-           if Machine.eval_icmp c (Machine.as_int regs.(a)) (Machine.as_int regs.(b)) then 1L
-           else 0L
-         in
-         regs.(d) <- Value.Int v
-       | Instr.Fcmp (c, d, a, b) ->
-         let v =
-           if Machine.eval_fcmp c (Machine.as_float regs.(a)) (Machine.as_float regs.(b)) then 1L
-           else 0L
-         in
-         regs.(d) <- Value.Int v
-       | Instr.Cast (c, d, a) -> regs.(d) <- Machine.eval_cast c regs.(a)
-       | Instr.Select (d, c, a, b) ->
-         regs.(d) <- (if Machine.as_int regs.(c) <> 0L then regs.(a) else regs.(b))
-       | Instr.Load (d, slot, i) ->
-         let idx = Machine.as_int regs.(i) in
-         regs.(d) <- load_slot slot idx;
-         note_access slot idx j
-       | Instr.Store (slot, i, v) ->
-         let idx = Machine.as_int regs.(i) in
-         store_slot slot idx regs.(v);
-         note_access slot idx j
-       | Instr.Jmp l -> next := l
-       | Instr.Br (c, l1, l2) -> next := (if Machine.as_int regs.(c) <> 0L then l1 else l2)
-       | Instr.Halt -> if j <> dyn_count - 1 then raise Invalid_recording);
-       (match Instr.dst instr with Some d -> dvals.(j) <- regs.(d) | None -> ());
-       pc := !next
+       | Instr.Load (_, slot, _) | Instr.Store (slot, _, _) ->
+         note_access slot (Machine.as_int svals.(base)) j
+       | _ -> ());
+       let d = Decode.dst_at decoded !pc in
+       if d >= 0 then dvals.(j) <- regs.(d);
+       if next < 0 && j <> dyn_count - 1 then raise Invalid_recording;
+       pc := next
      done
    with Machine.Trap _ -> raise Invalid_recording);
   (* Exit-state validation: every bound buffer must match the golden
@@ -262,52 +211,48 @@ let recording_of section golden_exit =
       | r -> Some r
       | exception Invalid_recording -> None)
 
-let prepare golden ~section_index ~timeout_factor policy ~burst =
-  if not policy.enabled then None
+let prepare golden ~section_index ~timeout_factor ~burst =
+  let section = golden.Golden.sections.(section_index) in
+  let dyn_count = section.Golden.dyn_count in
+  if Replay.budget_of ~timeout_factor dyn_count < dyn_count then None
   else begin
-    let section = golden.Golden.sections.(section_index) in
-    let dyn_count = section.Golden.dyn_count in
-    if Replay.budget_of ~timeout_factor dyn_count < dyn_count then None
-    else begin
-      let plan = Workspace.plan_of golden in
-      let golden_exit = Golden.exit_state golden section_index in
-      let nprog = Array.length section.Golden.entry_state in
-      let writable = Array.make nprog false in
-      let writable_idx = plan.Workspace.writable_idx.(section_index) in
-      Array.iter (fun idx -> writable.(idx) <- true) writable_idx;
-      let exit_nonfinite =
-        Array.exists
-          (fun idx -> Array.exists (fun v -> not (Value.is_finite v)) golden_exit.(idx))
-          writable_idx
-      in
-      match recording_of section golden_exit with
-      | None ->
-        Telemetry.incr m_refused;
-        None
-      | Some r ->
-        Some
-          {
-            section;
-            policy;
-            burst;
-            decoded = section.Golden.decoded;
-            code = section.Golden.kernel.Kernel.code;
-            soff = r.r_soff;
-            svals = r.r_svals;
-            dvals = r.r_dvals;
-            slot_idx = r.r_slot_idx;
-            buf_len = r.r_buf_len;
-            mem_access = r.r_mem_access;
-            golden_exit;
-            writable;
-            writable_idx;
-            exit_nonfinite;
-            liveness = liveness_of section.Golden.decoded;
-            final_zero =
-              Program.output_buffers golden.Golden.program
-              |> List.map (fun (idx, _) -> (idx, 0.0));
-          }
-    end
+    let plan = Workspace.plan_of golden in
+    let golden_exit = Golden.exit_state golden section_index in
+    let nprog = Array.length section.Golden.entry_state in
+    let writable = Array.make nprog false in
+    let writable_idx = plan.Workspace.writable_idx.(section_index) in
+    Array.iter (fun idx -> writable.(idx) <- true) writable_idx;
+    let exit_nonfinite =
+      Array.exists
+        (fun idx -> Array.exists (fun v -> not (Value.is_finite v)) golden_exit.(idx))
+        writable_idx
+    in
+    match recording_of section golden_exit with
+    | None ->
+      Telemetry.incr m_refused;
+      None
+    | Some r ->
+      Some
+        {
+          section;
+          burst;
+          decoded = section.Golden.decoded;
+          code = section.Golden.kernel.Kernel.code;
+          soff = r.r_soff;
+          svals = r.r_svals;
+          dvals = r.r_dvals;
+          slot_idx = r.r_slot_idx;
+          buf_len = r.r_buf_len;
+          mem_access = r.r_mem_access;
+          golden_exit;
+          writable;
+          writable_idx;
+          exit_nonfinite;
+          liveness = liveness_of section.Golden.decoded;
+          final_zero =
+            Program.output_buffers golden.Golden.program
+            |> List.map (fun (idx, _) -> (idx, 0.0));
+        }
   end
 
 type walk =
@@ -573,8 +518,7 @@ let section_outcome_of_mem sp mem =
             (idx, match Hashtbl.find_opt mags idx with Some m -> m | None -> 0.0))
           sp.writable_idx
       in
-      let worst = Array.fold_left (fun acc (_, m) -> Float.max acc m) 0.0 sdc in
-      if worst > sp.policy.benign_floor then None else Some (Outcome.S_sdc sdc)
+      Some (Outcome.S_sdc sdc)
     end
   end
 
@@ -636,7 +580,7 @@ let prove_section golden ~section_index ~timeout_factor ~model policy classes =
   if not policy.enabled then Array.map (fun _ -> None) classes
   else
     match Option.bind (reg_burst_of model) (fun burst ->
-              prepare golden ~section_index ~timeout_factor policy ~burst)
+              prepare golden ~section_index ~timeout_factor ~burst)
     with
     | None ->
       Telemetry.add m_undecided (Array.length classes);
@@ -658,7 +602,7 @@ let prove_final golden ~section_index ~timeout_factor ~model policy classes =
   if not policy.enabled then Array.map (fun _ -> None) classes
   else
     match Option.bind (reg_burst_of model) (fun burst ->
-              prepare golden ~section_index ~timeout_factor policy ~burst)
+              prepare golden ~section_index ~timeout_factor ~burst)
     with
     | None ->
       Telemetry.add m_final_undecided (Array.length classes);

@@ -7,18 +7,15 @@
     the concrete golden schedule:
 
     - flips that are dead or overwritten before use (the taint dies, or
-      a destination flip into a statically non-live register) are
-      {e Masked} — all-zero section SDC;
+      a destination flip into a register {!Ff_vm.Liveness} finds
+      not live-out) are {e Masked} — all-zero section SDC;
     - flips whose only consumer provably traps (a corrupted address or
       bounds computation going out of range, a division forced to zero,
       an invalid conversion) with no dataflow escaping first are
       {e Crash};
-    - flips whose exact propagated perturbation is confined below the
-      policy's benign floor (derive one from the chisel affine
-      sensitivity bound via {!Ff_chisel.Propagate.benign_floor}) are
-      {e Benign} — the walk computes the replay's section SDC magnitudes
-      bit for bit, so with the default infinite floor every completed
-      walk is decided.
+    - flips the walk follows to the section's end get their exact
+      section SDC ({e Benign}) — the walk computes the replay's section
+      SDC magnitudes bit for bit, so every completed walk is decided.
 
     Everything else — control-flow divergence, loads/stores through a
     corrupted index, non-finite faulty values, side-effect writes — is
@@ -26,18 +23,16 @@
     differential-tested against full replay as the oracle: the prover
     may abstain, it may never disagree.
 
+    The golden values the walk starts from are recorded by running the
+    section through {!Ff_vm.Machine.step}, the interpreter's own
+    dispatch, and the recording is discarded unless its pc stream and
+    exit buffers match the golden run bit for bit.
+
     Proofs only consult golden data, so they are identical for every
     pool width and execution engine. Fold {!policy_hash} (which covers
     {!version}) into any persistent key caching campaign results. *)
 
-type policy = {
-  enabled : bool;
-  benign_floor : float;
-      (** Decided non-masked SDC magnitudes above this are demoted to
-          undecided (and replayed). [infinity] decides everything the
-          walk completes; a finite floor confines proofs to
-          provably-benign flips. *)
-}
+type policy = { enabled : bool }
 
 val version : int
 (** Bump on any change to what the prover claims; {!policy_hash} folds
@@ -47,7 +42,7 @@ val off : policy
 (** Prover disabled: every class is residual. *)
 
 val on : policy
-(** Prover enabled with an infinite benign floor. *)
+(** Prover enabled. *)
 
 val default_policy : policy
 (** {!on}, unless the [FF_PROVE=off] environment escape hatch is set

@@ -1,4 +1,5 @@
 open Ff_ir
+open Ff_vm
 
 (* --- shared CFG helpers ------------------------------------------------ *)
 
@@ -50,70 +51,9 @@ let filter_code (kernel : Kernel.t) keep =
 
 (* --- constant folding -------------------------------------------------- *)
 
-let int64_max_float = 9.223372036854775808e18
-
-let fold_ibin op a b =
-  let open Int64 in
-  match op with
-  | Instr.Iadd -> Some (add a b)
-  | Instr.Isub -> Some (sub a b)
-  | Instr.Imul -> Some (mul a b)
-  | Instr.Idiv -> if equal b 0L then None else Some (div a b)
-  | Instr.Irem -> if equal b 0L then None else Some (rem a b)
-  | Instr.Iand -> Some (logand a b)
-  | Instr.Ior -> Some (logor a b)
-  | Instr.Ixor -> Some (logxor a b)
-  | Instr.Ishl -> Some (shift_left a (to_int b land 63))
-  | Instr.Ilshr -> Some (shift_right_logical a (to_int b land 63))
-  | Instr.Iashr -> Some (shift_right a (to_int b land 63))
-  | Instr.Irotl ->
-    let s = to_int b land 63 in
-    Some (if s = 0 then a else logor (shift_left a s) (shift_right_logical a (64 - s)))
-  | Instr.Irotr ->
-    let s = to_int b land 63 in
-    Some (if s = 0 then a else logor (shift_right_logical a s) (shift_left a (64 - s)))
-  | Instr.Imin -> Some (if compare a b <= 0 then a else b)
-  | Instr.Imax -> Some (if compare a b >= 0 then a else b)
-
-let fold_fbin op a b =
-  match op with
-  | Instr.Fadd -> a +. b
-  | Instr.Fsub -> a -. b
-  | Instr.Fmul -> a *. b
-  | Instr.Fdiv -> a /. b
-  | Instr.Fmin -> Float.min a b
-  | Instr.Fmax -> Float.max a b
-  | Instr.Fpow -> Float.pow a b
-
-let fold_funop op a =
-  match op with
-  | Instr.FFneg -> -.a
-  | Instr.FFabs -> Float.abs a
-  | Instr.FFsqrt -> sqrt a
-  | Instr.FFexp -> exp a
-  | Instr.FFlog -> log a
-  | Instr.FFsin -> sin a
-  | Instr.FFcos -> cos a
-  | Instr.FFfloor -> Float.floor a
-  | Instr.FFceil -> Float.ceil a
-
-let fold_cmp c r =
-  match c with
-  | Instr.Ceq -> r = 0
-  | Instr.Cne -> r <> 0
-  | Instr.Clt -> r < 0
-  | Instr.Cle -> r <= 0
-  | Instr.Cgt -> r > 0
-  | Instr.Cge -> r >= 0
-
-let fold_fcmp c a b =
-  match c with
-  | Instr.Ceq -> a = b
-  | Instr.Cne -> a <> b
-  | Instr.Clt -> a < b
-  | Instr.Cle -> a <= b
-  | Instr.Cgt -> a > b
-  | Instr.Cge -> a >= b
+let const_of d = function
+  | Value.Int v -> Instr.Iconst (d, v)
+  | Value.Float v -> Instr.Fconst (d, v)
 
 let constant_fold (kernel : Kernel.t) =
   let code = Array.copy kernel.Kernel.code in
@@ -127,57 +67,34 @@ let constant_fold (kernel : Kernel.t) =
     | Some d -> known.(d) <- value
     | None -> ()
   in
+  (* A compute op with every source known is evaluated by the
+     interpreter's own step on a scratch register file, so folding can
+     never disagree with a run; an op that would trap stays unfolded. *)
+  let scratch = Array.make kernel.Kernel.nregs (Value.Int 0L) in
+  let eval instr d =
+    let srcs = Instr.srcs instr in
+    if not (List.for_all (fun r -> Option.is_some (get r)) srcs) then None
+    else begin
+      List.iter (fun r -> scratch.(r) <- Option.get (get r)) srcs;
+      match Machine.step scratch [||] instr ~pc:0 with
+      | _ -> Some (const_of d scratch.(d))
+      | exception Machine.Trap _ -> None
+    end
+  in
   for i = 0 to n - 1 do
     if targets.(i) then reset ();
     let instr = code.(i) in
     let folded =
       match instr with
-      | Instr.Mov (d, s) -> (
-        match get s with
-        | Some (Value.Int v) -> Some (Instr.Iconst (d, v))
-        | Some (Value.Float v) -> Some (Instr.Fconst (d, v))
-        | None -> None)
-      | Instr.Ibin (op, d, a, b) -> (
-        match (get a, get b) with
-        | Some (Value.Int x), Some (Value.Int y) -> (
-          match fold_ibin op x y with
-          | Some v -> Some (Instr.Iconst (d, v))
-          | None -> None)
-        | _ -> None)
-      | Instr.Fbin (op, d, a, b) -> (
-        match (get a, get b) with
-        | Some (Value.Float x), Some (Value.Float y) ->
-          Some (Instr.Fconst (d, fold_fbin op x y))
-        | _ -> None)
-      | Instr.Iun (op, d, a) -> (
-        match get a with
-        | Some (Value.Int x) ->
-          let v = match op with Instr.Ineg -> Int64.neg x | Instr.Inot -> Int64.lognot x in
-          Some (Instr.Iconst (d, v))
-        | _ -> None)
-      | Instr.Fun1 (op, d, a) -> (
-        match get a with
-        | Some (Value.Float x) -> Some (Instr.Fconst (d, fold_funop op x))
-        | _ -> None)
-      | Instr.Icmp (c, d, a, b) -> (
-        match (get a, get b) with
-        | Some (Value.Int x), Some (Value.Int y) ->
-          Some (Instr.Iconst (d, if fold_cmp c (Int64.compare x y) then 1L else 0L))
-        | _ -> None)
-      | Instr.Fcmp (c, d, a, b) -> (
-        match (get a, get b) with
-        | Some (Value.Float x), Some (Value.Float y) ->
-          Some (Instr.Iconst (d, if fold_fcmp c x y then 1L else 0L))
-        | _ -> None)
-      | Instr.Cast (c, d, a) -> (
-        match (c, get a) with
-        | Instr.Itof, Some (Value.Int x) -> Some (Instr.Fconst (d, Int64.to_float x))
-        | Instr.Ftoi, Some (Value.Float x)
-          when Float.is_finite x && x < int64_max_float && x >= -.int64_max_float ->
-          Some (Instr.Iconst (d, Int64.of_float x))
-        | Instr.Fbits, Some (Value.Float x) -> Some (Instr.Iconst (d, Int64.bits_of_float x))
-        | Instr.Bitsf, Some (Value.Int x) -> Some (Instr.Fconst (d, Int64.float_of_bits x))
-        | _ -> None)
+      | Instr.Mov (d, s) -> Option.map (const_of d) (get s)
+      | Instr.Ibin (_, d, _, _)
+      | Instr.Fbin (_, d, _, _)
+      | Instr.Iun (_, d, _)
+      | Instr.Fun1 (_, d, _)
+      | Instr.Icmp (_, d, _, _)
+      | Instr.Fcmp (_, d, _, _)
+      | Instr.Cast (_, d, _) ->
+        eval instr d
       | Instr.Select (d, c, a, b) -> (
         match get c with
         | Some (Value.Int cv) -> Some (Instr.Mov (d, if cv <> 0L then a else b))
@@ -333,58 +250,15 @@ let is_pure = function
   | Instr.Iun _ | Instr.Fun1 _ | Instr.Icmp _ | Instr.Fcmp _ | Instr.Cast _
   | Instr.Select _ | Instr.Load _ -> true
 
-let liveness (kernel : Kernel.t) =
-  let code = kernel.Kernel.code in
-  let n = Array.length code in
-  let nregs = kernel.Kernel.nregs in
-  let live_in = Array.init n (fun _ -> Array.make nregs false) in
-  let live_out = Array.init n (fun _ -> Array.make nregs false) in
-  let changed = ref true in
-  while !changed do
-    changed := false;
-    for i = n - 1 downto 0 do
-      let out = live_out.(i) in
-      List.iter
-        (fun s ->
-          if s < n then begin
-            let s_in = live_in.(s) in
-            for r = 0 to nregs - 1 do
-              if s_in.(r) && not (out.(r)) then begin
-                out.(r) <- true;
-                changed := true
-              end
-            done
-          end)
-        (successors code i);
-      let inn = live_in.(i) in
-      let def = Instr.dst code.(i) in
-      for r = 0 to nregs - 1 do
-        let v = out.(r) && Some r <> def in
-        if v && not inn.(r) then begin
-          inn.(r) <- true;
-          changed := true
-        end
-      done;
-      List.iter
-        (fun r ->
-          if not inn.(r) then begin
-            inn.(r) <- true;
-            changed := true
-          end)
-        (Instr.srcs code.(i))
-    done
-  done;
-  live_out
-
 let dce_once (kernel : Kernel.t) =
   let code = kernel.Kernel.code in
   let n = Array.length code in
-  let live_out = liveness kernel in
+  let live = Liveness.of_decoded (Decode.of_kernel kernel) in
   let keep = Array.make n true in
   let removed = ref false in
   for i = 0 to n - 1 do
     match Instr.dst code.(i) with
-    | Some d when is_pure code.(i) && not live_out.(i).(d) ->
+    | Some d when is_pure code.(i) && not (Liveness.live_out live ~pc:i ~reg:d) ->
       keep.(i) <- false;
       removed := true
     | _ -> ()

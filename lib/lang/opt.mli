@@ -15,7 +15,10 @@
 val constant_fold : Ff_ir.Kernel.t -> Ff_ir.Kernel.t
 (** Local constant propagation and folding. The register-constant map
     resets at branch targets; instruction count and labels are
-    unchanged (a folded [Br] becomes a [Jmp] in place). *)
+    unchanged (a folded [Br] becomes a [Jmp] in place). An arithmetic,
+    compare or cast instruction whose sources are all known is evaluated
+    by {!Ff_vm.Machine.step}, so a folded value is exactly what a run
+    computes; an instruction that would trap is left in place. *)
 
 val copy_propagate : Ff_ir.Kernel.t -> Ff_ir.Kernel.t
 (** Local (basic-block) copy propagation through [Mov]s; the copies
@@ -38,8 +41,11 @@ val common_subexpressions : Ff_ir.Kernel.t -> Ff_ir.Kernel.t
 
 val dead_code_elimination : Ff_ir.Kernel.t -> Ff_ir.Kernel.t
 (** Global liveness-based removal of pure instructions whose destination
-    is never read, iterated to a fixpoint, with label remapping. *)
+    is never read ({!Ff_vm.Liveness}, the analysis the injection prover
+    also uses), iterated to a fixpoint, with label remapping. The kernel
+    must decode ({!Ff_vm.Decode.of_kernel}). *)
 
 val optimize : Ff_ir.Kernel.t -> Ff_ir.Kernel.t
 (** The standard pipeline: fold, copy-propagate, simplify, prune, DCE —
-    run twice. *)
+    run twice. Raises [Invalid_argument] on a kernel that does not
+    decode, like {!dead_code_elimination}. *)

@@ -130,6 +130,64 @@ let eval_cast c v =
   | Instr.Fbits -> Value.Int (Int64.bits_of_float (as_float v))
   | Instr.Bitsf -> Value.Float (Int64.float_of_bits (as_int v))
 
+(* Bounds-checked buffer access: the one place an out-of-range index
+   becomes an [Out_of_bounds] trap. *)
+let load_slot buffers slot idx =
+  let store = buffers.(slot) in
+  if idx < 0L || idx >= Int64.of_int (Array.length store) then trap Out_of_bounds
+  else store.(Int64.to_int idx)
+
+let store_slot buffers slot idx v =
+  let store = buffers.(slot) in
+  if idx < 0L || idx >= Int64.of_int (Array.length store) then trap Out_of_bounds
+  else store.(Int64.to_int idx) <- v
+
+let step regs buffers instr ~pc =
+  match instr with
+  | Instr.Mov (d, s) ->
+    regs.(d) <- regs.(s);
+    pc + 1
+  | Instr.Iconst (d, v) ->
+    regs.(d) <- Value.Int v;
+    pc + 1
+  | Instr.Fconst (d, v) ->
+    regs.(d) <- Value.Float v;
+    pc + 1
+  | Instr.Ibin (op, d, a, b) ->
+    regs.(d) <- Value.Int (eval_ibin op (as_int regs.(a)) (as_int regs.(b)));
+    pc + 1
+  | Instr.Fbin (op, d, a, b) ->
+    regs.(d) <- Value.Float (eval_fbin op (as_float regs.(a)) (as_float regs.(b)));
+    pc + 1
+  | Instr.Iun (op, d, a) ->
+    regs.(d) <- Value.Int (eval_iun op (as_int regs.(a)));
+    pc + 1
+  | Instr.Fun1 (op, d, a) ->
+    regs.(d) <- Value.Float (eval_funop op (as_float regs.(a)));
+    pc + 1
+  | Instr.Icmp (c, d, a, b) ->
+    regs.(d) <- Value.Int (if eval_icmp c (as_int regs.(a)) (as_int regs.(b)) then 1L else 0L);
+    pc + 1
+  | Instr.Fcmp (c, d, a, b) ->
+    regs.(d) <-
+      Value.Int (if eval_fcmp c (as_float regs.(a)) (as_float regs.(b)) then 1L else 0L);
+    pc + 1
+  | Instr.Cast (c, d, a) ->
+    regs.(d) <- eval_cast c regs.(a);
+    pc + 1
+  | Instr.Select (d, c, a, b) ->
+    regs.(d) <- (if as_int regs.(c) <> 0L then regs.(a) else regs.(b));
+    pc + 1
+  | Instr.Load (d, slot, i) ->
+    regs.(d) <- load_slot buffers slot (as_int regs.(i));
+    pc + 1
+  | Instr.Store (slot, i, v) ->
+    store_slot buffers slot (as_int regs.(i)) regs.(v);
+    pc + 1
+  | Instr.Jmp l -> l
+  | Instr.Br (c, l1, l2) -> if as_int regs.(c) <> 0L then l1 else l2
+  | Instr.Halt -> -1
+
 let burst_bits ~bit ~burst = List.init (max 1 burst) (fun i -> (bit + i) mod 64)
 
 (* {2 Encoding corruption}
@@ -370,18 +428,6 @@ let exec (kernel : Kernel.t) ~scalars ~buffers ~budget ?decoded ?injection ?(bur
     | Some t -> fun pc -> Trace.add t pc
     | None -> fun _ -> ()
   in
-  let load_slot slot idx =
-    let store = buffers.(slot) in
-    let i = Int64.to_int idx in
-    if idx < 0L || idx >= Int64.of_int (Array.length store) then trap Out_of_bounds
-    else store.(i)
-  in
-  let store_slot slot idx v =
-    let store = buffers.(slot) in
-    let i = Int64.to_int idx in
-    if idx < 0L || idx >= Int64.of_int (Array.length store) then trap Out_of_bounds
-    else store.(i) <- v
-  in
   let flip_bits = burst_bits ~bit:inj_bit ~burst in
   let flip_reg r = List.iter (fun b -> regs.(r) <- Value.flip_bit regs.(r) b) flip_bits in
   (* Operand addressing for the flip: the decoded operand tables when the
@@ -439,46 +485,22 @@ let exec (kernel : Kernel.t) ~scalars ~buffers ~budget ?decoded ?injection ?(bur
               {
                 se_read = (fun r -> regs.(r));
                 se_write = (fun r v -> regs.(r) <- v);
-                se_load = load_slot;
-                se_store = store_slot;
+                se_load = load_slot buffers;
+                se_store = store_slot buffers;
               }
             in
             let nx = exec_corrupt_step d ~pc:!pc ~bit:inj_bit env in
             if nx < 0 then continue := false else pc := nx
           end
           else begin
-          if injecting then begin
-            match inj_operand with
-            | Osrc k -> flip_src !pc instr k
-            | Odst | Oskip | Oenc -> ()
-          end;
-          let next = ref (!pc + 1) in
-          (match instr with
-          | Instr.Mov (d, s) -> regs.(d) <- regs.(s)
-          | Instr.Iconst (d, v) -> regs.(d) <- Value.Int v
-          | Instr.Fconst (d, v) -> regs.(d) <- Value.Float v
-          | Instr.Ibin (op, d, a, b) ->
-            regs.(d) <- Value.Int (eval_ibin op (as_int regs.(a)) (as_int regs.(b)))
-          | Instr.Fbin (op, d, a, b) ->
-            regs.(d) <- Value.Float (eval_fbin op (as_float regs.(a)) (as_float regs.(b)))
-          | Instr.Iun (op, d, a) -> regs.(d) <- Value.Int (eval_iun op (as_int regs.(a)))
-          | Instr.Fun1 (op, d, a) -> regs.(d) <- Value.Float (eval_funop op (as_float regs.(a)))
-          | Instr.Icmp (c, d, a, b) ->
-            let v = if eval_icmp c (as_int regs.(a)) (as_int regs.(b)) then 1L else 0L in
-            regs.(d) <- Value.Int v
-          | Instr.Fcmp (c, d, a, b) ->
-            let v = if eval_fcmp c (as_float regs.(a)) (as_float regs.(b)) then 1L else 0L in
-            regs.(d) <- Value.Int v
-          | Instr.Cast (c, d, a) -> regs.(d) <- eval_cast c regs.(a)
-          | Instr.Select (d, c, a, b) ->
-            regs.(d) <- (if as_int regs.(c) <> 0L then regs.(a) else regs.(b))
-          | Instr.Load (d, slot, i) -> regs.(d) <- load_slot slot (as_int regs.(i))
-          | Instr.Store (slot, i, v) -> store_slot slot (as_int regs.(i)) regs.(v)
-          | Instr.Jmp l -> next := l
-          | Instr.Br (c, l1, l2) -> next := (if as_int regs.(c) <> 0L then l1 else l2)
-          | Instr.Halt -> continue := false);
-          if injecting && inj_operand = Odst then flip_dst !pc instr;
-          pc := !next
+            if injecting then begin
+              match inj_operand with
+              | Osrc k -> flip_src !pc instr k
+              | Odst | Oskip | Oenc -> ()
+            end;
+            let nx = step regs buffers instr ~pc:!pc in
+            if injecting && inj_operand = Odst then flip_dst !pc instr;
+            if nx < 0 then continue := false else pc := nx
           end
         end
       done;

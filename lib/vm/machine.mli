@@ -50,14 +50,25 @@ type injection = {
 
 (** {2 Shared evaluation semantics}
 
-    The per-operation evaluators of the reference interpreter, exposed so
-    other execution layers (the static outcome prover in [lib/inject])
-    evaluate individual instructions with {e exactly} the semantics of a
-    replay — including the trap conditions — instead of re-implementing
-    them. They raise {!Trap} on the same conditions [exec] turns into a
-    [Trapped] status. *)
+    The one copy of the IR's semantics outside the unboxed engine:
+    {!step} runs a whole instruction and the per-operation evaluators
+    below run one operation. [exec], the prover's golden recording and
+    the optimizer's constant folding all call {!step}; the prover's taint
+    walk calls the evaluators. Every caller therefore computes exactly
+    what a replay computes, trap conditions included. Both raise {!Trap}
+    on the same conditions [exec] turns into a [Trapped] status. *)
 
 exception Trap of trap
+
+val step :
+  Ff_ir.Value.t array -> Ff_ir.Value.t array array -> Ff_ir.Instr.t -> pc:int -> int
+(** [step regs buffers instr ~pc] executes [instr], the instruction at
+    static [pc], uncorrupted: it reads and writes the register file
+    [regs] and the buffers bound to the kernel's slots, and returns the
+    next pc, or [-1] for [Halt]. A buffer index outside [[0, size)]
+    raises [Trap Out_of_bounds]; the operation traps of the evaluators
+    below propagate unchanged. [buffers] is only read by [Load] and
+    [Store], so a caller stepping compute ops alone may pass [[||]]. *)
 
 val as_int : Ff_ir.Value.t -> int64
 (** Raises [Trap Type_confusion] on a float. *)

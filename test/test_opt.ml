@@ -186,6 +186,44 @@ let test_optimize_shrinks_benchmarks () =
           (size raw) (size opt))
     Ff_benchmarks.Registry.all
 
+(* --- pinned output ---------------------------------------------------------- *)
+
+(* What the optimizer emits, pinned by hash: a refactor of any pass (or of
+   the evaluators constant folding runs) must keep every built-in kernel
+   and every folded random kernel byte-identical. *)
+
+let test_benchmark_code_pinned () =
+  let kernels =
+    List.concat_map
+      (fun b ->
+        List.concat_map
+          (fun v -> (compile ~optimize:true (b.Ff_benchmarks.Defs.source v)).Program.kernels)
+          Ff_benchmarks.Defs.all_versions)
+      Ff_benchmarks.Registry.all
+  in
+  let sum = List.fold_left (fun acc k -> Int64.add acc (Kernel.code_hash k)) 0L kernels in
+  let instrs =
+    List.fold_left (fun acc (k : Kernel.t) -> acc + Array.length k.Kernel.code) 0 kernels
+  in
+  Alcotest.(check int) "kernels" 54 (List.length kernels);
+  Alcotest.(check int) "instructions" 3482 instrs;
+  Alcotest.(check int64) "sum of code hashes" 0x2684702514ca0a44L sum
+
+let test_random_kernels_pinned () =
+  let rand = Random.State.make [| 7 |] in
+  let acc = ref 0L and changed = ref 0 in
+  let mix h = acc := Int64.add (Int64.mul !acc 31L) h in
+  for _ = 1 to 2000 do
+    let k = QCheck2.Gen.generate1 ~rand Rand_kernel.gen_kernel in
+    let folded = Opt.constant_fold k in
+    (* structural inequality: a kernel holding a NaN constant counts too *)
+    if folded.Kernel.code <> k.Kernel.code then incr changed;
+    mix (Kernel.code_hash folded);
+    mix (Kernel.code_hash (Opt.optimize k))
+  done;
+  Alcotest.(check int) "kernels changed by folding" 365 !changed;
+  Alcotest.(check int64) "folded and optimized hashes" 0x3a4d8995bff16172L !acc
+
 (* --- differential properties --------------------------------------------- *)
 
 let outputs_equal a b =
@@ -292,6 +330,8 @@ let () =
           Alcotest.test_case "unreachable elimination" `Quick test_unreachable_elimination;
           Alcotest.test_case "simplify jumps" `Quick test_simplify_jumps;
           Alcotest.test_case "benchmarks shrink" `Quick test_optimize_shrinks_benchmarks;
+          Alcotest.test_case "benchmark code pinned" `Quick test_benchmark_code_pinned;
+          Alcotest.test_case "random kernels pinned" `Quick test_random_kernels_pinned;
         ] );
       ( "differential",
         [

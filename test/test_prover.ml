@@ -4,8 +4,8 @@
    every outcome it does claim must equal — bit for bit — what the
    replay oracle reports for that class's pilot. Random programs sweep
    the claim broadly; the targeted unit tests pin each proof rule
-   (dead/overwritten destination, trap-only consumer, exact benign SDC
-   below the floor) to a hand-built kernel where the expected outcome is
+   (dead/overwritten destination, trap-only consumer, exact benign SDC)
+   to a hand-built kernel where the expected outcome is
    known in closed form. Campaign-level tests then check that the
    prover pre-pass changes only the work accounting, never the results,
    at pool widths 1 and 4, and that checkpoint journals skip proved
@@ -249,20 +249,19 @@ let unit_program =
 
 let unit_golden = lazy (Golden.run unit_program)
 
-(* Prove the section's classes under [policy] and look up the proof of
-   one specific (instr, operand, bit) site, together with its replay
-   oracle. *)
-let prove_site ?(policy = Prover.on) ~instr ~operand ~bit () =
+(* Prove the section's classes and look up the proof of one specific
+   (instr, operand, bit) site, together with its replay oracle. *)
+let prove_site ~instr ~operand ~bit () =
   let g = Lazy.force unit_golden in
   let section = g.Golden.sections.(0) in
   let classes = Array.of_list (Eqclass.for_section section (Site.Bit_list [ bit ])) in
   let proofs =
     Prover.prove_section g ~section_index:0 ~timeout_factor:5.0
-      ~model:Fault_model.default policy classes
+      ~model:Fault_model.default Prover.on classes
   in
   let fproofs =
     Prover.prove_final g ~section_index:0 ~timeout_factor:5.0
-      ~model:Fault_model.default policy classes
+      ~model:Fault_model.default Prover.on classes
   in
   let found = ref None in
   Array.iteri
@@ -341,18 +340,7 @@ let test_overwritten_register_flip_exact () =
       (Array.exists (fun (_, m) -> m = 1.0) sdc)
   | _ -> Alcotest.fail "expected an exact SDC proof"
 
-let test_benign_floor_gates_proofs () =
-  (* Same flip as above (exact SDC 1.0). A floor of 1.0 admits the
-     proof; a floor of 0.5 must demote it to undecided — never to a
-     different claim. *)
-  let admit = { Prover.enabled = true; benign_floor = 1.0 } in
-  let demote = { Prover.enabled = true; benign_floor = 0.5 } in
-  let proof, oracle, _, _ = prove_site ~policy:admit ~instr:1 ~operand:Site.Dst ~bit:51 () in
-  check_agrees "below the floor" proof oracle;
-  let proof, _, _, _ = prove_site ~policy:demote ~instr:1 ~operand:Site.Dst ~bit:51 () in
-  Alcotest.(check bool) "above the floor: abstains" true (proof = None)
-
-(* --- the chisel-derived floor ---------------------------------------------- *)
+(* --- affine interval bounds ------------------------------------------------- *)
 
 let test_affine_interval_bound () =
   let v = { Ff_chisel.Affine.section = 0; buffer = 1 } in
@@ -369,27 +357,11 @@ let test_affine_interval_bound () =
   Alcotest.(check (float 1e-9)) "zero sums to 0" 0.0
     (Ff_chisel.Affine.sum_coeffs Ff_chisel.Affine.zero)
 
-let test_propagate_benign_floor () =
-  (* The principled floor: epsilon divided by the section's summed
-     sensitivity toward the output. Linear in epsilon, positive for a
-     section that reaches the output. *)
-  let analysis = Pipeline.analyze Pipeline.default_config (compile pipeline_src) in
-  let prop = analysis.Pipeline.propagation in
-  let output, _ = List.hd (Program.output_buffers analysis.Pipeline.golden.Golden.program) in
-  let f1 = Ff_chisel.Propagate.benign_floor prop ~output ~section:0 ~epsilon:1.0 in
-  let f2 = Ff_chisel.Propagate.benign_floor prop ~output ~section:0 ~epsilon:2.0 in
-  Alcotest.(check bool) "positive floor for a contributing section" true
-    (f1 > 0.0 && Float.is_finite f1);
-  Alcotest.(check (float 1e-9)) "linear in epsilon" (2.0 *. f1) f2
-
 (* --- store keys ------------------------------------------------------------- *)
 
 let test_policy_hash_separates_configs () =
   Alcotest.(check bool) "on and off differ" true
     (Prover.policy_hash Prover.on <> Prover.policy_hash Prover.off);
-  Alcotest.(check bool) "floors differ" true
-    (Prover.policy_hash { Prover.enabled = true; benign_floor = 1.0 }
-    <> Prover.policy_hash Prover.on);
   let base = { Campaign.default_config with Campaign.prove = Prover.on } in
   let off = { base with Campaign.prove = Prover.off } in
   Alcotest.(check bool) "campaign config hash covers the prover policy" true
@@ -508,13 +480,10 @@ let () =
             test_trap_only_consumer_is_crash;
           Alcotest.test_case "live flip has exact SDC" `Quick
             test_overwritten_register_flip_exact;
-          Alcotest.test_case "benign floor gates proofs" `Quick
-            test_benign_floor_gates_proofs;
         ] );
       ( "benign floor derivation",
         [
           Alcotest.test_case "affine interval bound" `Quick test_affine_interval_bound;
-          Alcotest.test_case "propagate benign_floor" `Quick test_propagate_benign_floor;
         ] );
       ( "store keys",
         [
