@@ -41,10 +41,21 @@ let compile_file path =
     Format.eprintf "%s: %a@." path Ff_lang.Frontend.pp_error e;
     exit 1
 
+(* Invalid analysis options stop the command with one line on stderr and
+   cmdliner's command-line-error status, before any work starts. The
+   daemon runs the same check on every query. *)
+let check_options ~bits ~samples ~epsilon =
+  match Ff_serve.Engine.check_options ~bits ~samples ~epsilon with
+  | Ok () -> ()
+  | Error msg ->
+    Printf.eprintf "fastflip: %s\n" msg;
+    exit Cmd.Exit.cli_error
+
 (* The option-to-config mapping lives in Ff_serve.Engine so the one-shot
    commands and the daemon build the exact same configuration — the
    byte-identity contract between [analyze] and [query] depends on it. *)
 let config_of ?(epsilon = 0.0) ?model ?safety_factor ~bits ~samples ~no_prove () =
+  check_options ~bits ~samples ~epsilon;
   Ff_serve.Engine.config_of ?model ?safety_factor ~bits ~samples ~epsilon
     ~prove:(not no_prove) ()
 
@@ -84,11 +95,11 @@ let target_arg =
 
 let bits_arg =
   Arg.(value & opt (list int) [] & info [ "bits" ] ~docv:"B1,B2,..."
-         ~doc:"Bit positions to inject (default: the stratified 16-bit subset).")
+         ~doc:"Bit positions to inject, each in 0..63 and named once (default: the               stratified 16-bit subset).")
 
 let samples_arg =
   Arg.(value & opt int 200 & info [ "samples"; "sens-samples" ] ~docv:"N"
-         ~doc:"Sensitivity-analysis samples per input buffer. The telemetry               counters $(b,sensitivity.samples_used) and $(b,sensitivity.work) in               $(b,--metrics) report how many were actually consumed and what they               cost.")
+         ~doc:"Sensitivity-analysis samples per input buffer (at least 0). The telemetry               counters $(b,sensitivity.samples_used) and $(b,sensitivity.work) in               $(b,--metrics) report how many were actually consumed and what they               cost.")
 
 let safety_factor_arg =
   Arg.(value & opt (some float) None & info [ "sens-safety-factor" ] ~docv:"F"
@@ -96,7 +107,7 @@ let safety_factor_arg =
 
 let epsilon_arg =
   Arg.(value & opt float 0.0 & info [ "epsilon" ] ~docv:"E"
-         ~doc:"SDC-Bad threshold: SDC magnitudes up to E are acceptable.")
+         ~doc:"SDC-Bad threshold: SDC magnitudes up to E are acceptable. E must be               finite and at least 0.")
 
 let no_prove_arg =
   Arg.(value & flag & info [ "no-prove" ]
@@ -385,6 +396,7 @@ let query_cmd =
            ~doc:"Kernel-language source file.")
   in
   let run socket path target bits samples epsilon no_prove model =
+    check_options ~bits ~samples ~epsilon;
     let source = read_file path in
     let query =
       {

@@ -44,8 +44,6 @@ let as_ints arr =
 
 let final_floats golden name = as_floats golden.Golden.final_state.(buffer_index golden name)
 
-let final_ints golden name = as_ints golden.Golden.final_state.(buffer_index golden name)
-
 let find_section (golden : Golden.t) ~label_prefix =
   let matches (s : Golden.section_run) =
     let label = s.Golden.call.Program.call_label in

@@ -5,10 +5,6 @@
     lookup tables are extracted from a golden run of the unmodified
     version, so LUT hits are bit-identical to the original computation. *)
 
-val float_lit : float -> string
-(** A literal that round-trips the IEEE double exactly and always parses
-    as a float (decimal point or exponent present). *)
-
 val float_values : float list -> string
 (** Comma-separated initializer list. *)
 
@@ -25,8 +21,6 @@ val buffer_index : Ff_vm.Golden.t -> string -> int
 
 val final_floats : Ff_vm.Golden.t -> string -> float list
 (** Contents of a buffer after the schedule, as floats. *)
-
-val final_ints : Ff_vm.Golden.t -> string -> int64 list
 
 val entry_floats : Ff_vm.Golden.t -> label_prefix:string -> buffer:string -> float list
 (** Contents of a buffer at the entry of the first section whose label

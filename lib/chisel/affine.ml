@@ -31,8 +31,6 @@ let coeff e v =
 
 let vars e = List.map fst e
 
-let terms e = e
-
 let restrict_section e section = List.filter (fun (v, _) -> v.section = section) e
 
 let eval e assignment =
@@ -41,12 +39,6 @@ let eval e assignment =
       let x = assignment v in
       if x = 0.0 then acc else acc +. (c *. x))
     0.0 e
-
-let max_coeff e = List.fold_left (fun acc (_, c) -> Float.max acc c) 0.0 e
-
-let sum_coeffs e = List.fold_left (fun acc (_, c) -> acc +. c) 0.0 e
-
-let sup e ~phi = if phi = 0.0 then 0.0 else sum_coeffs e *. phi
 
 let is_zero e = e = []
 

@@ -33,8 +33,6 @@ val coeff : t -> var -> float
 val vars : t -> var list
 (** Variables with non-zero coefficient, in deterministic order. *)
 
-val terms : t -> (var * float) list
-
 val restrict_section : t -> int -> t
 (** Keep only the φ variables of one section — the specialization
     f_{T,λ,s} of Equation 4 (all other sections' φ set to 0 under the
@@ -44,20 +42,6 @@ val eval : t -> (var -> float) -> float
 (** Evaluate with the given assignment; 0-valued assignments contribute
     nothing even under an infinite coefficient (0·∞ is 0 here: "no SDC
     introduced means no SDC propagated"). *)
-
-val max_coeff : t -> float
-(** Largest coefficient; 0 for {!zero}. *)
-
-val sum_coeffs : t -> float
-(** Sum of all coefficients; 0 for {!zero}. *)
-
-val sup : t -> phi:float -> float
-(** Interval bound of the expression when every variable lies in
-    [[0, phi]]: [sum_coeffs e *. phi] (0 when [phi] is 0, even under an
-    infinite coefficient — the same 0·∞ convention as {!eval}). The
-    bit-sensitivity bound the outcome prover's benign rule rests on: an
-    injection whose per-section SDC magnitude is at most [phi] cannot
-    move any end-to-end output by more than [sup]. *)
 
 val is_zero : t -> bool
 

@@ -3,9 +3,11 @@
     The paper has developers (or standard compiler passes) supply how
     outputs of one section flow into inputs of later ones; here it is
     derived from the kernels' declared in/out/inout buffer parameters.
-    FastFlip's incremental engine also uses it to find the downstream
-    sections a semantic change can reach (§4.7). Register liveness
-    inside a kernel is {!Ff_vm.Liveness}. *)
+    The incremental engine does not consult it: a section's store key
+    covers its input buffers' contents, so a semantic change reaches
+    exactly the downstream sections whose inputs it alters (§4.7; see
+    [Fastflip.Store]). Register liveness inside a kernel is
+    {!Ff_vm.Liveness}. *)
 
 type section_io = {
   section_index : int;
@@ -20,16 +22,3 @@ type t = {
 }
 
 val of_golden : Ff_vm.Golden.t -> t
-
-val downstream : t -> int -> int list
-(** [downstream t s]: schedule indices of the sections whose inputs are
-    (transitively) data-dependent on the writes of section [s], in
-    schedule order; excludes [s] itself. Dependence is flow-sensitive:
-    a later full overwrite of a buffer is still conservatively treated
-    as a dependence (the overwriting section reads nothing of it only if
-    the buffer is a pure [out] parameter there). *)
-
-val writers_of : t -> int -> int list
-(** Sections writing a given buffer, in schedule order. *)
-
-val pp : Format.formatter -> t -> unit

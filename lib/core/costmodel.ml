@@ -8,11 +8,6 @@ type t =
   | Drift_clustered of float
   | Per_kernel_block
 
-let name = function
-  | Per_instruction -> "per-instruction duplication"
-  | Drift_clustered d -> Printf.sprintf "DRIFT-clustered (%.0f%% check saving)" (d *. 100.0)
-  | Per_kernel_block -> "per-kernel block detectors"
-
 let instruction_of golden (pc : Site.pc) =
   let kernel = List.nth golden.Golden.program.Ff_ir.Program.kernels pc.Site.kernel in
   kernel.Kernel.code.(pc.Site.instr)

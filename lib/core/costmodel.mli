@@ -24,8 +24,6 @@ type t =
         0.3 is DRIFT's reported check-consolidation saving *)
   | Per_kernel_block
 
-val name : t -> string
-
 val items :
   t -> valuation:Valuation.t -> golden:Ff_vm.Golden.t -> Knapsack.item list
 (** Knapsack items under the model. For {!Per_kernel_block} the item pcs

@@ -342,15 +342,6 @@ let analyze ?store ?pool ?journal config program =
     ?backing:(Option.map backing_of_store store)
     ?pool ?journal config prepared
 
-let ground_truth_for_section ?pool analysis ~section_index campaign_config =
-  (* §4.10 "simultaneous" ground-truth labels: reuse the equivalence
-     classes the per-section campaign already enumerated (rebased to the
-     current schedule index) instead of re-walking the trace. *)
-  let record = analysis.sections.(section_index) in
-  let classes = Array.map fst record.Store.rec_campaign.Campaign.s_classes in
-  Campaign.final_outcomes_for_section ?pool ~classes analysis.golden ~section_index
-    campaign_config
-
 let select analysis ~target =
   let total = analysis.valuation.Valuation.total_value in
   Knapsack.select analysis.solution ~target:(Knapsack.integer_target ~total target)

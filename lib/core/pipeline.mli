@@ -121,17 +121,6 @@ val analyze :
     valuation, solution, and work counters — as an uninterrupted run, for
     any pool width. *)
 
-val ground_truth_for_section :
-  ?pool:Ff_support.Pool.t ->
-  analysis ->
-  section_index:int ->
-  Ff_inject.Campaign.config ->
-  (Ff_inject.Eqclass.t * Ff_inject.Outcome.final_outcome) array * int
-(** End-to-end ground-truth outcomes for one analyzed section (§4.10),
-    reusing the equivalence classes its per-section campaign already
-    enumerated — no re-enumeration of the trace. Returns the classes with
-    final outcomes and the extra injection work spent. *)
-
 val select : analysis -> target:float -> Knapsack.selection
 (** Knapsack selection for a fractional target v_trgt ∈ [0, 1] of this
     analysis' own value mass, converted by {!Knapsack.integer_target}

@@ -17,7 +17,7 @@
 
     The valuation and knapsack machinery is reused verbatim with this
     new notion of damage: v(pc) counts silently-corrupting sites at pc,
-    so {!protect_first} answers "which instructions to harden first"
+    so the knapsack answers "which instructions to harden first"
     under the threat model. Findings classify each vulnerable pc as a
     check bypass (comparisons, branches, selects — e.g. the [hit] guard
     of the SHA2 lookup-table kernel), state corruption (memory traffic
@@ -27,8 +27,6 @@ type kind =
   | Check_bypass
   | State_corruption
   | Compute_corruption
-
-val kind_to_string : kind -> string
 
 type finding = {
   f_pc : Ff_inject.Site.pc;
@@ -61,11 +59,6 @@ val analyze :
     [Campaign.config.model] is the threat model) and label every class
     for the attacker, on top of {!Baseline.analyze}. Deterministic for
     any pool width. *)
-
-val protect_first : t -> target:float -> Knapsack.selection
-(** The knapsack selection covering [target] (in [0,1], converted by
-    {!Knapsack.integer_target}) of the silent damage at minimum
-    dynamic-instruction cost. *)
 
 val findings_json : t -> string
 (** The findings as deterministic JSON: campaign summary (model, ε,

@@ -67,8 +67,6 @@ let dirty_records t =
       | None -> acc)
     t.dirty []
 
-let dirty_count t = Hashtbl.length t.dirty
-
 let clean t written =
   List.iter
     (fun record ->

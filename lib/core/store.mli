@@ -51,8 +51,6 @@ val dirty_records : t -> section_record list
 (** The records changed since the last {!clean} (unspecified order) —
     the delta an incremental {!Persist.save} appends. *)
 
-val dirty_count : t -> int
-
 val clean : t -> section_record list -> unit
 (** Mark [written] records clean. A key whose record was replaced again
     after [written] was snapshotted (a concurrent {!add} during a save)

@@ -439,66 +439,64 @@ let r_record c =
 let frame_marker = "FRC2"
 let frame_header_size = 4 + 8 + 8 + 8
 
+let write_frame_header b ~pos ~len ~crc =
+  Bytes.blit_string frame_marker 0 b pos 4;
+  Bytes.set_int64_le b (pos + 4) (Int64.of_int len);
+  Bytes.set_int64_le b (pos + 12) (Int64.of_int crc);
+  Bytes.set_int64_le b (pos + 20)
+    (Int64.of_int (Hashing.crc32 ~pos ~len:20 (Bytes.unsafe_to_string b)))
+
+let marker_at data p =
+  p + 4 <= String.length data
+  && Char.equal data.[p] frame_marker.[0]
+  && Char.equal data.[p + 1] frame_marker.[1]
+  && Char.equal data.[p + 2] frame_marker.[2]
+  && Char.equal data.[p + 3] frame_marker.[3]
+
+let check_frame_header data ~pos ~max_len =
+  let int_at p = Int64.to_int (String.get_int64_le data p) in
+  if pos + frame_header_size > String.length data then Error "truncated frame header"
+  else if not (marker_at data pos) then Error "bad frame marker"
+  else if Hashing.crc32 ~pos ~len:20 data <> int_at (pos + 20) then
+    Error "frame header CRC mismatch"
+  else
+    let len = String.get_int64_le data (pos + 4) in
+    if Int64.compare len 0L < 0 || Int64.compare len (Int64.of_int max_len) > 0 then
+      Error "frame length out of bounds"
+    else Ok (Int64.to_int len, int_at (pos + 12))
+
 let frame payload =
-  let buf = Buffer.create (String.length payload + frame_header_size) in
-  Buffer.add_string buf frame_marker;
-  w_int64 buf (Int64.of_int (String.length payload));
-  w_int64 buf (Int64.of_int (Hashing.crc32 payload));
-  let head = Buffer.contents buf in
-  w_int64 buf (Int64.of_int (Hashing.crc32 head));
-  Buffer.add_string buf payload;
-  Buffer.contents buf
+  let len = String.length payload in
+  let b = Bytes.create (frame_header_size + len) in
+  write_frame_header b ~pos:0 ~len ~crc:(Hashing.crc32 payload);
+  Bytes.blit_string payload 0 b frame_header_size len;
+  Bytes.unsafe_to_string b
 
 let add_frame buf payload = Buffer.add_string buf (frame payload)
 
-(* Little-endian int64 at a raw offset, as a (possibly truncated) int. *)
-let int_at data pos =
-  let v = ref 0L in
-  for i = 7 downto 0 do
-    v := Int64.logor (Int64.shift_left !v 8) (Int64.of_int (Char.code data.[pos + i]))
-  done;
-  Int64.to_int !v
-
 let read_frames ?(pos = 0) data =
   let len = String.length data in
-  let marker_at p =
-    p + 4 <= len
-    && Char.equal data.[p] frame_marker.[0]
-    && Char.equal data.[p + 1] frame_marker.[1]
-    && Char.equal data.[p + 2] frame_marker.[2]
-    && Char.equal data.[p + 3] frame_marker.[3]
-  in
-  (* A header is trusted only if its marker matches, its own CRC checks
-     out, and the length it declares fits in the remaining bytes. *)
-  let header_ok p =
-    p + frame_header_size <= len
-    && marker_at p
-    && Hashing.crc32 ~pos:p ~len:20 data = int_at data (p + 20)
-    &&
-    let l = int_at data (p + 4) in
-    l >= 0 && l <= len - p - frame_header_size
-  in
   let frames = ref [] in
   let skipped = ref 0 in
   (* [in_skip] collapses a whole corrupt region (bad header + every false
-     marker candidate inside it) into one skip event. *)
+     marker candidate inside it) into one skip event. A header is trusted
+     only if its length fits in the remaining bytes. *)
   let rec scan p ~in_skip =
     if p < len then
-      if header_ok p then begin
-        let l = int_at data (p + 4) in
+      match check_frame_header data ~pos:p ~max_len:(len - p - frame_header_size) with
+      | Ok (l, crc) ->
         let payload = String.sub data (p + frame_header_size) l in
-        if Hashing.crc32 payload = int_at data (p + 12) then
-          frames := payload :: !frames
+        if Hashing.crc32 payload = crc then frames := payload :: !frames
         else incr skipped;
         scan (p + frame_header_size + l) ~in_skip:false
-      end
-      else begin
+      | Error _ -> (
         if not in_skip then incr skipped;
-        let rec find q = if q + 4 > len then None else if marker_at q then Some q else find (q + 1) in
+        let rec find q =
+          if q + 4 > len then None else if marker_at data q then Some q else find (q + 1)
+        in
         match find (p + 1) with
         | Some q -> scan q ~in_skip:true
-        | None -> ()
-      end
+        | None -> ())
   in
   scan pos ~in_skip:false;
   (List.rev !frames, !skipped)

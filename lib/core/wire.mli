@@ -50,8 +50,6 @@ val at_end : cursor -> bool
 val r_int64 : cursor -> int64
 val r_int : cursor -> int
 val r_float : cursor -> float
-val r_length : cursor -> string -> int
-(** A non-negative, plausibility-bounded element count. *)
 
 val r_string : cursor -> string -> string
 (** Length-prefixed bytes; the length is bounds-checked against the
@@ -100,6 +98,23 @@ val frame : string -> string
     the payload bytes. *)
 
 val add_frame : Buffer.t -> string -> unit
+
+val frame_header_size : int
+(** 28: the marker ["FRC2"], then as little-endian int64s the payload
+    length (at 4), the payload's CRC-32 (at 12) and the CRC-32 of the 20
+    bytes before it (at 20). *)
+
+val write_frame_header : Bytes.t -> pos:int -> len:int -> crc:int -> unit
+(** Write at [pos] the header of a frame whose payload is [len] bytes
+    with CRC-32 [crc] — for writers that frame a payload in place
+    instead of building it with {!frame}. *)
+
+val check_frame_header :
+  string -> pos:int -> max_len:int -> (int * int, string) result
+(** [Ok (len, crc)] when the [frame_header_size] bytes at [pos] are a
+    header: the marker, a header CRC that checks out, and a payload
+    length in [\[0, max_len\]]; [crc] is the payload CRC-32 it declares.
+    [Error] names the first check that fails. *)
 
 val read_frames : ?pos:int -> string -> string list * int
 (** [read_frames data ~pos] scans [data] from [pos] and returns every

@@ -38,12 +38,6 @@ let covered_of_masks detectors class_masks =
     class_masks;
   covered
 
-let covered_sites t ~mask =
-  Array.fold_left
-    (fun acc (cls, fired) ->
-      if fired land mask <> 0 then acc + Eqclass.size cls else acc)
-    0 t.c_classes
-
 (* --- store encoding ---------------------------------------------------
 
    A coverage measurement is persisted as an ordinary campaign record in

@@ -5,7 +5,7 @@
     and evaluate every candidate detector against the faulty exit
     buffers: a detector {e covers} the class iff it fires on the pilot.
     The replays reuse the campaign's exact fault lowering (model burst,
-    pilot site, timeout budget) and {!Ff_vm.Replay.default_engine}, pooled over
+    pilot site, timeout budget) on the unboxed engine, pooled over
     classes with order-independent merging — deterministic at any pool
     width.
 
@@ -43,8 +43,3 @@ val measure :
     At most 62 detectors per section (mask width); raises
     [Invalid_argument] beyond that. Without a [backing] nothing is
     cached. *)
-
-val covered_sites : t -> mask:int -> int
-(** Σ class sizes over classes caught by at least one detector in
-    [mask] — the coverage a detector {e subset} delivers, used by the
-    mixed knapsack. *)

@@ -54,8 +54,6 @@ val sum : Ff_ir.Value.t array -> float
 (** Deterministic left-to-right element sum ([Int] via [Int64.to_float])
     — the quantity [Linear] detectors track on both sides. *)
 
-val hash_fold : Ff_support.Hashing.t -> t -> unit
-
 val spec_hash : t array array -> int64
 (** Digest of a full per-section candidate set (the [detector_hash] the
     coverage cache keys on): section/buffer/form/thresholds of every

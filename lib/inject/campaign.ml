@@ -215,7 +215,7 @@ let run_journaled ~pool ~journal:j ~quarantined run_one indices slots =
     done
   end
 
-let run_section ?(pool = Pool.serial) ?(engine = Replay.default_engine) ?classes ?journal
+let run_section ?(pool = Pool.serial) ?(engine = Replay.Unboxed) ?classes ?journal
     golden ~section_index config =
   Telemetry.span "campaign.run_section"
     ~attrs:[ ("section", string_of_int section_index) ]
@@ -287,7 +287,7 @@ type baseline_result = {
   b_sites : int;
 }
 
-let run_baseline ?(pool = Pool.serial) ?(engine = Replay.default_engine) golden config =
+let run_baseline ?(pool = Pool.serial) ?(engine = Replay.Unboxed) golden config =
   Telemetry.span "campaign.run_baseline" @@ fun () ->
   let model = config.model in
   let class_list = Eqclass.for_program ~model golden config.bits in
@@ -321,7 +321,7 @@ let run_baseline ?(pool = Pool.serial) ?(engine = Replay.default_engine) golden 
   Telemetry.add m_b_work result.b_work;
   result
 
-let final_outcomes_for_section ?(pool = Pool.serial) ?(engine = Replay.default_engine)
+let final_outcomes_for_section ?(pool = Pool.serial) ?(engine = Replay.Unboxed)
     ?classes golden ~section_index config =
   Telemetry.span "campaign.final_outcomes"
     ~attrs:[ ("section", string_of_int section_index) ]

@@ -73,9 +73,9 @@ val run_section :
   ?journal:journal ->
   Ff_vm.Golden.t -> section_index:int -> config -> section_result
 (** FastFlip's per-section campaign: each pilot runs the section in
-    isolation from its golden entry state. [engine] (default
-    {!Ff_vm.Replay.default_engine}) selects the execution engine; both
-    produce bit-identical outcomes, which is why it is deliberately
+    isolation from its golden entry state. [engine] (default [Unboxed];
+    [Boxed] is the tests' reference oracle) selects the execution engine;
+    both produce bit-identical outcomes, which is why it is deliberately
     absent from {!config_hash} — stored results remain valid across
     engines (the prover policy, by contrast, {e is} folded in).
     [classes] supplies a pre-enumerated class list (it must be
@@ -129,8 +129,8 @@ val final_outcomes_for_section :
   ?classes:Eqclass.t array ->
   Ff_vm.Golden.t -> section_index:int -> config -> (Eqclass.t * Outcome.final_outcome) array * int
 (** End-to-end outcomes for the sites of one section using FastFlip's
-    per-section classes (used when FastFlip runs the ground-truth labels
-    "simultaneously", §4.10). Returns the classes with final outcomes and
-    the extra work spent. [classes] lets a caller that already enumerated
+    per-section classes (the ground-truth labels §4.10 runs
+    "simultaneously"). Returns the classes with final outcomes and the
+    extra work spent. [classes] lets a caller that already enumerated
     the section's equivalence classes (e.g. from a completed per-section
     campaign) reuse them instead of re-enumerating. *)

@@ -64,15 +64,11 @@ val groups_of_section :
 (** The class groups of one section instance under the model (default
     {!Fault_model.default}), in deterministic (pc, operand) order. *)
 
-val classes_of_groups : group list -> int list -> t list
-(** Expand groups over a bit list into classes that share their group,
-    in deterministic (pc, operand, bit) order. *)
-
 val for_section :
   ?model:Fault_model.t -> Ff_vm.Golden.section_run -> Site.bit_policy -> t list
 (** Classes of one section instance, in deterministic (pc, operand, bit)
-    order. Equivalent to [classes_of_groups (groups_of_section ...)]
-    over {!Site.model_bits}. *)
+    order: each group of {!groups_of_section} expanded over
+    {!Site.model_bits}, its bit classes sharing the group. *)
 
 val for_program :
   ?model:Fault_model.t -> Ff_vm.Golden.t -> Site.bit_policy -> t list

@@ -83,5 +83,3 @@ let hash_fold h = function
    [bench/main.exe faults] artifact: one instance per constructor, plus a
    multi-bit burst to cover the generalized XOR path. *)
 let builtin = [ Bitflip { burst = 1 }; Bitflip { burst = 4 }; Skip; Opcode; Memflip { burst = 1 } ]
-
-let pp fmt t = Format.pp_print_string fmt (to_string t)

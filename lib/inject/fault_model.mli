@@ -64,5 +64,3 @@ val hash_fold : Ff_support.Hashing.t -> t -> unit
 val builtin : t list
 (** Canonical representative of each model family, exercised by
     [bench/main.exe faults]. *)
-
-val pp : Format.formatter -> t -> unit

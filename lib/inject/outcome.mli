@@ -27,8 +27,6 @@ type final_outcome =
 val section_is_masked : section_outcome -> bool
 (** All magnitudes zero (and not detected). *)
 
-val final_is_masked : final_outcome -> bool
-
 val final_is_bad : epsilon:float -> final_outcome -> bool
 (** SDC-Bad: some final output magnitude strictly exceeds ε. Detected
     outcomes are never SDC-Bad. *)
@@ -42,8 +40,6 @@ val section_equal : section_outcome -> section_outcome -> bool
     {!float_equal}. The one definition the store's round-trip check and
     the interners use. *)
 
-val final_equal : final_outcome -> final_outcome -> bool
-
 val section_interner : unit -> section_outcome -> section_outcome
 (** A fresh interner: each call returns the first outcome it was given
     that is {!section_equal} to its argument, so repeated outcomes (masked
@@ -51,13 +47,12 @@ val section_interner : unit -> section_outcome -> section_outcome
     once. One interner per record; it keeps everything it has seen. *)
 
 val final_interner : unit -> final_outcome -> final_outcome
-(** {!section_interner} under {!final_equal}. *)
+(** {!section_interner} for final outcomes, under the same bit-exact
+    equality. *)
 
 val of_section_replay : Ff_vm.Replay.section_replay -> section_outcome
 
 val of_program_replay : Ff_vm.Replay.program_replay -> final_outcome
-
-val pp_detected : Format.formatter -> detected_kind -> unit
 
 val pp_section : Format.formatter -> section_outcome -> unit
 

@@ -52,8 +52,8 @@ type policy = { enabled : bool }
 let off = { enabled = false }
 let on = { enabled = true }
 
-(* FF_PROVE=off mirrors FF_ENGINE=boxed: the field escape hatch when
-   bisecting a suspected prover divergence. *)
+(* FF_PROVE=off is the field escape hatch when bisecting a suspected
+   prover divergence. *)
 let default_policy =
   match Sys.getenv_opt "FF_PROVE" with
   | Some s when String.lowercase_ascii s = "off" -> off

@@ -45,9 +45,9 @@ val on : policy
 (** Prover enabled. *)
 
 val default_policy : policy
-(** {!on}, unless the [FF_PROVE=off] environment escape hatch is set
-    (mirroring [FF_ENGINE=boxed]) — the field knob for bisecting a
-    suspected prover divergence without rebuilding. *)
+(** {!on}, unless the [FF_PROVE=off] environment escape hatch is set —
+    the field knob for bisecting a suspected prover divergence without
+    rebuilding. *)
 
 val policy_hash : policy -> int64
 (** Hash of the policy {e and} {!version}, for store keys. *)

@@ -58,15 +58,9 @@ let dst = function
   | Load (d, _, _) -> Some d
   | Store _ | Jmp _ | Br _ | Halt -> None
 
-(* Non-allocating operand accessors: the injection engine addresses
+(* Non-allocating operand accessor: the injection engine addresses
    operands as (instruction, source position) on its hottest paths, where
    building the [srcs] list per query would dominate. *)
-
-let nsrcs = function
-  | Iconst _ | Fconst _ | Jmp _ | Halt -> 0
-  | Mov _ | Iun _ | Fun1 _ | Cast _ | Load _ | Br _ -> 1
-  | Ibin _ | Fbin _ | Icmp _ | Fcmp _ | Store _ -> 2
-  | Select _ -> 3
 
 let src instr k =
   match (instr, k) with

@@ -61,10 +61,6 @@ val srcs : t -> reg list
 val dst : t -> reg option
 (** Register written by the instruction, if any. *)
 
-val nsrcs : t -> int
-(** Number of source-register operands, without allocating the [srcs]
-    list — the decode-time operand counter of the execution engines. *)
-
 val src : t -> int -> reg option
 (** [src instr k] is the [k]-th source register ([List.nth_opt (srcs
     instr) k] without the list allocation); [None] when out of range. *)

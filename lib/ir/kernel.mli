@@ -54,5 +54,3 @@ val code_hash : t -> int64
 
 val pp : Format.formatter -> t -> unit
 (** Full assembly listing of the kernel. *)
-
-val pp_role : Format.formatter -> role -> unit

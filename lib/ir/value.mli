@@ -31,14 +31,9 @@ val abs_diff : t -> t -> float
 val is_finite : t -> bool
 (** [true] for integers and finite floats. *)
 
-val to_bits : t -> int64
-(** The 64-bit payload. *)
-
 val ty_equal : scalar_ty -> scalar_ty -> bool
 
 val pp_ty : Format.formatter -> scalar_ty -> unit
-
-val pp : Format.formatter -> t -> unit
 
 val to_string : t -> string
 

@@ -114,10 +114,6 @@ let builtins =
     ("float_of_bits", [ Tint ], Tfloat);
   ]
 
-let pp_ty fmt = function
-  | Tint -> Format.pp_print_string fmt "int"
-  | Tfloat -> Format.pp_print_string fmt "float"
-
 let unop_symbol = function Neg -> "-" | LogNot -> "!" | BitNot -> "~"
 
 let binop_symbol = function

@@ -104,7 +104,5 @@ val builtins : (string * ty list * ty) list
 (** Signatures of the builtin functions ([select] is special-cased in the
     typechecker and not listed). *)
 
-val pp_ty : Format.formatter -> ty -> unit
-
 val pp_expr : Format.formatter -> expr -> unit
 (** Source-like rendering, fully parenthesized. *)

@@ -3,8 +3,4 @@ type t = {
   col : int;
 }
 
-let dummy = { line = 0; col = 0 }
-
 let pp fmt t = Format.fprintf fmt "%d:%d" t.line t.col
-
-let to_string t = Format.asprintf "%a" pp t

@@ -5,9 +5,5 @@ type t = {
   col : int;   (** 1-based *)
 }
 
-val dummy : t
-
 val pp : Format.formatter -> t -> unit
 (** Renders as [line:col]. *)
-
-val to_string : t -> string

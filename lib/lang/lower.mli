@@ -11,7 +11,3 @@
     raises [Failure] on ASTs that do not. *)
 
 val lower : Ast.program -> Ff_ir.Program.t
-
-val lower_kernel : Ast.kernel -> Ff_ir.Kernel.t
-(** Lower a single kernel (exposed for tests and the optimizer's
-    differential tests). *)

@@ -22,9 +22,4 @@ type error = {
 
 val check : Ast.program -> (unit, error) result
 
-val check_kernel :
-  buffers:(string * Ast.ty) list -> Ast.kernel -> (unit, error) result
-(** Check a single kernel against a global buffer environment (used by
-    tests to probe kernel-level rules in isolation). *)
-
 val pp_error : Format.formatter -> error -> unit

@@ -180,14 +180,3 @@ let spec_hash t =
   Array.iter (Hashing.add_int h) t.output_buffers;
   Array.iter (fun row -> Array.iter (Hashing.add_float h) row) t.k;
   Hashing.value h
-
-let pp fmt t =
-  Format.fprintf fmt "@[<v>sensitivity of section %d:@," t.section_index;
-  Array.iteri
-    (fun o_idx o ->
-      Array.iteri
-        (fun i_idx i ->
-          Format.fprintf fmt "  K(out b%d <- in b%d) = %g@," o i t.k.(o_idx).(i_idx))
-        t.input_buffers)
-    t.output_buffers;
-  Format.fprintf fmt "@]"

@@ -67,5 +67,3 @@ val amplification : t -> output:int -> input:int -> float
 
 val spec_hash : t -> int64
 (** Content hash, stored alongside section results for reuse. *)
-
-val pp : Format.formatter -> t -> unit

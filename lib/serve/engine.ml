@@ -38,6 +38,24 @@ let config_of ?(model = Ff_inject.Fault_model.default) ?safety_factor ~bits
     epsilon;
   }
 
+let check_options ~bits ~samples ~epsilon =
+  let rec check_bits = function
+    | [] -> Ok ()
+    | b :: _ when b < 0 || b > 63 ->
+      Error (Printf.sprintf "--bits: bit %d is outside [0, 63]" b)
+    | b :: rest when List.mem b rest ->
+      Error (Printf.sprintf "--bits: bit %d is repeated" b)
+    | _ :: rest -> check_bits rest
+  in
+  if not (Float.is_finite epsilon && epsilon >= 0.0) then
+    Error (Printf.sprintf "--epsilon: %g is not a finite number >= 0" epsilon)
+  else if samples < 0 then Error (Printf.sprintf "--samples: %d is negative" samples)
+  else check_bits bits
+
+let check_query (q : Protocol.query) =
+  check_options ~bits:q.Protocol.q_bits ~samples:q.Protocol.q_samples
+    ~epsilon:q.Protocol.q_epsilon
+
 let config_of_query (q : Protocol.query) =
   config_of ~model:q.Protocol.q_model ~bits:q.Protocol.q_bits
     ~samples:q.Protocol.q_samples ~epsilon:q.Protocol.q_epsilon
@@ -71,7 +89,6 @@ let create ?(cache_capacity = 32) ?(store = Store.create ()) ?(pool = Pool.seria
     pool;
   }
 
-let store t = t.e_store
 let cache_size t = Cache.size t.cache
 
 let locked mu f =
@@ -149,7 +166,7 @@ let handle_view t (req : Protocol.view Protocol.message) : Protocol.response =
         Protocol.Stats_json (Telemetry.to_json (Telemetry.snapshot ()))
       | Protocol.Shutdown -> Protocol.Bye
       | Protocol.Analyze { source; query } -> (
-        match analyze t source query with
+        match Result.bind (check_query query) (fun () -> analyze t source query) with
         | Ok report -> Protocol.Report report
         | Error msg ->
           Telemetry.incr m_errors;

@@ -43,8 +43,6 @@ val create :
     used by slow-lane campaigns. Defaults: capacity 32, fresh empty
     store, serial pool. *)
 
-val store : t -> Fastflip.Store.t
-
 val save : ?shards:int -> t -> path:string -> Fastflip.Persist.save_stats
 (** {!Fastflip.Persist.save} under the store lock, so the dirty-set
     snapshot is consistent with concurrent request threads publishing
@@ -80,4 +78,14 @@ val config_of :
     and the daemon so both sides of the byte-identity contract build the
     exact same analysis configuration. [bits = []] means the default
     stratified subset; [model] defaults to single-bit register flips;
-    [safety_factor] defaults to the pipeline's 1.25 sensitivity margin. *)
+    [safety_factor] defaults to the pipeline's 1.25 sensitivity margin.
+    It does not validate: callers that take options from a user run
+    {!check_options} first. *)
+
+val check_options :
+  bits:int list -> samples:int -> epsilon:float -> (unit, string) result
+(** The one validation of user-supplied analysis options, run by the CLI
+    commands and by {!handle} on every [Analyze] request: each bit lies
+    in [\[0, 63\]] and appears once, [epsilon] is finite and [>= 0], and
+    [samples >= 0]. [Error] is a one-line message that names the
+    offending option, e.g. ["--bits: bit 64 is outside [0, 63]"]. *)

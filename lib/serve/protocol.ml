@@ -84,7 +84,6 @@ let r_query c =
     | Error msg -> raise (Wire.Corrupt ("bad fault model: " ^ msg))
   in
   if not (Float.is_finite q_target) then raise (Wire.Corrupt "non-finite target");
-  if q_samples < 0 then raise (Wire.Corrupt "negative sample count");
   { q_target; q_bits; q_samples; q_epsilon; q_prove; q_model }
 
 let encode_request req =
@@ -153,13 +152,6 @@ let decode_response data =
 
 (* --- framed socket transport ------------------------------------------------ *)
 
-(* Mirrors Wire's frame layout: "FRC2" ∥ length ∥ crc32(payload) ∥
-   crc32(header), 28 bytes, then the payload. The socket reader cannot use
-   Wire.read_frames (that wants the whole file in memory); it validates the
-   same invariants incrementally instead. *)
-let frame_marker = "FRC2"
-let frame_header_size = 28
-
 type recv_result =
   | Frame of string
   | Closed
@@ -185,18 +177,14 @@ let send_request fd req =
 let send_response fd resp =
   let tag, text = response_parts resp in
   let text_len = match text with Some t -> String.length t | None -> 0 in
-  let head = Bytes.create (frame_header_size + if text = None then 8 else 16) in
-  let prefix_len = Bytes.length head - frame_header_size in
-  Bytes.set_int64_le head frame_header_size (Int64.of_int tag);
-  if text <> None then
-    Bytes.set_int64_le head (frame_header_size + 8) (Int64.of_int text_len);
-  let crc = Hashing.crc32 ~pos:frame_header_size (Bytes.unsafe_to_string head) in
+  let hs = Wire.frame_header_size in
+  let head = Bytes.create (hs + if text = None then 8 else 16) in
+  let prefix_len = Bytes.length head - hs in
+  Bytes.set_int64_le head hs (Int64.of_int tag);
+  if text <> None then Bytes.set_int64_le head (hs + 8) (Int64.of_int text_len);
+  let crc = Hashing.crc32 ~pos:hs (Bytes.unsafe_to_string head) in
   let crc = match text with Some t -> Hashing.crc32 ~init:crc t | None -> crc in
-  Bytes.blit_string frame_marker 0 head 0 4;
-  Bytes.set_int64_le head 4 (Int64.of_int (prefix_len + text_len));
-  Bytes.set_int64_le head 12 (Int64.of_int crc);
-  Bytes.set_int64_le head 20
-    (Int64.of_int (Hashing.crc32 ~len:20 (Bytes.unsafe_to_string head)));
+  Wire.write_frame_header head ~pos:0 ~len:(prefix_len + text_len) ~crc;
   write_all fd (Bytes.unsafe_to_string head) 0 (Bytes.length head);
   Option.iter (fun t -> write_all fd t 0 text_len) text
 
@@ -209,7 +197,8 @@ type receiver = {
   mutable payload : bytes;
 }
 
-let receiver fd = { fd; header = Bytes.create frame_header_size; payload = Bytes.empty }
+let receiver fd =
+  { fd; header = Bytes.create Wire.frame_header_size; payload = Bytes.empty }
 
 (* Read exactly [len] bytes into [buf]. [`Eof n] reports how many arrived
    first. *)
@@ -227,33 +216,30 @@ let read_exact fd buf len =
   in
   go 0
 
-(* One frame into [r.payload]; [Ok len] is the validated payload length. *)
+(* One frame into [r.payload]; [Ok len] is the validated payload length.
+   Wire.read_frames wants the whole input in memory, so a socket checks
+   the header with Wire.check_frame_header, then reads and checks the
+   payload. *)
 let recv_payload r =
-  match read_exact r.fd r.header frame_header_size with
+  match read_exact r.fd r.header Wire.frame_header_size with
   | `Eof 0 -> Stdlib.Error `Closed
   | `Eof _ -> Stdlib.Error (`Malformed "EOF inside frame header")
-  | `Exact ->
-    let header = Bytes.unsafe_to_string r.header in
-    let int_at pos = Int64.to_int (String.get_int64_le header pos) in
-    if not (String.equal (String.sub header 0 4) frame_marker) then
-      Stdlib.Error (`Malformed "bad frame marker")
-    else if Hashing.crc32 ~len:20 header <> int_at 20 then
-      Stdlib.Error (`Malformed "frame header CRC mismatch")
-    else begin
-      let len64 = String.get_int64_le header 4 in
-      if Int64.compare len64 0L < 0 || Int64.compare len64 (Int64.of_int max_payload) > 0
-      then Stdlib.Error (`Malformed "frame length out of bounds")
-      else
-        let len = Int64.to_int len64 in
-        if Bytes.length r.payload < len then
-          r.payload <- Bytes.create (min max_payload (max len (2 * Bytes.length r.payload)));
-        match read_exact r.fd r.payload len with
-        | `Eof _ -> Stdlib.Error (`Malformed "EOF inside frame payload")
-        | `Exact ->
-          if Hashing.crc32 ~len (Bytes.unsafe_to_string r.payload) <> int_at 12 then
-            Stdlib.Error (`Malformed "frame payload CRC mismatch")
-          else Ok len
-    end
+  | `Exact -> (
+    match
+      Wire.check_frame_header (Bytes.unsafe_to_string r.header) ~pos:0
+        ~max_len:max_payload
+    with
+    | Stdlib.Error msg -> Stdlib.Error (`Malformed msg)
+    | Ok (len, crc) -> (
+      if Bytes.length r.payload < len then
+        r.payload <-
+          Bytes.create (min max_payload (max len (2 * Bytes.length r.payload)));
+      match read_exact r.fd r.payload len with
+      | `Eof _ -> Stdlib.Error (`Malformed "EOF inside frame payload")
+      | `Exact ->
+        if Hashing.crc32 ~len (Bytes.unsafe_to_string r.payload) <> crc then
+          Stdlib.Error (`Malformed "frame payload CRC mismatch")
+        else Ok len))
 
 let recv_frame fd =
   let r = receiver fd in

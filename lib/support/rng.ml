@@ -40,12 +40,6 @@ let float_signed t m =
   let u = float t (2.0 *. m) in
   u -. m
 
-let bool t = Int64.logand (int64 t) 1L = 1L
-
-let choose t arr =
-  assert (Array.length arr > 0);
-  arr.(int t (Array.length arr))
-
 let shuffle t arr =
   let n = Array.length arr in
   for i = n - 1 downto 1 do

@@ -34,11 +34,5 @@ val float : t -> float -> float
 val float_signed : t -> float -> float
 (** [float_signed t m] is uniform in [\[-m, m\]]. *)
 
-val bool : t -> bool
-(** Fair coin. *)
-
-val choose : t -> 'a array -> 'a
-(** Uniform element of a non-empty array. *)
-
 val shuffle : t -> 'a array -> unit
 (** In-place Fisher-Yates shuffle. *)

@@ -25,15 +25,12 @@ type t = private {
   imm : int64 array;         (** constant payload (floats as raw bits) *)
   srcs : int array array;    (** source registers per static instruction *)
   packed : int array;
-      (** [[op; a; b; c; dst]] per instruction, stride {!stride} — one
+      (** [[op; a; b; c; dst]] per instruction, stride 5 — one
           contiguous run per dispatch for the unboxed machine's hot loop *)
   nregs : int;
   nbufs : int;
   scalar_tys : Ff_ir.Value.scalar_ty array;
 }
-
-val stride : int
-(** Stride of {!t.packed} (currently 5). *)
 
 val of_kernel : Ff_ir.Kernel.t -> t
 (** Decode a kernel. Raises [Invalid_argument] when the kernel violates

@@ -100,13 +100,10 @@ val burst_bits : bit:int -> burst:int -> int list
     single-event-upset model; larger widths model multi-bit upsets
     (§4.8 supports them within a single section). *)
 
-val encoding_field_bits : int
-(** Flippable low bits per packed encoding field. *)
-
 val encoding_bits : int list
 (** The bit indices an [Oenc] injection may target: bit [field * 8 + b]
     flips bit [b] of packed field [field] (0 opcode, 1 a, 2 b, 3 c,
-    4 dst), for [b < encoding_field_bits]. *)
+    4 dst), for [b < 6]. *)
 
 type step_env = {
   se_read : int -> Ff_ir.Value.t;

@@ -19,16 +19,6 @@ type engine =
   | Boxed
   | Unboxed
 
-(* The unboxed engine is the default: it is bit-identical to the boxed
-   oracle (differentially tested) and several times faster per replay.
-   FF_ENGINE=boxed forces the reference interpreter for injected
-   replays — the escape hatch when triaging a suspected engine
-   divergence. *)
-let default_engine =
-  match Sys.getenv_opt "FF_ENGINE" with
-  | Some s when String.lowercase_ascii s = "boxed" -> Boxed
-  | _ -> Unboxed
-
 type section_replay = {
   s_anomaly : anomaly option;
   s_output_sdc : (int * float) array;
@@ -218,7 +208,7 @@ let run_section_unboxed ~burst ~capture golden (section : Golden.section_run) in
       },
       Option.map (Array.map (Ustate.values state)) capture )
 
-let run_section ?(burst = 1) ?(engine = default_engine) golden
+let run_section ?(burst = 1) ?(engine = Unboxed) golden
     (section : Golden.section_run) injection ~timeout_factor =
   fst
     (match engine with
@@ -226,7 +216,7 @@ let run_section ?(burst = 1) ?(engine = default_engine) golden
     | Unboxed ->
       run_section_unboxed ~burst ~capture:None golden section injection ~timeout_factor)
 
-let run_section_capture ?(burst = 1) ?(engine = default_engine) golden
+let run_section_capture ?(burst = 1) ?(engine = Unboxed) golden
     (section : Golden.section_run) injection ~timeout_factor ~buffers =
   let capture = Some buffers in
   match engine with
@@ -361,7 +351,7 @@ let run_to_end_unboxed ~burst golden ~from_section injection ~timeout_factor =
         p_executed = !executed;
       }
 
-let run_to_end ?(burst = 1) ?(engine = default_engine) golden ~from_section injection
+let run_to_end ?(burst = 1) ?(engine = Unboxed) golden ~from_section injection
     ~timeout_factor =
   let sections = golden.Golden.sections in
   if from_section < 0 || from_section >= Array.length sections then

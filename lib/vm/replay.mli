@@ -38,14 +38,6 @@ type engine =
                  {!Workspace} scratch — bit-identical, several times
                  faster *)
 
-val default_engine : engine
-(** The engine {!run_section} and {!run_to_end} use when none is given:
-    [Unboxed], unless the [FF_ENGINE=boxed] environment variable forces
-    the reference interpreter for these replays (the triage escape
-    hatch). {!exec_section}, and so sensitivity sampling and detector
-    synthesis, always run unboxed. Both engines produce bit-identical
-    classifications, so the choice never changes results — only speed. *)
-
 val budget_of : timeout_factor:float -> int -> int
 (** The dynamic-instruction budget a replay grants a section whose golden
     run executed [dyn_count] instructions: [timeout_factor ×] that count

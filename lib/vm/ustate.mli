@@ -60,22 +60,16 @@ val values : t -> int -> Ff_ir.Value.t array
 val scalars_of_values : Ff_ir.Value.t list -> words * Bytes.t
 (** Scalar arguments in register-staging form. *)
 
-val distance : ?stop_at:float -> words -> Bytes.t -> words -> Bytes.t -> float
-(** [distance golden gtags actual atags] is {!Replay.buffer_distance} on
-    the unboxed representation: the largest element-wise |Δ| under
-    {!Ff_ir.Value.abs_diff} semantics, with the same early-exit contract
-    for [stop_at] and the same [Invalid_argument] on a reached element
-    whose dynamic types disagree. *)
-
 val buffer_distance : ?stop_at:float -> t -> int -> t -> int -> float
-(** [buffer_distance a i b j] is {!distance} between buffer [i] of [a]
-    and buffer [j] of [b]. *)
+(** [buffer_distance a i b j] is {!Replay.buffer_distance} on the
+    unboxed representation, between buffer [i] of [a] and buffer [j] of
+    [b]: the largest element-wise |Δ| under {!Ff_ir.Value.abs_diff}
+    semantics, with the same early-exit contract for [stop_at] and the
+    same [Invalid_argument] on a reached element whose dynamic types
+    disagree. *)
 
 val has_nonfinite : t -> int -> bool
 (** Whether buffer [i] holds a non-finite float (ints are always finite). *)
-
-val bufs_equal : words -> Bytes.t -> words -> Bytes.t -> bool
-(** Bit-exact buffer equality under {!Ff_ir.Value.equal} semantics. *)
 
 val equal : t -> t -> bool
 (** Bit-exact full-state equality (the early-convergence test). *)

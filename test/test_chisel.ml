@@ -129,35 +129,6 @@ let test_dataflow_reads_writes () =
   Alcotest.(check (list int)) "third reads side+res (inout)" [ 2; 3 ] s2.Dataflow.reads;
   Alcotest.(check (list int)) "third writes res" [ 3 ] s2.Dataflow.writes
 
-let test_dataflow_downstream () =
-  let g = golden chain_src in
-  let df = Dataflow.of_golden g in
-  Alcotest.(check (list int)) "everything after first" [ 1; 2 ] (Dataflow.downstream df 0);
-  Alcotest.(check (list int)) "after second" [ 2 ] (Dataflow.downstream df 1);
-  Alcotest.(check (list int)) "nothing after third" [] (Dataflow.downstream df 2)
-
-let test_dataflow_independent_sections () =
-  let src =
-    {|buffer a : float[1] = { 1.0 };
-buffer b : float[1] = { 2.0 };
-output buffer x : float[1] = zeros;
-output buffer y : float[1] = zeros;
-kernel cp(in a: float[], out x: float[]) { x[0] = a[0]; }
-schedule {
-  call cp(a, x);
-  call cp(b, y);
-}|}
-  in
-  let g = golden src in
-  let df = Dataflow.of_golden g in
-  Alcotest.(check (list int)) "parallel sections independent" []
-    (Dataflow.downstream df 0)
-
-let test_dataflow_writers () =
-  let g = golden chain_src in
-  let df = Dataflow.of_golden g in
-  Alcotest.(check (list int)) "writers of res" [ 1; 2 ] (Dataflow.writers_of df 3)
-
 (* --- propagation ----------------------------------------------------------------- *)
 
 let specs_for g =
@@ -246,9 +217,6 @@ let () =
       ( "dataflow",
         [
           Alcotest.test_case "reads/writes" `Quick test_dataflow_reads_writes;
-          Alcotest.test_case "downstream" `Quick test_dataflow_downstream;
-          Alcotest.test_case "independent" `Quick test_dataflow_independent_sections;
-          Alcotest.test_case "writers" `Quick test_dataflow_writers;
         ] );
       ( "propagate",
         [

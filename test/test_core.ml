@@ -506,6 +506,45 @@ let test_store_counters () =
   let _ = Pipeline.analyze ~store quick_config (compile program_src) in
   Alcotest.(check int) "two hits" 2 (Store.hits store)
 
+(* The store key space, pinned: the default configuration's hash and the
+   section keys of examples/pipeline.ff. A change to any input of a key
+   (kernel code, golden inputs, campaign or sensitivity configuration, or
+   how they are hashed) turns every stored record into a miss, so it
+   must show up here. The prover policy is set to on rather than read
+   from FF_PROVE. *)
+let test_store_key_space () =
+  let hex = Printf.sprintf "0x%016Lx" in
+  let config =
+    {
+      Pipeline.default_config with
+      Pipeline.campaign =
+        {
+          Pipeline.default_config.Pipeline.campaign with
+          Campaign.prove = Ff_inject.Prover.on;
+        };
+    }
+  in
+  Alcotest.(check string) "default config hash" "0x8b083f6b17ea5dcf"
+    (hex (Pipeline.config_hash config));
+  (* From test/ under [dune runtest], from the root under [dune exec]. *)
+  let path =
+    List.find Sys.file_exists [ "../examples/pipeline.ff"; "examples/pipeline.ff" ]
+  in
+  let program = compile (In_channel.with_open_bin path In_channel.input_all) in
+  let keys = (Pipeline.prepare config program).Pipeline.p_keys in
+  Alcotest.(check (list (triple string string string)))
+    "section keys (code, input, config)"
+    [
+      ("0xe0a770dc6d6da937", "0x1e08e2bce9b4d3e5", "0x60d137a6ecb37b90");
+      ("0x33fbf92ad8572bac", "0x88f8fffae5c67762", "0x60d137a6ecb37b90");
+      ("0xf1810d47ab5bf1fb", "0x1698577ff361b2e2", "0x60d137a6ecb37b90");
+    ]
+    (Array.to_list
+       (Array.map
+          (fun (k : Store.key) ->
+            (hex k.Store.code_hash, hex k.input_hash, hex k.config_hash))
+          keys))
+
 (* --- crash safety: hardened persistence ----------------------------------- *)
 
 let slurp path =
@@ -882,6 +921,7 @@ let () =
             test_store_invalidates_downstream_on_semantic_change;
           Alcotest.test_case "config isolation" `Quick test_store_config_isolation;
           Alcotest.test_case "counters" `Quick test_store_counters;
+          Alcotest.test_case "key space" `Quick test_store_key_space;
         ] );
       ( "crash safety",
         [

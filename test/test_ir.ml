@@ -294,121 +294,48 @@ let test_program_output_buffers () =
   Alcotest.(check (list int)) "output indices" [ 1 ]
     (List.map fst (Program.output_buffers p))
 
-(* --- assembler ---------------------------------------------------------------- *)
+(* --- listings --------------------------------------------------------------- *)
 
-let test_asm_roundtrip_benchmarks () =
-  (* Every kernel of every benchmark version must survive
-     print -> parse unchanged. *)
+(* What [fastflip compile] prints ([Program.pp]) for all 15 built-in
+   benchmark versions, pinned by hash and size: any change to the
+   listing format, or to what the compiler emits, shows up here. *)
+let test_listing_of_builtins () =
+  let h, bytes =
+    List.fold_left
+      (fun acc (b : Ff_benchmarks.Defs.t) ->
+        List.fold_left
+          (fun (h, bytes) v ->
+            let p = Ff_lang.Frontend.compile_exn (b.Ff_benchmarks.Defs.source v) in
+            let listing = Format.asprintf "%a" Program.pp p in
+            ( Hashing.combine h (Hashing.of_string listing),
+              bytes + String.length listing ))
+          acc Ff_benchmarks.Defs.all_versions)
+      (0L, 0) Ff_benchmarks.Registry.all
+  in
+  Alcotest.(check int) "listing bytes" 99561 bytes;
+  Alcotest.(check string) "listing hash" "0x733c12f079584f27"
+    (Printf.sprintf "0x%016Lx" h)
+
+(* A float constant prints as [%h], or by name for the infinities; a NaN
+   prints its full bit pattern, so the listing tells NaNs apart. *)
+let test_listing_of_nonfinite_fconst () =
   List.iter
-    (fun b ->
-      List.iter
-        (fun v ->
-          let program =
-            Result.get_ok (Ff_lang.Frontend.compile (b.Ff_benchmarks.Defs.source v))
-          in
-          List.iter
-            (fun (k : Kernel.t) ->
-              match Asm.parse_kernel (Asm.print_kernel k) with
-              | Error e ->
-                Alcotest.failf "%s/%s kernel %s: %s" b.Ff_benchmarks.Defs.name
-                  (Ff_benchmarks.Defs.version_name v) k.Kernel.name
-                  (Format.asprintf "%a" Asm.pp_error e)
-              | Ok k' ->
-                if not (Int64.equal (Kernel.code_hash k) (Kernel.code_hash k')) then
-                  Alcotest.failf "%s kernel %s does not round-trip"
-                    b.Ff_benchmarks.Defs.name k.Kernel.name)
-            program.Program.kernels)
-        Ff_benchmarks.Defs.all_versions)
-    Ff_benchmarks.Registry.all
-
-let test_asm_parses_handwritten () =
-  let listing =
-    {|kernel axpy(s: float, in x: float[], inout y: float[])
-  r1 <- iconst 0
-  r2 <- load b0[r1]
-  r3 <- fmul r2, r0
-  r4 <- load b1[r1]
-  r5 <- fadd r3, r4
-  store b1[r1] <- r5
-  halt|}
-  in
-  match Asm.parse_kernel listing with
-  | Error e -> Alcotest.failf "parse: %s" (Format.asprintf "%a" Asm.pp_error e)
-  | Ok k ->
-    Alcotest.(check string) "name" "axpy" k.Kernel.name;
-    Alcotest.(check int) "instructions" 7 (Array.length k.Kernel.code);
-    Alcotest.(check int) "inferred regs" 6 k.Kernel.nregs;
-    Alcotest.(check bool) "validates" true (Result.is_ok (Kernel.validate k))
-
-let test_asm_rejects_bad_input () =
-  let expect_error msg listing =
-    match Asm.parse_kernel listing with
-    | Ok _ -> Alcotest.failf "%s should be rejected" msg
-    | Error _ -> ()
-  in
-  expect_error "empty" "";
-  expect_error "bad opcode" "kernel k()
-  r0 <- frobnicate r1
-  halt";
-  expect_error "bad index" "kernel k()
-  5: halt";
-  expect_error "store to in buffer" "kernel k(in a: float[])
-  r0 <- iconst 0
-  store b0[r0] <- r0
-  halt";
-  expect_error "trailing tokens" "kernel k()
-  halt junk";
-  expect_error "nan bits that are not a NaN" "kernel k()
-  r0 <- fconst nan:0x0
-  halt"
-
-let test_asm_executes_handwritten () =
-  let listing =
-    {|kernel double(inout y: float[])
-  r0 <- iconst 0
-  r1 <- load b0[r0]
-  r2 <- fadd r1, r1
-  store b0[r0] <- r2
-  halt|}
-  in
-  let k = Result.get_ok (Asm.parse_kernel listing) in
-  let buffers = [| [| Value.Float 21.0 |] |] in
-  let run = Ff_vm.Machine.exec k ~scalars:[] ~buffers ~budget:100 () in
-  Alcotest.(check bool) "finished" true (run.Ff_vm.Machine.status = Ff_vm.Machine.Finished);
-  Alcotest.(check bool) "doubled" true (buffers.(0).(0) = Value.Float 42.0)
-
-(* Every float bit pattern an [fconst] can carry survives print -> parse:
-   both infinities, both NaN signs and a NaN with a payload. *)
-let test_asm_nonfinite_fconst () =
-  List.iter
-    (fun (label, v) ->
+    (fun (v, expected) ->
       let k =
         { Kernel.name = "k"; params = []; code = [| Instr.Fconst (0, v); Instr.Halt |];
           nregs = 1 }
       in
-      match Asm.parse_kernel (Asm.print_kernel k) with
-      | Error e -> Alcotest.failf "%s: %s" label (Format.asprintf "%a" Asm.pp_error e)
-      | Ok k' ->
-        (* [Instr.equal] compares float constants by bit pattern. *)
-        Alcotest.(check bool) (label ^ " bits") true (Instr.equal k.code.(0) k'.code.(0));
-        Alcotest.(check int64) (label ^ " code hash") (Kernel.code_hash k)
-          (Kernel.code_hash k'))
+      Alcotest.(check string) expected
+        (Printf.sprintf "kernel k()  ; 1 regs\n    0: r0 <- fconst %s\n    1: halt\n"
+           expected)
+        (Format.asprintf "%a" Kernel.pp k))
     [
-      ("infinity", Float.infinity);
-      ("-infinity", Float.neg_infinity);
-      ("nan", Float.nan);
-      ("-nan", Float.neg Float.nan);
-      ("payload nan", Int64.float_of_bits 0x7ff0000000000001L);
+      (Float.infinity, "infinity");
+      (Float.neg_infinity, "-infinity");
+      (Int64.float_of_bits 0x7ff8000000000001L, "nan:0x7ff8000000000001");
+      (Int64.float_of_bits 0xfff8000000000001L, "nan:0xfff8000000000001");
+      (Int64.float_of_bits 0x7ff0000000000001L, "nan:0x7ff0000000000001");
     ]
-
-(* qcheck: random valid kernels must round-trip through the assembler. *)
-let prop_asm_roundtrip =
-  QCheck2.Test.make ~count:200 ~name:"random kernels round-trip through asm"
-    ~print:Asm.print_kernel Rand_kernel.gen_kernel
-    (fun k ->
-      match Asm.parse_kernel (Asm.print_kernel k) with
-      | Ok k' -> Int64.equal (Kernel.code_hash k) (Kernel.code_hash k')
-      | Error _ -> false)
 
 let () =
   Alcotest.run "ir"
@@ -450,16 +377,10 @@ let () =
             test_kernel_hash_depends_on_signature;
           Alcotest.test_case "param accessors" `Quick test_scalar_buffer_params;
         ] );
-      ( "asm",
+      ( "listing",
         [
-          Alcotest.test_case "benchmark kernels round-trip" `Quick
-            test_asm_roundtrip_benchmarks;
-          Alcotest.test_case "handwritten listing" `Quick test_asm_parses_handwritten;
-          Alcotest.test_case "rejects bad input" `Quick test_asm_rejects_bad_input;
-          Alcotest.test_case "non-finite fconst round-trips" `Quick
-            test_asm_nonfinite_fconst;
-          Alcotest.test_case "executes handwritten" `Quick test_asm_executes_handwritten;
-          QCheck_alcotest.to_alcotest prop_asm_roundtrip;
+          Alcotest.test_case "built-in benchmarks" `Quick test_listing_of_builtins;
+          Alcotest.test_case "non-finite fconst" `Quick test_listing_of_nonfinite_fconst;
         ] );
       ( "program",
         [

@@ -340,22 +340,64 @@ let test_overwritten_register_flip_exact () =
       (Array.exists (fun (_, m) -> m = 1.0) sdc)
   | _ -> Alcotest.fail "expected an exact SDC proof"
 
-(* --- affine interval bounds ------------------------------------------------- *)
+(* --- wholesale refusals ------------------------------------------------------ *)
 
-let test_affine_interval_bound () =
-  let v = { Ff_chisel.Affine.section = 0; buffer = 1 } in
-  let w = { Ff_chisel.Affine.section = 0; buffer = 2 } in
-  let e =
-    Ff_chisel.Affine.add
-      (Ff_chisel.Affine.scale 3.0 (Ff_chisel.Affine.var v))
-      (Ff_chisel.Affine.scale 0.5 (Ff_chisel.Affine.var w))
+(* A replay budget below the golden schedule times out even a masked
+   flip, so a proof computed at a normal budget would be wrong there:
+   the prover must refuse the whole section instead. *)
+let test_short_budget_refused () =
+  let g = Golden.run (compile pipeline_src) in
+  let section = g.Golden.sections.(0) in
+  let short = 0.5 in
+  Alcotest.(check bool) "budget falls short of the golden schedule" true
+    (Replay.budget_of ~timeout_factor:short section.Golden.dyn_count
+    < section.Golden.dyn_count);
+  let classes = Array.of_list (Eqclass.for_section section prover_bits) in
+  let prove timeout_factor =
+    Prover.prove_section g ~section_index:0 ~timeout_factor ~model:Fault_model.default
+      Prover.on classes
   in
-  Alcotest.(check (float 1e-9)) "sum_coeffs" 3.5 (Ff_chisel.Affine.sum_coeffs e);
-  Alcotest.(check (float 1e-9)) "max_coeff" 3.0 (Ff_chisel.Affine.max_coeff e);
-  Alcotest.(check (float 1e-9)) "sup over [0,phi]" 7.0 (Ff_chisel.Affine.sup e ~phi:2.0);
-  Alcotest.(check (float 1e-9)) "sup at phi=0" 0.0 (Ff_chisel.Affine.sup e ~phi:0.0);
-  Alcotest.(check (float 1e-9)) "zero sums to 0" 0.0
-    (Ff_chisel.Affine.sum_coeffs Ff_chisel.Affine.zero)
+  Alcotest.(check bool) "no section proof under the short budget" true
+    (Array.for_all Option.is_none (prove short));
+  Alcotest.(check bool) "no final proof under the short budget" true
+    (Array.for_all Option.is_none
+       (Prover.prove_final g ~section_index:0 ~timeout_factor:short
+          ~model:Fault_model.default Prover.on classes));
+  (* The refusal is what keeps the prover sound: a class proved at the
+     normal budget replays differently under the short one. *)
+  let normal = prove 5.0 in
+  let wrong_somewhere = ref false in
+  Array.iteri
+    (fun i proof ->
+      match proof with
+      | None -> ()
+      | Some claimed ->
+        let injection = Replay.Fault (Site.machine_injection (Eqclass.pilot classes.(i))) in
+        let replay =
+          Replay.run_section ~burst:1 ~engine:Replay.Boxed g section injection
+            ~timeout_factor:short
+        in
+        if Stdlib.compare claimed (Outcome.of_section_replay replay) <> 0 then
+          wrong_somewhere := true)
+    normal;
+  Alcotest.(check bool) "a normal-budget proof is wrong under the short budget" true
+    !wrong_somewhere
+
+let test_disabled_policy_refused () =
+  let g = Golden.run (compile pipeline_src) in
+  Array.iter
+    (fun (section : Golden.section_run) ->
+      let si = section.Golden.section_index in
+      let classes = Array.of_list (Eqclass.for_section section prover_bits) in
+      Alcotest.(check bool) "no section proof" true
+        (Array.for_all Option.is_none
+           (Prover.prove_section g ~section_index:si ~timeout_factor:5.0
+              ~model:Fault_model.default Prover.off classes));
+      Alcotest.(check bool) "no final proof" true
+        (Array.for_all Option.is_none
+           (Prover.prove_final g ~section_index:si ~timeout_factor:5.0
+              ~model:Fault_model.default Prover.off classes)))
+    g.Golden.sections
 
 (* --- store keys ------------------------------------------------------------- *)
 
@@ -481,9 +523,11 @@ let () =
           Alcotest.test_case "live flip has exact SDC" `Quick
             test_overwritten_register_flip_exact;
         ] );
-      ( "benign floor derivation",
+      ( "guards refuse wholesale",
         [
-          Alcotest.test_case "affine interval bound" `Quick test_affine_interval_bound;
+          Alcotest.test_case "replay budget below the golden schedule" `Quick
+            test_short_budget_refused;
+          Alcotest.test_case "disabled policy" `Quick test_disabled_policy_refused;
         ] );
       ( "store keys",
         [

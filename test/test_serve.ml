@@ -279,7 +279,9 @@ let connect socket =
   Unix.connect fd (Unix.ADDR_UNIX socket);
   fd
 
-let test_server_survives_garbage () =
+(* Run [f socket] against a daemon on a fresh socket, then shut it down
+   and check that it acknowledged and removed its socket. *)
+let with_server f =
   let socket = temp_socket () in
   let server = Thread.create (fun () -> Ff_serve.Server.run ~socket ()) () in
   let deadline = Unix.gettimeofday () +. 10.0 in
@@ -287,6 +289,15 @@ let test_server_survives_garbage () =
     Thread.delay 0.01
   done;
   Alcotest.(check bool) "daemon came up" true (Sys.file_exists socket);
+  f socket;
+  (match Ff_serve.Client.request ~socket Protocol.Shutdown with
+  | Ok Protocol.Bye -> ()
+  | Ok _ | Error _ -> Alcotest.fail "shutdown was not acknowledged");
+  Thread.join server;
+  Alcotest.(check bool) "socket removed on shutdown" false (Sys.file_exists socket)
+
+let test_server_survives_garbage () =
+  with_server @@ fun socket ->
   (* Prime the warm cache with a good request. *)
   let req = Protocol.Analyze { source; query = quick_query } in
   let first =
@@ -325,12 +336,37 @@ let test_server_survives_garbage () =
   | Ok (Protocol.Report text) ->
     Alcotest.(check string) "warm state survived the hostile client" first text
   | Ok _ -> Alcotest.fail "expected a report"
-  | Error msg -> Alcotest.failf "post-garbage request failed: %s" msg);
-  (match Ff_serve.Client.request ~socket Protocol.Shutdown with
-  | Ok Protocol.Bye -> ()
-  | Ok _ | Error _ -> Alcotest.fail "shutdown was not acknowledged");
-  Thread.join server;
-  Alcotest.(check bool) "socket removed on shutdown" false (Sys.file_exists socket)
+  | Error msg -> Alcotest.failf "post-garbage request failed: %s" msg)
+
+(* Invalid analysis options get the CLI's one-line message back as an
+   [Error], and the daemon keeps serving. *)
+let test_server_refuses_invalid_options () =
+  with_server @@ fun socket ->
+  List.iter
+    (fun (option, query) ->
+      match
+        Ff_serve.Client.request ~socket (Protocol.Analyze { source; query })
+      with
+      | Ok (Protocol.Error msg) ->
+        let prefix = "--" ^ option ^ ": " in
+        if not (String.starts_with ~prefix msg) then
+          Alcotest.failf "--%s refused without naming it: %s" option msg
+      | Ok _ -> Alcotest.failf "an invalid --%s was analyzed" option
+      | Error msg -> Alcotest.failf "daemon dropped an invalid --%s: %s" option msg)
+    [
+      ("bits", { quick_query with Protocol.q_bits = [ -1 ] });
+      ("bits", { quick_query with Protocol.q_bits = [ 64 ] });
+      ("bits", { quick_query with Protocol.q_bits = [ 1; 1 ] });
+      ("epsilon", { quick_query with Protocol.q_epsilon = Float.nan });
+      ("epsilon", { quick_query with Protocol.q_epsilon = Float.infinity });
+      ("epsilon", { quick_query with Protocol.q_epsilon = -1.0 });
+      ("samples", { quick_query with Protocol.q_samples = -5 });
+    ];
+  match
+    Ff_serve.Client.request ~socket (Protocol.Analyze { source; query = quick_query })
+  with
+  | Ok (Protocol.Report _) -> ()
+  | Ok _ | Error _ -> Alcotest.fail "a valid query failed after the refusals"
 
 (* --- warm cache and fast path --------------------------------------------- *)
 
@@ -592,6 +628,8 @@ let () =
         [
           Alcotest.test_case "survives a hostile client" `Quick
             test_server_survives_garbage;
+          Alcotest.test_case "refuses invalid options" `Quick
+            test_server_refuses_invalid_options;
         ] );
       ( "engine",
         [
