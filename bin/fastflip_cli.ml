@@ -41,6 +41,19 @@ let compile_file path =
     Format.eprintf "%s: %a@." path Ff_lang.Frontend.pp_error e;
     exit 1
 
+(* A source file, or the large version of a built-in benchmark. *)
+let compile_program name =
+  if Sys.file_exists name then compile_file name
+  else
+    match Ff_benchmarks.Registry.find name with
+    | Some bench ->
+      Ff_lang.Frontend.compile_exn
+        (bench.Ff_benchmarks.Defs.source Ff_benchmarks.Defs.V_large)
+    | None ->
+      Printf.eprintf "fastflip: %s is neither a file nor a benchmark (try: %s)\n" name
+        (String.concat ", " Ff_benchmarks.Registry.names);
+      exit 1
+
 (* Invalid analysis options stop the command with one line on stderr and
    cmdliner's command-line-error status, before any work starts. The
    daemon runs the same check on every query. *)
@@ -270,9 +283,9 @@ let analyze_cmd =
   let run path target bits samples safety_factor epsilon store_path strict shards jobs
       metrics every resume no_prove model =
     let config = config_of ~epsilon ~model ?safety_factor ~bits ~samples ~no_prove () in
-    let program = compile_file path in
     let analysis =
       with_metrics metrics (fun () ->
+          let program = compile_file path in
           with_jobs jobs (fun pool ->
               with_checkpoint ~store_path ~every ~resume (fun journal ->
                   with_store ~strict ?shards store_path (fun store ->
@@ -290,9 +303,9 @@ let analyze_cmd =
 let compare_cmd =
   let run path target bits samples epsilon jobs metrics no_prove model =
     let config = config_of ~epsilon ~model ~bits ~samples ~no_prove () in
-    let program = compile_file path in
     let ff, base =
       with_metrics metrics (fun () ->
+          let program = compile_file path in
           with_jobs jobs (fun pool ->
               let ff = Pipeline.analyze ~pool config program in
               let base =
@@ -522,22 +535,10 @@ let security_cmd =
            ~doc:"Also write the findings as deterministic JSON to $(docv):                 per-finding pc (kernel/instr), attack-outcome kind, silent-damage                 site counts, and the campaign totals. The export seeds                 $(b,fastflip protect --seed-security).")
   in
   let run name target bits samples epsilon jobs metrics no_prove model json =
-    let program =
-      if Sys.file_exists name then compile_file name
-      else
-        match Ff_benchmarks.Registry.find name with
-        | Some bench ->
-          Ff_lang.Frontend.compile_exn
-            (bench.Ff_benchmarks.Defs.source Ff_benchmarks.Defs.V_large)
-        | None ->
-          Printf.eprintf "fastflip: %s is neither a file nor a benchmark (try: %s)\n"
-            name
-            (String.concat ", " Ff_benchmarks.Registry.names);
-          exit 1
-    in
     let config = config_of ~epsilon ~model ~bits ~samples ~no_prove () in
     let result =
       with_metrics metrics (fun () ->
+          let program = compile_program name in
           with_jobs jobs (fun pool ->
               let golden = Ff_vm.Golden.run program in
               Fastflip.Security.analyze ~pool ~epsilon golden
@@ -582,19 +583,6 @@ let protect_cmd =
   in
   let run name target bits samples safety_factor epsilon store_path strict shards jobs
       metrics no_prove model detectors pareto seed_security max_detectors =
-    let program =
-      if Sys.file_exists name then compile_file name
-      else
-        match Ff_benchmarks.Registry.find name with
-        | Some bench ->
-          Ff_lang.Frontend.compile_exn
-            (bench.Ff_benchmarks.Defs.source Ff_benchmarks.Defs.V_large)
-        | None ->
-          Printf.eprintf "fastflip: %s is neither a file nor a benchmark (try: %s)\n"
-            name
-            (String.concat ", " Ff_benchmarks.Registry.names);
-          exit 1
-    in
     let config = config_of ~epsilon ~model ?safety_factor ~bits ~samples ~no_prove () in
     let focus =
       Option.map
@@ -603,6 +591,7 @@ let protect_cmd =
     in
     let result =
       with_metrics metrics (fun () ->
+          let program = compile_program name in
           with_jobs jobs (fun pool ->
               with_store ~strict ?shards store_path (fun store ->
                   let analysis = Pipeline.analyze ~store ~pool config program in

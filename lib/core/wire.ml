@@ -7,13 +7,11 @@ module Hashing = Ff_support.Hashing
 
 (* --- primitive writers ------------------------------------------------------ *)
 
-let w_int64 buf v =
-  for i = 0 to 7 do
-    Buffer.add_char buf (Char.chr (Int64.to_int (Int64.shift_right_logical v (8 * i)) land 0xFF))
-  done
-
-let w_int buf v = w_int64 buf (Int64.of_int v)
-let w_float buf v = w_int64 buf (Int64.bits_of_float v)
+(* Eight little-endian bytes each. [Buffer.add_int64_le] is inlined
+   here, so the int64 a call converts to stays unboxed. *)
+let w_int64 buf v = Buffer.add_int64_le buf v
+let w_int buf v = Buffer.add_int64_le buf (Int64.of_int v)
+let w_float buf v = Buffer.add_int64_le buf (Int64.bits_of_float v)
 
 let w_string buf s =
   w_int buf (String.length s);
@@ -47,12 +45,9 @@ let at_end c = c.pos = c.limit
 
 let r_int64 c =
   if c.pos + 8 > c.limit then raise (Corrupt "truncated int64");
-  let v = ref 0L in
-  for i = 7 downto 0 do
-    v := Int64.logor (Int64.shift_left !v 8) (Int64.of_int (Char.code c.data.[c.pos + i]))
-  done;
+  let v = String.get_int64_le c.data c.pos in
   c.pos <- c.pos + 8;
-  !v
+  v
 
 let r_int c = Int64.to_int (r_int64 c)
 let r_float c = Int64.float_of_bits (r_int64 c)
@@ -130,7 +125,9 @@ let r_uvars c what =
 
 let w_floats buf arr =
   w_uvar buf (Array.length arr);
-  Array.iter (w_float buf) arr
+  for i = 0 to Array.length arr - 1 do
+    w_float buf arr.(i)
+  done
 
 let r_floats c what =
   let n = r_count c ~unit:8 what in
@@ -244,16 +241,20 @@ let same_members (a : (int * int) array) b =
 let w_members buf ~section ~prev members =
   if Array.length members > 0 && same_members members prev then w_uvar buf 0
   else begin
-    let in_section = Array.for_all (fun (s, _) -> s = section) members in
-    w_uvar buf (if in_section then 1 else 2);
-    w_uvar buf (Array.length members);
+    let n = Array.length members in
+    let in_section = ref true in
+    for i = 0 to n - 1 do
+      if fst members.(i) <> section then in_section := false
+    done;
+    w_uvar buf (if !in_section then 1 else 2);
+    w_uvar buf n;
     let last = ref 0 in
-    Array.iter
-      (fun (s, dyn) ->
-        if not in_section then w_uvar buf s;
-        w_svar buf (dyn - !last);
-        last := dyn)
-      members
+    for i = 0 to n - 1 do
+      let s, dyn = members.(i) in
+      if not !in_section then w_uvar buf s;
+      w_svar buf (dyn - !last);
+      last := dyn
+    done
   end
 
 let r_members c ~section ~prev =
@@ -351,11 +352,11 @@ let w_outcome buf = function
   | Outcome.S_sdc magnitudes ->
     w_uvar buf 1;
     w_uvar buf (Array.length magnitudes);
-    Array.iter
-      (fun (idx, m) ->
-        w_uvar buf idx;
-        w_float buf m)
-      magnitudes
+    for i = 0 to Array.length magnitudes - 1 do
+      let idx, m = magnitudes.(i) in
+      w_uvar buf idx;
+      w_float buf m
+    done
 
 let r_outcome c =
   match r_uvar c with

@@ -84,7 +84,6 @@ type section_prover = {
   writable : bool array;  (* per program buffer index *)
   writable_idx : int array;
   exit_nonfinite : bool;  (* golden exit writables already non-finite *)
-  liveness : Liveness.t;
   final_zero : (int * float) list;  (* converged replay's F_sdc payload *)
 }
 
@@ -186,15 +185,6 @@ let record (section : Golden.section_run) golden_exit =
     r_mem_access = mem_access;
   }
 
-(* Per-kernel liveness cache, keyed by physical identity of the decoded
-   form (Golden shares one [decoded] across every section calling the
-   same kernel): a fixpoint lives as long as its decoded kernel. *)
-let liveness_cache : (Decode.t, Liveness.t) Ephemeron_cache.t = Ephemeron_cache.create 16
-
-let liveness_of decoded =
-  Ephemeron_cache.find_or_compute liveness_cache decoded (fun () ->
-      Liveness.of_decoded decoded)
-
 (* Recording cache, keyed by physical identity of the section run: a
    section is recorded once and then shared by the section pre-pass, the
    final-outcome pre-pass, and any repeated campaign over the same
@@ -248,7 +238,6 @@ let prepare golden ~section_index ~timeout_factor ~burst =
           writable;
           writable_idx;
           exit_nonfinite;
-          liveness = liveness_of section.Golden.decoded;
           final_zero =
             Program.output_buffers golden.Golden.program
             |> List.map (fun (idx, _) -> (idx, 0.0));
@@ -330,158 +319,142 @@ let walk sp ~at_dyn ~operand ~bit =
          flips *)
       invalid_arg "Prover.walk: non-register operand"
   in
-  (* Static fast path: a destination flip into a register that is dead
-     after its pc is overwritten before any read on every path — no walk
-     needed, the fault is masked with no memory taint. *)
-  let statically_dead =
-    match operand with
-    | Site.Dst ->
-      !rt_count > 0
-      &&
-      let pc = trace.(at_dyn) in
-      let d = Decode.dst_at decoded pc in
-      not (Liveness.live_out sp.liveness ~pc ~reg:d)
-    | Site.Src _ | Site.Op | Site.Mem _ -> false
-  in
-  if statically_dead then W_complete (Hashtbl.create 1)
-  else begin
-    try
-      let j = ref start in
-      let commit d jj v =
-        if Value.equal v sp.dvals.(jj) then set_reg d None else set_reg d (Some v)
-      in
-      (* One dynamic instruction. Operand registers come straight off the
-         instruction constructors (same order as [Instr.srcs], which is
-         what indexes [svals]); the common all-clean case touches only
-         [rtaint] and kills the destination without evaluating anything. *)
-      let step () =
-        let jj = !j in
-        let pc = trace.(jj) in
-        let base = sp.soff.(jj) in
-        (match sp.code.(pc) with
-        | Instr.Jmp _ | Instr.Halt -> ()
-        | Instr.Br (c, _, _) -> (
-          match rtaint.(c) with
-          | None -> ()
-          | Some fv ->
-            let f = Machine.as_int fv in
-            let g = Machine.as_int sp.svals.(base) in
-            if (f <> 0L) <> (g <> 0L) then raise Divergent)
-        | Instr.Store (slot, i, v) -> (
-          let bidx = sp.slot_idx.(slot) in
-          match rtaint.(i) with
-          | Some fv ->
-            let fidx = Machine.as_int fv in
-            if fidx < 0L || fidx >= Int64.of_int sp.buf_len.(bidx) then
-              raise (Machine.Trap Machine.Out_of_bounds)
-            else
-              (* in-bounds write through a corrupted address: the walk
-                 would have to know golden memory it never recorded *)
-              raise Divergent
-          | None ->
-            let idx = Int64.to_int (Machine.as_int sp.svals.(base)) in
-            set_mem (bidx, idx) rtaint.(v))
-        | Instr.Load (d, slot, i) -> (
-          let bidx = sp.slot_idx.(slot) in
-          match rtaint.(i) with
-          | Some fv ->
-            let fidx = Machine.as_int fv in
-            if fidx < 0L || fidx >= Int64.of_int sp.buf_len.(bidx) then
-              raise (Machine.Trap Machine.Out_of_bounds)
-            else raise Divergent
-          | None -> (
-            let idx = Int64.to_int (Machine.as_int sp.svals.(base)) in
-            match Hashtbl.find_opt mtaint (bidx, idx) with
-            | Some v -> commit d jj v
-            | None -> set_reg d None))
-        | Instr.Iconst (d, _) | Instr.Fconst (d, _) -> set_reg d None
-        | Instr.Mov (d, s) -> (
-          match rtaint.(s) with Some v -> commit d jj v | None -> set_reg d None)
-        | Instr.Ibin (op, d, a, b) -> (
-          match (rtaint.(a), rtaint.(b)) with
-          | None, None -> set_reg d None
-          | ta, tb ->
-            let va = match ta with Some v -> v | None -> sp.svals.(base) in
-            let vb = match tb with Some v -> v | None -> sp.svals.(base + 1) in
-            commit d jj (Value.Int (Machine.eval_ibin op (Machine.as_int va) (Machine.as_int vb))))
-        | Instr.Fbin (op, d, a, b) -> (
-          match (rtaint.(a), rtaint.(b)) with
-          | None, None -> set_reg d None
-          | ta, tb ->
-            let va = match ta with Some v -> v | None -> sp.svals.(base) in
-            let vb = match tb with Some v -> v | None -> sp.svals.(base + 1) in
-            commit d jj
-              (Value.Float (Machine.eval_fbin op (Machine.as_float va) (Machine.as_float vb))))
-        | Instr.Iun (op, d, a) -> (
-          match rtaint.(a) with
-          | None -> set_reg d None
-          | Some v -> commit d jj (Value.Int (Machine.eval_iun op (Machine.as_int v))))
-        | Instr.Fun1 (op, d, a) -> (
-          match rtaint.(a) with
-          | None -> set_reg d None
-          | Some v -> commit d jj (Value.Float (Machine.eval_funop op (Machine.as_float v))))
-        | Instr.Icmp (c, d, a, b) -> (
-          match (rtaint.(a), rtaint.(b)) with
-          | None, None -> set_reg d None
-          | ta, tb ->
-            let va = match ta with Some v -> v | None -> sp.svals.(base) in
-            let vb = match tb with Some v -> v | None -> sp.svals.(base + 1) in
-            commit d jj
-              (Value.Int
-                 (if Machine.eval_icmp c (Machine.as_int va) (Machine.as_int vb) then 1L else 0L)))
-        | Instr.Fcmp (c, d, a, b) -> (
-          match (rtaint.(a), rtaint.(b)) with
-          | None, None -> set_reg d None
-          | ta, tb ->
-            let va = match ta with Some v -> v | None -> sp.svals.(base) in
-            let vb = match tb with Some v -> v | None -> sp.svals.(base + 1) in
-            commit d jj
-              (Value.Int
-                 (if Machine.eval_fcmp c (Machine.as_float va) (Machine.as_float vb) then 1L
-                  else 0L)))
-        | Instr.Cast (c, d, a) -> (
-          match rtaint.(a) with
-          | None -> set_reg d None
-          | Some v -> commit d jj (Machine.eval_cast c v))
-        | Instr.Select (d, c, a, b) -> (
-          match (rtaint.(c), rtaint.(a), rtaint.(b)) with
-          | None, None, None -> set_reg d None
-          | tc, ta, tb ->
-            let vc = match tc with Some v -> v | None -> sp.svals.(base) in
-            let va = match ta with Some v -> v | None -> sp.svals.(base + 1) in
-            let vb = match tb with Some v -> v | None -> sp.svals.(base + 2) in
-            commit d jj (if Machine.as_int vc <> 0L then va else vb)));
-        incr j
-      in
-      let finished = ref false in
-      while (not !finished) && !j < dyn_count do
-        if !rt_count > 0 then step ()
-        else if Hashtbl.length mtaint = 0 then finished := true
+  try
+    let j = ref start in
+    let commit d jj v =
+      if Value.equal v sp.dvals.(jj) then set_reg d None else set_reg d (Some v)
+    in
+    (* One dynamic instruction. Operand registers come straight off the
+       instruction constructors (same order as [Instr.srcs], which is
+       what indexes [svals]); the common all-clean case touches only
+       [rtaint] and kills the destination without evaluating anything. *)
+    let step () =
+      let jj = !j in
+      let pc = trace.(jj) in
+      let base = sp.soff.(jj) in
+      (match sp.code.(pc) with
+      | Instr.Jmp _ | Instr.Halt -> ()
+      | Instr.Br (c, _, _) -> (
+        match rtaint.(c) with
+        | None -> ()
+        | Some fv ->
+          let f = Machine.as_int fv in
+          let g = Machine.as_int sp.svals.(base) in
+          if (f <> 0L) <> (g <> 0L) then raise Divergent)
+      | Instr.Store (slot, i, v) -> (
+        let bidx = sp.slot_idx.(slot) in
+        match rtaint.(i) with
+        | Some fv ->
+          let fidx = Machine.as_int fv in
+          if fidx < 0L || fidx >= Int64.of_int sp.buf_len.(bidx) then
+            raise (Machine.Trap Machine.Out_of_bounds)
+          else
+            (* in-bounds write through a corrupted address: the walk
+               would have to know golden memory it never recorded *)
+            raise Divergent
+        | None ->
+          let idx = Int64.to_int (Machine.as_int sp.svals.(base)) in
+          set_mem (bidx, idx) rtaint.(v))
+      | Instr.Load (d, slot, i) -> (
+        let bidx = sp.slot_idx.(slot) in
+        match rtaint.(i) with
+        | Some fv ->
+          let fidx = Machine.as_int fv in
+          if fidx < 0L || fidx >= Int64.of_int sp.buf_len.(bidx) then
+            raise (Machine.Trap Machine.Out_of_bounds)
+          else raise Divergent
+        | None -> (
+          let idx = Int64.to_int (Machine.as_int sp.svals.(base)) in
+          match Hashtbl.find_opt mtaint (bidx, idx) with
+          | Some v -> commit d jj v
+          | None -> set_reg d None))
+      | Instr.Iconst (d, _) | Instr.Fconst (d, _) -> set_reg d None
+      | Instr.Mov (d, s) -> (
+        match rtaint.(s) with Some v -> commit d jj v | None -> set_reg d None)
+      | Instr.Ibin (op, d, a, b) -> (
+        match (rtaint.(a), rtaint.(b)) with
+        | None, None -> set_reg d None
+        | ta, tb ->
+          let va = match ta with Some v -> v | None -> sp.svals.(base) in
+          let vb = match tb with Some v -> v | None -> sp.svals.(base + 1) in
+          commit d jj (Value.Int (Machine.eval_ibin op (Machine.as_int va) (Machine.as_int vb))))
+      | Instr.Fbin (op, d, a, b) -> (
+        match (rtaint.(a), rtaint.(b)) with
+        | None, None -> set_reg d None
+        | ta, tb ->
+          let va = match ta with Some v -> v | None -> sp.svals.(base) in
+          let vb = match tb with Some v -> v | None -> sp.svals.(base + 1) in
+          commit d jj
+            (Value.Float (Machine.eval_fbin op (Machine.as_float va) (Machine.as_float vb))))
+      | Instr.Iun (op, d, a) -> (
+        match rtaint.(a) with
+        | None -> set_reg d None
+        | Some v -> commit d jj (Value.Int (Machine.eval_iun op (Machine.as_int v))))
+      | Instr.Fun1 (op, d, a) -> (
+        match rtaint.(a) with
+        | None -> set_reg d None
+        | Some v -> commit d jj (Value.Float (Machine.eval_funop op (Machine.as_float v))))
+      | Instr.Icmp (c, d, a, b) -> (
+        match (rtaint.(a), rtaint.(b)) with
+        | None, None -> set_reg d None
+        | ta, tb ->
+          let va = match ta with Some v -> v | None -> sp.svals.(base) in
+          let vb = match tb with Some v -> v | None -> sp.svals.(base + 1) in
+          commit d jj
+            (Value.Int
+               (if Machine.eval_icmp c (Machine.as_int va) (Machine.as_int vb) then 1L else 0L)))
+      | Instr.Fcmp (c, d, a, b) -> (
+        match (rtaint.(a), rtaint.(b)) with
+        | None, None -> set_reg d None
+        | ta, tb ->
+          let va = match ta with Some v -> v | None -> sp.svals.(base) in
+          let vb = match tb with Some v -> v | None -> sp.svals.(base + 1) in
+          commit d jj
+            (Value.Int
+               (if Machine.eval_fcmp c (Machine.as_float va) (Machine.as_float vb) then 1L
+                else 0L)))
+      | Instr.Cast (c, d, a) -> (
+        match rtaint.(a) with
+        | None -> set_reg d None
+        | Some v -> commit d jj (Machine.eval_cast c v))
+      | Instr.Select (d, c, a, b) -> (
+        match (rtaint.(c), rtaint.(a), rtaint.(b)) with
+        | None, None, None -> set_reg d None
+        | tc, ta, tb ->
+          let vc = match tc with Some v -> v | None -> sp.svals.(base) in
+          let va = match ta with Some v -> v | None -> sp.svals.(base + 1) in
+          let vb = match tb with Some v -> v | None -> sp.svals.(base + 2) in
+          commit d jj (if Machine.as_int vc <> 0L then va else vb)));
+      incr j
+    in
+    let finished = ref false in
+    while (not !finished) && !j < dyn_count do
+      if !rt_count > 0 then step ()
+      else if Hashtbl.length mtaint = 0 then finished := true
+      else begin
+        (* All register taint is dead, so execution tracks the golden
+           path exactly until it next touches a tainted element: clean
+           stores to clean elements rewrite golden values and clean
+           loads of clean elements recompute golden registers. Leap
+           straight to that access instead of stepping through the
+           clean stretch. *)
+        let nxt = ref max_int in
+        Hashtbl.iter
+          (fun key _ ->
+            let a = next_access key !j in
+            if a < !nxt then nxt := a)
+          mtaint;
+        if !nxt >= dyn_count then j := dyn_count
         else begin
-          (* All register taint is dead, so execution tracks the golden
-             path exactly until it next touches a tainted element: clean
-             stores to clean elements rewrite golden values and clean
-             loads of clean elements recompute golden registers. Leap
-             straight to that access instead of stepping through the
-             clean stretch. *)
-          let nxt = ref max_int in
-          Hashtbl.iter
-            (fun key _ ->
-              let a = next_access key !j in
-              if a < !nxt then nxt := a)
-            mtaint;
-          if !nxt >= dyn_count then j := dyn_count
-          else begin
-            j := !nxt;
-            step ()
-          end
+          j := !nxt;
+          step ()
         end
-      done;
-      W_complete mtaint
-    with
-    | Machine.Trap _ -> W_crash
-    | Divergent -> W_undecided
-  end
+      end
+    done;
+    W_complete mtaint
+  with
+  | Machine.Trap _ -> W_crash
+  | Divergent -> W_undecided
 
 (* Map a completed walk's memory taint to the exact section outcome a
    replay would report: per-writable-buffer max |Δ| in the plan's

@@ -6,9 +6,8 @@
     whole {!Eqclass.t} classes by an exact single-fault taint walk along
     the concrete golden schedule:
 
-    - flips that are dead or overwritten before use (the taint dies, or
-      a destination flip into a register {!Ff_vm.Liveness} finds
-      not live-out) are {e Masked} — all-zero section SDC;
+    - flips that are dead or overwritten before use (the taint dies
+      before the section ends) are {e Masked} — all-zero section SDC;
     - flips whose only consumer provably traps (a corrupted address or
       bounds computation going out of range, a division forced to zero,
       an invalid conversion) with no dataflow escaping first are

@@ -10,6 +10,7 @@ let pp_error fmt { stage; loc; message } =
   | None -> Format.fprintf fmt "%s error: %s" stage message
 
 let compile ?(optimize = true) src =
+  Ff_support.Telemetry.span "frontend.compile" @@ fun () ->
   match Parser.parse src with
   | Error { Parser.loc; message } -> Error { stage = "parse"; loc = Some loc; message }
   | Ok ast -> (

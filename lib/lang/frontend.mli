@@ -11,7 +11,8 @@ type error = {
 }
 
 val compile : ?optimize:bool -> string -> (Ff_ir.Program.t, error) result
-(** [compile src] builds the program. [optimize] defaults to [true]. *)
+(** [compile src] builds the program. [optimize] defaults to [true].
+    Timed as the telemetry span [frontend.compile]. *)
 
 val compile_exn : ?optimize:bool -> string -> Ff_ir.Program.t
 (** Like {!compile} but raises [Failure] with a rendered diagnostic; for

@@ -123,13 +123,17 @@ let copy_propagate (kernel : Kernel.t) =
   let code = Array.copy kernel.Kernel.code in
   let n = Array.length code in
   let targets = branch_targets code in
-  (* copy_of.(r) = Some s: register r currently holds the value of s. *)
-  let copy_of = Array.make kernel.Kernel.nregs None in
-  let reset () = Array.fill copy_of 0 (Array.length copy_of) None in
-  let resolve r = match copy_of.(r) with Some s -> s | None -> r in
+  (* copy_of.(r) = s >= 0: register r currently holds the value of s;
+     -1: no copy. *)
+  let nregs = kernel.Kernel.nregs in
+  let copy_of = Array.make nregs (-1) in
+  let reset () = Array.fill copy_of 0 nregs (-1) in
+  let resolve r = if copy_of.(r) >= 0 then copy_of.(r) else r in
   let invalidate d =
-    copy_of.(d) <- None;
-    Array.iteri (fun r c -> if c = Some d then copy_of.(r) <- None) copy_of
+    copy_of.(d) <- -1;
+    for r = 0 to nregs - 1 do
+      if copy_of.(r) = d then copy_of.(r) <- -1
+    done
   in
   for i = 0 to n - 1 do
     if targets.(i) then reset ();
@@ -138,7 +142,7 @@ let copy_propagate (kernel : Kernel.t) =
     match rewritten with
     | Instr.Mov (d, s) ->
       invalidate d;
-      if d <> s then copy_of.(d) <- Some s
+      if d <> s then copy_of.(d) <- s
     | instr -> (
       match Instr.dst instr with
       | Some d -> invalidate d

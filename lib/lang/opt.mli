@@ -41,9 +41,9 @@ val common_subexpressions : Ff_ir.Kernel.t -> Ff_ir.Kernel.t
 
 val dead_code_elimination : Ff_ir.Kernel.t -> Ff_ir.Kernel.t
 (** Global liveness-based removal of pure instructions whose destination
-    is never read ({!Ff_vm.Liveness}, the analysis the injection prover
-    also uses), iterated to a fixpoint, with label remapping. The kernel
-    must decode ({!Ff_vm.Decode.of_kernel}). *)
+    is never read ({!Ff_vm.Liveness}), iterated to a fixpoint, with label
+    remapping. The kernel must decode ({!Ff_vm.Decode.of_kernel}). After
+    the last pass every remaining destination is live-out. *)
 
 val optimize : Ff_ir.Kernel.t -> Ff_ir.Kernel.t
 (** The standard pipeline: fold, copy-propagate, simplify, prune, DCE —

@@ -1,12 +1,11 @@
-(* Random kernel generator shared by the engine, prover and assembler
-   tests: straight-line-or-branching bodies over every opcode, with
-   operands drawn from [nregs] registers and [nbufs] buffer slots, and
-   constants biased toward the edge values (extreme integers, NaN,
+(* Random kernel generator shared by the engine, prover, optimizer and
+   liveness tests: straight-line-or-branching bodies over every opcode,
+   with operands drawn from [nregs] registers and [nbufs] buffer slots,
+   and constants biased toward the edge values (extreme integers, NaN,
    infinities, signed zero) where engines tend to disagree. *)
 
 open Ff_ir
 
-let nregs = 6
 let nbufs = 2 (* slot 0: float, slot 1: int *)
 
 let all_ibinops =
@@ -45,7 +44,7 @@ let gen_float =
         oneofl [ 0.0; -0.0; Float.nan; Float.infinity; Float.neg_infinity; 1e308; -2.5 ];
       ])
 
-let gen_instr ~ninstrs =
+let gen_instr ~nregs ~ninstrs =
   QCheck2.Gen.(
     let reg = int_range 0 (nregs - 1) in
     let label = int_range 0 ninstrs in
@@ -73,21 +72,24 @@ let gen_instr ~ninstrs =
         map3 (fun c l1 l2 -> Instr.Br (c, l1, l2)) reg label label;
       ])
 
-(* Signature [(n: int, x: float, inout fb: float[], inout ib: int[])];
+(* Signature [(n: int, x: float, inout fb: float[], inout ib: int[])],
+   without the scalars when [nregs < 2] leaves no registers for them;
    every label targets an instruction or the trailing [halt]. *)
-let gen_kernel =
+let gen_kernel_nregs nregs =
   QCheck2.Gen.(
     int_range 1 24 >>= fun ninstrs ->
-    list_repeat ninstrs (gen_instr ~ninstrs) >|= fun body ->
+    list_repeat ninstrs (gen_instr ~nregs ~ninstrs) >|= fun body ->
     {
       Kernel.name = "randk";
       params =
-        [
-          Kernel.Scalar ("n", Value.TInt);
-          Kernel.Scalar ("x", Value.TFloat);
-          Kernel.Buffer ("fb", Value.TFloat, Kernel.InOut);
-          Kernel.Buffer ("ib", Value.TInt, Kernel.InOut);
-        ];
+        (if nregs < 2 then []
+         else [ Kernel.Scalar ("n", Value.TInt); Kernel.Scalar ("x", Value.TFloat) ])
+        @ [
+            Kernel.Buffer ("fb", Value.TFloat, Kernel.InOut);
+            Kernel.Buffer ("ib", Value.TInt, Kernel.InOut);
+          ];
       code = Array.of_list (body @ [ Instr.Halt ]);
       nregs;
     })
+
+let gen_kernel = gen_kernel_nregs 6

@@ -5,6 +5,8 @@
 open Ff_lang
 open Ff_ir
 module Golden = Ff_vm.Golden
+module Decode = Ff_vm.Decode
+module Liveness = Ff_vm.Liveness
 module Rng = Ff_support.Rng
 
 let compile ~optimize src =
@@ -224,6 +226,97 @@ let test_random_kernels_pinned () =
   Alcotest.(check int) "kernels changed by folding" 365 !changed;
   Alcotest.(check int64) "folded and optimized hashes" 0x3a4d8995bff16172L !acc
 
+(* --- liveness ------------------------------------------------------------------ *)
+
+(* The bool-matrix round-robin fixpoint that the bitset [Liveness]
+   replaced, kept as its oracle: live_out and live_in are one bool per
+   (pc, register), swept in reverse until nothing changes. *)
+let reference_live_out (decoded : Decode.t) =
+  let n = Decode.length decoded in
+  let nregs = decoded.Decode.nregs in
+  let succ = Decode.successors decoded in
+  let live_in = Array.make_matrix n nregs false in
+  let live_out = Array.make_matrix n nregs false in
+  let changed = ref true in
+  while !changed do
+    changed := false;
+    for pc = n - 1 downto 0 do
+      let o = live_out.(pc) in
+      Array.iter
+        (fun s ->
+          Array.iteri
+            (fun r live ->
+              if live && not o.(r) then begin
+                o.(r) <- true;
+                changed := true
+              end)
+            live_in.(s))
+        succ.(pc);
+      let i = live_in.(pc) in
+      let d = Decode.dst_at decoded pc in
+      let gen r =
+        if not i.(r) then begin
+          i.(r) <- true;
+          changed := true
+        end
+      in
+      Array.iteri (fun r live -> if live && r <> d then gen r) o;
+      Array.iter gen (Decode.srcs_at decoded pc)
+    done
+  done;
+  live_out
+
+(* Every (pc, register) cell of the bitset analysis equals the oracle's;
+   returns the number of cells compared. *)
+let check_liveness ~msg (kernel : Kernel.t) =
+  let decoded = Decode.of_kernel kernel in
+  let live = Liveness.of_decoded decoded in
+  let expected = reference_live_out decoded in
+  Array.iteri
+    (fun pc row ->
+      Array.iteri
+        (fun reg want ->
+          if Liveness.live_out live ~pc ~reg <> want then
+            Alcotest.failf "%s: live_out pc %d reg %d (nregs %d) is %b, the oracle says %b"
+              msg pc reg kernel.Kernel.nregs (not want) want)
+        row)
+    expected;
+  Array.length expected * kernel.Kernel.nregs
+
+(* Register counts on both sides of the 63-bit word boundaries. *)
+let liveness_nregs = [ 1; 2; 62; 63; 64; 125; 126; 127; 200; 257 ]
+
+let prop_liveness_matches_oracle =
+  QCheck2.Test.make ~count:400 ~name:"bitset liveness equals the bool-matrix oracle"
+    ~print:(Format.asprintf "%a" Kernel.pp)
+    QCheck2.Gen.(oneofl liveness_nregs >>= Rand_kernel.gen_kernel_nregs)
+    (fun k ->
+      ignore (check_liveness ~msg:"random" k);
+      ignore (check_liveness ~msg:"random, optimized" (Opt.optimize k));
+      true)
+
+let test_liveness_benchmarks () =
+  let cells = ref 0 in
+  List.iter
+    (fun b ->
+      List.iter
+        (fun v ->
+          let src = b.Ff_benchmarks.Defs.source v in
+          List.iter
+            (fun optimize ->
+              List.iter
+                (fun (k : Kernel.t) ->
+                  let msg =
+                    Printf.sprintf "%s/%s %s (optimize %b)" b.Ff_benchmarks.Defs.name
+                      (Ff_benchmarks.Defs.version_name v) k.Kernel.name optimize
+                  in
+                  cells := !cells + check_liveness ~msg k)
+                (compile ~optimize src).Program.kernels)
+            [ false; true ])
+        Ff_benchmarks.Defs.all_versions)
+    Ff_benchmarks.Registry.all;
+  Alcotest.(check bool) "cells compared" true (!cells > 0)
+
 (* --- differential properties --------------------------------------------- *)
 
 let outputs_equal a b =
@@ -332,6 +425,12 @@ let () =
           Alcotest.test_case "benchmarks shrink" `Quick test_optimize_shrinks_benchmarks;
           Alcotest.test_case "benchmark code pinned" `Quick test_benchmark_code_pinned;
           Alcotest.test_case "random kernels pinned" `Quick test_random_kernels_pinned;
+        ] );
+      ( "liveness",
+        [
+          QCheck_alcotest.to_alcotest prop_liveness_matches_oracle;
+          Alcotest.test_case "benchmark kernels equal the oracle" `Quick
+            test_liveness_benchmarks;
         ] );
       ( "differential",
         [

@@ -298,8 +298,9 @@ let check_agrees name proof oracle =
         (Format.asprintf "%a" Outcome.pp_section oracle)
 
 let test_dead_dst_is_masked () =
-  (* pc 0's destination is overwritten at pc 1 before any read: every
-     destination flip there is provably masked, statically. *)
+  (* pc 0's destination is overwritten at pc 1 before any read: the
+     walk sees the taint die there, so every destination flip is a
+     proved mask. *)
   let proof, oracle, fproof, foracle = prove_site ~instr:0 ~operand:Site.Dst ~bit:62 () in
   check_agrees "dead dst" proof oracle;
   (match proof with
@@ -472,10 +473,9 @@ let test_journal_skips_proved_classes () =
     (Stdlib.compare first.Campaign.s_classes second.Campaign.s_classes = 0);
   Alcotest.(check int) "resume work matches" first.Campaign.s_work second.Campaign.s_work
 
-(* The prover's recording and liveness caches hold their section run
-   and decoded kernel through ephemerons: once the caller drops a golden
-   run, nothing the prover cached keeps it, its section runs or its
-   decoded kernels alive. *)
+(* The prover's recording cache holds its section run through an
+   ephemeron: once the caller drops a golden run, nothing the prover
+   cached keeps it, its section runs or its decoded kernels alive. *)
 let[@inline never] prove_and_keep_weakly weak =
   let g = Golden.run unit_program in
   let section = g.Golden.sections.(0) in
