@@ -27,6 +27,8 @@ module Pipeline = Fastflip.Pipeline
 module Campaign = Ff_inject.Campaign
 module Site = Ff_inject.Site
 module Pool = Ff_support.Pool
+module Json = Ff_support.Json
+module Table = Ff_support.Table
 module Telemetry = Ff_support.Telemetry
 
 let quick_config =
@@ -132,25 +134,129 @@ let print_evolution config =
     print_endline (Ff_harness.Evolution.render steps)
   | None -> ()
 
+(* --- measured results: one field list each ------------------------------- *)
+
+(* A measured artifact returns a title and its result, said once as named
+   fields: [report] prints them as text tables, [write_json] writes them to
+   BENCH_<artifact>.json, and every row of [floors] reads its value by key. *)
+type value =
+  | Int of int
+  | Float of float * int  (** the value and the decimal places it prints with *)
+  | Bool of bool
+  | Str of string
+  | Obj of field list
+  | Rows of field list list
+
+and field = string * value
+
+let scalar = function
+  | Int i -> string_of_int i
+  | Float (x, places) -> Printf.sprintf "%.*f" places x
+  | Bool b -> string_of_bool b
+  | Str s -> s
+  | Obj _ | Rows _ -> ""
+
+let number = function
+  | Int i -> Some (float_of_int i)
+  | Float (x, _) -> Some x
+  | Bool _ | Str _ | Obj _ | Rows _ -> None
+
+(* The number under [key] in a row the artifact itself built. *)
+let num key row = Option.get (number (List.assoc key row))
+
+let all_identical rows =
+  Bool (List.for_all (fun row -> List.assoc "identical" row = Bool true) rows)
+
+let ratio a b = if b > 0.0 then a /. b else 0.0
+
+(* A nested field as the rows of a table: a list's objects, or an object's
+   members under a first column named after the field. *)
+let rows_of key = function
+  | Rows rows -> Some rows
+  | Obj members ->
+    Some
+      (List.map
+         (fun (name, v) ->
+           (key, Str name) :: (match v with Obj inner -> inner | v -> [ ("value", v) ]))
+         members)
+  | Int _ | Float _ | Bool _ | Str _ -> None
+
+(* One table per nested field, then one of the scalar fields; the first
+   carries the title. Headers are the JSON keys, cells the JSON's numbers. *)
+let report title fields =
+  let title = ref (Some title) in
+  let print = function
+    | [] -> ()
+    | first :: _ as rows ->
+      let align i = if i = 0 then Table.Left else Table.Right in
+      let t =
+        Table.create ?title:!title (List.mapi (fun i (key, _) -> (key, align i)) first)
+      in
+      title := None;
+      List.iter (fun row -> Table.add_row t (List.map (fun (_, v) -> scalar v) row)) rows;
+      Table.print t
+  in
+  List.iter (fun (key, v) -> Option.iter print (rows_of key v)) fields;
+  print
+    (List.filter_map
+       (fun (key, v) ->
+         match rows_of key v with
+         | Some _ -> None
+         | None -> Some [ ("key", Str key); ("value", v) ])
+       fields)
+
+(* The members of the top two levels go one per line; deeper objects print
+   inline, as [{ "key": value, ... }]. *)
+let rec add_json buf depth v =
+  let block opening closing items add_item =
+    if depth < 2 then begin
+      let pad = String.make (2 * depth) ' ' in
+      Buffer.add_char buf opening;
+      List.iteri
+        (fun i item ->
+          Buffer.add_string buf (if i = 0 then "\n  " else ",\n  ");
+          Buffer.add_string buf pad;
+          add_item item)
+        items;
+      Printf.bprintf buf "\n%s%c" pad closing
+    end
+    else begin
+      Printf.bprintf buf "%c " opening;
+      List.iteri
+        (fun i item ->
+          if i > 0 then Buffer.add_string buf ", ";
+          add_item item)
+        items;
+      Printf.bprintf buf " %c" closing
+    end
+  in
+  match v with
+  | Str s -> Json.add_string buf s
+  | Obj fields ->
+    block '{' '}' fields (fun (key, v) ->
+        Json.add_string buf key;
+        Buffer.add_string buf ": ";
+        add_json buf (depth + 1) v)
+  | Rows rows -> block '[' ']' rows (fun row -> add_json buf (depth + 1) (Obj row))
+  | Int _ | Float _ | Bool _ -> Buffer.add_string buf (scalar v)
+
+let write_json name fields =
+  let path = Printf.sprintf "BENCH_%s.json" name in
+  let buf = Buffer.create 1024 in
+  add_json buf 0 (Obj fields);
+  Buffer.add_char buf '\n';
+  let oc = open_out path in
+  Buffer.output_buffer oc buf;
+  close_out oc;
+  Printf.printf "wrote %s\n%!" path
+
 (* --- serial vs parallel wall-clock -------------------------------------- *)
-
-type phase_timing = {
-  phase : string;
-  serial_s : float;
-  parallel_s : float;
-  identical : bool;
-}
-
-let phase_timings : phase_timing list ref = ref []
-let table_timings : (string * float) list ref = ref []
-
-let speedup_of t = if t.parallel_s > 0.0 then t.serial_s /. t.parallel_s else 0.0
 
 (* NaNs can appear inside outcome SDC magnitudes, so structural equality
    goes through [compare] (which equates them) rather than [=]. *)
 let same a b = Stdlib.compare a b = 0
 
-let print_parallel config =
+let measure_parallel config =
   let p = Lazy.force pool in
   let bench = Option.get (Registry.find "LUD") in
   let program = Ff_lang.Frontend.compile_exn (bench.Defs.source Defs.V_none) in
@@ -159,9 +265,13 @@ let print_parallel config =
   let phase name serial parallel check =
     let s, serial_s = wall serial in
     let q, parallel_s = wall parallel in
-    let t = { phase = name; serial_s; parallel_s; identical = check s q } in
-    phase_timings := !phase_timings @ [ t ];
-    t
+    [
+      ("phase", Str name);
+      ("serial_s", Float (serial_s, 6));
+      ("parallel_s", Float (parallel_s, 6));
+      ("speedup", Float (ratio serial_s parallel_s, 3));
+      ("identical", Bool (check s q));
+    ]
   in
   let sections () =
     Array.init (Array.length golden.Ff_vm.Golden.sections) Fun.id
@@ -192,74 +302,17 @@ let print_parallel config =
         && same a.Pipeline.solution b.Pipeline.solution
         && a.Pipeline.work = b.Pipeline.work)
   in
-  let t =
-    Ff_support.Table.create
-      ~title:
-        (Printf.sprintf "LUD (V_none): serial vs %d-domain wall-clock" (Pool.domains p))
-      [
-        ("Phase", Ff_support.Table.Left);
-        ("Serial s", Ff_support.Table.Right);
-        ("Parallel s", Ff_support.Table.Right);
-        ("Speedup", Ff_support.Table.Right);
-        ("Identical", Ff_support.Table.Right);
-      ]
-  in
-  List.iter
-    (fun pt ->
-      Ff_support.Table.add_row t
-        [
-          pt.phase;
-          Printf.sprintf "%.3f" pt.serial_s;
-          Printf.sprintf "%.3f" pt.parallel_s;
-          Printf.sprintf "%.2fx" (speedup_of pt);
-          string_of_bool pt.identical;
-        ])
-    [ campaign; baseline; analysis ];
-  Ff_support.Table.print t
-
-let emit_parallel_json ~quick () =
-  let jobs = if Lazy.is_val pool then Pool.domains (Lazy.force pool) else Pool.default_domains () in
-  let buf = Buffer.create 1024 in
-  let add fmt = Printf.ksprintf (Buffer.add_string buf) fmt in
-  add "{\n  \"jobs\": %d,\n  \"quick\": %b,\n  \"phases\": [" jobs quick;
-  List.iteri
-    (fun i t ->
-      add "%s\n    { \"phase\": %S, \"serial_s\": %.6f, \"parallel_s\": %.6f, \"speedup\": %.3f, \"identical\": %b }"
-        (if i = 0 then "" else ",")
-        t.phase t.serial_s t.parallel_s (speedup_of t) t.identical)
-    !phase_timings;
-  add "\n  ],\n  \"tables\": {";
-  List.iteri
-    (fun i (name, s) ->
-      add "%s\n    %S: %.6f" (if i = 0 then "" else ",") name s)
-    !table_timings;
-  add "\n  }\n}\n";
-  let oc = open_out "BENCH_parallel.json" in
-  output_string oc (Buffer.contents buf);
-  close_out oc;
-  Printf.printf "wrote BENCH_parallel.json (%d domains)\n%!" jobs
+  ( Printf.sprintf "LUD (V_none): serial vs %d-domain wall-clock" (Pool.domains p),
+    [
+      ("jobs", Int (Pool.domains p));
+      (* The "quick" argument is what selects [quick_config]. *)
+      ("quick", Bool (config == quick_config));
+      ("phases", Rows [ campaign; baseline; analysis ]);
+    ] )
 
 (* --- boxed vs unboxed execution engine ---------------------------------- *)
 
-type engine_timing = {
-  e_seconds : float;
-  e_instr_per_sec : float;
-  e_replays_per_sec : float;
-}
-
-type vm_result = {
-  vm_boxed : engine_timing;
-  vm_unboxed : engine_timing;
-  vm_identical : bool;
-}
-
-let vm_result : vm_result option ref = ref None
-
-let vm_speedup r =
-  if r.vm_unboxed.e_seconds > 0.0 then r.vm_boxed.e_seconds /. r.vm_unboxed.e_seconds
-  else 0.0
-
-let print_vm config =
+let measure_vm config =
   (* Full injection campaigns over every LUD section, serially, once per
      engine: the replay loop is exactly the campaign hot path, so
      instructions/s and replays/s compare the engines end to end (decode,
@@ -302,96 +355,31 @@ let print_vm config =
     if su < !best_unboxed then best_unboxed := su;
     unboxed_results := ru
   done;
-  let timing_of results seconds =
-    let work = Array.fold_left (fun acc r -> acc + r.Campaign.s_work) 0 results in
-    let replays =
-      Array.fold_left (fun acc r -> acc + r.Campaign.s_injections) 0 results
-    in
-    {
-      e_seconds = seconds;
-      e_instr_per_sec = (if seconds > 0.0 then float_of_int work /. seconds else 0.0);
-      e_replays_per_sec =
-        (if seconds > 0.0 then float_of_int replays /. seconds else 0.0);
-    }
-  in
-  let boxed_results = !boxed_results and unboxed_results = !unboxed_results in
-  let boxed = timing_of boxed_results !best_boxed in
-  let unboxed = timing_of unboxed_results !best_unboxed in
-  let identical = same boxed_results unboxed_results in
-  let r = { vm_boxed = boxed; vm_unboxed = unboxed; vm_identical = identical } in
-  vm_result := Some r;
-  let t =
-    Ff_support.Table.create ~title:"LUD (V_none): boxed vs unboxed engine, full campaign"
+  let engine results seconds =
+    let total f = float_of_int (Array.fold_left (fun acc r -> acc + f r) 0 results) in
+    Obj
       [
-        ("Engine", Ff_support.Table.Left);
-        ("Seconds", Ff_support.Table.Right);
-        ("Minstr/s", Ff_support.Table.Right);
-        ("Replays/s", Ff_support.Table.Right);
+        ("seconds", Float (seconds, 6));
+        ("instr_per_sec", Float (ratio (total (fun r -> r.Campaign.s_work)) seconds, 1));
+        ( "replays_per_sec",
+          Float (ratio (total (fun r -> r.Campaign.s_injections)) seconds, 1) );
       ]
   in
-  List.iter
-    (fun (name, e) ->
-      Ff_support.Table.add_row t
-        [
-          name;
-          Printf.sprintf "%.3f" e.e_seconds;
-          Printf.sprintf "%.2f" (e.e_instr_per_sec /. 1e6);
-          Printf.sprintf "%.0f" e.e_replays_per_sec;
-        ])
-    [ ("boxed", boxed); ("unboxed", unboxed) ];
-  Ff_support.Table.print t;
-  Printf.printf "campaign speedup (unboxed/boxed): %.2fx, identical: %b\n%!"
-    (vm_speedup r) identical
-
-let emit_vm_json () =
-  match !vm_result with
-  | None -> ()
-  | Some r ->
-    let speedup = vm_speedup r in
-    let engine name e =
-      Printf.sprintf
-        "    %S: { \"seconds\": %.6f, \"instr_per_sec\": %.1f, \"replays_per_sec\": %.1f }"
-        name e.e_seconds e.e_instr_per_sec e.e_replays_per_sec
-    in
-    let oc = open_out "BENCH_vm.json" in
-    Printf.fprintf oc
-      "{\n  \"engines\": {\n%s,\n%s\n  },\n  \"campaign_speedup\": %.3f,\n  \
-       \"identical\": %b\n}\n"
-      (engine "boxed" r.vm_boxed)
-      (engine "unboxed" r.vm_unboxed)
-      speedup r.vm_identical;
-    close_out oc;
-    Printf.printf "wrote BENCH_vm.json (speedup %.2fx)\n%!" speedup
+  ( "LUD (V_none): boxed vs unboxed engine, full campaign",
+    [
+      ( "engines",
+        Obj
+          [
+            ("boxed", engine !boxed_results !best_boxed);
+            ("unboxed", engine !unboxed_results !best_unboxed);
+          ] );
+      ("campaign_speedup", Float (ratio !best_boxed !best_unboxed, 3));
+      ("identical", Bool (same !boxed_results !unboxed_results));
+    ] )
 
 (* --- static outcome prover: prune ratio and end-to-end speedup ---------- *)
 
-type prune_row = {
-  pr_name : string;
-  pr_classes : int;
-  pr_masked : int;
-  pr_crash : int;
-  pr_benign : int;
-  pr_on_s : float;
-  pr_off_s : float;
-  pr_identical : bool;
-}
-
-let prune_rows : prune_row list ref = ref []
-let pr_proved r = r.pr_masked + r.pr_crash + r.pr_benign
-
-let pr_ratio r =
-  if r.pr_classes > 0 then float_of_int (pr_proved r) /. float_of_int r.pr_classes
-  else 0.0
-
-let pr_speedup r = if r.pr_on_s > 0.0 then r.pr_off_s /. r.pr_on_s else 0.0
-
-(* Summed prover-off time over summed prover-on time, across benchmarks. *)
-let pr_aggregate rows =
-  let sum f = List.fold_left (fun acc r -> acc +. f r) 0.0 rows in
-  let on = sum (fun r -> r.pr_on_s) in
-  if on > 0.0 then sum (fun r -> r.pr_off_s) /. on else 0.0
-
-let print_prune config =
+let measure_prune config =
   (* Per benchmark (V_none): run the full per-section campaign with the
      prover on and off, serially, and compare. The prover may only
      change the work accounting — the outcome arrays must be
@@ -469,116 +457,37 @@ let print_prune config =
             (Array.map (fun r -> r.Campaign.s_classes) !on_results)
             (Array.map (fun r -> r.Campaign.s_classes) !off_results)
         in
-        {
-          pr_name = bench.Defs.name;
-          pr_classes = nclasses;
-          pr_masked = !masked;
-          pr_crash = !crash;
-          pr_benign = !benign;
-          pr_on_s = !best_on;
-          pr_off_s = !best_off;
-          pr_identical = identical;
-        })
+        let proved = !masked + !crash + !benign in
+        [
+          ("name", Str bench.Defs.name);
+          ("classes", Int nclasses);
+          ("proved", Int proved);
+          ("residual", Int (nclasses - proved));
+          ("masked", Int !masked);
+          ("crash", Int !crash);
+          ("benign", Int !benign);
+          ("prune_ratio", Float (ratio (float_of_int proved) (float_of_int nclasses), 4));
+          ("injections_avoided", Int proved);
+          ("prove_on_s", Float (!best_on, 6));
+          ("prove_off_s", Float (!best_off, 6));
+          ("speedup", Float (ratio !best_off !best_on, 3));
+          ("identical", Bool identical);
+        ])
       Registry.all
   in
-  prune_rows := rows;
-  let t =
-    Ff_support.Table.create
-      ~title:"Static outcome prover: classes proved without replay (V_none, serial)"
-      [
-        ("Benchmark", Ff_support.Table.Left);
-        ("Classes", Ff_support.Table.Right);
-        ("Proved", Ff_support.Table.Right);
-        ("Masked", Ff_support.Table.Right);
-        ("Crash", Ff_support.Table.Right);
-        ("Benign", Ff_support.Table.Right);
-        ("Prune", Ff_support.Table.Right);
-        ("On s", Ff_support.Table.Right);
-        ("Off s", Ff_support.Table.Right);
-        ("Speedup", Ff_support.Table.Right);
-        ("Identical", Ff_support.Table.Right);
-      ]
-  in
-  List.iter
-    (fun r ->
-      Ff_support.Table.add_row t
-        [
-          r.pr_name;
-          string_of_int r.pr_classes;
-          string_of_int (pr_proved r);
-          string_of_int r.pr_masked;
-          string_of_int r.pr_crash;
-          string_of_int r.pr_benign;
-          Printf.sprintf "%.1f%%" (100.0 *. pr_ratio r);
-          Printf.sprintf "%.3f" r.pr_on_s;
-          Printf.sprintf "%.3f" r.pr_off_s;
-          Printf.sprintf "%.2fx" (pr_speedup r);
-          string_of_bool r.pr_identical;
-        ])
-    rows;
-  Ff_support.Table.print t
-
-let emit_prune_json () =
-  match !prune_rows with
-  | [] -> ()
-  | rows ->
-    let buf = Buffer.create 1024 in
-    let add fmt = Printf.ksprintf (Buffer.add_string buf) fmt in
-    add "{\n  \"benchmarks\": [";
-    List.iteri
-      (fun i r ->
-        add
-          "%s\n    { \"name\": %S, \"classes\": %d, \"proved\": %d, \"residual\": %d, \
-           \"masked\": %d, \"crash\": %d, \"benign\": %d, \"prune_ratio\": %.4f, \
-           \"injections_avoided\": %d, \"prove_on_s\": %.6f, \"prove_off_s\": %.6f, \
-           \"speedup\": %.3f, \"identical\": %b }"
-          (if i = 0 then "" else ",")
-          r.pr_name r.pr_classes (pr_proved r)
-          (r.pr_classes - pr_proved r)
-          r.pr_masked r.pr_crash r.pr_benign (pr_ratio r) (pr_proved r) r.pr_on_s
-          r.pr_off_s (pr_speedup r) r.pr_identical)
-      rows;
-    let best = List.fold_left (fun acc r -> Float.max acc (pr_ratio r)) 0.0 rows in
-    let aggregate = pr_aggregate rows in
-    add "\n  ],\n  \"best_prune_ratio\": %.4f,\n  \"aggregate_speedup\": %.3f\n}\n" best
-      aggregate;
-    let oc = open_out "BENCH_prune.json" in
-    output_string oc (Buffer.contents buf);
-    close_out oc;
-    Printf.printf "wrote BENCH_prune.json (best prune ratio %.1f%%, aggregate speedup %.2fx)\n%!"
-      (100.0 *. best) aggregate
+  let sum key = List.fold_left (fun acc row -> acc +. num key row) 0.0 rows in
+  let best = List.fold_left (fun acc row -> Float.max acc (num "prune_ratio" row)) 0.0 rows in
+  ( "Static outcome prover: classes proved without replay (V_none, serial)",
+    [
+      ("benchmarks", Rows rows);
+      ("best_prune_ratio", Float (best, 4));
+      (* Summed prover-off time over summed prover-on time. *)
+      ("aggregate_speedup", Float (ratio (sum "prove_off_s") (sum "prove_on_s"), 3));
+    ] )
 
 (* --- fault models: per-model campaign throughput and prune ratio --------- *)
 
-type fault_row = {
-  fr_model : string;
-  fr_classes : int;
-  fr_sites : int;
-  fr_proved : int;
-  fr_serial_s : float;
-  fr_identical : bool;  (* serial == pooled, bit for bit *)
-}
-
-let fault_rows : fault_row list ref = ref []
-
-let fr_ratio r =
-  if r.fr_classes > 0 then float_of_int r.fr_proved /. float_of_int r.fr_classes
-  else 0.0
-
-let fr_throughput r =
-  if r.fr_serial_s > 0.0 then float_of_int r.fr_sites /. r.fr_serial_s else 0.0
-
-(* The best prune ratio among the register models ([bitflip], [bitflip:N]);
-   the prover abstains on every other model. *)
-let fr_bitflip_prune rows =
-  List.fold_left
-    (fun acc r ->
-      if String.length r.fr_model >= 7 && String.sub r.fr_model 0 7 = "bitflip" then
-        Float.max acc (fr_ratio r)
-      else acc)
-    0.0 rows
-
-let print_faults config =
+let measure_faults config =
   (* One campaign per built-in fault model over LUD (V_none): identity
      between the serial and pooled runs is the gate (a model whose
      injection depends on domain count would diverge here), throughput
@@ -644,111 +553,40 @@ let print_faults config =
           let per = sec /. float_of_int iters in
           if per < !best then best := per
         done;
-        {
-          fr_model = Ff_inject.Fault_model.to_string model;
-          fr_classes = nclasses;
-          fr_sites = nsites;
-          fr_proved = !proved;
-          fr_serial_s = !best;
-          fr_identical = identical;
-        })
+        [
+          ("model", Str (Ff_inject.Fault_model.to_string model));
+          ("classes", Int nclasses);
+          ("sites", Int nsites);
+          ("proved", Int !proved);
+          ( "prune_ratio",
+            Float (ratio (float_of_int !proved) (float_of_int nclasses), 4) );
+          ("serial_s", Float (!best, 6));
+          ("throughput_sites_s", Float (ratio (float_of_int nsites) !best, 1));
+          ("identical", Bool identical);
+        ])
       Ff_inject.Fault_model.builtin
   in
-  fault_rows := rows;
-  let t =
-    Ff_support.Table.create
-      ~title:"Fault models: LUD (V_none) campaign per model (serial, prover on)"
-      [
-        ("Model", Ff_support.Table.Left);
-        ("Classes", Ff_support.Table.Right);
-        ("Sites", Ff_support.Table.Right);
-        ("Proved", Ff_support.Table.Right);
-        ("Prune", Ff_support.Table.Right);
-        ("Serial s", Ff_support.Table.Right);
-        ("Sites/s", Ff_support.Table.Right);
-        ("Identical", Ff_support.Table.Right);
-      ]
+  (* The best prune ratio among the register models ([bitflip],
+     [bitflip:N]); the prover abstains on every other model. *)
+  let bitflip_prune =
+    List.fold_left
+      (fun acc row ->
+        match List.assoc "model" row with
+        | Str m when String.starts_with ~prefix:"bitflip" m ->
+          Float.max acc (num "prune_ratio" row)
+        | _ -> acc)
+      0.0 rows
   in
-  List.iter
-    (fun r ->
-      Ff_support.Table.add_row t
-        [
-          r.fr_model;
-          string_of_int r.fr_classes;
-          string_of_int r.fr_sites;
-          string_of_int r.fr_proved;
-          Printf.sprintf "%.1f%%" (100.0 *. fr_ratio r);
-          Printf.sprintf "%.3f" r.fr_serial_s;
-          Printf.sprintf "%.0f" (fr_throughput r);
-          string_of_bool r.fr_identical;
-        ])
-    rows;
-  Ff_support.Table.print t
-
-let emit_faults_json () =
-  match !fault_rows with
-  | [] -> ()
-  | rows ->
-    let buf = Buffer.create 1024 in
-    let add fmt = Printf.ksprintf (Buffer.add_string buf) fmt in
-    add "{\n  \"models\": [";
-    List.iteri
-      (fun i r ->
-        add
-          ("%s\n    { \"model\": %S, \"classes\": %d, \"sites\": %d, \"proved\": %d, "
-          ^^ "\"prune_ratio\": %.4f, \"serial_s\": %.6f, \"throughput_sites_s\": %.1f, "
-          ^^ "\"identical\": %b }")
-          (if i = 0 then "" else ",")
-          r.fr_model r.fr_classes r.fr_sites r.fr_proved (fr_ratio r) r.fr_serial_s
-          (fr_throughput r) r.fr_identical)
-      rows;
-    let identical = List.for_all (fun r -> r.fr_identical) rows in
-    let bitflip_prune = fr_bitflip_prune rows in
-    add "\n  ],\n  \"identical\": %b,\n  \"bitflip_prune_ratio\": %.4f\n}\n" identical
-      bitflip_prune;
-    let oc = open_out "BENCH_faults.json" in
-    output_string oc (Buffer.contents buf);
-    close_out oc;
-    Printf.printf "wrote BENCH_faults.json (%d models, bitflip prune %.1f%%)\n%!"
-      (List.length rows) (100.0 *. bitflip_prune)
+  ( "Fault models: LUD (V_none) campaign per model (serial, prover on)",
+    [
+      ("models", Rows rows);
+      ("identical", all_identical rows);
+      ("bitflip_prune_ratio", Float (bitflip_prune, 4));
+    ] )
 
 (* --- detect: duplication-vs-detector protection economics ---------------- *)
 
-type detect_row = {
-  dr_bench : string;
-  dr_total_value : int;
-  dr_target_value : int;
-  dr_pure_value : int;
-  dr_pure_cost : int;
-  dr_mixed_value : int;
-  dr_mixed_cost : int;
-  dr_detectors : int;
-  dr_candidates : int;
-  dr_dropped : int;
-  dr_fp_fires : int;
-  dr_coverage_replays : int;
-  dr_work : int;
-  dr_identical : bool;  (* serial == pooled protect, byte for byte *)
-  dr_serial_s : float;
-}
-
-let detect_rows : detect_row list ref = ref []
-
-let dr_saving r =
-  if r.dr_pure_cost > 0 then
-    1.0 -. (float_of_int r.dr_mixed_cost /. float_of_int r.dr_pure_cost)
-  else 0.0
-
-let dr_fp_fires rows = List.fold_left (fun acc r -> acc + r.dr_fp_fires) 0 rows
-
-(* On some benchmark the mixed plan reaches the target strictly cheaper
-   than pure duplication. *)
-let dr_detector_win rows =
-  List.exists
-    (fun r -> r.dr_mixed_value >= r.dr_target_value && r.dr_mixed_cost < r.dr_pure_cost)
-    rows
-
-let print_detect config =
+let measure_detect config =
   (* Detector synthesis + injection-measured coverage + mixed knapsack on
      the two benchmarks where shared detectors are economical, at the
      paper's 0.9 protection target. The gates: the serial and pooled
@@ -777,114 +615,62 @@ let print_detect config =
         in
         let synth = Option.get serial.Protect.r_synth in
         let total = serial.Protect.r_select.Select.t_total_value in
-        {
-          dr_bench = name;
-          dr_total_value = total;
-          dr_target_value = Fastflip.Knapsack.integer_target ~total target;
-          dr_pure_value = serial.Protect.r_pure.Fastflip.Knapsack.value;
-          dr_pure_cost = serial.Protect.r_pure.Fastflip.Knapsack.cost;
-          dr_mixed_value = serial.Protect.r_mixed.Select.sel_value;
-          dr_mixed_cost = serial.Protect.r_mixed.Select.sel_cost;
-          dr_detectors = Array.length serial.Protect.r_mixed.Select.sel_detectors;
-          dr_candidates =
-            Array.fold_left
-              (fun acc a -> acc + Array.length a)
-              0 synth.Synthesize.candidates;
-          dr_dropped = synth.Synthesize.dropped;
-          dr_fp_fires = synth.Synthesize.fp_fires;
-          dr_coverage_replays =
-            List.fold_left
-              (fun a c -> a + c.Coverage.c_replays)
-              0 serial.Protect.r_coverages;
-          dr_work = serial.Protect.r_work;
-          dr_identical = identical;
-          dr_serial_s = serial_s;
-        })
+        let pure = serial.Protect.r_pure and mixed = serial.Protect.r_mixed in
+        [
+          ("bench", Str name);
+          ("total_value", Int total);
+          ("target_value", Int (Fastflip.Knapsack.integer_target ~total target));
+          ("pure_value", Int pure.Fastflip.Knapsack.value);
+          ("pure_cost", Int pure.Fastflip.Knapsack.cost);
+          ("mixed_value", Int mixed.Select.sel_value);
+          ("mixed_cost", Int mixed.Select.sel_cost);
+          ("detectors", Int (Array.length mixed.Select.sel_detectors));
+          ( "candidates",
+            Int
+              (Array.fold_left
+                 (fun acc a -> acc + Array.length a)
+                 0 synth.Synthesize.candidates) );
+          ("dropped", Int synth.Synthesize.dropped);
+          ("fp", Int synth.Synthesize.fp_fires);
+          ( "coverage_replays",
+            Int
+              (List.fold_left
+                 (fun a c -> a + c.Coverage.c_replays)
+                 0 serial.Protect.r_coverages) );
+          ("work", Int serial.Protect.r_work);
+          ( "saving",
+            Float
+              ( (if pure.Fastflip.Knapsack.cost > 0 then
+                   1.0
+                   -. float_of_int mixed.Select.sel_cost
+                      /. float_of_int pure.Fastflip.Knapsack.cost
+                 else 0.0),
+                4 ) );
+          ("identical", Bool identical);
+          ("serial_s", Float (serial_s, 6));
+        ])
       [ "Campipe"; "BScholes" ]
   in
-  detect_rows := rows;
-  let t =
-    Ff_support.Table.create
-      ~title:"Detectors vs duplication at the 0.9 protection target (V_large)"
-      [
-        ("Bench", Ff_support.Table.Left);
-        ("Cands", Ff_support.Table.Right);
-        ("Chosen", Ff_support.Table.Right);
-        ("Pure cost", Ff_support.Table.Right);
-        ("Mixed cost", Ff_support.Table.Right);
-        ("Saving", Ff_support.Table.Right);
-        ("FP", Ff_support.Table.Right);
-        ("Identical", Ff_support.Table.Right);
-      ]
-  in
-  List.iter
-    (fun r ->
-      Ff_support.Table.add_row t
-        [
-          r.dr_bench;
-          string_of_int r.dr_candidates;
-          string_of_int r.dr_detectors;
-          string_of_int r.dr_pure_cost;
-          string_of_int r.dr_mixed_cost;
-          Printf.sprintf "%.1f%%" (100.0 *. dr_saving r);
-          string_of_int r.dr_fp_fires;
-          string_of_bool r.dr_identical;
-        ])
-    rows;
-  Ff_support.Table.print t
-
-let emit_detect_json () =
-  match !detect_rows with
-  | [] -> ()
-  | rows ->
-    let buf = Buffer.create 1024 in
-    let add fmt = Printf.ksprintf (Buffer.add_string buf) fmt in
-    add "{\n  \"benches\": [";
-    List.iteri
-      (fun i r ->
-        add
-          ("%s\n    { \"bench\": %S, \"total_value\": %d, \"target_value\": %d, "
-          ^^ "\"pure_value\": %d, \"pure_cost\": %d, \"mixed_value\": %d, "
-          ^^ "\"mixed_cost\": %d, \"detectors\": %d, \"candidates\": %d, "
-          ^^ "\"dropped\": %d, \"fp\": %d, \"coverage_replays\": %d, "
-          ^^ "\"work\": %d, \"saving\": %.4f, \"identical\": %b, \"serial_s\": %.6f }")
-          (if i = 0 then "" else ",")
-          r.dr_bench r.dr_total_value r.dr_target_value r.dr_pure_value
-          r.dr_pure_cost r.dr_mixed_value r.dr_mixed_cost r.dr_detectors
-          r.dr_candidates r.dr_dropped r.dr_fp_fires r.dr_coverage_replays
-          r.dr_work (dr_saving r) r.dr_identical r.dr_serial_s)
-      rows;
-    let identical = List.for_all (fun r -> r.dr_identical) rows in
-    let fp_fires = dr_fp_fires rows in
-    let detector_win = dr_detector_win rows in
-    add "\n  ],\n  \"identical\": %b,\n  \"fp_fires\": %d,\n  \"detector_win\": %b\n}\n"
-      identical fp_fires detector_win;
-    let oc = open_out "BENCH_detect.json" in
-    output_string oc (Buffer.contents buf);
-    close_out oc;
-    Printf.printf
-      "wrote BENCH_detect.json (best saving %.1f%%, %d benign false positives)\n%!"
-      (100.0 *. List.fold_left (fun acc r -> Float.max acc (dr_saving r)) 0.0 rows)
-      fp_fires
+  ( "Detectors vs duplication at the 0.9 protection target (V_large)",
+    [
+      ("benches", Rows rows);
+      ("identical", all_identical rows);
+      ( "fp_fires",
+        Int (List.fold_left (fun acc row -> acc + truncate (num "fp" row)) 0 rows) );
+      (* On some benchmark the mixed plan reaches the target strictly
+         cheaper than pure duplication. *)
+      ( "detector_win",
+        Bool
+          (List.exists
+             (fun row ->
+               num "mixed_value" row >= num "target_value" row
+               && num "mixed_cost" row < num "pure_cost" row)
+             rows) );
+    ] )
 
 (* --- analysis service: cold vs warm latency, concurrent throughput ------ *)
 
-type server_result = {
-  sv_cold_ms : float;
-  sv_warm_p50_ms : float;
-  sv_warm_p95_ms : float;
-  sv_throughput_rps : float;
-  sv_clients : int;
-  sv_requests : int;
-  sv_identical : bool;
-}
-
-let server_result : server_result option ref = ref None
-
-let sv_speedup r =
-  if r.sv_warm_p50_ms > 0.0 then r.sv_cold_ms /. r.sv_warm_p50_ms else 0.0
-
-let print_server config =
+let measure_server config =
   (* Measure the daemon end to end over its real Unix-socket transport:
      one cold analysis, then warm repeats (cache hits), then a concurrent
      burst from several client threads. Every response — cold, warm, and
@@ -970,82 +756,22 @@ let print_server config =
   | Ok Protocol.Bye -> ()
   | _ -> Atomic.set identical false);
   Thread.join server;
-  let r =
-    {
-      sv_cold_ms = cold_s *. 1e3;
-      sv_warm_p50_ms = p50 *. 1e3;
-      sv_warm_p95_ms = p95 *. 1e3;
-      sv_throughput_rps =
-        (if burst_s > 0.0 then float_of_int (clients * per_client) /. burst_s else 0.0);
-      sv_clients = clients;
-      sv_requests = 1 + repeats + (clients * per_client);
-      sv_identical = Atomic.get identical;
-    }
-  in
-  server_result := Some r;
-  let t =
-    Ff_support.Table.create
-      ~title:
-        (Printf.sprintf "fastflip serve: LUD (V_none) over a Unix socket, %d clients"
-           clients)
-      [
-        ("Metric", Ff_support.Table.Left);
-        ("Value", Ff_support.Table.Right);
-      ]
-  in
-  List.iter
-    (fun row -> Ff_support.Table.add_row t row)
+  let cold_ms = cold_s *. 1e3 and p50_ms = p50 *. 1e3 in
+  ( Printf.sprintf "fastflip serve: LUD (V_none) over a Unix socket, %d clients" clients,
     [
-      [ "cold request ms"; Printf.sprintf "%.2f" r.sv_cold_ms ];
-      [ "warm p50 ms"; Printf.sprintf "%.2f" r.sv_warm_p50_ms ];
-      [ "warm p95 ms"; Printf.sprintf "%.2f" r.sv_warm_p95_ms ];
-      [ "warm speedup"; Printf.sprintf "%.0fx" (sv_speedup r) ];
-      [ "concurrent throughput req/s"; Printf.sprintf "%.0f" r.sv_throughput_rps ];
-      [ "identical to one-shot CLI"; string_of_bool r.sv_identical ];
-    ];
-  Ff_support.Table.print t
-
-let emit_server_json () =
-  match !server_result with
-  | None -> ()
-  | Some r ->
-    let oc = open_out "BENCH_server.json" in
-    Printf.fprintf oc
-      "{\n  \"cold_ms\": %.3f,\n  \"warm_p50_ms\": %.3f,\n  \"warm_p95_ms\": %.3f,\n  \
-       \"warm_speedup\": %.1f,\n  \"clients\": %d,\n  \"requests\": %d,\n  \
-       \"throughput_rps\": %.1f,\n  \"identical\": %b\n}\n"
-      r.sv_cold_ms r.sv_warm_p50_ms r.sv_warm_p95_ms (sv_speedup r) r.sv_clients
-      r.sv_requests r.sv_throughput_rps r.sv_identical;
-    close_out oc;
-    Printf.printf "wrote BENCH_server.json (warm speedup %.0fx, %.0f req/s)\n%!"
-      (sv_speedup r) r.sv_throughput_rps
+      ("cold_ms", Float (cold_ms, 3));
+      ("warm_p50_ms", Float (p50_ms, 3));
+      ("warm_p95_ms", Float (p95 *. 1e3, 3));
+      ("warm_speedup", Float (ratio cold_ms p50_ms, 1));
+      ("clients", Int clients);
+      ("requests", Int (1 + repeats + (clients * per_client)));
+      ("throughput_rps", Float (ratio (float_of_int (clients * per_client)) burst_s, 1));
+      ("identical", Bool (Atomic.get identical));
+    ] )
 
 (* --- sharded store: O(dirty) saves, parallel writers --------------------- *)
 
-type store_result = {
-  so_records : int;
-  so_dirty : int;
-  so_incremental_s : float;
-  so_full_s : float;
-  so_writer_saves : int;
-  so_writer_batch : int;
-  so_serial_s : float;
-  so_parallel_s : float;
-  so_saves_expected : int;
-  so_saves_counted : int;
-  so_cores : int;
-  so_identical : bool;
-}
-
-let store_result : store_result option ref = ref None
-
-let so_speedup r =
-  if r.so_incremental_s > 0.0 then r.so_full_s /. r.so_incremental_s else 0.0
-
-let so_scaling r =
-  if r.so_parallel_s > 0.0 then r.so_serial_s /. r.so_parallel_s else 0.0
-
-let print_store config =
+let measure_store config =
   let module Store = Fastflip.Store in
   let module Persist = Fastflip.Persist in
   (* One real quick-config record, cloned under synthetic keys: the
@@ -1229,63 +955,25 @@ let print_store config =
   cleanup fpath;
   let saves_counted = Telemetry.value m_saves - saves0 in
   Telemetry.set_enabled was_enabled;
-  let r =
-    {
-      so_records = n;
-      so_dirty = dirty;
-      so_incremental_s = !best_incremental;
-      so_full_s = !best_full;
-      so_writer_saves = saves;
-      so_writer_batch = batch;
-      so_serial_s = !best_serial;
-      so_parallel_s = !best_parallel;
-      so_saves_expected = Atomic.get saves_expected;
-      so_saves_counted = saves_counted;
-      so_cores = Domain.recommended_domain_count ();
-      so_identical = identical;
-    }
-  in
-  store_result := Some r;
-  let t =
-    Ff_support.Table.create
-      ~title:
-        (Printf.sprintf
-           "sharded store: %d records, %d dirty, 2 writers x %d saves of %d" n dirty
-           saves batch)
-      [ ("Metric", Ff_support.Table.Left); ("Value", Ff_support.Table.Right) ]
-  in
-  List.iter
-    (fun row -> Ff_support.Table.add_row t row)
+  ( Printf.sprintf "sharded store: %d records, %d dirty, 2 writers x %d saves of %d" n dirty
+      saves batch,
     [
-      [ "incremental save ms"; Printf.sprintf "%.3f" (r.so_incremental_s *. 1e3) ];
-      [ "full rewrite ms"; Printf.sprintf "%.3f" (r.so_full_s *. 1e3) ];
-      [ "O(dirty) speedup"; Printf.sprintf "%.1fx" (so_speedup r) ];
-      [ "2 writers serial s"; Printf.sprintf "%.3f" r.so_serial_s ];
-      [ "2 writers parallel s"; Printf.sprintf "%.3f" r.so_parallel_s ];
-      [ "writer scaling"; Printf.sprintf "%.2fx" (so_scaling r) ];
-      [ "saves counted"; Printf.sprintf "%d/%d" r.so_saves_counted r.so_saves_expected ];
-      [ "roundtrip identical"; string_of_bool r.so_identical ];
-    ];
-  Ff_support.Table.print t
-
-let emit_store_json () =
-  match !store_result with
-  | None -> ()
-  | Some r ->
-    let oc = open_out "BENCH_store.json" in
-    Printf.fprintf oc
-      "{\n  \"records\": %d,\n  \"dirty\": %d,\n  \"incremental_save_s\": %.6f,\n  \
-       \"full_rewrite_s\": %.6f,\n  \"odirty_speedup\": %.3f,\n  \"writers\": 2,\n  \
-       \"cores\": %d,\n  \
-       \"writer_saves\": %d,\n  \"writer_batch\": %d,\n  \"serial_s\": %.6f,\n  \
-       \"parallel_s\": %.6f,\n  \"writer_scaling\": %.3f,\n  \"saves_expected\": %d,\n  \
-       \"saves_counted\": %d,\n  \"identical\": %b\n}\n"
-      r.so_records r.so_dirty r.so_incremental_s r.so_full_s (so_speedup r) r.so_cores
-      r.so_writer_saves r.so_writer_batch r.so_serial_s r.so_parallel_s
-      (so_scaling r) r.so_saves_expected r.so_saves_counted r.so_identical;
-    close_out oc;
-    Printf.printf "wrote BENCH_store.json (O(dirty) speedup %.1fx, writer scaling %.2fx)\n%!"
-      (so_speedup r) (so_scaling r)
+      ("records", Int n);
+      ("dirty", Int dirty);
+      ("incremental_save_s", Float (!best_incremental, 6));
+      ("full_rewrite_s", Float (!best_full, 6));
+      ("odirty_speedup", Float (ratio !best_full !best_incremental, 3));
+      ("writers", Int 2);
+      ("cores", Int (Domain.recommended_domain_count ()));
+      ("writer_saves", Int saves);
+      ("writer_batch", Int batch);
+      ("serial_s", Float (!best_serial, 6));
+      ("parallel_s", Float (!best_parallel, 6));
+      ("writer_scaling", Float (ratio !best_serial !best_parallel, 3));
+      ("saves_expected", Int (Atomic.get saves_expected));
+      ("saves_counted", Int saves_counted);
+      ("identical", Bool identical);
+    ] )
 
 (* --- Bechamel micro-benchmarks ----------------------------------------- *)
 
@@ -1354,147 +1042,150 @@ let micro () =
 (* --- floors: the one place a bench result is judged ---------------------- *)
 
 (* Every identity check and performance floor on a bench result is one
-   row here, read from the artifact's typed result. [main] checks the rows
-   of the artifacts that ran only after each has written its BENCH_*.json,
-   so a failing artifact is still on disk (and uploaded by CI) when the run
-   exits 1. [key] names the JSON field the gated value is written under;
-   the [metrics] rows apply when --metrics exports the telemetry registry. *)
+   row here. [key] names the field of the artifact's result the row reads:
+   a summary field, or else that field in every row of the result's
+   tables. [main] checks the rows of the artifacts that ran only after
+   each has written its BENCH_*.json, so a failing artifact is still on
+   disk (and uploaded by CI) when the run exits 1. The [metrics] rows read
+   the telemetry counters when --metrics exports the registry. *)
 
 type op = Ge | Gt | Le
 
-type reading =
-  | Holds of bool  (** must be true *)
-  | Num of float * op * float  (** value, comparison, floor *)
+(* A floor may scale with another field of the same result, read by key. *)
+type bound = (string -> float) -> float
 
-type floor = { artifact : string; label : string; key : string; read : unit -> reading }
+type check =
+  | Holds  (** every value is true *)
+  | Worst of op * bound  (** the worst value passes *)
+  | Best of op * bound  (** the best value passes *)
 
-let passes = function
-  | Holds b -> b
-  | Num (v, Ge, f) -> v >= f
-  | Num (v, Gt, f) -> v > f
-  | Num (v, Le, f) -> v <= f
+type floor = { artifact : string; key : string; label : string; check : check }
+
+let passes v op floor =
+  match op with Ge -> v >= floor | Gt -> v > floor | Le -> v <= floor
 
 (* A baseline that is not positive is no measurement: a floor scaled from
    it becomes unreachable. *)
 let positive x = if x > 0.0 then x else infinity
 
 let floors =
-  let row artifact key label read = { artifact; key; label; read } in
-  let parallel f () = f !phase_timings in
-  let vm f () = f (Option.get !vm_result) in
-  let prune f () = f !prune_rows in
-  let faults f () = f !fault_rows in
-  let detect f () = f !detect_rows in
-  let server f () = f (Option.get !server_result) in
-  let store f () = f (Option.get !store_result) in
-  let exported name () =
-    let counters = (Telemetry.snapshot ()).Telemetry.snap_counters in
-    Num (float_of_int (Option.value ~default:0 (List.assoc_opt name counters)), Gt, 0.0)
-  in
-  let all ok rows = Holds (List.for_all ok rows) in
-  let best_speedup ts = List.fold_left (fun acc t -> Float.max acc (speedup_of t)) 0.0 ts in
-  let worst_throughput rows =
-    List.fold_left (fun acc r -> Float.min acc (fr_throughput r)) infinity rows
-  in
+  let row artifact key label check = { artifact; key; label; check } in
+  let at_least ?(op = Ge) floor = Worst (op, fun _ -> floor) in
   [
-    row "parallel" "identical" "a parallel phase diverged from the serial run"
-      (parallel (all (fun t -> t.identical)));
+    row "parallel" "identical" "a parallel phase diverged from the serial run" Holds;
     row "parallel" "speedup" "parallel never beats serial in any phase"
-      (parallel (fun ts -> Num (best_speedup ts, Gt, 1.0)));
-    row "vm" "identical" "unboxed engine diverged from the boxed oracle"
-      (vm (fun r -> Holds r.vm_identical));
-    row "vm" "campaign_speedup" "unboxed engine regression"
-      (vm (fun r -> Num (vm_speedup r, Ge, 1.5)));
-    row "prune" "identical" "prover-pruned campaign diverged from full replay"
-      (prune (all (fun r -> r.pr_identical)));
-    row "prune" "aggregate_speedup" "prover makes campaigns slower"
-      (prune (fun rows -> Num (pr_aggregate rows, Ge, 1.0)));
-    row "faults" "identical" "a fault-model campaign diverged between serial and pooled runs"
-      (faults (all (fun r -> r.fr_identical)));
-    row "faults" "bitflip_prune_ratio" "bitflip prover stopped pruning"
-      (faults (fun rows -> Num (fr_bitflip_prune rows, Ge, 0.2)));
+      (Best (Gt, fun _ -> 1.0));
+    row "vm" "identical" "unboxed engine diverged from the boxed oracle" Holds;
+    row "vm" "campaign_speedup" "unboxed engine regression" (at_least 1.5);
+    row "prune" "identical" "prover-pruned campaign diverged from full replay" Holds;
+    row "prune" "aggregate_speedup" "prover makes campaigns slower" (at_least 1.0);
+    row "faults" "identical"
+      "a fault-model campaign diverged between serial and pooled runs" Holds;
+    row "faults" "bitflip_prune_ratio" "bitflip prover stopped pruning" (at_least 0.2);
     (* Orders of magnitude below observed throughput: rejects only a
        pathologically slow (or zero) model. *)
     row "faults" "throughput_sites_s" "the slowest fault model replays too slowly"
-      (faults (fun rows -> Num (worst_throughput rows, Ge, 1000.0)));
+      (at_least 1000.0);
     row "detect" "identical" "a protect run diverged between serial and pooled execution"
-      (detect (all (fun r -> r.dr_identical)));
+      Holds;
     (* Synthesis validation drops every candidate that fires on a benign run. *)
-    row "detect" "fp_fires" "detectors fire on benign runs"
-      (detect (fun rows -> Num (float_of_int (dr_fp_fires rows), Le, 0.0)));
+    row "detect" "fp_fires" "detectors fire on benign runs" (at_least ~op:Le 0.0);
     row "detect" "detector_win"
-      "detectors never beat pure duplication at the target on any benchmark"
-      (detect (fun rows -> Holds (dr_detector_win rows)));
-    row "server" "identical" "daemon responses diverged from the one-shot CLI"
-      (server (fun r -> Holds r.sv_identical));
+      "detectors never beat pure duplication at the target on any benchmark" Holds;
+    row "server" "identical" "daemon responses diverged from the one-shot CLI" Holds;
     (* On the raw latencies: the one-decimal warm_speedup in the JSON
        would round a 9.96x run up to 10.0. *)
     row "server" "cold_ms" "warm p50 is not 10x below the cold request"
-      (server (fun r -> Num (r.sv_cold_ms, Ge, 10.0 *. positive r.sv_warm_p50_ms)));
+      (Worst (Ge, fun field -> 10.0 *. positive (field "warm_p50_ms")));
     row "server" "throughput_rps" "no concurrent throughput recorded"
-      (server (fun r -> Num (r.sv_throughput_rps, Gt, 0.0)));
-    row "store" "identical" "sharded store did not read back bit-identically"
-      (store (fun r -> Holds r.so_identical));
-    row "store" "odirty_speedup" "incremental save is not O(dirty)"
-      (store (fun r -> Num (so_speedup r, Ge, 5.0)));
+      (at_least ~op:Gt 0.0);
+    row "store" "identical" "sharded store did not read back bit-identically" Holds;
+    row "store" "odirty_speedup" "incremental save is not O(dirty)" (at_least 5.0);
     row "store" "saves_counted" "persist.saves telemetry undercounted the saves performed"
-      (store (fun r ->
-           let expected = positive (float_of_int r.so_saves_expected) in
-           Num (float_of_int r.so_saves_counted, Ge, expected)));
+      (Worst (Ge, fun field -> positive (field "saves_expected")));
     (* Two writers on disjoint shards can only beat one-at-a-time with a
        second core; on one core the floor rejects only pathological lock
        serialization. *)
     row "store" "writer_scaling" "disjoint-shard writers do not scale"
-      (store (fun r -> Num (so_scaling r, Gt, if r.so_cores >= 2 then 1.0 else 0.5)));
+      (Worst (Gt, fun field -> if field "cores" >= 2.0 then 1.0 else 0.5));
     row "metrics" "campaign.injections" "telemetry export has no campaign counters"
-      (exported "campaign.injections");
+      (at_least ~op:Gt 0.0);
     row "metrics" "prover.classes_proved" "telemetry export has no prover counters"
-      (exported "prover.classes_proved");
+      (at_least ~op:Gt 0.0);
   ]
 
-(* The rows of [ran] that fail, one readable line each. *)
-let violations ran =
-  List.filter_map
-    (fun f ->
-      if not (List.mem f.artifact ran) then None
-      else
-        let reading = f.read () in
-        if passes reading then None
+exception Unreadable of string
+
+(* Every value [key] names in a result: the summary field, else the field
+   in each row of the result's tables. None at all is a violation. *)
+let values fields key =
+  let found =
+    match List.assoc_opt key fields with
+    | Some v -> [ v ]
+    | None ->
+      List.concat_map
+        (fun (k, v) ->
+          Option.fold ~none:[] ~some:(List.filter_map (List.assoc_opt key)) (rows_of k v))
+        fields
+  in
+  if found = [] then raise (Unreadable (key ^ " is missing")) else found
+
+let numbers fields key =
+  List.map
+    (fun v ->
+      match number v with
+      | Some x -> x
+      | None -> raise (Unreadable (key ^ " is not a number")))
+    (values fields key)
+
+(* The line a row of [floors] fails with on [fields], if it fails. *)
+let violation fields f =
+  let verdict =
+    try
+      match f.check with
+      | Holds ->
+        let ok =
+          List.for_all
+            (function Bool b -> b | _ -> raise (Unreadable (f.key ^ " is not a boolean")))
+            (values fields f.key)
+        in
+        if ok then None else Some (f.key ^ " is false, floor is = true")
+      | Worst (op, bound) | Best (op, bound) ->
+        let best = match f.check with Best _ -> true | Holds | Worst _ -> false in
+        let pick = if (op <> Le) = best then Float.max else Float.min in
+        let vs = numbers fields f.key in
+        let v = List.fold_left pick (List.hd vs) vs in
+        let floor = bound (fun key -> List.hd (numbers fields key)) in
+        if passes v op floor then None
         else
-          let value, op, floor =
-            match reading with
-            | Holds b -> (string_of_bool b, "=", "true")
-            | Num (v, op, floor) ->
-              let op = match op with Ge -> ">=" | Gt -> ">" | Le -> "<=" in
-              (Printf.sprintf "%g" v, op, Printf.sprintf "%g" floor)
-          in
-          Some
-            (Printf.sprintf "bench gate: %s: %s: %s is %s, floor is %s %s" f.artifact
-               f.label f.key value op floor))
-    floors
+          let op = match op with Ge -> ">=" | Gt -> ">" | Le -> "<=" in
+          Some (Printf.sprintf "%s is %g, floor is %s %g" f.key v op floor)
+    with Unreadable what -> Some what
+  in
+  Option.map (Printf.sprintf "bench gate: %s: %s: %s" f.artifact f.label) verdict
+
+type artifact =
+  | Paper of (Pipeline.config -> unit)  (** a deterministic table of the paper *)
+  | Measured of (Pipeline.config -> string * field list)
 
 let artifacts =
   [
-    ("table1", print_table1);
-    ("table2", print_table2);
-    ("table3", print_table3);
-    ("table4", print_table4);
-    ("table5", print_table5);
-    ("figure1", print_figure1);
-    ("ablations", print_ablations);
-    ("evolution", print_evolution);
-    ("parallel", print_parallel);
-    ("vm", print_vm);
-    ("prune", print_prune);
-    ("faults", print_faults);
-    ("detect", print_detect);
-    ("server", print_server);
-    ("store", print_store);
+    ("table1", Paper print_table1);
+    ("table2", Paper print_table2);
+    ("table3", Paper print_table3);
+    ("table4", Paper print_table4);
+    ("table5", Paper print_table5);
+    ("figure1", Paper print_figure1);
+    ("ablations", Paper print_ablations);
+    ("evolution", Paper print_evolution);
+    ("parallel", Measured measure_parallel);
+    ("vm", Measured measure_vm);
+    ("prune", Measured measure_prune);
+    ("faults", Measured measure_faults);
+    ("detect", Measured measure_detect);
+    ("server", Measured measure_server);
+    ("store", Measured measure_store);
   ]
-
-let run_artifact config name f =
-  let (), s = wall (fun () -> f config) in
-  table_timings := !table_timings @ [ (name, s) ]
 
 (* Arguments are [quick], [micro], artifact names, [--metrics FILE]
    (enable the telemetry registry for the whole run and export it as JSON
@@ -1536,45 +1227,59 @@ let () =
     Telemetry.set_enabled true
   | None -> ());
   (match store_path with
-  | Some path when Fastflip.Persist.present ~path -> (
-    match Fastflip.Persist.load ~path with
-    | Ok (st, skipped) ->
-      if skipped > 0 then
-        Printf.eprintf "warning: store %s: skipped %d corrupt record(s)\n%!" path
-          skipped;
-      Printf.printf "store: loaded %d record(s) from %s\n%!"
-        (Fastflip.Store.size st) path;
-      shared_store := Some st
-    | Error e ->
-      Printf.eprintf "ignoring store %s: %s\n%!" path e;
-      shared_store := Some (Fastflip.Store.create ()))
-  | Some _ -> shared_store := Some (Fastflip.Store.create ())
+  | Some path -> (
+    match Fastflip.Persist.open_store ~strict:false ~path with
+    | Error refusal -> failwith refusal
+    | Ok (loaded, warning) ->
+      Option.iter (Printf.eprintf "%s\n%!") warning;
+      shared_store :=
+        Some
+          (match loaded with
+          | Some st ->
+            Printf.printf "store: loaded %d record(s) from %s\n%!"
+              (Fastflip.Store.size st) path;
+            st
+          | None -> Fastflip.Store.create ()))
   | None -> ());
   let quick = List.mem "quick" names in
   let config = if quick then quick_config else Pipeline.default_config in
+  let timings = ref [] and results = ref [] in
+  let run name =
+    let (), s =
+      wall (fun () ->
+          match List.assoc name artifacts with
+          | Paper print -> print config
+          | Measured measure ->
+            let title, fields = measure config in
+            report title fields;
+            results := (name, fields) :: !results)
+    in
+    timings := (name, s) :: !timings
+  in
   (match List.filter (fun a -> not (String.equal a "quick")) names with
   | [] ->
     Printf.printf
       "FastFlip reproduction: regenerating all evaluation artifacts%s.\n\n%!"
       (if quick then " (quick mode: 4-bit subset)" else "");
-    List.iter (fun (name, f) -> run_artifact config name f) artifacts;
+    List.iter (fun (name, _) -> run name) artifacts;
     micro ()
   | requested ->
     List.iter
-      (fun name ->
-        if String.equal name "micro" then micro ()
-        else run_artifact config name (List.assoc name artifacts))
+      (fun name -> if String.equal name "micro" then micro () else run name)
       requested);
-  (* Each BENCH_*.json is written only when its artifact ran, so a
+  (* BENCH_parallel.json also holds the time of every artifact this run
+     ran. Each BENCH_*.json is written only when its artifact ran, so a
      single-artifact invocation (e.g. `quick server`) never clobbers the
-     others with empty shells. *)
-  if !phase_timings <> [] then emit_parallel_json ~quick ();
-  emit_vm_json ();
-  emit_prune_json ();
-  emit_faults_json ();
-  emit_detect_json ();
-  emit_server_json ();
-  emit_store_json ();
+     others. *)
+  let tables = Obj (List.rev_map (fun (name, s) -> (name, Float (s, 6))) !timings) in
+  let results =
+    List.rev_map
+      (fun (name, fields) ->
+        let fields = if String.equal name "parallel" then fields @ [ ("tables", tables) ] else fields in
+        (name, fields))
+      !results
+  in
+  List.iter (fun (name, fields) -> write_json name fields) results;
   (* The shared store's save-on-exit runs before the metrics export, so
      a --store run's persist.saves counter lands in the JSON. *)
   (match (store_path, !shared_store) with
@@ -1583,19 +1288,19 @@ let () =
     Printf.printf "store: saved %d record(s) to %s (%d appended)\n%!"
       stats.Fastflip.Persist.sv_live path stats.Fastflip.Persist.sv_appended
   | _ -> ());
-  (match metrics with
-  | Some path ->
-    Telemetry.write ~path ();
-    Printf.printf "wrote telemetry to %s\n%!" path
-  | None -> ());
-  if Lazy.is_val pool then Pool.shutdown (Lazy.force pool);
-  let ran =
-    List.map fst !table_timings @ if Option.is_some metrics then [ "metrics" ] else []
+  let results =
+    match metrics with
+    | Some path ->
+      Telemetry.write ~path ();
+      Printf.printf "wrote telemetry to %s\n%!" path;
+      let counters = (Telemetry.snapshot ()).Telemetry.snap_counters in
+      results @ [ ("metrics", List.map (fun (name, v) -> (name, Int v)) counters) ]
+    | None -> results
   in
-  match violations ran with
-  | [] ->
-    Printf.printf "bench gate: ok (%d rows hold)\n%!"
-      (List.length (List.filter (fun f -> List.mem f.artifact ran) floors))
+  if Lazy.is_val pool then Pool.shutdown (Lazy.force pool);
+  let gated = List.filter (fun f -> List.mem_assoc f.artifact results) floors in
+  match List.filter_map (fun f -> violation (List.assoc f.artifact results) f) gated with
+  | [] -> Printf.printf "bench gate: ok (%d rows hold)\n%!" (List.length gated)
   | lines ->
     List.iter prerr_endline lines;
     exit 1

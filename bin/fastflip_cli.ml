@@ -172,28 +172,18 @@ let with_store ~strict ?shards store_path k =
   | None -> k (Fastflip.Store.create ())
   | Some path ->
     let store =
-      if Fastflip.Persist.present ~path then begin
-        match Fastflip.Persist.load ~path with
-        | Ok (store, skipped) ->
-          if skipped > 0 then begin
-            if strict then begin
-              Printf.eprintf "fastflip: store %s: %d corrupt record(s) refused by --strict-store\n"
-                path skipped;
-              exit 1
-            end;
-            Printf.eprintf "warning: store %s: skipped %d corrupt record(s)\n" path skipped
-          end;
-          Printf.printf "loaded %d section records from %s\n" (Fastflip.Store.size store) path;
+      match Fastflip.Persist.open_store ~strict ~path with
+      | Error refusal ->
+        Printf.eprintf "fastflip: %s\n" refusal;
+        exit 1
+      | Ok (loaded, warning) -> (
+        Option.iter (Printf.eprintf "%s\n") warning;
+        match loaded with
+        | Some store ->
+          Printf.printf "loaded %d section records from %s\n" (Fastflip.Store.size store)
+            path;
           store
-        | Error e ->
-          if strict then begin
-            Printf.eprintf "fastflip: store %s refused by --strict-store: %s\n" path e;
-            exit 1
-          end;
-          Printf.eprintf "ignoring store %s: %s\n" path e;
-          Fastflip.Store.create ()
-      end
-      else Fastflip.Store.create ()
+        | None -> Fastflip.Store.create ())
     in
     let result = k store in
     let stats = Fastflip.Persist.save ?shards store ~path in

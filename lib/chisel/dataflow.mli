@@ -7,7 +7,7 @@
     covers its input buffers' contents, so a semantic change reaches
     exactly the downstream sections whose inputs it alters (§4.7; see
     [Fastflip.Store]). Register liveness inside a kernel is
-    {!Ff_vm.Liveness}. *)
+    [Ff_lang.Opt.Liveness]. *)
 
 type section_io = {
   section_index : int;

@@ -429,6 +429,22 @@ let load ~path =
     Telemetry.add m_skipped sc.sc_skipped;
     Ok (sc.sc_store, sc.sc_skipped)
 
+let open_store ~strict ~path =
+  if not (present ~path) then Ok (None, None)
+  else
+    match load ~path with
+    | Ok (store, 0) -> Ok (Some store, None)
+    | Ok (_, skipped) when strict ->
+      Error
+        (Printf.sprintf "store %s: %d corrupt record(s) refused by --strict-store" path
+           skipped)
+    | Ok (store, skipped) ->
+      let warning = Printf.sprintf "warning: store %s: skipped %d corrupt record(s)" in
+      Ok (Some store, Some (warning path skipped))
+    | Error e when strict ->
+      Error (Printf.sprintf "store %s refused by --strict-store: %s" path e)
+    | Error e -> Ok (None, Some (Printf.sprintf "ignoring store %s: %s" path e))
+
 (* --- stat -------------------------------------------------------------------- *)
 
 type info = {

@@ -124,6 +124,16 @@ val load : path:string -> (Store.t * int, string) result
     (including files truncated or appended to concurrently with the
     read). *)
 
+val open_store :
+  strict:bool -> path:string -> (Store.t option * string option, string) result
+(** The one way a command opens the store it was given. [Ok (Some store,
+    warning)]: the store at [path] was loaded; [warning] counts the corrupt
+    records it skipped. [Ok (None, warning)]: there is nothing at [path]
+    ({!present}), or it is unreadable and [warning] says it is ignored;
+    start from an empty store. With [strict], skipped records or an
+    unreadable file are an [Error] instead, whose message says
+    [--strict-store] refused it. *)
+
 (** {1 Inspection and maintenance} *)
 
 type shard_info = {

@@ -102,30 +102,26 @@ let rebase_record (record : Store.section_record) ~section_index =
     { record with Store.rec_campaign = campaign; rec_sensitivity = sensitivity }
   end
 
+(* The sampling fields, in the one order both keys hash them. *)
+let add_sampling h config =
+  Hashing.add_int h config.sensitivity_samples;
+  Hashing.add_float h config.max_perturbation;
+  Hashing.add_float h config.safety_factor;
+  Hashing.add_int64 h config.seed
+
 let config_hash config =
-  Hashing.combine
-    (Campaign.config_hash config.campaign)
-    (let h = Hashing.create () in
-     Hashing.add_int h config.sensitivity_samples;
-     Hashing.add_float h config.max_perturbation;
-     Hashing.add_float h config.safety_factor;
-     Hashing.add_int64 h config.seed;
-     Hashing.add_float h config.epsilon;
-     Hashing.value h)
+  let h = Hashing.create () in
+  add_sampling h config;
+  Hashing.add_float h config.epsilon;
+  Hashing.combine (Campaign.config_hash config.campaign) (Hashing.value h)
 
 let section_key config (section : Golden.section_run) =
+  let h = Hashing.create () in
+  add_sampling h config;
   {
     Store.code_hash = Kernel.code_hash section.Golden.kernel;
     input_hash = section.Golden.input_hash;
-    config_hash =
-      Hashing.combine
-        (Campaign.config_hash config.campaign)
-        (let h = Hashing.create () in
-         Hashing.add_int h config.sensitivity_samples;
-         Hashing.add_float h config.max_perturbation;
-         Hashing.add_float h config.safety_factor;
-         Hashing.add_int64 h config.seed;
-         Hashing.value h);
+    config_hash = Hashing.combine (Campaign.config_hash config.campaign) (Hashing.value h);
   }
 
 (* A disjoint key space in the same persistent store for injection-measured

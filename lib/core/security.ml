@@ -4,6 +4,7 @@ module Instr = Ff_ir.Instr
 module Kernel = Ff_ir.Kernel
 module Program = Ff_ir.Program
 module Pool = Ff_support.Pool
+module Json = Ff_support.Json
 module Table = Ff_support.Table
 
 (* Security campaign mode: the same end-to-end injection machinery as the
@@ -156,31 +157,18 @@ let protect_first t ~target = Baseline.select t.s_baseline ~target
 let pct part whole =
   if whole = 0 then 0.0 else 100.0 *. float_of_int part /. float_of_int whole
 
-(* Machine-readable findings: hand-rolled JSON exactly like Telemetry's
-   export — sorted/deterministic content, no float formatting surprises
-   (%.17g round-trips), no external dependency. The finding list is the
-   seed input for detector placement ([fastflip protect
-   --seed-security]), so the field set mirrors [finding] verbatim. *)
-let json_escape s =
-  let buf = Buffer.create (String.length s + 8) in
-  String.iter
-    (fun c ->
-      match c with
-      | '"' -> Buffer.add_string buf "\\\""
-      | '\\' -> Buffer.add_string buf "\\\\"
-      | '\n' -> Buffer.add_string buf "\\n"
-      | '\t' -> Buffer.add_string buf "\\t"
-      | c when Char.code c < 32 -> Buffer.add_string buf (Printf.sprintf "\\u%04x" (Char.code c))
-      | c -> Buffer.add_char buf c)
-    s;
-  Buffer.contents buf
-
+(* Machine-readable findings: hand-rolled JSON like Telemetry's export,
+   strings through the one [Json] escaper — sorted/deterministic content,
+   no float formatting surprises (%.17g round-trips), no external
+   dependency. The finding list is the seed input for detector placement
+   ([fastflip protect --seed-security]), so the field set mirrors
+   [finding] verbatim. *)
 let findings_json t =
   let buf = Buffer.create 1024 in
   Buffer.add_string buf "{\n";
   Buffer.add_string buf
-    (Printf.sprintf "  \"model\": \"%s\",\n"
-       (json_escape (Fault_model.to_string t.s_model)));
+    (Printf.sprintf "  \"model\": %s,\n"
+       (Json.quote (Fault_model.to_string t.s_model)));
   Buffer.add_string buf (Printf.sprintf "  \"epsilon\": %.17g,\n" t.s_epsilon);
   Buffer.add_string buf (Printf.sprintf "  \"sites\": %d,\n" t.s_sites);
   Buffer.add_string buf (Printf.sprintf "  \"classes\": %d,\n" t.s_classes);
@@ -194,10 +182,10 @@ let findings_json t =
       Buffer.add_string buf
         (Printf.sprintf
            "    {\"kernel\": %d, \"instr\": %d, \"kind\": \"%s\", \
-            \"silent_sites\": %d, \"total_sites\": %d, \"instruction\": \"%s\"}"
+            \"silent_sites\": %d, \"total_sites\": %d, \"instruction\": %s}"
            f.f_pc.Site.kernel f.f_pc.Site.instr
            (kind_to_string f.f_kind)
-           f.f_bad_sites f.f_total_sites (json_escape f.f_instr)))
+           f.f_bad_sites f.f_total_sites (Json.quote f.f_instr)))
     t.s_findings;
   Buffer.add_string buf (if t.s_findings = [] then "]\n" else "\n  ]\n");
   Buffer.add_string buf "}\n";

@@ -254,10 +254,68 @@ let is_pure = function
   | Instr.Iun _ | Instr.Fun1 _ | Instr.Icmp _ | Instr.Fcmp _ | Instr.Cast _
   | Instr.Select _ | Instr.Load _ -> true
 
+(* Static backward register liveness over the kernel's CFG: the least
+   fixpoint of live_in(pc) = use(pc) ∪ (live_out(pc) \ def(pc)),
+   live_out(pc) = ∪ live_in(succ). Every per-pc register set is a flat
+   run of [words] ints, 63 registers per word; only live_out is kept. *)
+module Liveness = struct
+  type t = {
+    words : int;  (* ints per pc: ⌈nregs / Sys.int_size⌉ *)
+    out : int array;  (* live_out of pc in [out.(pc * words) ..] *)
+  }
+
+  let bits = Sys.int_size
+
+  let set_bit masks base r =
+    let w = base + (r / bits) in
+    masks.(w) <- masks.(w) lor (1 lsl (r mod bits))
+
+  let of_kernel (kernel : Kernel.t) =
+    let code = kernel.Kernel.code in
+    let n = Array.length code in
+    let words = (kernel.Kernel.nregs + bits - 1) / bits in
+    let succ = Array.init n (successors code) in
+    let gen = Array.make (n * words) 0 in
+    let kill = Array.make (n * words) 0 in
+    for pc = 0 to n - 1 do
+      let base = pc * words in
+      List.iter (set_bit gen base) (Instr.srcs code.(pc));
+      Option.iter (set_bit kill base) (Instr.dst code.(pc))
+    done;
+    let live_in = Array.make (n * words) 0 in
+    let out = Array.make (n * words) 0 in
+    let rec union w acc = function
+      | [] -> acc
+      | s :: rest -> union w (acc lor live_in.((s * words) + w)) rest
+    in
+    (* Reverse order visits a straight-line run's successors before it, so
+       each pass carries liveness across one more back edge. *)
+    let changed = ref true in
+    while !changed do
+      changed := false;
+      for pc = n - 1 downto 0 do
+        let base = pc * words in
+        for w = 0 to words - 1 do
+          let o = union w 0 succ.(pc) in
+          out.(base + w) <- o;
+          let i = gen.(base + w) lor (o land lnot kill.(base + w)) in
+          if i <> live_in.(base + w) then begin
+            live_in.(base + w) <- i;
+            changed := true
+          end
+        done
+      done
+    done;
+    { words; out }
+
+  let live_out t ~pc ~reg =
+    (t.out.((pc * t.words) + (reg / bits)) lsr (reg mod bits)) land 1 <> 0
+end
+
 let dce_once (kernel : Kernel.t) =
   let code = kernel.Kernel.code in
   let n = Array.length code in
-  let live = Liveness.of_decoded (Decode.of_kernel kernel) in
+  let live = Liveness.of_kernel kernel in
   let keep = Array.make n true in
   let removed = ref false in
   for i = 0 to n - 1 do

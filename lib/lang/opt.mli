@@ -39,13 +39,33 @@ val common_subexpressions : Ff_ir.Kernel.t -> Ff_ir.Kernel.t
     between the None and Small benchmark versions. Offered for clients
     that want a more aggressive compiler. *)
 
+(** Static backward register liveness over a kernel's CFG (use/def from
+    {!Ff_ir.Instr.srcs}/{!Ff_ir.Instr.dst}, the fall-through or branch
+    targets as successors). Its one user is {!dead_code_elimination}.
+
+    Each pc's register set is a flat bitset of ⌈nregs / 63⌉ ints
+    ([Sys.int_size] bits per word), so the fixpoint moves a word of
+    registers per step and a table holds n × ⌈nregs / 63⌉ words. *)
+module Liveness : sig
+  type t
+
+  val of_kernel : Ff_ir.Kernel.t -> t
+  (** The least fixpoint of live_in(pc) = use(pc) ∪ (live_out(pc) \ def(pc)),
+      live_out(pc) = ∪ live_in(succ), by reverse-order sweeps until no
+      word changes. The kernel must be well-formed
+      ({!Ff_ir.Kernel.validate}). *)
+
+  val live_out : t -> pc:int -> reg:int -> bool
+  (** May the value [reg] holds right after [pc] executed be read before
+      being overwritten, on some path from [pc]? One bit test. *)
+end
+
 val dead_code_elimination : Ff_ir.Kernel.t -> Ff_ir.Kernel.t
 (** Global liveness-based removal of pure instructions whose destination
-    is never read ({!Ff_vm.Liveness}), iterated to a fixpoint, with label
-    remapping. The kernel must decode ({!Ff_vm.Decode.of_kernel}). After
-    the last pass every remaining destination is live-out. *)
+    is never read ({!Liveness}), iterated to a fixpoint, with label
+    remapping. The kernel must be well-formed ({!Ff_ir.Kernel.validate}).
+    After the last pass every remaining destination is live-out. *)
 
 val optimize : Ff_ir.Kernel.t -> Ff_ir.Kernel.t
 (** The standard pipeline: fold, copy-propagate, simplify, prune, DCE —
-    run twice. Raises [Invalid_argument] on a kernel that does not
-    decode, like {!dead_code_elimination}. *)
+    run twice, on a well-formed kernel like {!dead_code_elimination}. *)

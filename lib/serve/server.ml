@@ -6,28 +6,16 @@ module Store = Fastflip.Store
 let m_connections = Telemetry.counter "serve.connections"
 let m_malformed = Telemetry.counter "serve.malformed"
 
-(* [Persist.present], not [Sys.file_exists]: shard logs orphaned by a
-   crash before the first manifest write are still a store to load. *)
 let load_store ~strict path =
-  if not (Persist.present ~path) then Store.create ()
-  else
-    match Persist.load ~path with
-    | Ok (store, skipped) ->
-      if skipped > 0 then begin
-        if strict then
-          failwith
-            (Printf.sprintf "store %s: %d corrupt record(s) refused by --strict-store"
-               path skipped);
-        Printf.eprintf "warning: store %s: skipped %d corrupt record(s)\n%!" path
-          skipped
-      end;
+  match Persist.open_store ~strict ~path with
+  | Error refusal -> failwith refusal
+  | Ok (loaded, warning) -> (
+    Option.iter (Printf.eprintf "%s\n%!") warning;
+    match loaded with
+    | Some store ->
       Printf.eprintf "loaded %d section records from %s\n%!" (Store.size store) path;
       store
-    | Error e ->
-      if strict then
-        failwith (Printf.sprintf "store %s refused by --strict-store: %s" path e);
-      Printf.eprintf "ignoring store %s: %s\n%!" path e;
-      Store.create ()
+    | None -> Store.create ())
 
 (* One request/response exchange at a time per connection; the protocol
    has no pipelining. Any transport or decode violation drops only this

@@ -298,21 +298,6 @@ let snapshot () =
     snap_spans = List.sort by_name spans;
   }
 
-let add_escaped buf s =
-  Buffer.add_char buf '"';
-  String.iter
-    (fun c ->
-      match c with
-      | '"' -> Buffer.add_string buf "\\\""
-      | '\\' -> Buffer.add_string buf "\\\\"
-      | '\n' -> Buffer.add_string buf "\\n"
-      | '\t' -> Buffer.add_string buf "\\t"
-      | '\r' -> Buffer.add_string buf "\\r"
-      | c when Char.code c < 32 -> Printf.bprintf buf "\\u%04x" (Char.code c)
-      | c -> Buffer.add_char buf c)
-    s;
-  Buffer.add_char buf '"'
-
 (* [obj] renders a sorted association list as a JSON object; every value
    printer is deterministic, so the whole document is. *)
 let obj buf ~indent entries value =
@@ -326,7 +311,7 @@ let obj buf ~indent entries value =
         Buffer.add_char buf '\n';
         Buffer.add_string buf pad;
         Buffer.add_string buf "  ";
-        add_escaped buf name;
+        Json.add_string buf name;
         Buffer.add_string buf ": ";
         value v)
       entries;

@@ -75,18 +75,6 @@ let o_fun = 37
 let o_icmp = 46
 let o_fcmp = 52
 
-(* Per-instruction control-flow successors, read off the same decoded
-   label fields the machines dispatch on. Decode validated every label,
-   so the returned indices are always in range; Halt has none, and a
-   non-terminator's sole successor is the fall-through. *)
-let successors t =
-  Array.init (Array.length t.ops) (fun i ->
-      let op = t.ops.(i) in
-      if op = o_halt then [||]
-      else if op = o_jmp then [| t.a.(i) |]
-      else if op = o_br then [| t.b.(i); t.c.(i) |]
-      else [| i + 1 |])
-
 let of_kernel (kernel : Kernel.t) =
   let code = kernel.Kernel.code in
   let n = Array.length code in

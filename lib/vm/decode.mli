@@ -54,12 +54,6 @@ val noperands : t -> int -> int
 (** Injectable operand count (sources plus destination if present) —
     the site-enumeration quantity, computed without allocation. *)
 
-val successors : t -> int array array
-(** Control-flow successors of every static instruction: [[||]] for
-    Halt, the branch targets for Jmp/Br, the fall-through otherwise.
-    Together with {!srcs_at}/{!dst_at} (the per-instruction use/def
-    sets) this is the CFG a backward liveness pass needs. *)
-
 (** {2 Opcode space}
 
     Base codes of each opcode group; group members are [base + tag] with

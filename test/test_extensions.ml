@@ -311,6 +311,69 @@ let test_persist_rejects_garbage () =
   | Ok _ -> Alcotest.fail "missing file accepted"
   | Error _ -> ()
 
+(* [Persist.open_store], the one store-open path of the CLI, the daemon
+   and the bench, over its four cases: nothing at the path, a clean
+   store, a store with a damaged frame (warned about, or refused under
+   --strict-store) and a file in a refused older format. *)
+let test_open_store () =
+  let path = Filename.temp_file "ffstore" ".bin" in
+  Sys.remove path;
+  let log = Persist.shard_path path 0 in
+  let opened ~strict = Persist.open_store ~strict ~path in
+  List.iter
+    (fun strict ->
+      match opened ~strict with
+      | Ok (None, None) -> ()
+      | _ -> Alcotest.fail "a missing store must open empty, without a warning")
+    [ false; true ];
+  let store = Store.create () in
+  let _ = Pipeline.analyze ~store quick_config (compile chain_src) in
+  let _ = Persist.save store ~path ~shards:1 in
+  (match opened ~strict:true with
+  | Ok (Some loaded, None) ->
+    Alcotest.(check int) "clean store loads whole" (Store.size store) (Store.size loaded)
+  | _ -> Alcotest.fail "a clean store must load without a warning");
+  let data = In_channel.with_open_bin log In_channel.input_all in
+  Out_channel.with_open_bin log (fun oc ->
+      Out_channel.output_string oc (String.sub data 0 (String.length data - 16)));
+  let skipped =
+    match Persist.load ~path with
+    | Ok (_, skipped) when skipped > 0 -> skipped
+    | _ -> Alcotest.fail "the truncated log must load with skipped records"
+  in
+  (match opened ~strict:false with
+  | Ok (Some _, Some warning) ->
+    Alcotest.(check string) "damage is warned about"
+      (Printf.sprintf "warning: store %s: skipped %d corrupt record(s)" path skipped)
+      warning
+  | _ -> Alcotest.fail "a damaged store must load with a warning");
+  (match opened ~strict:true with
+  | Error refusal ->
+    Alcotest.(check string) "damage is refused under --strict-store"
+      (Printf.sprintf "store %s: %d corrupt record(s) refused by --strict-store" path
+         skipped)
+      refusal
+  | Ok _ -> Alcotest.fail "--strict-store must refuse a damaged store");
+  Sys.remove log;
+  Out_channel.with_open_bin path (fun oc ->
+      Out_channel.output_string oc ("FFSTORE3" ^ String.make 32 '\000'));
+  let format = "unsupported store format FFSTORE3 (only FFSTORE4 is read)" in
+  (match opened ~strict:false with
+  | Ok (None, Some warning) ->
+    Alcotest.(check string) "an old format is ignored"
+      (Printf.sprintf "ignoring store %s: %s" path format)
+      warning
+  | _ -> Alcotest.fail "an FFSTORE3 file must be ignored with a warning");
+  (match opened ~strict:true with
+  | Error refusal ->
+    Alcotest.(check string) "an old format is refused under --strict-store"
+      (Printf.sprintf "store %s refused by --strict-store: %s" path format)
+      refusal
+  | Ok _ -> Alcotest.fail "--strict-store must refuse an FFSTORE3 file");
+  List.iter
+    (fun f -> try Sys.remove f with Sys_error _ -> ())
+    [ path; path ^ ".lock"; log ^ ".lock" ]
+
 let test_persist_salvages_truncation () =
   (* Chopping a shard log's tail loses at most the record whose frame was
      damaged — [load] succeeds, reports the damage, and every surviving
@@ -400,6 +463,7 @@ let () =
           Alcotest.test_case "cross-process reuse" `Quick test_persist_enables_cross_process_reuse;
           Alcotest.test_case "rejects garbage" `Quick test_persist_rejects_garbage;
           Alcotest.test_case "salvages truncation" `Quick test_persist_salvages_truncation;
+          Alcotest.test_case "open_store outcomes" `Quick test_open_store;
         ] );
       ( "evolution",
         [ Alcotest.test_case "smoke" `Quick test_evolution_smoke ] );

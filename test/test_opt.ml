@@ -5,8 +5,7 @@
 open Ff_lang
 open Ff_ir
 module Golden = Ff_vm.Golden
-module Decode = Ff_vm.Decode
-module Liveness = Ff_vm.Liveness
+module Liveness = Opt.Liveness
 module Rng = Ff_support.Rng
 
 let compile ~optimize src =
@@ -231,10 +230,17 @@ let test_random_kernels_pinned () =
 (* The bool-matrix round-robin fixpoint that the bitset [Liveness]
    replaced, kept as its oracle: live_out and live_in are one bool per
    (pc, register), swept in reverse until nothing changes. *)
-let reference_live_out (decoded : Decode.t) =
-  let n = Decode.length decoded in
-  let nregs = decoded.Decode.nregs in
-  let succ = Decode.successors decoded in
+let reference_live_out (kernel : Kernel.t) =
+  let code = kernel.Kernel.code in
+  let n = Array.length code in
+  let nregs = kernel.Kernel.nregs in
+  let succ =
+    Array.mapi
+      (fun pc instr ->
+        if Instr.is_terminator instr then Array.of_list (Instr.labels instr)
+        else [| pc + 1 |])
+      code
+  in
   let live_in = Array.make_matrix n nregs false in
   let live_out = Array.make_matrix n nregs false in
   let changed = ref true in
@@ -253,7 +259,7 @@ let reference_live_out (decoded : Decode.t) =
             live_in.(s))
         succ.(pc);
       let i = live_in.(pc) in
-      let d = Decode.dst_at decoded pc in
+      let d = Option.value ~default:(-1) (Instr.dst code.(pc)) in
       let gen r =
         if not i.(r) then begin
           i.(r) <- true;
@@ -261,7 +267,7 @@ let reference_live_out (decoded : Decode.t) =
         end
       in
       Array.iteri (fun r live -> if live && r <> d then gen r) o;
-      Array.iter gen (Decode.srcs_at decoded pc)
+      List.iter gen (Instr.srcs code.(pc))
     done
   done;
   live_out
@@ -269,9 +275,8 @@ let reference_live_out (decoded : Decode.t) =
 (* Every (pc, register) cell of the bitset analysis equals the oracle's;
    returns the number of cells compared. *)
 let check_liveness ~msg (kernel : Kernel.t) =
-  let decoded = Decode.of_kernel kernel in
-  let live = Liveness.of_decoded decoded in
-  let expected = reference_live_out decoded in
+  let live = Liveness.of_kernel kernel in
+  let expected = reference_live_out kernel in
   Array.iteri
     (fun pc row ->
       Array.iteri

@@ -154,6 +154,56 @@ let test_snapshot_determinism () =
                 String.length line >= 11 && String.sub (String.trim line) 0 9 = "\"timings\"")
               (String.split_on_char '\n' json1))))
 
+(* The one JSON string escaper: a quote, a backslash, newline, carriage
+   return, tab, a control byte and a multi-byte UTF-8 character decode
+   back byte for byte — through the small decoder below, and through jq
+   when it is on PATH. *)
+let decode_json_string q =
+  let buf = Buffer.create (String.length q) in
+  let n = String.length q in
+  if n < 2 || q.[0] <> '"' || q.[n - 1] <> '"' then Alcotest.failf "not quoted: %s" q;
+  let i = ref 1 in
+  while !i < n - 1 do
+    (match q.[!i] with
+    | '\\' -> (
+      incr i;
+      match q.[!i] with
+      | 'n' -> Buffer.add_char buf '\n'
+      | 'r' -> Buffer.add_char buf '\r'
+      | 't' -> Buffer.add_char buf '\t'
+      | 'u' ->
+        Buffer.add_char buf (Char.chr (int_of_string ("0x" ^ String.sub q (!i + 1) 4)));
+        i := !i + 4
+      | c -> Buffer.add_char buf c)
+    | '"' -> Alcotest.failf "unescaped quote in %s" q
+    | c when Char.code c < 32 -> Alcotest.failf "raw control byte in %s" q
+    | c -> Buffer.add_char buf c);
+    incr i
+  done;
+  Buffer.contents buf
+
+let test_json_escape () =
+  let s = "q\"b\\s\nn\rr\tt\001c \xc3\xa9 end" in
+  let quoted = Ff_support.Json.quote s in
+  Alcotest.(check string) "escaped"
+    "\"q\\\"b\\\\s\\nn\\rr\\tt\\u0001c \xc3\xa9 end\"" quoted;
+  Alcotest.(check string) "decodes back" s (decode_json_string quoted);
+  if Sys.command "command -v jq >/dev/null 2>&1" = 0 then begin
+    let doc = Filename.temp_file "json_escape" ".json" in
+    let out = Filename.temp_file "json_escape" ".out" in
+    Out_channel.with_open_bin doc (fun oc ->
+        Out_channel.output_string oc ("{ \"s\": " ^ quoted ^ " }\n"));
+    let status =
+      Sys.command
+        (Printf.sprintf "jq -e -j .s %s > %s" (Filename.quote doc) (Filename.quote out))
+    in
+    Alcotest.(check int) "jq -e accepts it" 0 status;
+    Alcotest.(check string) "jq decodes it back" s
+      (In_channel.with_open_bin out In_channel.input_all);
+    Sys.remove doc;
+    Sys.remove out
+  end
+
 let test_json_shape () =
   with_telemetry (fun () ->
       Telemetry.add (Telemetry.counter "test.shape") 7;
@@ -370,6 +420,7 @@ let () =
         [
           Alcotest.test_case "snapshot determinism" `Quick test_snapshot_determinism;
           Alcotest.test_case "json shape" `Quick test_json_shape;
+          Alcotest.test_case "json string escaping" `Quick test_json_escape;
         ] );
       ( "progress",
         [
