@@ -30,6 +30,7 @@ module Pool = Ff_support.Pool
 module Json = Ff_support.Json
 module Table = Ff_support.Table
 module Telemetry = Ff_support.Telemetry
+open Json
 
 let quick_config =
   {
@@ -52,6 +53,13 @@ let wall f =
   let t0 = now () in
   let result = f () in
   (result, now () -. t0)
+
+(* Run [f] with telemetry off: a timed repeat count follows the machine's
+   speed, and the --metrics counters must not. *)
+let uncounted f =
+  let was = Telemetry.enabled () in
+  Telemetry.set_enabled false;
+  Fun.protect ~finally:(fun () -> Telemetry.set_enabled was) f
 
 (* The shared campaign pool: FF_DOMAINS wide, created on first use. *)
 let pool = lazy (Pool.create ~domains:(Pool.default_domains ()))
@@ -139,27 +147,22 @@ let print_evolution config =
 (* A measured artifact returns a title and its result, said once as named
    fields: [report] prints them as text tables, [write_json] writes them to
    BENCH_<artifact>.json, and every row of [floors] reads its value by key. *)
-type value =
-  | Int of int
-  | Float of float * int  (** the value and the decimal places it prints with *)
-  | Bool of bool
-  | Str of string
-  | Obj of field list
-  | Rows of field list list
+type field = string * Json.t
 
-and field = string * value
+(* A table's rows, one object each. *)
+let objects rows = Arr (List.map (fun row -> Obj row) rows)
 
 let scalar = function
   | Int i -> string_of_int i
   | Float (x, places) -> Printf.sprintf "%.*f" places x
   | Bool b -> string_of_bool b
   | Str s -> s
-  | Obj _ | Rows _ -> ""
+  | Obj _ | Arr _ | Null -> ""
 
 let number = function
   | Int i -> Some (float_of_int i)
   | Float (x, _) -> Some x
-  | Bool _ | Str _ | Obj _ | Rows _ -> None
+  | Bool _ | Str _ | Obj _ | Arr _ | Null -> None
 
 (* The number under [key] in a row the artifact itself built. *)
 let num key row = Option.get (number (List.assoc key row))
@@ -172,14 +175,14 @@ let ratio a b = if b > 0.0 then a /. b else 0.0
 (* A nested field as the rows of a table: a list's objects, or an object's
    members under a first column named after the field. *)
 let rows_of key = function
-  | Rows rows -> Some rows
+  | Arr items -> Some (List.map (function Obj row -> row | v -> [ ("value", v) ]) items)
   | Obj members ->
     Some
       (List.map
          (fun (name, v) ->
            (key, Str name) :: (match v with Obj inner -> inner | v -> [ ("value", v) ]))
          members)
-  | Int _ | Float _ | Bool _ | Str _ -> None
+  | Int _ | Float _ | Bool _ | Str _ | Null -> None
 
 (* One table per nested field, then one of the scalar fields; the first
    carries the title. Headers are the JSON keys, cells the JSON's numbers. *)
@@ -205,49 +208,13 @@ let report title fields =
          | None -> Some [ ("key", Str key); ("value", v) ])
        fields)
 
-(* The members of the top two levels go one per line; deeper objects print
-   inline, as [{ "key": value, ... }]. *)
-let rec add_json buf depth v =
-  let block opening closing items add_item =
-    if depth < 2 then begin
-      let pad = String.make (2 * depth) ' ' in
-      Buffer.add_char buf opening;
-      List.iteri
-        (fun i item ->
-          Buffer.add_string buf (if i = 0 then "\n  " else ",\n  ");
-          Buffer.add_string buf pad;
-          add_item item)
-        items;
-      Printf.bprintf buf "\n%s%c" pad closing
-    end
-    else begin
-      Printf.bprintf buf "%c " opening;
-      List.iteri
-        (fun i item ->
-          if i > 0 then Buffer.add_string buf ", ";
-          add_item item)
-        items;
-      Printf.bprintf buf " %c" closing
-    end
-  in
-  match v with
-  | Str s -> Json.add_string buf s
-  | Obj fields ->
-    block '{' '}' fields (fun (key, v) ->
-        Json.add_string buf key;
-        Buffer.add_string buf ": ";
-        add_json buf (depth + 1) v)
-  | Rows rows -> block '[' ']' rows (fun row -> add_json buf (depth + 1) (Obj row))
-  | Int _ | Float _ | Bool _ -> Buffer.add_string buf (scalar v)
-
+(* The schema goes first in the file only: tables and floors read the
+   artifact's own fields. *)
 let write_json name fields =
   let path = Printf.sprintf "BENCH_%s.json" name in
-  let buf = Buffer.create 1024 in
-  add_json buf 0 (Obj fields);
-  Buffer.add_char buf '\n';
-  let oc = open_out path in
-  Buffer.output_buffer oc buf;
-  close_out oc;
+  let schema = ("schema", Str (Printf.sprintf "fastflip.bench.%s/1" name)) in
+  Out_channel.with_open_text path (fun oc ->
+      output_string oc (Json.to_string (Obj (schema :: fields))));
   Printf.printf "wrote %s\n%!" path
 
 (* --- serial vs parallel wall-clock -------------------------------------- *)
@@ -307,7 +274,7 @@ let measure_parallel config =
       ("jobs", Int (Pool.domains p));
       (* The "quick" argument is what selects [quick_config]. *)
       ("quick", Bool (config == quick_config));
-      ("phases", Rows [ campaign; baseline; analysis ]);
+      ("phases", objects [ campaign; baseline; analysis ]);
     ] )
 
 (* --- boxed vs unboxed execution engine ---------------------------------- *)
@@ -444,14 +411,15 @@ let measure_prune config =
         let reps = 3 in
         let best_on = ref infinity and best_off = ref infinity in
         let on_results = ref [||] and off_results = ref [||] in
-        for _ = 1 to reps do
-          let r_on, s_on = run_batch on_config in
-          if s_on < !best_on then best_on := s_on;
-          on_results := r_on;
-          let r_off, s_off = run_batch off_config in
-          if s_off < !best_off then best_off := s_off;
-          off_results := r_off
-        done;
+        uncounted (fun () ->
+            for _ = 1 to reps do
+              let r_on, s_on = run_batch on_config in
+              if s_on < !best_on then best_on := s_on;
+              on_results := r_on;
+              let r_off, s_off = run_batch off_config in
+              if s_off < !best_off then best_off := s_off;
+              off_results := r_off
+            done);
         let identical =
           same
             (Array.map (fun r -> r.Campaign.s_classes) !on_results)
@@ -479,7 +447,7 @@ let measure_prune config =
   let best = List.fold_left (fun acc row -> Float.max acc (num "prune_ratio" row)) 0.0 rows in
   ( "Static outcome prover: classes proved without replay (V_none, serial)",
     [
-      ("benchmarks", Rows rows);
+      ("benchmarks", objects rows);
       ("best_prune_ratio", Float (best, 4));
       (* Summed prover-off time over summed prover-on time. *)
       ("aggregate_speedup", Float (ratio (sum "prove_off_s") (sum "prove_on_s"), 3));
@@ -543,16 +511,17 @@ let measure_faults config =
         let _, est = wall (fun () -> campaign ()) in
         let iters = max 1 (min 16 (int_of_float (ceil (0.02 /. Float.max 1e-6 est)))) in
         let best = ref infinity in
-        for _ = 1 to 3 do
-          let _, sec =
-            wall (fun () ->
-                for _ = 1 to iters do
-                  ignore (campaign ())
-                done)
-          in
-          let per = sec /. float_of_int iters in
-          if per < !best then best := per
-        done;
+        uncounted (fun () ->
+            for _ = 1 to 3 do
+              let _, sec =
+                wall (fun () ->
+                    for _ = 1 to iters do
+                      ignore (campaign ())
+                    done)
+              in
+              let per = sec /. float_of_int iters in
+              if per < !best then best := per
+            done);
         [
           ("model", Str (Ff_inject.Fault_model.to_string model));
           ("classes", Int nclasses);
@@ -579,7 +548,7 @@ let measure_faults config =
   in
   ( "Fault models: LUD (V_none) campaign per model (serial, prover on)",
     [
-      ("models", Rows rows);
+      ("models", objects rows);
       ("identical", all_identical rows);
       ("bitflip_prune_ratio", Float (bitflip_prune, 4));
     ] )
@@ -653,7 +622,7 @@ let measure_detect config =
   in
   ( "Detectors vs duplication at the 0.9 protection target (V_large)",
     [
-      ("benches", Rows rows);
+      ("benches", objects rows);
       ("identical", all_identical rows);
       ( "fp_fires",
         Int (List.fold_left (fun acc row -> acc + truncate (num "fp" row)) 0 rows) );

@@ -576,7 +576,12 @@ let protect_cmd =
     let config = config_of ~epsilon ~model ?safety_factor ~bits ~samples ~no_prove () in
     let focus =
       Option.map
-        (fun path -> Ff_detect.Synthesize.focus_of_json (read_file path))
+        (fun path ->
+          match Ff_detect.Synthesize.focus_of_json (read_file path) with
+          | Ok focus -> focus
+          | Error e | (exception Sys_error e) ->
+            Printf.eprintf "fastflip: --seed-security %s: %s\n" path e;
+            exit Cmd.Exit.cli_error)
         seed_security
     in
     let result =

@@ -157,39 +157,35 @@ let protect_first t ~target = Baseline.select t.s_baseline ~target
 let pct part whole =
   if whole = 0 then 0.0 else 100.0 *. float_of_int part /. float_of_int whole
 
-(* Machine-readable findings: hand-rolled JSON like Telemetry's export,
-   strings through the one [Json] escaper — sorted/deterministic content,
-   no float formatting surprises (%.17g round-trips), no external
-   dependency. The finding list is the seed input for detector placement
+(* The finding list is the seed input for detector placement
    ([fastflip protect --seed-security]), so the field set mirrors
    [finding] verbatim. *)
 let findings_json t =
-  let buf = Buffer.create 1024 in
-  Buffer.add_string buf "{\n";
-  Buffer.add_string buf
-    (Printf.sprintf "  \"model\": %s,\n"
-       (Json.quote (Fault_model.to_string t.s_model)));
-  Buffer.add_string buf (Printf.sprintf "  \"epsilon\": %.17g,\n" t.s_epsilon);
-  Buffer.add_string buf (Printf.sprintf "  \"sites\": %d,\n" t.s_sites);
-  Buffer.add_string buf (Printf.sprintf "  \"classes\": %d,\n" t.s_classes);
-  Buffer.add_string buf (Printf.sprintf "  \"silent\": %d,\n" t.s_silent);
-  Buffer.add_string buf (Printf.sprintf "  \"detected\": %d,\n" t.s_detected);
-  Buffer.add_string buf (Printf.sprintf "  \"masked\": %d,\n" t.s_masked);
-  Buffer.add_string buf "  \"findings\": [";
-  List.iteri
-    (fun i f ->
-      Buffer.add_string buf (if i = 0 then "\n" else ",\n");
-      Buffer.add_string buf
-        (Printf.sprintf
-           "    {\"kernel\": %d, \"instr\": %d, \"kind\": \"%s\", \
-            \"silent_sites\": %d, \"total_sites\": %d, \"instruction\": %s}"
-           f.f_pc.Site.kernel f.f_pc.Site.instr
-           (kind_to_string f.f_kind)
-           f.f_bad_sites f.f_total_sites (Json.quote f.f_instr)))
-    t.s_findings;
-  Buffer.add_string buf (if t.s_findings = [] then "]\n" else "\n  ]\n");
-  Buffer.add_string buf "}\n";
-  Buffer.contents buf
+  let open Json in
+  let finding f =
+    Obj
+      [
+        ("kernel", Int f.f_pc.Site.kernel);
+        ("instr", Int f.f_pc.Site.instr);
+        ("kind", Str (kind_to_string f.f_kind));
+        ("silent_sites", Int f.f_bad_sites);
+        ("total_sites", Int f.f_total_sites);
+        ("instruction", Str f.f_instr);
+      ]
+  in
+  to_string
+    (Obj
+       [
+         ("schema", Str "fastflip.security/1");
+         ("model", Str (Fault_model.to_string t.s_model));
+         ("epsilon", shortest t.s_epsilon);
+         ("sites", Int t.s_sites);
+         ("classes", Int t.s_classes);
+         ("silent", Int t.s_silent);
+         ("detected", Int t.s_detected);
+         ("masked", Int t.s_masked);
+         ("findings", Arr (List.map finding t.s_findings));
+       ])
 
 let report ?(target = 0.9) t =
   let buf = Buffer.create 1024 in

@@ -61,7 +61,8 @@ val analyze :
     any pool width. *)
 
 val findings_json : t -> string
-(** The findings as deterministic JSON: campaign summary (model, ε,
+(** The findings as deterministic JSON under schema
+    [fastflip.security/1]: campaign summary (model, ε,
     outcome tallies) plus one object per finding with [kernel]/[instr]
     (the pc), [kind], [silent_sites] (the damage mass), [total_sites]
     and the printed [instruction]. Written by

@@ -162,68 +162,74 @@ let report t =
   Buffer.contents buf
 
 let pareto_json t =
-  let buf = Buffer.create 2048 in
-  let add = Buffer.add_string buf in
-  add "{\n";
-  add (Printf.sprintf "  \"target\": %.17g,\n" t.r_target);
-  add (Printf.sprintf "  \"total_value\": %d,\n" t.r_select.Select.t_total_value);
-  add "  \"detectors\": [";
-  Array.iteri
-    (fun i d ->
-      if i > 0 then add ",";
-      add
-        (Printf.sprintf
-           "\n    {\"index\": %d, \"section\": %d, \"buffer\": %d, \"form\": \
-            \"%s\", \"cost\": %d, \"covered\": %d}"
-           i d.Detector.d_section d.Detector.d_buffer
-           (match d.Detector.d_form with
-           | Detector.Finite -> "finite"
-           | Detector.Range _ -> "range"
-           | Detector.Linear _ -> "linear")
-           d.Detector.d_cost t.r_select.Select.t_covered.(i)))
-    t.r_select.Select.t_detectors;
-  if Array.length t.r_select.Select.t_detectors > 0 then add "\n  ";
-  add "],\n";
-  add "  \"front\": [";
-  Array.iteri
-    (fun i (p : Select.point) ->
-      if i > 0 then add ",";
-      add
-        (Printf.sprintf
-           "\n    {\"value\": %d, \"cost\": %d, \"mask\": %d, \"dup_value\": %d}"
-           p.Select.p_value p.Select.p_cost p.Select.p_mask p.Select.p_dup_value))
-    t.r_select.Select.t_front;
-  add "\n  ],\n";
-  add "  \"pure_front\": [";
-  List.iteri
-    (fun i (v, c) ->
-      if i > 0 then add ",";
-      add (Printf.sprintf "\n    {\"value\": %d, \"cost\": %d}" v c))
-    (Select.pure_points t.r_select);
-  add "\n  ],\n";
-  add
-    (Printf.sprintf
-       "  \"mixed\": {\"value\": %d, \"cost\": %d, \"mask\": %d, \"detectors\": \
-        %d, \"duplicated_pcs\": %d},\n"
-       t.r_mixed.Select.sel_value t.r_mixed.Select.sel_cost
-       t.r_mixed.Select.sel_mask
-       (Array.length t.r_mixed.Select.sel_detectors)
-       (List.length t.r_mixed.Select.sel_dup.Knapsack.pcs));
-  add
-    (Printf.sprintf
-       "  \"pure\": {\"value\": %d, \"cost\": %d, \"duplicated_pcs\": %d},\n"
-       t.r_pure.Knapsack.value t.r_pure.Knapsack.cost
-       (List.length t.r_pure.Knapsack.pcs));
-  (match t.r_synth with
-  | None -> add "  \"synthesis\": null,\n"
-  | Some s ->
-    add
-      (Printf.sprintf
-         "  \"synthesis\": {\"candidates\": %d, \"dropped\": %d, \"fp_fires\": \
-          %d, \"train_runs\": %d, \"validation_runs\": %d},\n"
-         (Array.fold_left (fun acc a -> acc + Array.length a) 0 s.Synthesize.candidates)
-         s.Synthesize.dropped s.Synthesize.fp_fires s.Synthesize.train_runs
-         s.Synthesize.validation_runs));
-  add (Printf.sprintf "  \"work\": %d\n" t.r_work);
-  add "}\n";
-  Buffer.contents buf
+  let open Ff_support.Json in
+  let select = t.r_select and mixed = t.r_mixed and pure = t.r_pure in
+  let detector i d =
+    let form =
+      match d.Detector.d_form with
+      | Detector.Finite -> "finite"
+      | Detector.Range _ -> "range"
+      | Detector.Linear _ -> "linear"
+    in
+    Obj
+      [
+        ("index", Int i);
+        ("section", Int d.Detector.d_section);
+        ("buffer", Int d.Detector.d_buffer);
+        ("form", Str form);
+        ("cost", Int d.Detector.d_cost);
+        ("covered", Int select.Select.t_covered.(i));
+      ]
+  in
+  let point (p : Select.point) =
+    Obj
+      [
+        ("value", Int p.Select.p_value);
+        ("cost", Int p.Select.p_cost);
+        ("mask", Int p.Select.p_mask);
+        ("dup_value", Int p.Select.p_dup_value);
+      ]
+  in
+  let synthesis s =
+    let candidates = Array.fold_left (fun acc a -> acc + Array.length a) 0 in
+    Obj
+      [
+        ("candidates", Int (candidates s.Synthesize.candidates));
+        ("dropped", Int s.Synthesize.dropped);
+        ("fp_fires", Int s.Synthesize.fp_fires);
+        ("train_runs", Int s.Synthesize.train_runs);
+        ("validation_runs", Int s.Synthesize.validation_runs);
+      ]
+  in
+  to_string
+    (Obj
+       [
+         ("schema", Str "fastflip.pareto/1");
+         ("target", shortest t.r_target);
+         ("total_value", Int select.Select.t_total_value);
+         ("detectors", Arr (List.mapi detector (Array.to_list select.Select.t_detectors)));
+         ("front", Arr (List.map point (Array.to_list select.Select.t_front)));
+         ( "pure_front",
+           Arr
+             (List.map
+                (fun (v, c) -> Obj [ ("value", Int v); ("cost", Int c) ])
+                (Select.pure_points select)) );
+         ( "mixed",
+           Obj
+             [
+               ("value", Int mixed.Select.sel_value);
+               ("cost", Int mixed.Select.sel_cost);
+               ("mask", Int mixed.Select.sel_mask);
+               ("detectors", Int (Array.length mixed.Select.sel_detectors));
+               ("duplicated_pcs", Int (List.length mixed.Select.sel_dup.Knapsack.pcs));
+             ] );
+         ( "pure",
+           Obj
+             [
+               ("value", Int pure.Knapsack.value);
+               ("cost", Int pure.Knapsack.cost);
+               ("duplicated_pcs", Int (List.length pure.Knapsack.pcs));
+             ] );
+         ("synthesis", Option.fold ~none:Null ~some:synthesis t.r_synth);
+         ("work", Int t.r_work);
+       ])

@@ -47,5 +47,5 @@ val report : t -> string
 val pareto_json : t -> string
 (** Machine-readable Pareto front: candidate detectors, the mixed
     front (value, cost, detector mask, duplicated-value split), the
-    pure-duplication front, and the two selections at the target.
-    Deterministic field order; no JSON library. *)
+    pure-duplication front, and the two selections at the target, under
+    schema [fastflip.pareto/1]. Deterministic field order. *)

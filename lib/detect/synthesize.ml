@@ -318,45 +318,20 @@ let run ?(pool = Pool.serial) ?(train = 40) ?(validate = 40) ?(max_perturbation 
     work = !work;
   }
 
-(* Tolerant scan of a [security --json] export for "kernel": k /
-   "instr": i pairs, in order of appearance. *)
 let focus_of_json text =
-  let len = String.length text in
-  let rec skip_ws i = if i < len && (text.[i] = ' ' || text.[i] = '\n') then skip_ws (i + 1) else i in
-  let parse_int i =
-    let i = skip_ws i in
-    let j = ref i in
-    if !j < len && text.[!j] = '-' then incr j;
-    while !j < len && text.[!j] >= '0' && text.[!j] <= '9' do
-      incr j
-    done;
-    if !j > i then
-      match int_of_string_opt (String.sub text i (!j - i)) with
-      | Some v -> Some (v, !j)
-      | None -> None
-    else None
+  let module Json = Ff_support.Json in
+  let pc finding =
+    match (Json.member "kernel" finding, Json.member "instr" finding) with
+    | Some (Json.Int kernel), Some (Json.Int instr) -> { Site.kernel; instr }
+    | _ -> failwith "a finding without integer \"kernel\" and \"instr\""
   in
-  let find_from pat i =
-    let plen = String.length pat in
-    let rec go i =
-      if i + plen > len then None
-      else if String.sub text i plen = pat then Some (i + plen)
-      else go (i + 1)
-    in
-    go i
+  let findings doc =
+    match (Json.member "schema" doc, Json.member "findings" doc) with
+    | Some (Json.Str "fastflip.security/1"), Some (Json.Arr findings) -> (
+      try Ok (List.map pc findings) with Failure e -> Error e)
+    | Some (Json.Str "fastflip.security/1"), _ -> Error "no \"findings\" array"
+    | Some (Json.Str schema), _ ->
+      Error (Printf.sprintf "schema %S is not fastflip.security/1" schema)
+    | _ -> Error "no \"schema\" string"
   in
-  let rec collect i acc =
-    match find_from "\"kernel\":" i with
-    | None -> List.rev acc
-    | Some j -> (
-      match parse_int j with
-      | None -> List.rev acc
-      | Some (kernel, j) -> (
-        match find_from "\"instr\":" j with
-        | None -> List.rev acc
-        | Some j2 -> (
-          match parse_int j2 with
-          | None -> List.rev acc
-          | Some (instr, j3) -> collect j3 ({ Site.kernel; instr } :: acc))))
-  in
-  collect 0 []
+  Result.bind (Json.parse text) findings

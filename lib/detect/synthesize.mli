@@ -51,7 +51,8 @@ val run :
     whose kernel contains a focus pc get candidates — the
     security-findings seeding of detector placement. *)
 
-val focus_of_json : string -> Ff_inject.Site.pc list
-(** Extract the finding pcs from a [fastflip security --json] export
-    (a tolerant scan for ["kernel": k, "instr": i] pairs — no JSON
-    dependency). Unparseable input yields the empty list. *)
+val focus_of_json : string -> (Ff_inject.Site.pc list, string) result
+(** The finding pcs ([findings[].kernel/instr]) of a [fastflip security
+    --json] export, in order. Text that does not parse, a schema other
+    than [fastflip.security/1] or a finding without integer
+    [kernel]/[instr] is an error naming what is wrong. *)

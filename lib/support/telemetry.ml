@@ -298,73 +298,33 @@ let snapshot () =
     snap_spans = List.sort by_name spans;
   }
 
-(* [obj] renders a sorted association list as a JSON object; every value
-   printer is deterministic, so the whole document is. *)
-let obj buf ~indent entries value =
-  let pad = String.make indent ' ' in
-  if entries = [] then Buffer.add_string buf "{}"
-  else begin
-    Buffer.add_string buf "{";
-    List.iteri
-      (fun i (name, v) ->
-        if i > 0 then Buffer.add_char buf ',';
-        Buffer.add_char buf '\n';
-        Buffer.add_string buf pad;
-        Buffer.add_string buf "  ";
-        Json.add_string buf name;
-        Buffer.add_string buf ": ";
-        value v)
-      entries;
-    Buffer.add_char buf '\n';
-    Buffer.add_string buf pad;
-    Buffer.add_string buf "}"
-  end
-
 let to_json ?(timings = true) snap =
-  let buf = Buffer.create 4096 in
-  let int v = Buffer.add_string buf (string_of_int v) in
+  let open Json in
+  let each value = List.map (fun (name, v) -> (name, value v)) in
+  let int v = Int v in
   let hist h =
-    Buffer.add_string buf "{ \"count\": ";
-    int h.hs_count;
-    Buffer.add_string buf ", \"sum\": ";
-    int h.hs_sum;
-    Buffer.add_string buf ", \"buckets\": [";
-    List.iteri
-      (fun i (bound, n) ->
-        if i > 0 then Buffer.add_string buf ", ";
-        Buffer.add_string buf "[";
-        int bound;
-        Buffer.add_string buf ", ";
-        int n;
-        Buffer.add_string buf "]")
-      h.hs_buckets;
-    Buffer.add_string buf "] }"
+    let buckets = List.map (fun (bound, n) -> Arr [ Int bound; Int n ]) h.hs_buckets in
+    Obj [ ("count", Int h.hs_count); ("sum", Int h.hs_sum); ("buckets", Arr buckets) ]
   in
-  Buffer.add_string buf "{\n  \"counters\": ";
-  obj buf ~indent:2 snap.snap_counters int;
-  Buffer.add_string buf ",\n  \"histograms\": ";
-  obj buf ~indent:2 snap.snap_histograms hist;
-  Buffer.add_string buf ",\n  \"spans\": ";
-  obj buf ~indent:2 snap.snap_spans (fun s -> int s.sp_count);
-  if timings then begin
-    Buffer.add_string buf ",\n  \"timings\": {\n    \"counters\": ";
-    obj buf ~indent:4 snap.snap_volatile int;
-    Buffer.add_string buf ",\n    \"histograms\": ";
-    obj buf ~indent:4 snap.snap_volatile_histograms hist;
-    Buffer.add_string buf ",\n    \"spans\": ";
-    obj buf ~indent:4 snap.snap_spans (fun s ->
-        Buffer.add_string buf "{ \"total_ns\": ";
-        int s.sp_total_ns;
-        Buffer.add_string buf ", \"max_ns\": ";
-        int s.sp_max_ns;
-        Buffer.add_string buf " }");
-    Buffer.add_string buf "\n  }"
-  end;
-  Buffer.add_string buf "\n}\n";
-  Buffer.contents buf
+  let span_times s = Obj [ ("total_ns", Int s.sp_total_ns); ("max_ns", Int s.sp_max_ns) ] in
+  let times =
+    Obj
+      [
+        ("counters", Obj (each int snap.snap_volatile));
+        ("histograms", Obj (each hist snap.snap_volatile_histograms));
+        ("spans", Obj (each span_times snap.snap_spans));
+      ]
+  in
+  to_string
+    (Obj
+       ([
+          ("schema", Str "fastflip.metrics/1");
+          ("counters", Obj (each int snap.snap_counters));
+          ("histograms", Obj (each hist snap.snap_histograms));
+          ("spans", Obj (each (fun s -> Int s.sp_count) snap.snap_spans));
+        ]
+       @ if timings then [ ("timings", times) ] else []))
 
 let write ?timings ~path () =
-  let json = to_json ?timings (snapshot ()) in
-  let oc = open_out path in
-  output_string oc json;
-  close_out oc
+  Out_channel.with_open_text path (fun oc ->
+      output_string oc (to_json ?timings (snapshot ())))

@@ -150,10 +150,11 @@ type snapshot = {
 val snapshot : unit -> snapshot
 
 val to_json : ?timings:bool -> snapshot -> string
-(** Deterministic JSON: object keys sorted, two-space indentation.
-    Top-level keys [counters], [histograms], [spans] (name -> count)
-    hold only deterministic values; [timings] holds span durations and
-    volatile counters and is omitted entirely with [~timings:false]. *)
+(** Deterministic JSON ({!Json.to_string}), names sorted: [schema]
+    ["fastflip.metrics/1"], then [counters], [histograms] and [spans]
+    (name -> count), which hold only deterministic values; [timings]
+    holds span durations and volatile counters and histograms and is
+    omitted entirely with [~timings:false]. *)
 
 val write : ?timings:bool -> path:string -> unit -> unit
 (** [write ~path ()] saves [to_json (snapshot ())] to [path]. *)

@@ -2,7 +2,8 @@
 # Every analysis command refuses an invalid --bits, --epsilon or
 # --samples before it does any work: a non-zero exit and exactly one
 # stderr line "fastflip: --OPTION: ..." that names the option. The edges
-# of each range are accepted. Runs under `dune runtest`; by hand:
+# of each range are accepted. protect --seed-security refuses a file that
+# is not a whole security export the same way, naming the file. Runs under `dune runtest`; by hand:
 #   sh test/cli_options.sh _build/default/bin/fastflip_cli.exe examples/pipeline.ff
 set -eu
 
@@ -45,5 +46,24 @@ ROWS
 
 "$fastflip" analyze "$program" --bits=0,63 --samples=0 --epsilon=0 >/dev/null \
   || fail "the range edges --bits=0,63 --samples=0 --epsilon=0 were refused"
+
+quick="--bits 2,40 --samples 20"
+"$fastflip" security "$program" $quick --json "$work/security.json" >/dev/null
+"$fastflip" protect "$program" $quick --pareto "$work/pareto.json" >/dev/null
+echo "not json" >"$work/garbage.json"
+head -c 100 "$work/security.json" >"$work/truncated.json"
+for f in garbage truncated pareto; do
+  file=$work/$f.json
+  if "$fastflip" protect "$program" $quick --seed-security "$file" >/dev/null 2>"$work/err"; then
+    fail "--seed-security $f.json was accepted"
+  fi
+  if [ "$(wc -l <"$work/err")" -ne 1 ] || ! grep -qF "fastflip: --seed-security $file: " "$work/err"; then
+    cat "$work/err" >&2
+    fail "--seed-security $f.json did not fail with one 'fastflip: --seed-security FILE:' line"
+  fi
+  n=$((n + 1))
+done
+"$fastflip" protect "$program" $quick --seed-security "$work/security.json" >/dev/null \
+  || fail "--seed-security refused a security export"
 
 echo "cli options: OK ($n invalid cases refused)"

@@ -1,7 +1,9 @@
 (* Simulated mid-campaign kills for the checkpointed-resume tests: a
    journal whose [j_append] raises [Crash] once its [after]-th call has
    returned, i.e. once that batch is durable in the progress log — the
-   exact on-disk state a real SIGKILL at that point leaves behind. *)
+   exact on-disk state a real SIGKILL at that point leaves behind. Also
+   [remove_store], with which every test that writes a temporary store
+   leaves no file behind. *)
 
 open Fastflip
 
@@ -28,10 +30,16 @@ let open_progress ~path ~resume =
   | Ok opened -> opened
   | Error e -> Alcotest.failf "open_progress %s: %s" path e
 
-let cleanup path =
+(* Remove every file a temporary store at [path] can leave behind: the
+   manifest, each shard log, the progress log (unless [keep_progress])
+   and the lock of each. *)
+let remove_store ?(keep_progress = false) path =
+  let shards = List.init Persist.max_shards (Persist.shard_path path) in
+  let progress = if keep_progress then [] else [ Persist.progress_path path ] in
   List.iter
-    (fun f -> try Sys.remove f with Sys_error _ -> ())
-    [ path; Persist.progress_path path; Persist.progress_path path ^ ".lock" ]
+    (fun f ->
+      List.iter (fun f -> try Sys.remove f with Sys_error _ -> ()) [ f; f ^ ".lock" ])
+    ((path :: progress) @ shards)
 
 (* The killed run: a fresh progress log, then a crash right after the
    [after]-th durable batch. *)
@@ -50,5 +58,5 @@ let resume ?pool ~path config program =
   Persist.remove_progress progress;
   if Sys.file_exists (Persist.progress_path path) then
     Alcotest.failf "%s: progress log not removed" path;
-  cleanup path;
+  remove_store path;
   (analysis, loaded, skipped)

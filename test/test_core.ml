@@ -558,15 +558,6 @@ let spit path data =
   output_string oc data;
   close_out oc
 
-let remove_store path =
-  (try Sys.remove path with Sys_error _ -> ());
-  (try Sys.remove (path ^ ".lock") with Sys_error _ -> ());
-  for i = 0 to Persist.max_shards - 1 do
-    let sp = Persist.shard_path path i in
-    (try Sys.remove sp with Sys_error _ -> ());
-    (try Sys.remove (sp ^ ".lock") with Sys_error _ -> ())
-  done
-
 (* One analyzed store and the pristine bytes of its single-shard image
    (manifest, shard log), shared by the corruption fuzz below (the
    analysis is the expensive part). One shard puts every record behind
@@ -578,7 +569,7 @@ let pristine = lazy (
   Sys.remove path;
   let _ = Persist.save store ~path ~shards:1 in
   let files = (slurp path, slurp (Persist.shard_path path 0)) in
-  remove_store path;
+  Kill_resume.remove_store path;
   (store, files))
 
 let load_files (manifest, log) =
@@ -586,7 +577,7 @@ let load_files (manifest, log) =
   spit path manifest;
   spit (Persist.shard_path path 0) log;
   let result = Persist.load ~path in
-  remove_store path;
+  Kill_resume.remove_store path;
   result
 
 (* Every record a salvaging load returns must be one of the original
@@ -679,7 +670,7 @@ let test_persist_concurrent_writers_merge () =
   let w3 = Persist.save store1 ~path in
   Alcotest.(check int) "clean re-save appends nothing" 0 w3.Persist.sv_appended;
   check_union "after idempotent re-save";
-  remove_store path
+  Kill_resume.remove_store path
 
 (* --- crash safety: checkpointed campaigns ---------------------------------- *)
 
@@ -774,7 +765,7 @@ let test_checkpoint_survives_torn_tail () =
   spit lpath "";
   let _, loaded, skipped = Kill_resume.open_progress ~path ~resume:true in
   Alcotest.(check (pair int int)) "empty log resumes empty" (0, 0) (loaded, skipped);
-  Kill_resume.cleanup path
+  Kill_resume.remove_store path
 
 (* The progress log is a sibling of the store, not part of it: load, stat
    and compact answer exactly as they do without it, compaction leaves
@@ -790,7 +781,7 @@ let test_progress_log_invisible_to_store () =
     let info = ok "stat" (Persist.stat ~path) in
     let compacted = ok "compact" (Persist.compact ~path ()) in
     let compacted_info = ok "stat" (Persist.stat ~path) in
-    remove_store path;
+    Kill_resume.remove_store ~keep_progress:true path;
     (List.map (fun r -> r.Store.rec_key) (Store.records loaded), skipped, info, compacted,
      compacted_info)
   in
@@ -805,7 +796,7 @@ let test_progress_log_invisible_to_store () =
     (observe () = without_log);
   Alcotest.(check string) "compact leaves the progress log in place" log
     (slurp (Persist.progress_path path));
-  Kill_resume.cleanup path
+  Kill_resume.remove_store path
 
 let test_crash_safety_counters_in_metrics () =
   (* The hardened layers' counters are interned in the process registry,
@@ -814,17 +805,18 @@ let test_crash_safety_counters_in_metrics () =
   let module Telemetry = Ff_support.Telemetry in
   Telemetry.set_enabled true;
   Fun.protect ~finally:(fun () -> Telemetry.set_enabled false) @@ fun () ->
-  let json = Telemetry.to_json ~timings:false (Telemetry.snapshot ()) in
-  let contains needle =
-    let quoted = "\"" ^ needle ^ "\"" in
-    let nl = String.length quoted and hl = String.length json in
-    let rec go i =
-      i + nl <= hl && (String.equal (String.sub json i nl) quoted || go (i + 1))
-    in
-    go 0
+  let module Json = Ff_support.Json in
+  let counters =
+    match Json.parse (Telemetry.to_json ~timings:false (Telemetry.snapshot ())) with
+    | Ok doc -> Json.member "counters" doc
+    | Error e -> Alcotest.failf "the export does not parse: %s" e
   in
   List.iter
-    (fun name -> Alcotest.(check bool) name true (contains name))
+    (fun name ->
+      Alcotest.(check bool) name true
+        (match Option.bind counters (Json.member name) with
+        | Some (Json.Int _) -> true
+        | _ -> false))
     [
       "pool.retries"; "pool.quarantined"; "campaign.retries";
       "campaign.quarantined"; "campaign.journal.batches";

@@ -317,18 +317,28 @@ let test_mixed_never_worse () =
 
 let test_focus_of_json () =
   let json =
-    {|{ "findings": [
+    {|{ "schema": "fastflip.security/1", "findings": [
         {"kernel": 0, "instr": 3, "kind": "compute"},
         {"kernel": 1, "instr": 7, "kind": "guard"} ] }|}
   in
-  Alcotest.(check (list (pair int int)))
-    "pcs extracted"
-    [ (0, 3); (1, 7) ]
-    (List.map
-       (fun pc -> (pc.Site.kernel, pc.Site.instr))
-       (Synthesize.focus_of_json json));
-  Alcotest.(check int) "garbage yields nothing" 0
-    (List.length (Synthesize.focus_of_json "not json at all"))
+  let focus text =
+    Result.map
+      (List.map (fun pc -> (pc.Site.kernel, pc.Site.instr)))
+      (Synthesize.focus_of_json text)
+  in
+  let result = Alcotest.(result (list (pair int int)) string) in
+  Alcotest.check result "pcs extracted" (Ok [ (0, 3); (1, 7) ]) (focus json);
+  Alcotest.check result "garbage is refused" (Error "byte 0: invalid literal")
+    (focus "not json at all");
+  Alcotest.check result "a truncated export is refused"
+    (Error "byte 52: unexpected end of input")
+    (focus (String.sub json 0 52));
+  Alcotest.check result "another schema is refused"
+    (Error "schema \"fastflip.pareto/1\" is not fastflip.security/1")
+    (focus {|{ "schema": "fastflip.pareto/1", "findings": [] }|});
+  Alcotest.check result "a finding needs its pc"
+    (Error "a finding without integer \"kernel\" and \"instr\"")
+    (focus {|{ "schema": "fastflip.security/1", "findings": [ { "kernel": 0 } ] }|})
 
 let () =
   Alcotest.run "detect"

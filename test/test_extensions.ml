@@ -262,7 +262,7 @@ let test_persist_roundtrip () =
           Alcotest.(check bool) "record roundtrips" true
             (Persist.roundtrip_equal original restored))
       (Store.records store));
-  Sys.remove path
+  Kill_resume.remove_store path
 
 let test_persist_enables_cross_process_reuse () =
   let store = Store.create () in
@@ -276,7 +276,7 @@ let test_persist_enables_cross_process_reuse () =
     let a = Pipeline.analyze ~store:loaded quick_config (compile chain_src) in
     Alcotest.(check int) "everything reused from disk" 0 a.Pipeline.sections_analyzed;
     Alcotest.(check int) "zero new work" 0 a.Pipeline.work);
-  Sys.remove path
+  Kill_resume.remove_store path
 
 let test_persist_rejects_garbage () =
   let path = Filename.temp_file "ffstore" ".bin" in
@@ -306,7 +306,7 @@ let test_persist_rejects_garbage () =
       named "stat" (Persist.stat ~path);
       named "compact" (Persist.compact ~path ()))
     [ "FFSTORE1"; "FFSTORE2"; "FFSTORE3" ];
-  Sys.remove path;
+  Kill_resume.remove_store path;
   match Persist.load ~path:"/nonexistent/nope.bin" with
   | Ok _ -> Alcotest.fail "missing file accepted"
   | Error _ -> ()
@@ -370,9 +370,7 @@ let test_open_store () =
       (Printf.sprintf "store %s refused by --strict-store: %s" path format)
       refusal
   | Ok _ -> Alcotest.fail "--strict-store must refuse an FFSTORE3 file");
-  List.iter
-    (fun f -> try Sys.remove f with Sys_error _ -> ())
-    [ path; path ^ ".lock"; log ^ ".lock" ]
+  Kill_resume.remove_store path
 
 let test_persist_salvages_truncation () =
   (* Chopping a shard log's tail loses at most the record whose frame was
@@ -405,9 +403,7 @@ let test_persist_salvages_truncation () =
           Alcotest.(check bool) "survivor intact" true
             (Persist.roundtrip_equal original r))
       (Store.records loaded));
-  List.iter
-    (fun f -> try Sys.remove f with Sys_error _ -> ())
-    [ path; path ^ ".lock"; log; log ^ ".lock" ]
+  Kill_resume.remove_store path
 
 (* --- evolution --------------------------------------------------------------------- *)
 

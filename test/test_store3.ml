@@ -61,19 +61,10 @@ let mk_record i =
       };
   }
 
-let cleanup path =
-  (try Sys.remove path with Sys_error _ -> ());
-  (try Sys.remove (path ^ ".lock") with Sys_error _ -> ());
-  for i = 0 to Persist.max_shards - 1 do
-    let sp = Persist.shard_path path i in
-    (try Sys.remove sp with Sys_error _ -> ());
-    (try Sys.remove (sp ^ ".lock") with Sys_error _ -> ())
-  done
-
 let with_temp_store f =
   let path = Filename.temp_file "ffs3" ".bin" in
   Sys.remove path;
-  Fun.protect ~finally:(fun () -> cleanup path) (fun () -> f path)
+  Fun.protect ~finally:(fun () -> Kill_resume.remove_store path) (fun () -> f path)
 
 let slurp path =
   let ic = open_in_bin path in
@@ -583,7 +574,7 @@ let sharded_pristine = lazy (
   let _ = Persist.save store ~path ~shards:4 in
   let manifest = slurp path in
   let shards = Array.init 4 (fun i -> slurp (Persist.shard_path path i)) in
-  cleanup path;
+  Kill_resume.remove_store path;
   (store, manifest, shards))
 
 let corrupt ~kind ~frac ~byte data =
@@ -621,7 +612,7 @@ let prop_corrupt_shard_salvage =
           spit (Persist.shard_path path i) data)
         shards;
       let result = Persist.load ~path in
-      cleanup path;
+      Kill_resume.remove_store path;
       match result with
       | Error _ -> false (* the manifest is intact: load must succeed *)
       | Ok (loaded, skipped) ->

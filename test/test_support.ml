@@ -1,6 +1,6 @@
 (* Unit and property tests for the support library: deterministic RNG,
-   bit manipulation, statistics, hashing, table rendering, and the
-   domain work pool. *)
+   bit manipulation, statistics, hashing, table rendering, the domain
+   work pool, and the JSON value, printer and parser. *)
 
 module Rng = Ff_support.Rng
 module Bits = Ff_support.Bits
@@ -8,6 +8,7 @@ module Stats = Ff_support.Stats
 module Hashing = Ff_support.Hashing
 module Table = Ff_support.Table
 module Pool = Ff_support.Pool
+module Json = Ff_support.Json
 
 let check_float = Alcotest.(check (float 1e-9))
 
@@ -474,6 +475,137 @@ let pool_map_property =
       Pool.with_pool ~domains:3 (fun pool ->
           Pool.map_array ~chunk pool f arr = Array.map f arr))
 
+(* --- json ------------------------------------------------------------------ *)
+
+let read path = In_channel.with_open_bin path In_channel.input_all
+
+let parsed =
+  let print ppf v = Format.pp_print_string ppf (Json.to_string v) in
+  Alcotest.(result (testable print ( = )) string)
+
+(* A bench artifact's field list, shaped like BENCH_prune.json with the
+   parallel artifact's "tables": rows of mixed scalars, then summary
+   fields. The bench writes its files with this layout. *)
+let test_json_bench_layout () =
+  let row name classes ratio identical =
+    Json.Obj
+      [
+        ("name", Json.Str name);
+        ("classes", Json.Int classes);
+        ("prune_ratio", Json.Float (ratio, 4));
+        ("identical", Json.Bool identical);
+      ]
+  in
+  let fields =
+    [
+      ("schema", Json.Str "fastflip.bench.prune/1");
+      ("benchmarks", Json.Arr [ row "LUD" 1204 0.5123 true; row "FFT" 88 0.0 false ]);
+      ("best_prune_ratio", Json.Float (0.5123, 4));
+      ("tables", Json.Obj [ ("prune", Json.Float (1.25, 6)); ("nested", Json.Obj []) ]);
+      ("none", Json.Arr []);
+    ]
+  in
+  Alcotest.(check string) "matches golden/bench.json" (read "golden/bench.json")
+    (Json.to_string (Json.Obj fields))
+
+let test_json_goldens_round_trip () =
+  List.iter
+    (fun name ->
+      let golden = read ("golden/" ^ name) in
+      Alcotest.(check (result string string)) name (Ok golden)
+        (Result.map Json.to_string (Json.parse golden)))
+    [ "bench.json"; "metrics.json"; "security_pipeline.json"; "pareto_pipeline.json" ]
+
+let test_json_strict () =
+  List.iter
+    (fun (text, error) -> Alcotest.check parsed (String.escaped text) (Error error) (Json.parse text))
+    [
+      ("", "byte 0: unexpected end of input");
+      ("{} x", "byte 3: trailing bytes after the value");
+      ("01", "byte 1: trailing bytes after the value");
+      ("[1,]", "byte 3: unexpected character");
+      ("[1 2]", "byte 3: expected ',' or ']'");
+      ({|{"a":1,}|}, "byte 7: expected '\"'");
+      ({|{"a" 1}|}, "byte 5: expected ':'");
+      ("1.", "byte 2: expected a digit");
+      ("-", "byte 1: expected a digit");
+      ("1e999", "byte 5: number out of range");
+      ("NaN", "byte 0: unexpected character");
+      ("tru", "byte 0: invalid literal");
+      ("\"a\tb\"", "byte 2: control character in string");
+      ({|"\x"|}, "byte 3: invalid escape");
+      ({|"\u12"|}, "byte 3: invalid \\u escape");
+      ({|"\ud800"|}, "byte 7: unpaired surrogate");
+      ({|"\ud800\u0041"|}, "byte 13: unpaired surrogate");
+      ("\"\xff\"", "byte 1: invalid UTF-8");
+      (String.make 600 '[', "byte 513: nesting deeper than 512");
+    ];
+  Alcotest.check parsed "every kind of value"
+    (Ok
+       (Json.Arr
+          [
+            Json.Int (-12);
+            Json.Float (1.5, 2);
+            Json.Float (-5.0, 0);
+            Json.Str "\xc3\xa9\xf0\x9d\x84\x9e/\"";
+            Json.Bool true;
+            Json.Bool false;
+            Json.Null;
+            Json.Obj [ ("k", Json.Arr []) ];
+          ]))
+    (Json.parse
+       " [ -12 , 1.50, -0.5e1 , \"\\u00e9\\ud834\\udd1e\\/\\\"\" ,true,false,null,{\"k\":[ ]} ]\n");
+  Alcotest.(check (option string)) "member" (Some "\"b\"\n")
+    (Option.map Json.to_string
+       (Json.member "a" (Json.Obj [ ("a", Json.Str "b"); ("a", Json.Null) ])))
+
+let test_json_shortest () =
+  List.iter
+    (fun (x, text) -> Alcotest.(check string) text (text ^ "\n") (Json.to_string (Json.shortest x)))
+    [
+      (0.9, "0.9"); (0.0, "0"); (1.0, "1"); (0.1 +. 0.2, "0.30000000000000004");
+      (1e-7, "0.0000001"); (-2.5, "-2.5"); (Float.nan, "null");
+    ]
+
+let json_gen =
+  let open QCheck.Gen in
+  let text =
+    map (String.concat "")
+      (list_size (int_range 0 5)
+         (oneofl [ "a"; "Z"; " "; "\""; "\\"; "/"; "\n"; "\t"; "\001"; "\x7f"; "\xc3\xa9"; "\xf0\x9d\x84\x9e" ]))
+  in
+  (* A float the printer writes exactly: at least one place, so that it
+     does not read back as an Int. *)
+  let float =
+    map
+      (fun (x, places) ->
+        Json.Float (float_of_string (Printf.sprintf "%.*f" places x), places))
+      (pair (float_range (-1e6) 1e6) (int_range 1 6))
+  in
+  let scalar =
+    oneof
+      [
+        map (fun i -> Json.Int i) int; float; map (fun s -> Json.Str s) text;
+        map (fun b -> Json.Bool b) bool; return Json.Null;
+      ]
+  in
+  sized
+  @@ fix (fun self n ->
+         if n = 0 then scalar
+         else
+           let items gen = list_size (int_range 0 4) gen in
+           frequency
+             [
+               (2, scalar);
+               (1, map (fun l -> Json.Arr l) (items (self (n / 4))));
+               (1, map (fun l -> Json.Obj l) (items (pair text (self (n / 4)))));
+             ])
+
+let json_round_trip_property =
+  QCheck.Test.make ~count:500 ~name:"Json.parse (Json.to_string v) = Ok v"
+    (QCheck.make ~print:Json.to_string json_gen)
+    (fun v -> Json.parse (Json.to_string v) = Ok v)
+
 let () =
   Alcotest.run "support"
     [
@@ -549,5 +681,13 @@ let () =
           Alcotest.test_case "quarantine argument validation" `Quick
             test_pool_map_result_rejects_negative_retries;
           QCheck_alcotest.to_alcotest pool_map_property;
+        ] );
+      ( "json",
+        [
+          Alcotest.test_case "bench layout golden" `Quick test_json_bench_layout;
+          Alcotest.test_case "golden files round-trip" `Quick test_json_goldens_round_trip;
+          Alcotest.test_case "strict parser" `Quick test_json_strict;
+          Alcotest.test_case "shortest float" `Quick test_json_shortest;
+          QCheck_alcotest.to_alcotest json_round_trip_property;
         ] );
     ]

@@ -5,6 +5,7 @@
    mirror the store's own hit/miss telemetry. *)
 
 module Telemetry = Ff_support.Telemetry
+module Json = Ff_support.Json
 module Pool = Ff_support.Pool
 module Pipeline = Fastflip.Pipeline
 module Store = Fastflip.Store
@@ -19,6 +20,11 @@ let with_telemetry f =
   Fun.protect ~finally:(fun () -> Telemetry.set_enabled false) f
 
 let counter_value name = Telemetry.value (Telemetry.counter name)
+
+let parse_export text =
+  match Json.parse text with
+  | Ok doc -> doc
+  | Error e -> Alcotest.failf "the export does not parse: %s" e
 
 (* --- counters ------------------------------------------------------------ *)
 
@@ -148,97 +154,84 @@ let test_snapshot_determinism () =
       let json2 = Telemetry.to_json ~timings:false (Telemetry.snapshot ()) in
       Alcotest.(check string) "timing-free JSON is byte-identical" json1 json2;
       Alcotest.(check bool) "timings key absent" true
-        (not
-           (List.exists
-              (fun line ->
-                String.length line >= 11 && String.sub (String.trim line) 0 9 = "\"timings\"")
-              (String.split_on_char '\n' json1))))
+        (Json.member "timings" (parse_export json1) = None))
 
-(* The one JSON string escaper: a quote, a backslash, newline, carriage
+(* The printer's string escapes: a quote, a backslash, newline, carriage
    return, tab, a control byte and a multi-byte UTF-8 character decode
-   back byte for byte — through the small decoder below, and through jq
-   when it is on PATH. *)
-let decode_json_string q =
-  let buf = Buffer.create (String.length q) in
-  let n = String.length q in
-  if n < 2 || q.[0] <> '"' || q.[n - 1] <> '"' then Alcotest.failf "not quoted: %s" q;
-  let i = ref 1 in
-  while !i < n - 1 do
-    (match q.[!i] with
-    | '\\' -> (
-      incr i;
-      match q.[!i] with
-      | 'n' -> Buffer.add_char buf '\n'
-      | 'r' -> Buffer.add_char buf '\r'
-      | 't' -> Buffer.add_char buf '\t'
-      | 'u' ->
-        Buffer.add_char buf (Char.chr (int_of_string ("0x" ^ String.sub q (!i + 1) 4)));
-        i := !i + 4
-      | c -> Buffer.add_char buf c)
-    | '"' -> Alcotest.failf "unescaped quote in %s" q
-    | c when Char.code c < 32 -> Alcotest.failf "raw control byte in %s" q
-    | c -> Buffer.add_char buf c);
-    incr i
-  done;
-  Buffer.contents buf
-
+   back byte for byte — through [Json.parse], and through jq when it is
+   on PATH. *)
 let test_json_escape () =
   let s = "q\"b\\s\nn\rr\tt\001c \xc3\xa9 end" in
-  let quoted = Ff_support.Json.quote s in
+  let doc = Json.to_string (Json.Obj [ ("s", Json.Str s) ]) in
   Alcotest.(check string) "escaped"
-    "\"q\\\"b\\\\s\\nn\\rr\\tt\\u0001c \xc3\xa9 end\"" quoted;
-  Alcotest.(check string) "decodes back" s (decode_json_string quoted);
+    "{\n  \"s\": \"q\\\"b\\\\s\\nn\\rr\\tt\\u0001c \xc3\xa9 end\"\n}\n" doc;
+  Alcotest.(check bool) "decodes back" true
+    (Json.parse doc = Ok (Json.Obj [ ("s", Json.Str s) ]));
   if Sys.command "command -v jq >/dev/null 2>&1" = 0 then begin
-    let doc = Filename.temp_file "json_escape" ".json" in
+    let file = Filename.temp_file "json_escape" ".json" in
     let out = Filename.temp_file "json_escape" ".out" in
-    Out_channel.with_open_bin doc (fun oc ->
-        Out_channel.output_string oc ("{ \"s\": " ^ quoted ^ " }\n"));
+    Out_channel.with_open_bin file (fun oc -> Out_channel.output_string oc doc);
     let status =
       Sys.command
-        (Printf.sprintf "jq -e -j .s %s > %s" (Filename.quote doc) (Filename.quote out))
+        (Printf.sprintf "jq -e -j .s %s > %s" (Filename.quote file) (Filename.quote out))
     in
     Alcotest.(check int) "jq -e accepts it" 0 status;
     Alcotest.(check string) "jq decodes it back" s
       (In_channel.with_open_bin out In_channel.input_all);
-    Sys.remove doc;
+    Sys.remove file;
     Sys.remove out
   end
 
+(* The export read back by key: its schema, a stable counter, a span's
+   count, and the volatile counter and span durations only under
+   "timings". *)
 let test_json_shape () =
   with_telemetry (fun () ->
       Telemetry.add (Telemetry.counter "test.shape") 7;
       Telemetry.add (Telemetry.counter ~volatile:true "test.shape.volatile") 9;
       Telemetry.span "shape.span" (fun () -> ());
-      let json = Telemetry.to_json (Telemetry.snapshot ()) in
-      let contains needle =
-        let nl = String.length needle and hl = String.length json in
-        let rec go i =
-          i + nl <= hl && (String.equal (String.sub json i nl) needle || go (i + 1))
-        in
-        go 0
+      let at path timings =
+        List.fold_left
+          (fun v key -> Option.bind v (Json.member key))
+          (Some (parse_export (Telemetry.to_json ~timings (Telemetry.snapshot ()))))
+          path
       in
-      List.iter
-        (fun needle ->
-          Alcotest.(check bool) (needle ^ " present") true (contains needle))
+      let check what expected path timings =
+        Alcotest.(check bool) what true (at path timings = expected)
+      in
+      check "schema" (Some (Json.Str "fastflip.metrics/1")) [ "schema" ] true;
+      check "stable counter" (Some (Json.Int 7)) [ "counters"; "test.shape" ] true;
+      check "span count" (Some (Json.Int 1)) [ "spans"; "shape.span" ] true;
+      check "volatile counter under timings" (Some (Json.Int 9))
+        [ "timings"; "counters"; "test.shape.volatile" ]
+        true;
+      Alcotest.(check bool) "span durations under timings" true
+        (Option.is_some (at [ "timings"; "spans"; "shape.span"; "total_ns" ] true));
+      check "volatile counter not among counters" None
+        [ "counters"; "test.shape.volatile" ]
+        true;
+      check "no timings in the stable export" None [ "timings" ] false)
+
+(* A hand-built snapshot, so that a counter added elsewhere does not
+   change the golden file. *)
+let test_json_golden () =
+  let hist = { Telemetry.hs_count = 3; hs_sum = 9; hs_buckets = [ (1, 1); (8, 2) ] } in
+  let snap =
+    {
+      Telemetry.snap_counters = [ ("campaign.injections", 42); ("store.hits", 0) ];
+      snap_volatile = [ ("pool.tasks.domain0", 5) ];
+      snap_histograms = [ ("section.work", hist) ];
+      snap_volatile_histograms = [];
+      snap_spans =
         [
-          "\"counters\"";
-          "\"test.shape\": 7";
-          "\"timings\"";
-          "\"test.shape.volatile\": 9";
-          "\"shape.span\"";
-          "\"total_ns\"";
+          ("analyze", { Telemetry.sp_count = 1; sp_total_ns = 2500; sp_max_ns = 2500 });
+          ("analyze/replay", { Telemetry.sp_count = 3; sp_total_ns = 900; sp_max_ns = 400 });
         ];
-      (* Volatile counters appear only inside timings. *)
-      let stable = Telemetry.to_json ~timings:false (Telemetry.snapshot ()) in
-      let contains_stable needle =
-        let nl = String.length needle and hl = String.length stable in
-        let rec go i =
-          i + nl <= hl && (String.equal (String.sub stable i nl) needle || go (i + 1))
-        in
-        go 0
-      in
-      Alcotest.(check bool) "volatile excluded from stable export" false
-        (contains_stable "test.shape.volatile"))
+    }
+  in
+  let golden = In_channel.with_open_bin "golden/metrics.json" In_channel.input_all in
+  Alcotest.(check string) "export matches golden/metrics.json" golden
+    (Telemetry.to_json snap)
 
 (* --- progress ------------------------------------------------------------ *)
 
@@ -377,24 +370,21 @@ let test_prover_counters_partition_classes () =
       (* This blur section is prover-friendly: the pre-pass must actually
          prune something, and the JSON export must carry the counters. *)
       Alcotest.(check bool) "prover proves some classes here" true (proved > 0);
-      let json = Telemetry.to_json ~timings:false (Telemetry.snapshot ()) in
-      let contains needle =
-        let nl = String.length needle and hl = String.length json in
-        let rec go i =
-          i + nl <= hl && (String.equal (String.sub json i nl) needle || go (i + 1))
-        in
-        go 0
+      let counters =
+        Json.member "counters"
+          (parse_export (Telemetry.to_json ~timings:false (Telemetry.snapshot ())))
       in
       List.iter
-        (fun needle ->
-          Alcotest.(check bool) (needle ^ " exported") true (contains needle))
+        (fun name ->
+          Alcotest.(check bool) (name ^ " exported") true
+            (Option.bind counters (Json.member name) = Some (Json.Int (counter_value name))))
         [
-          "\"prover.classes_proved\"";
-          "\"prover.classes_masked\"";
-          "\"prover.classes_crash\"";
-          "\"prover.classes_benign\"";
-          "\"prover.classes_undecided\"";
-          "\"campaign.injections_avoided\"";
+          "prover.classes_proved";
+          "prover.classes_masked";
+          "prover.classes_crash";
+          "prover.classes_benign";
+          "prover.classes_undecided";
+          "campaign.injections_avoided";
         ])
 
 let () =
@@ -421,6 +411,7 @@ let () =
           Alcotest.test_case "snapshot determinism" `Quick test_snapshot_determinism;
           Alcotest.test_case "json shape" `Quick test_json_shape;
           Alcotest.test_case "json string escaping" `Quick test_json_escape;
+          Alcotest.test_case "golden export" `Quick test_json_golden;
         ] );
       ( "progress",
         [
