@@ -3,9 +3,9 @@ module Telemetry = Ff_support.Telemetry
 
 let m_solves = Telemetry.counter "knapsack.solves"
 let m_items = Telemetry.counter "knapsack.items"
-let m_dp_cells = Telemetry.counter "knapsack.dp_cells"
+let m_pareto_points = Telemetry.counter "knapsack.pareto_points"
 let m_take_bytes = Telemetry.counter "knapsack.take_bytes"
-let h_dp_cells = Telemetry.histogram "knapsack.dp_cells_per_solve"
+let h_pareto_points = Telemetry.histogram "knapsack.pareto_points_per_solve"
 
 type item = {
   pc : Site.pc;
@@ -34,7 +34,7 @@ let bit_set bytes v =
   Bytes.unsafe_set bytes i
     (Char.unsafe_chr (Char.code (Bytes.unsafe_get bytes i) lor (1 lsl (v land 7))))
 
-(* Run bounds of the row being swept, grown by doubling and reused
+(* Run bounds of the row being built, grown by doubling and reused
    across rows; each row keeps an exact-length copy. *)
 type runs = {
   mutable bounds : int array;
@@ -50,96 +50,172 @@ let push runs v =
   Array.unsafe_set runs.bounds runs.len v;
   runs.len <- runs.len + 1
 
-(* Row i only sweeps v in [1, S_i], S_i = Σ value over items 0..i: before
-   item i, dp.(u) = infinite_cost for every u > S_{i-1}, so a cell above
-   S_i reads prev = infinite_cost and can never improve. The sweep
-   splits at the item's value: at or below it, max 0 (v - value) = 0 and
-   prev = dp.(0) = 0. The descending order and the strict [<] are the
-   same as in a full-width sweep, so dp and every take bit are too.
-   A run opens at the first improved cell and closes at the first cell
-   that does not improve, across the split; one still open at v = 1
-   closes there. *)
+(* A Pareto list: (value, cost) pairs in descending value order with
+   strictly descending costs, in [count] cells of two arrays sized once
+   per solve. Its step function f(v), the cost of the last pair whose value
+   is >= v (infinite above the first), is the dp row of the
+   value-dimension DP: the cheapest cost of a value >= v. *)
+type plist = {
+  values : int array;
+  costs : int array;
+  mutable count : int;
+}
+
+(* Where a merge of P_{i-1} ([old]) with P_{i-1} shifted by the item's
+   (w, c) stands: the next old pair [i], the next shifted pair [j], the
+   [n] pairs of P_i kept so far, the lowest cost [best] among all pairs
+   consumed, the cost [last_old] of the last old pair consumed
+   ([infinite_cost] before the first) and the value [v] of the last
+   pair consumed. *)
+type cursor = {
+  mutable i : int;
+  mutable j : int;
+  mutable n : int;
+  mutable best : int;
+  mutable last_old : int;
+  mutable v : int;
+}
+
+(* Merge in descending value order until the shifted list runs out or
+   [best < last_old] stops being [running]. A pair is kept only if its
+   cost is below every cost consumed so far, and of two pairs with one
+   value, the cheaper; one that costs [infinite_cost] or more is never
+   kept, as the DP never stores such a candidate. The loop makes no
+   call, so its counters stay in registers; the caller records the rare
+   run bound. *)
+let scan old next ~w ~c ~running k =
+  let ov = old.values and oc = old.costs and m = old.count in
+  let nv = next.values and nc = next.costs in
+  let i = ref k.i and j = ref k.j and n = ref k.n and best = ref k.best in
+  let last_old = ref k.last_old and v = ref k.v and cost = ref 0 in
+  let go = ref true in
+  while !go && !j < m do
+    let x = Array.unsafe_get ov !i and y = Array.unsafe_get ov !j + w in
+    if y > x then begin
+      v := y;
+      cost := Array.unsafe_get oc !j + c;
+      incr j
+    end
+    else begin
+      let cx = Array.unsafe_get oc !i in
+      last_old := cx;
+      v := x;
+      incr i;
+      if y < x then cost := cx
+      else begin
+        let cy = Array.unsafe_get oc !j + c in
+        cost := if cx <= cy then cx else cy;
+        incr j
+      end
+    end;
+    if !cost < !best then begin
+      Array.unsafe_set nv !n !v;
+      Array.unsafe_set nc !n !cost;
+      incr n;
+      best := !cost
+    end;
+    go := !best < !last_old = running
+  done;
+  k.i <- !i;
+  k.j <- !j;
+  k.n <- !n;
+  k.best <- !best;
+  k.last_old <- !last_old;
+  k.v <- !v
+
+(* P_i into [next], and item i's take runs into [runs], in one pass.
+   Once the merge has consumed every pair with value >= u, [best] is
+   f(P_i) on (u', u], u' the next value consumed, and [last_old] is
+   f(P_{i-1}) there. The item took v where the first is below the
+   second, so a run opens or closes only where that comparison changes.
+
+   The shifted list's last value is above the old one's, so it runs out
+   first. Of the old pairs left, those that cost [best] or more are
+   dropped (one that costs exactly [best] ends a run), and the rest are
+   kept, f(P_i) = f(P_{i-1}) on them. *)
+let merge old ~w ~c next runs =
+  let ov = old.values and oc = old.costs and m = old.count in
+  let k =
+    { i = 0; j = 0; n = 0; best = infinite_cost; last_old = infinite_cost; v = 0 }
+  in
+  let running = ref false in
+  runs.len <- 0;
+  while k.j < m do
+    scan old next ~w ~c ~running:!running k;
+    if k.best < k.last_old <> !running then begin
+      push runs (if !running then k.v + 1 else k.v);
+      running := not !running
+    end
+  done;
+  let i = ref k.i in
+  while !i < m && Array.unsafe_get oc !i >= k.best do
+    if !running && Array.unsafe_get oc !i = k.best then begin
+      push runs (Array.unsafe_get ov !i + 1);
+      running := false
+    end;
+    incr i
+  done;
+  if !running then push runs (if !i < m then Array.unsafe_get ov !i + 1 else 1);
+  let rest = m - !i in
+  Array.blit ov !i next.values k.n rest;
+  Array.blit oc !i next.costs k.n rest;
+  next.count <- k.n + rest
+
+(* The exact list DP of Nemhauser and Ullmann: P_i is the Pareto set of
+   (value, cost) over items 0..i, and f(P_i) is the dp row the
+   value-dimension sweep computes after item i, so the take runs, the
+   frontier (P_n) and every [select] are the same as that sweep's.
+   Costs along a list strictly increase from 0 as values do, so no list
+   holds more than min(Σvalue, Σcost) + 1 pairs: the four buffers are
+   sized to that once. *)
 let solve items =
   Telemetry.span "knapsack.solve" @@ fun () ->
+  List.iter
+    (fun item ->
+      if item.cost < 0 then
+        invalid_arg (Printf.sprintf "Knapsack.solve: negative cost %d" item.cost))
+    items;
   let items =
     List.filter (fun item -> item.value > 0) items
     |> List.sort (fun a b -> Site.compare_pc a.pc b.pc)
     |> Array.of_list
   in
   let total_value = Array.fold_left (fun acc item -> acc + item.value) 0 items in
-  let dp = Array.make (total_value + 1) infinite_cost in
-  dp.(0) <- 0;
+  let bound =
+    Array.fold_left
+      (fun acc item -> Int.min total_value (acc + Int.min item.cost total_value))
+      0 items
+  in
+  let plist () =
+    { values = Array.make (bound + 1) 0; costs = Array.make (bound + 1) 0; count = 1 }
+  in
+  let old = ref (plist ()) and next = ref (plist ()) in
   let take = Array.make (Array.length items) [||] in
   let runs = { bounds = Array.make 64 0; len = 0 } in
-  let take_bytes = ref 0 in
-  let s = ref 0 in
+  let take_bytes = ref 0 and pareto_points = ref 0 in
   for i = 0 to Array.length items - 1 do
-    let w = items.(i).value and c = items.(i).cost in
-    s := !s + w;
-    let s = !s in
-    runs.len <- 0;
-    let running = ref false in
-    (* v in (w, S_i]: 1 <= v - w <= S_{i-1}, and S_i <= total_value *)
-    for v = s downto w + 1 do
-      let prev = Array.unsafe_get dp (v - w) in
-      let candidate = prev + c in
-      if prev < infinite_cost && candidate < Array.unsafe_get dp v then begin
-        Array.unsafe_set dp v candidate;
-        if not !running then begin
-          push runs v;
-          running := true
-        end
-      end
-      else if !running then begin
-        push runs (v + 1);
-        running := false
-      end
-    done;
-    (* v in [1, w]: prev = dp.(0) = 0 *)
-    for v = w downto 1 do
-      if c < Array.unsafe_get dp v then begin
-        Array.unsafe_set dp v c;
-        if not !running then begin
-          push runs v;
-          running := true
-        end
-      end
-      else if !running then begin
-        push runs (v + 1);
-        running := false
-      end
-    done;
-    if !running then push runs 1;
+    pareto_points := !pareto_points + !old.count;
+    merge !old ~w:items.(i).value ~c:items.(i).cost !next runs;
     take.(i) <- Array.sub runs.bounds 0 runs.len;
-    take_bytes := !take_bytes + (8 * runs.len)
+    take_bytes := !take_bytes + (8 * runs.len);
+    let p = !old in
+    old := !next;
+    next := p
   done;
-  (* dp is monotone nondecreasing in v, so the frontier is the values v
-     where dp strictly increases at v+1 (or v is the total). Counted,
-     then filled: no intermediate list. *)
-  let on_frontier v =
-    dp.(v) < infinite_cost && (v = total_value || dp.(v) < dp.(v + 1))
-  in
+  (* The frontier is P_n without a pair of value 0, ascending in v. *)
+  let final = !old in
+  let n = if final.values.(final.count - 1) = 0 then final.count - 1 else final.count in
   let frontier = Bytes.make ((total_value / 8) + 1) '\000' in
-  let n = ref 0 in
-  for v = 1 to total_value do
-    if on_frontier v then begin
-      bit_set frontier v;
-      incr n
-    end
-  done;
-  let frontier_costs = Array.make !n 0 in
-  let n = ref 0 in
-  for v = 1 to total_value do
-    if on_frontier v then begin
-      frontier_costs.(!n) <- dp.(v);
-      incr n
-    end
+  let frontier_costs = Array.make n 0 in
+  for k = 0 to n - 1 do
+    bit_set frontier final.values.(k);
+    frontier_costs.(n - 1 - k) <- final.costs.(k)
   done;
   Telemetry.incr m_solves;
   Telemetry.add m_items (Array.length items);
-  Telemetry.add m_dp_cells (total_value + 1);
+  Telemetry.add m_pareto_points !pareto_points;
   Telemetry.add m_take_bytes !take_bytes;
-  Telemetry.observe h_dp_cells (total_value + 1);
+  Telemetry.observe h_pareto_points !pareto_points;
   { items; take; frontier; frontier_costs; total_value }
 
 let integer_target ~total fraction =

@@ -1,8 +1,8 @@
 (** 0-1 knapsack selection of instructions to protect (paper §4.6).
 
     Minimize total protection cost subject to total protection value ≥ a
-    target, by dynamic programming over the (integer) value dimension.
-    One {!solve} supports extraction at every target — FastFlip sweeps a
+    target, over the Pareto frontier of (value, cost) pairs. One
+    {!solve} supports extraction at every target — FastFlip sweeps a
     range of targets (the ε-constraint method) and the adaptive target
     adjustment probes many candidates, all against the same solution. *)
 
@@ -16,15 +16,20 @@ type item = {
 type solution
 
 val solve : item list -> solution
-(** Run the DP. Items are taken in pc order and item [i] sweeps only the
-    values [1 .. S_i], where [S_i] is the sum of the values of items
-    [0 .. i]: O(Σ_i S_i) time, at most Σvalue × #items, over a dp array
-    of Σvalue + 1 cells ([knapsack.dp_cells]) that does not outlive the
-    call. The solution retains, per item, the maximal runs of values the
-    item improved, as descending inclusive bounds (8 bytes each; their
-    sum is the [knapsack.take_bytes] counter), and the frontier
-    {!points} reads: a bitset over the values plus the cost of each
-    marked value. *)
+(** Solve exactly, by the list DP of Nemhauser and Ullmann. Items are
+    taken in pc order; item [i] merges the Pareto set P_{i-1} of
+    (value, cost) over items [0 .. i-1] with its copy shifted by the
+    item's (value, cost), keeping each pair whose cost strictly improves
+    on every pair of larger value. O(Σ_i |P_{i-1}|) time (the
+    [knapsack.pareto_points] counter), over four buffers of
+    min(Σvalue, Σcost) + 1 cells that do not outlive the call. The
+    result is the same as the DP over the value dimension: the cheapest
+    cost of a value ≥ v is the step function of P_i. The solution
+    retains, per item, the maximal runs of values the item improved, as
+    descending inclusive bounds (8 bytes each; their sum is the
+    [knapsack.take_bytes] counter), and the frontier {!points} reads: a
+    bitset over the values plus the cost of each marked value. Raises
+    [Invalid_argument] if an item's cost is negative. *)
 
 val max_value : solution -> int
 (** Σ of all item values: the largest reachable target. *)

@@ -113,9 +113,9 @@ let prop_knapsack_cost_monotone =
       in
       ascending costs)
 
-(* The full-width DP that [Knapsack.solve] replaced: every item sweeps
-   all of 1..Σvalue through [max], into a rectangular take table. Kept
-   only as the oracle the prefix-bounded kernel must match bit for bit. *)
+(* The full-width DP over the value dimension: every item sweeps all of
+   1..Σvalue through [max], into a rectangular take table. Kept only as
+   the oracle the Pareto-list solve must match bit for bit. *)
 module Rect = struct
   type t = {
     items : Knapsack.item array;
@@ -188,19 +188,31 @@ module Rect = struct
 end
 
 (* Large values (so early rows are far shorter than Σvalue), small ones,
-   zero-value items, few distinct costs (ties), repeated pcs, and lists
-   of length 0 and 1. *)
+   zero-value items, few distinct costs (ties), free items (a cost-0
+   item dominates (0, 0), so the Pareto list no longer ends at value 0),
+   repeated pcs, and lists of length 0 and 1; and dense-frontier lists,
+   shaped like the skip model's valuations: many items of small value
+   and unit cost, where nearly every value is a frontier point. *)
 let gen_oracle_items =
   QCheck2.Gen.(
     let value = frequency [ (6, int_range 1 5000); (3, int_range 1 12); (1, return 0) ] in
-    let cost = frequency [ (6, int_range 1 6); (1, int_range 1 1_000_000) ] in
-    let item =
+    let cost =
+      frequency [ (6, int_range 1 6); (1, int_range 1 1_000_000); (1, return 0) ]
+    in
+    let item value cost =
       map4
         (fun k i value cost -> { Knapsack.pc = pc k i; value; cost })
         (int_range 0 2) (int_range 0 40) value cost
     in
+    let dense = item (int_range 1 3) (frequency [ (8, return 1); (1, return 2) ]) in
+    let item = item value cost in
     frequency
-      [ (1, return []); (2, map (fun it -> [ it ]) item); (8, list_size (int_range 2 10) item) ])
+      [
+        (1, return []);
+        (2, map (fun it -> [ it ]) item);
+        (8, list_size (int_range 2 10) item);
+        (3, list_size (int_range 10 60) dense);
+      ])
 
 let print_items items =
   String.concat "; "
@@ -225,6 +237,27 @@ let prop_knapsack_matches_rectangular_dp =
       && Knapsack.points sol = Rect.points oracle
       && selects_agree (-1))
 
+(* Pareto costs strictly increase from 0 along ascending values, so a
+   Pareto list holds at most min(Σvalue, Σcost) + 1 pairs: the size
+   [solve] gives its list buffers, checked here on the last list. *)
+let prop_knapsack_frontier_bound =
+  QCheck2.Test.make ~count:200 ~name:"frontier fits min(Σvalue, Σcost) + 1"
+    ~print:print_items gen_oracle_items
+    (fun items ->
+      let valued =
+        List.filter (fun (it : Knapsack.item) -> it.Knapsack.value > 0) items
+      in
+      let sum f = List.fold_left (fun acc it -> acc + f it) 0 valued in
+      let bound =
+        min (sum (fun it -> it.Knapsack.value)) (sum (fun it -> it.Knapsack.cost)) + 1
+      in
+      List.length (Knapsack.points (Knapsack.solve items)) - 1 <= bound)
+
+let test_knapsack_negative_cost () =
+  Alcotest.check_raises "negative cost"
+    (Invalid_argument "Knapsack.solve: negative cost -1")
+    (fun () -> ignore (Knapsack.solve [ item 0 0 3 1; item 0 1 2 (-1) ]))
+
 let test_knapsack_take_bytes () =
   let module Telemetry = Ff_support.Telemetry in
   Telemetry.reset ();
@@ -235,7 +268,9 @@ let test_knapsack_take_bytes () =
   (* each row improves one run: [3..1], [8..4] and [17..6], so the
      traceback keeps 6 bounds of 8 bytes *)
   Alcotest.(check int) "take bytes" 48 (counter "knapsack.take_bytes");
-  Alcotest.(check int) "dp cells: Σvalue + 1" 18 (counter "knapsack.dp_cells");
+  (* item i merges P_{i-1}: {(0,0)}, then {(3,1), (0,0)}, then
+     {(8,2), (5,1), (0,0)} ((3,1) is dominated by (5,1)): 1 + 2 + 3 *)
+  Alcotest.(check int) "pareto points: Σ |P_{i-1}|" 6 (counter "knapsack.pareto_points");
   Alcotest.(check int) "items" 3 (counter "knapsack.items")
 
 (* Row shapes the run encoding must get right, each checked against the
@@ -266,31 +301,65 @@ let test_knapsack_run_edges () =
   agree "total value 0" [ item 0 0 0 3; item 0 1 0 1 ];
   agree "no items" []
 
+(* The default-config LUD/None analysis under a fault model, analyzed
+   once for every test that reads its knapsack. *)
+let lud_none =
+  let analyses = Hashtbl.create 2 in
+  fun model ->
+    match Hashtbl.find_opt analyses model with
+    | Some a -> a
+    | None ->
+        let source =
+          (Option.get (Ff_benchmarks.Registry.find "LUD")).Ff_benchmarks.Defs.source
+            Ff_benchmarks.Defs.V_none
+        in
+        let cfg = Pipeline.default_config in
+        let config =
+          {
+            cfg with
+            Pipeline.campaign =
+              {
+                cfg.Pipeline.campaign with
+                Campaign.model = Ff_inject.Fault_model.of_string_exn model;
+              };
+          }
+        in
+        let a = Pipeline.analyze config (Frontend.compile_exn source) in
+        Hashtbl.add analyses model a;
+        a
+
+(* The solve at real scale, against the [Rect] oracle: LUD/None under
+   bitflips (a sparse frontier over a large Σvalue) and under skip
+   (nearly every value a frontier point). [points] must be equal, and
+   [select] at every frontier value and at the integer target of every
+   fraction 0.00, 0.01, …, 1.00. *)
+let test_knapsack_real_scale () =
+  List.iter
+    (fun model ->
+      let a = lud_none model in
+      let sol = a.Pipeline.solution in
+      let oracle = Rect.solve (Knapsack.items_of_valuation a.Pipeline.valuation) in
+      let points = Knapsack.points sol in
+      Alcotest.(check (list (pair int int)))
+        (model ^ ": points") (Rect.points oracle) points;
+      let total = Knapsack.max_value sol in
+      let fractions =
+        List.init 101 (fun k -> Knapsack.integer_target ~total (float_of_int k /. 100.0))
+      in
+      List.iter
+        (fun target ->
+          if Knapsack.select sol ~target <> Rect.select oracle ~target then
+            Alcotest.failf "%s: select at %d differs from the full-width DP" model target)
+        (List.map fst points @ fractions))
+    [ "bitflip"; "skip" ]
+
 (* What a solved knapsack retains, on the default-config LUD/None
-   analysis: run bounds and a frontier, never the dp array or a bitmap
-   per row. The bitflip bound is a quarter of the bitmap layout's 4.15
+   analysis: run bounds and a frontier, never the solve's list buffers
+   or a bitmap per row. The bitflip bound is a quarter of the bitmap layout's 4.15
    MiB; under skip, where almost every v is a frontier point, the bound
    is the bitmap layout's own 24 622 words. *)
 let test_knapsack_retained_size () =
-  let source =
-    (Option.get (Ff_benchmarks.Registry.find "LUD")).Ff_benchmarks.Defs.source
-      Ff_benchmarks.Defs.V_none
-  in
-  let words model =
-    let cfg = Pipeline.default_config in
-    let config =
-      {
-        cfg with
-        Pipeline.campaign =
-          {
-            cfg.Pipeline.campaign with
-            Campaign.model = Ff_inject.Fault_model.of_string_exn model;
-          };
-      }
-    in
-    let a = Pipeline.analyze config (Frontend.compile_exn source) in
-    Obj.reachable_words (Obj.repr a.Pipeline.solution)
-  in
+  let words model = Obj.reachable_words (Obj.repr (lud_none model).Pipeline.solution) in
   let bitflip = words "bitflip" in
   Alcotest.(check bool)
     (Printf.sprintf "bitflip: %d words <= 1 MiB" bitflip)
@@ -889,10 +958,14 @@ let () =
           QCheck_alcotest.to_alcotest prop_knapsack_selection_consistent;
           QCheck_alcotest.to_alcotest prop_knapsack_cost_monotone;
           QCheck_alcotest.to_alcotest prop_knapsack_matches_rectangular_dp;
+          QCheck_alcotest.to_alcotest prop_knapsack_frontier_bound;
+          Alcotest.test_case "negative cost" `Quick test_knapsack_negative_cost;
           Alcotest.test_case "take bytes count run bounds" `Quick test_knapsack_take_bytes;
           Alcotest.test_case "run edge cases match the full-width DP" `Quick
             test_knapsack_run_edges;
           Alcotest.test_case "integer target" `Quick test_knapsack_integer_target;
+          Alcotest.test_case "LUD/None matches the full-width DP" `Quick
+            test_knapsack_real_scale;
           Alcotest.test_case "retained size" `Quick test_knapsack_retained_size;
         ] );
       ( "pipeline",
