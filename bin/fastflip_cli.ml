@@ -163,11 +163,7 @@ let strict_store_arg =
   Arg.(value & flag & info [ "strict-store" ]
          ~doc:"Refuse to run if the store has corrupt or unreadable records               (the default salvages every intact record and warns).")
 
-let shards_arg =
-  Arg.(value & opt (some int) None & info [ "shards" ] ~docv:"N"
-         ~doc:"Shard count when $(b,--store) creates a fresh store (default 16).               An existing store keeps its on-disk layout regardless; reshard               with $(b,fastflip store compact --shards).")
-
-let with_store ~strict ?shards store_path k =
+let with_store ~strict store_path k =
   match store_path with
   | None -> k (Fastflip.Store.create ())
   | Some path ->
@@ -186,7 +182,7 @@ let with_store ~strict ?shards store_path k =
         | None -> Fastflip.Store.create ())
     in
     let result = k store in
-    let stats = Fastflip.Persist.save ?shards store ~path in
+    let stats = Fastflip.Persist.save store ~path in
     Printf.printf "saved %d section records to %s\n" stats.Fastflip.Persist.sv_live path;
     result
 
@@ -270,15 +266,15 @@ let run_cmd =
 (* --- analyze ---------------------------------------------------------------- *)
 
 let analyze_cmd =
-  let run path target bits samples safety_factor epsilon store_path strict shards jobs
-      metrics every resume no_prove model =
+  let run path target bits samples safety_factor epsilon store_path strict jobs metrics
+      every resume no_prove model =
     let config = config_of ~epsilon ~model ?safety_factor ~bits ~samples ~no_prove () in
     let analysis =
       with_metrics metrics (fun () ->
           let program = compile_file path in
           with_jobs jobs (fun pool ->
               with_checkpoint ~store_path ~every ~resume (fun journal ->
-                  with_store ~strict ?shards store_path (fun store ->
+                  with_store ~strict store_path (fun store ->
                       Pipeline.analyze ~store ~pool ?journal config program))))
     in
     print_string (Ff_serve.Report.analysis ~target analysis)
@@ -286,7 +282,7 @@ let analyze_cmd =
   Cmd.v
     (Cmd.info "analyze"
        ~doc:"Run the full FastFlip analysis on a program and print the selection.")
-    Term.(const run $ file_arg $ target_arg $ bits_arg $ samples_arg $ safety_factor_arg $ epsilon_arg $ store_arg $ strict_store_arg $ shards_arg $ jobs_arg $ metrics_arg $ checkpoint_every_arg $ resume_arg $ no_prove_arg $ fault_model_arg)
+    Term.(const run $ file_arg $ target_arg $ bits_arg $ samples_arg $ safety_factor_arg $ epsilon_arg $ store_arg $ strict_store_arg $ jobs_arg $ metrics_arg $ checkpoint_every_arg $ resume_arg $ no_prove_arg $ fault_model_arg)
 
 (* --- compare ----------------------------------------------------------------- *)
 
@@ -377,13 +373,13 @@ let save_every_arg =
          ~doc:"Checkpoint the store to disk every $(docv) seconds while serving               (requires $(b,--store)). Each checkpoint appends only the records               published since the last save, so a killed daemon loses at most               one interval of results. 0 (the default) saves only on exit.")
 
 let serve_cmd =
-  let run socket store_path strict shards save_every jobs metrics =
+  let run socket store_path strict save_every jobs metrics =
     let save_every = if save_every > 0.0 then Some save_every else None in
     with_metrics metrics (fun () ->
         with_jobs jobs (fun pool ->
             try
               Ff_serve.Server.run ~socket ?store_path ~strict_store:strict ?save_every
-                ?shards ~pool ()
+                ~pool ()
             with Failure msg ->
               Printf.eprintf "fastflip: %s\n" msg;
               exit 1))
@@ -391,7 +387,7 @@ let serve_cmd =
   Cmd.v
     (Cmd.info "serve"
        ~doc:"Run the analysis-as-a-service daemon: accept analyze requests from               many concurrent clients over the Unix-domain socket $(i,SOCKET), keeping decoded kernels,               golden traces, workspace plans, and the store hot across requests.               Responses are byte-identical to the one-shot $(b,analyze) command.               Stop with SIGTERM/SIGINT or the $(b,shutdown) subcommand.")
-    Term.(const run $ socket_arg $ store_arg $ strict_store_arg $ shards_arg $ save_every_arg $ jobs_arg $ metrics_arg)
+    Term.(const run $ socket_arg $ store_arg $ strict_store_arg $ save_every_arg $ jobs_arg $ metrics_arg)
 
 let query_cmd =
   let file_pos1_arg =
@@ -488,6 +484,10 @@ let store_stat_cmd =
     Term.(const run $ store_pos_arg)
 
 let store_compact_cmd =
+  let shards_arg =
+    Arg.(value & opt (some int) None & info [ "shards" ] ~docv:"N"
+           ~doc:"Reshard to $(docv) shards (1 to 64; default: keep the current width).               A fresh store is created 16 shards wide; this is the one way to               choose another width.")
+  in
   let run path shards =
     let open Fastflip.Persist in
     match compact ?shards ~path () with
@@ -571,8 +571,8 @@ let protect_cmd =
     Arg.(value & opt int 8 & info [ "max-detectors" ] ~docv:"N"
            ~doc:"Global candidate-detector pool size (the mixed optimizer                 enumerates its subsets; hard limit 16).")
   in
-  let run name target bits samples safety_factor epsilon store_path strict shards jobs
-      metrics no_prove model detectors pareto seed_security max_detectors =
+  let run name target bits samples safety_factor epsilon store_path strict jobs metrics
+      no_prove model detectors pareto seed_security max_detectors =
     let config = config_of ~epsilon ~model ?safety_factor ~bits ~samples ~no_prove () in
     let focus =
       Option.map
@@ -588,7 +588,7 @@ let protect_cmd =
       with_metrics metrics (fun () ->
           let program = compile_program name in
           with_jobs jobs (fun pool ->
-              with_store ~strict ?shards store_path (fun store ->
+              with_store ~strict store_path (fun store ->
                   let analysis = Pipeline.analyze ~store ~pool config program in
                   let backing = Pipeline.backing_of_store store in
                   Ff_detect.Protect.run ~pool ~backing ~detectors_enabled:detectors
@@ -606,7 +606,7 @@ let protect_cmd =
   Cmd.v
     (Cmd.info "protect"
        ~doc:"Protection planning with learned runtime detectors: synthesize               range/finiteness/linear-invariant checks on section outputs from the               golden trace and benign perturbed runs, measure which SDC-Bad               equivalence classes each check actually catches by re-injecting their               pilots, and report the Pareto front where shared detectors compete               with per-instruction duplication. Deterministic for any $(b,--jobs)               width; coverage replays are cached in $(b,--store).")
-    Term.(const run $ target_pos_arg $ target_arg $ bits_arg $ samples_arg $ safety_factor_arg $ epsilon_arg $ store_arg $ strict_store_arg $ shards_arg $ jobs_arg $ metrics_arg $ no_prove_arg $ fault_model_arg $ detectors_arg $ pareto_arg $ seed_security_arg $ max_detectors_arg)
+    Term.(const run $ target_pos_arg $ target_arg $ bits_arg $ samples_arg $ safety_factor_arg $ epsilon_arg $ store_arg $ strict_store_arg $ jobs_arg $ metrics_arg $ no_prove_arg $ fault_model_arg $ detectors_arg $ pareto_arg $ seed_security_arg $ max_detectors_arg)
 
 (* --- list ---------------------------------------------------------------------- *)
 

@@ -13,11 +13,6 @@ let m_injections = Telemetry.counter "campaign.injections"
 let m_sites = Telemetry.counter "campaign.sites"
 let m_work = Telemetry.counter "campaign.work"
 let h_section_work = Telemetry.histogram "campaign.section_work"
-let m_masked = Telemetry.counter "campaign.outcome.masked"
-let m_sdc = Telemetry.counter "campaign.outcome.sdc"
-let m_crash = Telemetry.counter "campaign.outcome.crash"
-let m_timeout = Telemetry.counter "campaign.outcome.timeout"
-let m_misformatted = Telemetry.counter "campaign.outcome.misformatted"
 let m_b_runs = Telemetry.counter "campaign.baseline.runs"
 let m_b_injections = Telemetry.counter "campaign.baseline.injections"
 let m_b_sites = Telemetry.counter "campaign.baseline.sites"
@@ -30,46 +25,37 @@ let m_journal_batches = Telemetry.counter "campaign.journal.batches"
 let m_journal_restored = Telemetry.counter "campaign.journal.restored"
 let m_avoided = Telemetry.counter "campaign.injections_avoided"
 
-let tally_detected = function
-  | Outcome.Crash -> Telemetry.incr m_crash
-  | Outcome.Timed_out -> Telemetry.incr m_timeout
-  | Outcome.Misformatted -> Telemetry.incr m_misformatted
-
-let tally_section_outcomes classes =
-  if Telemetry.enabled () then
-    Array.iter
-      (fun (_, outcome) ->
-        match outcome with
-        | Outcome.S_detected kind -> tally_detected kind
-        | Outcome.S_sdc _ ->
-          if Outcome.section_is_masked outcome then Telemetry.incr m_masked
-          else Telemetry.incr m_sdc)
-      classes
-
-(* Per-model outcome tallies under [campaign.model.<name>.*], on top of
-   the aggregate [campaign.outcome.*] counters — a mixed-model metrics
-   export (e.g. the serve daemon answering queries under several models)
-   stays attributable. Interning is idempotent and only reached when
-   telemetry is on, so the hot path never pays the string append. *)
+(* Per-model counters under [campaign.model.<name>.*], on top of the
+   aggregate ones — a mixed-model metrics export (e.g. the serve daemon
+   answering queries under several models) stays attributable. Interning
+   is idempotent and only reached when telemetry is on, so the hot path
+   never pays the string append. *)
 let model_counter model suffix =
   Telemetry.counter ("campaign.model." ^ Fault_model.name model ^ "." ^ suffix)
 
-let tally_model_section_outcomes model classes =
+let outcome_kinds = [| "masked"; "sdc"; "crash"; "timeout"; "misformatted" |]
+
+let m_outcomes =
+  Array.map (fun kind -> Telemetry.counter ("campaign.outcome." ^ kind)) outcome_kinds
+
+let outcome_kind = function
+  | Outcome.S_detected Outcome.Crash -> 2
+  | Outcome.S_detected Outcome.Timed_out -> 3
+  | Outcome.S_detected Outcome.Misformatted -> 4
+  | Outcome.S_sdc _ as o -> if Outcome.section_is_masked o then 0 else 1
+
+(* The outcome tallies behind v(pc), under [campaign.outcome.*] and the
+   model's own [campaign.model.<name>.outcome.*]. *)
+let tally_outcomes model classes =
   if Telemetry.enabled () then begin
-    let masked = model_counter model "outcome.masked"
-    and sdc = model_counter model "outcome.sdc"
-    and crash = model_counter model "outcome.crash"
-    and timeout = model_counter model "outcome.timeout"
-    and misformatted = model_counter model "outcome.misformatted" in
+    let by_model =
+      Array.map (fun kind -> model_counter model ("outcome." ^ kind)) outcome_kinds
+    in
     Array.iter
       (fun (_, outcome) ->
-        match outcome with
-        | Outcome.S_detected Outcome.Crash -> Telemetry.incr crash
-        | Outcome.S_detected Outcome.Timed_out -> Telemetry.incr timeout
-        | Outcome.S_detected Outcome.Misformatted -> Telemetry.incr misformatted
-        | Outcome.S_sdc _ ->
-          if Outcome.section_is_masked outcome then Telemetry.incr masked
-          else Telemetry.incr sdc)
+        let k = outcome_kind outcome in
+        Telemetry.incr m_outcomes.(k);
+        Telemetry.incr by_model.(k))
       classes
   end
 
@@ -111,11 +97,6 @@ type section_result = {
   s_sites : int;
 }
 
-(* Each class replay is independent; the pool maps classes to outcomes in
-   deterministic slots, and work is accumulated by summing the per-class
-   counts afterwards (never through a shared ref). *)
-let sum_work tagged = Array.fold_left (fun acc (_, w) -> acc + w) 0 tagged
-
 type journal = {
   j_every : int;
   j_done : (int, Outcome.section_outcome * int) Hashtbl.t;
@@ -141,144 +122,174 @@ let tally_quarantined ~model (cls : Eqclass.t) =
     Telemetry.add (model_counter model "quarantined.sites") (Eqclass.size cls)
   end
 
-let quarantined_section ~model cls (_ : exn) =
-  tally_quarantined ~model cls;
-  (Outcome.S_detected Outcome.Crash, 0)
+(* A {!journal} over either scope's outcomes. *)
+type 'o checkpoint = {
+  every : int;
+  restore : int -> ('o * int) option;
+  append : (int * 'o * int) list -> unit;
+}
 
-let quarantined_final ~model cls (_ : exn) =
-  tally_quarantined ~model cls;
-  (Outcome.F_detected Outcome.Crash, 0)
-
-(* [quarantined] is item-aware: it gets the element whose replay raised,
-   so the substitute outcome can be attributed to the right class. *)
-let run_plain ~pool ~quarantined run_one items =
-  Array.mapi
-    (fun k -> function Ok r -> r | Error e -> quarantined items.(k) e)
-    (Pool.map_array_result ~on_retry pool run_one items)
-
-(* The prover pre-pass: one slot per class, proved classes decided with
-   zero replays and zero metered work. Returns the residual class
-   indices, in enumeration order. *)
-let prove_slots proofs slots =
-  let residual = ref [] in
-  for i = Array.length proofs - 1 downto 0 do
-    match proofs.(i) with
-    | Some outcome -> slots.(i) <- Some (outcome, 0)
-    | None -> residual := i :: !residual
-  done;
-  Array.of_list !residual
-
-(* Journaled execution of the residual class indices in batches of
-   [j_every] — outcomes already in the journal are restored without
-   replaying, and each completed batch is appended (and made durable)
-   before the next starts, so a killed campaign resumes from its last
-   checkpoint with bit-identical results (every class outcome is
-   deterministic, and per-class work counts ride along in the journal).
-   Journal entries are keyed by class index in enumeration order;
-   proved classes are never journaled, and the prover is deterministic
-   for a fixed store key (which folds the prover policy hash), so the
-   residual index set of a resumed run always matches the killed one. *)
-let run_journaled ~pool ~journal:j ~quarantined run_one indices slots =
-  let checked batch results =
-    Array.mapi
-      (fun k -> function Ok r -> r | Error e -> quarantined batch.(k) e)
-      results
+(* The one fan-out path: the residual class indices run on the pool and
+   fill their slots, a replay that raised standing in as [quarantined].
+   Without a checkpoint they run as a single batch (an empty one
+   included) with no append. With one, outcomes it already holds are
+   restored without replaying and the rest run in batches of [every],
+   each appended (and made durable) before the next starts, so a killed
+   campaign resumes from its last checkpoint with bit-identical results:
+   every class outcome is deterministic, and per-class work counts ride
+   along. Entries are keyed by class index in enumeration order; proved
+   classes are never journaled, and the prover is deterministic for a
+   fixed store key (which folds the prover policy hash), so a resumed
+   run's residual index set always matches the killed one's. *)
+let fan_out ~pool ?checkpoint ~quarantined run_one residual slots =
+  let todo, every =
+    match checkpoint with
+    | None -> (residual, max 1 (Array.length residual))
+    | Some c ->
+      if c.every < 1 then invalid_arg "Campaign.run_section: journal step must be >= 1";
+      let restored i =
+        match c.restore i with
+        | Some r ->
+          slots.(i) <- Some r;
+          Telemetry.incr m_journal_restored;
+          true
+        | None -> false
+      in
+      let todo = List.filter (fun i -> not (restored i)) (Array.to_list residual) in
+      (Array.of_list todo, c.every)
   in
-  begin
-    if j.j_every < 1 then invalid_arg "Campaign.run_journaled: journal step must be >= 1";
-    let todo = ref [] in
-    for k = Array.length indices - 1 downto 0 do
-      let i = indices.(k) in
-      match Hashtbl.find_opt j.j_done i with
-      | Some r ->
-        slots.(i) <- Some r;
-        Telemetry.incr m_journal_restored
-      | None -> todo := i :: !todo
-    done;
-    let todo = Array.of_list !todo in
-    let m = Array.length todo in
-    let start = ref 0 in
-    while !start < m do
-      let b = min j.j_every (m - !start) in
-      let batch = Array.sub todo !start b in
-      let results = checked batch (Pool.map_array_result ~on_retry pool run_one batch) in
-      Array.iteri (fun k i -> slots.(i) <- Some results.(k)) batch;
-      j.j_append
-        (Array.to_list
-           (Array.mapi
-              (fun k i ->
-                let outcome, work = results.(k) in
-                (i, outcome, work))
-              batch));
-      Telemetry.incr m_journal_batches;
-      start := !start + b
-    done
-  end
+  let m = Array.length todo in
+  let batches = match checkpoint with None -> 1 | Some _ -> (m + every - 1) / every in
+  for b = 0 to batches - 1 do
+    let start = b * every in
+    let size = min every (m - start) in
+    let batch = if size = m then todo else Array.sub todo start size in
+    Array.iteri
+      (fun k result ->
+        let i = batch.(k) in
+        slots.(i) <- Some (match result with Ok r -> r | Error e -> quarantined i e))
+      (Pool.map_array_result ~on_retry pool run_one batch);
+    Option.iter
+      (fun c ->
+        let entry i =
+          let outcome, work = Option.get slots.(i) in
+          (i, outcome, work)
+        in
+        c.append (List.map entry (Array.to_list batch));
+        Telemetry.incr m_journal_batches)
+      checkpoint
+  done
+
+(* One injection scope: how a class pilot's injection replays (its
+   outcome and the dynamic instructions it cost), what a quarantined
+   replay records, and the interner its result holds outcomes in. *)
+type 'o scope = {
+  replay :
+    engine:Replay.engine -> burst:int -> timeout_factor:float -> Golden.t -> Site.t ->
+    Replay.injection -> 'o * int;
+  crash : 'o;
+  interner : unit -> 'o -> 'o;
+}
+
+(* The pilot's section alone, from its golden entry state. *)
+let section_scope =
+  {
+    replay =
+      (fun ~engine ~burst ~timeout_factor golden pilot injection ->
+        let section = golden.Golden.sections.(pilot.Site.section) in
+        let r =
+          Replay.run_section ~burst ~engine golden section injection ~timeout_factor
+        in
+        (Outcome.of_section_replay r, r.Replay.s_executed));
+    crash = Outcome.S_detected Outcome.Crash;
+    interner = Outcome.section_interner;
+  }
+
+(* End to end: from the pilot section's entry state through the end of
+   the program. *)
+let end_to_end_scope =
+  {
+    replay =
+      (fun ~engine ~burst ~timeout_factor golden pilot injection ->
+        let from_section = pilot.Site.section in
+        let r =
+          Replay.run_to_end ~burst ~engine golden ~from_section injection ~timeout_factor
+        in
+        (Outcome.of_program_replay r, r.Replay.p_executed));
+    crash = Outcome.F_detected Outcome.Crash;
+    interner = Outcome.final_interner;
+  }
+
+(* The class driver of every campaign: the [prove] pre-pass decides what
+   it can with zero replays and zero metered work, the residual classes
+   fan out, and the outcomes are interned in enumeration order (masked
+   and crash outcomes repeat across most classes: the result holds each
+   distinct outcome once). Returns the outcomes, the summed per-class
+   work and the number of residual classes. Each replay is independent,
+   and the pool fills deterministic slots, so the result is the same at
+   every pool width. *)
+let drive ~pool ?checkpoint ?prove ~engine golden config scope classes =
+  let model = config.model in
+  let burst = Fault_model.reg_burst model and timeout_factor = config.timeout_factor in
+  let slots =
+    match prove with
+    | Some prove -> Array.map (Option.map (fun outcome -> (outcome, 0))) (prove classes)
+    | None -> Array.map (fun _ -> None) classes
+  in
+  let residual = ref [] in
+  for i = Array.length slots - 1 downto 0 do
+    if Option.is_none slots.(i) then residual := i :: !residual
+  done;
+  let residual = Array.of_list !residual in
+  let quarantined i (_ : exn) =
+    tally_quarantined ~model classes.(i);
+    (scope.crash, 0)
+  in
+  fan_out ~pool ?checkpoint ~quarantined
+    (fun i ->
+      let pilot = Eqclass.pilot classes.(i) in
+      scope.replay ~engine ~burst ~timeout_factor golden pilot
+        (Site.replay_injection ~model pilot))
+    residual slots;
+  let intern = scope.interner () in
+  ( Array.mapi (fun i slot -> (classes.(i), intern (fst (Option.get slot)))) slots,
+    Array.fold_left (fun work slot -> work + snd (Option.get slot)) 0 slots,
+    Array.length residual )
 
 let run_section ?(pool = Pool.serial) ?(engine = Replay.Unboxed) ?classes ?journal
     golden ~section_index config =
   Telemetry.span "campaign.run_section"
     ~attrs:[ ("section", string_of_int section_index) ]
   @@ fun () ->
-  let section = golden.Golden.sections.(section_index) in
   let model = config.model in
   let class_list =
     match classes with
     | Some l -> l
-    | None -> Eqclass.for_section ~model section config.bits
+    | None ->
+      Eqclass.for_section ~model golden.Golden.sections.(section_index) config.bits
   in
   let classes = Array.of_list class_list in
-  let n = Array.length classes in
-  let proofs =
-    Prover.prove_section golden ~section_index ~timeout_factor:config.timeout_factor
-      ~model config.prove classes
+  let checkpoint =
+    Option.map
+      (fun j ->
+        { every = j.j_every; restore = Hashtbl.find_opt j.j_done; append = j.j_append })
+      journal
   in
-  let slots = Array.make n None in
-  let residual = prove_slots proofs slots in
-  let run_one i =
-    let cls = classes.(i) in
-    let injection = Site.replay_injection ~model (Eqclass.pilot cls) in
-    let replay =
-      Replay.run_section ~burst:(Fault_model.reg_burst model) ~engine golden section
-        injection ~timeout_factor:config.timeout_factor
-    in
-    (Outcome.of_section_replay replay, replay.Replay.s_executed)
+  let s_classes, s_work, s_injections =
+    drive ~pool ?checkpoint ~engine golden config section_scope classes
+      ~prove:
+        (Prover.prove_section golden ~section_index ~timeout_factor:config.timeout_factor
+           ~model config.prove)
   in
-  let quarantined i e = quarantined_section ~model classes.(i) e in
-  (match journal with
-  | None ->
-    let results = run_plain ~pool ~quarantined run_one residual in
-    Array.iteri (fun k i -> slots.(i) <- Some results.(k)) residual
-  | Some journal -> run_journaled ~pool ~journal ~quarantined run_one residual slots);
-  (* Masked and crash outcomes repeat across most classes: the result
-     holds each distinct outcome once. *)
-  let intern = Outcome.section_interner () in
-  let tagged =
-    Array.mapi
-      (fun i slot ->
-        match slot with
-        | Some (outcome, work) -> ((classes.(i), intern outcome), work)
-        | None -> assert false)
-      slots
-  in
-  let result =
-    {
-      section_index;
-      s_classes = Array.map fst tagged;
-      s_work = sum_work tagged;
-      s_injections = Array.length residual;
-      s_sites = Eqclass.total_sites class_list;
-    }
-  in
+  let s_sites = Eqclass.total_sites class_list in
   Telemetry.incr m_sections;
-  Telemetry.add m_injections result.s_injections;
-  Telemetry.add m_avoided (n - Array.length residual);
-  Telemetry.add m_sites result.s_sites;
-  Telemetry.add m_work result.s_work;
-  Telemetry.observe h_section_work result.s_work;
-  tally_section_outcomes result.s_classes;
-  tally_model_section_outcomes model result.s_classes;
-  result
+  Telemetry.add m_injections s_injections;
+  Telemetry.add m_avoided (Array.length classes - s_injections);
+  Telemetry.add m_sites s_sites;
+  Telemetry.add m_work s_work;
+  Telemetry.observe h_section_work s_work;
+  tally_outcomes model s_classes;
+  { section_index; s_classes; s_work; s_injections; s_sites }
 
 type baseline_result = {
   b_classes : (Eqclass.t * Outcome.final_outcome) array;
@@ -289,46 +300,22 @@ type baseline_result = {
 
 let run_baseline ?(pool = Pool.serial) ?(engine = Replay.Unboxed) golden config =
   Telemetry.span "campaign.run_baseline" @@ fun () ->
-  let model = config.model in
-  let class_list = Eqclass.for_program ~model golden config.bits in
-  let classes = Array.of_list class_list in
-  let outcomes =
-    run_plain ~pool
-      ~quarantined:(fun cls e -> quarantined_final ~model cls e)
-      (fun cls ->
-        let pilot = Eqclass.pilot cls in
-        let injection = Site.replay_injection ~model pilot in
-        let replay =
-          Replay.run_to_end ~burst:(Fault_model.reg_burst model) ~engine golden
-            ~from_section:pilot.Site.section injection
-            ~timeout_factor:config.timeout_factor
-        in
-        (Outcome.of_program_replay replay, replay.Replay.p_executed))
-      classes
+  let class_list = Eqclass.for_program ~model:config.model golden config.bits in
+  let b_classes, b_work, b_injections =
+    drive ~pool ~engine golden config end_to_end_scope (Array.of_list class_list)
   in
-  let tagged = Array.mapi (fun i (outcome, work) -> ((classes.(i), outcome), work)) outcomes in
-  let result =
-    {
-      b_classes = Array.map fst tagged;
-      b_work = sum_work tagged;
-      b_injections = Array.length classes;
-      b_sites = Eqclass.total_sites class_list;
-    }
-  in
+  let b_sites = Eqclass.total_sites class_list in
   Telemetry.incr m_b_runs;
-  Telemetry.add m_b_injections result.b_injections;
-  Telemetry.add m_b_sites result.b_sites;
-  Telemetry.add m_b_work result.b_work;
-  result
+  Telemetry.add m_b_injections b_injections;
+  Telemetry.add m_b_sites b_sites;
+  Telemetry.add m_b_work b_work;
+  { b_classes; b_work; b_injections; b_sites }
 
 let final_outcomes_for_section ?(pool = Pool.serial) ?(engine = Replay.Unboxed)
     ?classes golden ~section_index config =
   Telemetry.span "campaign.final_outcomes"
     ~attrs:[ ("section", string_of_int section_index) ]
   @@ fun () ->
-  (* Callers that already ran the per-section campaign (the pipeline's
-     §4.10 "simultaneous" mode) pass its classes back in rather than
-     paying the enumeration again; the fallback re-enumerates. *)
   let model = config.model in
   let classes =
     match classes with
@@ -337,37 +324,12 @@ let final_outcomes_for_section ?(pool = Pool.serial) ?(engine = Replay.Unboxed)
       let section = golden.Golden.sections.(section_index) in
       Array.of_list (Eqclass.for_section ~model section config.bits)
   in
-  let proofs =
-    Prover.prove_final golden ~section_index ~timeout_factor:config.timeout_factor
-      ~model config.prove classes
+  let outcomes, work, injections =
+    drive ~pool ~engine golden config end_to_end_scope classes
+      ~prove:
+        (Prover.prove_final golden ~section_index ~timeout_factor:config.timeout_factor
+           ~model config.prove)
   in
-  let slots = Array.make (Array.length classes) None in
-  let residual = prove_slots proofs slots in
-  let results =
-    run_plain ~pool
-      ~quarantined:(fun i e -> quarantined_final ~model classes.(i) e)
-      (fun i ->
-        let cls = classes.(i) in
-        let injection = Site.replay_injection ~model (Eqclass.pilot cls) in
-        let replay =
-          Replay.run_to_end ~burst:(Fault_model.reg_burst model) ~engine golden
-            ~from_section:section_index injection
-            ~timeout_factor:config.timeout_factor
-        in
-        (Outcome.of_program_replay replay, replay.Replay.p_executed))
-      residual
-  in
-  Array.iteri (fun k i -> slots.(i) <- Some results.(k)) residual;
-  let intern = Outcome.final_interner () in
-  let tagged =
-    Array.mapi
-      (fun i slot ->
-        match slot with
-        | Some (outcome, work) -> ((classes.(i), intern outcome), work)
-        | None -> assert false)
-      slots
-  in
-  let work = sum_work tagged in
-  Telemetry.add m_f_injections (Array.length residual);
+  Telemetry.add m_f_injections injections;
   Telemetry.add m_f_work work;
-  (Array.map fst tagged, work)
+  (outcomes, work)

@@ -10,7 +10,14 @@
     optional {!Ff_support.Pool.t} and fan the classes out across domains.
     Results are bit-identical to the serial run for any pool width:
     outcomes land in class-enumeration order and work counters are summed
-    from per-class counts. *)
+    from per-class counts.
+
+    The three campaigns below are one class driver at two injection
+    scopes: the section scope ({!run_section}) and the end-to-end scope
+    ({!run_baseline}, {!final_outcomes_for_section}). The driver runs
+    the optional {!Prover} pre-pass, fans the residual classes out on
+    one path (batched through a {!journal} when one is given), interns
+    the outcomes and sums the work. *)
 
 type config = {
   bits : Site.bit_policy;
@@ -121,16 +128,20 @@ val run_baseline :
   Ff_vm.Golden.t -> config -> baseline_result
 (** The monolithic Approxilyzer-style campaign: whole-trace equivalence
     classes, each pilot runs from its section's entry state through the
-    end of the program. *)
+    end of the program. No prover pre-pass runs, so [b_injections] is
+    the class count; quarantine is as in {!run_section}. *)
 
 val final_outcomes_for_section :
   ?pool:Ff_support.Pool.t ->
   ?engine:Ff_vm.Replay.engine ->
   ?classes:Eqclass.t array ->
   Ff_vm.Golden.t -> section_index:int -> config -> (Eqclass.t * Outcome.final_outcome) array * int
-(** End-to-end outcomes for the sites of one section using FastFlip's
-    per-section classes (the ground-truth labels §4.10 runs
-    "simultaneously"). Returns the classes with final outcomes and the
-    extra work spent. [classes] lets a caller that already enumerated
-    the section's equivalence classes (e.g. from a completed per-section
-    campaign) reuse them instead of re-enumerating. *)
+(** The end-to-end scope over one section's per-section classes: each
+    pilot runs from the section's entry state through the end of the
+    program, after the {!Prover.prove_final} pre-pass (unless
+    [config.prove] disables it). Returns the classes with final outcomes
+    and the work spent, counted under [campaign.final.*]. The prover ≡
+    replay tests compare it with {!run_section}; the harness's ground
+    truth is [Baseline.analyze] ({!run_baseline}), not this function.
+    [classes] lets a caller that already enumerated the section's
+    equivalence classes reuse them instead of re-enumerating. *)

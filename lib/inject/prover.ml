@@ -68,34 +68,27 @@ let policy_hash p =
   Hashing.add_float h infinity;
   Hashing.value h
 
+exception Invalid_recording
+
+type recording = {
+  r_soff : int array;       (* dyn -> offset of its source values in [r_svals] *)
+  r_svals : Value.t array;  (* flat golden source-operand values, per dyn *)
+  r_dvals : Value.t array;  (* golden destination value after each dyn *)
+  r_slot_idx : int array;   (* kernel buffer slot -> program buffer index *)
+  r_buf_len : int array;    (* per program buffer index (bound ones only) *)
+  r_mem_access : (int * int, int array) Hashtbl.t;
+      (* (buffer, element) -> ascending dyns of its golden Load/Stores *)
+}
+
 type section_prover = {
   section : Golden.section_run;
   burst : int;
-  decoded : Decode.t;
-  code : Instr.t array;
-  soff : int array;       (* dyn -> offset of its source values in [svals] *)
-  svals : Value.t array;  (* flat golden source-operand values, per dyn *)
-  dvals : Value.t array;  (* golden destination value after each dyn *)
-  slot_idx : int array;   (* kernel buffer slot -> program buffer index *)
-  buf_len : int array;    (* per program buffer index (bound ones only) *)
-  mem_access : (int * int, int array) Hashtbl.t;
-      (* (buffer, element) -> ascending dyns of its golden Load/Stores *)
+  recording : recording;
   golden_exit : Value.t array array;
   writable : bool array;  (* per program buffer index *)
   writable_idx : int array;
   exit_nonfinite : bool;  (* golden exit writables already non-finite *)
   final_zero : (int * float) list;  (* converged replay's F_sdc payload *)
-}
-
-exception Invalid_recording
-
-type recording = {
-  r_soff : int array;
-  r_svals : Value.t array;
-  r_dvals : Value.t array;
-  r_slot_idx : int array;
-  r_buf_len : int array;
-  r_mem_access : (int * int, int array) Hashtbl.t;
 }
 
 (* Re-execute the section with {!Machine.step}, recording the golden
@@ -221,19 +214,12 @@ let prepare golden ~section_index ~timeout_factor ~burst =
     | None ->
       Telemetry.incr m_refused;
       None
-    | Some r ->
+    | Some recording ->
       Some
         {
           section;
           burst;
-          decoded = section.Golden.decoded;
-          code = section.Golden.kernel.Kernel.code;
-          soff = r.r_soff;
-          svals = r.r_svals;
-          dvals = r.r_dvals;
-          slot_idx = r.r_slot_idx;
-          buf_len = r.r_buf_len;
-          mem_access = r.r_mem_access;
+          recording;
           golden_exit;
           writable;
           writable_idx;
@@ -258,7 +244,12 @@ exception Divergent
    clean recomputes the golden result, so only its destination taint is
    killed and nothing is evaluated. *)
 let walk sp ~at_dyn ~operand ~bit =
-  let decoded = sp.decoded in
+  let { r_soff = soff; r_svals = svals; r_dvals = dvals; r_slot_idx = slot_idx;
+        r_buf_len = buf_len; r_mem_access = mem_access } =
+    sp.recording
+  in
+  let decoded = sp.section.Golden.decoded in
+  let code = sp.section.Golden.kernel.Kernel.code in
   let trace = sp.section.Golden.trace in
   let dyn_count = sp.section.Golden.dyn_count in
   let rtaint = Array.make decoded.Decode.nregs None in
@@ -279,7 +270,7 @@ let walk sp ~at_dyn ~operand ~bit =
   (* Smallest golden access of [key] at or after dyn [j] (max_int when
      the rest of the schedule never touches it again). *)
   let next_access key j =
-    match Hashtbl.find_opt sp.mem_access key with
+    match Hashtbl.find_opt mem_access key with
     | None -> max_int
     | Some arr ->
       let lo = ref 0 and hi = ref (Array.length arr) in
@@ -300,7 +291,7 @@ let walk sp ~at_dyn ~operand ~bit =
       let pc = trace.(at_dyn) in
       let ss = Decode.srcs_at decoded pc in
       if k < Array.length ss then begin
-        let g = sp.svals.(sp.soff.(at_dyn) + k) in
+        let g = svals.(soff.(at_dyn) + k) in
         let f = flip g in
         if not (Value.equal f g) then set_reg ss.(k) (Some f)
       end;
@@ -309,20 +300,20 @@ let walk sp ~at_dyn ~operand ~bit =
       let pc = trace.(at_dyn) in
       let d = Decode.dst_at decoded pc in
       if d >= 0 then begin
-        let g = sp.dvals.(at_dyn) in
+        let g = dvals.(at_dyn) in
         let f = flip g in
         if not (Value.equal f g) then set_reg d (Some f)
       end;
       at_dyn + 1
     | Site.Op | Site.Mem _ ->
-      (* prove_class filters these out; the walk only mirrors register
+      (* walk_pilot filters these out; the walk only mirrors register
          flips *)
       invalid_arg "Prover.walk: non-register operand"
   in
   try
     let j = ref start in
     let commit d jj v =
-      if Value.equal v sp.dvals.(jj) then set_reg d None else set_reg d (Some v)
+      if Value.equal v dvals.(jj) then set_reg d None else set_reg d (Some v)
     in
     (* One dynamic instruction. Operand registers come straight off the
        instruction constructors (same order as [Instr.srcs], which is
@@ -331,40 +322,40 @@ let walk sp ~at_dyn ~operand ~bit =
     let step () =
       let jj = !j in
       let pc = trace.(jj) in
-      let base = sp.soff.(jj) in
-      (match sp.code.(pc) with
+      let base = soff.(jj) in
+      (match code.(pc) with
       | Instr.Jmp _ | Instr.Halt -> ()
       | Instr.Br (c, _, _) -> (
         match rtaint.(c) with
         | None -> ()
         | Some fv ->
           let f = Machine.as_int fv in
-          let g = Machine.as_int sp.svals.(base) in
+          let g = Machine.as_int svals.(base) in
           if (f <> 0L) <> (g <> 0L) then raise Divergent)
       | Instr.Store (slot, i, v) -> (
-        let bidx = sp.slot_idx.(slot) in
+        let bidx = slot_idx.(slot) in
         match rtaint.(i) with
         | Some fv ->
           let fidx = Machine.as_int fv in
-          if fidx < 0L || fidx >= Int64.of_int sp.buf_len.(bidx) then
+          if fidx < 0L || fidx >= Int64.of_int buf_len.(bidx) then
             raise (Machine.Trap Machine.Out_of_bounds)
           else
             (* in-bounds write through a corrupted address: the walk
                would have to know golden memory it never recorded *)
             raise Divergent
         | None ->
-          let idx = Int64.to_int (Machine.as_int sp.svals.(base)) in
+          let idx = Int64.to_int (Machine.as_int svals.(base)) in
           set_mem (bidx, idx) rtaint.(v))
       | Instr.Load (d, slot, i) -> (
-        let bidx = sp.slot_idx.(slot) in
+        let bidx = slot_idx.(slot) in
         match rtaint.(i) with
         | Some fv ->
           let fidx = Machine.as_int fv in
-          if fidx < 0L || fidx >= Int64.of_int sp.buf_len.(bidx) then
+          if fidx < 0L || fidx >= Int64.of_int buf_len.(bidx) then
             raise (Machine.Trap Machine.Out_of_bounds)
           else raise Divergent
         | None -> (
-          let idx = Int64.to_int (Machine.as_int sp.svals.(base)) in
+          let idx = Int64.to_int (Machine.as_int svals.(base)) in
           match Hashtbl.find_opt mtaint (bidx, idx) with
           | Some v -> commit d jj v
           | None -> set_reg d None))
@@ -375,15 +366,15 @@ let walk sp ~at_dyn ~operand ~bit =
         match (rtaint.(a), rtaint.(b)) with
         | None, None -> set_reg d None
         | ta, tb ->
-          let va = match ta with Some v -> v | None -> sp.svals.(base) in
-          let vb = match tb with Some v -> v | None -> sp.svals.(base + 1) in
+          let va = match ta with Some v -> v | None -> svals.(base) in
+          let vb = match tb with Some v -> v | None -> svals.(base + 1) in
           commit d jj (Value.Int (Machine.eval_ibin op (Machine.as_int va) (Machine.as_int vb))))
       | Instr.Fbin (op, d, a, b) -> (
         match (rtaint.(a), rtaint.(b)) with
         | None, None -> set_reg d None
         | ta, tb ->
-          let va = match ta with Some v -> v | None -> sp.svals.(base) in
-          let vb = match tb with Some v -> v | None -> sp.svals.(base + 1) in
+          let va = match ta with Some v -> v | None -> svals.(base) in
+          let vb = match tb with Some v -> v | None -> svals.(base + 1) in
           commit d jj
             (Value.Float (Machine.eval_fbin op (Machine.as_float va) (Machine.as_float vb))))
       | Instr.Iun (op, d, a) -> (
@@ -398,8 +389,8 @@ let walk sp ~at_dyn ~operand ~bit =
         match (rtaint.(a), rtaint.(b)) with
         | None, None -> set_reg d None
         | ta, tb ->
-          let va = match ta with Some v -> v | None -> sp.svals.(base) in
-          let vb = match tb with Some v -> v | None -> sp.svals.(base + 1) in
+          let va = match ta with Some v -> v | None -> svals.(base) in
+          let vb = match tb with Some v -> v | None -> svals.(base + 1) in
           commit d jj
             (Value.Int
                (if Machine.eval_icmp c (Machine.as_int va) (Machine.as_int vb) then 1L else 0L)))
@@ -407,8 +398,8 @@ let walk sp ~at_dyn ~operand ~bit =
         match (rtaint.(a), rtaint.(b)) with
         | None, None -> set_reg d None
         | ta, tb ->
-          let va = match ta with Some v -> v | None -> sp.svals.(base) in
-          let vb = match tb with Some v -> v | None -> sp.svals.(base + 1) in
+          let va = match ta with Some v -> v | None -> svals.(base) in
+          let vb = match tb with Some v -> v | None -> svals.(base + 1) in
           commit d jj
             (Value.Int
                (if Machine.eval_fcmp c (Machine.as_float va) (Machine.as_float vb) then 1L
@@ -421,9 +412,9 @@ let walk sp ~at_dyn ~operand ~bit =
         match (rtaint.(c), rtaint.(a), rtaint.(b)) with
         | None, None, None -> set_reg d None
         | tc, ta, tb ->
-          let vc = match tc with Some v -> v | None -> sp.svals.(base) in
-          let va = match ta with Some v -> v | None -> sp.svals.(base + 1) in
-          let vb = match tb with Some v -> v | None -> sp.svals.(base + 2) in
+          let vc = match tc with Some v -> v | None -> svals.(base) in
+          let va = match ta with Some v -> v | None -> svals.(base + 1) in
+          let vb = match tb with Some v -> v | None -> svals.(base + 2) in
           commit d jj (if Machine.as_int vc <> 0L then va else vb)));
       incr j
     in
@@ -495,50 +486,61 @@ let section_outcome_of_mem sp mem =
     end
   end
 
-(* Operand shapes the taint walk can mirror: register flips only. [Op]
-   and [Mem] pilots come from models that abstain wholesale before
-   reaching here, but the guard keeps each class prover total. *)
-let walkable = function
-  | Site.Src _ | Site.Dst -> true
-  | Site.Op | Site.Mem _ -> false
-
-let prove_class sp (cls : Eqclass.t) =
+(* Walk a class pilot's flip. Only register flips in this section can
+   be walked: [Op] and [Mem] pilots come from models that abstain
+   wholesale before reaching here, but the guard keeps the prover
+   total. *)
+let walk_pilot sp (cls : Eqclass.t) =
   let pilot = Eqclass.pilot cls in
-  if
-    (not (walkable pilot.Site.operand))
-    || pilot.Site.section <> sp.section.Golden.section_index
-    || pilot.Site.dyn < 0
-    || pilot.Site.dyn >= sp.section.Golden.dyn_count
-  then None
-  else
-    match walk sp ~at_dyn:pilot.Site.dyn ~operand:pilot.Site.operand ~bit:pilot.Site.bit with
-    | W_crash -> Some (Outcome.S_detected Outcome.Crash)
-    | W_undecided -> None
-    | W_complete mem -> section_outcome_of_mem sp mem
+  match pilot.Site.operand with
+  | (Site.Src _ | Site.Dst)
+    when pilot.Site.section = sp.section.Golden.section_index
+         && pilot.Site.dyn >= 0
+         && pilot.Site.dyn < sp.section.Golden.dyn_count ->
+    walk sp ~at_dyn:pilot.Site.dyn ~operand:pilot.Site.operand ~bit:pilot.Site.bit
+  | _ -> W_undecided
 
-let prove_final_class sp (cls : Eqclass.t) =
-  let pilot = Eqclass.pilot cls in
-  if
-    (not (walkable pilot.Site.operand))
-    || pilot.Site.section <> sp.section.Golden.section_index
-    || pilot.Site.dyn < 0
-    || pilot.Site.dyn >= sp.section.Golden.dyn_count
-  then None
-  else
-    match walk sp ~at_dyn:pilot.Site.dyn ~operand:pilot.Site.operand ~bit:pilot.Site.bit with
-    | W_crash -> Some (Outcome.F_detected Outcome.Crash)
-    | W_complete mem when Hashtbl.length mem = 0 ->
-      (* No memory taint at the section boundary and registers do not
-         carry across sections: the replay converges with the golden
-         state right there, which run_to_end reports as all-zero final
-         SDC over the program outputs. *)
-      Some (Outcome.F_sdc sp.final_zero)
-    | W_complete _ | W_undecided -> None
+(* One scope of the pre-pass: the outcome a finished walk proves, if
+   any, and the counters a proved or undecided class bumps. *)
+type 'o scope = {
+  decide : section_prover -> walk -> 'o option;
+  proved : 'o -> unit;
+  undecided : Telemetry.counter;
+}
 
-let tally_proof = function
-  | Outcome.S_detected _ -> Telemetry.incr m_crash
-  | Outcome.S_sdc _ as o ->
-    if Outcome.section_is_masked o then Telemetry.incr m_masked else Telemetry.incr m_benign
+let section_scope =
+  {
+    decide =
+      (fun sp -> function
+        | W_crash -> Some (Outcome.S_detected Outcome.Crash)
+        | W_undecided -> None
+        | W_complete mem -> section_outcome_of_mem sp mem);
+    proved =
+      (fun o ->
+        Telemetry.incr m_proved;
+        match o with
+        | Outcome.S_detected _ -> Telemetry.incr m_crash
+        | Outcome.S_sdc _ ->
+          Telemetry.incr (if Outcome.section_is_masked o then m_masked else m_benign));
+    undecided = m_undecided;
+  }
+
+(* Only proofs that survive to the end of the program are claimed. *)
+let final_scope =
+  {
+    decide =
+      (fun sp -> function
+        | W_crash -> Some (Outcome.F_detected Outcome.Crash)
+        | W_complete mem when Hashtbl.length mem = 0 ->
+          (* No memory taint at the section boundary and registers do
+             not carry across sections: the replay converges with the
+             golden state right there, which run_to_end reports as
+             all-zero final SDC over the program outputs. *)
+          Some (Outcome.F_sdc sp.final_zero)
+        | W_complete _ | W_undecided -> None);
+    proved = (fun _ -> Telemetry.incr m_final_proved);
+    undecided = m_final_undecided;
+  }
 
 (* Register bursts reuse the taint walk bit for bit ({!Machine.burst_bits}
    is the shared mask); every other model abstains wholesale — skip and
@@ -549,45 +551,26 @@ let reg_burst_of = function
   | Fault_model.Bitflip { burst } -> Some burst
   | Fault_model.Skip | Fault_model.Opcode | Fault_model.Memflip _ -> None
 
-let prove_section golden ~section_index ~timeout_factor ~model policy classes =
-  if not policy.enabled then Array.map (fun _ -> None) classes
+(* The scope driver behind both pre-passes. *)
+let prove scope golden ~section_index ~timeout_factor ~model policy classes =
+  let none () = Array.map (fun _ -> None) classes in
+  if not policy.enabled then none ()
   else
     match Option.bind (reg_burst_of model) (fun burst ->
               prepare golden ~section_index ~timeout_factor ~burst)
     with
     | None ->
-      Telemetry.add m_undecided (Array.length classes);
-      Array.map (fun _ -> None) classes
+      Telemetry.add scope.undecided (Array.length classes);
+      none ()
     | Some sp ->
       Array.map
         (fun cls ->
-          match prove_class sp cls with
-          | Some o ->
-            Telemetry.incr m_proved;
-            tally_proof o;
-            Some o
-          | None ->
-            Telemetry.incr m_undecided;
-            None)
+          let proof = scope.decide sp (walk_pilot sp cls) in
+          (match proof with
+          | Some o -> scope.proved o
+          | None -> Telemetry.incr scope.undecided);
+          proof)
         classes
 
-let prove_final golden ~section_index ~timeout_factor ~model policy classes =
-  if not policy.enabled then Array.map (fun _ -> None) classes
-  else
-    match Option.bind (reg_burst_of model) (fun burst ->
-              prepare golden ~section_index ~timeout_factor ~burst)
-    with
-    | None ->
-      Telemetry.add m_final_undecided (Array.length classes);
-      Array.map (fun _ -> None) classes
-    | Some sp ->
-      Array.map
-        (fun cls ->
-          match prove_final_class sp cls with
-          | Some o ->
-            Telemetry.incr m_final_proved;
-            Some o
-          | None ->
-            Telemetry.incr m_final_undecided;
-            None)
-        classes
+let prove_section golden = prove section_scope golden
+let prove_final golden = prove final_scope golden

@@ -82,9 +82,11 @@ val prove_final :
   policy ->
   Eqclass.t array ->
   Outcome.final_outcome option array
-(** End-to-end analogue for {!Campaign.final_outcomes_for_section}:
-    only proofs that survive to the end of the program are claimed —
-    a fault with no surviving taint at its section boundary converges
-    with the golden run (all-zero final SDC, exactly like
-    [Replay.run_to_end]'s early-equivalence detection), and a proved
-    in-section trap is a final Crash. Everything else is [None]. *)
+(** {!prove_section}'s end-to-end scope, the pre-pass of
+    {!Campaign.final_outcomes_for_section} (which the prover ≡ replay
+    tests use): the same walk of each pilot, but only proofs that
+    survive to the end of the program are claimed — a fault with no
+    surviving taint at its section boundary converges with the golden
+    run (all-zero final SDC, exactly like [Replay.run_to_end]'s
+    early-equivalence detection), and a proved in-section trap is a
+    final Crash. Everything else is [None]. Bumps [prover.final_*]. *)

@@ -106,8 +106,7 @@ let backing t =
    [backing], so the lock makes the snapshot consistent. Incremental v3
    saves are O(dirty), so the pause requests can observe is proportional
    to what changed since the last save, not to the store. *)
-let save ?shards t ~path =
-  locked t.store_mu (fun () -> Persist.save ?shards t.e_store ~path)
+let save t ~path = locked t.store_mu (fun () -> Persist.save t.e_store ~path)
 
 (* The one Analyze path, for the socket and for [handle] alike. Only a
    miss copies the source out of its view and compiles it; a compile

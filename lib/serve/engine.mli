@@ -43,7 +43,7 @@ val create :
     used by slow-lane campaigns. Defaults: capacity 32, fresh empty
     store, serial pool. *)
 
-val save : ?shards:int -> t -> path:string -> Fastflip.Persist.save_stats
+val save : t -> path:string -> Fastflip.Persist.save_stats
 (** {!Fastflip.Persist.save} under the store lock, so the dirty-set
     snapshot is consistent with concurrent request threads publishing
     records. Used for the daemon's periodic checkpoints and its

@@ -45,8 +45,8 @@ let handle_connection engine ~shutdown fd =
     ~finally:(fun () -> try Unix.close fd with Unix.Unix_error _ -> ())
     (fun () -> try loop () with _ -> ())
 
-let run ~socket ?store_path ?(strict_store = false) ?save_every ?shards
-    ?(pool = Pool.serial) () =
+let run ~socket ?store_path ?(strict_store = false) ?save_every ?(pool = Pool.serial)
+    () =
   let store =
     match store_path with
     | Some path -> load_store ~strict:strict_store path
@@ -79,7 +79,7 @@ let run ~socket ?store_path ?(strict_store = false) ?save_every ?shards
                if (not (Atomic.get shutdown)) && Unix.gettimeofday () -. !last >= every
                then begin
                  last := Unix.gettimeofday ();
-                 match Engine.save ?shards engine ~path with
+                 match Engine.save engine ~path with
                  | stats ->
                    if stats.Persist.sv_appended > 0 then
                      Printf.eprintf "checkpointed %d section record(s) to %s\n%!"
@@ -130,7 +130,7 @@ let run ~socket ?store_path ?(strict_store = false) ?save_every ?shards
   (match saver with Some thread -> Thread.join thread | None -> ());
   (match store_path with
   | Some path ->
-    let stats = Engine.save ?shards engine ~path in
+    let stats = Engine.save engine ~path in
     Printf.eprintf "saved %d section records to %s\n%!" stats.Persist.sv_live path
   | None -> ());
   Sys.set_signal Sys.sigterm prev_term;

@@ -23,14 +23,13 @@ val run :
   ?store_path:string ->
   ?strict_store:bool ->
   ?save_every:float ->
-  ?shards:int ->
   ?pool:Ff_support.Pool.t ->
   unit ->
   unit
 (** Bind [socket] (an existing socket file is replaced), serve until
     shut down, then clean up. [save_every] is the background checkpoint
-    interval in seconds (omitted or <= 0: save only on exit); [shards]
-    is the layout width if the exit save creates a fresh store. Progress
+    interval in seconds (omitted or <= 0: save only on exit); a fresh
+    store is created {!Fastflip.Persist.default_shards} wide. Progress
     chatter goes to stderr; the "serving on" banner goes to stdout
     (scripts wait for it). Raises [Unix.Unix_error] if the socket cannot
     be bound, and exits nonzero via [Failure] if [strict_store] rejects a

@@ -9,7 +9,13 @@
        from the injected section's entry state through the rest of the
        schedule and compare the final program outputs.}}
 
-    Both modes charge their work (dynamic instructions executed) to the
+    Each mode is one driver, written once over a small per-engine state
+    interface (enter a section, apply a memory flip, execute a section,
+    compare with a golden boundary state, capture a buffer); the boxed
+    {!Machine} and the {!Unboxed} engine contribute only those
+    operations, so anomaly mapping, distances, the side-effect scan,
+    the non-finite check, convergence and capture are shared. Both
+    modes charge their work (dynamic instructions executed) to the
     caller, which is how analysis "core-hours" are accounted. *)
 
 type anomaly =
@@ -106,7 +112,10 @@ val run_section_capture :
     copies) when the replay completed, [None] when it was anomalous.
     This is the hook runtime-detector coverage measurement evaluates
     candidate checks against: both engines capture bit-identical boxed
-    values, so detector verdicts never depend on the engine. *)
+    values, so detector verdicts never depend on the engine. A buffer
+    the section does not bind is captured as its golden value: like the
+    side-effect scan, a section replay does not inspect it (a memory
+    flip of it included). *)
 
 type program_replay = {
   p_anomaly : anomaly option;

@@ -233,6 +233,28 @@ let test_json_golden () =
   Alcotest.(check string) "export matches golden/metrics.json" golden
     (Telemetry.to_json snap)
 
+(* The deterministic part of a CLI run's --metrics, everything but
+   "timings", for [fastflip analyze] and [fastflip compare] (which also
+   runs the baseline campaign) of examples/pipeline.ff at -j 1: every
+   campaign, prover, pool and knapsack counter, histogram and span count
+   is pinned, so a refactor of the injection drivers cannot move one. The
+   exports are written by a rule in test/dune. *)
+let test_cli_counters_pinned () =
+  let read f = In_channel.with_open_bin f In_channel.input_all in
+  let without_timings file =
+    match Json.parse (read file) with
+    | Ok (Json.Obj members) ->
+      Json.to_string (Json.Obj (List.filter (fun (k, _) -> k <> "timings") members))
+    | Ok _ -> Alcotest.failf "%s: not an object" file
+    | Error e -> Alcotest.failf "%s: %s" file e
+  in
+  List.iter
+    (fun cmd ->
+      let golden = Printf.sprintf "golden/metrics_%s.json" cmd in
+      Alcotest.(check string) ("matches " ^ golden) (read golden)
+        (without_timings (Printf.sprintf "metrics_%s.json" cmd)))
+    [ "analyze"; "compare" ]
+
 (* --- progress ------------------------------------------------------------ *)
 
 let test_progress_counts_without_printing () =
@@ -412,6 +434,7 @@ let () =
           Alcotest.test_case "json shape" `Quick test_json_shape;
           Alcotest.test_case "json string escaping" `Quick test_json_escape;
           Alcotest.test_case "golden export" `Quick test_json_golden;
+          Alcotest.test_case "cli counters pinned" `Quick test_cli_counters_pinned;
         ] );
       ( "progress",
         [
