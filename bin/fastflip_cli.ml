@@ -490,6 +490,11 @@ let store_compact_cmd =
   in
   let run path shards =
     let open Fastflip.Persist in
+    (match shards with
+    | Some n when n < 1 || n > max_shards ->
+      Printf.eprintf "fastflip: --shards: %d is outside [1, %d]\n" n max_shards;
+      exit Cmd.Exit.cli_error
+    | _ -> ());
     match compact ?shards ~path () with
     | Error e ->
       Printf.eprintf "fastflip: %s: %s\n" path e;

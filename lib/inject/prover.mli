@@ -22,10 +22,28 @@
     differential-tested against full replay as the oracle: the prover
     may abstain, it may never disagree.
 
-    The golden values the walk starts from are recorded by running the
-    section through {!Ff_vm.Machine.step}, the interpreter's own
-    dispatch, and the recording is discarded unless its pc stream and
-    exit buffers match the golden run bit for bit.
+    The golden values the walk starts from are recorded, as raw 64-bit
+    words plus a type tag, by running the section through
+    {!Ff_vm.Machine.step}, the interpreter's own dispatch, and the
+    recording is discarded unless its pc stream and exit buffers match
+    the golden run bit for bit.
+
+    The walk allocates nothing per step, and per class at most the
+    outcome it proves: one walker per call holds the taint (faulty
+    words and tags, the list of tainted registers that resets it,
+    memory taint created when a store first taints an element), and
+    tainted instructions are evaluated in place with the interpreter's
+    operations and trap conditions. Walks are shared within a call:
+    once the flip is seeded, the outcome depends only on the flipped
+    register, its first access (read or write) at or after the flip,
+    and its bit-exact faulty word and tag, so a class whose key an
+    earlier class of the call walked (a [Dst] flip and the [Src] flip
+    of the register's next reader, say) takes that outcome from a small
+    per-domain cache instead of walking. The walk leaps over clean
+    stretches only while no register is tainted (to the next golden
+    access of a tainted element); with tainted registers it steps, as
+    finding every tainted register's next access costs more than
+    stepping under avalanche.
 
     Proofs only consult golden data, so they are identical for every
     pool width and execution engine. Fold {!policy_hash} (which covers
@@ -64,7 +82,10 @@ val prove_section :
     report exactly that outcome. Bumps the [prover.classes_*] telemetry
     counters. A disabled policy, an unrecordable section (budget below
     the golden schedule, self-validation failure, non-finite golden
-    exit) or an out-of-section pilot yields [None] rows.
+    exit) or an out-of-section pilot yields [None] rows. Also bumps
+    [prover.walk_steps] (dynamic instructions the walks stepped) and
+    [prover.walks_shared] (classes decided by an earlier walk of the same
+    call).
 
     The walk mirrors register flips only, so only {!Fault_model.Bitflip}
     classes are ever decided (any burst width — the walk flips the same
@@ -89,4 +110,5 @@ val prove_final :
     surviving taint at its section boundary converges with the golden
     run (all-zero final SDC, exactly like [Replay.run_to_end]'s
     early-equivalence detection), and a proved in-section trap is a
-    final Crash. Everything else is [None]. Bumps [prover.final_*]. *)
+    final Crash. Everything else is [None]. Bumps [prover.final_*] and
+    the two walk counters. *)

@@ -50,13 +50,15 @@ type injection = {
 
 (** {2 Shared evaluation semantics}
 
-    The one copy of the IR's semantics outside the unboxed engine:
-    {!step} runs a whole instruction and the per-operation evaluators
-    below run one operation. [exec], the prover's golden recording and
-    the optimizer's constant folding all call {!step}; the prover's taint
-    walk calls the evaluators. Every caller therefore computes exactly
-    what a replay computes, trap conditions included. Both raise {!Trap}
-    on the same conditions [exec] turns into a [Trapped] status. *)
+    The boxed copy of the IR's semantics: {!step} runs a whole
+    instruction. [exec], the prover's golden recording and the
+    optimizer's constant folding all call it, so each computes exactly
+    what a replay computes, trap conditions included. The unboxed engine
+    and the prover's taint walk evaluate on raw words instead (the walk
+    spells out each operation so that it boxes nothing); the differential
+    engine tests and test_prover "evaluation" hold both to {!step}. It
+    raises {!Trap} on the same conditions [exec] turns into a [Trapped]
+    status. *)
 
 exception Trap of trap
 
@@ -66,33 +68,11 @@ val step :
     static [pc], uncorrupted: it reads and writes the register file
     [regs] and the buffers bound to the kernel's slots, and returns the
     next pc, or [-1] for [Halt]. A buffer index outside [[0, size)]
-    raises [Trap Out_of_bounds]; the operation traps of the evaluators
-    below propagate unchanged. [buffers] is only read by [Load] and
-    [Store], so a caller stepping compute ops alone may pass [[||]]. *)
-
-val as_int : Ff_ir.Value.t -> int64
-(** Raises [Trap Type_confusion] on a float. *)
-
-val as_float : Ff_ir.Value.t -> float
-(** Raises [Trap Type_confusion] on an integer. *)
-
-val eval_ibin : Ff_ir.Instr.ibinop -> int64 -> int64 -> int64
-(** Raises [Trap Div_by_zero] exactly when [exec] would. *)
-
-val eval_fbin : Ff_ir.Instr.fbinop -> float -> float -> float
-
-val eval_iun : Ff_ir.Instr.iunop -> int64 -> int64
-
-val eval_funop : Ff_ir.Instr.funop -> float -> float
-
-val eval_icmp : Ff_ir.Instr.cmp -> int64 -> int64 -> bool
-
-val eval_fcmp : Ff_ir.Instr.cmp -> float -> float -> bool
-
-val eval_cast : Ff_ir.Instr.cast -> Ff_ir.Value.t -> Ff_ir.Value.t
-(** Raises [Trap Invalid_conversion] on float-to-int of NaN or
-    out-of-range values, [Trap Type_confusion] on a wrongly-typed
-    operand — the same guards as [exec]. *)
+    raises [Trap Out_of_bounds]; an operation traps [Div_by_zero],
+    [Invalid_conversion] (float-to-int of NaN or an out-of-range value)
+    or [Type_confusion] (a wrongly-typed operand). [buffers] is only
+    read by [Load] and [Store], so a caller stepping compute ops alone
+    may pass [[||]]. *)
 
 val burst_bits : bit:int -> burst:int -> int list
 (** The bits a burst of width [burst] starting at [bit] flips:

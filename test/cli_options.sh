@@ -1,8 +1,9 @@
 #!/bin/sh
 # Every analysis command refuses an invalid --bits, --epsilon or
-# --samples before it does any work: a non-zero exit and exactly one
+# --samples before it does any work: exit status 124 and exactly one
 # stderr line "fastflip: --OPTION: ..." that names the option. The edges
-# of each range are accepted. protect --seed-security refuses a file that
+# of each range are accepted. store compact refuses a --shards width
+# outside [1, 64] the same way. protect --seed-security refuses a file that
 # is not a whole security export the same way, naming the file. Runs under `dune runtest`; by hand:
 #   sh test/cli_options.sh _build/default/bin/fastflip_cli.exe examples/pipeline.ff
 set -eu
@@ -20,15 +21,18 @@ fail() {
 bad_bits="--bits=-1:bits --bits=64:bits --bits=1,2,1:bits --samples=-5:samples"
 bad_epsilon="--epsilon=nan:epsilon --epsilon=inf:epsilon --epsilon=-1:epsilon"
 
+"$fastflip" analyze "$program" --bits 2,40 --samples 20 --store "$work/store.bin" >/dev/null
+
 n=0
 # COMMAND | its invalid cases (bench takes no --epsilon)
 while IFS='|' read -r cmd cases; do
   cmd=$(echo $cmd)
   for c in $cases; do
     opt=${c%:*} name=${c##*:}
-    if "$fastflip" $cmd "$opt" >/dev/null 2>"$work/err"; then
-      fail "$cmd $opt was accepted"
-    fi
+    status=0
+    "$fastflip" $cmd "$opt" >/dev/null 2>"$work/err" || status=$?
+    [ "$status" -ne 0 ] || fail "$cmd $opt was accepted"
+    [ "$status" -eq 124 ] || fail "$cmd $opt exited $status, not 124"
     if [ "$(wc -l <"$work/err")" -ne 1 ] || ! grep -q "^fastflip: --$name: " "$work/err"; then
       cat "$work/err" >&2
       fail "$cmd $opt did not fail with one 'fastflip: --$name:' line"
@@ -42,6 +46,7 @@ bench FFT | $bad_bits
 security $program | $bad_bits $bad_epsilon
 protect $program | $bad_bits $bad_epsilon
 query $work/no.sock $program | $bad_bits $bad_epsilon
+store compact $work/store.bin | --shards=0:shards --shards=65:shards
 ROWS
 
 "$fastflip" analyze "$program" --bits=0,63 --samples=0 --epsilon=0 >/dev/null \

@@ -68,11 +68,11 @@ let gen_program =
 
 let prover_bits = Site.Bit_list [ 0; 21; 40; 51; 62; 63 ]
 
-let check_proofs_against_oracle ?(burst = 1) g =
+let check_proofs_against_oracle ?(burst = 1) ?(bits = prover_bits) g =
   Array.iter
     (fun (section : Golden.section_run) ->
       let si = section.Golden.section_index in
-      let classes = Array.of_list (Eqclass.for_section section prover_bits) in
+      let classes = Array.of_list (Eqclass.for_section section bits) in
       let proofs =
         Prover.prove_section g ~section_index:si ~timeout_factor:5.0
           ~model:(Fault_model.Bitflip { burst }) Prover.on classes
@@ -122,7 +122,7 @@ let check_proofs_against_oracle ?(burst = 1) g =
     g.Golden.sections
 
 let prop_prover_vs_replay =
-  QCheck2.Test.make ~count:150
+  QCheck2.Test.make ~count:150 ~long_factor:1000
     ~name:"prover decisions ≡ replay on random programs"
     QCheck2.Gen.(pair gen_program (oneofl [ 1; 2 ]))
     (fun (program, burst) ->
@@ -182,6 +182,13 @@ let test_fixed_pipeline_differential () =
       Array.iter (function Some _ -> incr proved | None -> ()) proofs)
     g.Golden.sections;
   Alcotest.(check bool) "prover proves a real fraction" true (!proved > 0)
+
+(* Every bit of every register operand: a few thousand classes per
+   section, so keys of one register and first access that differ only in
+   the faulty word meet in the prover's walk cache, where only the word
+   tells them apart. *)
+let test_all_bits_differential () =
+  check_proofs_against_oracle ~bits:Site.All_bits (Golden.run (compile pipeline_src))
 
 (* --- targeted unit kernels -------------------------------------------------- *)
 
@@ -340,6 +347,84 @@ let test_overwritten_register_flip_exact () =
     Alcotest.(check bool) "exact magnitude 1.0" true
       (Array.exists (fun (_, m) -> m = 1.0) sdc)
   | _ -> Alcotest.fail "expected an exact SDC proof"
+
+(* Once register taint has died, the walk leaps to the next golden access
+   of any tainted element. Here two elements are tainted when the last
+   tainted register is overwritten, and only the second is read again,
+   scaled by 4 into a third element:
+     0: r0 <- 1.0        flipped (Dst)
+     1: r1 <- 0          2: o[r1] <- r0
+     3: r1 <- 1          4: o[r1] <- r0
+     5: r0 <- 0.0        register taint dies here
+     6: r2 <- 1          7: r3 <- o[r2]
+     8: r5 <- 4.0        9: r3 <- r3 * r5
+    10: r4 <- 2         11: o[r4] <- r3
+    12: halt *)
+let leap_program =
+  let code =
+    [|
+      Instr.Fconst (0, 1.0);
+      Instr.Iconst (1, 0L);
+      Instr.Store (0, 1, 0);
+      Instr.Iconst (1, 1L);
+      Instr.Store (0, 1, 0);
+      Instr.Fconst (0, 0.0);
+      Instr.Iconst (2, 1L);
+      Instr.Load (3, 0, 2);
+      Instr.Fconst (5, 4.0);
+      Instr.Fbin (Instr.Fmul, 3, 3, 5);
+      Instr.Iconst (4, 2L);
+      Instr.Store (0, 4, 3);
+      Instr.Halt;
+    |]
+  in
+  {
+    Program.kernels =
+      [
+        {
+          Kernel.name = "k";
+          params = [ Kernel.Buffer ("o", Value.TFloat, Kernel.Out) ];
+          code;
+          nregs = 6;
+        };
+      ];
+    buffers =
+      [
+        {
+          Program.buf_name = "o";
+          buf_ty = Value.TFloat;
+          buf_size = 3;
+          buf_init = Array.make 3 (Value.Float 0.0);
+          buf_is_output = true;
+        };
+      ];
+    schedule = [ { Program.callee = "k"; args = [ Program.Abuf 0 ]; call_label = "k" } ];
+  }
+
+let test_leap_reaches_every_tainted_element () =
+  let g = Golden.run leap_program in
+  let section = g.Golden.sections.(0) in
+  let classes = Array.of_list (Eqclass.for_section section (Site.Bit_list [ 51 ])) in
+  let proofs =
+    Prover.prove_section g ~section_index:0 ~timeout_factor:5.0 ~model:Fault_model.default
+      Prover.on classes
+  in
+  let i = ref (-1) in
+  Array.iteri
+    (fun j cls ->
+      if (Eqclass.pc cls).Site.instr = 0 && Eqclass.operand cls = Site.Dst then i := j)
+    classes;
+  let replay =
+    Replay.run_section ~burst:1 ~engine:Replay.Boxed g section
+      (Replay.Fault (Site.machine_injection (Eqclass.pilot classes.(!i))))
+      ~timeout_factor:5.0
+  in
+  let oracle = Outcome.of_section_replay replay in
+  check_agrees "leap" proofs.(!i) oracle;
+  (* 1.0 flipped at bit 51 is 1.5: the scaled copy moves by 2.0 *)
+  match oracle with
+  | Outcome.S_sdc [| (_, m) |] -> Alcotest.(check (float 0.0)) "scaled delta" 2.0 m
+  | _ -> Alcotest.fail "expected a one-buffer SDC"
 
 (* --- wholesale refusals ------------------------------------------------------ *)
 
@@ -503,6 +588,315 @@ let test_recordings_do_not_pin_their_section () =
       Alcotest.(check bool) (what ^ " was collected") false (Weak.check weak i))
     [ "the golden run"; "its section run"; "its decoded kernel" ]
 
+(* --- evaluation of tainted steps, op by op ----------------------------------- *)
+
+(* The walk evaluates a tainted instruction itself, on raw words and
+   tags, rather than through the interpreter. Each case here is a
+   straight-line kernel that loads constants, runs one instruction with
+   one operand flipped to an edge value (or made type-confused by a
+   flipped [Select] upstream), and sinks the result through
+   [Bitsf]/[Fbits] into an int output: any value of the golden type
+   reaches the output as exact bits, and a value of the other type traps
+   in the sink. The prover therefore decides every case, and its
+   decision must be the boxed replay's. *)
+
+type operand_ty = I | F
+
+let edge_ints = [ 0L; -1L; Int64.min_int; Int64.max_int; 1L; 64L; 127L ]
+
+let edge_floats =
+  [
+    Float.nan; Float.infinity; Float.neg_infinity; -0.0; 0.0; 1e19; -1e19;
+    9.223372036854775808e18; -9.223372036854775808e18; 0.5; -1.0; 5e-324;
+  ]
+
+let clean_ints = [ 0L; 1L; -1L; 3L; Int64.min_int; 63L; 64L ]
+let clean_floats = [ 0.0; -0.0; 1.5; -2.0; Float.nan; Float.infinity; 1e19 ]
+
+let value_of_bits ty w =
+  match ty with I -> Value.Int w | F -> Value.Float (Int64.float_of_bits w)
+
+let bits_of = function Value.Int w -> w | Value.Float x -> Int64.bits_of_float x
+
+let const r = function
+  | Value.Int w -> Instr.Iconst (r, w)
+  | Value.Float x -> Instr.Fconst (r, x)
+
+let edges = function
+  | I -> List.map (fun w -> Value.Int w) edge_ints
+  | F -> List.map (fun x -> Value.Float x) edge_floats
+
+let cleans = function
+  | I -> List.map (fun w -> Value.Int w) clean_ints
+  | F -> List.map (fun x -> Value.Float x) clean_floats
+
+(* Every instruction the walk evaluates, as (name, operand types, result
+   type, constructor over destination and operand registers). *)
+let evaluated_ops =
+  let bin name mk tys res =
+    (name, tys, res, fun d -> function [ a; b ] -> mk d a b | _ -> assert false)
+  in
+  let un name mk ty res =
+    (name, [ ty ], res, fun d -> function [ a ] -> mk d a | _ -> assert false)
+  in
+  let select ty =
+    ( "select",
+      [ I; ty; ty ],
+      ty,
+      fun d -> function [ c; a; b ] -> Instr.Select (d, c, a, b) | _ -> assert false )
+  in
+  List.map
+    (fun op -> bin "ibin" (fun d a b -> Instr.Ibin (op, d, a, b)) [ I; I ] I)
+    Rand_kernel.all_ibinops
+  @ List.map
+      (fun op -> bin "fbin" (fun d a b -> Instr.Fbin (op, d, a, b)) [ F; F ] F)
+      Rand_kernel.all_fbinops
+  @ List.map
+      (fun c -> bin "icmp" (fun d a b -> Instr.Icmp (c, d, a, b)) [ I; I ] I)
+      Rand_kernel.all_cmps
+  @ List.map
+      (fun c -> bin "fcmp" (fun d a b -> Instr.Fcmp (c, d, a, b)) [ F; F ] I)
+      Rand_kernel.all_cmps
+  @ List.map
+      (fun op -> un "iun" (fun d a -> Instr.Iun (op, d, a)) I I)
+      [ Instr.Ineg; Instr.Inot ]
+  @ List.map
+      (fun op -> un "fun1" (fun d a -> Instr.Fun1 (op, d, a)) F F)
+      Rand_kernel.all_funops
+  @ List.map
+      (fun (c, a, r) -> un "cast" (fun d x -> Instr.Cast (c, d, x)) a r)
+      [ (Instr.Itof, I, F); (Instr.Ftoi, F, I); (Instr.Fbits, F, I); (Instr.Bitsf, I, F) ]
+  @ List.concat_map
+      (fun ty -> [ un "mov" (fun d s -> Instr.Mov (d, s)) ty ty; select ty ])
+      [ I; F ]
+
+type taint =
+  | Flip of int * int  (** operand, bit *)
+  | Confuse of int * bool
+      (** operand, and whether the other-typed value has the golden bits *)
+
+(* One case: golden operand values [golden], the instruction under test
+   after their constants (or after the confusing [Select]), and the
+   flip described by [taint]. [share] reads every operand of the tested
+   instruction from register 0. Returns [None] when the golden run
+   itself traps (a clean operand the op cannot take). *)
+let run_case (_, tys, res, mk) golden taint ~share =
+  let n = List.length golden in
+  let consts = List.mapi (fun r v -> const r v) golden in
+  (* registers: 0..n-1 operands, n condition, n+1 other-typed value,
+     n+2 result, n+3 and n+4 sink, n+5 index *)
+  let pre, operand_regs, site_instr, site_operand, bit =
+    match taint with
+    | Flip (k, bit) ->
+      ([], List.mapi (fun r _ -> if share then 0 else r) golden, n, Site.Src k, bit)
+    | Confuse (k, same_bits) ->
+      let bits = if same_bits then bits_of (List.nth golden k) else 0x3ff8000000000000L in
+      let other = value_of_bits (match List.nth tys k with I -> F | F -> I) bits in
+      (* golden: the Select keeps operand k (condition 0); flipping
+         bit 0 of the condition picks the other-typed value instead *)
+      ( [ Instr.Iconst (n, 0L); const (n + 1) other; Instr.Select (k, n, n + 1, k) ],
+        List.init n Fun.id,
+        n + 2,
+        Site.Src 0,
+        0 )
+  in
+  let sink =
+    match res with
+    | I ->
+      [ Instr.Cast (Instr.Bitsf, n + 3, n + 2); Instr.Cast (Instr.Fbits, n + 4, n + 3) ]
+    | F -> [ Instr.Mov (n + 3, n + 2); Instr.Cast (Instr.Fbits, n + 4, n + 3) ]
+  in
+  let code =
+    Array.of_list
+      (consts @ pre
+      @ [ mk (n + 2) operand_regs ]
+      @ sink
+      @ [ Instr.Iconst (n + 5, 0L); Instr.Store (0, n + 5, n + 4); Instr.Halt ])
+  in
+  let kernel =
+    {
+      Kernel.name = "op";
+      params = [ Kernel.Buffer ("o", Value.TInt, Kernel.Out) ];
+      code;
+      nregs = n + 6;
+    }
+  in
+  let program =
+    {
+      Program.kernels = [ kernel ];
+      buffers =
+        [
+          {
+            Program.buf_name = "o";
+            buf_ty = Value.TInt;
+            buf_size = 1;
+            buf_init = [| Value.Int 0L |];
+            buf_is_output = true;
+          };
+        ];
+      schedule =
+        [ { Program.callee = "op"; args = [ Program.Abuf 0 ]; call_label = "op" } ];
+    }
+  in
+  match Golden.run program with
+  | exception Failure _ -> None
+  | g ->
+    let section = g.Golden.sections.(0) in
+    let classes = Array.of_list (Eqclass.for_section section (Site.Bit_list [ bit ])) in
+    let proofs =
+      Prover.prove_section g ~section_index:0 ~timeout_factor:5.0
+        ~model:Fault_model.default Prover.on classes
+    in
+    let i = ref (-1) in
+    Array.iteri
+      (fun j cls ->
+        if (Eqclass.pc cls).Site.instr = site_instr && Eqclass.operand cls = site_operand
+        then i := j)
+      classes;
+    let injection = Replay.Fault (Site.machine_injection (Eqclass.pilot classes.(!i))) in
+    let replay =
+      Replay.run_section ~burst:1 ~engine:Replay.Boxed g section injection
+        ~timeout_factor:5.0
+    in
+    Some (proofs.(!i), Outcome.of_section_replay replay)
+
+let describe name golden taint ~share =
+  Printf.sprintf "%s %s (%s)" name
+    (String.concat ", " (List.map Value.to_string golden))
+    (match taint with
+    | Flip (k, b) ->
+      Printf.sprintf "operand %d bit %d%s" k b (if share then ", shared" else "")
+    | Confuse (k, same) ->
+      Printf.sprintf "operand %d type-confused%s" k (if same then ", same bits" else ""))
+
+let test_evaluation_matches_replay () =
+  let cases = ref 0 and wrong = ref [] in
+  let check ((name, _, _, _) as op) golden taint ~share =
+    match run_case op golden taint ~share with
+    | None -> ()
+    | Some (proof, oracle) -> (
+      incr cases;
+      match proof with
+      | None -> wrong := (describe name golden taint ~share ^ ": abstained") :: !wrong
+      | Some o ->
+        if Stdlib.compare o oracle <> 0 then
+          wrong :=
+            Format.asprintf "%s: proved %a, replay %a"
+              (describe name golden taint ~share)
+              Outcome.pp_section o Outcome.pp_section oracle
+            :: !wrong)
+  in
+  List.iter
+    (fun ((_, tys, _, _) as op) ->
+      (* the operands other than the flipped one take every clean value,
+         one operand at a time, the rest their first clean value *)
+      let bases k =
+        let varied =
+          List.concat
+            (List.mapi
+               (fun j tj ->
+                 if j = k then []
+                 else
+                   List.map
+                     (fun v ->
+                       List.mapi
+                         (fun i ti -> if i = j then v else List.hd (cleans ti))
+                         tys)
+                     (cleans tj))
+               tys)
+        in
+        if varied = [] then [ List.map (fun t -> List.hd (cleans t)) tys ] else varied
+      in
+      List.iteri
+        (fun k ty ->
+          List.iter
+            (fun base ->
+              List.iter
+                (fun f ->
+                  List.iter
+                    (fun bit ->
+                      let mask = Int64.shift_left 1L bit in
+                      let g = value_of_bits ty (Int64.logxor (bits_of f) mask) in
+                      check op (List.mapi (fun i v -> if i = k then g else v) base)
+                        (Flip (k, bit)) ~share:false;
+                      (* every operand read from the flipped register *)
+                      if k = 0 && List.length tys > 1 && List.for_all (( = ) ty) tys then
+                        check op (List.map (fun _ -> g) tys) (Flip (0, bit)) ~share:true)
+                    [ 0; 62; 63 ])
+                (edges ty);
+              check op base (Confuse (k, false)) ~share:false;
+              check op base (Confuse (k, true)) ~share:false)
+            (bases k))
+        tys)
+    evaluated_ops;
+  if !wrong <> [] then
+    Alcotest.failf "%d of %d cases differ:\n%s" (List.length !wrong) !cases
+      (String.concat "\n" (List.rev !wrong));
+  Alcotest.(check bool) "cases ran" true (!cases > 1000)
+
+(* --- decisions pinned ------------------------------------------------------ *)
+
+(* What the prover decides on the five built-in None programs under the
+   default campaign config, per (program, masked, crash, benign,
+   undecided), recorded from the boxed-[Value.t] walk the allocation-free
+   walk replaced. The differential suite only checks that claims are
+   sound, so a walk that abstained more would still pass it; these
+   counts pin that it decides exactly what it did. *)
+let pinned_decisions =
+  [
+    ("BScholes", (1730, 3150, 7383, 1113));
+    ("Campipe", (843, 2150, 1856, 1903));
+    ("FFT", (2670, 1794, 2417, 2623));
+    ("LUD", (4252, 13057, 3358, 12581));
+    ("SHA2", (3309, 974, 3147, 746));
+  ]
+
+module Telemetry = Ff_support.Telemetry
+module Registry = Ff_benchmarks.Registry
+module Defs = Ff_benchmarks.Defs
+
+let decisions_of (def : Defs.t) =
+  let g = Golden.run (compile (def.Defs.source Defs.V_none)) in
+  let cfg = Campaign.default_config in
+  let was = Telemetry.enabled () in
+  Telemetry.set_enabled true;
+  Telemetry.reset ();
+  Array.iter
+    (fun (section : Golden.section_run) ->
+      let classes =
+        Array.of_list
+          (Eqclass.for_section ~model:cfg.Campaign.model section cfg.Campaign.bits)
+      in
+      ignore
+        (Prover.prove_section g ~section_index:section.Golden.section_index
+           ~timeout_factor:cfg.Campaign.timeout_factor ~model:cfg.Campaign.model Prover.on
+           classes))
+    g.Golden.sections;
+  let v name = Telemetry.value (Telemetry.counter name) in
+  let counts =
+    ( v "prover.classes_masked",
+      v "prover.classes_crash",
+      v "prover.classes_benign",
+      v "prover.classes_undecided" )
+  in
+  Telemetry.reset ();
+  Telemetry.set_enabled was;
+  counts
+
+let test_decisions_pinned () =
+  let wrong =
+    List.filter_map
+      (fun (def : Defs.t) ->
+        let ((m, c, b, u) as got) = decisions_of def in
+        if got = List.assoc def.Defs.name pinned_decisions then None
+        else
+          Some
+            (Printf.sprintf "%s/None: masked %d crash %d benign %d undecided %d"
+               def.Defs.name m c b u))
+      Registry.all
+  in
+  if wrong <> [] then Alcotest.fail (String.concat "; " wrong)
+
 let () =
   Alcotest.run "prover"
     [
@@ -513,6 +907,8 @@ let () =
             test_prover_vs_replay_at_fixed_seeds;
           Alcotest.test_case "fixed pipeline, bursts 1 and 2" `Quick
             test_fixed_pipeline_differential;
+          Alcotest.test_case "fixed pipeline, all 64 bits" `Quick
+            test_all_bits_differential;
         ] );
       ( "proof rules",
         [
@@ -522,6 +918,8 @@ let () =
             test_trap_only_consumer_is_crash;
           Alcotest.test_case "live flip has exact SDC" `Quick
             test_overwritten_register_flip_exact;
+          Alcotest.test_case "leaps reach every tainted element" `Quick
+            test_leap_reaches_every_tainted_element;
         ] );
       ( "guards refuse wholesale",
         [
@@ -547,5 +945,15 @@ let () =
         [
           Alcotest.test_case "recordings do not pin their section" `Quick
             test_recordings_do_not_pin_their_section;
+        ] );
+      ( "evaluation",
+        [
+          Alcotest.test_case "every evaluated op at edge values ≡ replay" `Quick
+            test_evaluation_matches_replay;
+        ] );
+      ( "pins",
+        [
+          Alcotest.test_case "decisions on the built-in None programs" `Quick
+            test_decisions_pinned;
         ] );
     ]
