@@ -20,6 +20,7 @@ let m_progress_skipped = Telemetry.counter "checkpoint.skipped_regions"
 
 let magic_store = "FFSTORE4"
 let magic_shard = "FFSHARD2"
+let magic_progress = "FFPROGL1"
 let default_shards = 16
 let max_shards = 64
 
@@ -259,15 +260,15 @@ let record_frame (record : Store.section_record) =
   Wire.w_record payload record;
   Wire.frame (Buffer.contents payload)
 
-(* Append a batch of framed records to a shard log in a single write —
-   the magic rides along when the log is fresh, so a reader never sees a
+(* Append a batch of frames to a log in a single write — the log's
+   [magic] rides along when the log is fresh, so a reader never sees a
    magic-less file — and fsync before the manifest may declare it. *)
-let append_shard ~spath blob =
+let append_log ~magic ~spath blob =
   let fd = Unix.openfile spath [ Unix.O_WRONLY; Unix.O_APPEND; Unix.O_CREAT; Unix.O_CLOEXEC ] 0o644 in
   Fun.protect
     ~finally:(fun () -> Unix.close fd)
     (fun () ->
-      let data = if (Unix.fstat fd).Unix.st_size = 0 then magic_shard ^ blob else blob in
+      let data = if (Unix.fstat fd).Unix.st_size = 0 then magic ^ blob else blob in
       let len = String.length data in
       let off = ref 0 in
       while !off < len do
@@ -551,7 +552,7 @@ let save_append store ~path (mf0 : manifest) =
       List.iter
         (fun i ->
           let blob = String.concat "" (List.rev_map record_frame buckets.(i)) in
-          append_shard ~spath:(shard_path path i) blob;
+          append_log ~magic:magic_shard ~spath:(shard_path path i) blob;
           Telemetry.incr m_appends)
         dirty_shards;
       Telemetry.add m_appended (List.length dirty);
@@ -717,10 +718,11 @@ let compact ?shards ~path () =
 (* --- campaign progress log ------------------------------------------------------ *)
 
 (* In-flight campaign outcomes for [--checkpoint-every]/[--resume]: a
-   sibling log at [path.progress] in the shard-log format, appended by
-   [append_shard] under its own lock and read by the same salvaging frame
-   reader. One frame is one batch: a store key plus its
-   [(class_index, outcome, work)] triples. *)
+   sibling log at [path.progress] framed like a shard log under its own
+   magic, appended by [append_log] under its own lock and read by the
+   same salvaging frame reader. One frame is one batch: a store key plus
+   its [(class_index, outcome, work)] triples, outcomes in the store
+   records' encoding. *)
 let progress_path path = path ^ ".progress"
 
 type progress = {
@@ -733,7 +735,7 @@ let r_batch c =
   let key = Wire.r_key c in
   let r_entry c =
     let idx = Wire.r_int c in
-    let outcome = Wire.r_section_outcome c in
+    let outcome = Wire.r_outcome c in
     let work = Wire.r_int c in
     (idx, outcome, work)
   in
@@ -741,15 +743,21 @@ let r_batch c =
 
 (* Fold every salvageable batch into [pg_done] (a later entry for the
    same class wins); returns the skipped regions. An empty file is an
-   empty log: a crash between [append_shard]'s create and its first
+   empty log: a crash between [append_log]'s create and its first
    write leaves one. *)
 let read_progress lpath pg_done =
   match read_file lpath with
   | Error e -> Error e
-  | Ok data when data <> "" && not (has_magic data magic_shard) ->
-    Error (lpath ^ ": not a FastFlip progress log")
+  | Ok data when data <> "" && not (has_magic data magic_progress) ->
+    (* A log of the earlier format (shard-log magic, fixed-width
+       outcomes) would decode to garbage: refuse it by name. *)
+    Error
+      (if has_magic data magic_shard then
+         Printf.sprintf "unsupported progress-log format %s (only %s is read)" magic_shard
+           magic_progress
+       else "not a FastFlip progress log")
   | Ok data ->
-    let frames, frame_skips = Wire.read_frames ~pos:(String.length magic_shard) data in
+    let frames, frame_skips = Wire.read_frames ~pos:(String.length magic_progress) data in
     let batches, decode_skips = decode_payloads r_batch frames in
     List.iter
       (fun (_, (key, batch)) ->
@@ -786,11 +794,12 @@ let progress_journal pg ~key =
     Wire.w_list payload
       (fun buf (idx, outcome, work) ->
         Wire.w_int buf idx;
-        Wire.w_section_outcome buf outcome;
+        Wire.w_outcome buf outcome;
         Wire.w_int buf work)
       batch;
     let frame = Wire.frame (Buffer.contents payload) in
-    with_lock ~lockfile:(pg.pg_path ^ ".lock") (fun () -> append_shard ~spath:pg.pg_path frame);
+    with_lock ~lockfile:(pg.pg_path ^ ".lock") (fun () ->
+        append_log ~magic:magic_progress ~spath:pg.pg_path frame);
     Telemetry.add m_progress_appended (List.length batch)
   in
   { Campaign.j_every = pg.pg_every; j_done; j_append = append }

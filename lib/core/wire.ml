@@ -140,38 +140,11 @@ let detected_code = function
   | Outcome.Timed_out -> 1
   | Outcome.Misformatted -> 2
 
-let w_detected buf kind = w_int buf (detected_code kind)
-
 let r_detected_tag = function
   | 0 -> Outcome.Crash
   | 1 -> Outcome.Timed_out
   | 2 -> Outcome.Misformatted
   | _ -> raise (Corrupt "detected tag")
-
-let r_detected c = r_detected_tag (r_int c)
-
-let w_magnitude buf (idx, m) =
-  w_int buf idx;
-  w_float buf m
-
-let r_magnitude c =
-  let idx = r_int c in
-  let m = r_float c in
-  (idx, m)
-
-let w_section_outcome buf = function
-  | Outcome.S_detected kind ->
-    w_int buf 0;
-    w_detected buf kind
-  | Outcome.S_sdc magnitudes ->
-    w_int buf 1;
-    w_array buf w_magnitude magnitudes
-
-let r_section_outcome c =
-  match r_int c with
-  | 0 -> Outcome.S_detected (r_detected c)
-  | 1 -> Outcome.S_sdc (r_array c r_magnitude "magnitudes")
-  | _ -> raise (Corrupt "outcome tag")
 
 let w_key buf (key : Store.key) =
   w_int64 buf key.Store.code_hash;
@@ -344,7 +317,6 @@ let r_class c ~section ~(prev : Eqclass.group option) =
   in
   { Eqclass.group; bit }
 
-(* {!w_section_outcome} with varint tags and buffer indices. *)
 let w_outcome buf = function
   | Outcome.S_detected kind ->
     w_uvar buf 0;

@@ -64,9 +64,10 @@ val r_list : cursor -> (cursor -> 'a) -> string -> 'a list
 
 (** {1 Analysis-type codecs} *)
 
-val w_section_outcome : Buffer.t -> Ff_inject.Outcome.section_outcome -> unit
-val r_section_outcome : cursor -> Ff_inject.Outcome.section_outcome
-(** Fixed-width, as the campaign progress log writes outcomes. *)
+val w_outcome : Buffer.t -> Ff_inject.Outcome.section_outcome -> unit
+val r_outcome : cursor -> Ff_inject.Outcome.section_outcome
+(** Varint tags and buffer indices, raw float magnitudes: one outcome as
+    store records and campaign progress-log batches write it. *)
 
 val w_key : Buffer.t -> Store.key -> unit
 val r_key : cursor -> Store.key

@@ -10,31 +10,34 @@ module A1 = Bigarray.Array1
    replay. The core is an exact single-fault forward walk along the
    section's concrete golden schedule: starting from the flipped
    operand, it tracks the exact faulty word and type tag of every
-   corrupted register and memory element, evaluating corrupted
-   instructions with the interpreter's operation semantics (the same
-   int64/float operations, libm calls and trap conditions as
-   {!Machine.step}). As long as control flow and memory addressing stay
-   on the golden path, the walk is a bit-exact mirror of what a replay
-   would compute, so every decision it reaches — the taint dies
-   (Masked), the fault provably traps (Crash), or it completes with an
-   exactly-known output perturbation (Benign SDC) — equals the replay
+   corrupted register and memory element, and runs each corrupted
+   computing instruction through the unboxed engine's own step
+   ({!Unboxed.step}), so the walk shares the replay's operation
+   semantics — int64/float operations, libm calls, trap conditions —
+   instead of restating them. As long as control flow and memory
+   addressing stay on the golden path, the walk is a bit-exact mirror of
+   what a replay would compute, so every decision it reaches — the taint
+   dies (Masked), the fault provably traps (Crash), or it completes with
+   an exactly-known output perturbation (Benign SDC) — equals the replay
    outcome by construction. Anything else (control divergence,
    reads/writes through a corrupted address, non-finite faulty values,
    side-effect writes) is left undecided and fanned out to the replay
    pool as before: the prover may abstain, it may never disagree.
 
    The walk allocates nothing per step, and per class at most the
-   outcome it proves. Golden
-   operands are recorded as raw 64-bit words plus a tag byte, taint lives
-   in one walker per [prove] call (faulty words and tags, a tainted-slot
-   index per register, the list of tainted registers that resets it), and
-   a corrupted instruction is evaluated in place on staged words: its
-   operands are copied into four scratch slots, the result is computed
-   into the last one and compared bit for bit with the recorded golden
-   destination. Arms spell out their arithmetic instead of calling
-   shared evaluators because, without flambda, a call taking or
-   returning an [int64] or a [float] boxes it. Memory taint is
-   allocated the first time a store taints an element.
+   outcome it proves. Golden operands are recorded as raw 64-bit words
+   plus a tag byte, taint lives in one walker per [prove] call (faulty
+   words and tags, a tainted-slot index per register, the list of
+   tainted registers that resets it), and a corrupted instruction is
+   evaluated on staged words: its operands are copied into the first
+   three of four scratch words, the engine's step runs the instruction's
+   opcode over them as a one-instruction program
+   [[| op; 0; 1; 2; 3 |]] (operands in scratch registers 0..2, result
+   in 3), and the result is compared bit for bit with the recorded
+   golden destination. A {!Machine.Trap} ends the walk as a crash,
+   raised by the step or by the walk's own checks (a mistyped branch
+   condition, a faulty address out of bounds). Memory taint is allocated
+   the first time a store taints an element.
 
    Walks are shared: a walk's state at the first access (read or write)
    of its one tainted register at or after the flip is that register and
@@ -110,8 +113,6 @@ let tag_int = '\000'
 let tag_float = '\001'
 
 let () = assert (tag_int = Ustate.tag_int && tag_float = Ustate.tag_float)
-
-let int64_max_float = 9.223372036854775808e18
 
 exception Invalid_recording
 
@@ -333,6 +334,7 @@ type walker = {
   sw : Ustate.words;  (* staged operands in slots 0..2, the result in 3 *)
   sb : Ustate.bits;   (* the same memory as [sw], read as int64 *)
   stag : Bytes.t;
+  insn : int array;  (* [| opcode; 0; 1; 2; 3 |]: one instruction over the slots *)
   mags : float array;  (* per program buffer: max |Δ| of a completed walk *)
   mutable steps : int;
   mutable shared : int;
@@ -355,6 +357,7 @@ let walker_of sp =
     sw;
     sb = Ustate.as_bits sw;
     stag = Bytes.make 4 tag_int;
+    insn = [| 0; 0; 1; 2; 3 |];
     mags = Array.make (Array.length sp.writable) 0.0;
     steps = 0;
     shared = 0;
@@ -424,8 +427,11 @@ type walk =
           every element whose faulty value differs from golden *)
   | W_undecided
 
-exception Crashes
 exception Divergent
+
+(* The walk's own crash decisions, raised as the engine's trap. *)
+let type_confusion = Machine.Trap Machine.Type_confusion
+let out_of_bounds = Machine.Trap Machine.Out_of_bounds
 
 let[@inline] tainted w r = Array.unsafe_get w.rpos r >= 0
 
@@ -443,8 +449,6 @@ let[@inline] stage sp w k r gi =
     Bytes.unsafe_set w.stag k (Bytes.get rc.r_st gi)
   end
 
-let[@inline] need w k tag = if Bytes.unsafe_get w.stag k <> tag then raise_notrace Crashes
-
 (* Write the result slot to register [d]: taint it when it differs from
    the golden destination of dyn [j], clean it otherwise. *)
 let[@inline] commit sp w d j =
@@ -457,151 +461,31 @@ let[@inline] commit sp w d j =
     Bytes.set w.ft d t
   end
 
-(* The evaluators read the staged slots and write slot 3, with the
-   interpreter's type checks and trap conditions: a wrongly-typed operand
-   is [Type_confusion], and every trap ends the walk as a crash. *)
-let eval_ibin w op =
-  need w 0 tag_int;
-  need w 1 tag_int;
-  let a = A1.unsafe_get w.sb 0 and b = A1.unsafe_get w.sb 1 in
-  A1.unsafe_set w.sb 3
-    (match op with
-    | Instr.Iadd -> Int64.add a b
-    | Instr.Isub -> Int64.sub a b
-    | Instr.Imul -> Int64.mul a b
-    | Instr.Idiv -> if b = 0L then raise_notrace Crashes else Int64.div a b
-    | Instr.Irem -> if b = 0L then raise_notrace Crashes else Int64.rem a b
-    | Instr.Iand -> Int64.logand a b
-    | Instr.Ior -> Int64.logor a b
-    | Instr.Ixor -> Int64.logxor a b
-    | Instr.Ishl -> Int64.shift_left a (Int64.to_int b land 63)
-    | Instr.Ilshr -> Int64.shift_right_logical a (Int64.to_int b land 63)
-    | Instr.Iashr -> Int64.shift_right a (Int64.to_int b land 63)
-    | Instr.Irotl ->
-      let s = Int64.to_int b land 63 in
-      if s = 0 then a
-      else Int64.logor (Int64.shift_left a s) (Int64.shift_right_logical a (64 - s))
-    | Instr.Irotr ->
-      let s = Int64.to_int b land 63 in
-      if s = 0 then a
-      else Int64.logor (Int64.shift_right_logical a s) (Int64.shift_left a (64 - s))
-    | Instr.Imin -> if a <= b then a else b
-    | Instr.Imax -> if a >= b then a else b);
-  Bytes.unsafe_set w.stag 3 tag_int
-
-let eval_fbin w op =
-  need w 0 tag_float;
-  need w 1 tag_float;
-  let a = A1.unsafe_get w.sw 0 and b = A1.unsafe_get w.sw 1 in
-  A1.unsafe_set w.sw 3
-    (match op with
-    | Instr.Fadd -> a +. b
-    | Instr.Fsub -> a -. b
-    | Instr.Fmul -> a *. b
-    | Instr.Fdiv -> a /. b
-    | Instr.Fmin -> Float.min a b
-    | Instr.Fmax -> Float.max a b
-    | Instr.Fpow -> Float.pow a b);
-  Bytes.unsafe_set w.stag 3 tag_float
-
-let eval_iun w op =
-  need w 0 tag_int;
-  let a = A1.unsafe_get w.sb 0 in
-  A1.unsafe_set w.sb 3
-    (match op with Instr.Ineg -> Int64.neg a | Instr.Inot -> Int64.lognot a);
-  Bytes.unsafe_set w.stag 3 tag_int
-
-let eval_fun1 w op =
-  need w 0 tag_float;
-  let a = A1.unsafe_get w.sw 0 in
-  A1.unsafe_set w.sw 3
-    (match op with
-    | Instr.FFneg -> -.a
-    | Instr.FFabs -> Float.abs a
-    | Instr.FFsqrt -> Float.sqrt a
-    | Instr.FFexp -> Float.exp a
-    | Instr.FFlog -> Float.log a
-    | Instr.FFsin -> Float.sin a
-    | Instr.FFcos -> Float.cos a
-    | Instr.FFfloor -> Float.floor a
-    | Instr.FFceil -> Float.ceil a);
-  Bytes.unsafe_set w.stag 3 tag_float
-
-let eval_icmp w c =
-  need w 0 tag_int;
-  need w 1 tag_int;
-  let a = A1.unsafe_get w.sb 0 and b = A1.unsafe_get w.sb 1 in
-  let r =
-    match c with
-    | Instr.Ceq -> a = b
-    | Instr.Cne -> a <> b
-    | Instr.Clt -> a < b
-    | Instr.Cle -> a <= b
-    | Instr.Cgt -> a > b
-    | Instr.Cge -> a >= b
-  in
-  A1.unsafe_set w.sb 3 (if r then 1L else 0L);
-  Bytes.unsafe_set w.stag 3 tag_int
-
-let eval_fcmp w c =
-  need w 0 tag_float;
-  need w 1 tag_float;
-  let a = A1.unsafe_get w.sw 0 and b = A1.unsafe_get w.sw 1 in
-  (* IEEE semantics: every ordered comparison with NaN is false except <>. *)
-  let r =
-    match c with
-    | Instr.Ceq -> a = b
-    | Instr.Cne -> a <> b
-    | Instr.Clt -> a < b
-    | Instr.Cle -> a <= b
-    | Instr.Cgt -> a > b
-    | Instr.Cge -> a >= b
-  in
-  A1.unsafe_set w.sb 3 (if r then 1L else 0L);
-  Bytes.unsafe_set w.stag 3 tag_int
-
-let eval_cast w c =
-  match c with
-  | Instr.Itof ->
-    need w 0 tag_int;
-    A1.unsafe_set w.sw 3 (Int64.to_float (A1.unsafe_get w.sb 0));
-    Bytes.unsafe_set w.stag 3 tag_float
-  | Instr.Ftoi ->
-    need w 0 tag_float;
-    let x = A1.unsafe_get w.sw 0 in
-    if Float.is_nan x || x >= int64_max_float || x < -.int64_max_float then
-      raise_notrace Crashes;
-    A1.unsafe_set w.sb 3 (Int64.of_float x);
-    Bytes.unsafe_set w.stag 3 tag_int
-  | Instr.Fbits ->
-    (* the word already is the bits: retag *)
-    need w 0 tag_float;
-    A1.unsafe_set w.sb 3 (A1.unsafe_get w.sb 0);
-    Bytes.unsafe_set w.stag 3 tag_int
-  | Instr.Bitsf ->
-    need w 0 tag_int;
-    A1.unsafe_set w.sb 3 (A1.unsafe_get w.sb 0);
-    Bytes.unsafe_set w.stag 3 tag_float
-
-let eval_select w =
-  need w 0 tag_int;
-  let k = if A1.unsafe_get w.sb 0 <> 0L then 1 else 2 in
-  A1.unsafe_set w.sb 3 (A1.unsafe_get w.sb k);
-  Bytes.unsafe_set w.stag 3 (Bytes.unsafe_get w.stag k)
+(* Run the computing instruction at [pc] over the staged slots with the
+   engine's step, as the one-instruction program [[| op; 0; 1; 2; 3 |]],
+   and commit its result to register [d]. *)
+let[@inline] run_staged sp w pc d j =
+  let decoded = sp.section.Golden.decoded in
+  w.insn.(0) <- decoded.Decode.packed.(pc * 5);
+  ignore
+    (Unboxed.step w.insn decoded.Decode.imm w.sw w.sb w.stag [||] [||] ~base:0 ~pc : int);
+  commit sp w d j
 
 (* A load or store through tainted register [i]: out of bounds traps
    exactly as the replay does; in bounds the walk would have to know
    golden memory it never recorded. *)
 let faulty_address sp w slot i =
-  if Bytes.get w.ft i <> tag_int then raise_notrace Crashes;
+  if Bytes.get w.ft i <> tag_int then raise_notrace type_confusion;
   let f = word w.fw i in
-  if f < 0L || f >= Int64.of_int sp.recording.r_slot_len.(slot) then raise_notrace Crashes
+  if f < 0L || f >= Int64.of_int sp.recording.r_slot_len.(slot) then
+    raise_notrace out_of_bounds
   else raise_notrace Divergent
 
 (* One dynamic instruction. Operand registers come straight off the
-   instruction constructors (same order as [Instr.srcs], which is what
-   indexes the recorded operands); the common all-clean case touches only
-   [rpos] and cleans the destination without evaluating anything. *)
+   instruction constructors, and a tainted computing instruction stages
+   them in [Instr.srcs] order, which is what indexes the recorded
+   operands. The common all-clean case touches only [rpos] and cleans the
+   destination without evaluating anything. *)
 let step sp w j =
   let rc = sp.recording in
   let pc = sp.trace.(j) in
@@ -610,7 +494,7 @@ let step sp w j =
   | Instr.Jmp _ | Instr.Halt -> ()
   | Instr.Br (c, _, _) ->
     if tainted w c then begin
-      if Bytes.get w.ft c <> tag_int then raise_notrace Crashes;
+      if Bytes.get w.ft c <> tag_int then raise_notrace type_confusion;
       if word w.fw c <> 0L <> (word rc.r_sw gi <> 0L) then raise_notrace Divergent
     end
   | Instr.Store (slot, i, v) ->
@@ -636,63 +520,23 @@ let step sp w j =
       else clean_reg w d
     end
   | Instr.Iconst (d, _) | Instr.Fconst (d, _) -> clean_reg w d
-  | Instr.Mov (d, s) ->
-    if tainted w s then begin
-      stage sp w 3 s gi;
-      commit sp w d j
-    end
-    else clean_reg w d
-  | Instr.Ibin (op, d, a, b) ->
+  | Instr.Ibin (_, d, a, b)
+  | Instr.Fbin (_, d, a, b)
+  | Instr.Icmp (_, d, a, b)
+  | Instr.Fcmp (_, d, a, b) ->
     if tainted w a || tainted w b then begin
       stage sp w 0 a gi;
       stage sp w 1 b (gi + 1);
-      eval_ibin w op;
-      commit sp w d j
+      run_staged sp w pc d j
     end
     else clean_reg w d
-  | Instr.Fbin (op, d, a, b) ->
-    if tainted w a || tainted w b then begin
-      stage sp w 0 a gi;
-      stage sp w 1 b (gi + 1);
-      eval_fbin w op;
-      commit sp w d j
-    end
-    else clean_reg w d
-  | Instr.Iun (op, d, a) ->
+  | Instr.Mov (d, a)
+  | Instr.Iun (_, d, a)
+  | Instr.Fun1 (_, d, a)
+  | Instr.Cast (_, d, a) ->
     if tainted w a then begin
       stage sp w 0 a gi;
-      eval_iun w op;
-      commit sp w d j
-    end
-    else clean_reg w d
-  | Instr.Fun1 (op, d, a) ->
-    if tainted w a then begin
-      stage sp w 0 a gi;
-      eval_fun1 w op;
-      commit sp w d j
-    end
-    else clean_reg w d
-  | Instr.Icmp (c, d, a, b) ->
-    if tainted w a || tainted w b then begin
-      stage sp w 0 a gi;
-      stage sp w 1 b (gi + 1);
-      eval_icmp w c;
-      commit sp w d j
-    end
-    else clean_reg w d
-  | Instr.Fcmp (c, d, a, b) ->
-    if tainted w a || tainted w b then begin
-      stage sp w 0 a gi;
-      stage sp w 1 b (gi + 1);
-      eval_fcmp w c;
-      commit sp w d j
-    end
-    else clean_reg w d
-  | Instr.Cast (c, d, a) ->
-    if tainted w a then begin
-      stage sp w 0 a gi;
-      eval_cast w c;
-      commit sp w d j
+      run_staged sp w pc d j
     end
     else clean_reg w d
   | Instr.Select (d, c, a, b) ->
@@ -700,8 +544,7 @@ let step sp w j =
       stage sp w 0 c gi;
       stage sp w 1 a (gi + 1);
       stage sp w 2 b (gi + 2);
-      eval_select w;
-      commit sp w d j
+      run_staged sp w pc d j
     end
     else clean_reg w d
 
@@ -750,7 +593,7 @@ let walk sp w start =
     done
   with
   | () -> W_complete
-  | exception Crashes -> W_crash
+  | exception Machine.Trap _ -> W_crash
   | exception Divergent -> W_undecided
 
 (* The first dyn at or after [j] whose instruction reads or writes

@@ -37,7 +37,7 @@ let model_bits model policy =
   | Fault_model.Bitflip _ | Fault_model.Memflip _ -> bits_of_policy policy
   | Fault_model.Skip -> [ 0 ]
   | Fault_model.Opcode ->
-    List.filter (fun b -> List.mem b Machine.encoding_bits) (bits_of_policy policy)
+    List.filter (fun b -> List.mem b Decode.encoding_bits) (bits_of_policy policy)
 
 let compare_pc a b =
   match compare a.kernel b.kernel with 0 -> compare a.instr b.instr | c -> c

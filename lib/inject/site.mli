@@ -40,7 +40,7 @@ val bits_of_policy : bit_policy -> int list
 val model_bits : Fault_model.t -> bit_policy -> int list
 (** The bit indices the model injects at each site: the policy verbatim
     for register/memory flips, [[0]] for skip (no bit dimension), the
-    policy restricted to {!Ff_vm.Machine.encoding_bits} for encoding
+    policy restricted to {!Ff_vm.Decode.encoding_bits} for encoding
     corruption. *)
 
 val compare_pc : pc -> pc -> int

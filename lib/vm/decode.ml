@@ -26,15 +26,11 @@ open Ff_ir
    on for unsafe register-file access (registers in range, labels in
    range, buffer slots in range, terminator last), so a decoded kernel
    can be executed without per-instruction bounds checks on anything but
-   data-dependent buffer indices. *)
+   data-dependent buffer indices. An encoding fault decodes its corrupted
+   fields through the same tables and the same checks. *)
 
 type t = {
   kernel : Kernel.t;
-  ops : int array;
-  dst : int array;  (* destination register, -1 when none *)
-  a : int array;
-  b : int array;
-  c : int array;
   imm : int64 array;  (* Iconst payload; Fconst payload as raw bits *)
   srcs : int array array;  (* source registers per static instruction *)
   packed : int array;
@@ -48,15 +44,15 @@ type t = {
 
 let stride = 5
 
-let length t = Array.length t.ops
+let length t = Array.length t.srcs
 
 let nsrcs t pc = Array.length t.srcs.(pc)
 
 let srcs_at t pc = t.srcs.(pc)
 
-let dst_at t pc = t.dst.(pc)
+let dst_at t pc = t.packed.((pc * stride) + 4)
 
-let noperands t pc = nsrcs t pc + if t.dst.(pc) >= 0 then 1 else 0
+let noperands t pc = nsrcs t pc + if dst_at t pc >= 0 then 1 else 0
 
 let o_halt = 0
 let o_mov = 1
@@ -75,6 +71,89 @@ let o_fun = 37
 let o_icmp = 46
 let o_fcmp = 52
 
+(* The inverses of {!Instr}'s dense sub-operation tags, in tag order;
+   checked against the forward tags when the module loads. *)
+let casts = [| Instr.Itof; Instr.Ftoi; Instr.Fbits; Instr.Bitsf |]
+let iunops = [| Instr.Ineg; Instr.Inot |]
+
+let ibinops =
+  Instr.
+    [|
+      Iadd; Isub; Imul; Idiv; Irem; Iand; Ior; Ixor; Ishl; Ilshr; Iashr; Irotl; Irotr;
+      Imin; Imax;
+    |]
+
+let fbinops = Instr.[| Fadd; Fsub; Fmul; Fdiv; Fmin; Fmax; Fpow |]
+
+let funops =
+  Instr.[| FFneg; FFabs; FFsqrt; FFexp; FFlog; FFsin; FFcos; FFfloor; FFceil |]
+
+let cmps = Instr.[| Ceq; Cne; Clt; Cle; Cgt; Cge |]
+
+let () =
+  let inverts tag a = Array.for_all Fun.id (Array.mapi (fun i x -> tag x = i) a) in
+  assert (
+    inverts Instr.cast_tag casts && inverts Instr.iunop_tag iunops
+    && inverts Instr.ibinop_tag ibinops && inverts Instr.fbinop_tag fbinops
+    && inverts Instr.funop_tag funops && inverts Instr.cmp_tag cmps)
+
+let pack instr =
+  let f op a b c = [| op; a; b; c; Instr.dst_index instr |] in
+  match instr with
+  | Instr.Halt -> f o_halt 0 0 0
+  | Instr.Mov (_, s) -> f o_mov s 0 0
+  | Instr.Iconst _ -> f o_iconst 0 0 0
+  | Instr.Fconst _ -> f o_fconst 0 0 0
+  | Instr.Jmp l -> f o_jmp l 0 0
+  | Instr.Br (cond, l1, l2) -> f o_br cond l1 l2
+  | Instr.Select (_, cond, x, y) -> f o_select cond x y
+  | Instr.Load (_, slot, idx) -> f o_load idx slot 0
+  | Instr.Store (slot, idx, v) -> f o_store idx v slot
+  | Instr.Cast (cast, _, x) -> f (o_cast + Instr.cast_tag cast) x 0 0
+  | Instr.Iun (op, _, x) -> f (o_iun + Instr.iunop_tag op) x 0 0
+  | Instr.Ibin (op, _, x, y) -> f (o_ibin + Instr.ibinop_tag op) x y 0
+  | Instr.Fbin (op, _, x, y) -> f (o_fbin + Instr.fbinop_tag op) x y 0
+  | Instr.Fun1 (op, _, x) -> f (o_fun + Instr.funop_tag op) x 0 0
+  | Instr.Icmp (cmp, _, x, y) -> f (o_icmp + Instr.cmp_tag cmp) x y 0
+  | Instr.Fcmp (cmp, _, x, y) -> f (o_fcmp + Instr.cmp_tag cmp) x y 0
+
+(* [pack] run backwards over the fields [p], with payload [imm]; [None]
+   for an opcode outside the space. *)
+let unpack p ~imm =
+  let op = p.(0) and a = p.(1) and b = p.(2) and c = p.(3) and d = p.(4) in
+  if op < 0 || op >= o_fcmp + Array.length cmps then None
+  else if op = o_halt then Some Instr.Halt
+  else if op = o_mov then Some (Instr.Mov (d, a))
+  else if op = o_iconst then Some (Instr.Iconst (d, imm))
+  else if op = o_fconst then Some (Instr.Fconst (d, Int64.float_of_bits imm))
+  else if op = o_jmp then Some (Instr.Jmp a)
+  else if op = o_br then Some (Instr.Br (a, b, c))
+  else if op = o_select then Some (Instr.Select (d, a, b, c))
+  else if op = o_load then Some (Instr.Load (d, b, a))
+  else if op = o_store then Some (Instr.Store (c, a, b))
+  else if op < o_iun then Some (Instr.Cast (casts.(op - o_cast), d, a))
+  else if op < o_ibin then Some (Instr.Iun (iunops.(op - o_iun), d, a))
+  else if op < o_fbin then Some (Instr.Ibin (ibinops.(op - o_ibin), d, a, b))
+  else if op < o_fun then Some (Instr.Fbin (fbinops.(op - o_fbin), d, a, b))
+  else if op < o_icmp then Some (Instr.Fun1 (funops.(op - o_fun), d, a))
+  else if op < o_fcmp then Some (Instr.Icmp (cmps.(op - o_icmp), d, a, b))
+  else Some (Instr.Fcmp (cmps.(op - o_fcmp), d, a, b))
+
+(* The first static property [instr] breaks in a kernel of [n]
+   instructions, [nregs] registers and [nbufs] buffer slots. *)
+let violation ~n ~nregs ~nbufs instr =
+  let bad_reg r = r < 0 || r >= nregs in
+  if Option.fold ~none:false ~some:bad_reg (Instr.dst instr)
+     || List.exists bad_reg (Instr.srcs instr)
+  then Some "register out of range"
+  else if List.exists (fun l -> l < 0 || l >= n) (Instr.labels instr) then
+    Some "label out of range"
+  else
+    match instr with
+    | Instr.Load (_, s, _) | Instr.Store (s, _, _) when s < 0 || s >= nbufs ->
+      Some "buffer slot out of range"
+    | _ -> None
+
 let of_kernel (kernel : Kernel.t) =
   let code = kernel.Kernel.code in
   let n = Array.length code in
@@ -83,106 +162,54 @@ let of_kernel (kernel : Kernel.t) =
     invalid_arg "Decode.of_kernel: kernel does not end with a terminator";
   let nregs = kernel.Kernel.nregs in
   let nbufs = List.length (Kernel.buffer_params kernel) in
-  let check_reg r =
-    if r < 0 || r >= nregs then invalid_arg "Decode.of_kernel: register out of range"
-  in
-  let check_label l =
-    if l < 0 || l >= n then invalid_arg "Decode.of_kernel: label out of range"
-  in
-  let check_slot s =
-    if s < 0 || s >= nbufs then invalid_arg "Decode.of_kernel: buffer slot out of range"
-  in
-  let ops = Array.make n 0 in
-  let dst = Array.make n (-1) in
-  let a = Array.make n 0 in
-  let b = Array.make n 0 in
-  let c = Array.make n 0 in
-  let imm = Array.make n 0L in
-  let srcs = Array.make n [||] in
+  let packed = Array.make (n * stride) 0 in
   Array.iteri
     (fun i instr ->
-      (match Instr.dst instr with
-      | Some d ->
-        check_reg d;
-        dst.(i) <- d
-      | None -> ());
-      let ss = Array.of_list (Instr.srcs instr) in
-      Array.iter check_reg ss;
-      srcs.(i) <- ss;
-      match instr with
-      | Instr.Halt -> ops.(i) <- o_halt
-      | Instr.Mov (_, s) ->
-        ops.(i) <- o_mov;
-        a.(i) <- s
-      | Instr.Iconst (_, v) ->
-        ops.(i) <- o_iconst;
-        imm.(i) <- v
-      | Instr.Fconst (_, v) ->
-        ops.(i) <- o_fconst;
-        imm.(i) <- Int64.bits_of_float v
-      | Instr.Jmp l ->
-        check_label l;
-        ops.(i) <- o_jmp;
-        a.(i) <- l
-      | Instr.Br (cond, l1, l2) ->
-        check_label l1;
-        check_label l2;
-        ops.(i) <- o_br;
-        a.(i) <- cond;
-        b.(i) <- l1;
-        c.(i) <- l2
-      | Instr.Select (_, cond, x, y) ->
-        ops.(i) <- o_select;
-        a.(i) <- cond;
-        b.(i) <- x;
-        c.(i) <- y
-      | Instr.Load (_, slot, idx) ->
-        check_slot slot;
-        ops.(i) <- o_load;
-        a.(i) <- idx;
-        b.(i) <- slot
-      | Instr.Store (slot, idx, v) ->
-        check_slot slot;
-        ops.(i) <- o_store;
-        a.(i) <- idx;
-        b.(i) <- v;
-        c.(i) <- slot
-      | Instr.Cast (cast, _, x) ->
-        ops.(i) <- o_cast + Instr.cast_tag cast;
-        a.(i) <- x
-      | Instr.Iun (op, _, x) ->
-        ops.(i) <- o_iun + Instr.iunop_tag op;
-        a.(i) <- x
-      | Instr.Ibin (op, _, x, y) ->
-        ops.(i) <- o_ibin + Instr.ibinop_tag op;
-        a.(i) <- x;
-        b.(i) <- y
-      | Instr.Fbin (op, _, x, y) ->
-        ops.(i) <- o_fbin + Instr.fbinop_tag op;
-        a.(i) <- x;
-        b.(i) <- y
-      | Instr.Fun1 (op, _, x) ->
-        ops.(i) <- o_fun + Instr.funop_tag op;
-        a.(i) <- x
-      | Instr.Icmp (cmp, _, x, y) ->
-        ops.(i) <- o_icmp + Instr.cmp_tag cmp;
-        a.(i) <- x;
-        b.(i) <- y
-      | Instr.Fcmp (cmp, _, x, y) ->
-        ops.(i) <- o_fcmp + Instr.cmp_tag cmp;
-        a.(i) <- x;
-        b.(i) <- y)
+      Option.iter
+        (fun m -> invalid_arg ("Decode.of_kernel: " ^ m))
+        (violation ~n ~nregs ~nbufs instr);
+      Array.blit (pack instr) 0 packed (i * stride) stride)
     code;
+  let imm =
+    Array.map
+      (function
+        | Instr.Iconst (_, v) -> v
+        | Instr.Fconst (_, v) -> Int64.bits_of_float v
+        | _ -> 0L)
+      code
+  in
+  let srcs = Array.map (fun instr -> Array.of_list (Instr.srcs instr)) code in
   let scalar_tys = Array.of_list (List.map snd (Kernel.scalar_params kernel)) in
   if Array.length scalar_tys > nregs then
     invalid_arg "Decode.of_kernel: scalar parameters exceed register count";
-  let packed = Array.make (n * stride) 0 in
-  for i = 0 to n - 1 do
-    let base = i * stride in
-    packed.(base) <- ops.(i);
-    packed.(base + 1) <- a.(i);
-    packed.(base + 2) <- b.(i);
-    packed.(base + 3) <- c.(i);
-    packed.(base + 4) <- dst.(i)
-  done;
-  { kernel; ops; dst; a; b; c; imm; srcs; packed; nregs; nbufs; scalar_tys }
+  { kernel; imm; srcs; packed; nregs; nbufs; scalar_tys }
+
+(* {2 Encoding faults}
+
+   An encoding fault flips one bit of one packed field for one dynamic
+   execution. Fields are addressed 8 bits apart so a site's bit index
+   reads as [field * 8 + bit-in-field]; only the low [encoding_field_bits]
+   bits of each field are flippable — beyond them every program in the
+   suite decodes to the same trap and the sites would be pure noise. *)
+
+let encoding_field_bits = 6
+
+let encoding_bits =
+  List.concat
+    (List.init stride (fun field ->
+         List.init encoding_field_bits (fun b -> (field * 8) + b)))
+
+let corrupt t ~pc ~bit =
+  let field = bit / 8 in
+  if bit < 0 || field >= stride || bit land 7 >= encoding_field_bits then None
+  else begin
+    let p = Array.sub t.packed (pc * stride) stride in
+    p.(field) <- p.(field) lxor (1 lsl (bit land 7));
+    let n = length t in
+    match unpack p ~imm:t.imm.(pc) with
+    | Some instr
+      when violation ~n ~nregs:t.nregs ~nbufs:t.nbufs instr = None
+           && (Instr.is_terminator instr || pc + 1 < n) ->
+      Some instr
+    | _ -> None
+  end

@@ -4,29 +4,28 @@
     instruction — constructor, sub-operation, operand registers — on
     every dynamic execution. A campaign replays the same kernel thousands
     of times, so this module pays that discovery cost once: the code
-    array is compiled into parallel int arrays (opcode, destination, up
-    to three operands, immediate payload) plus per-instruction source
-    register arrays for the injection engine's operand addressing.
+    array is compiled into one packed int array (opcode, up to three
+    operands, destination per instruction) and an immediate-payload
+    array, plus per-instruction source register arrays for the injection
+    engine's operand addressing.
 
     The opcode space is fully flattened — each (constructor,
     sub-operation) pair has a distinct code — so the unboxed machine's
     hot loop is a single dense integer dispatch with no constructor
     matching at all. Registers, labels and buffer slots are validated at
     decode time, licensing unchecked register-file access during
-    execution (only data-dependent buffer indices keep runtime checks). *)
+    execution (only data-dependent buffer indices keep runtime checks).
+    An encoding fault ({!corrupt}) decodes its corrupted fields through
+    the same tables and checks. *)
 
 type t = private {
   kernel : Ff_ir.Kernel.t;
-  ops : int array;           (** flattened opcode per static instruction *)
-  dst : int array;           (** destination register, [-1] when none *)
-  a : int array;             (** first operand register / label *)
-  b : int array;             (** second operand register / label / slot *)
-  c : int array;             (** third operand register / label / slot *)
   imm : int64 array;         (** constant payload (floats as raw bits) *)
   srcs : int array array;    (** source registers per static instruction *)
   packed : int array;
-      (** [[op; a; b; c; dst]] per instruction, stride 5 — one
-          contiguous run per dispatch for the unboxed machine's hot loop *)
+      (** [[op; a; b; c; dst]] per instruction, stride 5, [dst = -1] when
+          the instruction writes no register — one contiguous run per
+          dispatch for the unboxed machine's hot loop *)
   nregs : int;
   nbufs : int;
   scalar_tys : Ff_ir.Value.scalar_ty array;
@@ -36,6 +35,10 @@ val of_kernel : Ff_ir.Kernel.t -> t
 (** Decode a kernel. Raises [Invalid_argument] when the kernel violates
     the static properties {!Ff_ir.Kernel.validate} guarantees (empty
     code, register/label/slot out of range, missing terminator). *)
+
+val pack : Ff_ir.Instr.t -> int array
+(** The five packed fields [[op; a; b; c; dst]] of one instruction, as
+    {!of_kernel} lays them out in [packed]. *)
 
 val length : t -> int
 (** Number of static instructions. *)
@@ -54,25 +57,19 @@ val noperands : t -> int -> int
 (** Injectable operand count (sources plus destination if present) —
     the site-enumeration quantity, computed without allocation. *)
 
-(** {2 Opcode space}
+(** {2 Encoding faults} *)
 
-    Base codes of each opcode group; group members are [base + tag] with
-    the dense tags of {!Ff_ir.Instr}. Exposed so the unboxed machine and
-    tests can cross-check the layout. *)
+val encoding_bits : int list
+(** The bit indices an encoding fault may target: bit [field * 8 + b]
+    flips bit [b] of packed field [field] (0 opcode, 1 a, 2 b, 3 c,
+    4 dst), for [b < 6]. *)
 
-val o_halt : int
-val o_mov : int
-val o_iconst : int
-val o_fconst : int
-val o_jmp : int
-val o_br : int
-val o_select : int
-val o_load : int
-val o_store : int
-val o_cast : int
-val o_iun : int
-val o_ibin : int
-val o_fbin : int
-val o_fun : int
-val o_icmp : int
-val o_fcmp : int
+val corrupt : t -> pc:int -> bit:int -> Ff_ir.Instr.t option
+(** [corrupt d ~pc ~bit] is the instruction the encoding at static [pc]
+    decodes to with [bit] flipped, re-validated as {!of_kernel} validates
+    a kernel: [None] for a bit outside {!encoding_bits}, an opcode outside
+    the space, a register, label or buffer slot out of range, or a
+    non-terminator at the last pc (it would fall off the end). An engine
+    traps [Type_confusion] on [None], before any effect, and otherwise
+    executes the result with its own step at [pc] (a corrupted [Iconst]
+    or [Fconst] reads the payload [imm.(pc)]). *)

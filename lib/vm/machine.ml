@@ -190,206 +190,6 @@ let step regs buffers instr ~pc =
 
 let burst_bits ~bit ~burst = List.init (max 1 burst) (fun i -> (bit + i) mod 64)
 
-(* {2 Encoding corruption}
-
-   A packed instruction is five fields (opcode, a, b, c, dst); an encoding
-   fault flips one bit of one field for one dynamic execution. Fields are
-   addressed 8 bits apart so a site's bit index reads as
-   [field * 8 + bit-in-field]; only the low [encoding_field_bits] bits of
-   each field are flippable — beyond them every program in the suite
-   decodes to the same trap and the sites would be pure noise. *)
-
-let encoding_field_bits = 6
-
-let encoding_bits =
-  List.concat
-    (List.init 5 (fun field -> List.init encoding_field_bits (fun b -> (field * 8) + b)))
-
-type step_env = {
-  se_read : int -> Value.t;
-  se_write : int -> Value.t -> unit;
-  se_load : int -> int64 -> Value.t;
-  se_store : int -> int64 -> Value.t -> unit;
-}
-
-(* Inverse opcode dispatch. [Decode] packs each tag enum densely in
-   declaration order starting at the family's base opcode; these tables are
-   that mapping run backwards and must stay in sync with it — the
-   differential suite holds both engines to the same corrupted-step
-   semantics, so a mismatch here fails loudly. *)
-let cast_of_code = function
-  | 0 -> Instr.Itof
-  | 1 -> Instr.Ftoi
-  | 2 -> Instr.Fbits
-  | _ -> Instr.Bitsf
-
-let iunop_of_code = function 0 -> Instr.Ineg | _ -> Instr.Inot
-
-let ibinop_of_code = function
-  | 0 -> Instr.Iadd
-  | 1 -> Instr.Isub
-  | 2 -> Instr.Imul
-  | 3 -> Instr.Idiv
-  | 4 -> Instr.Irem
-  | 5 -> Instr.Iand
-  | 6 -> Instr.Ior
-  | 7 -> Instr.Ixor
-  | 8 -> Instr.Ishl
-  | 9 -> Instr.Ilshr
-  | 10 -> Instr.Iashr
-  | 11 -> Instr.Irotl
-  | 12 -> Instr.Irotr
-  | 13 -> Instr.Imin
-  | _ -> Instr.Imax
-
-let fbinop_of_code = function
-  | 0 -> Instr.Fadd
-  | 1 -> Instr.Fsub
-  | 2 -> Instr.Fmul
-  | 3 -> Instr.Fdiv
-  | 4 -> Instr.Fmin
-  | 5 -> Instr.Fmax
-  | _ -> Instr.Fpow
-
-let funop_of_code = function
-  | 0 -> Instr.FFneg
-  | 1 -> Instr.FFabs
-  | 2 -> Instr.FFsqrt
-  | 3 -> Instr.FFexp
-  | 4 -> Instr.FFlog
-  | 5 -> Instr.FFsin
-  | 6 -> Instr.FFcos
-  | 7 -> Instr.FFfloor
-  | _ -> Instr.FFceil
-
-let cmp_of_code = function
-  | 0 -> Instr.Ceq
-  | 1 -> Instr.Cne
-  | 2 -> Instr.Clt
-  | 3 -> Instr.Cle
-  | 4 -> Instr.Cgt
-  | _ -> Instr.Cge
-
-(* Execute one instruction whose packed encoding has [bit] XORed in,
-   re-validating the corrupted tuple against the decode tables first so an
-   illegal encoding is a defined [Type_confusion] trap, never UB. Returns
-   the next pc, or -1 for halt. The shared [step_env] is what keeps the
-   boxed and unboxed engines bit-identical under this model: both funnel
-   their state through the same dispatch below. *)
-let exec_corrupt_step (d : Decode.t) ~pc ~bit env =
-  let n = Decode.length d in
-  let nregs = d.Decode.nregs and nbufs = d.Decode.nbufs in
-  let field = bit / 8 and mask = 1 lsl (bit land 7) in
-  if bit < 0 || field > 4 || bit land 7 >= encoding_field_bits then trap Type_confusion;
-  let x f v = if field = f then v lxor mask else v in
-  let op = x 0 d.Decode.ops.(pc) in
-  let a = x 1 d.Decode.a.(pc) in
-  let b = x 2 d.Decode.b.(pc) in
-  let c = x 3 d.Decode.c.(pc) in
-  let dst = x 4 d.Decode.dst.(pc) in
-  let reg r = if r < 0 || r >= nregs then trap Type_confusion in
-  let lab l = if l < 0 || l >= n then trap Type_confusion in
-  let slot s = if s < 0 || s >= nbufs then trap Type_confusion in
-  let fall () =
-    let nx = pc + 1 in
-    if nx >= n then trap Type_confusion;
-    nx
-  in
-  if op < Decode.o_halt || op > Decode.o_fcmp + 5 then trap Type_confusion;
-  if op = Decode.o_halt then -1
-  else if op = Decode.o_mov then begin
-    reg a;
-    reg dst;
-    let nx = fall () in
-    env.se_write dst (env.se_read a);
-    nx
-  end
-  else if op = Decode.o_iconst then begin
-    reg dst;
-    let nx = fall () in
-    env.se_write dst (Value.Int d.Decode.imm.(pc));
-    nx
-  end
-  else if op = Decode.o_fconst then begin
-    reg dst;
-    let nx = fall () in
-    env.se_write dst (Value.Float (Int64.float_of_bits d.Decode.imm.(pc)));
-    nx
-  end
-  else if op = Decode.o_jmp then begin
-    lab a;
-    a
-  end
-  else if op = Decode.o_br then begin
-    reg a;
-    lab b;
-    lab c;
-    if as_int (env.se_read a) <> 0L then b else c
-  end
-  else if op = Decode.o_select then begin
-    reg a;
-    reg b;
-    reg c;
-    reg dst;
-    let nx = fall () in
-    env.se_write dst (if as_int (env.se_read a) <> 0L then env.se_read b else env.se_read c);
-    nx
-  end
-  else if op = Decode.o_load then begin
-    reg a;
-    slot b;
-    reg dst;
-    let nx = fall () in
-    env.se_write dst (env.se_load b (as_int (env.se_read a)));
-    nx
-  end
-  else if op = Decode.o_store then begin
-    reg a;
-    reg b;
-    slot c;
-    let nx = fall () in
-    env.se_store c (as_int (env.se_read a)) (env.se_read b);
-    nx
-  end
-  else begin
-    (* Every remaining opcode is a register compute op: dst <- f(a[, b]). *)
-    reg a;
-    reg dst;
-    let nx = fall () in
-    let binary_b () =
-      reg b;
-      env.se_read b
-    in
-    let v =
-      if op < Decode.o_iun then eval_cast (cast_of_code (op - Decode.o_cast)) (env.se_read a)
-      else if op < Decode.o_ibin then
-        Value.Int (eval_iun (iunop_of_code (op - Decode.o_iun)) (as_int (env.se_read a)))
-      else if op < Decode.o_fbin then
-        let vb = binary_b () in
-        Value.Int (eval_ibin (ibinop_of_code (op - Decode.o_ibin)) (as_int (env.se_read a)) (as_int vb))
-      else if op < Decode.o_fun then
-        let vb = binary_b () in
-        Value.Float
-          (eval_fbin (fbinop_of_code (op - Decode.o_fbin)) (as_float (env.se_read a)) (as_float vb))
-      else if op < Decode.o_icmp then
-        Value.Float (eval_funop (funop_of_code (op - Decode.o_fun)) (as_float (env.se_read a)))
-      else if op < Decode.o_fcmp then
-        let vb = binary_b () in
-        Value.Int
-          (if eval_icmp (cmp_of_code (op - Decode.o_icmp)) (as_int (env.se_read a)) (as_int vb)
-           then 1L
-           else 0L)
-      else
-        let vb = binary_b () in
-        Value.Int
-          (if eval_fcmp (cmp_of_code (op - Decode.o_fcmp)) (as_float (env.se_read a)) (as_float vb)
-           then 1L
-           else 0L)
-    in
-    env.se_write dst v;
-    nx
-  end
-
 let telemetry_record status ~executed =
   Telemetry.incr m_execs;
   Telemetry.add m_instructions executed;
@@ -475,24 +275,18 @@ let exec (kernel : Kernel.t) ~scalars ~buffers ~budget ?decoded ?injection ?(bur
             if nx >= Array.length code then trap Type_confusion;
             pc := nx
           end
-          else if injecting && inj_operand = Oenc then begin
-            let d =
-              match decoded with
-              | Some d -> d
-              | None -> invalid_arg "Machine.exec: an encoding injection requires ~decoded"
-            in
-            let env =
-              {
-                se_read = (fun r -> regs.(r));
-                se_write = (fun r v -> regs.(r) <- v);
-                se_load = load_slot buffers;
-                se_store = store_slot buffers;
-              }
-            in
-            let nx = exec_corrupt_step d ~pc:!pc ~bit:inj_bit env in
-            if nx < 0 then continue := false else pc := nx
-          end
           else begin
+            let instr =
+              if not (injecting && inj_operand = Oenc) then instr
+              else
+                match decoded with
+                | None ->
+                  invalid_arg "Machine.exec: an encoding injection requires ~decoded"
+                | Some d -> (
+                  match Decode.corrupt d ~pc:!pc ~bit:inj_bit with
+                  | Some corrupted -> corrupted
+                  | None -> trap Type_confusion)
+            in
             if injecting then begin
               match inj_operand with
               | Osrc k -> flip_src !pc instr k

@@ -36,11 +36,12 @@ type operand =
                      and counts against the budget) but not executed;
                      control falls through to [pc + 1], and falling off
                      the end of the kernel traps [Type_confusion] *)
-  | Oenc         (** one bit ([injection.bit], see {!encoding_bits}) of the
-                     packed encoding is XORed for this one execution; the
-                     corrupted tuple is re-validated against the decode
-                     tables, so illegal encodings trap [Type_confusion]
-                     instead of being UB. Requires [exec]'s [?decoded]. *)
+  | Oenc         (** one bit ([injection.bit], see
+                     {!Decode.encoding_bits}) of the packed encoding is
+                     XORed for this one execution; {!Decode.corrupt}
+                     re-validates the corrupted tuple, so an illegal
+                     encoding traps [Type_confusion] instead of being
+                     UB. Requires [exec]'s [?decoded]. *)
 
 type injection = {
   at_dyn : int;   (** dynamic instruction index within this section run *)
@@ -48,17 +49,17 @@ type injection = {
   bit : int;      (** 0..63 *)
 }
 
-(** {2 Shared evaluation semantics}
+(** {2 The boxed step}
 
     The boxed copy of the IR's semantics: {!step} runs a whole
-    instruction. [exec], the prover's golden recording and the
-    optimizer's constant folding all call it, so each computes exactly
-    what a replay computes, trap conditions included. The unboxed engine
-    and the prover's taint walk evaluate on raw words instead (the walk
-    spells out each operation so that it boxes nothing); the differential
-    engine tests and test_prover "evaluation" hold both to {!step}. It
-    raises {!Trap} on the same conditions [exec] turns into a [Trapped]
-    status. *)
+    instruction. [exec] (corrupted instructions from {!Decode.corrupt}
+    included), the prover's golden recording and the optimizer's
+    constant folding all call it, so each computes exactly what a replay
+    computes, trap conditions included. The unboxed engine has one step
+    of its own ({!Unboxed.step}), which the prover's taint walk also
+    runs; the differential engine tests and test_prover "evaluation"
+    hold it to this one. Both raise {!Trap} on the conditions [exec]
+    turns into a [Trapped] status. *)
 
 exception Trap of trap
 
@@ -79,31 +80,6 @@ val burst_bits : bit:int -> burst:int -> int list
     [bit, bit+1, ...] wrapping modulo 64. Width 1 is the paper's
     single-event-upset model; larger widths model multi-bit upsets
     (§4.8 supports them within a single section). *)
-
-val encoding_bits : int list
-(** The bit indices an [Oenc] injection may target: bit [field * 8 + b]
-    flips bit [b] of packed field [field] (0 opcode, 1 a, 2 b, 3 c,
-    4 dst), for [b < 6]. *)
-
-type step_env = {
-  se_read : int -> Ff_ir.Value.t;
-  se_write : int -> Ff_ir.Value.t -> unit;
-  se_load : int -> int64 -> Ff_ir.Value.t;  (** slot, index *)
-  se_store : int -> int64 -> Ff_ir.Value.t -> unit;
-}
-(** State accessors handed to {!exec_corrupt_step} so both engines run the
-    one shared corrupted-instruction dispatch over their own register and
-    buffer representations — this sharing is what makes the [Oenc] model
-    bit-identical across engines by construction. Accessors raise {!Trap}
-    for out-of-range buffer indices; register indices are validated by the
-    step itself before any access. *)
-
-val exec_corrupt_step : Decode.t -> pc:int -> bit:int -> step_env -> int
-(** Execute the instruction at static [pc] with [bit] XORed into its
-    packed encoding, re-validated against the decode tables. Returns the
-    next pc, or [-1] for halt; raises {!Trap} ([Type_confusion] for every
-    illegal corrupted encoding, plus whatever the executed instruction
-    itself traps). *)
 
 val exec :
   Ff_ir.Kernel.t ->

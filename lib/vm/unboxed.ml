@@ -1,31 +1,41 @@
 open Ff_ir
 
-(* The unboxed execution engine: a single dense integer dispatch over
-   the pre-decoded instruction stream of a {!Decode.t}, operating on raw
-   64-bit words ({!Ustate.words}, with the int64 view of the same memory
-   via {!Ustate.as_bits}). Nothing in the hot loop matches a
+(* The unboxed execution engine: one step function, [step], a single
+   dense integer dispatch over a packed instruction ({!Decode.pack}),
+   operating on raw 64-bit words ({!Ustate.words}, with the int64 view
+   of the same memory via {!Ustate.as_bits}). Nothing in it matches a
    constructor, allocates a box, or calls a conversion stub: int operands
    are direct int64 loads from the bits view, float operands direct
    float loads from the float view, and an injected bit flip is one XOR
-   on the register word. Semantics mirror {!Machine.exec} bit for bit —
-   same libm calls, same trap conditions, same loop order (budget check,
-   trace record, source flip, dispatch, destination flip) — which the
-   differential test suite enforces against the boxed oracle.
+   on the register word. Semantics mirror {!Machine.step} bit for bit —
+   same libm calls, same trap conditions — and [exec] keeps
+   {!Machine.exec}'s loop order (budget check, trace record, source flip,
+   dispatch, destination flip), which the differential test suite
+   enforces against the boxed oracle.
 
-   The dispatch arms spell out their tag checks and loads instead of
-   sharing accessor functions: without flambda, a call returning [int64]
-   boxes its result, and one box per operand read is exactly the cost
-   this engine exists to avoid. *)
+   [step] is [@inline]: [exec]'s interpreter loop inlines it, so the loop
+   keeps one jump table over the opcode and each arm returns the next pc
+   straight into the loop's pc. (Keeping the control arms in the loop
+   and calling a shared function for the rest compiles to a second
+   switch per instruction.) The cold callers run the out-of-line copy:
+   an encoding fault runs {!Decode.corrupt}'s instruction, packed into a
+   scratch, at the faulted pc, and the prover's taint walk runs each
+   corrupted computing instruction over a one-instruction scratch
+   program on its staged words. Replay, sensitivity sampling and the
+   prover thus share one implementation of the IR's operations.
+
+   The arms spell out their tag checks and loads instead of sharing
+   accessor functions: without flambda, a call returning [int64] boxes
+   its result, and one box per operand read is exactly the cost this
+   engine exists to avoid. *)
 
 module A1 = Bigarray.Array1
-
-exception Trap of Machine.trap
 
 (* Halt leaves the interpreter loop by exception so the loop condition
    stays a single bound compare. *)
 exception Halted
 
-let trap t = raise (Trap t)
+let trap t = raise (Machine.Trap t)
 
 (* Literal copies of Ustate.tag_int/tag_float: a cross-module value is
    loaded from the defining module's block on every use under the
@@ -37,6 +47,427 @@ let tag_float = '\001'
 let () = assert (tag_int = Ustate.tag_int && tag_float = Ustate.tag_float)
 
 let int64_max_float = 9.223372036854775808e18
+
+(* The engine's one dispatch: execute the instruction packed at
+   [code.(base) ..] (opcode, a, b, c, dst) as static instruction [pc]
+   (whose [imm] payload it reads) over the register file
+   [regs]/[iregs]/[rtags] and the bound buffers, and return the next pc.
+   Halt raises [Halted]; a trap raises {!Machine.Trap}. Register indices
+   were validated at decode time; only data-dependent buffer indices
+   keep runtime checks. [c] is loaded lazily by the three arms that use
+   it (Br, Select, Store): most dynamic instructions never need it. *)
+let[@inline] step (code : int array) (imm : int64 array) (regs : Ustate.words)
+    (iregs : Ustate.bits) (rtags : Bytes.t) (buffers : Ustate.words array)
+    (btags : Bytes.t array) ~base ~pc =
+  let op = Array.unsafe_get code base in
+  let a = Array.unsafe_get code (base + 1) in
+  let b = Array.unsafe_get code (base + 2) in
+  let dst = Array.unsafe_get code (base + 4) in
+  match op with
+  | 0 (* Halt *) -> raise_notrace Halted
+  | 1 (* Mov *) ->
+    A1.unsafe_set iregs dst (A1.unsafe_get iregs a);
+    Bytes.unsafe_set rtags dst (Bytes.unsafe_get rtags a);
+    pc + 1
+  | 2 (* Iconst *) ->
+    A1.unsafe_set iregs dst (Array.unsafe_get imm pc);
+    Bytes.unsafe_set rtags dst tag_int;
+    pc + 1
+  | 3 (* Fconst *) ->
+    A1.unsafe_set iregs dst (Array.unsafe_get imm pc);
+    Bytes.unsafe_set rtags dst tag_float;
+    pc + 1
+  | 4 (* Jmp *) -> a
+  | 5 (* Br *) ->
+    if Bytes.unsafe_get rtags a <> tag_int then trap Machine.Type_confusion;
+    if A1.unsafe_get iregs a <> 0L then b else Array.unsafe_get code (base + 3)
+  | 6 (* Select *) ->
+    if Bytes.unsafe_get rtags a <> tag_int then trap Machine.Type_confusion;
+    let src =
+      if A1.unsafe_get iregs a <> 0L then b
+      else Array.unsafe_get code (base + 3)
+    in
+    A1.unsafe_set iregs dst (A1.unsafe_get iregs src);
+    Bytes.unsafe_set rtags dst (Bytes.unsafe_get rtags src);
+    pc + 1
+  | 7 (* Load *) ->
+    if Bytes.unsafe_get rtags a <> tag_int then trap Machine.Type_confusion;
+    let idx = A1.unsafe_get iregs a in
+    let store = Array.unsafe_get buffers b in
+    if idx < 0L || idx >= Int64.of_int (Ustate.dim store) then
+      trap Machine.Out_of_bounds;
+    let j = Int64.to_int idx in
+    A1.unsafe_set iregs dst (A1.unsafe_get (Ustate.as_bits store) j);
+    Bytes.unsafe_set rtags dst (Bytes.unsafe_get (Array.unsafe_get btags b) j);
+    pc + 1
+  | 8 (* Store *) ->
+    if Bytes.unsafe_get rtags a <> tag_int then trap Machine.Type_confusion;
+    let idx = A1.unsafe_get iregs a in
+    let c = Array.unsafe_get code (base + 3) in
+    let store = Array.unsafe_get buffers c in
+    if idx < 0L || idx >= Int64.of_int (Ustate.dim store) then
+      trap Machine.Out_of_bounds;
+    let j = Int64.to_int idx in
+    A1.unsafe_set (Ustate.as_bits store) j (A1.unsafe_get iregs b);
+    Bytes.unsafe_set (Array.unsafe_get btags c) j (Bytes.unsafe_get rtags b);
+    pc + 1
+  | 9 (* Cast Itof *) ->
+    if Bytes.unsafe_get rtags a <> tag_int then trap Machine.Type_confusion;
+    A1.unsafe_set regs dst (Int64.to_float (A1.unsafe_get iregs a));
+    Bytes.unsafe_set rtags dst tag_float;
+    pc + 1
+  | 10 (* Cast Ftoi *) ->
+    if Bytes.unsafe_get rtags a <> tag_float then trap Machine.Type_confusion;
+    let x = A1.unsafe_get regs a in
+    if Float.is_nan x || x >= int64_max_float || x < -.int64_max_float then
+      trap Machine.Invalid_conversion;
+    A1.unsafe_set iregs dst (Int64.of_float x);
+    Bytes.unsafe_set rtags dst tag_int;
+    pc + 1
+  | 11 (* Cast Fbits: the word is already the bits — retag *) ->
+    if Bytes.unsafe_get rtags a <> tag_float then trap Machine.Type_confusion;
+    A1.unsafe_set iregs dst (A1.unsafe_get iregs a);
+    Bytes.unsafe_set rtags dst tag_int;
+    pc + 1
+  | 12 (* Cast Bitsf: pure reinterpretation — retag *) ->
+    if Bytes.unsafe_get rtags a <> tag_int then trap Machine.Type_confusion;
+    A1.unsafe_set iregs dst (A1.unsafe_get iregs a);
+    Bytes.unsafe_set rtags dst tag_float;
+    pc + 1
+  | 13 (* Ineg *) ->
+    if Bytes.unsafe_get rtags a <> tag_int then trap Machine.Type_confusion;
+    A1.unsafe_set iregs dst (Int64.neg (A1.unsafe_get iregs a));
+    Bytes.unsafe_set rtags dst tag_int;
+    pc + 1
+  | 14 (* Inot *) ->
+    if Bytes.unsafe_get rtags a <> tag_int then trap Machine.Type_confusion;
+    A1.unsafe_set iregs dst (Int64.lognot (A1.unsafe_get iregs a));
+    Bytes.unsafe_set rtags dst tag_int;
+    pc + 1
+  | 15 (* Iadd *) ->
+    if Bytes.unsafe_get rtags a <> tag_int || Bytes.unsafe_get rtags b <> tag_int
+    then trap Machine.Type_confusion;
+    A1.unsafe_set iregs dst
+      (Int64.add (A1.unsafe_get iregs a) (A1.unsafe_get iregs b));
+    Bytes.unsafe_set rtags dst tag_int;
+    pc + 1
+  | 16 (* Isub *) ->
+    if Bytes.unsafe_get rtags a <> tag_int || Bytes.unsafe_get rtags b <> tag_int
+    then trap Machine.Type_confusion;
+    A1.unsafe_set iregs dst
+      (Int64.sub (A1.unsafe_get iregs a) (A1.unsafe_get iregs b));
+    Bytes.unsafe_set rtags dst tag_int;
+    pc + 1
+  | 17 (* Imul *) ->
+    if Bytes.unsafe_get rtags a <> tag_int || Bytes.unsafe_get rtags b <> tag_int
+    then trap Machine.Type_confusion;
+    A1.unsafe_set iregs dst
+      (Int64.mul (A1.unsafe_get iregs a) (A1.unsafe_get iregs b));
+    Bytes.unsafe_set rtags dst tag_int;
+    pc + 1
+  | 18 (* Idiv *) ->
+    if Bytes.unsafe_get rtags a <> tag_int || Bytes.unsafe_get rtags b <> tag_int
+    then trap Machine.Type_confusion;
+    let y = A1.unsafe_get iregs b in
+    if y = 0L then trap Machine.Div_by_zero;
+    A1.unsafe_set iregs dst (Int64.div (A1.unsafe_get iregs a) y);
+    Bytes.unsafe_set rtags dst tag_int;
+    pc + 1
+  | 19 (* Irem *) ->
+    if Bytes.unsafe_get rtags a <> tag_int || Bytes.unsafe_get rtags b <> tag_int
+    then trap Machine.Type_confusion;
+    let y = A1.unsafe_get iregs b in
+    if y = 0L then trap Machine.Div_by_zero;
+    A1.unsafe_set iregs dst (Int64.rem (A1.unsafe_get iregs a) y);
+    Bytes.unsafe_set rtags dst tag_int;
+    pc + 1
+  | 20 (* Iand *) ->
+    if Bytes.unsafe_get rtags a <> tag_int || Bytes.unsafe_get rtags b <> tag_int
+    then trap Machine.Type_confusion;
+    A1.unsafe_set iregs dst
+      (Int64.logand (A1.unsafe_get iregs a) (A1.unsafe_get iregs b));
+    Bytes.unsafe_set rtags dst tag_int;
+    pc + 1
+  | 21 (* Ior *) ->
+    if Bytes.unsafe_get rtags a <> tag_int || Bytes.unsafe_get rtags b <> tag_int
+    then trap Machine.Type_confusion;
+    A1.unsafe_set iregs dst
+      (Int64.logor (A1.unsafe_get iregs a) (A1.unsafe_get iregs b));
+    Bytes.unsafe_set rtags dst tag_int;
+    pc + 1
+  | 22 (* Ixor *) ->
+    if Bytes.unsafe_get rtags a <> tag_int || Bytes.unsafe_get rtags b <> tag_int
+    then trap Machine.Type_confusion;
+    A1.unsafe_set iregs dst
+      (Int64.logxor (A1.unsafe_get iregs a) (A1.unsafe_get iregs b));
+    Bytes.unsafe_set rtags dst tag_int;
+    pc + 1
+  | 23 (* Ishl *) ->
+    if Bytes.unsafe_get rtags a <> tag_int || Bytes.unsafe_get rtags b <> tag_int
+    then trap Machine.Type_confusion;
+    A1.unsafe_set iregs dst
+      (Int64.shift_left (A1.unsafe_get iregs a)
+         (Int64.to_int (A1.unsafe_get iregs b) land 63));
+    Bytes.unsafe_set rtags dst tag_int;
+    pc + 1
+  | 24 (* Ilshr *) ->
+    if Bytes.unsafe_get rtags a <> tag_int || Bytes.unsafe_get rtags b <> tag_int
+    then trap Machine.Type_confusion;
+    A1.unsafe_set iregs dst
+      (Int64.shift_right_logical (A1.unsafe_get iregs a)
+         (Int64.to_int (A1.unsafe_get iregs b) land 63));
+    Bytes.unsafe_set rtags dst tag_int;
+    pc + 1
+  | 25 (* Iashr *) ->
+    if Bytes.unsafe_get rtags a <> tag_int || Bytes.unsafe_get rtags b <> tag_int
+    then trap Machine.Type_confusion;
+    A1.unsafe_set iregs dst
+      (Int64.shift_right (A1.unsafe_get iregs a)
+         (Int64.to_int (A1.unsafe_get iregs b) land 63));
+    Bytes.unsafe_set rtags dst tag_int;
+    pc + 1
+  | 26 (* Irotl *) ->
+    if Bytes.unsafe_get rtags a <> tag_int || Bytes.unsafe_get rtags b <> tag_int
+    then trap Machine.Type_confusion;
+    let x = A1.unsafe_get iregs a in
+    let s = Int64.to_int (A1.unsafe_get iregs b) land 63 in
+    A1.unsafe_set iregs dst
+      (if s = 0 then x
+       else
+         Int64.logor (Int64.shift_left x s)
+           (Int64.shift_right_logical x (64 - s)));
+    Bytes.unsafe_set rtags dst tag_int;
+    pc + 1
+  | 27 (* Irotr *) ->
+    if Bytes.unsafe_get rtags a <> tag_int || Bytes.unsafe_get rtags b <> tag_int
+    then trap Machine.Type_confusion;
+    let x = A1.unsafe_get iregs a in
+    let s = Int64.to_int (A1.unsafe_get iregs b) land 63 in
+    A1.unsafe_set iregs dst
+      (if s = 0 then x
+       else
+         Int64.logor
+           (Int64.shift_right_logical x s)
+           (Int64.shift_left x (64 - s)));
+    Bytes.unsafe_set rtags dst tag_int;
+    pc + 1
+  | 28 (* Imin *) ->
+    if Bytes.unsafe_get rtags a <> tag_int || Bytes.unsafe_get rtags b <> tag_int
+    then trap Machine.Type_confusion;
+    let x = A1.unsafe_get iregs a in
+    let y = A1.unsafe_get iregs b in
+    A1.unsafe_set iregs dst (if x <= y then x else y);
+    Bytes.unsafe_set rtags dst tag_int;
+    pc + 1
+  | 29 (* Imax *) ->
+    if Bytes.unsafe_get rtags a <> tag_int || Bytes.unsafe_get rtags b <> tag_int
+    then trap Machine.Type_confusion;
+    let x = A1.unsafe_get iregs a in
+    let y = A1.unsafe_get iregs b in
+    A1.unsafe_set iregs dst (if x >= y then x else y);
+    Bytes.unsafe_set rtags dst tag_int;
+    pc + 1
+  | 30 (* Fadd *) ->
+    if
+      Bytes.unsafe_get rtags a <> tag_float
+      || Bytes.unsafe_get rtags b <> tag_float
+    then trap Machine.Type_confusion;
+    A1.unsafe_set regs dst (A1.unsafe_get regs a +. A1.unsafe_get regs b);
+    Bytes.unsafe_set rtags dst tag_float;
+    pc + 1
+  | 31 (* Fsub *) ->
+    if
+      Bytes.unsafe_get rtags a <> tag_float
+      || Bytes.unsafe_get rtags b <> tag_float
+    then trap Machine.Type_confusion;
+    A1.unsafe_set regs dst (A1.unsafe_get regs a -. A1.unsafe_get regs b);
+    Bytes.unsafe_set rtags dst tag_float;
+    pc + 1
+  | 32 (* Fmul *) ->
+    if
+      Bytes.unsafe_get rtags a <> tag_float
+      || Bytes.unsafe_get rtags b <> tag_float
+    then trap Machine.Type_confusion;
+    A1.unsafe_set regs dst (A1.unsafe_get regs a *. A1.unsafe_get regs b);
+    Bytes.unsafe_set rtags dst tag_float;
+    pc + 1
+  | 33 (* Fdiv *) ->
+    if
+      Bytes.unsafe_get rtags a <> tag_float
+      || Bytes.unsafe_get rtags b <> tag_float
+    then trap Machine.Type_confusion;
+    A1.unsafe_set regs dst (A1.unsafe_get regs a /. A1.unsafe_get regs b);
+    Bytes.unsafe_set rtags dst tag_float;
+    pc + 1
+  | 34 (* Fmin *) ->
+    if
+      Bytes.unsafe_get rtags a <> tag_float
+      || Bytes.unsafe_get rtags b <> tag_float
+    then trap Machine.Type_confusion;
+    A1.unsafe_set regs dst
+      (Float.min (A1.unsafe_get regs a) (A1.unsafe_get regs b));
+    Bytes.unsafe_set rtags dst tag_float;
+    pc + 1
+  | 35 (* Fmax *) ->
+    if
+      Bytes.unsafe_get rtags a <> tag_float
+      || Bytes.unsafe_get rtags b <> tag_float
+    then trap Machine.Type_confusion;
+    A1.unsafe_set regs dst
+      (Float.max (A1.unsafe_get regs a) (A1.unsafe_get regs b));
+    Bytes.unsafe_set rtags dst tag_float;
+    pc + 1
+  | 36 (* Fpow *) ->
+    if
+      Bytes.unsafe_get rtags a <> tag_float
+      || Bytes.unsafe_get rtags b <> tag_float
+    then trap Machine.Type_confusion;
+    A1.unsafe_set regs dst
+      (Float.pow (A1.unsafe_get regs a) (A1.unsafe_get regs b));
+    Bytes.unsafe_set rtags dst tag_float;
+    pc + 1
+  | 37 (* FFneg *) ->
+    if Bytes.unsafe_get rtags a <> tag_float then trap Machine.Type_confusion;
+    A1.unsafe_set regs dst (-.(A1.unsafe_get regs a));
+    Bytes.unsafe_set rtags dst tag_float;
+    pc + 1
+  | 38 (* FFabs *) ->
+    if Bytes.unsafe_get rtags a <> tag_float then trap Machine.Type_confusion;
+    A1.unsafe_set regs dst (Float.abs (A1.unsafe_get regs a));
+    Bytes.unsafe_set rtags dst tag_float;
+    pc + 1
+  | 39 (* FFsqrt *) ->
+    if Bytes.unsafe_get rtags a <> tag_float then trap Machine.Type_confusion;
+    A1.unsafe_set regs dst (sqrt (A1.unsafe_get regs a));
+    Bytes.unsafe_set rtags dst tag_float;
+    pc + 1
+  | 40 (* FFexp *) ->
+    if Bytes.unsafe_get rtags a <> tag_float then trap Machine.Type_confusion;
+    A1.unsafe_set regs dst (exp (A1.unsafe_get regs a));
+    Bytes.unsafe_set rtags dst tag_float;
+    pc + 1
+  | 41 (* FFlog *) ->
+    if Bytes.unsafe_get rtags a <> tag_float then trap Machine.Type_confusion;
+    A1.unsafe_set regs dst (log (A1.unsafe_get regs a));
+    Bytes.unsafe_set rtags dst tag_float;
+    pc + 1
+  | 42 (* FFsin *) ->
+    if Bytes.unsafe_get rtags a <> tag_float then trap Machine.Type_confusion;
+    A1.unsafe_set regs dst (sin (A1.unsafe_get regs a));
+    Bytes.unsafe_set rtags dst tag_float;
+    pc + 1
+  | 43 (* FFcos *) ->
+    if Bytes.unsafe_get rtags a <> tag_float then trap Machine.Type_confusion;
+    A1.unsafe_set regs dst (cos (A1.unsafe_get regs a));
+    Bytes.unsafe_set rtags dst tag_float;
+    pc + 1
+  | 44 (* FFfloor *) ->
+    if Bytes.unsafe_get rtags a <> tag_float then trap Machine.Type_confusion;
+    A1.unsafe_set regs dst (Float.floor (A1.unsafe_get regs a));
+    Bytes.unsafe_set rtags dst tag_float;
+    pc + 1
+  | 45 (* FFceil *) ->
+    if Bytes.unsafe_get rtags a <> tag_float then trap Machine.Type_confusion;
+    A1.unsafe_set regs dst (Float.ceil (A1.unsafe_get regs a));
+    Bytes.unsafe_set rtags dst tag_float;
+    pc + 1
+  | 46 (* Icmp Ceq *) ->
+    if Bytes.unsafe_get rtags a <> tag_int || Bytes.unsafe_get rtags b <> tag_int
+    then trap Machine.Type_confusion;
+    A1.unsafe_set iregs dst
+      (if A1.unsafe_get iregs a = A1.unsafe_get iregs b then 1L else 0L);
+    Bytes.unsafe_set rtags dst tag_int;
+    pc + 1
+  | 47 (* Icmp Cne *) ->
+    if Bytes.unsafe_get rtags a <> tag_int || Bytes.unsafe_get rtags b <> tag_int
+    then trap Machine.Type_confusion;
+    A1.unsafe_set iregs dst
+      (if A1.unsafe_get iregs a <> A1.unsafe_get iregs b then 1L else 0L);
+    Bytes.unsafe_set rtags dst tag_int;
+    pc + 1
+  | 48 (* Icmp Clt *) ->
+    if Bytes.unsafe_get rtags a <> tag_int || Bytes.unsafe_get rtags b <> tag_int
+    then trap Machine.Type_confusion;
+    A1.unsafe_set iregs dst
+      (if A1.unsafe_get iregs a < A1.unsafe_get iregs b then 1L else 0L);
+    Bytes.unsafe_set rtags dst tag_int;
+    pc + 1
+  | 49 (* Icmp Cle *) ->
+    if Bytes.unsafe_get rtags a <> tag_int || Bytes.unsafe_get rtags b <> tag_int
+    then trap Machine.Type_confusion;
+    A1.unsafe_set iregs dst
+      (if A1.unsafe_get iregs a <= A1.unsafe_get iregs b then 1L else 0L);
+    Bytes.unsafe_set rtags dst tag_int;
+    pc + 1
+  | 50 (* Icmp Cgt *) ->
+    if Bytes.unsafe_get rtags a <> tag_int || Bytes.unsafe_get rtags b <> tag_int
+    then trap Machine.Type_confusion;
+    A1.unsafe_set iregs dst
+      (if A1.unsafe_get iregs a > A1.unsafe_get iregs b then 1L else 0L);
+    Bytes.unsafe_set rtags dst tag_int;
+    pc + 1
+  | 51 (* Icmp Cge *) ->
+    if Bytes.unsafe_get rtags a <> tag_int || Bytes.unsafe_get rtags b <> tag_int
+    then trap Machine.Type_confusion;
+    A1.unsafe_set iregs dst
+      (if A1.unsafe_get iregs a >= A1.unsafe_get iregs b then 1L else 0L);
+    Bytes.unsafe_set rtags dst tag_int;
+    pc + 1
+  | 52 (* Fcmp Ceq *) ->
+    if
+      Bytes.unsafe_get rtags a <> tag_float
+      || Bytes.unsafe_get rtags b <> tag_float
+    then trap Machine.Type_confusion;
+    A1.unsafe_set iregs dst
+      (if A1.unsafe_get regs a = A1.unsafe_get regs b then 1L else 0L);
+    Bytes.unsafe_set rtags dst tag_int;
+    pc + 1
+  | 53 (* Fcmp Cne *) ->
+    if
+      Bytes.unsafe_get rtags a <> tag_float
+      || Bytes.unsafe_get rtags b <> tag_float
+    then trap Machine.Type_confusion;
+    A1.unsafe_set iregs dst
+      (if A1.unsafe_get regs a <> A1.unsafe_get regs b then 1L else 0L);
+    Bytes.unsafe_set rtags dst tag_int;
+    pc + 1
+  | 54 (* Fcmp Clt *) ->
+    if
+      Bytes.unsafe_get rtags a <> tag_float
+      || Bytes.unsafe_get rtags b <> tag_float
+    then trap Machine.Type_confusion;
+    A1.unsafe_set iregs dst
+      (if A1.unsafe_get regs a < A1.unsafe_get regs b then 1L else 0L);
+    Bytes.unsafe_set rtags dst tag_int;
+    pc + 1
+  | 55 (* Fcmp Cle *) ->
+    if
+      Bytes.unsafe_get rtags a <> tag_float
+      || Bytes.unsafe_get rtags b <> tag_float
+    then trap Machine.Type_confusion;
+    A1.unsafe_set iregs dst
+      (if A1.unsafe_get regs a <= A1.unsafe_get regs b then 1L else 0L);
+    Bytes.unsafe_set rtags dst tag_int;
+    pc + 1
+  | 56 (* Fcmp Cgt *) ->
+    if
+      Bytes.unsafe_get rtags a <> tag_float
+      || Bytes.unsafe_get rtags b <> tag_float
+    then trap Machine.Type_confusion;
+    A1.unsafe_set iregs dst
+      (if A1.unsafe_get regs a > A1.unsafe_get regs b then 1L else 0L);
+    Bytes.unsafe_set rtags dst tag_int;
+    pc + 1
+  | _ (* 57, Fcmp Cge *) ->
+    if
+      Bytes.unsafe_get rtags a <> tag_float
+      || Bytes.unsafe_get rtags b <> tag_float
+    then trap Machine.Type_confusion;
+    A1.unsafe_set iregs dst
+      (if A1.unsafe_get regs a >= A1.unsafe_get regs b then 1L else 0L);
+    Bytes.unsafe_set rtags dst tag_int;
+    pc + 1
+
 
 let exec (d : Decode.t) ~(regs : Ustate.words) ~(rtags : Bytes.t)
     ~(scal_words : Ustate.words) ~(scal_tags : Bytes.t)
@@ -91,16 +522,19 @@ let exec (d : Decode.t) ~(regs : Ustate.words) ~(rtags : Bytes.t)
      then the one injected instruction bracketed by the source flip and
      the destination flip, then on to the budget. The hot path pays one
      bound compare per instruction and nothing else. The hot free
-     variables are rebound as locals so the loop reads registers, not
-     closure-environment fields, under the non-flambda backend. *)
+     variables are rebound as locals once per segment, through
+     [Sys.opaque_identity]: a plain [let code = code] is an alias the
+     non-flambda compiler substitutes back into its uses, and the inlined
+     [step] then binds its arguments afresh per instruction, copying
+     every closure-environment field to the stack on each dispatch. *)
   let run_until stop =
-    let code = code
-    and imm = imm
-    and iregs = iregs
-    and regs = regs
-    and rtags = rtags
-    and buffers = buffers
-    and btags = btags in
+    let code = Sys.opaque_identity code
+    and imm = Sys.opaque_identity imm
+    and iregs = Sys.opaque_identity iregs
+    and regs = Sys.opaque_identity regs
+    and rtags = Sys.opaque_identity rtags
+    and buffers = Sys.opaque_identity buffers
+    and btags = Sys.opaque_identity btags in
     (* [e]/[p] are non-escaping local refs, which the compiler's
        reference elimination turns into mutable stack slots — the loop
        counter and program counter live in registers, not the heap. Both
@@ -112,367 +546,7 @@ let exec (d : Decode.t) ~(regs : Ustate.words) ~(rtags : Bytes.t)
          let i = !p in
          (match trace with Some t -> Trace.add t i | None -> ());
          incr e;
-         let base = i * 5 in
-         let op = Array.unsafe_get code base in
-         let a = Array.unsafe_get code (base + 1) in
-         let b = Array.unsafe_get code (base + 2) in
-         (* [c] is loaded lazily by the three arms that use it (Br,
-            Select, Store) — most dynamic instructions never need it. *)
-         let dst = Array.unsafe_get code (base + 4) in
-         p := i + 1;
-         (* Register indices were validated at decode time; only
-            data-dependent buffer indices keep runtime checks. *)
-         (match op with
-         | 0 (* Halt *) -> raise_notrace Halted
-         | 1 (* Mov *) ->
-           A1.unsafe_set iregs dst (A1.unsafe_get iregs a);
-           Bytes.unsafe_set rtags dst (Bytes.unsafe_get rtags a)
-         | 2 (* Iconst *) ->
-           A1.unsafe_set iregs dst (Array.unsafe_get imm i);
-           Bytes.unsafe_set rtags dst tag_int
-         | 3 (* Fconst *) ->
-           A1.unsafe_set iregs dst (Array.unsafe_get imm i);
-           Bytes.unsafe_set rtags dst tag_float
-         | 4 (* Jmp *) -> p := a
-         | 5 (* Br *) ->
-           if Bytes.unsafe_get rtags a <> tag_int then trap Machine.Type_confusion;
-           p :=
-             (if A1.unsafe_get iregs a <> 0L then b
-              else Array.unsafe_get code (base + 3))
-         | 6 (* Select *) ->
-           if Bytes.unsafe_get rtags a <> tag_int then trap Machine.Type_confusion;
-           let src =
-             if A1.unsafe_get iregs a <> 0L then b
-             else Array.unsafe_get code (base + 3)
-           in
-           A1.unsafe_set iregs dst (A1.unsafe_get iregs src);
-           Bytes.unsafe_set rtags dst (Bytes.unsafe_get rtags src)
-         | 7 (* Load *) ->
-           if Bytes.unsafe_get rtags a <> tag_int then trap Machine.Type_confusion;
-           let idx = A1.unsafe_get iregs a in
-           let store = Array.unsafe_get buffers b in
-           if idx < 0L || idx >= Int64.of_int (Ustate.dim store) then
-             trap Machine.Out_of_bounds;
-           let j = Int64.to_int idx in
-           A1.unsafe_set iregs dst (A1.unsafe_get (Ustate.as_bits store) j);
-           Bytes.unsafe_set rtags dst (Bytes.unsafe_get (Array.unsafe_get btags b) j)
-         | 8 (* Store *) ->
-           if Bytes.unsafe_get rtags a <> tag_int then trap Machine.Type_confusion;
-           let idx = A1.unsafe_get iregs a in
-           let c = Array.unsafe_get code (base + 3) in
-           let store = Array.unsafe_get buffers c in
-           if idx < 0L || idx >= Int64.of_int (Ustate.dim store) then
-             trap Machine.Out_of_bounds;
-           let j = Int64.to_int idx in
-           A1.unsafe_set (Ustate.as_bits store) j (A1.unsafe_get iregs b);
-           Bytes.unsafe_set (Array.unsafe_get btags c) j (Bytes.unsafe_get rtags b)
-         | 9 (* Cast Itof *) ->
-           if Bytes.unsafe_get rtags a <> tag_int then trap Machine.Type_confusion;
-           A1.unsafe_set regs dst (Int64.to_float (A1.unsafe_get iregs a));
-           Bytes.unsafe_set rtags dst tag_float
-         | 10 (* Cast Ftoi *) ->
-           if Bytes.unsafe_get rtags a <> tag_float then trap Machine.Type_confusion;
-           let x = A1.unsafe_get regs a in
-           if Float.is_nan x || x >= int64_max_float || x < -.int64_max_float then
-             trap Machine.Invalid_conversion;
-           A1.unsafe_set iregs dst (Int64.of_float x);
-           Bytes.unsafe_set rtags dst tag_int
-         | 11 (* Cast Fbits: the word is already the bits — retag *) ->
-           if Bytes.unsafe_get rtags a <> tag_float then trap Machine.Type_confusion;
-           A1.unsafe_set iregs dst (A1.unsafe_get iregs a);
-           Bytes.unsafe_set rtags dst tag_int
-         | 12 (* Cast Bitsf: pure reinterpretation — retag *) ->
-           if Bytes.unsafe_get rtags a <> tag_int then trap Machine.Type_confusion;
-           A1.unsafe_set iregs dst (A1.unsafe_get iregs a);
-           Bytes.unsafe_set rtags dst tag_float
-         | 13 (* Ineg *) ->
-           if Bytes.unsafe_get rtags a <> tag_int then trap Machine.Type_confusion;
-           A1.unsafe_set iregs dst (Int64.neg (A1.unsafe_get iregs a));
-           Bytes.unsafe_set rtags dst tag_int
-         | 14 (* Inot *) ->
-           if Bytes.unsafe_get rtags a <> tag_int then trap Machine.Type_confusion;
-           A1.unsafe_set iregs dst (Int64.lognot (A1.unsafe_get iregs a));
-           Bytes.unsafe_set rtags dst tag_int
-         | 15 (* Iadd *) ->
-           if Bytes.unsafe_get rtags a <> tag_int || Bytes.unsafe_get rtags b <> tag_int
-           then trap Machine.Type_confusion;
-           A1.unsafe_set iregs dst
-             (Int64.add (A1.unsafe_get iregs a) (A1.unsafe_get iregs b));
-           Bytes.unsafe_set rtags dst tag_int
-         | 16 (* Isub *) ->
-           if Bytes.unsafe_get rtags a <> tag_int || Bytes.unsafe_get rtags b <> tag_int
-           then trap Machine.Type_confusion;
-           A1.unsafe_set iregs dst
-             (Int64.sub (A1.unsafe_get iregs a) (A1.unsafe_get iregs b));
-           Bytes.unsafe_set rtags dst tag_int
-         | 17 (* Imul *) ->
-           if Bytes.unsafe_get rtags a <> tag_int || Bytes.unsafe_get rtags b <> tag_int
-           then trap Machine.Type_confusion;
-           A1.unsafe_set iregs dst
-             (Int64.mul (A1.unsafe_get iregs a) (A1.unsafe_get iregs b));
-           Bytes.unsafe_set rtags dst tag_int
-         | 18 (* Idiv *) ->
-           if Bytes.unsafe_get rtags a <> tag_int || Bytes.unsafe_get rtags b <> tag_int
-           then trap Machine.Type_confusion;
-           let y = A1.unsafe_get iregs b in
-           if y = 0L then trap Machine.Div_by_zero;
-           A1.unsafe_set iregs dst (Int64.div (A1.unsafe_get iregs a) y);
-           Bytes.unsafe_set rtags dst tag_int
-         | 19 (* Irem *) ->
-           if Bytes.unsafe_get rtags a <> tag_int || Bytes.unsafe_get rtags b <> tag_int
-           then trap Machine.Type_confusion;
-           let y = A1.unsafe_get iregs b in
-           if y = 0L then trap Machine.Div_by_zero;
-           A1.unsafe_set iregs dst (Int64.rem (A1.unsafe_get iregs a) y);
-           Bytes.unsafe_set rtags dst tag_int
-         | 20 (* Iand *) ->
-           if Bytes.unsafe_get rtags a <> tag_int || Bytes.unsafe_get rtags b <> tag_int
-           then trap Machine.Type_confusion;
-           A1.unsafe_set iregs dst
-             (Int64.logand (A1.unsafe_get iregs a) (A1.unsafe_get iregs b));
-           Bytes.unsafe_set rtags dst tag_int
-         | 21 (* Ior *) ->
-           if Bytes.unsafe_get rtags a <> tag_int || Bytes.unsafe_get rtags b <> tag_int
-           then trap Machine.Type_confusion;
-           A1.unsafe_set iregs dst
-             (Int64.logor (A1.unsafe_get iregs a) (A1.unsafe_get iregs b));
-           Bytes.unsafe_set rtags dst tag_int
-         | 22 (* Ixor *) ->
-           if Bytes.unsafe_get rtags a <> tag_int || Bytes.unsafe_get rtags b <> tag_int
-           then trap Machine.Type_confusion;
-           A1.unsafe_set iregs dst
-             (Int64.logxor (A1.unsafe_get iregs a) (A1.unsafe_get iregs b));
-           Bytes.unsafe_set rtags dst tag_int
-         | 23 (* Ishl *) ->
-           if Bytes.unsafe_get rtags a <> tag_int || Bytes.unsafe_get rtags b <> tag_int
-           then trap Machine.Type_confusion;
-           A1.unsafe_set iregs dst
-             (Int64.shift_left (A1.unsafe_get iregs a)
-                (Int64.to_int (A1.unsafe_get iregs b) land 63));
-           Bytes.unsafe_set rtags dst tag_int
-         | 24 (* Ilshr *) ->
-           if Bytes.unsafe_get rtags a <> tag_int || Bytes.unsafe_get rtags b <> tag_int
-           then trap Machine.Type_confusion;
-           A1.unsafe_set iregs dst
-             (Int64.shift_right_logical (A1.unsafe_get iregs a)
-                (Int64.to_int (A1.unsafe_get iregs b) land 63));
-           Bytes.unsafe_set rtags dst tag_int
-         | 25 (* Iashr *) ->
-           if Bytes.unsafe_get rtags a <> tag_int || Bytes.unsafe_get rtags b <> tag_int
-           then trap Machine.Type_confusion;
-           A1.unsafe_set iregs dst
-             (Int64.shift_right (A1.unsafe_get iregs a)
-                (Int64.to_int (A1.unsafe_get iregs b) land 63));
-           Bytes.unsafe_set rtags dst tag_int
-         | 26 (* Irotl *) ->
-           if Bytes.unsafe_get rtags a <> tag_int || Bytes.unsafe_get rtags b <> tag_int
-           then trap Machine.Type_confusion;
-           let x = A1.unsafe_get iregs a in
-           let s = Int64.to_int (A1.unsafe_get iregs b) land 63 in
-           A1.unsafe_set iregs dst
-             (if s = 0 then x
-              else
-                Int64.logor (Int64.shift_left x s)
-                  (Int64.shift_right_logical x (64 - s)));
-           Bytes.unsafe_set rtags dst tag_int
-         | 27 (* Irotr *) ->
-           if Bytes.unsafe_get rtags a <> tag_int || Bytes.unsafe_get rtags b <> tag_int
-           then trap Machine.Type_confusion;
-           let x = A1.unsafe_get iregs a in
-           let s = Int64.to_int (A1.unsafe_get iregs b) land 63 in
-           A1.unsafe_set iregs dst
-             (if s = 0 then x
-              else
-                Int64.logor
-                  (Int64.shift_right_logical x s)
-                  (Int64.shift_left x (64 - s)));
-           Bytes.unsafe_set rtags dst tag_int
-         | 28 (* Imin *) ->
-           if Bytes.unsafe_get rtags a <> tag_int || Bytes.unsafe_get rtags b <> tag_int
-           then trap Machine.Type_confusion;
-           let x = A1.unsafe_get iregs a in
-           let y = A1.unsafe_get iregs b in
-           A1.unsafe_set iregs dst (if x <= y then x else y);
-           Bytes.unsafe_set rtags dst tag_int
-         | 29 (* Imax *) ->
-           if Bytes.unsafe_get rtags a <> tag_int || Bytes.unsafe_get rtags b <> tag_int
-           then trap Machine.Type_confusion;
-           let x = A1.unsafe_get iregs a in
-           let y = A1.unsafe_get iregs b in
-           A1.unsafe_set iregs dst (if x >= y then x else y);
-           Bytes.unsafe_set rtags dst tag_int
-         | 30 (* Fadd *) ->
-           if
-             Bytes.unsafe_get rtags a <> tag_float
-             || Bytes.unsafe_get rtags b <> tag_float
-           then trap Machine.Type_confusion;
-           A1.unsafe_set regs dst (A1.unsafe_get regs a +. A1.unsafe_get regs b);
-           Bytes.unsafe_set rtags dst tag_float
-         | 31 (* Fsub *) ->
-           if
-             Bytes.unsafe_get rtags a <> tag_float
-             || Bytes.unsafe_get rtags b <> tag_float
-           then trap Machine.Type_confusion;
-           A1.unsafe_set regs dst (A1.unsafe_get regs a -. A1.unsafe_get regs b);
-           Bytes.unsafe_set rtags dst tag_float
-         | 32 (* Fmul *) ->
-           if
-             Bytes.unsafe_get rtags a <> tag_float
-             || Bytes.unsafe_get rtags b <> tag_float
-           then trap Machine.Type_confusion;
-           A1.unsafe_set regs dst (A1.unsafe_get regs a *. A1.unsafe_get regs b);
-           Bytes.unsafe_set rtags dst tag_float
-         | 33 (* Fdiv *) ->
-           if
-             Bytes.unsafe_get rtags a <> tag_float
-             || Bytes.unsafe_get rtags b <> tag_float
-           then trap Machine.Type_confusion;
-           A1.unsafe_set regs dst (A1.unsafe_get regs a /. A1.unsafe_get regs b);
-           Bytes.unsafe_set rtags dst tag_float
-         | 34 (* Fmin *) ->
-           if
-             Bytes.unsafe_get rtags a <> tag_float
-             || Bytes.unsafe_get rtags b <> tag_float
-           then trap Machine.Type_confusion;
-           A1.unsafe_set regs dst
-             (Float.min (A1.unsafe_get regs a) (A1.unsafe_get regs b));
-           Bytes.unsafe_set rtags dst tag_float
-         | 35 (* Fmax *) ->
-           if
-             Bytes.unsafe_get rtags a <> tag_float
-             || Bytes.unsafe_get rtags b <> tag_float
-           then trap Machine.Type_confusion;
-           A1.unsafe_set regs dst
-             (Float.max (A1.unsafe_get regs a) (A1.unsafe_get regs b));
-           Bytes.unsafe_set rtags dst tag_float
-         | 36 (* Fpow *) ->
-           if
-             Bytes.unsafe_get rtags a <> tag_float
-             || Bytes.unsafe_get rtags b <> tag_float
-           then trap Machine.Type_confusion;
-           A1.unsafe_set regs dst
-             (Float.pow (A1.unsafe_get regs a) (A1.unsafe_get regs b));
-           Bytes.unsafe_set rtags dst tag_float
-         | 37 (* FFneg *) ->
-           if Bytes.unsafe_get rtags a <> tag_float then trap Machine.Type_confusion;
-           A1.unsafe_set regs dst (-.(A1.unsafe_get regs a));
-           Bytes.unsafe_set rtags dst tag_float
-         | 38 (* FFabs *) ->
-           if Bytes.unsafe_get rtags a <> tag_float then trap Machine.Type_confusion;
-           A1.unsafe_set regs dst (Float.abs (A1.unsafe_get regs a));
-           Bytes.unsafe_set rtags dst tag_float
-         | 39 (* FFsqrt *) ->
-           if Bytes.unsafe_get rtags a <> tag_float then trap Machine.Type_confusion;
-           A1.unsafe_set regs dst (sqrt (A1.unsafe_get regs a));
-           Bytes.unsafe_set rtags dst tag_float
-         | 40 (* FFexp *) ->
-           if Bytes.unsafe_get rtags a <> tag_float then trap Machine.Type_confusion;
-           A1.unsafe_set regs dst (exp (A1.unsafe_get regs a));
-           Bytes.unsafe_set rtags dst tag_float
-         | 41 (* FFlog *) ->
-           if Bytes.unsafe_get rtags a <> tag_float then trap Machine.Type_confusion;
-           A1.unsafe_set regs dst (log (A1.unsafe_get regs a));
-           Bytes.unsafe_set rtags dst tag_float
-         | 42 (* FFsin *) ->
-           if Bytes.unsafe_get rtags a <> tag_float then trap Machine.Type_confusion;
-           A1.unsafe_set regs dst (sin (A1.unsafe_get regs a));
-           Bytes.unsafe_set rtags dst tag_float
-         | 43 (* FFcos *) ->
-           if Bytes.unsafe_get rtags a <> tag_float then trap Machine.Type_confusion;
-           A1.unsafe_set regs dst (cos (A1.unsafe_get regs a));
-           Bytes.unsafe_set rtags dst tag_float
-         | 44 (* FFfloor *) ->
-           if Bytes.unsafe_get rtags a <> tag_float then trap Machine.Type_confusion;
-           A1.unsafe_set regs dst (Float.floor (A1.unsafe_get regs a));
-           Bytes.unsafe_set rtags dst tag_float
-         | 45 (* FFceil *) ->
-           if Bytes.unsafe_get rtags a <> tag_float then trap Machine.Type_confusion;
-           A1.unsafe_set regs dst (Float.ceil (A1.unsafe_get regs a));
-           Bytes.unsafe_set rtags dst tag_float
-         | 46 (* Icmp Ceq *) ->
-           if Bytes.unsafe_get rtags a <> tag_int || Bytes.unsafe_get rtags b <> tag_int
-           then trap Machine.Type_confusion;
-           A1.unsafe_set iregs dst
-             (if A1.unsafe_get iregs a = A1.unsafe_get iregs b then 1L else 0L);
-           Bytes.unsafe_set rtags dst tag_int
-         | 47 (* Icmp Cne *) ->
-           if Bytes.unsafe_get rtags a <> tag_int || Bytes.unsafe_get rtags b <> tag_int
-           then trap Machine.Type_confusion;
-           A1.unsafe_set iregs dst
-             (if A1.unsafe_get iregs a <> A1.unsafe_get iregs b then 1L else 0L);
-           Bytes.unsafe_set rtags dst tag_int
-         | 48 (* Icmp Clt *) ->
-           if Bytes.unsafe_get rtags a <> tag_int || Bytes.unsafe_get rtags b <> tag_int
-           then trap Machine.Type_confusion;
-           A1.unsafe_set iregs dst
-             (if A1.unsafe_get iregs a < A1.unsafe_get iregs b then 1L else 0L);
-           Bytes.unsafe_set rtags dst tag_int
-         | 49 (* Icmp Cle *) ->
-           if Bytes.unsafe_get rtags a <> tag_int || Bytes.unsafe_get rtags b <> tag_int
-           then trap Machine.Type_confusion;
-           A1.unsafe_set iregs dst
-             (if A1.unsafe_get iregs a <= A1.unsafe_get iregs b then 1L else 0L);
-           Bytes.unsafe_set rtags dst tag_int
-         | 50 (* Icmp Cgt *) ->
-           if Bytes.unsafe_get rtags a <> tag_int || Bytes.unsafe_get rtags b <> tag_int
-           then trap Machine.Type_confusion;
-           A1.unsafe_set iregs dst
-             (if A1.unsafe_get iregs a > A1.unsafe_get iregs b then 1L else 0L);
-           Bytes.unsafe_set rtags dst tag_int
-         | 51 (* Icmp Cge *) ->
-           if Bytes.unsafe_get rtags a <> tag_int || Bytes.unsafe_get rtags b <> tag_int
-           then trap Machine.Type_confusion;
-           A1.unsafe_set iregs dst
-             (if A1.unsafe_get iregs a >= A1.unsafe_get iregs b then 1L else 0L);
-           Bytes.unsafe_set rtags dst tag_int
-         | 52 (* Fcmp Ceq *) ->
-           if
-             Bytes.unsafe_get rtags a <> tag_float
-             || Bytes.unsafe_get rtags b <> tag_float
-           then trap Machine.Type_confusion;
-           A1.unsafe_set iregs dst
-             (if A1.unsafe_get regs a = A1.unsafe_get regs b then 1L else 0L);
-           Bytes.unsafe_set rtags dst tag_int
-         | 53 (* Fcmp Cne *) ->
-           if
-             Bytes.unsafe_get rtags a <> tag_float
-             || Bytes.unsafe_get rtags b <> tag_float
-           then trap Machine.Type_confusion;
-           A1.unsafe_set iregs dst
-             (if A1.unsafe_get regs a <> A1.unsafe_get regs b then 1L else 0L);
-           Bytes.unsafe_set rtags dst tag_int
-         | 54 (* Fcmp Clt *) ->
-           if
-             Bytes.unsafe_get rtags a <> tag_float
-             || Bytes.unsafe_get rtags b <> tag_float
-           then trap Machine.Type_confusion;
-           A1.unsafe_set iregs dst
-             (if A1.unsafe_get regs a < A1.unsafe_get regs b then 1L else 0L);
-           Bytes.unsafe_set rtags dst tag_int
-         | 55 (* Fcmp Cle *) ->
-           if
-             Bytes.unsafe_get rtags a <> tag_float
-             || Bytes.unsafe_get rtags b <> tag_float
-           then trap Machine.Type_confusion;
-           A1.unsafe_set iregs dst
-             (if A1.unsafe_get regs a <= A1.unsafe_get regs b then 1L else 0L);
-           Bytes.unsafe_set rtags dst tag_int
-         | 56 (* Fcmp Cgt *) ->
-           if
-             Bytes.unsafe_get rtags a <> tag_float
-             || Bytes.unsafe_get rtags b <> tag_float
-           then trap Machine.Type_confusion;
-           A1.unsafe_set iregs dst
-             (if A1.unsafe_get regs a > A1.unsafe_get regs b then 1L else 0L);
-           Bytes.unsafe_set rtags dst tag_int
-         | _ (* 57, Fcmp Cge *) ->
-           if
-             Bytes.unsafe_get rtags a <> tag_float
-             || Bytes.unsafe_get rtags b <> tag_float
-           then trap Machine.Type_confusion;
-           A1.unsafe_set iregs dst
-             (if A1.unsafe_get regs a >= A1.unsafe_get regs b then 1L else 0L);
-           Bytes.unsafe_set rtags dst tag_int)
+         p := step code imm regs iregs rtags buffers btags ~base:(i * 5) ~pc:i
        done
      with ex ->
        executed := !e;
@@ -501,41 +575,18 @@ let exec (d : Decode.t) ~(regs : Ustate.words) ~(rtags : Bytes.t)
           pc := nx
         end
         else if inj_src = -3 then begin
-          (* Encoding corruption: one dispatch through the corrupted-step
-             executor shared with the boxed engine, over this engine's
-             state via the accessor record. Cold path by construction —
-             it runs once per replay — so boxing through Value.t here
-             costs nothing the hot loop ever sees. *)
+          (* Encoding corruption: the instruction the corrupted encoding
+             decodes to, packed into a scratch and run by [step] at the
+             faulted pc; an illegal encoding traps before any effect. Cold
+             path by construction, once per replay. *)
           (match trace with Some t -> Trace.add t ip | None -> ());
           executed := !executed + 1;
-          let env =
-            {
-              Machine.se_read =
-                (fun r -> Ustate.value_of (A1.get regs r) (Bytes.get rtags r));
-              se_write =
-                (fun r v ->
-                  A1.set regs r (Ustate.word_of_value v);
-                  Bytes.set rtags r (Ustate.tag_of_value v));
-              se_load =
-                (fun s idx ->
-                  let store = buffers.(s) in
-                  if idx < 0L || idx >= Int64.of_int (Ustate.dim store) then
-                    trap Machine.Out_of_bounds;
-                  let j = Int64.to_int idx in
-                  Ustate.value_of (A1.get store j) (Bytes.get btags.(s) j));
-              se_store =
-                (fun s idx v ->
-                  let store = buffers.(s) in
-                  if idx < 0L || idx >= Int64.of_int (Ustate.dim store) then
-                    trap Machine.Out_of_bounds;
-                  let j = Int64.to_int idx in
-                  A1.set store j (Ustate.word_of_value v);
-                  Bytes.set btags.(s) j (Ustate.tag_of_value v));
-            }
-          in
-          let nx = Machine.exec_corrupt_step d ~pc:ip ~bit:inj_bit env in
-          if nx < 0 then raise_notrace Halted;
-          pc := nx
+          match Decode.corrupt d ~pc:ip ~bit:inj_bit with
+          | None -> trap Machine.Type_confusion
+          | Some instr ->
+            pc :=
+              (step [@inlined never]) (Decode.pack instr) imm regs iregs rtags buffers
+                btags ~base:0 ~pc:ip
         end
         else begin
           (* Register flip: the source register before the step, or the
@@ -548,7 +599,7 @@ let exec (d : Decode.t) ~(regs : Ustate.words) ~(rtags : Bytes.t)
           end;
           run_until (!executed + 1);
           if inj_src < 0 then begin
-            let dst = Array.unsafe_get code ((ip * 5) + 4) in
+            let dst = Decode.dst_at d ip in
             if dst >= 0 then flip_reg dst
           end
         end;
@@ -557,7 +608,7 @@ let exec (d : Decode.t) ~(regs : Ustate.words) ~(rtags : Bytes.t)
       end
     with
     | Halted -> Machine.Finished
-    | Trap t | Machine.Trap t -> Machine.Trapped t
+    | Machine.Trap t -> Machine.Trapped t
   in
   Machine.telemetry_record result ~executed:!executed;
   { Machine.status = result; executed = !executed }

@@ -10,6 +10,33 @@
     executed counts, buffer contents, and traces (enforced by the
     differential tests). *)
 
+exception Halted
+(** Raised by {!step} on [Halt]. *)
+
+val step :
+  int array ->
+  int64 array ->
+  Ustate.words ->
+  Ustate.bits ->
+  Bytes.t ->
+  Ustate.words array ->
+  Bytes.t array ->
+  base:int ->
+  pc:int ->
+  int
+(** [step code imm regs iregs rtags buffers btags ~base ~pc] is the
+    engine's one dispatch: it executes the instruction whose packed
+    fields ({!Decode.pack}) start at [code.(base)], as static
+    instruction [pc], and returns the next pc. [regs] is the register
+    file, [iregs] the same memory as int64 ({!Ustate.as_bits}), [rtags]
+    its tags; [imm.(pc)] is read by [Iconst]/[Fconst]; [buffers]/[btags]
+    are the bound buffers, read only by [Load]/[Store]. Register indices
+    are not checked (decode-time validation licenses that); a buffer
+    index is, and traps [Out_of_bounds]. Raises {!Machine.Trap} on a
+    trap and {!Halted} on [Halt]. [exec]'s loop runs it over
+    [d.packed]; an encoding fault and the prover's taint walk run it
+    over a one-instruction scratch. *)
+
 val exec :
   Decode.t ->
   regs:Ustate.words ->

@@ -836,6 +836,36 @@ let test_checkpoint_survives_torn_tail () =
   Alcotest.(check (pair int int)) "empty log resumes empty" (0, 0) (loaded, skipped);
   Kill_resume.remove_store path
 
+(* A progress log keeps its own magic: a log of the earlier format (the
+   shard-log magic, fixed-width outcomes) or a foreign file is refused on
+   resume with one line, never misread; a fresh run discards either. *)
+let test_progress_log_format_refused () =
+  let path = Filename.temp_file "ffprogress" ".bin" in
+  let lpath = Persist.progress_path path in
+  let refused data expected =
+    spit lpath data;
+    (match Persist.open_progress ~path ~every:2 ~resume:true with
+    | Error e -> Alcotest.(check string) "refusal" expected e
+    | Ok _ -> Alcotest.failf "%S resumed" (String.sub data 0 8));
+    let _, loaded, _ = Kill_resume.open_progress ~path ~resume:false in
+    Alcotest.(check int) "a fresh run discards it" 0 loaded;
+    Alcotest.(check bool) "discarded" false (Sys.file_exists lpath)
+  in
+  refused
+    ("FFSHARD2" ^ Wire.frame "batch")
+    "unsupported progress-log format FFSHARD2 (only FFPROGL1 is read)";
+  refused "FFSTORE4 not a log" "not a FastFlip progress log";
+  let progress, _, _ = Kill_resume.open_progress ~path ~resume:false in
+  let key = { Store.code_hash = 1L; input_hash = 2L; config_hash = 3L } in
+  (Persist.progress_journal progress ~key).Campaign.j_append
+    [ (0, Ff_inject.Outcome.S_detected Ff_inject.Outcome.Crash, 5) ];
+  Alcotest.(check string) "a new log starts with its magic" "FFPROGL1"
+    (String.sub (slurp lpath) 0 8);
+  let progress, loaded, skipped = Kill_resume.open_progress ~path ~resume:true in
+  Alcotest.(check (pair int int)) "and resumes" (1, 0) (loaded, skipped);
+  Persist.remove_progress progress;
+  Kill_resume.remove_store path
+
 (* The progress log is a sibling of the store, not part of it: load, stat
    and compact answer exactly as they do without it, compaction leaves
    it in place, and a progress log alone is no store. *)
@@ -997,6 +1027,8 @@ let () =
             test_checkpoint_kill_and_resume;
           Alcotest.test_case "torn journal tail" `Quick
             test_checkpoint_survives_torn_tail;
+          Alcotest.test_case "progress log of another format refused" `Quick
+            test_progress_log_format_refused;
           Alcotest.test_case "progress log invisible to the store" `Quick
             test_progress_log_invisible_to_store;
           Alcotest.test_case "counters exported" `Quick

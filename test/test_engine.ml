@@ -31,13 +31,25 @@ let gen_inputs =
         ([ Value.Int n; Value.Float x ], [| Array.of_list fb; Array.of_list ib |]))
       gen_int64 gen_float (pair fbuf ibuf))
 
+(* Register flips (sources and destination), skips, and encoding faults
+   over every bit of {!Decode.encoding_bits}: each engine runs a
+   corrupted instruction through its own step. *)
 let gen_injection =
   QCheck2.Gen.(
-    map3
-      (fun at_dyn op bit ->
-        let operand = if op >= 3 then Machine.Odst else Machine.Osrc op in
-        { Machine.at_dyn; operand; bit })
-      (int_range 0 40) (int_range 0 4) (int_range 0 63))
+    let reg =
+      map2
+        (fun op bit -> ((if op >= 3 then Machine.Odst else Machine.Osrc op), bit))
+        (int_range 0 4) (int_range 0 63)
+    in
+    map2
+      (fun at_dyn (operand, bit) -> { Machine.at_dyn; operand; bit })
+      (int_range 0 40)
+      (frequency
+         [
+           (5, reg);
+           (1, pure (Machine.Oskip, 0));
+           (2, map (fun bit -> (Machine.Oenc, bit)) (oneofl Decode.encoding_bits));
+         ]))
 
 (* --- differential runner --------------------------------------------------- *)
 
@@ -111,13 +123,14 @@ let differential ?injection ?burst kernel ~scalars ~buffers ~budget =
 (* --- properties ------------------------------------------------------------ *)
 
 let prop_plain =
-  QCheck2.Test.make ~count:400 ~name:"unboxed ≡ boxed on random kernels"
+  QCheck2.Test.make ~count:400 ~long_factor:300 ~name:"unboxed ≡ boxed on random kernels"
     QCheck2.Gen.(pair gen_kernel gen_inputs)
     (fun (kernel, (scalars, buffers)) ->
       differential kernel ~scalars ~buffers ~budget:256)
 
 let prop_injected =
-  QCheck2.Test.make ~count:600 ~name:"unboxed ≡ boxed under injection and bursts"
+  QCheck2.Test.make ~count:600 ~long_factor:300
+    ~name:"unboxed ≡ boxed under injection and bursts"
     QCheck2.Gen.(
       pair (pair gen_kernel gen_inputs) (pair gen_injection (int_range 1 70)))
     (fun ((kernel, (scalars, buffers)), (injection, burst)) ->
@@ -442,6 +455,45 @@ let test_decode_operand_tables () =
   Alcotest.(check int) "store operands = srcs" 2 (Decode.noperands d 3);
   Alcotest.(check int) "select operands = srcs + dst" 4 (Decode.noperands d 2)
 
+(* Each check [Decode.corrupt] makes, one corrupted encoding at a time:
+   a refused encoding is [None], which both engines trap on. *)
+let test_decode_corrupt () =
+  let k =
+    {
+      Kernel.name = "enc";
+      params = [ Kernel.Buffer ("b", Value.TFloat, Kernel.InOut) ];
+      code =
+        [|
+          Instr.Iconst (0, 0L);
+          Instr.Load (1, 0, 0);
+          Instr.Fcmp (Instr.Ceq, 1, 1, 1);
+          Instr.Jmp 4;
+          Instr.Halt;
+        |];
+      nregs = 2;
+    }
+  in
+  let d = Decode.of_kernel k in
+  let check name pc bit expected =
+    let got = Decode.corrupt d ~pc ~bit in
+    if not (Option.equal Instr.equal got expected) then
+      Alcotest.failf "%s: pc %d bit %d decodes to %s" name pc bit
+        (Option.fold ~none:"None" ~some:Instr.to_string got)
+  in
+  check "payload reread" 0 0 (Some (Instr.Fconst (0, 0.0)));
+  check "dst in range" 1 32 (Some (Instr.Load (0, 0, 0)));
+  check "dst out of range" 1 33 None;
+  check "slot out of range" 1 16 None;
+  check "sub-operation" 2 0 (Some (Instr.Fcmp (Instr.Cne, 1, 1, 1)));
+  check "opcode outside the space" 2 3 None;
+  check "label in range" 3 10 (Some (Instr.Jmp 0));
+  check "label out of range" 3 11 None;
+  check "terminator last" 4 2 (Some (Instr.Jmp 0));
+  check "falls off the end" 4 3 None;
+  check "bit above the field's flippable bits" 0 14 None;
+  check "field beyond dst" 0 40 None;
+  check "negative bit" 0 (-1) None
+
 let () =
   Alcotest.run "engine"
     [
@@ -468,5 +520,7 @@ let () =
         [
           Alcotest.test_case "validation" `Quick test_decode_validation;
           Alcotest.test_case "operand tables" `Quick test_decode_operand_tables;
+          Alcotest.test_case "corrupt refuses illegal encodings" `Quick
+            test_decode_corrupt;
         ] );
     ]

@@ -426,6 +426,100 @@ let test_leap_reaches_every_tainted_element () =
   | Outcome.S_sdc [| (_, m) |] -> Alcotest.(check (float 0.0)) "scaled delta" 2.0 m
   | _ -> Alcotest.fail "expected a one-buffer SDC"
 
+(* A completed walk that changed an element outside the writable
+   buffers, by less than 1, proves nothing: the replay reports that
+   change as an unbounded side-effect SDC. A validated program stores
+   only through writable slots, so the case is built by binding the
+   written buffer [w] as read-only in a copy of the golden run:
+     0: r0 <- 1.0   flipped (Dst) at bit 51: 1.5
+     1: r1 <- 0     2: w[r1] <- r0
+     3: r2 <- 2.0   4: o[r1] <- r2
+     5: halt *)
+let test_side_effect_declined () =
+  let buffer name =
+    {
+      Program.buf_name = name;
+      buf_ty = Value.TFloat;
+      buf_size = 1;
+      buf_init = [| Value.Float 0.0 |];
+      buf_is_output = true;
+    }
+  in
+  let program =
+    {
+      Program.kernels =
+        [
+          {
+            Kernel.name = "k";
+            params =
+              [
+                Kernel.Buffer ("o", Value.TFloat, Kernel.Out);
+                Kernel.Buffer ("w", Value.TFloat, Kernel.Out);
+              ];
+            code =
+              [|
+                Instr.Fconst (0, 1.0);
+                Instr.Iconst (1, 0L);
+                Instr.Store (1, 1, 0);
+                Instr.Fconst (2, 2.0);
+                Instr.Store (0, 1, 2);
+                Instr.Halt;
+              |];
+            nregs = 3;
+          };
+        ];
+      buffers = [ buffer "o"; buffer "w" ];
+      schedule =
+        [
+          {
+            Program.callee = "k";
+            args = [ Program.Abuf 0; Program.Abuf 1 ];
+            call_label = "k";
+          };
+        ];
+    }
+  in
+  let prove g =
+    let section = g.Golden.sections.(0) in
+    let classes = Array.of_list (Eqclass.for_section section (Site.Bit_list [ 51 ])) in
+    let proofs =
+      Prover.prove_section g ~section_index:0 ~timeout_factor:5.0
+        ~model:Fault_model.default Prover.on classes
+    in
+    let i = ref (-1) in
+    Array.iteri
+      (fun j cls ->
+        if (Eqclass.pc cls).Site.instr = 0 && Eqclass.operand cls = Site.Dst then i := j)
+      classes;
+    let replay =
+      Replay.run_section ~burst:1 ~engine:Replay.Boxed g section
+        (Replay.Fault (Site.machine_injection (Eqclass.pilot classes.(!i))))
+        ~timeout_factor:5.0
+    in
+    (proofs.(!i), Outcome.of_section_replay replay)
+  in
+  let g = Golden.run program in
+  let proof, oracle = prove g in
+  check_agrees "w writable" proof oracle;
+  (match oracle with
+  | Outcome.S_sdc [| (0, 0.0); (1, 0.5) |] -> ()
+  | o -> Alcotest.failf "w writable: replay %a" Outcome.pp_section o);
+  let s = g.Golden.sections.(0) in
+  let g =
+    {
+      g with
+      Golden.sections =
+        [| { s with Golden.bindings = [| (0, Kernel.Out); (1, Kernel.In) |] } |];
+    }
+  in
+  let proof, oracle = prove g in
+  (match oracle with
+  | Outcome.S_sdc [| (0, m) |] when m = infinity -> ()
+  | o -> Alcotest.failf "w read-only: replay %a" Outcome.pp_section o);
+  match proof with
+  | None -> ()
+  | Some o -> Alcotest.failf "w read-only: proved %a" Outcome.pp_section o
+
 (* --- wholesale refusals ------------------------------------------------------ *)
 
 (* A replay budget below the golden schedule times out even a masked
@@ -590,10 +684,10 @@ let test_recordings_do_not_pin_their_section () =
 
 (* --- evaluation of tainted steps, op by op ----------------------------------- *)
 
-(* The walk evaluates a tainted instruction itself, on raw words and
-   tags, rather than through the interpreter. Each case here is a
-   straight-line kernel that loads constants, runs one instruction with
-   one operand flipped to an edge value (or made type-confused by a
+(* The walk runs a tainted instruction through the unboxed engine's
+   step on staged words and tags, not through a replay. Each case here
+   is a straight-line kernel that loads constants, runs one instruction
+   with one operand flipped to an edge value (or made type-confused by a
    flipped [Select] upstream), and sinks the result through
    [Bitsf]/[Fbits] into an int output: any value of the golden type
    reaches the output as exact bits, and a value of the other type traps
@@ -920,6 +1014,8 @@ let () =
             test_overwritten_register_flip_exact;
           Alcotest.test_case "leaps reach every tainted element" `Quick
             test_leap_reaches_every_tainted_element;
+          Alcotest.test_case "side effect outside the writable buffers" `Quick
+            test_side_effect_declined;
         ] );
       ( "guards refuse wholesale",
         [
