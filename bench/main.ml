@@ -280,32 +280,42 @@ let measure_parallel config =
 (* --- boxed vs unboxed execution engine ---------------------------------- *)
 
 let measure_vm config =
-  (* Full injection campaigns over every LUD section, serially, once per
-     engine: the replay loop is exactly the campaign hot path, so
-     instructions/s and replays/s compare the engines end to end (decode,
-     workspace reset, execution, classification). Identity of the two
-     result arrays is a gated row of [floors]. *)
+  (* Every class pilot of every LUD section, replayed serially once per
+     engine with the prover off on both sides: the tests' boxed oracle
+     and the production unboxed engine run the same pilots through the
+     same replay driver ({!Ff_vm.Replay.Driver}), so instructions/s and
+     replays/s compare the engines end to end (state reset, execution,
+     classification). Identity of the two result arrays is a gated row
+     of [floors]. *)
   let bench = Option.get (Registry.find "LUD") in
   let program = Ff_lang.Frontend.compile_exn (bench.Defs.source Defs.V_none) in
   let golden = Ff_vm.Golden.run program in
-  let campaign_config = config.Pipeline.campaign in
+  let { Campaign.bits; model; timeout_factor; _ } = config.Pipeline.campaign in
+  let burst = Ff_inject.Fault_model.reg_burst model in
   (* Class enumeration is engine-independent input, identical for both
      sides — hoist it out of the timed region so the comparison isolates
      the replay engines. *)
-  let classes =
-    Array.init (Array.length golden.Ff_vm.Golden.sections) (fun i ->
-        Ff_inject.Eqclass.for_section golden.Ff_vm.Golden.sections.(i)
-          campaign_config.Campaign.bits)
+  let pilots =
+    Array.map
+      (fun section ->
+        Ff_inject.Eqclass.for_section ~model section bits
+        |> List.map (fun cls ->
+               (section, Site.replay_injection ~model (Ff_inject.Eqclass.pilot cls)))
+        |> Array.of_list)
+      golden.Ff_vm.Golden.sections
   in
-  let campaign engine =
-    Array.init (Array.length golden.Ff_vm.Golden.sections) (fun i ->
-        Campaign.run_section ~engine ~classes:classes.(i) golden ~section_index:i
-          campaign_config)
+  let campaign run_section =
+    Array.map
+      (Array.map (fun (section, injection) ->
+           run_section ?burst:(Some burst) golden section injection ~timeout_factor))
+      pilots
   in
+  let boxed () = campaign Oracle.run_section
+  and unboxed () = campaign Ff_vm.Replay.run_section in
   (* Warm both engines once so one-time costs (plan build, decoded form,
      workspace allocation) don't skew the timed comparison. *)
-  ignore (campaign Ff_vm.Replay.Boxed);
-  ignore (campaign Ff_vm.Replay.Unboxed);
+  ignore (boxed ());
+  ignore (unboxed ());
   (* Interleaved best-of-N: one timed run per engine per round, keeping
      each engine's minimum. A single timed run per engine is at the mercy
      of scheduler noise (observed >30% run-to-run swing for identical
@@ -315,24 +325,27 @@ let measure_vm config =
   let best_boxed = ref infinity and best_unboxed = ref infinity in
   let boxed_results = ref [||] and unboxed_results = ref [||] in
   for _ = 1 to reps do
-    let rb, sb = wall (fun () -> campaign Ff_vm.Replay.Boxed) in
+    let rb, sb = wall boxed in
     if sb < !best_boxed then best_boxed := sb;
     boxed_results := rb;
-    let ru, su = wall (fun () -> campaign Ff_vm.Replay.Unboxed) in
+    let ru, su = wall unboxed in
     if su < !best_unboxed then best_unboxed := su;
     unboxed_results := ru
   done;
   let engine results seconds =
-    let total f = float_of_int (Array.fold_left (fun acc r -> acc + f r) 0 results) in
+    let total f =
+      float_of_int
+        (Array.fold_left (Array.fold_left (fun acc r -> acc + f r)) 0 results)
+    in
     Obj
       [
         ("seconds", Float (seconds, 6));
-        ("instr_per_sec", Float (ratio (total (fun r -> r.Campaign.s_work)) seconds, 1));
-        ( "replays_per_sec",
-          Float (ratio (total (fun r -> r.Campaign.s_injections)) seconds, 1) );
+        ( "instr_per_sec",
+          Float (ratio (total (fun r -> r.Ff_vm.Replay.s_executed)) seconds, 1) );
+        ("replays_per_sec", Float (ratio (total (fun _ -> 1)) seconds, 1));
       ]
   in
-  ( "LUD (V_none): boxed vs unboxed engine, full campaign",
+  ( "LUD (V_none): boxed oracle vs unboxed engine, every class pilot",
     [
       ( "engines",
         Obj

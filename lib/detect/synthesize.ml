@@ -61,7 +61,7 @@ let run_benign rng golden ~max_perturbation ~section_index
          Array.map (fun o -> (o, Ustate.values state o)) spec.Sensitivity.output_buffers
        else [||]);
     br_in_sums = !in_sums;
-    br_work = run.Machine.executed;
+    br_work = (run : Machine.run).executed;
   }
 
 let find_buffer pairs buffer ~default =

@@ -185,8 +185,8 @@ let fan_out ~pool ?checkpoint ~quarantined run_one residual slots =
    replay records, and the interner its result holds outcomes in. *)
 type 'o scope = {
   replay :
-    engine:Replay.engine -> burst:int -> timeout_factor:float -> Golden.t -> Site.t ->
-    Replay.injection -> 'o * int;
+    burst:int -> timeout_factor:float -> Golden.t -> Site.t -> Replay.injection ->
+    'o * int;
   crash : 'o;
   interner : unit -> 'o -> 'o;
 }
@@ -195,11 +195,9 @@ type 'o scope = {
 let section_scope =
   {
     replay =
-      (fun ~engine ~burst ~timeout_factor golden pilot injection ->
+      (fun ~burst ~timeout_factor golden pilot injection ->
         let section = golden.Golden.sections.(pilot.Site.section) in
-        let r =
-          Replay.run_section ~burst ~engine golden section injection ~timeout_factor
-        in
+        let r = Replay.run_section ~burst golden section injection ~timeout_factor in
         (Outcome.of_section_replay r, r.Replay.s_executed));
     crash = Outcome.S_detected Outcome.Crash;
     interner = Outcome.section_interner;
@@ -210,11 +208,9 @@ let section_scope =
 let end_to_end_scope =
   {
     replay =
-      (fun ~engine ~burst ~timeout_factor golden pilot injection ->
+      (fun ~burst ~timeout_factor golden pilot injection ->
         let from_section = pilot.Site.section in
-        let r =
-          Replay.run_to_end ~burst ~engine golden ~from_section injection ~timeout_factor
-        in
+        let r = Replay.run_to_end ~burst golden ~from_section injection ~timeout_factor in
         (Outcome.of_program_replay r, r.Replay.p_executed));
     crash = Outcome.F_detected Outcome.Crash;
     interner = Outcome.final_interner;
@@ -228,7 +224,7 @@ let end_to_end_scope =
    work and the number of residual classes. Each replay is independent,
    and the pool fills deterministic slots, so the result is the same at
    every pool width. *)
-let drive ~pool ?checkpoint ?prove ~engine golden config scope classes =
+let drive ~pool ?checkpoint ?prove golden config scope classes =
   let model = config.model in
   let burst = Fault_model.reg_burst model and timeout_factor = config.timeout_factor in
   let slots =
@@ -248,7 +244,7 @@ let drive ~pool ?checkpoint ?prove ~engine golden config scope classes =
   fan_out ~pool ?checkpoint ~quarantined
     (fun i ->
       let pilot = Eqclass.pilot classes.(i) in
-      scope.replay ~engine ~burst ~timeout_factor golden pilot
+      scope.replay ~burst ~timeout_factor golden pilot
         (Site.replay_injection ~model pilot))
     residual slots;
   let intern = scope.interner () in
@@ -256,8 +252,7 @@ let drive ~pool ?checkpoint ?prove ~engine golden config scope classes =
     Array.fold_left (fun work slot -> work + snd (Option.get slot)) 0 slots,
     Array.length residual )
 
-let run_section ?(pool = Pool.serial) ?(engine = Replay.Unboxed) ?classes ?journal
-    golden ~section_index config =
+let run_section ?(pool = Pool.serial) ?classes ?journal golden ~section_index config =
   Telemetry.span "campaign.run_section"
     ~attrs:[ ("section", string_of_int section_index) ]
   @@ fun () ->
@@ -276,7 +271,7 @@ let run_section ?(pool = Pool.serial) ?(engine = Replay.Unboxed) ?classes ?journ
       journal
   in
   let s_classes, s_work, s_injections =
-    drive ~pool ?checkpoint ~engine golden config section_scope classes
+    drive ~pool ?checkpoint golden config section_scope classes
       ~prove:
         (Prover.prove_section golden ~section_index ~timeout_factor:config.timeout_factor
            ~model config.prove)
@@ -298,11 +293,11 @@ type baseline_result = {
   b_sites : int;
 }
 
-let run_baseline ?(pool = Pool.serial) ?(engine = Replay.Unboxed) golden config =
+let run_baseline ?(pool = Pool.serial) golden config =
   Telemetry.span "campaign.run_baseline" @@ fun () ->
   let class_list = Eqclass.for_program ~model:config.model golden config.bits in
   let b_classes, b_work, b_injections =
-    drive ~pool ~engine golden config end_to_end_scope (Array.of_list class_list)
+    drive ~pool golden config end_to_end_scope (Array.of_list class_list)
   in
   let b_sites = Eqclass.total_sites class_list in
   Telemetry.incr m_b_runs;
@@ -311,8 +306,8 @@ let run_baseline ?(pool = Pool.serial) ?(engine = Replay.Unboxed) golden config 
   Telemetry.add m_b_work b_work;
   { b_classes; b_work; b_injections; b_sites }
 
-let final_outcomes_for_section ?(pool = Pool.serial) ?(engine = Replay.Unboxed)
-    ?classes golden ~section_index config =
+let final_outcomes_for_section ?(pool = Pool.serial) ?classes golden ~section_index
+    config =
   Telemetry.span "campaign.final_outcomes"
     ~attrs:[ ("section", string_of_int section_index) ]
   @@ fun () ->
@@ -325,7 +320,7 @@ let final_outcomes_for_section ?(pool = Pool.serial) ?(engine = Replay.Unboxed)
       Array.of_list (Eqclass.for_section ~model section config.bits)
   in
   let outcomes, work, injections =
-    drive ~pool ~engine golden config end_to_end_scope classes
+    drive ~pool golden config end_to_end_scope classes
       ~prove:
         (Prover.prove_final golden ~section_index ~timeout_factor:config.timeout_factor
            ~model config.prove)

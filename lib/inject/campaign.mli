@@ -75,17 +75,12 @@ type journal = {
 
 val run_section :
   ?pool:Ff_support.Pool.t ->
-  ?engine:Ff_vm.Replay.engine ->
   ?classes:Eqclass.t list ->
   ?journal:journal ->
   Ff_vm.Golden.t -> section_index:int -> config -> section_result
 (** FastFlip's per-section campaign: each pilot runs the section in
-    isolation from its golden entry state. [engine] (default [Unboxed];
-    [Boxed] is the tests' reference oracle) selects the execution engine;
-    both produce bit-identical outcomes, which is why it is deliberately
-    absent from {!config_hash} — stored results remain valid across
-    engines (the prover policy, by contrast, {e is} folded in).
-    [classes] supplies a pre-enumerated class list (it must be
+    isolation from its golden entry state, on the {!Ff_vm.Unboxed}
+    engine. [classes] supplies a pre-enumerated class list (it must be
     {!Eqclass.for_section} of this section under [config]); when absent
     the classes are enumerated here.
 
@@ -124,7 +119,6 @@ type baseline_result = {
 
 val run_baseline :
   ?pool:Ff_support.Pool.t ->
-  ?engine:Ff_vm.Replay.engine ->
   Ff_vm.Golden.t -> config -> baseline_result
 (** The monolithic Approxilyzer-style campaign: whole-trace equivalence
     classes, each pilot runs from its section's entry state through the
@@ -133,7 +127,6 @@ val run_baseline :
 
 val final_outcomes_for_section :
   ?pool:Ff_support.Pool.t ->
-  ?engine:Ff_vm.Replay.engine ->
   ?classes:Eqclass.t array ->
   Ff_vm.Golden.t -> section_index:int -> config -> (Eqclass.t * Outcome.final_outcome) array * int
 (** The end-to-end scope over one section's per-section classes: each

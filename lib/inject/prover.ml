@@ -61,9 +61,9 @@ module A1 = Bigarray.Array1
 
    Soundness rests on two guards:
    - the golden recording pass is self-validating: it re-executes the
-     section with {!Machine.step} and aborts (disabling the prover for
-     the section) unless its pc stream and exit buffers match the golden
-     run bit for bit;
+     section with {!Unboxed.step} from the plan's unboxed entry state and
+     aborts (disabling the prover for the section) unless its pc stream
+     and exit buffers match the golden run bit for bit;
    - sections whose replay budget could not even cover the golden
      schedule, or whose golden exit already holds non-finite writable
      values (where even a masked replay reports Misformatted), are
@@ -154,13 +154,15 @@ type section_prover = {
   converged : Outcome.final_outcome option;  (* converged replay's final SDC *)
 }
 
-(* Re-execute the section with {!Machine.step}, recording the golden
-   word and tag of every source operand (before) and destination (after)
-   of every dynamic instruction. The pc stream is checked against the
-   golden trace step by step and the final buffers against the golden
-   exit state, so a recording that diverges from the golden run in any
-   way aborts instead of licensing unsound proofs. *)
-let record (section : Golden.section_run) golden_exit =
+(* Re-execute the section with {!Unboxed.step} from the plan's unboxed
+   entry state, recording the golden word and tag of every source
+   operand (before) and destination (after) of every dynamic
+   instruction. The pc stream is checked against the golden trace step
+   by step and the final buffers against the plan's golden exit state,
+   so a recording that diverges from the golden run in any way aborts
+   instead of licensing unsound proofs. *)
+let record (plan : Workspace.plan) (section : Golden.section_run) =
+  let si = section.Golden.section_index in
   let decoded = section.Golden.decoded in
   let trace = section.Golden.trace in
   let dyn_count = section.Golden.dyn_count in
@@ -172,32 +174,39 @@ let record (section : Golden.section_run) golden_exit =
   let nsrc = max 1 soff.(dyn_count) and ndst = max 1 dyn_count in
   let sw = words nsrc and st = Bytes.make nsrc tag_int in
   let dw = words ndst and dt = Bytes.make ndst tag_int in
-  let put bits tags i v =
-    set_word bits i
-      (match v with Value.Int w -> w | Value.Float x -> Int64.bits_of_float x);
-    Bytes.set tags i (Ustate.tag_of_value v)
-  in
-  let regs = Array.make decoded.Decode.nregs (Value.Int 0L) in
-  List.iteri (fun i v -> regs.(i) <- v) section.Golden.scalars;
+  let nregs = max 1 decoded.Decode.nregs in
+  let regs = Ustate.make_words nregs in
+  let iregs = Ustate.as_bits regs and rtags = Bytes.make nregs tag_int in
+  let scal = plan.Workspace.scal_words.(si) in
+  for i = 0 to Ustate.dim scal - 1 do
+    A1.set iregs i (A1.get (Ustate.as_bits scal) i)
+  done;
+  Bytes.blit plan.Workspace.scal_tags.(si) 0 rtags 0 (Ustate.dim scal);
   (* One copy per distinct program buffer: slots bound to the same
-     buffer must alias, exactly as in Machine.exec. *)
-  let nprog = Array.length section.Golden.entry_state in
-  let state = Array.make nprog [||] in
+     buffer must alias, exactly as in a replay. *)
+  let entry = plan.Workspace.states.(si) and exit = plan.Workspace.states.(si + 1) in
+  let nprog = Array.length entry.Ustate.words in
+  let bwords = Array.make nprog (Ustate.make_words 0) in
+  let btags = Array.make nprog Bytes.empty in
   let base = Array.make nprog (-1) in
   let elems = ref 0 in
   Array.iter
     (fun (idx, _) ->
       if base.(idx) < 0 then begin
         base.(idx) <- !elems;
-        state.(idx) <- Array.copy section.Golden.entry_state.(idx);
-        elems := !elems + Array.length state.(idx)
+        let w = entry.Ustate.words.(idx) in
+        bwords.(idx) <- Ustate.make_words (Ustate.dim w);
+        A1.blit w bwords.(idx);
+        btags.(idx) <- Bytes.copy entry.Ustate.tags.(idx);
+        elems := !elems + Ustate.dim w
       end)
     section.Golden.bindings;
   let elems = !elems in
   let slot_idx = Array.map fst section.Golden.bindings in
   let slot_base = Array.map (fun idx -> base.(idx)) slot_idx in
-  let slot_len = Array.map (fun idx -> Array.length state.(idx)) slot_idx in
-  let buffers = Array.map (fun idx -> state.(idx)) slot_idx in
+  let slot_len = Array.map (fun idx -> Ustate.dim bwords.(idx)) slot_idx in
+  let views = Array.map (fun idx -> bwords.(idx)) slot_idx in
+  let vtags = Array.map (fun idx -> btags.(idx)) slot_idx in
   (* Golden memory-access schedule: for each touched element, the dyns
      of its Loads/Stores in order. The walk uses it to leap over clean
      stretches once all register taint has died. *)
@@ -206,20 +215,31 @@ let record (section : Golden.section_run) golden_exit =
      let pc = ref 0 in
      for j = 0 to dyn_count - 1 do
        if !pc <> trace.(j) then raise Invalid_recording;
-       let instr = code.(!pc) in
        let sbase = soff.(j) in
        Array.iteri
-         (fun k r -> put sw st (sbase + k) regs.(r))
+         (fun k r ->
+           set_word sw (sbase + k) (A1.get iregs r);
+           Bytes.set st (sbase + k) (Bytes.get rtags r))
          (Decode.srcs_at decoded !pc);
-       let next = Machine.step regs buffers instr ~pc:!pc in
+       let next =
+         match
+           Unboxed.step decoded.Decode.packed decoded.Decode.imm regs iregs rtags views
+             vtags ~base:(!pc * 5) ~pc:!pc
+         with
+         | next -> next
+         | exception Unboxed.Halted -> -1
+       in
        (* A Load's or Store's first source is its index. *)
-       (match instr with
+       (match code.(!pc) with
        | Instr.Load (_, slot, _) | Instr.Store (slot, _, _) ->
          let e = slot_base.(slot) + Int64.to_int (word sw sbase) in
          accesses.(e) <- j :: accesses.(e)
        | _ -> ());
        let d = Decode.dst_at decoded !pc in
-       if d >= 0 then put dw dt j regs.(d);
+       if d >= 0 then begin
+         set_word dw j (A1.get iregs d);
+         Bytes.set dt j (Bytes.get rtags d)
+       end;
        if next < 0 && j <> dyn_count - 1 then raise Invalid_recording;
        pc := next
      done
@@ -230,18 +250,20 @@ let record (section : Golden.section_run) golden_exit =
   let exit_t = Bytes.make (max 1 elems) tag_int in
   let elem_buf = Array.make elems 0 in
   Array.iteri
-    (fun idx a ->
-      if base.(idx) >= 0 then begin
-        let b = golden_exit.(idx) in
-        if Array.length a <> Array.length b then raise Invalid_recording;
-        Array.iteri
-          (fun e v ->
-            if not (Value.equal v b.(e)) then raise Invalid_recording;
-            put exit_w exit_t (base.(idx) + e) v;
-            elem_buf.(base.(idx) + e) <- idx)
-          a
+    (fun idx b ->
+      if b >= 0 then begin
+        let w = Ustate.as_bits bwords.(idx) and t = btags.(idx) in
+        let gw = Ustate.as_bits exit.Ustate.words.(idx) and gt = exit.Ustate.tags.(idx) in
+        if A1.dim w <> A1.dim gw then raise Invalid_recording;
+        for e = 0 to A1.dim w - 1 do
+          if A1.get w e <> A1.get gw e || Bytes.get t e <> Bytes.get gt e then
+            raise Invalid_recording;
+          set_word exit_w (b + e) (A1.get w e);
+          Bytes.set exit_t (b + e) (Bytes.get t e);
+          elem_buf.(b + e) <- idx
+        done
       end)
-    state;
+    base;
   {
     r_soff = soff;
     r_sw = sw;
@@ -267,9 +289,9 @@ let record (section : Golden.section_run) golden_exit =
 let recording_cache : (Golden.section_run, recording option) Ephemeron_cache.t =
   Ephemeron_cache.create 32
 
-let recording_of section golden_exit =
+let recording_of plan section =
   Ephemeron_cache.find_or_compute recording_cache section (fun () ->
-      match record section golden_exit with
+      match record plan section with
       | r -> Some r
       | exception Invalid_recording -> None)
 
@@ -279,17 +301,16 @@ let prepare golden ~section_index ~timeout_factor ~burst =
   if Replay.budget_of ~timeout_factor dyn_count < dyn_count then None
   else begin
     let plan = Workspace.plan_of golden in
-    let golden_exit = Golden.exit_state golden section_index in
     let nprog = Array.length section.Golden.entry_state in
     let writable = Array.make nprog false in
     let writable_idx = plan.Workspace.writable_idx.(section_index) in
     Array.iter (fun idx -> writable.(idx) <- true) writable_idx;
     let exit_nonfinite =
       Array.exists
-        (fun idx -> Array.exists (fun v -> not (Value.is_finite v)) golden_exit.(idx))
+        (Ustate.has_nonfinite plan.Workspace.states.(section_index + 1))
         writable_idx
     in
-    match recording_of section golden_exit with
+    match recording_of plan section with
     | None ->
       Telemetry.incr m_refused;
       None

@@ -23,10 +23,13 @@
     may abstain, it may never disagree.
 
     The golden values the walk starts from are recorded, as raw 64-bit
-    words plus a type tag, by running the section through
-    {!Ff_vm.Machine.step}, the interpreter's own dispatch, and the
-    recording is discarded unless its pc stream and exit buffers match
-    the golden run bit for bit.
+    words plus a type tag, by running the section from its unboxed
+    golden entry state through {!Ff_vm.Unboxed.step}, the engine's own
+    dispatch, and the recording is discarded unless its pc stream and
+    exit buffers match the golden run bit for bit. The recording is a
+    pass of its own, made when a campaign first asks to prove a section
+    (not during the golden run), so a fault model under which the prover
+    abstains never pays for it.
 
     The walk allocates nothing per step, and per class at most the
     outcome it proves: one walker per call holds the taint (faulty
@@ -46,7 +49,7 @@
     stepping under avalanche.
 
     Proofs only consult golden data, so they are identical for every
-    pool width and execution engine. Fold {!policy_hash} (which covers
+    pool width. Fold {!policy_hash} (which covers
     {!version}) into any persistent key caching campaign results. *)
 
 type policy = { enabled : bool }

@@ -1,5 +1,6 @@
 open Ff_ir
 open Ff_vm
+module A1 = Bigarray.Array1
 
 (* --- shared CFG helpers ------------------------------------------------ *)
 
@@ -67,17 +68,29 @@ let constant_fold (kernel : Kernel.t) =
     | Some d -> known.(d) <- value
     | None -> ()
   in
-  (* A compute op with every source known is evaluated by the
-     interpreter's own step on a scratch register file, so folding can
-     never disagree with a run; an op that would trap stays unfolded. *)
-  let scratch = Array.make kernel.Kernel.nregs (Value.Int 0L) in
+  (* A compute op with every source known is evaluated by the engine's
+     own step, packed as a one-instruction program over a scratch
+     register file, so folding can never disagree with a run; an op that
+     would trap stays unfolded. *)
+  let nregs = max 1 kernel.Kernel.nregs in
+  let regs = Ustate.make_words nregs in
+  let iregs = Ustate.as_bits regs and rtags = Bytes.make nregs Ustate.tag_int in
   let eval instr d =
     let srcs = Instr.srcs instr in
     if not (List.for_all (fun r -> Option.is_some (get r)) srcs) then None
     else begin
-      List.iter (fun r -> scratch.(r) <- Option.get (get r)) srcs;
-      match Machine.step scratch [||] instr ~pc:0 with
-      | _ -> Some (const_of d scratch.(d))
+      List.iter
+        (fun r ->
+          let v = Option.get (get r) in
+          (match v with
+          | Value.Int w -> A1.set iregs r w
+          | Value.Float x -> A1.set regs r x);
+          Bytes.set rtags r (Ustate.tag_of_value v))
+        srcs;
+      match
+        Unboxed.step (Decode.pack instr) [||] regs iregs rtags [||] [||] ~base:0 ~pc:0
+      with
+      | _ -> Some (const_of d (Ustate.value_of (A1.get regs d) (Bytes.get rtags d)))
       | exception Machine.Trap _ -> None
     end
   in

@@ -17,8 +17,10 @@ val constant_fold : Ff_ir.Kernel.t -> Ff_ir.Kernel.t
     resets at branch targets; instruction count and labels are
     unchanged (a folded [Br] becomes a [Jmp] in place). An arithmetic,
     compare or cast instruction whose sources are all known is evaluated
-    by {!Ff_vm.Machine.step}, so a folded value is exactly what a run
-    computes; an instruction that would trap is left in place. *)
+    by {!Ff_vm.Unboxed.step}, the engine's own dispatch, over a packed
+    one-instruction program ({!Ff_vm.Decode.pack}), so a folded value is
+    exactly what a run computes; an instruction that would trap is left
+    in place. *)
 
 val copy_propagate : Ff_ir.Kernel.t -> Ff_ir.Kernel.t
 (** Local (basic-block) copy propagation through [Mov]s; the copies

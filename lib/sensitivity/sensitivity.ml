@@ -108,7 +108,7 @@ let estimate ?(samples = 200) ?(max_perturbation = 0.01) ?(safety_factor = 1.25)
                accumulates), not the largest single nudge. *)
             delta := Ustate.buffer_distance entry input_buf u input_buf)
       in
-      work := !work + run.Machine.executed;
+      work := !work + (run : Machine.run).executed;
       match run.Machine.status with
       | Machine.Finished ->
         Array.iteri

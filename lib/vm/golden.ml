@@ -1,5 +1,6 @@
 open Ff_ir
 module Hashing = Ff_support.Hashing
+module A1 = Bigarray.Array1
 
 type section_run = {
   section_index : int;
@@ -36,14 +37,40 @@ let compute_input_hash scalars bindings state =
     bindings;
   Hashing.value h
 
+(* Bring boxed buffer [buf] up to date with buffer [i] of the unboxed
+   state, re-boxing only the elements whose bits or tag changed: an
+   unchanged element keeps its box, so consecutive snapshots share it,
+   as copies of one boxed state always did. *)
+let sync (u : Ustate.t) i (buf : Value.t array) =
+  let words = u.Ustate.words.(i) and tags = u.Ustate.tags.(i) in
+  let bits = Ustate.as_bits words in
+  for j = 0 to Array.length buf - 1 do
+    let w = A1.unsafe_get bits j and t = Bytes.unsafe_get tags j in
+    let same =
+      match buf.(j) with
+      | Value.Int v -> t = Ustate.tag_int && Int64.equal v w
+      | Value.Float x -> t = Ustate.tag_float && Int64.equal (Int64.bits_of_float x) w
+    in
+    if not same then buf.(j) <- Ustate.value_of (A1.unsafe_get words j) t
+  done
+
 let run ?(budget_per_section = 50_000_000) (program : Program.t) =
   (match Program.validate program with
   | Ok () -> ()
   | Error { Program.context; message } ->
     failwith (Printf.sprintf "Golden.run: invalid program (%s: %s)" context message));
+  (* The run is unboxed, over one program state [ustate] whose per-slot
+     views alias, as a {!Workspace}'s do: slots bound to one buffer share
+     it. [state] is its boxed mirror, synced after each section, from
+     which the snapshots and input hashes are taken. *)
   let state =
     Array.of_list (List.map (fun b -> Array.copy b.Program.buf_init) program.Program.buffers)
   in
+  let ustate = Ustate.of_state state in
+  let nregs =
+    List.fold_left (fun n k -> max n k.Kernel.nregs) 1 program.Program.kernels
+  in
+  let regs = Ustate.make_words nregs and rtags = Bytes.make nregs Ustate.tag_int in
   let total_dyn = ref 0 in
   (* Decode each kernel exactly once, however many sections call it:
      replays inherit the decoded form through the section record. *)
@@ -70,12 +97,15 @@ let run ?(budget_per_section = 50_000_000) (program : Program.t) =
         let bindings = Array.of_list (Program.buffer_args program call) in
         let entry_state = copy_state state in
         let input_hash = compute_input_hash scalars bindings state in
-        let buffers = Array.map (fun (idx, _) -> state.(idx)) bindings in
+        let scal_words, scal_tags = Ustate.scalars_of_values scalars in
         let trace = Trace.create () in
-        let run_result =
-          Machine.exec kernel ~scalars ~buffers ~budget:budget_per_section ~decoded ~trace ()
+        let { Machine.status; executed } =
+          Unboxed.exec decoded ~regs ~rtags ~scal_words ~scal_tags
+            ~buffers:(Array.map (fun (idx, _) -> ustate.Ustate.words.(idx)) bindings)
+            ~btags:(Array.map (fun (idx, _) -> ustate.Ustate.tags.(idx)) bindings)
+            ~budget:budget_per_section ~trace ()
         in
-        (match run_result.Machine.status with
+        (match status with
         | Machine.Finished -> ()
         | Machine.Trapped trap ->
           failwith
@@ -85,7 +115,8 @@ let run ?(budget_per_section = 50_000_000) (program : Program.t) =
           failwith
             (Printf.sprintf "Golden.run: section %s exceeded the golden budget"
                call.Program.call_label));
-        total_dyn := !total_dyn + run_result.Machine.executed;
+        Array.iter (fun (idx, _) -> sync ustate idx state.(idx)) bindings;
+        total_dyn := !total_dyn + executed;
         {
           section_index = i;
           call;
@@ -96,7 +127,7 @@ let run ?(budget_per_section = 50_000_000) (program : Program.t) =
           bindings;
           entry_state;
           trace = Trace.to_array trace;
-          dyn_count = run_result.Machine.executed;
+          dyn_count = executed;
           input_hash;
         })
       program.Program.schedule

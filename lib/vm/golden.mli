@@ -1,10 +1,14 @@
 (** Golden (error-free) execution of a whole program.
 
-    Runs the schedule section by section, recording for each section a
-    snapshot of all program buffers at entry, the dynamic trace, and
-    per-pc dynamic counts. These snapshots are what injection replays and
-    the incremental analysis key on: a section's identity is (code hash,
-    entry-state hash). *)
+    Runs the schedule section by section on the {!Unboxed} engine, over
+    one unboxed program state whose per-slot views alias (as a
+    {!Workspace}'s do, so a call binding one buffer to two slots sees its
+    own writes), recording for each section a boxed snapshot of all
+    program buffers at entry, the dynamic trace, and per-pc dynamic
+    counts. These snapshots are what injection replays and the
+    incremental analysis key on: a section's identity is (code hash,
+    entry-state hash). The test suite's boxed oracle computes the same
+    run independently. *)
 
 type section_run = {
   section_index : int;              (** position in the schedule *)

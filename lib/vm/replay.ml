@@ -15,10 +15,6 @@ type injection =
   | Fault of Machine.injection
   | Mem_flip of mem_flip
 
-type engine =
-  | Boxed
-  | Unboxed
-
 type section_replay = {
   s_anomaly : anomaly option;
   s_output_sdc : (int * float) array;
@@ -60,21 +56,13 @@ let status_anomaly = function
 
 let machine_injection_of = function Fault f -> Some f | Mem_flip _ -> None
 
-(* What a replay needs of an execution engine. [k] names golden boundary
-   state k of the plan: the entry of section k, or the final state when
-   k is the section count. The drivers below are written once over it. *)
+(* What a replay needs of an execution engine (see replay.mli). The
+   drivers below are written once over it. *)
 module type ENGINE = sig
   type t
 
   val enter : Workspace.plan -> int -> whole:bool -> t
-  (** a state at section [i]'s golden entry: the whole program state, or
-      only section [i]'s bound buffers, the only ones a section replay
-      reads or inspects *)
-
   val mem_flip : t -> mem_flip -> unit
-  (** XOR the payload bits of one element, keeping its type tag — the
-      engines agree bit for bit; out-of-range coordinates are a no-op, so
-      a stale site enumeration can never crash a campaign *)
 
   val exec :
     Workspace.plan -> t -> int -> injection:Machine.injection option -> burst:int ->
@@ -84,49 +72,7 @@ module type ENGINE = sig
   val differs : Workspace.plan -> int -> t -> int -> bool
   val nonfinite : t -> int -> bool
   val equal : Workspace.plan -> int -> t -> bool
-
   val capture : t -> int -> Value.t array
-  (** a boxed deep copy of one buffer, which outlives the state *)
-end
-
-(* The tree-walking {!Machine} over a fresh boxed copy of the state: the
-   reference oracle. *)
-module Boxed_engine : ENGINE = struct
-  type t = Value.t array array
-
-  let golden_state (plan : Workspace.plan) k =
-    let g = plan.Workspace.golden in
-    if k = Array.length g.Golden.sections then g.Golden.final_state
-    else g.Golden.sections.(k).Golden.entry_state
-
-  let enter plan i ~whole:_ = Array.map Array.copy (golden_state plan i)
-
-  let mem_flip (state : t) { mf_buffer; mf_elem; mf_bits } =
-    if mf_buffer >= 0 && mf_buffer < Array.length state then begin
-      let buf = state.(mf_buffer) in
-      if mf_elem >= 0 && mf_elem < Array.length buf then
-        buf.(mf_elem) <- List.fold_left Value.flip_bit buf.(mf_elem) mf_bits
-    end
-
-  let exec (plan : Workspace.plan) (state : t) i ~injection ~burst ~budget =
-    let section = plan.Workspace.golden.Golden.sections.(i) in
-    let buffers = Array.map (fun (idx, _) -> state.(idx)) section.Golden.bindings in
-    Machine.exec section.Golden.kernel ~scalars:section.Golden.scalars ~buffers ~budget
-      ~decoded:section.Golden.decoded ?injection ~burst ()
-
-  let distance plan k (state : t) idx =
-    buffer_distance (golden_state plan k).(idx) state.(idx)
-
-  let differs plan k (state : t) idx =
-    buffer_distance ~stop_at:0.0 (golden_state plan k).(idx) state.(idx) > 0.0
-
-  let nonfinite (state : t) idx =
-    Array.exists (fun v -> not (Value.is_finite v)) state.(idx)
-
-  let equal plan k (state : t) =
-    Array.for_all2 (Array.for_all2 Value.equal) state (golden_state plan k)
-
-  let capture (state : t) idx = Array.copy state.(idx)
 end
 
 (* The pre-decoded {!Unboxed} engine in this domain's {!Workspace}: a
@@ -182,28 +128,42 @@ let exec_section ?(burst = 1) ?injection golden (section : Golden.section_run) ~
     Unboxed_engine.exec plan ws si ~injection ~burst
       ~budget:(budget_of ~timeout_factor section.Golden.dyn_count) )
 
-module Driver (E : ENGINE) = struct
+module type S = sig
+  val run_section :
+    ?burst:int -> Golden.t -> Golden.section_run -> injection -> timeout_factor:float ->
+    section_replay
+
+  val run_section_capture :
+    ?burst:int -> Golden.t -> Golden.section_run -> injection -> timeout_factor:float ->
+    buffers:int array -> section_replay * Value.t array array option
+
+  val run_to_end :
+    ?burst:int -> Golden.t -> from_section:int -> injection -> timeout_factor:float ->
+    program_replay
+end
+
+module Driver (E : ENGINE) : S = struct
   (* One section from its golden entry, compared with its golden exit,
      boundary [si + 1]; [capture] lists the buffers to copy out of a
      completed run. *)
-  let section ~burst ~capture golden (section : Golden.section_run) injection
+  let one_section ~burst ~capture golden (section : Golden.section_run) injection
       ~timeout_factor =
     let plan = Workspace.plan_of golden in
     let si = section.Golden.section_index in
     let state = E.enter plan si ~whole:false in
     (match injection with Mem_flip m -> E.mem_flip state m | Fault _ -> ());
-    let run =
+    let { Machine.status; executed } =
       E.exec plan state si ~injection:(machine_injection_of injection) ~burst
         ~budget:(budget_of ~timeout_factor section.Golden.dyn_count)
     in
-    let anomaly = status_anomaly run.Machine.status in
+    let anomaly = status_anomaly status in
     if anomaly <> None then
       ( {
           s_anomaly = anomaly;
           s_output_sdc = [||];
           s_side_effect = false;
           s_nonfinite = false;
-          s_executed = run.Machine.executed;
+          s_executed = executed;
         },
         None )
     else
@@ -221,10 +181,10 @@ module Driver (E : ENGINE) = struct
               (fun idx -> E.differs plan k state idx)
               plan.Workspace.scan_idx.(si);
           s_nonfinite = Array.exists (fun idx -> E.nonfinite state idx) writable_idx;
-          s_executed = run.Machine.executed;
+          s_executed = executed;
         },
         (* taken before the state is reused, as bit-identical boxed values
-           on both engines; a buffer the section does not bind is out of
+           on every engine; a buffer the section does not bind is out of
            its scope, and the section's entry need not restore it *)
         match capture with
         | None -> None
@@ -236,7 +196,15 @@ module Driver (E : ENGINE) = struct
           in
           Some (Array.map copy buffers) )
 
-  let to_end ~burst golden ~from_section injection ~timeout_factor =
+  let run_section_capture ?(burst = 1) golden section injection ~timeout_factor ~buffers =
+    one_section ~burst ~capture:(Some buffers) golden section injection ~timeout_factor
+
+  let run_section ?(burst = 1) golden section injection ~timeout_factor =
+    fst (one_section ~burst ~capture:None golden section injection ~timeout_factor)
+
+  let run_to_end ?(burst = 1) golden ~from_section injection ~timeout_factor =
+    if from_section < 0 || from_section >= Array.length golden.Golden.sections then
+      invalid_arg "Replay.run_to_end: section index out of range";
     let plan = Workspace.plan_of golden in
     let state = E.enter plan from_section ~whole:true in
     (match injection with Mem_flip m -> E.mem_flip state m | Fault _ -> ());
@@ -249,12 +217,12 @@ module Driver (E : ENGINE) = struct
     let converged = ref false in
     while (not !converged) && !anomaly = None && !i < nsections do
       let injection = if !i = from_section then machine_inj else None in
-      let run =
+      let run : Machine.run =
         E.exec plan state !i ~injection ~burst
           ~budget:(budget_of ~timeout_factor sections.(!i).Golden.dyn_count)
       in
-      executed := !executed + run.Machine.executed;
-      anomaly := status_anomaly run.Machine.status;
+      executed := !executed + run.executed;
+      anomaly := status_anomaly run.status;
       (* Approxilyzer-style early equivalence detection: once the faulty
          state coincides with the golden state at a section boundary, the
          deterministic remainder must produce the golden outputs — stop
@@ -287,26 +255,4 @@ module Driver (E : ENGINE) = struct
       }
 end
 
-module Boxed_driver = Driver (Boxed_engine)
-module Unboxed_driver = Driver (Unboxed_engine)
-
-let section_driver = function
-  | Boxed -> Boxed_driver.section
-  | Unboxed -> Unboxed_driver.section
-
-let run_section_capture ?(burst = 1) ?(engine = Unboxed) golden section injection
-    ~timeout_factor ~buffers =
-  section_driver engine ~burst ~capture:(Some buffers) golden section injection
-    ~timeout_factor
-
-let run_section ?(burst = 1) ?(engine = Unboxed) golden section injection
-    ~timeout_factor =
-  fst
-    (section_driver engine ~burst ~capture:None golden section injection ~timeout_factor)
-
-let run_to_end ?(burst = 1) ?(engine = Unboxed) golden ~from_section injection
-    ~timeout_factor =
-  if from_section < 0 || from_section >= Array.length golden.Golden.sections then
-    invalid_arg "Replay.run_to_end: section index out of range";
-  (match engine with Boxed -> Boxed_driver.to_end | Unboxed -> Unboxed_driver.to_end)
-    ~burst golden ~from_section injection ~timeout_factor
+include Driver (Unboxed_engine)

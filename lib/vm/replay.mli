@@ -9,14 +9,16 @@
        from the injected section's entry state through the rest of the
        schedule and compare the final program outputs.}}
 
-    Each mode is one driver, written once over a small per-engine state
-    interface (enter a section, apply a memory flip, execute a section,
-    compare with a golden boundary state, capture a buffer); the boxed
-    {!Machine} and the {!Unboxed} engine contribute only those
-    operations, so anomaly mapping, distances, the side-effect scan,
-    the non-finite check, convergence and capture are shared. Both
-    modes charge their work (dynamic instructions executed) to the
-    caller, which is how analysis "core-hours" are accounted. *)
+    Each mode is one driver ({!Driver}), written once over a small
+    per-engine state interface ({!ENGINE}: enter a section, apply a
+    memory flip, execute a section, compare with a golden boundary
+    state, capture a buffer), so anomaly mapping, distances, the
+    side-effect scan, the non-finite check, convergence and capture are
+    shared. The functions below are the driver over the {!Unboxed}
+    engine in this domain's {!Workspace}; the test suite's boxed oracle
+    instantiates the same driver over its own interpreter. Both modes
+    charge their work (dynamic instructions executed) to the caller,
+    which is how analysis "core-hours" are accounted. *)
 
 type anomaly =
   | Trap of Machine.trap
@@ -36,13 +38,7 @@ type injection =
       (** flip bits of one buffer element in the entry state, before the
           engine starts: the memory-fault-at-section-boundary model. The
           flip preserves the element's type tag; out-of-range coordinates
-          are a no-op on both engines. *)
-
-type engine =
-  | Boxed    (** the tree-walking {!Machine} — the reference oracle *)
-  | Unboxed  (** the pre-decoded {!Unboxed} engine over zero-copy
-                 {!Workspace} scratch — bit-identical, several times
-                 faster *)
+          are a no-op on every engine. *)
 
 val budget_of : timeout_factor:float -> int -> int
 (** The dynamic-instruction budget a replay grants a section whose golden
@@ -89,34 +85,6 @@ type section_replay = {
   s_executed : int;
 }
 
-val run_section :
-  ?burst:int ->
-  ?engine:engine ->
-  Golden.t -> Golden.section_run -> injection -> timeout_factor:float ->
-  section_replay
-(** Replay one section in isolation with an injected fault. [burst] only
-    affects [Fault] register-flip operands. The section
-    budget is [timeout_factor] × its golden dynamic instruction count
-    (the paper uses 5×). The unboxed engine (default) runs in this
-    domain's reusable workspace — per-replay setup is a blit of the entry
-    state, not an allocation. *)
-
-val run_section_capture :
-  ?burst:int ->
-  ?engine:engine ->
-  Golden.t -> Golden.section_run -> injection -> timeout_factor:float ->
-  buffers:int array ->
-  section_replay * Ff_ir.Value.t array array option
-(** {!run_section}, additionally returning the faulty contents of the
-    requested program buffers at section exit (in request order, deep
-    copies) when the replay completed, [None] when it was anomalous.
-    This is the hook runtime-detector coverage measurement evaluates
-    candidate checks against: both engines capture bit-identical boxed
-    values, so detector verdicts never depend on the engine. A buffer
-    the section does not bind is captured as its golden value: like the
-    side-effect scan, a section replay does not inspect it (a memory
-    flip of it included). *)
-
 type program_replay = {
   p_anomaly : anomaly option;
   p_final_sdc : (int * float) list;
@@ -125,14 +93,85 @@ type program_replay = {
   p_executed : int;
 }
 
-val run_to_end :
-  ?burst:int ->
-  ?engine:engine ->
-  Golden.t -> from_section:int -> injection -> timeout_factor:float ->
-  program_replay
-(** Replay the program from the entry of section [from_section] (injecting
-    there) through the end of the schedule. Each section gets
-    [timeout_factor] × its own golden budget. Mirrors Approxilyzer's
-    early equivalence detection: if at any section boundary the faulty
-    buffer state equals the golden state, the error is masked and the
-    simulation stops there (charging only the work done so far). *)
+(** What a replay needs of an execution engine. [k] names golden
+    boundary state [k] of the plan: the entry of section [k], or the
+    final state when [k] is the section count. *)
+module type ENGINE = sig
+  type t
+
+  val enter : Workspace.plan -> int -> whole:bool -> t
+  (** a state at section [i]'s golden entry: the whole program state, or
+      only section [i]'s bound buffers, the only ones a section replay
+      reads or inspects *)
+
+  val mem_flip : t -> mem_flip -> unit
+  (** XOR the payload bits of one element, keeping its type tag — the
+      engines agree bit for bit; out-of-range coordinates are a no-op, so
+      a stale site enumeration can never crash a campaign *)
+
+  val exec :
+    Workspace.plan -> t -> int -> injection:Machine.injection option -> burst:int ->
+    budget:int -> Machine.run
+  (** run section [i] on the state under [budget] *)
+
+  val distance : Workspace.plan -> int -> t -> int -> float
+  (** {!buffer_distance} of buffer [idx] from golden boundary state [k] *)
+
+  val differs : Workspace.plan -> int -> t -> int -> bool
+  (** whether buffer [idx] differs from golden boundary state [k] *)
+
+  val nonfinite : t -> int -> bool
+  (** whether buffer [idx] holds a non-finite float *)
+
+  val equal : Workspace.plan -> int -> t -> bool
+  (** whether the whole state equals golden boundary state [k] *)
+
+  val capture : t -> int -> Ff_ir.Value.t array
+  (** a boxed deep copy of one buffer, which outlives the state *)
+end
+
+module type S = sig
+  val run_section :
+    ?burst:int ->
+    Golden.t -> Golden.section_run -> injection -> timeout_factor:float ->
+    section_replay
+  (** Replay one section in isolation with an injected fault. [burst] only
+      affects [Fault] register-flip operands. The section
+      budget is [timeout_factor] × its golden dynamic instruction count
+      (the paper uses 5×). Over {!Unboxed} the replay runs in this
+      domain's reusable workspace — per-replay setup is a blit of the
+      entry state, not an allocation. *)
+
+  val run_section_capture :
+    ?burst:int ->
+    Golden.t -> Golden.section_run -> injection -> timeout_factor:float ->
+    buffers:int array ->
+    section_replay * Ff_ir.Value.t array array option
+  (** {!run_section}, additionally returning the faulty contents of the
+      requested program buffers at section exit (in request order, deep
+      copies) when the replay completed, [None] when it was anomalous.
+      This is the hook runtime-detector coverage measurement evaluates
+      candidate checks against: every engine captures bit-identical boxed
+      values, so detector verdicts never depend on the engine. A buffer
+      the section does not bind is captured as its golden value: like the
+      side-effect scan, a section replay does not inspect it (a memory
+      flip of it included). *)
+
+  val run_to_end :
+    ?burst:int ->
+    Golden.t -> from_section:int -> injection -> timeout_factor:float ->
+    program_replay
+  (** Replay the program from the entry of section [from_section] (injecting
+      there) through the end of the schedule. Each section gets
+      [timeout_factor] × its own golden budget. Mirrors Approxilyzer's
+      early equivalence detection: if at any section boundary the faulty
+      buffer state equals the golden state, the error is masked and the
+      simulation stops there (charging only the work done so far).
+      Raises [Invalid_argument] when [from_section] is out of range. *)
+end
+
+module Driver (E : ENGINE) : S
+(** The two replay modes, written once over an engine. *)
+
+include S
+(** The driver over the {!Unboxed} engine. *)

@@ -1,5 +1,3 @@
-open Ff_ir
-
 (* The unboxed execution engine: one step function, [step], a single
    dense integer dispatch over a packed instruction ({!Decode.pack}),
    operating on raw 64-bit words ({!Ustate.words}, with the int64 view
@@ -7,11 +5,13 @@ open Ff_ir
    constructor, allocates a box, or calls a conversion stub: int operands
    are direct int64 loads from the bits view, float operands direct
    float loads from the float view, and an injected bit flip is one XOR
-   on the register word. Semantics mirror {!Machine.step} bit for bit —
-   same libm calls, same trap conditions — and [exec] keeps
-   {!Machine.exec}'s loop order (budget check, trace record, source flip,
-   dispatch, destination flip), which the differential test suite
-   enforces against the boxed oracle.
+   on the register word. It is the one production interpreter: the
+   golden run, every replay and sensitivity sample, the prover's golden
+   recording and taint walk, and the optimizer's constant folding all
+   execute through [step]. The test suite keeps an independent boxed
+   interpreter as its oracle and holds this one to it bit for bit — same
+   libm calls, same trap conditions, and [exec]'s loop order (budget
+   check, trace record, source flip, dispatch, destination flip).
 
    [step] is [@inline]: [exec]'s interpreter loop inlines it, so the loop
    keeps one jump table over the opcode and each arm returns the next pc
@@ -19,10 +19,11 @@ open Ff_ir
    and calling a shared function for the rest compiles to a second
    switch per instruction.) The cold callers run the out-of-line copy:
    an encoding fault runs {!Decode.corrupt}'s instruction, packed into a
-   scratch, at the faulted pc, and the prover's taint walk runs each
-   corrupted computing instruction over a one-instruction scratch
-   program on its staged words. Replay, sensitivity sampling and the
-   prover thus share one implementation of the IR's operations.
+   scratch, at the faulted pc; the prover's recording steps the golden
+   schedule, its taint walk runs each corrupted computing instruction
+   over a one-instruction scratch program on its staged words, and
+   constant folding runs a packed instruction over known registers.
+   Every consumer thus shares one implementation of the IR's operations.
 
    The arms spell out their tag checks and loads instead of sharing
    accessor functions: without flambda, a call returning [int64] boxes
@@ -612,43 +613,3 @@ let exec (d : Decode.t) ~(regs : Ustate.words) ~(rtags : Bytes.t)
   in
   Machine.telemetry_record result ~executed:!executed;
   { Machine.status = result; executed = !executed }
-
-(* Boxed-I/O convenience used by the differential tests and anywhere a
-   one-off run is clearer than setting up a workspace: allocates the
-   unboxed mirrors, runs, and writes mutated buffers back. Argument
-   validation mirrors Machine.exec exactly. *)
-let exec_values (d : Decode.t) ~scalars ~(buffers : Value.t array array) ~budget
-    ?injection ?burst ?trace () =
-  if Array.length buffers <> d.Decode.nbufs then
-    invalid_arg "Machine.exec: buffer arity mismatch";
-  let scalar_tys = d.Decode.scalar_tys in
-  if List.length scalars <> Array.length scalar_tys then
-    invalid_arg "Machine.exec: scalar arity mismatch";
-  List.iteri
-    (fun i v ->
-      if not (Value.ty_equal (Value.ty v) scalar_tys.(i)) then
-        invalid_arg "Machine.exec: scalar type mismatch")
-    scalars;
-  let regs = Ustate.make_words (max 1 d.Decode.nregs) in
-  let rtags = Bytes.make (max 1 d.Decode.nregs) tag_int in
-  let scal_words, scal_tags = Ustate.scalars_of_values scalars in
-  let n = Array.length buffers in
-  let uwords = Array.make n (Ustate.make_words 0) in
-  let utags = Array.make n Bytes.empty in
-  for i = 0 to n - 1 do
-    let w, t = Ustate.of_values buffers.(i) in
-    uwords.(i) <- w;
-    utags.(i) <- t
-  done;
-  let run =
-    exec d ~regs ~rtags ~scal_words ~scal_tags ~buffers:uwords ~btags:utags
-      ~budget ?injection ?burst ?trace ()
-  in
-  for i = 0 to n - 1 do
-    let w = uwords.(i) and t = utags.(i) in
-    let buf = buffers.(i) in
-    for j = 0 to Array.length buf - 1 do
-      buf.(j) <- Ustate.value_of (A1.unsafe_get w j) (Bytes.unsafe_get t j)
-    done
-  done;
-  run

@@ -5,10 +5,13 @@
     same memory) with parallel per-element type-tag bytes — no
     constructor matching, no boxing, no conversion calls, no allocation
     in the hot loop; an injected bit flip is a single XOR against the
-    register word. The boxed {!Machine} remains the reference oracle:
-    for identical inputs the two engines produce bit-identical statuses,
-    executed counts, buffer contents, and traces (enforced by the
-    differential tests). *)
+    register word. It is the one production interpreter: the golden
+    run ({!Golden.run}), every replay, sensitivity sampling, the prover's
+    golden recording and taint walk, and the optimizer's constant
+    folding all run through {!step}. The test suite's boxed oracle
+    ([test/oracle/]) is an independent interpreter: for identical inputs
+    the two produce bit-identical statuses, executed counts, buffer
+    contents, and traces (enforced by the differential tests). *)
 
 exception Halted
 (** Raised by {!step} on [Halt]. *)
@@ -34,8 +37,9 @@ val step :
     are not checked (decode-time validation licenses that); a buffer
     index is, and traps [Out_of_bounds]. Raises {!Machine.Trap} on a
     trap and {!Halted} on [Halt]. [exec]'s loop runs it over
-    [d.packed]; an encoding fault and the prover's taint walk run it
-    over a one-instruction scratch. *)
+    [d.packed]; the prover's recording runs it over the golden
+    schedule; an encoding fault, the prover's taint walk and constant
+    folding run it over a one-instruction scratch. *)
 
 val exec :
   Decode.t ->
@@ -60,19 +64,6 @@ val exec :
     workspace contract). The caller is responsible for shape agreement
     with [d]; register indices are not bounds-checked at runtime
     (decode-time validation licenses that), while data-dependent buffer
-    indices keep their checks and trap [Out_of_bounds]. *)
-
-val exec_values :
-  Decode.t ->
-  scalars:Ff_ir.Value.t list ->
-  buffers:Ff_ir.Value.t array array ->
-  budget:int ->
-  ?injection:Machine.injection ->
-  ?burst:int ->
-  ?trace:Trace.t ->
-  unit ->
-  Machine.run
-(** Boxed-I/O convenience with {!Machine.exec}'s exact argument contract
-    (same [Invalid_argument] conditions and messages): converts to the
-    unboxed form, runs, and writes mutated buffers back. Meant for
-    differential tests and one-off runs, not the replay hot path. *)
+    indices keep their checks and trap [Out_of_bounds]. Two slots bound
+    to one buffer must be given the same views: they then alias, as the
+    program's semantics require. *)

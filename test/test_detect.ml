@@ -108,8 +108,7 @@ let benign_fires golden specs candidates ~section_index ~delta =
   let buffers = Array.map (fun (idx, _) -> state.(idx)) section.Golden.bindings in
   let budget = max 16 (5 * section.Golden.dyn_count) in
   let run =
-    Machine.exec section.Golden.kernel ~scalars:section.Golden.scalars ~buffers
-      ~budget ()
+    Oracle.exec section.Golden.kernel ~scalars:section.Golden.scalars ~buffers ~budget ()
   in
   Alcotest.(check bool) "benign run finishes" true (run.Machine.status = Machine.Finished);
   Array.to_list candidates.(section_index)

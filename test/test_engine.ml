@@ -1,11 +1,12 @@
 (* Differential tests: the unboxed engine against the boxed oracle.
 
-   The unboxed engine must be bit-identical to Machine.exec — same
-   statuses, executed counts, buffer contents (by Value.equal, i.e. raw
-   bits), and traces — on arbitrary kernels, inputs, injections, and
-   burst widths, including runs that trap or exhaust their budget. The
-   replay/campaign layers must then classify identically through either
-   engine at any pool width. *)
+   The unboxed engine must be bit-identical to the oracle's interpreter
+   ({!Oracle.exec}) — same statuses, executed counts, buffer contents
+   (by Value.equal, i.e. raw bits), and traces — on arbitrary kernels,
+   inputs, injections, and burst widths, including runs that trap or
+   exhaust their budget. The replay and campaign layers must then
+   classify every class as the oracle's replays do, at any pool width,
+   and the golden run must equal the oracle's. *)
 
 open Ff_ir
 open Ff_vm
@@ -101,13 +102,13 @@ let differential ?injection ?burst kernel ~scalars ~buffers ~budget =
   let boxed =
     run_engine
       (fun ~scalars ~buffers ?injection ?burst ~trace () ->
-        Machine.exec kernel ~scalars ~buffers ~budget ~decoded ?injection ?burst ~trace ())
+        Oracle.exec kernel ~scalars ~buffers ~budget ~decoded ?injection ?burst ~trace ())
       ~scalars ~buffers ?injection ?burst ()
   in
   let unboxed =
     run_engine
       (fun ~scalars ~buffers ?injection ?burst ~trace () ->
-        Unboxed.exec_values decoded ~scalars ~buffers ~budget ?injection ?burst ~trace ())
+        Oracle.exec_values decoded ~scalars ~buffers ~budget ?injection ?burst ~trace ())
       ~scalars ~buffers ?injection ?burst ()
   in
   if not (outcomes_agree boxed unboxed) then
@@ -141,8 +142,8 @@ let prop_injected =
 let check_trap name kernel ~scalars ~buffers trap =
   let decoded = Decode.of_kernel kernel in
   let b1 = Array.map Array.copy buffers and b2 = Array.map Array.copy buffers in
-  let r1 = Machine.exec kernel ~scalars ~buffers:b1 ~budget:1000 () in
-  let r2 = Unboxed.exec_values decoded ~scalars ~buffers:b2 ~budget:1000 () in
+  let r1 = Oracle.exec kernel ~scalars ~buffers:b1 ~budget:1000 () in
+  let r2 = Oracle.exec_values decoded ~scalars ~buffers:b2 ~budget:1000 () in
   Alcotest.(check bool)
     (name ^ ": boxed traps")
     true
@@ -206,11 +207,44 @@ let test_argument_checking_parity () =
   in
   let d = Decode.of_kernel k in
   Alcotest.check_raises "missing scalar"
-    (Invalid_argument "Machine.exec: scalar arity mismatch") (fun () ->
-      ignore (Unboxed.exec_values d ~scalars:[] ~buffers:[||] ~budget:10 ()));
+    (Invalid_argument "Oracle.exec: scalar arity mismatch") (fun () ->
+      ignore (Oracle.exec_values d ~scalars:[] ~buffers:[||] ~budget:10 ()));
   Alcotest.check_raises "wrong scalar type"
-    (Invalid_argument "Machine.exec: scalar type mismatch") (fun () ->
-      ignore (Unboxed.exec_values d ~scalars:[ Value.Float 1.0 ] ~buffers:[||] ~budget:10 ()))
+    (Invalid_argument "Oracle.exec: scalar type mismatch") (fun () ->
+      ignore
+        (Oracle.exec_values d ~scalars:[ Value.Float 1.0 ] ~buffers:[||] ~budget:10 ()))
+
+(* [call shift(a, a)] binds one buffer to both slots, so each iteration
+   reads what the previous one wrote: [a] ends 1, 2, 4, 8 (a mirror per
+   slot, written back one after the other, would leave 1, 2, 4, 6). *)
+let shift_src =
+  {|output buffer a : float[4] = { 1.0, 2.0, 3.0, 4.0 };
+kernel shift(in x: float[], inout y: float[]) {
+  for i in 1..4 { y[i] = x[i - 1] * 2.0; }
+}
+schedule {
+  call shift(a, a);
+}|}
+
+let floats l = Array.of_list (List.map (fun x -> Value.Float x) l)
+
+let test_aliased_slots () =
+  let kernel = List.hd (compile shift_src).Program.kernels in
+  let decoded = Decode.of_kernel kernel in
+  let check name exec =
+    let a = floats [ 1.0; 2.0; 3.0; 4.0 ] in
+    let run = exec ~buffers:[| a; a |] in
+    Alcotest.(check bool)
+      (name ^ " finishes") true
+      (run.Machine.status = Machine.Finished);
+    if not (buffers_bit_equal [| a |] [| floats [ 1.0; 2.0; 4.0; 8.0 ] |]) then
+      Alcotest.failf "%s: a = %s" name
+        (String.concat ", " (Array.to_list (Array.map Value.to_string a)))
+  in
+  check "oracle" (fun ~buffers ->
+      Oracle.exec kernel ~scalars:[] ~buffers ~budget:1000 ());
+  check "unboxed" (fun ~buffers ->
+      Oracle.exec_values decoded ~scalars:[] ~buffers ~budget:1000 ())
 
 (* --- replay and campaign parity -------------------------------------------- *)
 
@@ -245,23 +279,21 @@ let test_replay_parity () =
                     (fun burst ->
                       let injection = Replay.Fault { Machine.at_dyn; operand; bit } in
                       let boxed =
-                        Replay.run_section ~burst ~engine:Replay.Boxed g section
-                          injection ~timeout_factor:5.0
+                        Oracle.run_section ~burst g section injection ~timeout_factor:5.0
                       in
                       let unboxed =
-                        Replay.run_section ~burst ~engine:Replay.Unboxed g section
-                          injection ~timeout_factor:5.0
+                        Replay.run_section ~burst g section injection ~timeout_factor:5.0
                       in
                       if Stdlib.compare boxed unboxed <> 0 then
                         Alcotest.failf "section replay diverged at dyn %d bit %d burst %d"
                           at_dyn bit burst;
                       let pb =
-                        Replay.run_to_end ~burst ~engine:Replay.Boxed g
+                        Oracle.run_to_end ~burst g
                           ~from_section:section.Golden.section_index injection
                           ~timeout_factor:5.0
                       in
                       let pu =
-                        Replay.run_to_end ~burst ~engine:Replay.Unboxed g
+                        Replay.run_to_end ~burst g
                           ~from_section:section.Golden.section_index injection
                           ~timeout_factor:5.0
                       in
@@ -276,8 +308,8 @@ let test_replay_parity () =
     g.Golden.sections;
   Alcotest.(check bool) "swept a real grid" true (!checked >= 100)
 
-(* [run_section_capture]: the boxed engine's capture is the oracle for
-   the unboxed one. Register faults and memory flips (one makes an input
+(* [run_section_capture]: the oracle's capture is the reference for the
+   unboxed engine's. Register faults and memory flips (one makes an input
    infinite, one is out of range) must give equal replays and bit-equal
    captured buffers, in request order, or [None] from both. Every
    program buffer is requested, bound to the section or not, after a
@@ -311,12 +343,13 @@ let test_capture_parity () =
         (fun injection ->
           List.iter
             (fun burst ->
-              let run engine =
+              let run capture =
                 ignore (Replay.run_to_end g ~from_section:0 dirty ~timeout_factor:5.0);
-                Replay.run_section_capture ~burst ~engine g section injection
-                  ~timeout_factor:5.0 ~buffers
+                capture ?burst:(Some burst) g section injection ~timeout_factor:5.0
+                  ~buffers
               in
-              let rb, cb = run Replay.Boxed and ru, cu = run Replay.Unboxed in
+              let rb, cb = run Oracle.run_section_capture
+              and ru, cu = run Replay.run_section_capture in
               if Stdlib.compare rb ru <> 0 then
                 Alcotest.failf "section %d: replays diverged (burst %d)"
                   section.Golden.section_index burst;
@@ -343,28 +376,45 @@ let campaign_config =
     prove = Prover.off;
   }
 
+(* A campaign cannot pick its engine: with the prover off, every class's
+   outcome must be what [oracle] gives for the replay of its pilot. *)
+let check_against_oracle name ~model classes oracle =
+  Array.iter
+    (fun (cls, outcome) ->
+      let pilot = Eqclass.pilot cls in
+      if Stdlib.compare outcome (oracle pilot (Site.replay_injection ~model pilot)) <> 0
+      then
+        Alcotest.failf "%s: class at section %d, dyn %d differs from the oracle" name
+          pilot.Site.section pilot.Site.dyn)
+    classes
+
 let test_campaign_parity_across_pools () =
   let g = Golden.run (compile pipeline_src) in
-  let serial_boxed =
-    Campaign.run_section ~engine:Replay.Boxed g ~section_index:0 campaign_config
-  in
+  let model = campaign_config.Campaign.model in
+  let burst = Fault_model.reg_burst model in
+  let serial = Campaign.run_section g ~section_index:0 campaign_config in
+  check_against_oracle "section campaign" ~model serial.Campaign.s_classes
+    (fun _ injection ->
+      Outcome.of_section_replay
+        (Oracle.run_section ~burst g g.Golden.sections.(0) injection
+           ~timeout_factor:5.0));
   List.iter
     (fun width ->
       Pool.with_pool ~domains:width @@ fun pool ->
-      let unboxed =
-        Campaign.run_section ~pool ~engine:Replay.Unboxed g ~section_index:0
-          campaign_config
-      in
-      if Stdlib.compare serial_boxed unboxed <> 0 then
+      let pooled = Campaign.run_section ~pool g ~section_index:0 campaign_config in
+      if Stdlib.compare serial pooled <> 0 then
         Alcotest.failf "campaign diverged at pool width %d" width)
     [ 1; 4 ];
-  let baseline_boxed = Campaign.run_baseline ~engine:Replay.Boxed g campaign_config in
+  let baseline = Campaign.run_baseline g campaign_config in
+  check_against_oracle "baseline" ~model baseline.Campaign.b_classes
+    (fun pilot injection ->
+      Outcome.of_program_replay
+        (Oracle.run_to_end ~burst g ~from_section:pilot.Site.section injection
+           ~timeout_factor:5.0));
   Pool.with_pool ~domains:4 @@ fun pool ->
-  let baseline_unboxed =
-    Campaign.run_baseline ~pool ~engine:Replay.Unboxed g campaign_config
-  in
+  let pooled = Campaign.run_baseline ~pool g campaign_config in
   Alcotest.(check bool) "baseline campaigns agree" true
-    (Stdlib.compare baseline_boxed baseline_unboxed = 0)
+    (Stdlib.compare baseline pooled = 0)
 
 let test_final_outcomes_classes_reuse () =
   let g = Golden.run (compile pipeline_src) in
@@ -388,16 +438,86 @@ let test_workspace_reuse_is_stateless () =
   let section = g.Golden.sections.(0) in
   let nasty = Replay.Fault { Machine.at_dyn = 2; operand = Machine.Osrc 0; bit = 62 } in
   let benign = Replay.Fault { Machine.at_dyn = 0; operand = Machine.Odst; bit = 0 } in
-  let first =
-    Replay.run_section ~engine:Replay.Unboxed g section benign ~timeout_factor:5.0
-  in
-  ignore
-    (Replay.run_section ~engine:Replay.Unboxed g section nasty ~timeout_factor:5.0);
-  let again =
-    Replay.run_section ~engine:Replay.Unboxed g section benign ~timeout_factor:5.0
-  in
+  let first = Replay.run_section g section benign ~timeout_factor:5.0 in
+  ignore (Replay.run_section g section nasty ~timeout_factor:5.0);
+  let again = Replay.run_section g section benign ~timeout_factor:5.0 in
   Alcotest.(check bool) "same result after scratch reuse" true
     (Stdlib.compare first again = 0)
+
+(* --- golden runs ---------------------------------------------------------- *)
+
+let check_golden name program =
+  let g = Golden.run program and o = Oracle.golden_run program in
+  let fail what =
+    Alcotest.failf "%s: %s differs from the oracle's golden run" name what
+  in
+  if Array.length g.Golden.sections <> Array.length o.Golden.sections then
+    fail "sections";
+  Array.iter2
+    (fun (s : Golden.section_run) (r : Golden.section_run) ->
+      if s.Golden.trace <> r.Golden.trace then fail "a trace";
+      if s.Golden.dyn_count <> r.Golden.dyn_count then fail "a dyn_count";
+      if not (buffers_bit_equal s.Golden.entry_state r.Golden.entry_state) then
+        fail "an entry state";
+      if not (Int64.equal s.Golden.input_hash r.Golden.input_hash) then
+        fail "an input hash")
+    g.Golden.sections o.Golden.sections;
+  if g.Golden.total_dyn <> o.Golden.total_dyn then fail "total_dyn";
+  if not (buffers_bit_equal g.Golden.final_state o.Golden.final_state) then
+    fail "the final state"
+
+let test_golden_matches_oracle () =
+  List.iter
+    (fun (b : Ff_benchmarks.Defs.t) ->
+      List.iter
+        (fun v ->
+          check_golden b.Ff_benchmarks.Defs.name
+            (compile (b.Ff_benchmarks.Defs.source v)))
+        Ff_benchmarks.Defs.all_versions)
+    Ff_benchmarks.Registry.all;
+  (* From test/ under [dune runtest], from the root under [dune exec]. *)
+  let path =
+    List.find Sys.file_exists [ "../examples/pipeline.ff"; "examples/pipeline.ff" ]
+  in
+  check_golden "pipeline.ff"
+    (compile (In_channel.with_open_bin path In_channel.input_all));
+  check_golden "shift(a, a)" (compile shift_src)
+
+(* The prover records the aliased section (its recording aliases the two
+   slots, as the golden run does) and every proof is the oracle's
+   replay outcome. *)
+let test_aliased_proofs () =
+  let g = Golden.run (compile shift_src) in
+  let section = g.Golden.sections.(0) in
+  let model = Fault_model.default in
+  let classes =
+    Array.of_list (Eqclass.for_section section (Site.Bit_list [ 0; 51; 63 ]))
+  in
+  let prove f = f g ~section_index:0 ~timeout_factor:5.0 ~model Prover.on classes in
+  let proofs = prove Prover.prove_section and fproofs = prove Prover.prove_final in
+  Alcotest.(check bool)
+    "the section is recorded" true
+    (Array.exists Option.is_some proofs);
+  Array.iteri
+    (fun i proof ->
+      let injection = Site.replay_injection ~model (Eqclass.pilot classes.(i)) in
+      (match proof with
+      | Some claimed
+        when Stdlib.compare claimed
+               (Outcome.of_section_replay
+                  (Oracle.run_section g section injection ~timeout_factor:5.0))
+             <> 0 ->
+        Alcotest.failf "section proof %d differs from the oracle" i
+      | _ -> ());
+      match fproofs.(i) with
+      | Some claimed
+        when Stdlib.compare claimed
+               (Outcome.of_program_replay
+                  (Oracle.run_to_end g ~from_section:0 injection ~timeout_factor:5.0))
+             <> 0 ->
+        Alcotest.failf "final proof %d differs from the oracle" i
+      | _ -> ())
+    proofs
 
 (* --- decode validation ----------------------------------------------------- *)
 
@@ -504,6 +624,7 @@ let () =
           Alcotest.test_case "trap parity" `Quick test_trap_parity;
           Alcotest.test_case "argument checking parity" `Quick
             test_argument_checking_parity;
+          Alcotest.test_case "aliased slots share one buffer" `Quick test_aliased_slots;
         ] );
       ( "replay",
         [
@@ -522,5 +643,12 @@ let () =
           Alcotest.test_case "operand tables" `Quick test_decode_operand_tables;
           Alcotest.test_case "corrupt refuses illegal encodings" `Quick
             test_decode_corrupt;
+        ] );
+      ( "golden",
+        [
+          Alcotest.test_case "Golden.run ≡ the oracle's golden run" `Quick
+            test_golden_matches_oracle;
+          Alcotest.test_case "aliased section proofs ≡ oracle replays" `Quick
+            test_aliased_proofs;
         ] );
     ]

@@ -46,7 +46,9 @@ let burst_kernel =
 let test_burst_flips_adjacent_bits () =
   let buffers = [| [| Ff_ir.Value.Int 0L |] |] in
   let injection = { Machine.at_dyn = 1; operand = Machine.Odst; bit = 4 } in
-  ignore (Machine.exec burst_kernel ~scalars:[] ~buffers ~budget:100 ~injection ~burst:3 ());
+  ignore
+    (Oracle.exec_values (Ff_vm.Decode.of_kernel burst_kernel) ~scalars:[] ~buffers
+       ~budget:100 ~injection ~burst:3 ());
   (* bits 4,5,6 of 0 -> 0b111_0000 = 112 *)
   Alcotest.(check bool) "three adjacent bits flipped" true
     (buffers.(0).(0) = Ff_ir.Value.Int 112L)

@@ -160,31 +160,52 @@ let test_enumeration_is_model_driven () =
 
 (* --- engine and pool parity ------------------------------------------------- *)
 
+(* A campaign cannot pick its engine: with the prover off, every class's
+   outcome must be what the oracle's replay of its pilot gives, or the
+   quarantine's crash where that replay raises, and a pooled campaign
+   must equal the serial one. *)
 let test_campaign_parity_all_models () =
   let g = Lazy.force golden in
   List.iter
     (fun m ->
       let name = Fault_model.to_string m in
       let config = config_of m in
-      let serial_boxed =
-        Campaign.run_section ~engine:Replay.Boxed g ~section_index:0 config
+      let burst = Fault_model.reg_burst m in
+      let check_classes scope ~quarantined classes oracle =
+        Array.iter
+          (fun (cls, outcome) ->
+            let pilot = Eqclass.pilot cls in
+            let injection = Site.replay_injection ~model:m pilot in
+            let expected =
+              match oracle pilot injection with o -> o | exception _ -> quarantined
+            in
+            if Stdlib.compare outcome expected <> 0 then
+              Alcotest.failf "%s: %s class at section %d, dyn %d differs from the oracle"
+                name scope pilot.Site.section pilot.Site.dyn)
+          classes
       in
+      let serial = Campaign.run_section g ~section_index:0 config in
+      check_classes "section" ~quarantined:(Outcome.S_detected Outcome.Crash)
+        serial.Campaign.s_classes (fun _ injection ->
+          Outcome.of_section_replay
+            (Oracle.run_section ~burst g g.Golden.sections.(0) injection
+               ~timeout_factor:config.Campaign.timeout_factor));
       List.iter
         (fun width ->
           Pool.with_pool ~domains:width @@ fun pool ->
-          let pooled =
-            Campaign.run_section ~pool ~engine:Replay.Unboxed g
-              ~section_index:0 config
-          in
-          if Stdlib.compare serial_boxed pooled <> 0 then
+          let pooled = Campaign.run_section ~pool g ~section_index:0 config in
+          if Stdlib.compare serial pooled <> 0 then
             Alcotest.failf "%s: campaign diverged at pool width %d" name width)
         [ 1; 4 ];
-      let baseline_boxed = Campaign.run_baseline ~engine:Replay.Boxed g config in
+      let baseline = Campaign.run_baseline g config in
+      check_classes "baseline" ~quarantined:(Outcome.F_detected Outcome.Crash)
+        baseline.Campaign.b_classes (fun pilot injection ->
+          Outcome.of_program_replay
+            (Oracle.run_to_end ~burst g ~from_section:pilot.Site.section injection
+               ~timeout_factor:config.Campaign.timeout_factor));
       Pool.with_pool ~domains:4 @@ fun pool ->
-      let baseline_unboxed =
-        Campaign.run_baseline ~pool ~engine:Replay.Unboxed g config
-      in
-      if Stdlib.compare baseline_boxed baseline_unboxed <> 0 then
+      let pooled = Campaign.run_baseline ~pool g config in
+      if Stdlib.compare baseline pooled <> 0 then
         Alcotest.failf "%s: baseline campaign diverged" name)
     models
 
@@ -206,18 +227,21 @@ let test_replay_parity () =
             (fun cls ->
               let pilot = Eqclass.pilot cls in
               let injection = Site.replay_injection ~model pilot in
-              let both f = (attempt (f Replay.Boxed), attempt (f Replay.Unboxed)) in
               let sb, su =
-                both (fun engine () ->
-                    Replay.run_section ~burst ~engine g section injection ~timeout_factor:5.0)
+                let run f () =
+                  f ?burst:(Some burst) g section injection ~timeout_factor:5.0
+                in
+                (attempt (run Oracle.run_section), attempt (run Replay.run_section))
               in
               if Stdlib.compare sb su <> 0 then
                 Alcotest.failf "%s: section replay diverged at section %d, dyn %d" name
                   pilot.Site.section pilot.Site.dyn;
               let pb, pu =
-                both (fun engine () ->
-                    Replay.run_to_end ~burst ~engine g ~from_section:pilot.Site.section
-                      injection ~timeout_factor:5.0)
+                let run f () =
+                  f ?burst:(Some burst) g ~from_section:pilot.Site.section injection
+                    ~timeout_factor:5.0
+                in
+                (attempt (run Oracle.run_to_end), attempt (run Replay.run_to_end))
               in
               if Stdlib.compare pb pu <> 0 then
                 Alcotest.failf "%s: program replay diverged at section %d, dyn %d" name

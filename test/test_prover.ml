@@ -86,7 +86,7 @@ let check_proofs_against_oracle ?(burst = 1) ?(bits = prover_bits) g =
               Replay.Fault (Site.machine_injection (Eqclass.pilot classes.(i)))
             in
             let replay =
-              Replay.run_section ~burst ~engine:Replay.Boxed g section injection
+              Oracle.run_section ~burst g section injection
                 ~timeout_factor:5.0
             in
             let oracle = Outcome.of_section_replay replay in
@@ -109,7 +109,7 @@ let check_proofs_against_oracle ?(burst = 1) ?(bits = prover_bits) g =
               Replay.Fault (Site.machine_injection (Eqclass.pilot classes.(i)))
             in
             let replay =
-              Replay.run_to_end ~burst ~engine:Replay.Boxed g ~from_section:si injection
+              Oracle.run_to_end ~burst g ~from_section:si injection
                 ~timeout_factor:5.0
             in
             let oracle = Outcome.of_program_replay replay in
@@ -276,11 +276,11 @@ let prove_site ~instr ~operand ~bit () =
       if (Eqclass.pc cls).Site.instr = instr && Eqclass.operand cls = operand then begin
         let injection = Replay.Fault (Site.machine_injection (Eqclass.pilot cls)) in
         let replay =
-          Replay.run_section ~burst:1 ~engine:Replay.Boxed g section injection
+          Oracle.run_section ~burst:1 g section injection
             ~timeout_factor:5.0
         in
         let freplay =
-          Replay.run_to_end ~burst:1 ~engine:Replay.Boxed g ~from_section:0 injection
+          Oracle.run_to_end ~burst:1 g ~from_section:0 injection
             ~timeout_factor:5.0
         in
         found :=
@@ -415,7 +415,7 @@ let test_leap_reaches_every_tainted_element () =
       if (Eqclass.pc cls).Site.instr = 0 && Eqclass.operand cls = Site.Dst then i := j)
     classes;
   let replay =
-    Replay.run_section ~burst:1 ~engine:Replay.Boxed g section
+    Oracle.run_section ~burst:1 g section
       (Replay.Fault (Site.machine_injection (Eqclass.pilot classes.(!i))))
       ~timeout_factor:5.0
   in
@@ -492,7 +492,7 @@ let test_side_effect_declined () =
         if (Eqclass.pc cls).Site.instr = 0 && Eqclass.operand cls = Site.Dst then i := j)
       classes;
     let replay =
-      Replay.run_section ~burst:1 ~engine:Replay.Boxed g section
+      Oracle.run_section ~burst:1 g section
         (Replay.Fault (Site.machine_injection (Eqclass.pilot classes.(!i))))
         ~timeout_factor:5.0
     in
@@ -554,7 +554,7 @@ let test_short_budget_refused () =
       | Some claimed ->
         let injection = Replay.Fault (Site.machine_injection (Eqclass.pilot classes.(i))) in
         let replay =
-          Replay.run_section ~burst:1 ~engine:Replay.Boxed g section injection
+          Oracle.run_section ~burst:1 g section injection
             ~timeout_factor:short
         in
         if Stdlib.compare claimed (Outcome.of_section_replay replay) <> 0 then
@@ -692,7 +692,7 @@ let test_recordings_do_not_pin_their_section () =
    [Bitsf]/[Fbits] into an int output: any value of the golden type
    reaches the output as exact bits, and a value of the other type traps
    in the sink. The prover therefore decides every case, and its
-   decision must be the boxed replay's. *)
+   decision must be the oracle's replay's. *)
 
 type operand_ty = I | F
 
@@ -849,7 +849,7 @@ let run_case (_, tys, res, mk) golden taint ~share =
       classes;
     let injection = Replay.Fault (Site.machine_injection (Eqclass.pilot classes.(!i))) in
     let replay =
-      Replay.run_section ~burst:1 ~engine:Replay.Boxed g section injection
+      Oracle.run_section ~burst:1 g section injection
         ~timeout_factor:5.0
     in
     Some (proofs.(!i), Outcome.of_section_replay replay)

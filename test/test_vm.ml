@@ -26,8 +26,10 @@ end
 
 (* --- machine: direct kernel execution ------------------------------------- *)
 
+(* The production engine, over boxed buffers. *)
 let exec_kernel ?injection ?trace ?(budget = 10_000) kernel ~scalars ~buffers =
-  Machine.exec kernel ~scalars ~buffers ~budget ?injection ?trace ()
+  Oracle.exec_values (Decode.of_kernel kernel) ~scalars ~buffers ~budget ?injection
+    ?trace ()
 
 let add_kernel =
   {
@@ -149,10 +151,11 @@ let test_machine_scalar_checking () =
       nregs = 1;
     }
   in
-  Alcotest.check_raises "missing scalar" (Invalid_argument "Machine.exec: scalar arity mismatch")
+  Alcotest.check_raises "missing scalar"
+    (Invalid_argument "Oracle.exec: scalar arity mismatch")
     (fun () -> ignore (exec_kernel k ~scalars:[] ~buffers:[||]));
   Alcotest.check_raises "wrong scalar type"
-    (Invalid_argument "Machine.exec: scalar type mismatch") (fun () ->
+    (Invalid_argument "Oracle.exec: scalar type mismatch") (fun () ->
       ignore (exec_kernel k ~scalars:[ Value.Float 1.0 ] ~buffers:[||]))
 
 let test_injection_dst_flip () =
