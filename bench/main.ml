@@ -312,8 +312,9 @@ let measure_vm config =
   in
   let boxed () = campaign Oracle.run_section
   and unboxed () = campaign Ff_vm.Replay.run_section in
-  (* Warm both engines once so one-time costs (plan build, decoded form,
-     workspace allocation) don't skew the timed comparison. *)
+  (* Warm both engines once so one-time costs (the oracle boxing the
+     golden states, the engine allocating its workspace) don't skew the
+     timed comparison. *)
   ignore (boxed ());
   ignore (unboxed ());
   (* Interleaved best-of-N: one timed run per engine per round, keeping

@@ -33,7 +33,7 @@ let () =
   let section = golden.Golden.sections.(0) in
   Printf.printf "golden run: %d dynamic instructions, horner(2.0) = %s\n\n"
     section.Golden.dyn_count
-    (Ff_ir.Value.to_string golden.Golden.final_state.(1).(0));
+    (Ff_ir.Value.to_string (Ff_vm.Ustate.values golden.Golden.final 1).(0));
 
   (* The compiled section, as the injector sees it. *)
   Format.printf "%a@." Ff_ir.Kernel.pp section.Golden.kernel;

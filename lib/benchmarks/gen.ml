@@ -1,5 +1,6 @@
 open Ff_ir
 module Golden = Ff_vm.Golden
+module Ustate = Ff_vm.Ustate
 module Rng = Ff_support.Rng
 
 let float_lit x =
@@ -42,7 +43,8 @@ let as_ints arr =
        | Value.Int x -> x
        | Value.Float _ -> failwith "Gen: expected an int buffer")
 
-let final_floats golden name = as_floats golden.Golden.final_state.(buffer_index golden name)
+let final_floats golden name =
+  as_floats (Ustate.values golden.Golden.final (buffer_index golden name))
 
 let find_section (golden : Golden.t) ~label_prefix =
   let matches (s : Golden.section_run) =
@@ -54,21 +56,23 @@ let find_section (golden : Golden.t) ~label_prefix =
   | Some s -> s
   | None -> failwith (Printf.sprintf "Gen: no section labelled %s..." label_prefix)
 
-let entry_state golden ~label_prefix ~buffer =
+let entry_values golden ~label_prefix ~buffer =
   let section = find_section golden ~label_prefix in
-  section.Golden.entry_state.(buffer_index golden buffer)
+  Ustate.values section.Golden.entry (buffer_index golden buffer)
 
-let exit_state golden ~label_prefix ~buffer =
+let exit_values golden ~label_prefix ~buffer =
   let section = find_section golden ~label_prefix in
-  (Golden.exit_state golden section.Golden.section_index).(buffer_index golden buffer)
+  Ustate.values
+    (Golden.exit_state golden section.Golden.section_index)
+    (buffer_index golden buffer)
 
-let entry_floats golden ~label_prefix ~buffer = as_floats (entry_state golden ~label_prefix ~buffer)
+let entry_floats golden ~label_prefix ~buffer = as_floats (entry_values golden ~label_prefix ~buffer)
 
-let exit_floats golden ~label_prefix ~buffer = as_floats (exit_state golden ~label_prefix ~buffer)
+let exit_floats golden ~label_prefix ~buffer = as_floats (exit_values golden ~label_prefix ~buffer)
 
-let entry_ints golden ~label_prefix ~buffer = as_ints (entry_state golden ~label_prefix ~buffer)
+let entry_ints golden ~label_prefix ~buffer = as_ints (entry_values golden ~label_prefix ~buffer)
 
-let exit_ints golden ~label_prefix ~buffer = as_ints (exit_state golden ~label_prefix ~buffer)
+let exit_ints golden ~label_prefix ~buffer = as_ints (exit_values golden ~label_prefix ~buffer)
 
 (* A mutex-guarded memo: OCaml 5 raises [CamlinternalLazy.Undefined] when
    a second domain forces a [lazy] that another is still forcing, and

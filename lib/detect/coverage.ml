@@ -1,5 +1,6 @@
 module Golden = Ff_vm.Golden
 module Replay = Ff_vm.Replay
+module Ustate = Ff_vm.Ustate
 module Value = Ff_ir.Value
 module Site = Ff_inject.Site
 module Eqclass = Ff_inject.Eqclass
@@ -127,10 +128,14 @@ let entry_sum_under section injection buffer ~base =
   | Replay.Mem_flip { Replay.mf_buffer; mf_elem; mf_bits } ->
     if mf_buffer <> buffer then base
     else
-      let entry = section.Golden.entry_state.(buffer) in
-      if mf_elem < 0 || mf_elem >= Array.length entry then base
+      let entry = section.Golden.entry in
+      let words = entry.Ustate.words.(buffer) in
+      if mf_elem < 0 || mf_elem >= Ustate.dim words then base
       else
-        let old_v = entry.(mf_elem) in
+        let old_v =
+          Ustate.value_of (Bigarray.Array1.get words mf_elem)
+            (Bytes.get entry.Ustate.tags.(buffer) mf_elem)
+        in
         let new_v =
           List.fold_left (fun v b -> Value.flip_bit v b) old_v mf_bits
         in
@@ -193,7 +198,7 @@ let measure ?(pool = Pool.serial) ?backing
         (fun d ->
           match d.Detector.d_form with
           | Detector.Linear { input; _ } ->
-            Detector.sum section.Golden.entry_state.(input)
+            Detector.sum (Ustate.values section.Golden.entry input)
           | Detector.Finite | Detector.Range _ -> 0.0)
         detectors
     in

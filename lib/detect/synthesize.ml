@@ -189,7 +189,7 @@ let run ?(pool = Pool.serial) ?(train = 40) ?(validate = 40) ?(max_perturbation 
       let section_cands = ref [] in
       Array.iteri
         (fun o_idx o ->
-          let g = golden_exit.(o) in
+          let g = Ustate.values golden_exit o in
           let len = Array.length g in
           if len > 0 then begin
             let gmin = ref infinity and gmax = ref neg_infinity and gabs = ref 0.0 in
@@ -228,8 +228,10 @@ let run ?(pool = Pool.serial) ?(train = 40) ?(validate = 40) ?(max_perturbation 
               match single_input with
               | None -> ()
               | Some input ->
-                let entry = golden.Golden.sections.(si).Golden.entry_state in
-                let g_point = (Detector.sum entry.(input), Detector.sum g) in
+                let entry =
+                  Ustate.values golden.Golden.sections.(si).Golden.entry input
+                in
+                let g_point = (Detector.sum entry, Detector.sum g) in
                 let points = g_point :: List.rev x.o_points in
                 (match fit_line points with
                 | None -> ()
@@ -247,7 +249,7 @@ let run ?(pool = Pool.serial) ?(train = 40) ?(validate = 40) ?(max_perturbation 
                     in
                     add
                       (Detector.Linear { input; scale; offset; tol })
-                      ~input_len:(Array.length entry.(input))
+                      ~input_len:(Array.length entry)
                   end)
             end
           end)

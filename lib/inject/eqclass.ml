@@ -88,7 +88,7 @@ let table_of_section ?(model = Fault_model.default) (section : Golden.section_ru
     let pc = { Site.kernel = section.Golden.kernel_index; instr = 0 } in
     List.iter
       (fun buf ->
-        let len = Array.length section.Golden.entry_state.(buf) in
+        let len = Ustate.dim section.Golden.entry.Ustate.words.(buf) in
         if len > 0 then begin
           let members = List.init len (fun e -> (si, len - 1 - e)) in
           Hashtbl.replace table (pc, Site.Mem buf) (ref members)

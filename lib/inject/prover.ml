@@ -61,7 +61,7 @@ module A1 = Bigarray.Array1
 
    Soundness rests on two guards:
    - the golden recording pass is self-validating: it re-executes the
-     section with {!Unboxed.step} from the plan's unboxed entry state and
+     section with {!Unboxed.step} from its golden entry state and
      aborts (disabling the prover for the section) unless its pc stream
      and exit buffers match the golden run bit for bit;
    - sections whose replay budget could not even cover the golden
@@ -154,15 +154,14 @@ type section_prover = {
   converged : Outcome.final_outcome option;  (* converged replay's final SDC *)
 }
 
-(* Re-execute the section with {!Unboxed.step} from the plan's unboxed
-   entry state, recording the golden word and tag of every source
+(* Re-execute the section with {!Unboxed.step} from its golden entry
+   state, recording the golden word and tag of every source
    operand (before) and destination (after) of every dynamic
    instruction. The pc stream is checked against the golden trace step
-   by step and the final buffers against the plan's golden exit state,
+   by step and the final buffers against the golden exit state,
    so a recording that diverges from the golden run in any way aborts
    instead of licensing unsound proofs. *)
-let record (plan : Workspace.plan) (section : Golden.section_run) =
-  let si = section.Golden.section_index in
+let record golden (section : Golden.section_run) =
   let decoded = section.Golden.decoded in
   let trace = section.Golden.trace in
   let dyn_count = section.Golden.dyn_count in
@@ -177,14 +176,15 @@ let record (plan : Workspace.plan) (section : Golden.section_run) =
   let nregs = max 1 decoded.Decode.nregs in
   let regs = Ustate.make_words nregs in
   let iregs = Ustate.as_bits regs and rtags = Bytes.make nregs tag_int in
-  let scal = plan.Workspace.scal_words.(si) in
+  let scal = section.Golden.scal_words in
   for i = 0 to Ustate.dim scal - 1 do
     A1.set iregs i (A1.get (Ustate.as_bits scal) i)
   done;
-  Bytes.blit plan.Workspace.scal_tags.(si) 0 rtags 0 (Ustate.dim scal);
+  Bytes.blit section.Golden.scal_tags 0 rtags 0 (Ustate.dim scal);
   (* One copy per distinct program buffer: slots bound to the same
      buffer must alias, exactly as in a replay. *)
-  let entry = plan.Workspace.states.(si) and exit = plan.Workspace.states.(si + 1) in
+  let entry = section.Golden.entry
+  and exit = Golden.exit_state golden section.Golden.section_index in
   let nprog = Array.length entry.Ustate.words in
   let bwords = Array.make nprog (Ustate.make_words 0) in
   let btags = Array.make nprog Bytes.empty in
@@ -289,9 +289,9 @@ let record (plan : Workspace.plan) (section : Golden.section_run) =
 let recording_cache : (Golden.section_run, recording option) Ephemeron_cache.t =
   Ephemeron_cache.create 32
 
-let recording_of plan section =
+let recording_of golden section =
   Ephemeron_cache.find_or_compute recording_cache section (fun () ->
-      match record plan section with
+      match record golden section with
       | r -> Some r
       | exception Invalid_recording -> None)
 
@@ -300,17 +300,16 @@ let prepare golden ~section_index ~timeout_factor ~burst =
   let dyn_count = section.Golden.dyn_count in
   if Replay.budget_of ~timeout_factor dyn_count < dyn_count then None
   else begin
-    let plan = Workspace.plan_of golden in
-    let nprog = Array.length section.Golden.entry_state in
+    let nprog = Array.length section.Golden.entry.Ustate.words in
     let writable = Array.make nprog false in
-    let writable_idx = plan.Workspace.writable_idx.(section_index) in
+    let writable_idx = section.Golden.writable_idx in
     Array.iter (fun idx -> writable.(idx) <- true) writable_idx;
     let exit_nonfinite =
       Array.exists
-        (Ustate.has_nonfinite plan.Workspace.states.(section_index + 1))
+        (Ustate.has_nonfinite (Golden.exit_state golden section_index))
         writable_idx
     in
-    match recording_of plan section with
+    match recording_of golden section with
     | None ->
       Telemetry.incr m_refused;
       None
@@ -640,7 +639,7 @@ let first_access sp r j =
 
 (* Map a completed walk's memory taint to the exact section outcome a
    replay would report: per-writable-buffer max |Δ| (under
-   {!Value.abs_diff}) in the plan's writable order, Misformatted and
+   {!Value.abs_diff}) in the section's writable order, Misformatted and
    side-effect cases declined. So is a tainted element whose type
    differs from golden (an untyped kernel can store either kind): the
    replay's distance raises on it, so there is no outcome to claim. *)

@@ -90,8 +90,7 @@ let replay_injection ~model t =
 (* The distinct program buffers a section binds, ascending: the memory
    targets of the memflip model. A buffer bound to two slots is one
    target, not two. *)
-let bound_buffers (section : Golden.section_run) =
-  Array.map fst section.Golden.bindings |> Array.to_list |> List.sort_uniq compare
+let bound_buffers (section : Golden.section_run) = Array.to_list section.Golden.bound_idx
 
 let count_section ?(model = Fault_model.default) (section : Golden.section_run) policy =
   match model with
@@ -106,7 +105,7 @@ let count_section ?(model = Fault_model.default) (section : Golden.section_run) 
   | Fault_model.Memflip _ ->
     let bits = List.length (bits_of_policy policy) in
     List.fold_left
-      (fun acc buf -> acc + (Array.length section.Golden.entry_state.(buf) * bits))
+      (fun acc buf -> acc + (Ustate.dim section.Golden.entry.Ustate.words.(buf) * bits))
       0 (bound_buffers section)
 
 let iter_section ?(model = Fault_model.default) (section : Golden.section_run) policy f =
@@ -149,7 +148,7 @@ let iter_section ?(model = Fault_model.default) (section : Golden.section_run) p
     let pc = { kernel = section.Golden.kernel_index; instr = 0 } in
     List.iter
       (fun buf ->
-        let len = Array.length section.Golden.entry_state.(buf) in
+        let len = Ustate.dim section.Golden.entry.Ustate.words.(buf) in
         for elem = 0 to len - 1 do
           List.iter
             (fun bit ->

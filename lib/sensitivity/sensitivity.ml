@@ -75,11 +75,9 @@ let estimate ?(samples = 200) ?(max_perturbation = 0.01) ?(safety_factor = 1.25)
     ~attrs:[ ("section", string_of_int section_index) ]
   @@ fun () ->
   let section = golden.Golden.sections.(section_index) in
-  let plan = Workspace.plan_of golden in
-  let entry = plan.Workspace.states.(section_index)
-  and exit = plan.Workspace.states.(section_index + 1) in
+  let entry = section.Golden.entry and exit = Golden.exit_state golden section_index in
   let inputs = Array.of_list (readable_buffers section) in
-  let outputs = plan.Workspace.writable_idx.(section_index) in
+  let outputs = section.Golden.writable_idx in
   let k = Array.make_matrix (Array.length outputs) (Array.length inputs) 0.0 in
   (* Advances the caller's generator exactly once, whatever the chunking. *)
   let base = Rng.int64 rng in

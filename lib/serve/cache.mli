@@ -9,10 +9,11 @@
     and the valuation's total value and cost. The golden run, the
     dataflow graph, the Chisel propagation and the valuation's class
     labels are collectable once the basis is built; the section records
-    stay in the shared store. {!Ff_vm.Workspace} plans and the prover's
-    section recordings live in separate capped caches, each an ephemeron
-    on its golden run or section run ({!Ff_support.Ephemeron_cache}), so
-    neither keeps a dropped analysis alive, and a warm hit needs neither.
+    stay in the shared store. Replay {!Ff_vm.Workspace}s (domain-local)
+    and the prover's section recordings ({!Ff_support.Ephemeron_cache})
+    live in separate capped caches, each an ephemeron on its golden run
+    or section run, so neither keeps a dropped analysis alive, and a
+    warm hit needs neither.
     The entry also memoizes the report text rendered for each
     recent target, so a repeat query is a hash, an LRU lookup and the
     memoized bytes: {e zero} compiles, decodes, replays, store lookups,

@@ -8,9 +8,13 @@ type section_run = {
   kernel : Kernel.t;
   kernel_index : int;
   decoded : Decode.t;
-  scalars : Value.t list;
+  scal_words : Ustate.words;
+  scal_tags : Bytes.t;
   bindings : (int * Kernel.role) array;
-  entry_state : Value.t array array;
+  writable_idx : int array;
+  scan_idx : int array;
+  bound_idx : int array;
+  entry : Ustate.t;
   trace : int array;
   dyn_count : int;
   input_hash : int64;
@@ -19,54 +23,50 @@ type section_run = {
 type t = {
   program : Program.t;
   sections : section_run array;
-  final_state : Value.t array array;
+  final : Ustate.t;
   total_dyn : int;
 }
 
-let copy_state state = Array.map Array.copy state
+(* The byte stream of [Value.hash_fold] over each element: the tag as
+   [add_int] 1 (int) or 2 (float), then the 64 bits. *)
+let hash_words h (words : Ustate.words) tags =
+  let bits = Ustate.as_bits words in
+  for j = 0 to Ustate.dim words - 1 do
+    Hashing.add_int h (if Bytes.get tags j = Ustate.tag_int then 1 else 2);
+    Hashing.add_int64 h (A1.get bits j)
+  done
 
-let compute_input_hash scalars bindings state =
+let compute_input_hash scal_words scal_tags bindings (state : Ustate.t) =
   let h = Hashing.create () in
-  List.iter (Value.hash_fold h) scalars;
+  hash_words h scal_words scal_tags;
   Array.iter
     (fun (buf_idx, role) ->
       if Kernel.role_readable role then begin
         Hashing.add_int h buf_idx;
-        Array.iter (Value.hash_fold h) state.(buf_idx)
+        hash_words h state.Ustate.words.(buf_idx) state.Ustate.tags.(buf_idx)
       end)
     bindings;
   Hashing.value h
 
-(* Bring boxed buffer [buf] up to date with buffer [i] of the unboxed
-   state, re-boxing only the elements whose bits or tag changed: an
-   unchanged element keeps its box, so consecutive snapshots share it,
-   as copies of one boxed state always did. *)
-let sync (u : Ustate.t) i (buf : Value.t array) =
-  let words = u.Ustate.words.(i) and tags = u.Ustate.tags.(i) in
-  let bits = Ustate.as_bits words in
-  for j = 0 to Array.length buf - 1 do
-    let w = A1.unsafe_get bits j and t = Bytes.unsafe_get tags j in
-    let same =
-      match buf.(j) with
-      | Value.Int v -> t = Ustate.tag_int && Int64.equal v w
-      | Value.Float x -> t = Ustate.tag_float && Int64.equal (Int64.bits_of_float x) w
-    in
-    if not same then buf.(j) <- Ustate.value_of (A1.unsafe_get words j) t
-  done
+let sorted_uniq l = Array.of_list (List.sort_uniq compare l)
+
+let copy (u : Ustate.t) =
+  let c = Ustate.create_like u in
+  Ustate.blit ~src:u ~dst:c;
+  c
 
 let run ?(budget_per_section = 50_000_000) (program : Program.t) =
   (match Program.validate program with
   | Ok () -> ()
   | Error { Program.context; message } ->
     failwith (Printf.sprintf "Golden.run: invalid program (%s: %s)" context message));
-  (* The run is unboxed, over one program state [ustate] whose per-slot
+  (* The run is unboxed, over one live program state whose per-slot
      views alias, as a {!Workspace}'s do: slots bound to one buffer share
-     it. [state] is its boxed mirror, synced after each section, from
-     which the snapshots and input hashes are taken. *)
-  let state =
-    Array.of_list (List.map (fun b -> Array.copy b.Program.buf_init) program.Program.buffers)
+     it. Each boundary state is a copy of it. *)
+  let live =
+    Ustate.of_state
+      (Array.of_list (List.map (fun b -> b.Program.buf_init) program.Program.buffers))
   in
-  let ustate = Ustate.of_state state in
   let nregs =
     List.fold_left (fun n k -> max n k.Kernel.nregs) 1 program.Program.kernels
   in
@@ -93,16 +93,24 @@ let run ?(budget_per_section = 50_000_000) (program : Program.t) =
         in
         let kernel_index = Option.get (Program.kernel_index program call.Program.callee) in
         let decoded = decode_once kernel_index kernel in
-        let scalars = Program.scalar_args program call in
+        let scal_words, scal_tags =
+          Ustate.scalars_of_values (Program.scalar_args program call)
+        in
         let bindings = Array.of_list (Program.buffer_args program call) in
-        let entry_state = copy_state state in
-        let input_hash = compute_input_hash scalars bindings state in
-        let scal_words, scal_tags = Ustate.scalars_of_values scalars in
+        let bound = Array.to_list bindings in
+        let writable_idx =
+          sorted_uniq
+            (List.filter_map
+               (fun (idx, role) -> if Kernel.role_writable role then Some idx else None)
+               bound)
+        in
+        let entry = copy live in
+        let input_hash = compute_input_hash scal_words scal_tags bindings entry in
         let trace = Trace.create () in
         let { Machine.status; executed } =
           Unboxed.exec decoded ~regs ~rtags ~scal_words ~scal_tags
-            ~buffers:(Array.map (fun (idx, _) -> ustate.Ustate.words.(idx)) bindings)
-            ~btags:(Array.map (fun (idx, _) -> ustate.Ustate.tags.(idx)) bindings)
+            ~buffers:(Array.map (fun (idx, _) -> live.Ustate.words.(idx)) bindings)
+            ~btags:(Array.map (fun (idx, _) -> live.Ustate.tags.(idx)) bindings)
             ~budget:budget_per_section ~trace ()
         in
         (match status with
@@ -115,7 +123,6 @@ let run ?(budget_per_section = 50_000_000) (program : Program.t) =
           failwith
             (Printf.sprintf "Golden.run: section %s exceeded the golden budget"
                call.Program.call_label));
-        Array.iter (fun (idx, _) -> sync ustate idx state.(idx)) bindings;
         total_dyn := !total_dyn + executed;
         {
           section_index = i;
@@ -123,9 +130,17 @@ let run ?(budget_per_section = 50_000_000) (program : Program.t) =
           kernel;
           kernel_index;
           decoded;
-          scalars;
+          scal_words;
+          scal_tags;
           bindings;
-          entry_state;
+          writable_idx;
+          scan_idx =
+            sorted_uniq
+              (List.filter_map
+                 (fun (idx, _) -> if Array.mem idx writable_idx then None else Some idx)
+                 bound);
+          bound_idx = sorted_uniq (List.map fst bound);
+          entry;
           trace = Trace.to_array trace;
           dyn_count = executed;
           input_hash;
@@ -135,15 +150,16 @@ let run ?(budget_per_section = 50_000_000) (program : Program.t) =
   {
     program;
     sections = Array.of_list sections;
-    final_state = copy_state state;
+    final = copy live;
     total_dyn = !total_dyn;
   }
 
+let state t k = if k = Array.length t.sections then t.final else t.sections.(k).entry
+
 let exit_state t i =
   if i < 0 || i >= Array.length t.sections then invalid_arg "Golden.exit_state";
-  if i = Array.length t.sections - 1 then t.final_state
-  else t.sections.(i + 1).entry_state
+  state t (i + 1)
 
 let outputs t =
   Program.output_buffers t.program
-  |> List.map (fun (i, b) -> (i, b.Program.buf_name, t.final_state.(i)))
+  |> List.map (fun (i, b) -> (i, b.Program.buf_name, Ustate.values t.final i))

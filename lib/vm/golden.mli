@@ -3,12 +3,13 @@
     Runs the schedule section by section on the {!Unboxed} engine, over
     one unboxed program state whose per-slot views alias (as a
     {!Workspace}'s do, so a call binding one buffer to two slots sees its
-    own writes), recording for each section a boxed snapshot of all
-    program buffers at entry, the dynamic trace, and per-pc dynamic
-    counts. These snapshots are what injection replays and the
-    incremental analysis key on: a section's identity is (code hash,
-    entry-state hash). The test suite's boxed oracle computes the same
-    run independently. *)
+    own writes), recording for each section its unboxed entry state, the
+    dynamic trace, and per-pc dynamic counts. These boundary states are
+    what injection replays and the incremental analysis read: a section's
+    identity is (code hash, entry-state hash). Each is held once, as the
+    run's own {!Ustate.t}; readers that need boxed values box one buffer
+    at a time with {!Ustate.values}. The test suite's boxed oracle
+    computes the same run independently. *)
 
 type section_run = {
   section_index : int;              (** position in the schedule *)
@@ -18,11 +19,22 @@ type section_run = {
   decoded : Decode.t;
   (** pre-decoded form of [kernel], shared across every section that
       calls the same kernel — campaigns decode each kernel exactly once *)
-  scalars : Ff_ir.Value.t list;     (** scalar argument values *)
+  scal_words : Ustate.words;        (** scalar argument words *)
+  scal_tags : Bytes.t;              (** scalar argument tags *)
   bindings : (int * Ff_ir.Kernel.role) array;
   (** program-buffer index bound to each buffer-parameter slot *)
-  entry_state : Ff_ir.Value.t array array;
-  (** deep copy of every program buffer at section entry *)
+  writable_idx : int array;
+  (** sorted, de-duplicated writable program-buffer indices *)
+  scan_idx : int array;
+  (** sorted bound-but-not-writable program-buffer indices. A kernel can
+      only touch buffers bound to its slots, so these are the only
+      buffers a side-effect scan must inspect *)
+  bound_idx : int array;
+  (** sorted, de-duplicated bound program-buffer indices: the buffers a
+      section replay resets, reads and inspects *)
+  entry : Ustate.t;
+  (** every program buffer at section entry: shared by every reader,
+      never written *)
   trace : int array;                (** golden dynamic instruction stream *)
   dyn_count : int;
   input_hash : int64;
@@ -33,8 +45,7 @@ type section_run = {
 type t = {
   program : Ff_ir.Program.t;
   sections : section_run array;
-  final_state : Ff_ir.Value.t array array;
-  (** every program buffer after the last section *)
+  final : Ustate.t;  (** every program buffer after the last section *)
   total_dyn : int;
 }
 
@@ -43,9 +54,14 @@ val run : ?budget_per_section:int -> Ff_ir.Program.t -> t
     exceeds [budget_per_section] (default 50 million): the golden run of
     a benchmark must be error-free by definition. *)
 
-val exit_state : t -> int -> Ff_ir.Value.t array array
+val state : t -> int -> Ustate.t
+(** [state g k] is golden boundary state [k]: the entry state of section
+    [k], or the final state when [k] is the section count. Section [i]'s
+    golden exit state is [state g (i + 1)]. *)
+
+val exit_state : t -> int -> Ustate.t
 (** [exit_state g i] is the global buffer state right after section [i]
     (the entry state of section [i+1], or the final state). *)
 
 val outputs : t -> (int * string * Ff_ir.Value.t array) list
-(** Final program outputs: (buffer index, name, contents). *)
+(** Final program outputs: (buffer index, name, boxed contents). *)

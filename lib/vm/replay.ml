@@ -33,22 +33,6 @@ type program_replay = {
 let budget_of ~timeout_factor dyn_count =
   max 16 (int_of_float (ceil (timeout_factor *. float_of_int dyn_count)))
 
-(* [stop_at] is the caller's SDC threshold: once the running worst
-   exceeds it the exact magnitude no longer matters, so the scan stops.
-   The returned value is then only a witness that the threshold was
-   crossed, not the true maximum. *)
-let buffer_distance ?stop_at golden actual =
-  let limit = match stop_at with None -> infinity | Some s -> s in
-  let worst = ref 0.0 in
-  let n = Array.length golden in
-  let i = ref 0 in
-  while !i < n && !worst <= limit do
-    let d = Value.abs_diff golden.(!i) actual.(!i) in
-    if d > !worst then worst := d;
-    incr i
-  done;
-  !worst
-
 let status_anomaly = function
   | Machine.Finished -> None
   | Machine.Trapped t -> Some (Trap t)
@@ -61,27 +45,27 @@ let machine_injection_of = function Fault f -> Some f | Mem_flip _ -> None
 module type ENGINE = sig
   type t
 
-  val enter : Workspace.plan -> int -> whole:bool -> t
+  val enter : Golden.t -> int -> whole:bool -> t
   val mem_flip : t -> mem_flip -> unit
 
   val exec :
-    Workspace.plan -> t -> int -> injection:Machine.injection option -> burst:int ->
+    Golden.t -> t -> int -> injection:Machine.injection option -> burst:int ->
     budget:int -> Machine.run
 
-  val distance : Workspace.plan -> int -> t -> int -> float
-  val differs : Workspace.plan -> int -> t -> int -> bool
+  val distance : Golden.t -> int -> t -> int -> float
+  val differs : Golden.t -> int -> t -> int -> bool
   val nonfinite : t -> int -> bool
-  val equal : Workspace.plan -> int -> t -> bool
+  val equal : Golden.t -> int -> t -> bool
   val capture : t -> int -> Value.t array
 end
 
 (* The pre-decoded {!Unboxed} engine in this domain's {!Workspace}: a
-   reset is a blit of the plan's entry state, not an allocation. *)
+   reset is a blit of the golden entry state, not an allocation. *)
 module Unboxed_engine : ENGINE with type t = Workspace.t = struct
   type t = Workspace.t
 
-  let enter plan i ~whole =
-    let ws = Workspace.get plan in
+  let enter golden i ~whole =
+    let ws = Workspace.get golden in
     if whole then Workspace.load_entry ws i else Workspace.load_section_entry ws i;
     ws
 
@@ -96,36 +80,34 @@ module Unboxed_engine : ENGINE with type t = Workspace.t = struct
       end
     end
 
-  let exec (plan : Workspace.plan) (ws : t) i ~injection ~burst ~budget =
-    Unboxed.exec plan.Workspace.golden.Golden.sections.(i).Golden.decoded
-      ~regs:ws.Workspace.regs ~rtags:ws.Workspace.rtags
-      ~scal_words:plan.Workspace.scal_words.(i) ~scal_tags:plan.Workspace.scal_tags.(i)
+  let exec (golden : Golden.t) (ws : t) i ~injection ~burst ~budget =
+    let section = golden.Golden.sections.(i) in
+    Unboxed.exec section.Golden.decoded ~regs:ws.Workspace.regs ~rtags:ws.Workspace.rtags
+      ~scal_words:section.Golden.scal_words ~scal_tags:section.Golden.scal_tags
       ~buffers:ws.Workspace.views.(i) ~btags:ws.Workspace.vtags.(i) ~budget ?injection
       ~burst ()
 
-  let distance (plan : Workspace.plan) k (ws : t) idx =
-    Ustate.buffer_distance plan.Workspace.states.(k) idx ws.Workspace.state idx
+  let distance golden k (ws : t) idx =
+    Ustate.buffer_distance (Golden.state golden k) idx ws.Workspace.state idx
 
-  let differs (plan : Workspace.plan) k (ws : t) idx =
-    let golden = plan.Workspace.states.(k) in
-    Ustate.buffer_distance ~stop_at:0.0 golden idx ws.Workspace.state idx > 0.0
+  let differs golden k (ws : t) idx =
+    Ustate.buffer_distance ~stop_at:0.0 (Golden.state golden k) idx ws.Workspace.state idx
+    > 0.0
 
   let nonfinite (ws : t) idx = Ustate.has_nonfinite ws.Workspace.state idx
 
-  let equal (plan : Workspace.plan) k (ws : t) =
-    Ustate.equal ws.Workspace.state plan.Workspace.states.(k)
+  let equal golden k (ws : t) = Ustate.equal ws.Workspace.state (Golden.state golden k)
 
   let capture (ws : t) idx = Ustate.values ws.Workspace.state idx
 end
 
 let exec_section ?(burst = 1) ?injection golden (section : Golden.section_run) ~edit
     ~timeout_factor =
-  let plan = Workspace.plan_of golden in
   let si = section.Golden.section_index in
-  let ws = Unboxed_engine.enter plan si ~whole:false in
+  let ws = Unboxed_engine.enter golden si ~whole:false in
   edit ws.Workspace.state;
   ( ws,
-    Unboxed_engine.exec plan ws si ~injection ~burst
+    Unboxed_engine.exec golden ws si ~injection ~burst
       ~budget:(budget_of ~timeout_factor section.Golden.dyn_count) )
 
 module type S = sig
@@ -148,12 +130,11 @@ module Driver (E : ENGINE) : S = struct
      completed run. *)
   let one_section ~burst ~capture golden (section : Golden.section_run) injection
       ~timeout_factor =
-    let plan = Workspace.plan_of golden in
     let si = section.Golden.section_index in
-    let state = E.enter plan si ~whole:false in
+    let state = E.enter golden si ~whole:false in
     (match injection with Mem_flip m -> E.mem_flip state m | Fault _ -> ());
     let { Machine.status; executed } =
-      E.exec plan state si ~injection:(machine_injection_of injection) ~burst
+      E.exec golden state si ~injection:(machine_injection_of injection) ~burst
         ~budget:(budget_of ~timeout_factor section.Golden.dyn_count)
     in
     let anomaly = status_anomaly status in
@@ -168,18 +149,18 @@ module Driver (E : ENGINE) : S = struct
         None )
     else
       let k = si + 1 in
-      let writable_idx = plan.Workspace.writable_idx.(si) in
+      let writable_idx = section.Golden.writable_idx in
       ( {
           s_anomaly = None;
           s_output_sdc =
-            Array.map (fun idx -> (idx, E.distance plan k state idx)) writable_idx;
+            Array.map (fun idx -> (idx, E.distance golden k state idx)) writable_idx;
           (* any bound-but-not-writable buffer that differs from golden
-             exit; unbound buffers cannot have changed, so the plan's scan
-             index is the complete set to inspect *)
+             exit; unbound buffers cannot have changed, so the section's
+             scan index is the complete set to inspect *)
           s_side_effect =
             Array.exists
-              (fun idx -> E.differs plan k state idx)
-              plan.Workspace.scan_idx.(si);
+              (fun idx -> E.differs golden k state idx)
+              section.Golden.scan_idx;
           s_nonfinite = Array.exists (fun idx -> E.nonfinite state idx) writable_idx;
           s_executed = executed;
         },
@@ -189,10 +170,9 @@ module Driver (E : ENGINE) : S = struct
         match capture with
         | None -> None
         | Some buffers ->
-          let bound = plan.Workspace.bound_idx.(si) in
           let copy idx =
-            if Array.mem idx bound then E.capture state idx
-            else Ustate.values plan.Workspace.states.(si) idx
+            if Array.mem idx section.Golden.bound_idx then E.capture state idx
+            else Ustate.values section.Golden.entry idx
           in
           Some (Array.map copy buffers) )
 
@@ -205,8 +185,7 @@ module Driver (E : ENGINE) : S = struct
   let run_to_end ?(burst = 1) golden ~from_section injection ~timeout_factor =
     if from_section < 0 || from_section >= Array.length golden.Golden.sections then
       invalid_arg "Replay.run_to_end: section index out of range";
-    let plan = Workspace.plan_of golden in
-    let state = E.enter plan from_section ~whole:true in
+    let state = E.enter golden from_section ~whole:true in
     (match injection with Mem_flip m -> E.mem_flip state m | Fault _ -> ());
     let machine_inj = machine_injection_of injection in
     let sections = golden.Golden.sections in
@@ -218,7 +197,7 @@ module Driver (E : ENGINE) : S = struct
     while (not !converged) && !anomaly = None && !i < nsections do
       let injection = if !i = from_section then machine_inj else None in
       let run : Machine.run =
-        E.exec plan state !i ~injection ~burst
+        E.exec golden state !i ~injection ~burst
           ~budget:(budget_of ~timeout_factor sections.(!i).Golden.dyn_count)
       in
       executed := !executed + run.executed;
@@ -228,7 +207,7 @@ module Driver (E : ENGINE) : S = struct
          deterministic remainder must produce the golden outputs — stop
          simulating (the error is masked from here on). Registers do not
          carry across sections, so comparing buffers is complete. *)
-      if !anomaly = None && E.equal plan (!i + 1) state then converged := true;
+      if !anomaly = None && E.equal golden (!i + 1) state then converged := true;
       incr i
     done;
     match !anomaly with
@@ -244,7 +223,7 @@ module Driver (E : ENGINE) : S = struct
       let converged = !converged in
       let outputs = Program.output_buffers golden.Golden.program in
       let distance (idx, _) =
-        (idx, if converged then 0.0 else E.distance plan nsections state idx)
+        (idx, if converged then 0.0 else E.distance golden nsections state idx)
       in
       {
         p_anomaly = None;

@@ -46,15 +46,6 @@ val budget_of : timeout_factor:float -> int -> int
     (floor 16). Exposed so the static outcome prover reasons about the
     exact budget the replay it stands in for would have used. *)
 
-val buffer_distance :
-  ?stop_at:float -> Ff_ir.Value.t array -> Ff_ir.Value.t array -> float
-(** [buffer_distance golden actual] is the largest element-wise |Δ|
-    between the two buffers. With [stop_at], the scan stops as soon as
-    the running worst exceeds it — callers that only test
-    [distance > threshold] (e.g. the side-effect scan) avoid reading the
-    rest of the buffer; the early-exited value is only guaranteed to be
-    on the same side of [stop_at] as the true maximum. *)
-
 val exec_section :
   ?burst:int ->
   ?injection:Machine.injection ->
@@ -67,8 +58,8 @@ val exec_section :
     perturbation, or nothing), then runs the section on the {!Unboxed}
     engine with [injection] under [timeout_factor ×] its golden budget
     ({!budget_of}). Returns the workspace, whose [state] holds the
-    section's exit (compare it against [plan.states.(i + 1)]); it is
-    valid only until the next run on this domain. Only the section's
+    section's exit (compare it against [Golden.state golden (i + 1)]);
+    it is valid only until the next run on this domain. Only the section's
     bound buffers are reset, and only they can affect the run. *)
 
 type section_replay = {
@@ -94,12 +85,12 @@ type program_replay = {
 }
 
 (** What a replay needs of an execution engine. [k] names golden
-    boundary state [k] of the plan: the entry of section [k], or the
-    final state when [k] is the section count. *)
+    boundary state [k] of the golden run ({!Golden.state}): the entry of
+    section [k], or the final state when [k] is the section count. *)
 module type ENGINE = sig
   type t
 
-  val enter : Workspace.plan -> int -> whole:bool -> t
+  val enter : Golden.t -> int -> whole:bool -> t
   (** a state at section [i]'s golden entry: the whole program state, or
       only section [i]'s bound buffers, the only ones a section replay
       reads or inspects *)
@@ -110,20 +101,21 @@ module type ENGINE = sig
       a stale site enumeration can never crash a campaign *)
 
   val exec :
-    Workspace.plan -> t -> int -> injection:Machine.injection option -> burst:int ->
+    Golden.t -> t -> int -> injection:Machine.injection option -> burst:int ->
     budget:int -> Machine.run
   (** run section [i] on the state under [budget] *)
 
-  val distance : Workspace.plan -> int -> t -> int -> float
-  (** {!buffer_distance} of buffer [idx] from golden boundary state [k] *)
+  val distance : Golden.t -> int -> t -> int -> float
+  (** the largest element-wise |Δ| of buffer [idx] from golden boundary
+      state [k] ({!Ustate.buffer_distance}) *)
 
-  val differs : Workspace.plan -> int -> t -> int -> bool
+  val differs : Golden.t -> int -> t -> int -> bool
   (** whether buffer [idx] differs from golden boundary state [k] *)
 
   val nonfinite : t -> int -> bool
   (** whether buffer [idx] holds a non-finite float *)
 
-  val equal : Workspace.plan -> int -> t -> bool
+  val equal : Golden.t -> int -> t -> bool
   (** whether the whole state equals golden boundary state [k] *)
 
   val capture : t -> int -> Ff_ir.Value.t array

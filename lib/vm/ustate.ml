@@ -18,15 +18,16 @@ type bits = (int64, Bigarray.int64_elt, Bigarray.c_layout) A1.t
 (* Sound because float64 and int64 cells have identical size and layout,
    and every access site fixes its kind statically; the runtime kind flag
    is only consulted by polymorphic-kind operations, which we never use
-   on a reinterpreted view. *)
-let as_bits : words -> bits = Obj.magic
+   on a reinterpreted view. Both are primitives, so a caller in another
+   module compiles them inline even under [-opaque]. *)
+external as_bits : words -> bits = "%identity"
 
 let make_words n : words =
   let w = A1.create Bigarray.Float64 Bigarray.C_layout n in
   A1.fill w 0.0;
   w
 
-let dim = A1.dim
+external dim : words -> int = "%caml_ba_dim_1"
 
 let tag_int = '\000'
 let tag_float = '\001'
@@ -98,7 +99,7 @@ let scalars_of_values values =
   let arr = Array.of_list values in
   of_values arr
 
-(* Same scan structure as Replay.buffer_distance: stop once the running
+(* Same scan structure as the test oracle's boxed [buffer_distance]: stop once the running
    worst exceeds [stop_at], so a later mismatched element is never even
    inspected (the boxed scan would not have reached it either). Each
    element mirrors Value.abs_diff bit for bit — including the

@@ -13,7 +13,7 @@
 type words = (float, Bigarray.float64_elt, Bigarray.c_layout) Bigarray.Array1.t
 type bits = (int64, Bigarray.int64_elt, Bigarray.c_layout) Bigarray.Array1.t
 
-val as_bits : words -> bits
+external as_bits : words -> bits = "%identity"
 (** The same memory viewed as int64 — no copy, no conversion. Sound
     because both kinds are plain 8-byte cells and every access site
     fixes its kind statically. *)
@@ -21,7 +21,7 @@ val as_bits : words -> bits
 val make_words : int -> words
 (** A fresh zero-filled word array. *)
 
-val dim : words -> int
+external dim : words -> int = "%caml_ba_dim_1"
 
 val tag_int : char
 val tag_float : char
@@ -39,7 +39,8 @@ val of_values : Ff_ir.Value.t array -> words * Bytes.t
 (** Convert one boxed buffer. *)
 
 val of_state : Ff_ir.Value.t array array -> t
-(** Convert a full boxed program state (one-time cost, at plan build). *)
+(** Convert a full boxed program state (the golden run's initial
+    buffers). *)
 
 val create_like : t -> t
 (** Allocate a zeroed state with the same shape (the reusable scratch). *)
@@ -61,12 +62,15 @@ val scalars_of_values : Ff_ir.Value.t list -> words * Bytes.t
 (** Scalar arguments in register-staging form. *)
 
 val buffer_distance : ?stop_at:float -> t -> int -> t -> int -> float
-(** [buffer_distance a i b j] is {!Replay.buffer_distance} on the
-    unboxed representation, between buffer [i] of [a] and buffer [j] of
-    [b]: the largest element-wise |Δ| under {!Ff_ir.Value.abs_diff}
-    semantics, with the same early-exit contract for [stop_at] and the
-    same [Invalid_argument] on a reached element whose dynamic types
-    disagree. *)
+(** [buffer_distance a i b j] is the largest element-wise |Δ| between
+    buffer [i] of [a] and buffer [j] of [b], under
+    {!Ff_ir.Value.abs_diff} semantics: [Invalid_argument] on a reached
+    element whose dynamic types disagree. With [stop_at], the scan stops
+    as soon as the running worst exceeds it — callers that only test
+    [distance > threshold] (e.g. the side-effect scan) avoid reading the
+    rest of the buffer; the early-exited value is only guaranteed to be
+    on the same side of [stop_at] as the true maximum. The test oracle
+    holds it to a boxed reference scan bit for bit. *)
 
 val has_nonfinite : t -> int -> bool
 (** Whether buffer [i] holds a non-finite float (ints are always finite). *)

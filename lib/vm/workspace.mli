@@ -1,38 +1,12 @@
 (** Zero-copy replay workspaces for the unboxed engine.
 
-    Splits a campaign's per-replay setup cost into a shared immutable
-    {!plan} (one per golden run: unboxed section-boundary states, scalar
-    words, writable sets) and a per-domain mutable scratch {!t} whose
-    reset is a blit of the entry state — no allocation per replay. *)
-
-type plan = {
-  golden : Golden.t;
-  states : Ustate.t array;
-  (** [n+1] entries: entry state of each of the [n] sections, then the
-      final state; [states.(i+1)] is section [i]'s golden exit state *)
-  scal_words : Ustate.words array;  (** per section: scalar words *)
-  scal_tags : Bytes.t array;       (** per section: scalar tags *)
-  writable_idx : int array array;
-  (** per section: sorted, de-duplicated writable program-buffer indices *)
-  scan_idx : int array array;
-  (** per section: sorted bound-but-not-writable program-buffer indices.
-      A kernel can only touch buffers bound to its slots, so these are
-      the only buffers a side-effect scan must inspect — unbound buffers
-      cannot have changed (shared with the boxed path) *)
-  bound_idx : int array array;
-  (** per section: sorted, de-duplicated bound program-buffer indices —
-      the partial-reset set for a section replay *)
-  max_nregs : int;
-}
-
-val plan_of : Golden.t -> plan
-(** The shared plan for a golden run. Cached by physical identity and
-    safe to request from any domain; the first caller pays the build.
-    The cache holds its golden runs weakly: it keeps neither a golden run
-    nor its plan alive. *)
+    A replay reads its golden boundary states, scalar words and index
+    sets straight from the {!Golden.t}; what it needs besides is a
+    per-domain mutable scratch {!t} whose reset is a blit of the golden
+    entry state — no allocation per replay. *)
 
 type t = {
-  plan : plan;
+  golden : Golden.t;
   state : Ustate.t;      (** scratch program state, reset per replay *)
   regs : Ustate.words;   (** register scratch sized for the largest kernel *)
   rtags : Bytes.t;
@@ -43,11 +17,12 @@ type t = {
   (** per section: kernel buffer slot → scratch tag bytes *)
 }
 
-val get : plan -> t
-(** This domain's workspace for [plan] — created on first use, then
-    reused for every subsequent replay on this domain (domain-local
+val get : Golden.t -> t
+(** This domain's workspace for a golden run — created on first use,
+    then reused for every subsequent replay on this domain (domain-local
     storage; never shared across domains, so no locking on the replay
-    path). Held weakly, like {!plan_of}'s cache. *)
+    path). Keyed by the golden run's physical identity and held weakly:
+    the cache keeps neither a golden run nor its workspace alive. *)
 
 val load_entry : t -> int -> unit
 (** [load_entry ws i] resets the scratch state to section [i]'s golden

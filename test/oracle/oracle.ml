@@ -267,17 +267,59 @@ let exec (kernel : Kernel.t) ~scalars ~buffers ~budget ?decoded ?injection ?(bur
 
 (* --- replays ---------------------------------------------------------------- *)
 
+(* The boxed reference distance that {!Ff_vm.Ustate.buffer_distance} is
+   held to: [stop_at] is the caller's SDC threshold, and once the running
+   worst exceeds it the exact magnitude no longer matters, so the scan
+   stops. The returned value is then only a witness that the threshold
+   was crossed, not the true maximum. *)
+let buffer_distance ?stop_at golden actual =
+  let limit = match stop_at with None -> infinity | Some s -> s in
+  let worst = ref 0.0 in
+  let n = Array.length golden in
+  let i = ref 0 in
+  while !i < n && !worst <= limit do
+    let d = Value.abs_diff golden.(!i) actual.(!i) in
+    if d > !worst then worst := d;
+    incr i
+  done;
+  !worst
+
+(* A golden run's boundary states and scalar arguments, boxed once per
+   golden run, so that a replay on {!Engine} times interpretation and
+   not conversion. *)
+type boxed = {
+  states : Value.t array array array;
+  scalars : Value.t list array;
+}
+
+let boxed_cache : (Golden.t, boxed) Ff_support.Ephemeron_cache.t =
+  Ff_support.Ephemeron_cache.create 8
+
+let boxed (golden : Golden.t) =
+  Ff_support.Ephemeron_cache.find_or_compute boxed_cache golden (fun () ->
+      let box (u : Ustate.t) =
+        Array.init (Array.length u.Ustate.words) (Ustate.values u)
+      in
+      {
+        states =
+          Array.init
+            (Array.length golden.Golden.sections + 1)
+            (fun k -> box (Golden.state golden k));
+        scalars =
+          Array.map
+            (fun (s : Golden.section_run) ->
+              Program.scalar_args golden.Golden.program s.Golden.call)
+            golden.Golden.sections;
+      })
+
+let golden_state golden k = (boxed golden).states.(k)
+
 (* The boxed interpreter over a fresh boxed copy of the state, as a
    replay engine: the production replay driver runs over it unchanged. *)
 module Engine : Replay.ENGINE with type t = Value.t array array = struct
   type t = Value.t array array
 
-  let golden_state (plan : Workspace.plan) k =
-    let g = plan.Workspace.golden in
-    if k = Array.length g.Golden.sections then g.Golden.final_state
-    else g.Golden.sections.(k).Golden.entry_state
-
-  let enter plan i ~whole:_ = Array.map Array.copy (golden_state plan i)
+  let enter golden i ~whole:_ = Array.map Array.copy (golden_state golden i)
 
   let mem_flip (state : t) { Replay.mf_buffer; mf_elem; mf_bits } =
     if mf_buffer >= 0 && mf_buffer < Array.length state then begin
@@ -286,23 +328,23 @@ module Engine : Replay.ENGINE with type t = Value.t array array = struct
         buf.(mf_elem) <- List.fold_left Value.flip_bit buf.(mf_elem) mf_bits
     end
 
-  let exec (plan : Workspace.plan) (state : t) i ~injection ~burst ~budget =
-    let section = plan.Workspace.golden.Golden.sections.(i) in
+  let exec (golden : Golden.t) (state : t) i ~injection ~burst ~budget =
+    let section = golden.Golden.sections.(i) in
     let buffers = Array.map (fun (idx, _) -> state.(idx)) section.Golden.bindings in
-    exec section.Golden.kernel ~scalars:section.Golden.scalars ~buffers ~budget
+    exec section.Golden.kernel ~scalars:(boxed golden).scalars.(i) ~buffers ~budget
       ~decoded:section.Golden.decoded ?injection ~burst ()
 
-  let distance plan k (state : t) idx =
-    Replay.buffer_distance (golden_state plan k).(idx) state.(idx)
+  let distance golden k (state : t) idx =
+    buffer_distance (golden_state golden k).(idx) state.(idx)
 
-  let differs plan k (state : t) idx =
-    Replay.buffer_distance ~stop_at:0.0 (golden_state plan k).(idx) state.(idx) > 0.0
+  let differs golden k (state : t) idx =
+    buffer_distance ~stop_at:0.0 (golden_state golden k).(idx) state.(idx) > 0.0
 
   let nonfinite (state : t) idx =
     Array.exists (fun v -> not (Value.is_finite v)) state.(idx)
 
-  let equal plan k (state : t) =
-    Array.for_all2 (Array.for_all2 Value.equal) state (golden_state plan k)
+  let equal golden k (state : t) =
+    Array.for_all2 (Array.for_all2 Value.equal) state (golden_state golden k)
 
   let capture (state : t) idx = Array.copy state.(idx)
 end
@@ -310,6 +352,20 @@ end
 include Replay.Driver (Engine)
 
 (* --- whole-program runs ------------------------------------------------------ *)
+
+type golden_section = {
+  trace : int array;
+  dyn_count : int;
+  entry_state : Value.t array array;
+  input_hash : int64;
+}
+
+type golden = {
+  program : Program.t;
+  sections : golden_section array;
+  final_state : Value.t array array;
+  total_dyn : int;
+}
 
 let input_hash scalars bindings state =
   let h = Ff_support.Hashing.create () in
@@ -335,11 +391,10 @@ let golden_run ?(budget_per_section = 50_000_000) (program : Program.t) =
   in
   let total_dyn = ref 0 in
   let sections =
-    List.mapi
-      (fun i call ->
+    List.map
+      (fun call ->
         let callee = call.Program.callee in
         let kernel = Option.get (Program.find_kernel program callee) in
-        let kernel_index = Option.get (Program.kernel_index program callee) in
         let decoded = Decode.of_kernel kernel in
         let scalars = Program.scalar_args program call in
         let bindings = Array.of_list (Program.buffer_args program call) in
@@ -355,27 +410,19 @@ let golden_run ?(budget_per_section = 50_000_000) (program : Program.t) =
             (Format.asprintf "Oracle.golden_run: section %s ended %a"
                call.Program.call_label pp_status run.status);
         total_dyn := !total_dyn + run.executed;
-        {
-          Golden.section_index = i;
-          call;
-          kernel;
-          kernel_index;
-          decoded;
-          scalars;
-          bindings;
-          entry_state;
-          trace = Trace.to_array trace;
-          dyn_count = run.executed;
-          input_hash;
-        })
+        { trace = Trace.to_array trace; dyn_count = run.executed; entry_state; input_hash })
       program.Program.schedule
   in
   {
-    Golden.program;
+    program;
     sections = Array.of_list sections;
     final_state = copy_state state;
     total_dyn = !total_dyn;
   }
+
+let outputs g =
+  Program.output_buffers g.program
+  |> List.map (fun (i, b) -> (i, b.Program.buf_name, g.final_state.(i)))
 
 (* --- the unboxed engine over boxed buffers ------------------------------------ *)
 

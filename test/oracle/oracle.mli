@@ -42,6 +42,21 @@ val exec :
 
 (** {2 Replays} *)
 
+val buffer_distance :
+  ?stop_at:float -> Ff_ir.Value.t array -> Ff_ir.Value.t array -> float
+(** [buffer_distance golden actual] is the largest element-wise |Δ|
+    between the two buffers under {!Ff_ir.Value.abs_diff}: the boxed
+    reference that {!Ff_vm.Ustate.buffer_distance} is held to. With
+    [stop_at], the scan stops as soon as the running worst exceeds it;
+    the early-exited value is only guaranteed to be on the same side of
+    [stop_at] as the true maximum. *)
+
+val golden_state : Ff_vm.Golden.t -> int -> Ff_ir.Value.t array array
+(** Boundary state [k] of a golden run under test
+    ({!Ff_vm.Golden.state}), boxed. Boxed once per golden run (with its
+    scalar arguments, for {!Engine}) and shared: callers must not
+    mutate it. *)
+
 module Engine : Ff_vm.Replay.ENGINE with type t = Ff_ir.Value.t array array
 (** The interpreter over a fresh boxed copy of the program state. *)
 
@@ -51,12 +66,31 @@ include Ff_vm.Replay.S
 
 (** {2 Whole-program runs} *)
 
-val golden_run : ?budget_per_section:int -> Ff_ir.Program.t -> Ff_vm.Golden.t
+type golden_section = {
+  trace : int array;  (** dynamic instruction stream *)
+  dyn_count : int;
+  entry_state : Ff_ir.Value.t array array;  (** every buffer at entry *)
+  input_hash : int64;
+  (** {!Ff_ir.Value.hash_fold} of the scalar arguments, then of each
+      readable bound buffer's index and entry contents *)
+}
+
+type golden = {
+  program : Ff_ir.Program.t;
+  sections : golden_section array;
+  final_state : Ff_ir.Value.t array array;
+  total_dyn : int;
+}
+
+val golden_run : ?budget_per_section:int -> Ff_ir.Program.t -> golden
 (** The golden run as the boxed interpreter computes it, over one boxed
     program state (slots bound to one buffer alias): trace, dynamic
     counts, every entry state, the final state and the input hashes,
     for comparison with {!Ff_vm.Golden.run}. Raises [Failure] if a
     section does not finish. *)
+
+val outputs : golden -> (int * string * Ff_ir.Value.t array) list
+(** Final program outputs, as {!Ff_vm.Golden.outputs}. *)
 
 (** {2 The unboxed engine over boxed buffers} *)
 

@@ -143,7 +143,7 @@ let test_sha2_digest_is_correct () =
   let block =
     Array.map
       (function Value.Int v -> Int64.to_int v | Value.Float _ -> 0)
-      g.Golden.final_state.(msg_idx)
+      (Ff_vm.Ustate.values g.Golden.final msg_idx)
   in
   let mask = 0xFFFFFFFF in
   let rotr x n = ((x lsr n) lor (x lsl (32 - n))) land mask in
@@ -195,12 +195,14 @@ let test_lud_factorization_correct () =
   let g = golden_of b Defs.V_none in
   let idx = Gen.buffer_index g "a" in
   let lu =
-    Array.map (function Value.Float f -> f | Value.Int _ -> nan) g.Golden.final_state.(idx)
+    Array.map
+      (function Value.Float f -> f | Value.Int _ -> nan)
+      (Ff_vm.Ustate.values g.Golden.final idx)
   in
   let original =
     Array.map
       (function Value.Float f -> f | Value.Int _ -> nan)
-      g.Golden.sections.(0).Golden.entry_state.(idx)
+      (Ff_vm.Ustate.values g.Golden.sections.(0).Golden.entry idx)
   in
   let n = 12 in
   let l r c = if r > c then lu.((r * n) + c) else if r = c then 1.0 else 0.0 in
@@ -223,18 +225,18 @@ let test_fft_matches_dft () =
   let get name =
     Array.map
       (function Value.Float f -> f | Value.Int _ -> nan)
-      g.Golden.final_state.(Gen.buffer_index g name)
+      (Ff_vm.Ustate.values g.Golden.final (Gen.buffer_index g name))
   in
   let re = get "re" and im = get "im" in
   let xre =
     Array.map
       (function Value.Float f -> f | Value.Int _ -> nan)
-      g.Golden.sections.(0).Golden.entry_state.(Gen.buffer_index g "xre")
+      (Ff_vm.Ustate.values g.Golden.sections.(0).Golden.entry (Gen.buffer_index g "xre"))
   in
   let xim =
     Array.map
       (function Value.Float f -> f | Value.Int _ -> nan)
-      g.Golden.sections.(0).Golden.entry_state.(Gen.buffer_index g "xim")
+      (Ff_vm.Ustate.values g.Golden.sections.(0).Golden.entry (Gen.buffer_index g "xim"))
   in
   let n = 16 in
   for k = 0 to n - 1 do
@@ -256,7 +258,7 @@ let test_campipe_saturates () =
   let img =
     Array.map
       (function Value.Float f -> f | Value.Int _ -> nan)
-      g.Golden.final_state.(Gen.buffer_index g "img")
+      (Ff_vm.Ustate.values g.Golden.final (Gen.buffer_index g "img"))
   in
   let saturated = Array.fold_left (fun acc v -> if v = 1.0 then acc + 1 else acc) 0 img in
   let frac = float_of_int saturated /. float_of_int (Array.length img) in
@@ -275,7 +277,7 @@ let test_bscholes_prices_sane () =
   let prices =
     Array.map
       (function Value.Float f -> f | Value.Int _ -> nan)
-      g.Golden.final_state.(Gen.buffer_index g "prices")
+      (Ff_vm.Ustate.values g.Golden.final (Gen.buffer_index g "prices"))
   in
   (* Reference values for the two options, computed independently. *)
   Alcotest.(check bool) "call price positive" true (prices.(0) > 0.0);

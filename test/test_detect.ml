@@ -94,7 +94,7 @@ let specs_of () =
    synthesizer, so this checks the margins, not the training loop. *)
 let benign_fires golden specs candidates ~section_index ~delta =
   let section = golden.Golden.sections.(section_index) in
-  let state = Array.map Array.copy section.Golden.entry_state in
+  let state = Array.map Array.copy (Oracle.golden_state golden section_index) in
   Array.iter
     (fun i ->
       Array.iteri
@@ -108,7 +108,9 @@ let benign_fires golden specs candidates ~section_index ~delta =
   let buffers = Array.map (fun (idx, _) -> state.(idx)) section.Golden.bindings in
   let budget = max 16 (5 * section.Golden.dyn_count) in
   let run =
-    Oracle.exec section.Golden.kernel ~scalars:section.Golden.scalars ~buffers ~budget ()
+    Oracle.exec section.Golden.kernel
+      ~scalars:(Ff_ir.Program.scalar_args golden.Golden.program section.Golden.call)
+      ~buffers ~budget ()
   in
   Alcotest.(check bool) "benign run finishes" true (run.Machine.status = Machine.Finished);
   Array.to_list candidates.(section_index)
@@ -130,15 +132,15 @@ let test_zero_false_positives () =
   in
   Alcotest.(check bool) "some detectors synthesized" true (n > 0);
   Array.iteri
-    (fun si section ->
+    (fun si _ ->
       (* golden exit: no detector may fire on the reference run *)
-      let exit_state = Golden.exit_state golden si in
+      let exit_state = Oracle.golden_state golden (si + 1) in
       Array.iter
         (fun (d : Detector.t) ->
           let entry_sum =
             match d.Detector.d_form with
             | Detector.Linear { input; _ } ->
-              Detector.sum section.Golden.entry_state.(input)
+              Detector.sum (Oracle.golden_state golden si).(input)
             | _ -> 0.0
           in
           Alcotest.(check bool)

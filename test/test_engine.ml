@@ -263,6 +263,12 @@ schedule {
   call inc(mid, res);
 }|}
 
+(* [pipeline_src] with a[0] = [x]. *)
+let pipeline_with x =
+  let nl = String.index pipeline_src '\n' in
+  Printf.sprintf "buffer a : float[3] = { %.1f, 2.0, -0.5 };%s" x
+    (String.sub pipeline_src nl (String.length pipeline_src - nl))
+
 let test_replay_parity () =
   let g = Golden.run (compile pipeline_src) in
   let checked = ref 0 in
@@ -321,7 +327,7 @@ let test_capture_parity () =
   Array.iter
     (fun (section : Golden.section_run) ->
       let last = section.Golden.dyn_count - 1 in
-      let all = List.init (Array.length g.Golden.final_state) Fun.id in
+      let all = List.init (Array.length g.Golden.final.Ustate.words) Fun.id in
       let buffers = Array.of_list (all @ List.rev all) in
       let faults =
         List.concat_map
@@ -442,7 +448,49 @@ let test_workspace_reuse_is_stateless () =
   ignore (Replay.run_section g section nasty ~timeout_factor:5.0);
   let again = Replay.run_section g section benign ~timeout_factor:5.0 in
   Alcotest.(check bool) "same result after scratch reuse" true
-    (Stdlib.compare first again = 0)
+    (Stdlib.compare first again = 0);
+  (* Workspaces are cached per golden run, at most 4 per domain. Five
+     golden runs whose a[0] differs, so that a replay on another run's
+     workspace or states would show: the same replays, run round-robin
+     across the five (each one evicting a workspace and rebuilding
+     another), must equal each run's replays run on their own, and the
+     oracle's replays, which use no workspace. *)
+  let flip = Replay.Mem_flip { Replay.mf_buffer = 1; mf_elem = 2; mf_bits = [ 62 ] } in
+  let jobs (section_replay, to_end) g =
+    Array.to_list g.Golden.sections
+    |> List.concat_map (fun section ->
+           let from_section = section.Golden.section_index in
+           List.concat_map
+             (fun injection ->
+               [
+                 (fun () ->
+                   Either.Left (section_replay g section injection ~timeout_factor:5.0));
+                 (fun () ->
+                   Either.Right (to_end g ~from_section injection ~timeout_factor:5.0));
+               ])
+             [ benign; nasty; flip ])
+    |> Array.of_list
+  in
+  let engine = (Replay.run_section ~burst:1, Replay.run_to_end ~burst:1)
+  and oracle = (Oracle.run_section ~burst:1, Oracle.run_to_end ~burst:1) in
+  let runs =
+    Array.init 5 (fun i -> Golden.run (compile (pipeline_with (float_of_int i))))
+  in
+  let run_all side =
+    Array.map (fun g -> Array.map (fun job -> job ()) (jobs side g)) runs
+  in
+  let alone = run_all engine and reference = run_all oracle in
+  let jobs = Array.map (jobs engine) runs in
+  Array.iteri
+    (fun k _ ->
+      Array.iteri
+        (fun r run_jobs ->
+          let result = run_jobs.(k) () in
+          if Stdlib.compare result alone.(r).(k) <> 0
+             || Stdlib.compare result reference.(r).(k) <> 0
+          then Alcotest.failf "golden run %d, replay %d: interleaved result differs" r k)
+        jobs)
+    jobs.(0)
 
 (* --- golden runs ---------------------------------------------------------- *)
 
@@ -451,19 +499,20 @@ let check_golden name program =
   let fail what =
     Alcotest.failf "%s: %s differs from the oracle's golden run" name what
   in
-  if Array.length g.Golden.sections <> Array.length o.Golden.sections then
+  if Array.length g.Golden.sections <> Array.length o.Oracle.sections then
     fail "sections";
+  let boxed (u : Ustate.t) = Array.init (Array.length u.Ustate.words) (Ustate.values u) in
   Array.iter2
-    (fun (s : Golden.section_run) (r : Golden.section_run) ->
-      if s.Golden.trace <> r.Golden.trace then fail "a trace";
-      if s.Golden.dyn_count <> r.Golden.dyn_count then fail "a dyn_count";
-      if not (buffers_bit_equal s.Golden.entry_state r.Golden.entry_state) then
+    (fun (s : Golden.section_run) (r : Oracle.golden_section) ->
+      if s.Golden.trace <> r.Oracle.trace then fail "a trace";
+      if s.Golden.dyn_count <> r.Oracle.dyn_count then fail "a dyn_count";
+      if not (buffers_bit_equal (boxed s.Golden.entry) r.Oracle.entry_state) then
         fail "an entry state";
-      if not (Int64.equal s.Golden.input_hash r.Golden.input_hash) then
+      if not (Int64.equal s.Golden.input_hash r.Oracle.input_hash) then
         fail "an input hash")
-    g.Golden.sections o.Golden.sections;
-  if g.Golden.total_dyn <> o.Golden.total_dyn then fail "total_dyn";
-  if not (buffers_bit_equal g.Golden.final_state o.Golden.final_state) then
+    g.Golden.sections o.Oracle.sections;
+  if g.Golden.total_dyn <> o.Oracle.total_dyn then fail "total_dyn";
+  if not (buffers_bit_equal (boxed g.Golden.final) o.Oracle.final_state) then
     fail "the final state"
 
 let test_golden_matches_oracle () =
@@ -482,6 +531,45 @@ let test_golden_matches_oracle () =
   check_golden "pipeline.ff"
     (compile (In_channel.with_open_bin path In_channel.input_all));
   check_golden "shift(a, a)" (compile shift_src)
+
+(* Nothing a campaign (bit flips and memory flips, the prover on and
+   off), a sensitivity estimate or detector synthesis runs may write into
+   a golden boundary state or alias one: afterwards every boundary state
+   of the golden run still equals a fresh golden run's. *)
+let test_golden_states_isolated () =
+  let check name program =
+    let g = Golden.run program in
+    let n = Array.length g.Golden.sections in
+    List.iter
+      (fun (model, prove) ->
+        for section_index = 0 to n - 1 do
+          ignore
+            (Campaign.run_section g ~section_index
+               { campaign_config with Campaign.model; prove })
+        done)
+      [
+        (Fault_model.default, Prover.on);
+        (Fault_model.default, Prover.off);
+        (Fault_model.Memflip { burst = 1 }, Prover.off);
+      ];
+    let specs =
+      Array.init n (fun section_index ->
+          Ff_sensitivity.Sensitivity.estimate ~samples:25 ~rng:(Ff_support.Rng.create 7L) g
+            ~section_index)
+    in
+    ignore (Ff_detect.Synthesize.run ~train:4 ~validate:4 ~seed:11L g ~specs);
+    let fresh = Golden.run program in
+    for k = 0 to n do
+      if not (Ustate.equal (Golden.state g k) (Golden.state fresh k)) then
+        Alcotest.failf "%s: golden boundary state %d changed" name k
+    done
+  in
+  let path =
+    List.find Sys.file_exists [ "../examples/pipeline.ff"; "examples/pipeline.ff" ]
+  in
+  check "pipeline.ff" (compile (In_channel.with_open_bin path In_channel.input_all));
+  let lud = Option.get (Ff_benchmarks.Registry.find "LUD") in
+  check "LUD/None" (compile (lud.Ff_benchmarks.Defs.source Ff_benchmarks.Defs.V_none))
 
 (* The prover records the aliased section (its recording aliases the two
    slots, as the golden run does) and every proof is the oracle's
@@ -650,5 +738,7 @@ let () =
             test_golden_matches_oracle;
           Alcotest.test_case "aliased section proofs ≡ oracle replays" `Quick
             test_aliased_proofs;
+          Alcotest.test_case "golden states stay isolated" `Quick
+            test_golden_states_isolated;
         ] );
     ]

@@ -16,7 +16,7 @@ let run_no_opt src = Golden.run (compile_no_opt src)
 
 let final golden name =
   let idx = Ff_benchmarks.Gen.buffer_index golden name in
-  golden.Golden.final_state.(idx)
+  Ff_vm.Ustate.values golden.Golden.final idx
 
 let check_floats msg golden name expected =
   let actual =

@@ -430,7 +430,8 @@ let test_leap_reaches_every_tainted_element () =
    buffers, by less than 1, proves nothing: the replay reports that
    change as an unbounded side-effect SDC. A validated program stores
    only through writable slots, so the case is built by binding the
-   written buffer [w] as read-only in a copy of the golden run:
+   written buffer [w] as read-only in a copy of the golden run (its
+   bindings and the index sets derived from them):
      0: r0 <- 1.0   flipped (Dst) at bit 51: 1.5
      1: r1 <- 0     2: w[r1] <- r0
      3: r2 <- 2.0   4: o[r1] <- r2
@@ -509,7 +510,14 @@ let test_side_effect_declined () =
     {
       g with
       Golden.sections =
-        [| { s with Golden.bindings = [| (0, Kernel.Out); (1, Kernel.In) |] } |];
+        [|
+          {
+            s with
+            Golden.bindings = [| (0, Kernel.Out); (1, Kernel.In) |];
+            writable_idx = [| 0 |];
+            scan_idx = [| 1 |];
+          };
+        |];
     }
   in
   let proof, oracle = prove g in

@@ -235,20 +235,20 @@ let test_golden_entry_snapshots () =
   let s1 = golden.Golden.sections.(1) in
   (* Section 1's entry snapshot must already contain double's output. *)
   Alcotest.(check (float 0.0)) "mid at s1 entry" 2.0
-    (match s1.Golden.entry_state.(1).(0) with Value.Float f -> f | Value.Int _ -> nan);
+    (match (Ustate.values s1.Golden.entry 1).(0) with Value.Float f -> f | Value.Int _ -> nan);
   (* ... while section 0's entry has the original zeros. *)
   let s0 = golden.Golden.sections.(0) in
   Alcotest.(check (float 0.0)) "mid at s0 entry" 0.0
-    (match s0.Golden.entry_state.(1).(0) with Value.Float f -> f | Value.Int _ -> nan)
+    (match (Ustate.values s0.Golden.entry 1).(0) with Value.Float f -> f | Value.Int _ -> nan)
 
 let test_golden_exit_state () =
   let golden = Golden.run (compile pipeline_src) in
   let exit0 = Golden.exit_state golden 0 in
   Alcotest.(check (float 0.0)) "exit of s0 = entry of s1" 4.0
-    (match exit0.(1).(1) with Value.Float f -> f | Value.Int _ -> nan);
+    (match (Ustate.values exit0 1).(1) with Value.Float f -> f | Value.Int _ -> nan);
   let exit1 = Golden.exit_state golden 1 in
   Alcotest.(check (float 0.0)) "exit of last = final" 5.0
-    (match exit1.(2).(1) with Value.Float f -> f | Value.Int _ -> nan)
+    (match (Ustate.values exit1 2).(1) with Value.Float f -> f | Value.Int _ -> nan)
 
 let test_golden_outputs_and_distance () =
   let golden = Golden.run (compile pipeline_src) in
@@ -259,10 +259,22 @@ let test_golden_outputs_and_distance () =
     Alcotest.(check (float 0.0)) "res[0]" 3.0
       (match values.(0) with Value.Float f -> f | Value.Int _ -> nan)
   | _ -> Alcotest.fail "expected one output");
-  let copy = Array.map Array.copy golden.Golden.final_state in
+  (* The boxed reference distance and the engine's unboxed one agree,
+     in full and under [stop_at], which stops at the first element past
+     it: res is [3.0; 5.0], and the copy's elements are off by 0.5 and 4. *)
+  let final = golden.Golden.final in
+  let boxed = Array.init (Array.length final.Ustate.words) (Ustate.values final) in
+  let copy = Array.map Array.copy boxed in
   copy.(2).(0) <- Value.Float 3.5;
-  Alcotest.(check (float 1e-12)) "distance" 0.5
-    (Replay.buffer_distance golden.Golden.final_state.(2) copy.(2))
+  copy.(2).(1) <- Value.Float 9.0;
+  let ucopy = Ustate.of_state copy in
+  List.iter
+    (fun (stop_at, expected) ->
+      Alcotest.(check (float 1e-12)) "oracle distance" expected
+        (Oracle.buffer_distance ?stop_at boxed.(2) copy.(2));
+      Alcotest.(check (float 1e-12)) "unboxed distance" expected
+        (Ustate.buffer_distance ?stop_at final 2 ucopy 2))
+    [ (None, 4.0); (Some 0.0, 0.5); (Some 0.5, 4.0); (Some 4.0, 4.0) ]
 
 let test_golden_input_hash_tracks_inputs () =
   let golden1 = Golden.run (compile pipeline_src) in
