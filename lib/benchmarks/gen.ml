@@ -63,7 +63,7 @@ let entry_values golden ~label_prefix ~buffer =
 let exit_values golden ~label_prefix ~buffer =
   let section = find_section golden ~label_prefix in
   Ustate.values
-    (Golden.exit_state golden section.Golden.section_index)
+    (Golden.state golden (section.Golden.section_index + 1))
     (buffer_index golden buffer)
 
 let entry_floats golden ~label_prefix ~buffer = as_floats (entry_values golden ~label_prefix ~buffer)

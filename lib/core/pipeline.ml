@@ -126,11 +126,13 @@ let section_key config (section : Golden.section_run) =
 
 (* A disjoint key space in the same persistent store for injection-measured
    detector coverage: the section's campaign key, scoped by the hash of
-   the exact candidate detector set (and a format version, so a future
-   coverage encoding never reads old frames as current ones). Campaign
-   records and coverage records for the same section can therefore never
-   collide, and two different candidate sets never share measurements. *)
-let coverage_version = 1
+   the exact candidate detector set (and a version, so a stored frame is
+   never read under another encoding or measurement). Campaign records
+   and coverage records for the same section can therefore never
+   collide, and two different candidate sets never share measurements.
+   Version 2: under a memory flip, a Linear detector's entry sum is the
+   left-to-right sum of the flipped entry. *)
+let coverage_version = 2
 
 let coverage_key config (section : Golden.section_run) ~detector_hash =
   let base = section_key config section in

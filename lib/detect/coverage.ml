@@ -1,7 +1,8 @@
 module Golden = Ff_vm.Golden
 module Replay = Ff_vm.Replay
+module Machine = Ff_vm.Machine
 module Ustate = Ff_vm.Ustate
-module Value = Ff_ir.Value
+module Workspace = Ff_vm.Workspace
 module Site = Ff_inject.Site
 module Eqclass = Ff_inject.Eqclass
 module Outcome = Ff_inject.Outcome
@@ -117,32 +118,23 @@ let decode_record (record : Store.section_record) ~n_detectors
 
 (* --- pilot replay ----------------------------------------------------- *)
 
-(* The entry-side sum a Linear detector compares against is the golden
-   entry sum of its input buffer — except under a Mem_flip injection
-   into that very buffer, where the flip's effect on the sum is applied
-   analytically (the engines flip the element before executing, so the
-   check must see the same entry the replay saw). *)
-let entry_sum_under section injection buffer ~base =
-  match injection with
-  | Replay.Fault _ -> base
-  | Replay.Mem_flip { Replay.mf_buffer; mf_elem; mf_bits } ->
-    if mf_buffer <> buffer then base
-    else
-      let entry = section.Golden.entry in
-      let words = entry.Ustate.words.(buffer) in
-      if mf_elem < 0 || mf_elem >= Ustate.dim words then base
-      else
-        let old_v =
-          Ustate.value_of (Bigarray.Array1.get words mf_elem)
-            (Bytes.get entry.Ustate.tags.(buffer) mf_elem)
-        in
-        let new_v =
-          List.fold_left (fun v b -> Value.flip_bit v b) old_v mf_bits
-        in
-        let scalar v =
-          match v with Value.Float x -> x | Value.Int i -> Int64.to_float i
-        in
-        base -. scalar old_v +. scalar new_v
+(* A detector checks a buffer its section binds, and a Linear one reads
+   an input the section binds: a section run neither resets nor runs
+   the others, so it has nothing to say about them. *)
+let check_bound (section : Golden.section_run) detectors =
+  let bound idx = Array.mem idx section.Golden.bound_idx in
+  Array.iter
+    (fun (d : Detector.t) ->
+      let input_bound =
+        match d.Detector.d_form with
+        | Detector.Linear { input; _ } -> bound input
+        | Detector.Finite | Detector.Range _ -> true
+      in
+      if not (bound d.Detector.d_buffer && input_bound) then
+        invalid_arg
+          (Printf.sprintf "Coverage.measure: %s reads a buffer section %d does not bind"
+             (Detector.describe d) section.Golden.section_index))
+    detectors
 
 let measure ?(pool = Pool.serial) ?backing
     (config : Pipeline.config) golden ~section_index ~detectors ~classes =
@@ -153,6 +145,7 @@ let measure ?(pool = Pool.serial) ?backing
   if n_detectors > 62 then
     invalid_arg "Coverage.measure: at most 62 detectors per section";
   let section = golden.Golden.sections.(section_index) in
+  check_bound section detectors;
   let classes = Array.of_list classes in
   let key =
     Pipeline.coverage_key config section
@@ -183,47 +176,33 @@ let measure ?(pool = Pool.serial) ?backing
     let model = config.Pipeline.campaign.Campaign.model in
     let timeout_factor = config.Pipeline.campaign.Campaign.timeout_factor in
     let burst = Fault_model.reg_burst model in
-    (* capture the union of checked buffers once per replay *)
-    let capture_idx =
-      Array.of_list
-        (List.sort_uniq compare
-           (Array.to_list (Array.map (fun d -> d.Detector.d_buffer) detectors)))
-    in
-    let slot_of buffer =
-      let rec go i = if capture_idx.(i) = buffer then i else go (i + 1) in
-      go 0
-    in
-    let base_entry_sums =
-      Array.map
-        (fun d ->
-          match d.Detector.d_form with
-          | Detector.Linear { input; _ } ->
-            Detector.sum (Ustate.values section.Golden.entry input)
-          | Detector.Finite | Detector.Range _ -> 0.0)
-        detectors
-    in
     let run_one (cls : Eqclass.t) =
-      let injection = Site.replay_injection ~model (Eqclass.pilot cls) in
-      let replay, captured =
-        Replay.run_section_capture ~burst golden section injection
-          ~timeout_factor ~buffers:capture_idx
+      (* A Linear detector compares against its input's sum at entry,
+         read after a memory flip and before the run, which may
+         overwrite an inout input. *)
+      let entry_sums = Array.make n_detectors 0.0 in
+      let ws, run =
+        Replay.exec_section ~burst
+          ~injection:(Site.replay_injection ~model (Eqclass.pilot cls))
+          golden section ~timeout_factor ~edit:(fun u ->
+            Array.iteri
+              (fun j (d : Detector.t) ->
+                match d.Detector.d_form with
+                | Detector.Linear { input; _ } ->
+                  entry_sums.(j) <- Detector.sum (Ustate.values u input)
+                | Detector.Finite | Detector.Range _ -> ())
+              detectors)
       in
       let mask = ref 0 in
-      (match captured with
-      | None -> ()  (* anomalous replay: detected by cheaper means, mask 0 *)
-      | Some buffers ->
+      (* an anomalous run is detected by cheaper means: mask 0 *)
+      if run.Machine.status = Machine.Finished then
         Array.iteri
           (fun j (d : Detector.t) ->
-            let entry_sum =
-              match d.Detector.d_form with
-              | Detector.Linear { input; _ } ->
-                entry_sum_under section injection input ~base:base_entry_sums.(j)
-              | Detector.Finite | Detector.Range _ -> 0.0
-            in
-            if Detector.fires d ~entry_sum buffers.(slot_of d.Detector.d_buffer)
-            then mask := !mask lor (1 lsl j))
-          detectors);
-      (!mask, replay.Replay.s_executed)
+            let exit_values = Ustate.values ws.Workspace.state d.Detector.d_buffer in
+            if Detector.fires d ~entry_sum:entry_sums.(j) exit_values then
+              mask := !mask lor (1 lsl j))
+          detectors;
+      (!mask, run.Machine.executed)
     in
     let results = Pool.map_array pool run_one classes in
     let work = Array.fold_left (fun acc (_, w) -> acc + w) 0 results in

@@ -1,13 +1,14 @@
 (** Injection-measured detector coverage (no modeling, no guessing).
 
     For each SDC-Bad equivalence class of a section's completed
-    campaign, re-run the pilot injection with {!Ff_vm.Replay.run_section_capture}
+    campaign, re-run the pilot injection with {!Ff_vm.Replay.exec_section}
     and evaluate every candidate detector against the faulty exit
-    buffers: a detector {e covers} the class iff it fires on the pilot.
-    The replays reuse the campaign's exact fault lowering (model burst,
-    pilot site, timeout budget) on the unboxed engine, pooled over
-    classes with order-independent merging — deterministic at any pool
-    width.
+    buffers in the replay workspace: a detector {e covers} the class iff
+    it fires on the pilot. A [Linear] detector's entry sum is read from
+    the same run's entry, after a memory flip and before the section
+    runs. The replays reuse the campaign's exact fault lowering (model
+    burst, pilot site, timeout budget), pooled over classes with
+    order-independent merging — deterministic at any pool width.
 
     Measurements are cached in the analysis store under
     {!Fastflip.Pipeline.coverage_key}: fired-detector masks are encoded
@@ -40,6 +41,7 @@ val measure :
   t
 (** [classes] are the section's SDC-Bad classes (e.g.
     {!Fastflip.Valuation.bad_labels_in_section}), in campaign order.
-    At most 62 detectors per section (mask width); raises
-    [Invalid_argument] beyond that. Without a [backing] nothing is
-    cached. *)
+    Raises [Invalid_argument] beyond 62 detectors per section (mask
+    width), and for a detector whose buffer or [Linear] input the
+    section does not bind: a section run neither resets nor runs it.
+    Without a [backing] nothing is cached. *)

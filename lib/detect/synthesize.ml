@@ -182,7 +182,7 @@ let run ?(pool = Pool.serial) ?(train = 40) ?(validate = 40) ?(max_perturbation 
   Array.iter
     (fun si ->
       let spec = specs.(si) in
-      let golden_exit = Golden.exit_state golden si in
+      let golden_exit = Golden.state golden (si + 1) in
       let single_input =
         match spec.Sensitivity.input_buffers with [| i |] -> Some i | _ -> None
       in

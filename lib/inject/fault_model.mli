@@ -2,7 +2,7 @@
 
     A fault model decides three things, each consulted by a different layer:
 
-    - {b what a site is} — [Site.iter_section]/[Eqclass.for_section] enumerate
+    - {b what a site is} — [Eqclass.for_section] enumerates
       model-specific sites (register operand × bit, dynamic instruction to
       skip, encoding bit to corrupt, buffer element to flip);
     - {b what an injection does} — [Site.replay_injection] lowers a site to a

@@ -25,8 +25,10 @@ module A1 = Bigarray.Array1
    pool as before: the prover may abstain, it may never disagree.
 
    The walk allocates nothing per step, and per class at most the
-   outcome it proves. Golden operands are recorded as raw 64-bit words
-   plus a tag byte, taint lives in one walker per [prove] call (faulty
+   outcome it proves and, once it completes, the boxed arguments of one
+   {!Ustate.elem_distance} call per tainted element. Golden operands are
+   recorded as raw 64-bit words plus a tag byte, taint lives in one
+   walker per [prove] call (faulty
    words and tags, a tainted-slot index per register, the list of
    tainted registers that resets it), and a corrupted instruction is
    evaluated on staged words: its operands are copied into the first
@@ -61,9 +63,11 @@ module A1 = Bigarray.Array1
 
    Soundness rests on two guards:
    - the golden recording pass is self-validating: it re-executes the
-     section with {!Unboxed.step} from its golden entry state and
-     aborts (disabling the prover for the section) unless its pc stream
-     and exit buffers match the golden run bit for bit;
+     section with {!Unboxed.step} from its golden entry state, in the
+     replay workspace a replay of the section starts from, and aborts
+     (disabling the prover for the section) unless its pc stream matches
+     the golden trace and its bound buffers equal the golden exit state
+     bit for bit ({!Ustate.buffer_equal});
    - sections whose replay budget could not even cover the golden
      schedule, or whose golden exit already holds non-finite writable
      values (where even a masked replay reports Misformatted), are
@@ -123,7 +127,8 @@ let[@inline] word b i = Bytes.get_int64_ne b (8 * i)
 let[@inline] set_word b i v = Bytes.set_int64_ne b (8 * i) v
 
 (* The elements of the bound buffers are numbered flat, one run per
-   distinct program buffer: element [e] of the buffer bound to kernel
+   distinct program buffer: element [e] of program buffer [b] is
+   [r_buf_base.(b) + e], and element [e] of the buffer bound to kernel
    slot [s] is [r_slot_base.(s) + e], so slots bound to one buffer
    alias. *)
 type recording = {
@@ -132,17 +137,17 @@ type recording = {
   r_st : Bytes.t;             (* and their tags *)
   r_dw : Bytes.t;             (* golden destination word after each dyn *)
   r_dt : Bytes.t;             (* and its tag *)
+  r_buf_base : int array;     (* program buffer -> its first flat element, -1 unbound *)
   r_slot_base : int array;    (* kernel slot -> first flat element of its buffer *)
   r_slot_len : int array;     (* kernel slot -> length of its buffer *)
   r_elem_buf : int array;     (* flat element -> program buffer index *)
-  r_exit_w : Bytes.t;         (* golden exit word of each flat element *)
-  r_exit_t : Bytes.t;
   r_mem_access : int array array;
       (* flat element -> ascending dyns of its golden Load/Stores *)
 }
 
 type section_prover = {
   section : Golden.section_run;
+  exit : Ustate.t;  (* the section's golden exit state *)
   trace : int array;  (* the section's golden pc stream *)
   code : Instr.t array;  (* its kernel's code *)
   burst : int;
@@ -155,13 +160,14 @@ type section_prover = {
 }
 
 (* Re-execute the section with {!Unboxed.step} from its golden entry
-   state, recording the golden word and tag of every source
-   operand (before) and destination (after) of every dynamic
-   instruction. The pc stream is checked against the golden trace step
-   by step and the final buffers against the golden exit state,
-   so a recording that diverges from the golden run in any way aborts
-   instead of licensing unsound proofs. *)
+   state in this domain's replay {!Workspace}, recording the golden word
+   and tag of every source operand (before) and destination (after) of
+   every dynamic instruction. The pc stream is checked against the golden
+   trace step by step and the bound buffers against the golden exit
+   state, so a recording that diverges from the golden run in any way
+   aborts instead of licensing unsound proofs. *)
 let record golden (section : Golden.section_run) =
+  let si = section.Golden.section_index in
   let decoded = section.Golden.decoded in
   let trace = section.Golden.trace in
   let dyn_count = section.Golden.dyn_count in
@@ -181,32 +187,24 @@ let record golden (section : Golden.section_run) =
     A1.set iregs i (A1.get (Ustate.as_bits scal) i)
   done;
   Bytes.blit section.Golden.scal_tags 0 rtags 0 (Ustate.dim scal);
-  (* One copy per distinct program buffer: slots bound to the same
-     buffer must alias, exactly as in a replay. *)
-  let entry = section.Golden.entry
-  and exit = Golden.exit_state golden section.Golden.section_index in
-  let nprog = Array.length entry.Ustate.words in
-  let bwords = Array.make nprog (Ustate.make_words 0) in
-  let btags = Array.make nprog Bytes.empty in
-  let base = Array.make nprog (-1) in
+  (* The workspace's slot views alias slots bound to one buffer, exactly
+     as in a replay. *)
+  let ws = Workspace.get golden in
+  Workspace.load_section_entry ws si;
+  let state = ws.Workspace.state in
+  let views = ws.Workspace.views.(si) and vtags = ws.Workspace.vtags.(si) in
+  let base = Array.make (Array.length state.Ustate.words) (-1) in
   let elems = ref 0 in
   Array.iter
     (fun (idx, _) ->
       if base.(idx) < 0 then begin
         base.(idx) <- !elems;
-        let w = entry.Ustate.words.(idx) in
-        bwords.(idx) <- Ustate.make_words (Ustate.dim w);
-        A1.blit w bwords.(idx);
-        btags.(idx) <- Bytes.copy entry.Ustate.tags.(idx);
-        elems := !elems + Ustate.dim w
+        elems := !elems + Ustate.dim state.Ustate.words.(idx)
       end)
     section.Golden.bindings;
   let elems = !elems in
-  let slot_idx = Array.map fst section.Golden.bindings in
-  let slot_base = Array.map (fun idx -> base.(idx)) slot_idx in
-  let slot_len = Array.map (fun idx -> Ustate.dim bwords.(idx)) slot_idx in
-  let views = Array.map (fun idx -> bwords.(idx)) slot_idx in
-  let vtags = Array.map (fun idx -> btags.(idx)) slot_idx in
+  let slot_base = Array.map (fun (idx, _) -> base.(idx)) section.Golden.bindings in
+  let slot_len = Array.map Ustate.dim views in
   (* Golden memory-access schedule: for each touched element, the dyns
      of its Loads/Stores in order. The walk uses it to leap over clean
      stretches once all register taint has died. *)
@@ -246,23 +244,17 @@ let record golden (section : Golden.section_run) =
    with Machine.Trap _ -> raise Invalid_recording);
   (* Exit-state validation: every bound buffer must match the golden
      exit bit for bit. *)
-  let exit_w = words (max 1 elems) in
-  let exit_t = Bytes.make (max 1 elems) tag_int in
+  let exit = Golden.state golden (si + 1) in
+  if
+    not
+      (Array.for_all
+         (fun idx -> Ustate.buffer_equal state idx exit idx)
+         section.Golden.bound_idx)
+  then raise Invalid_recording;
   let elem_buf = Array.make elems 0 in
   Array.iteri
     (fun idx b ->
-      if b >= 0 then begin
-        let w = Ustate.as_bits bwords.(idx) and t = btags.(idx) in
-        let gw = Ustate.as_bits exit.Ustate.words.(idx) and gt = exit.Ustate.tags.(idx) in
-        if A1.dim w <> A1.dim gw then raise Invalid_recording;
-        for e = 0 to A1.dim w - 1 do
-          if A1.get w e <> A1.get gw e || Bytes.get t e <> Bytes.get gt e then
-            raise Invalid_recording;
-          set_word exit_w (b + e) (A1.get w e);
-          Bytes.set exit_t (b + e) (Bytes.get t e);
-          elem_buf.(b + e) <- idx
-        done
-      end)
+      if b >= 0 then Array.fill elem_buf b (Ustate.dim state.Ustate.words.(idx)) idx)
     base;
   {
     r_soff = soff;
@@ -270,11 +262,10 @@ let record golden (section : Golden.section_run) =
     r_st = st;
     r_dw = dw;
     r_dt = dt;
+    r_buf_base = base;
     r_slot_base = slot_base;
     r_slot_len = slot_len;
     r_elem_buf = elem_buf;
-    r_exit_w = exit_w;
-    r_exit_t = exit_t;
     r_mem_access =
       Array.map (function [] -> [||] | l -> Array.of_list (List.rev l)) accesses;
   }
@@ -304,11 +295,8 @@ let prepare golden ~section_index ~timeout_factor ~burst =
     let writable = Array.make nprog false in
     let writable_idx = section.Golden.writable_idx in
     Array.iter (fun idx -> writable.(idx) <- true) writable_idx;
-    let exit_nonfinite =
-      Array.exists
-        (Ustate.has_nonfinite (Golden.exit_state golden section_index))
-        writable_idx
-    in
+    let exit = Golden.state golden (section_index + 1) in
+    let exit_nonfinite = Array.exists (Ustate.has_nonfinite exit) writable_idx in
     match recording_of golden section with
     | None ->
       Telemetry.incr m_refused;
@@ -317,6 +305,7 @@ let prepare golden ~section_index ~timeout_factor ~burst =
       Some
         {
           section;
+          exit;
           trace = section.Golden.trace;
           code = section.Golden.kernel.Kernel.code;
           burst;
@@ -638,8 +627,9 @@ let first_access sp r j =
   !j
 
 (* Map a completed walk's memory taint to the exact section outcome a
-   replay would report: per-writable-buffer max |Δ| (under
-   {!Value.abs_diff}) in the section's writable order, Misformatted and
+   replay would report: per-writable-buffer max |Δ| from the golden exit
+   element ({!Ustate.elem_distance}, the replay's own element distance)
+   in the section's writable order, Misformatted and
    side-effect cases declined. So is a tainted element whose type
    differs from golden (an untyped kernel can store either kind): the
    replay's distance raises on it, so there is no outcome to claim. *)
@@ -653,23 +643,13 @@ let section_outcome sp w =
     for k = 0 to w.mcount - 1 do
       let e = w.mlist.(k) in
       let bidx = rc.r_elem_buf.(e) in
+      let off = e - rc.r_buf_base.(bidx) in
       let t = Bytes.get w.mt e in
-      if t <> Bytes.get rc.r_exit_t e then claimable := false
+      if t <> Bytes.get sp.exit.Ustate.tags.(bidx) off then claimable := false
       else begin
-        let x = word w.mw e and y = word rc.r_exit_w e in
-        let d =
-          if t = tag_int then begin
-            let d = Int64.sub x y in
-            (* |d| as float; Int64.min_int has no negation, map to +2^63. *)
-            if d = Int64.min_int then 9.223372036854775808e18
-            else Int64.to_float (if d < 0L then Int64.neg d else d)
-          end
-          else if x = y then 0.0
-          else begin
-            let d = Float.abs (Int64.float_of_bits x -. Int64.float_of_bits y) in
-            if Float.is_nan d || d = infinity then infinity else d
-          end
-        in
+        let x = word w.mw e in
+        let y = A1.get (Ustate.as_bits sp.exit.Ustate.words.(bidx)) off in
+        let d = Ustate.elem_distance t y x in
         if sp.writable.(bidx) then begin
           if t = tag_float && not (Float.is_finite (Int64.float_of_bits x)) then
             claimable := false;

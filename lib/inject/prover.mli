@@ -23,18 +23,23 @@
     may abstain, it may never disagree.
 
     The golden values the walk starts from are recorded, as raw 64-bit
-    words plus a type tag, by running the section from its unboxed
-    golden entry state through {!Ff_vm.Unboxed.step}, the engine's own
-    dispatch, and the recording is discarded unless its pc stream and
-    exit buffers match the golden run bit for bit. The recording is a
+    words plus a type tag, by running the section through
+    {!Ff_vm.Unboxed.step}, the engine's own dispatch, in this domain's
+    replay {!Ff_vm.Workspace} reset to the section's golden entry (the
+    state a replay starts from), and the recording is discarded unless
+    its pc stream matches the golden trace and its bound buffers equal
+    the golden exit state ({!Ff_vm.Golden.state}) bit for bit. It keeps
+    no copy of either state: a completed walk reads the golden exit
+    elements it compares with from the golden run. The recording is a
     pass of its own, made when a campaign first asks to prove a section
     (not during the golden run), so a fault model under which the prover
     abstains never pays for it.
 
     The walk allocates nothing per step, and per class at most the
-    outcome it proves: one walker per call holds the taint (faulty
-    words and tags, the list of tainted registers that resets it,
-    memory taint created when a store first taints an element), and
+    outcome it proves and, once it completes, one boxed element
+    distance per tainted element. One walker per call holds the taint
+    (faulty words and tags, the list of tainted registers that resets
+    it, memory taint created when a store first taints an element), and
     tainted instructions are evaluated in place with the interpreter's
     operations and trap conditions. Walks are shared within a call:
     once the flip is seeded, the outcome depends only on the flipped

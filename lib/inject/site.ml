@@ -1,4 +1,3 @@
-open Ff_ir
 open Ff_vm
 
 type pc = {
@@ -54,13 +53,6 @@ let pp fmt t =
   Format.fprintf fmt "s%d@%d %a %a bit%d" t.section t.dyn pp_pc t.pc pp_operand t.operand
     t.bit
 
-let operands instr =
-  let srcs = List.mapi (fun i _ -> Src i) (Instr.srcs instr) in
-  match Instr.dst instr with Some _ -> srcs @ [ Dst ] | None -> srcs
-
-let operand_count instr =
-  List.length (Instr.srcs instr) + (match Instr.dst instr with Some _ -> 1 | None -> 0)
-
 let machine_injection t =
   let operand =
     match t.operand with
@@ -107,62 +99,6 @@ let count_section ?(model = Fault_model.default) (section : Golden.section_run) 
     List.fold_left
       (fun acc buf -> acc + (Ustate.dim section.Golden.entry.Ustate.words.(buf) * bits))
       0 (bound_buffers section)
-
-let iter_section ?(model = Fault_model.default) (section : Golden.section_run) policy f =
-  match model with
-  | Fault_model.Bitflip _ ->
-    let bits = bits_of_policy policy in
-    let decoded = section.Golden.decoded in
-    (* One operand list per static instruction, not per dynamic trace
-       element: traces revisit the same few pcs thousands of times. *)
-    let per_pc_operands =
-      Array.init (Decode.length decoded) (fun pc_idx ->
-          let srcs = List.init (Decode.nsrcs decoded pc_idx) (fun i -> Src i) in
-          if Decode.dst_at decoded pc_idx >= 0 then srcs @ [ Dst ] else srcs)
-    in
-    Array.iteri
-      (fun dyn pc_idx ->
-        let pc = { kernel = section.Golden.kernel_index; instr = pc_idx } in
-        List.iter
-          (fun operand ->
-            List.iter
-              (fun bit ->
-                f { section = section.Golden.section_index; dyn; pc; operand; bit })
-              bits)
-          per_pc_operands.(pc_idx))
-      section.Golden.trace
-  | Fault_model.Skip | Fault_model.Opcode ->
-    let bits = model_bits model policy in
-    Array.iteri
-      (fun dyn pc_idx ->
-        let pc = { kernel = section.Golden.kernel_index; instr = pc_idx } in
-        List.iter
-          (fun bit ->
-            f { section = section.Golden.section_index; dyn; pc; operand = Op; bit })
-          bits)
-      section.Golden.trace
-  | Fault_model.Memflip _ ->
-    let bits = bits_of_policy policy in
-    (* One site per (buffer, element, bit); [dyn] doubles as the element
-       index and the pc anchors the site to the section's kernel. *)
-    let pc = { kernel = section.Golden.kernel_index; instr = 0 } in
-    List.iter
-      (fun buf ->
-        let len = Ustate.dim section.Golden.entry.Ustate.words.(buf) in
-        for elem = 0 to len - 1 do
-          List.iter
-            (fun bit ->
-              f
-                {
-                  section = section.Golden.section_index;
-                  dyn = elem;
-                  pc;
-                  operand = Mem buf;
-                  bit;
-                })
-            bits
-        done)
-      (bound_buffers section)
 
 let default_bits =
   Bit_list [ 0; 1; 2; 3; 7; 11; 15; 23; 31; 39; 47; 51; 54; 58; 62; 63 ]

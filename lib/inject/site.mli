@@ -49,12 +49,6 @@ val pp_pc : Format.formatter -> pc -> unit
 
 val pp : Format.formatter -> t -> unit
 
-val operand_count : Ff_ir.Instr.t -> int
-(** Number of injectable operands of an instruction: its source registers
-    plus one if it writes a destination. *)
-
-val operands : Ff_ir.Instr.t -> operand list
-
 val machine_injection : t -> Ff_vm.Machine.injection
 (** Translate a register-operand site into the VM's injection descriptor.
     Raises [Invalid_argument] on [Op]/[Mem] sites, whose meaning depends
@@ -74,12 +68,6 @@ val count_section :
   ?model:Fault_model.t -> Ff_vm.Golden.section_run -> bit_policy -> int
 (** |J_s|: number of error sites in one section instance under the model
     (default {!Fault_model.default}). *)
-
-val iter_section :
-  ?model:Fault_model.t ->
-  Ff_vm.Golden.section_run -> bit_policy -> (t -> unit) -> unit
-(** Enumerate every error site of a section instance, in trace order
-    (memflip: buffer, then element, then bit). *)
 
 val default_bits : bit_policy
 (** The stratified 16-bit subset used by the experiment harness: low

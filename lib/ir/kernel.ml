@@ -31,48 +31,49 @@ type validation_error = {
 
 let error ?index message = Error { instr_index = index; message }
 
-let validate t =
+let shape_error t =
   let n = Array.length t.code in
-  let bufs = Array.of_list (buffer_params t) in
-  let nscalars = List.length (scalar_params t) in
-  if n = 0 then error "kernel has no code"
-  else if nscalars > t.nregs then error "scalar parameters exceed register count"
+  let some ?index message = Some { instr_index = index; message } in
+  if n = 0 then some "kernel has no code"
+  else if List.length (scalar_params t) > t.nregs then
+    some "scalar parameters exceed register count"
   else if not (Instr.is_terminator t.code.(n - 1)) then
-    error ~index:(n - 1) "kernel does not end with a terminator"
-  else begin
+    some ~index:(n - 1) "kernel does not end with a terminator"
+  else None
+
+let instr_error t =
+  let n = Array.length t.code in
+  let nbufs = List.length (buffer_params t) in
+  let bad_reg r = r < 0 || r >= t.nregs in
+  fun instr ->
+    if Option.fold ~none:false ~some:bad_reg (Instr.dst instr)
+       || List.exists bad_reg (Instr.srcs instr)
+    then Some "register out of range"
+    else if List.exists (fun l -> l < 0 || l >= n) (Instr.labels instr) then
+      Some "label out of range"
+    else
+      match instr with
+      | Instr.Load (_, b, _) | Instr.Store (b, _, _) when b < 0 || b >= nbufs ->
+        Some "buffer slot out of range"
+      | _ -> None
+
+let validate t =
+  match shape_error t with
+  | Some e -> Error e
+  | None ->
+    let roles = Array.of_list (List.map (fun (_, _, r) -> r) (buffer_params t)) in
+    let instr_error = instr_error t in
     let rec check i =
-      if i >= n then Ok ()
-      else begin
+      if i >= Array.length t.code then Ok ()
+      else
         let instr = t.code.(i) in
-        let bad_reg r = r < 0 || r >= t.nregs in
-        let bad_label l = l < 0 || l >= n in
-        let regs = (match Instr.dst instr with Some d -> [ d ] | None -> []) @ Instr.srcs instr in
-        if List.exists bad_reg regs then error ~index:i "register out of range"
-        else if List.exists bad_label (Instr.labels instr) then
-          error ~index:i "label out of range"
-        else begin
-          let buf_check =
-            match instr with
-            | Instr.Load (_, b, _) ->
-              if b < 0 || b >= Array.length bufs then error ~index:i "buffer slot out of range"
-              else Ok ()
-            | Instr.Store (b, _, _) ->
-              if b < 0 || b >= Array.length bufs then error ~index:i "buffer slot out of range"
-              else begin
-                let _, _, role = bufs.(b) in
-                if role_writable role then Ok ()
-                else error ~index:i "store to read-only (In) buffer"
-              end
-            | Instr.Mov _ | Instr.Iconst _ | Instr.Fconst _ | Instr.Ibin _ | Instr.Fbin _
-            | Instr.Iun _ | Instr.Fun1 _ | Instr.Icmp _ | Instr.Fcmp _
-            | Instr.Cast _ | Instr.Select _ | Instr.Jmp _ | Instr.Br _ | Instr.Halt -> Ok ()
-          in
-          match buf_check with Ok () -> check (i + 1) | Error _ as e -> e
-        end
-      end
+        match (instr_error instr, instr) with
+        | Some message, _ -> error ~index:i message
+        | None, Instr.Store (b, _, _) when not (role_writable roles.(b)) ->
+          error ~index:i "store to read-only (In) buffer"
+        | None, _ -> check (i + 1)
     in
     check 0
-  end
 
 let param_hash_fold h = function
   | Scalar (n, ty) ->

@@ -41,11 +41,19 @@ type validation_error = {
   message : string;
 }
 
+val shape_error : t -> validation_error option
+(** The first whole-kernel property [t] breaks: non-empty code, scalar
+    preload registers within [nregs], a terminator last. *)
+
+val instr_error : t -> Instr.t -> string option
+(** [instr_error t instr] is the first static property [instr] breaks
+    as an instruction of [t]: registers below [nregs], labels within the
+    code, buffer slots within the buffer parameters. It does not check
+    stores to [In] buffers, which an encoding fault may produce. *)
+
 val validate : t -> (unit, validation_error) result
-(** Structural well-formedness: non-empty code ending in a terminator,
-    all labels within bounds, all registers below [nregs], all buffer
-    slots within the buffer parameter list, no store to an [In] buffer,
-    scalar preload registers within [nregs]. *)
+(** {!shape_error}, then per instruction {!instr_error} and no store to
+    an [In] buffer. *)
 
 val code_hash : t -> int64
 (** Hash of the kernel's name, signature and instruction stream. Two

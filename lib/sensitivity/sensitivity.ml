@@ -75,7 +75,7 @@ let estimate ?(samples = 200) ?(max_perturbation = 0.01) ?(safety_factor = 1.25)
     ~attrs:[ ("section", string_of_int section_index) ]
   @@ fun () ->
   let section = golden.Golden.sections.(section_index) in
-  let entry = section.Golden.entry and exit = Golden.exit_state golden section_index in
+  let entry = section.Golden.entry and exit = Golden.state golden (section_index + 1) in
   let inputs = Array.of_list (readable_buffers section) in
   let outputs = section.Golden.writable_idx in
   let k = Array.make_matrix (Array.length outputs) (Array.length inputs) 0.0 in

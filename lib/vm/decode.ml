@@ -24,10 +24,11 @@ open Ff_ir
 
    The decoder also re-validates the static properties the machines rely
    on for unsafe register-file access (registers in range, labels in
-   range, buffer slots in range, terminator last), so a decoded kernel
-   can be executed without per-instruction bounds checks on anything but
-   data-dependent buffer indices. An encoding fault decodes its corrupted
-   fields through the same tables and the same checks. *)
+   range, buffer slots in range, terminator last), with {!Kernel}'s own
+   checks, so a decoded kernel can be executed without per-instruction
+   bounds checks on anything but data-dependent buffer indices. An
+   encoding fault decodes its corrupted fields through the same tables
+   and the same per-instruction check. *)
 
 type t = {
   kernel : Kernel.t;
@@ -38,8 +39,6 @@ type t = {
          reads one contiguous run per dispatch instead of touching five
          separate arrays (five cache lines) *)
   nregs : int;
-  nbufs : int;
-  scalar_tys : Value.scalar_ty array;
 }
 
 let stride = 5
@@ -139,35 +138,16 @@ let unpack p ~imm =
   else if op < o_fcmp then Some (Instr.Icmp (cmps.(op - o_icmp), d, a, b))
   else Some (Instr.Fcmp (cmps.(op - o_fcmp), d, a, b))
 
-(* The first static property [instr] breaks in a kernel of [n]
-   instructions, [nregs] registers and [nbufs] buffer slots. *)
-let violation ~n ~nregs ~nbufs instr =
-  let bad_reg r = r < 0 || r >= nregs in
-  if Option.fold ~none:false ~some:bad_reg (Instr.dst instr)
-     || List.exists bad_reg (Instr.srcs instr)
-  then Some "register out of range"
-  else if List.exists (fun l -> l < 0 || l >= n) (Instr.labels instr) then
-    Some "label out of range"
-  else
-    match instr with
-    | Instr.Load (_, s, _) | Instr.Store (s, _, _) when s < 0 || s >= nbufs ->
-      Some "buffer slot out of range"
-    | _ -> None
-
 let of_kernel (kernel : Kernel.t) =
+  let fail m = invalid_arg ("Decode.of_kernel: " ^ m) in
+  Option.iter (fun e -> fail e.Kernel.message) (Kernel.shape_error kernel);
   let code = kernel.Kernel.code in
   let n = Array.length code in
-  if n = 0 then invalid_arg "Decode.of_kernel: kernel has no code";
-  if not (Instr.is_terminator code.(n - 1)) then
-    invalid_arg "Decode.of_kernel: kernel does not end with a terminator";
-  let nregs = kernel.Kernel.nregs in
-  let nbufs = List.length (Kernel.buffer_params kernel) in
+  let instr_error = Kernel.instr_error kernel in
   let packed = Array.make (n * stride) 0 in
   Array.iteri
     (fun i instr ->
-      Option.iter
-        (fun m -> invalid_arg ("Decode.of_kernel: " ^ m))
-        (violation ~n ~nregs ~nbufs instr);
+      Option.iter fail (instr_error instr);
       Array.blit (pack instr) 0 packed (i * stride) stride)
     code;
   let imm =
@@ -179,10 +159,7 @@ let of_kernel (kernel : Kernel.t) =
       code
   in
   let srcs = Array.map (fun instr -> Array.of_list (Instr.srcs instr)) code in
-  let scalar_tys = Array.of_list (List.map snd (Kernel.scalar_params kernel)) in
-  if Array.length scalar_tys > nregs then
-    invalid_arg "Decode.of_kernel: scalar parameters exceed register count";
-  { kernel; imm; srcs; packed; nregs; nbufs; scalar_tys }
+  { kernel; imm; srcs; packed; nregs = kernel.Kernel.nregs }
 
 (* {2 Encoding faults}
 
@@ -208,7 +185,7 @@ let corrupt t ~pc ~bit =
     let n = length t in
     match unpack p ~imm:t.imm.(pc) with
     | Some instr
-      when violation ~n ~nregs:t.nregs ~nbufs:t.nbufs instr = None
+      when Kernel.instr_error t.kernel instr = None
            && (Instr.is_terminator instr || pc + 1 < n) ->
       Some instr
     | _ -> None

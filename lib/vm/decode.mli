@@ -27,14 +27,12 @@ type t = private {
           the instruction writes no register — one contiguous run per
           dispatch for the unboxed machine's hot loop *)
   nregs : int;
-  nbufs : int;
-  scalar_tys : Ff_ir.Value.scalar_ty array;
 }
 
 val of_kernel : Ff_ir.Kernel.t -> t
-(** Decode a kernel. Raises [Invalid_argument] when the kernel violates
-    the static properties {!Ff_ir.Kernel.validate} guarantees (empty
-    code, register/label/slot out of range, missing terminator). *)
+(** Decode a kernel. Raises [Invalid_argument "Decode.of_kernel: m"] on
+    the first message [m] of {!Ff_ir.Kernel.shape_error}, then of
+    {!Ff_ir.Kernel.instr_error} over the code. *)
 
 val pack : Ff_ir.Instr.t -> int array
 (** The five packed fields [[op; a; b; c; dst]] of one instruction, as
@@ -66,9 +64,9 @@ val encoding_bits : int list
 
 val corrupt : t -> pc:int -> bit:int -> Ff_ir.Instr.t option
 (** [corrupt d ~pc ~bit] is the instruction the encoding at static [pc]
-    decodes to with [bit] flipped, re-validated as {!of_kernel} validates
-    a kernel: [None] for a bit outside {!encoding_bits}, an opcode outside
-    the space, a register, label or buffer slot out of range, or a
+    decodes to with [bit] flipped, re-validated as {!of_kernel}
+    validates an instruction: [None] for a bit outside {!encoding_bits},
+    an opcode outside the space, an {!Ff_ir.Kernel.instr_error}, or a
     non-terminator at the last pc (it would fall off the end). An engine
     traps [Type_confusion] on [None], before any effect, and otherwise
     executes the result with its own step at [pc] (a corrupted [Iconst]

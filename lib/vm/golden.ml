@@ -156,10 +156,6 @@ let run ?(budget_per_section = 50_000_000) (program : Program.t) =
 
 let state t k = if k = Array.length t.sections then t.final else t.sections.(k).entry
 
-let exit_state t i =
-  if i < 0 || i >= Array.length t.sections then invalid_arg "Golden.exit_state";
-  state t (i + 1)
-
 let outputs t =
   Program.output_buffers t.program
   |> List.map (fun (i, b) -> (i, b.Program.buf_name, Ustate.values t.final i))

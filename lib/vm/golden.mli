@@ -59,9 +59,5 @@ val state : t -> int -> Ustate.t
     [k], or the final state when [k] is the section count. Section [i]'s
     golden exit state is [state g (i + 1)]. *)
 
-val exit_state : t -> int -> Ustate.t
-(** [exit_state g i] is the global buffer state right after section [i]
-    (the entry state of section [i+1], or the final state). *)
-
 val outputs : t -> (int * string * Ff_ir.Value.t array) list
 (** Final program outputs: (buffer index, name, boxed contents). *)

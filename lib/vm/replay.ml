@@ -56,7 +56,6 @@ module type ENGINE = sig
   val differs : Golden.t -> int -> t -> int -> bool
   val nonfinite : t -> int -> bool
   val equal : Golden.t -> int -> t -> bool
-  val capture : t -> int -> Value.t array
 end
 
 (* The pre-decoded {!Unboxed} engine in this domain's {!Workspace}: a
@@ -97,27 +96,24 @@ module Unboxed_engine : ENGINE with type t = Workspace.t = struct
   let nonfinite (ws : t) idx = Ustate.has_nonfinite ws.Workspace.state idx
 
   let equal golden k (ws : t) = Ustate.equal ws.Workspace.state (Golden.state golden k)
-
-  let capture (ws : t) idx = Ustate.values ws.Workspace.state idx
 end
 
 let exec_section ?(burst = 1) ?injection golden (section : Golden.section_run) ~edit
     ~timeout_factor =
   let si = section.Golden.section_index in
   let ws = Unboxed_engine.enter golden si ~whole:false in
+  (match injection with Some (Mem_flip m) -> Unboxed_engine.mem_flip ws m | _ -> ());
   edit ws.Workspace.state;
   ( ws,
-    Unboxed_engine.exec golden ws si ~injection ~burst
+    Unboxed_engine.exec golden ws si
+      ~injection:(Option.bind injection machine_injection_of)
+      ~burst
       ~budget:(budget_of ~timeout_factor section.Golden.dyn_count) )
 
 module type S = sig
   val run_section :
     ?burst:int -> Golden.t -> Golden.section_run -> injection -> timeout_factor:float ->
     section_replay
-
-  val run_section_capture :
-    ?burst:int -> Golden.t -> Golden.section_run -> injection -> timeout_factor:float ->
-    buffers:int array -> section_replay * Value.t array array option
 
   val run_to_end :
     ?burst:int -> Golden.t -> from_section:int -> injection -> timeout_factor:float ->
@@ -126,9 +122,8 @@ end
 
 module Driver (E : ENGINE) : S = struct
   (* One section from its golden entry, compared with its golden exit,
-     boundary [si + 1]; [capture] lists the buffers to copy out of a
-     completed run. *)
-  let one_section ~burst ~capture golden (section : Golden.section_run) injection
+     boundary [si + 1]. *)
+  let run_section ?(burst = 1) golden (section : Golden.section_run) injection
       ~timeout_factor =
     let si = section.Golden.section_index in
     let state = E.enter golden si ~whole:false in
@@ -139,48 +134,28 @@ module Driver (E : ENGINE) : S = struct
     in
     let anomaly = status_anomaly status in
     if anomaly <> None then
-      ( {
-          s_anomaly = anomaly;
-          s_output_sdc = [||];
-          s_side_effect = false;
-          s_nonfinite = false;
-          s_executed = executed;
-        },
-        None )
+      {
+        s_anomaly = anomaly;
+        s_output_sdc = [||];
+        s_side_effect = false;
+        s_nonfinite = false;
+        s_executed = executed;
+      }
     else
       let k = si + 1 in
       let writable_idx = section.Golden.writable_idx in
-      ( {
-          s_anomaly = None;
-          s_output_sdc =
-            Array.map (fun idx -> (idx, E.distance golden k state idx)) writable_idx;
-          (* any bound-but-not-writable buffer that differs from golden
-             exit; unbound buffers cannot have changed, so the section's
-             scan index is the complete set to inspect *)
-          s_side_effect =
-            Array.exists
-              (fun idx -> E.differs golden k state idx)
-              section.Golden.scan_idx;
-          s_nonfinite = Array.exists (fun idx -> E.nonfinite state idx) writable_idx;
-          s_executed = executed;
-        },
-        (* taken before the state is reused, as bit-identical boxed values
-           on every engine; a buffer the section does not bind is out of
-           its scope, and the section's entry need not restore it *)
-        match capture with
-        | None -> None
-        | Some buffers ->
-          let copy idx =
-            if Array.mem idx section.Golden.bound_idx then E.capture state idx
-            else Ustate.values section.Golden.entry idx
-          in
-          Some (Array.map copy buffers) )
-
-  let run_section_capture ?(burst = 1) golden section injection ~timeout_factor ~buffers =
-    one_section ~burst ~capture:(Some buffers) golden section injection ~timeout_factor
-
-  let run_section ?(burst = 1) golden section injection ~timeout_factor =
-    fst (one_section ~burst ~capture:None golden section injection ~timeout_factor)
+      {
+        s_anomaly = None;
+        s_output_sdc =
+          Array.map (fun idx -> (idx, E.distance golden k state idx)) writable_idx;
+        (* any bound-but-not-writable buffer that differs from golden
+           exit; unbound buffers cannot have changed, so the section's
+           scan index is the complete set to inspect *)
+        s_side_effect =
+          Array.exists (fun idx -> E.differs golden k state idx) section.Golden.scan_idx;
+        s_nonfinite = Array.exists (fun idx -> E.nonfinite state idx) writable_idx;
+        s_executed = executed;
+      }
 
   let run_to_end ?(burst = 1) golden ~from_section injection ~timeout_factor =
     if from_section < 0 || from_section >= Array.length golden.Golden.sections then

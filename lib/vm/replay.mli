@@ -12,13 +12,14 @@
     Each mode is one driver ({!Driver}), written once over a small
     per-engine state interface ({!ENGINE}: enter a section, apply a
     memory flip, execute a section, compare with a golden boundary
-    state, capture a buffer), so anomaly mapping, distances, the
-    side-effect scan, the non-finite check, convergence and capture are
-    shared. The functions below are the driver over the {!Unboxed}
-    engine in this domain's {!Workspace}; the test suite's boxed oracle
-    instantiates the same driver over its own interpreter. Both modes
-    charge their work (dynamic instructions executed) to the caller,
-    which is how analysis "core-hours" are accounted. *)
+    state), so anomaly mapping, distances, the side-effect scan, the
+    non-finite check and convergence are shared. The functions below
+    are the driver over the {!Unboxed} engine in this domain's
+    {!Workspace}; the test suite's boxed oracle instantiates the same
+    driver over its own interpreter. Both modes charge their work
+    (dynamic instructions executed) to the caller, which is how
+    analysis "core-hours" are accounted. Every other single-section run
+    goes through {!exec_section}, from the same workspace. *)
 
 type anomaly =
   | Trap of Machine.trap
@@ -48,15 +49,15 @@ val budget_of : timeout_factor:float -> int -> int
 
 val exec_section :
   ?burst:int ->
-  ?injection:Machine.injection ->
+  ?injection:injection ->
   Golden.t -> Golden.section_run -> edit:(Ustate.t -> unit) -> timeout_factor:float ->
   Workspace.t * Machine.run
-(** The one path every unboxed single-section run takes: injected
-    replays ({!run_section}), sensitivity sampling and detector
-    synthesis. Resets this domain's {!Workspace} to the section's golden
-    entry, applies [edit] to that state (a memory flip, a benign
-    perturbation, or nothing), then runs the section on the {!Unboxed}
-    engine with [injection] under [timeout_factor ×] its golden budget
+(** The single-section run of sensitivity sampling, detector synthesis
+    and detector coverage. Resets this domain's {!Workspace} to the section's golden
+    entry, applies a [Mem_flip] [injection] to that state, then [edit]
+    (a benign perturbation, a read of the faulty entry, or nothing),
+    then runs the section on the {!Unboxed} engine with a [Fault]
+    [injection] under [timeout_factor ×] its golden budget
     ({!budget_of}). Returns the workspace, whose [state] holds the
     section's exit (compare it against [Golden.state golden (i + 1)]);
     it is valid only until the next run on this domain. Only the section's
@@ -117,9 +118,6 @@ module type ENGINE = sig
 
   val equal : Golden.t -> int -> t -> bool
   (** whether the whole state equals golden boundary state [k] *)
-
-  val capture : t -> int -> Ff_ir.Value.t array
-  (** a boxed deep copy of one buffer, which outlives the state *)
 end
 
 module type S = sig
@@ -133,21 +131,6 @@ module type S = sig
       (the paper uses 5×). Over {!Unboxed} the replay runs in this
       domain's reusable workspace — per-replay setup is a blit of the
       entry state, not an allocation. *)
-
-  val run_section_capture :
-    ?burst:int ->
-    Golden.t -> Golden.section_run -> injection -> timeout_factor:float ->
-    buffers:int array ->
-    section_replay * Ff_ir.Value.t array array option
-  (** {!run_section}, additionally returning the faulty contents of the
-      requested program buffers at section exit (in request order, deep
-      copies) when the replay completed, [None] when it was anomalous.
-      This is the hook runtime-detector coverage measurement evaluates
-      candidate checks against: every engine captures bit-identical boxed
-      values, so detector verdicts never depend on the engine. A buffer
-      the section does not bind is captured as its golden value: like the
-      side-effect scan, a section replay does not inspect it (a memory
-      flip of it included). *)
 
   val run_to_end :
     ?burst:int ->

@@ -99,6 +99,20 @@ let scalars_of_values values =
   let arr = Array.of_list values in
   of_values arr
 
+(* |golden - actual| of one element, both of type [tag], from their
+   bits: Value.abs_diff bit for bit. *)
+let[@inline] elem_distance tag (g : int64) (a : int64) =
+  if tag = tag_int then begin
+    let d = Int64.sub g a in
+    if Int64.equal d Int64.min_int then 9.223372036854775808e18
+    else Int64.to_float (Int64.abs d)
+  end
+  else if Int64.equal g a then 0.0
+  else begin
+    let d = Float.abs (Int64.float_of_bits g -. Int64.float_of_bits a) in
+    if Float.is_nan d || d = infinity then infinity else d
+  end
+
 (* Same scan structure as the test oracle's boxed [buffer_distance]: stop once the running
    worst exceeds [stop_at], so a later mismatched element is never even
    inspected (the boxed scan would not have reached it either). Each
@@ -114,20 +128,9 @@ let distance ?stop_at (gw : words) gt (aw : words) at =
   let i = ref 0 in
   while !i < n && !worst <= limit do
     let j = !i in
-    let gtag = Bytes.unsafe_get gt j and atag = Bytes.unsafe_get at j in
-    let d =
-      if gtag <> atag then invalid_arg "Value.abs_diff: type mismatch"
-      else if gtag = tag_int then begin
-        let d = Int64.sub (A1.unsafe_get gb j) (A1.unsafe_get ab j) in
-        if Int64.equal d Int64.min_int then 9.223372036854775808e18
-        else Int64.to_float (Int64.abs d)
-      end
-      else if Int64.equal (A1.unsafe_get gb j) (A1.unsafe_get ab j) then 0.0
-      else begin
-        let d = Float.abs (A1.unsafe_get gw j -. A1.unsafe_get aw j) in
-        if Float.is_nan d || d = infinity then infinity else d
-      end
-    in
+    let gtag = Bytes.unsafe_get gt j in
+    if gtag <> Bytes.unsafe_get at j then invalid_arg "Value.abs_diff: type mismatch";
+    let d = elem_distance gtag (A1.unsafe_get gb j) (A1.unsafe_get ab j) in
     if d > !worst then worst := d;
     incr i
   done;
@@ -148,23 +151,19 @@ let has_nonfinite t i =
 
 (* Value.equal: same constructor and same 64 bits (floats compare by
    bits, so NaN = NaN and 0.0 <> -0.0 exactly as the boxed state). *)
-let bufs_equal (gw : words) gt (aw : words) at =
-  let gb = as_bits gw and ab = as_bits aw in
-  let n = dim gw in
-  Bytes.equal gt at
+let buffer_equal t i u j =
+  let gb = as_bits t.words.(i) and ab = as_bits u.words.(j) in
+  let n = dim t.words.(i) in
+  Bytes.equal t.tags.(i) u.tags.(j)
   &&
-  let rec go i =
-    if i >= n then true
-    else if Int64.equal (A1.unsafe_get gb i) (A1.unsafe_get ab i) then go (i + 1)
+  let rec go k =
+    if k >= n then true
+    else if Int64.equal (A1.unsafe_get gb k) (A1.unsafe_get ab k) then go (k + 1)
     else false
   in
   go 0
 
 let equal a b =
   let n = Array.length a.words in
-  let rec go i =
-    if i >= n then true
-    else if bufs_equal a.words.(i) a.tags.(i) b.words.(i) b.tags.(i) then go (i + 1)
-    else false
-  in
+  let rec go i = if i >= n then true else if buffer_equal a i b i then go (i + 1) else false in
   go 0

@@ -72,8 +72,18 @@ val buffer_distance : ?stop_at:float -> t -> int -> t -> int -> float
     on the same side of [stop_at] as the true maximum. The test oracle
     holds it to a boxed reference scan bit for bit. *)
 
+val elem_distance : char -> int64 -> int64 -> float
+(** [elem_distance tag g a] is |g − a| for two elements of type [tag]
+    given by their bits, as {!Ff_ir.Value.abs_diff} computes it: the
+    element distance {!buffer_distance} takes the largest of. *)
+
 val has_nonfinite : t -> int -> bool
 (** Whether buffer [i] holds a non-finite float (ints are always finite). *)
 
+val buffer_equal : t -> int -> t -> int -> bool
+(** [buffer_equal a i b j]: buffer [i] of [a] and buffer [j] of [b] hold
+    the same tags and the same bits ({!Ff_ir.Value.equal} per element). *)
+
 val equal : t -> t -> bool
-(** Bit-exact full-state equality (the early-convergence test). *)
+(** Bit-exact full-state equality (the early-convergence test):
+    {!buffer_equal} on every buffer. *)

@@ -345,8 +345,6 @@ module Engine : Replay.ENGINE with type t = Value.t array array = struct
 
   let equal golden k (state : t) =
     Array.for_all2 (Array.for_all2 Value.equal) state (golden_state golden k)
-
-  let capture (state : t) idx = Array.copy state.(idx)
 end
 
 include Replay.Driver (Engine)

@@ -305,6 +305,113 @@ let test_coverage_cache_roundtrip () =
     Alcotest.(check bool) "different spec misses" false other.Coverage.c_cached
   end
 
+(* A section whose Linear input is inout: the run overwrites it, so
+   only the flipped entry, read before the run, predicts the output. *)
+let inout_src =
+  {|buffer a : float[4] = { 1.5, -0.25, 2.0, 0.75 };
+output buffer res : float[4] = zeros;
+kernel drain(inout a: float[], out res: float[]) {
+  for i in 0..4 {
+    res[i] = a[i] * 2.0;
+    a[i] = 0.0;
+  }
+}
+schedule { call drain(a, res); }|}
+
+let hand_detectors =
+  [|
+    {
+      Detector.d_section = 0;
+      d_buffer = 1;
+      d_form = Detector.Linear { input = 0; scale = 2.0; offset = 0.0; tol = 1e-9 };
+      d_cost = 12;
+    };
+    { Detector.d_section = 0; d_buffer = 1; d_form = Detector.Finite; d_cost = 4 };
+    {
+      Detector.d_section = 0;
+      d_buffer = 1;
+      d_form = Detector.Range { lo = -1.0; hi = 5.0 };
+      d_cost = 8;
+    };
+  |]
+
+(* Under memflip, every class's mask is what the detectors say of the
+   oracle's run of its pilot: the entry sum of the flipped entry, the
+   exit buffer of the run. *)
+let test_coverage_memflip_matches_oracle () =
+  let golden = Golden.run (compile inout_src) in
+  let model = Ff_inject.Fault_model.Memflip { burst = 1 } in
+  let config =
+    {
+      config with
+      Pipeline.campaign =
+        { config.Pipeline.campaign with Campaign.model; bits = Site.Bit_list [ 1; 52; 62 ] };
+    }
+  in
+  let section = golden.Golden.sections.(0) in
+  let classes =
+    Ff_inject.Eqclass.for_section ~model section config.Pipeline.campaign.Campaign.bits
+  in
+  let c =
+    Coverage.measure config golden ~section_index:0 ~detectors:hand_detectors ~classes
+  in
+  let fired = ref 0 in
+  Array.iter
+    (fun (cls, mask) ->
+      let state = Oracle.Engine.enter golden 0 ~whole:false in
+      (match Site.replay_injection ~model (Ff_inject.Eqclass.pilot cls) with
+      | Ff_vm.Replay.Mem_flip m -> Oracle.Engine.mem_flip state m
+      | Ff_vm.Replay.Fault _ -> Alcotest.fail "memflip lowers to a memory flip");
+      let entry_sum = Detector.sum state.(0) in
+      let run =
+        Oracle.Engine.exec golden state 0 ~injection:None ~burst:1
+          ~budget:(Ff_vm.Replay.budget_of ~timeout_factor:5.0 section.Golden.dyn_count)
+      in
+      let expected = ref 0 in
+      if run.Machine.status = Machine.Finished then
+        Array.iteri
+          (fun j d ->
+            if Detector.fires d ~entry_sum state.(d.Detector.d_buffer) then
+              expected := !expected lor (1 lsl j))
+          hand_detectors;
+      if !expected <> 0 then incr fired;
+      Alcotest.(check int)
+        (Format.asprintf "mask of %a" Site.pp (Ff_inject.Eqclass.pilot cls))
+        !expected mask)
+    c.Coverage.c_classes;
+  Alcotest.(check int) "every class measured" (List.length classes)
+    (Array.length c.Coverage.c_classes);
+  Alcotest.(check bool) "some class is caught, some is not" true
+    (!fired > 0 && !fired < List.length classes)
+
+(* A section run neither resets nor runs a buffer its section does not
+   bind: a detector on one, or a Linear detector reading one, is
+   refused. *)
+let test_coverage_refuses_unbound () =
+  let a = Lazy.force analysis in
+  let golden = a.Pipeline.golden in
+  (* section 0 is scale(a, mid): res (buffer 2) is not bound *)
+  let refused d =
+    match
+      Coverage.measure config golden ~section_index:0 ~detectors:[| d |] ~classes:[]
+    with
+    | _ -> false
+    | exception Invalid_argument _ -> true
+  in
+  let finite buffer =
+    { Detector.d_section = 0; d_buffer = buffer; d_form = Detector.Finite; d_cost = 4 }
+  in
+  let linear input =
+    {
+      (finite 1) with
+      Detector.d_form = Detector.Linear { input; scale = 1.0; offset = 0.0; tol = 1.0 };
+    }
+  in
+  Alcotest.(check bool) "bound buffer accepted" false (refused (finite 1));
+  Alcotest.(check bool) "bound Linear input accepted" false (refused (linear 0));
+  Alcotest.(check bool) "unbound buffer refused" true (refused (finite 2));
+  Alcotest.(check bool) "unbound Linear input refused" true (refused (linear 2))
+
 (* --- mixed beats or matches pure everywhere ----------------------------- *)
 
 let test_mixed_never_worse () =
@@ -367,6 +474,10 @@ let () =
         [
           Alcotest.test_case "store round-trip is lossless" `Quick
             test_coverage_cache_roundtrip;
+          Alcotest.test_case "memflip masks match the oracle" `Quick
+            test_coverage_memflip_matches_oracle;
+          Alcotest.test_case "unbound buffers are refused" `Quick
+            test_coverage_refuses_unbound;
         ] );
       ( "seeding",
         [ Alcotest.test_case "focus_of_json" `Quick test_focus_of_json ] );

@@ -314,21 +314,20 @@ let test_replay_parity () =
     g.Golden.sections;
   Alcotest.(check bool) "swept a real grid" true (!checked >= 100)
 
-(* [run_section_capture]: the oracle's capture is the reference for the
-   unboxed engine's. Register faults and memory flips (one makes an input
-   infinite, one is out of range) must give equal replays and bit-equal
-   captured buffers, in request order, or [None] from both. Every
-   program buffer is requested, bound to the section or not, after a
-   replay to the end has dirtied this domain's workspace. *)
-let test_capture_parity () =
+(* [Replay.exec_section], the workspace run that sensitivity sampling,
+   detector synthesis and detector coverage start from: the oracle's
+   entry, memory flip and execution are its reference. Register faults
+   and memory flips (one makes an input infinite, one is out of range)
+   must give the same status, executed count and bound buffers, bit for
+   bit, after a replay to the end has dirtied this domain's workspace. *)
+let test_exit_state_parity () =
   let g = Golden.run (compile pipeline_src) in
   let checked = ref 0 in
   let dirty = Replay.Mem_flip { Replay.mf_buffer = 0; mf_elem = 0; mf_bits = [ 62 ] } in
   Array.iter
     (fun (section : Golden.section_run) ->
+      let si = section.Golden.section_index in
       let last = section.Golden.dyn_count - 1 in
-      let all = List.init (Array.length g.Golden.final.Ustate.words) Fun.id in
-      let buffers = Array.of_list (all @ List.rev all) in
       let faults =
         List.concat_map
           (fun at_dyn ->
@@ -349,29 +348,41 @@ let test_capture_parity () =
         (fun injection ->
           List.iter
             (fun burst ->
-              let run capture =
-                ignore (Replay.run_to_end g ~from_section:0 dirty ~timeout_factor:5.0);
-                capture ?burst:(Some burst) g section injection ~timeout_factor:5.0
-                  ~buffers
+              ignore (Replay.run_to_end g ~from_section:0 dirty ~timeout_factor:5.0);
+              let ws, ru =
+                Replay.exec_section ~burst ~injection g section ~edit:ignore
+                  ~timeout_factor:5.0
               in
-              let rb, cb = run Oracle.run_section_capture
-              and ru, cu = run Replay.run_section_capture in
-              if Stdlib.compare rb ru <> 0 then
-                Alcotest.failf "section %d: replays diverged (burst %d)"
-                  section.Golden.section_index burst;
-              let same a b = Array.length a = Array.length b && Array.for_all2 Value.equal a b in
-              (match (cb, cu) with
-              | None, None -> ()
-              | Some b, Some u when Array.length b = Array.length u && Array.for_all2 same b u ->
-                ()
-              | _ ->
-                Alcotest.failf "section %d: captures diverged (burst %d)"
-                  section.Golden.section_index burst);
+              let state = Oracle.Engine.enter g si ~whole:false in
+              let fault =
+                match injection with
+                | Replay.Fault f -> Some f
+                | Replay.Mem_flip m ->
+                  Oracle.Engine.mem_flip state m;
+                  None
+              in
+              let rb =
+                Oracle.Engine.exec g state si ~injection:fault ~burst
+                  ~budget:(Replay.budget_of ~timeout_factor:5.0 section.Golden.dyn_count)
+              in
+              if rb.Machine.status <> ru.Machine.status
+                 || rb.Machine.executed <> ru.Machine.executed
+              then
+                Alcotest.failf "section %d: runs diverged (burst %d)" si burst;
+              Array.iter
+                (fun idx ->
+                  let u = Ustate.values ws.Workspace.state idx in
+                  if
+                    Array.length u <> Array.length state.(idx)
+                    || not (Array.for_all2 Value.equal state.(idx) u)
+                  then
+                    Alcotest.failf "section %d: buffer %d diverged (burst %d)" si idx burst)
+                section.Golden.bound_idx;
               incr checked)
             [ 1; 2 ])
         (faults @ flips))
     g.Golden.sections;
-  Alcotest.(check int) "replays compared" 100 !checked
+  Alcotest.(check int) "runs compared" 100 !checked
 
 (* Prover off so every class actually exercises the engines under test. *)
 let campaign_config =
@@ -723,7 +734,7 @@ let () =
             test_final_outcomes_classes_reuse;
           Alcotest.test_case "workspace reuse is stateless" `Quick
             test_workspace_reuse_is_stateless;
-          Alcotest.test_case "capture parity" `Quick test_capture_parity;
+          Alcotest.test_case "exit-state parity" `Quick test_exit_state_parity;
         ] );
       ( "decode",
         [

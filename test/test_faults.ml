@@ -336,24 +336,24 @@ kernel copy(in src: int[], out dst: int[]) {
 schedule { call copy(src, dst); }|}
 
 let test_memflip_burst_width_matters () =
-  (* Flipping bits 0..burst-1 of src[0]=64 must yield 64 xor 1 under
-     burst 1 and 64 xor 3 under burst 2 in the copied output — the burst
-     parameter has to reach the entry-state XOR. *)
+  (* The pilot of src's class flips bits 1..burst of src[1] = -7: -7 xor 2
+     = -5 under burst 1 and -7 xor 6 = -1 under burst 2 in the copied
+     output — the burst parameter has to reach the entry-state XOR. *)
   let g = Golden.run (compile int_copy_src) in
   let out_of burst =
     let model = Fault_model.Memflip { burst } in
     let site =
-      let found = ref None in
-      Array.iter
-        (fun section ->
-          Site.iter_section ~model section (Site.Bit_list [ 0 ]) (fun s ->
-              if !found = None then found := Some (section, s)))
-        g.Golden.sections;
-      match !found with
-      | Some sb -> sb
-      | None -> Alcotest.fail "no memflip site found"
+      let section = g.Golden.sections.(0) in
+      match
+        List.find_opt
+          (fun cls -> Eqclass.operand cls = Site.Mem 0)
+          (Eqclass.for_section ~model section (Site.Bit_list [ 1 ]))
+      with
+      | Some cls -> (section, Eqclass.pilot cls)
+      | None -> Alcotest.fail "no memflip class on src"
     in
     let section, s = site in
+    Alcotest.(check int) "pilot flips src[1]" 1 s.Site.dyn;
     let r =
       Replay.run_section g section
         (Site.replay_injection ~model s)
@@ -366,8 +366,8 @@ let test_memflip_burst_width_matters () =
     r
   in
   let o1 = out_of 1 and o2 = out_of 2 in
-  (* src[0] = 64: burst 1 copies 64 xor 1 (|delta| 1), burst 2 copies
-     64 xor 3 (|delta| 3) — the output SDC magnitudes must differ. *)
+  (* |delta| 2 under burst 1, 6 under burst 2: the output SDC magnitudes
+     must differ. *)
   Alcotest.(check bool) "burst 1 and burst 2 corrupt differently" true
     (Stdlib.compare o1.Replay.s_output_sdc o2.Replay.s_output_sdc <> 0)
 

@@ -49,19 +49,39 @@ let test_bits_of_policy () =
     (Site.bits_of_policy (Site.Bit_list [ 3; 5 ]))
 
 let test_operand_enumeration () =
-  Alcotest.(check int) "ibin operands" 3 (Site.operand_count (Instr.Ibin (Instr.Iadd, 0, 1, 2)));
-  Alcotest.(check int) "store operands" 2 (Site.operand_count (Instr.Store (0, 1, 2)));
-  Alcotest.(check int) "jmp operands" 0 (Site.operand_count (Instr.Jmp 0));
-  Alcotest.(check int) "halt operands" 0 (Site.operand_count Instr.Halt)
+  let kernel =
+    {
+      Ff_ir.Kernel.name = "ops";
+      params = [ Ff_ir.Kernel.Buffer ("b", Ff_ir.Value.TFloat, Ff_ir.Kernel.InOut) ];
+      code =
+        [| Instr.Ibin (Instr.Iadd, 0, 1, 2); Instr.Store (0, 1, 2); Instr.Jmp 3; Instr.Halt |];
+      nregs = 3;
+    }
+  in
+  let d = Ff_vm.Decode.of_kernel kernel in
+  Alcotest.(check int) "ibin operands" 3 (Ff_vm.Decode.noperands d 0);
+  Alcotest.(check int) "store operands" 2 (Ff_vm.Decode.noperands d 1);
+  Alcotest.(check int) "jmp operands" 0 (Ff_vm.Decode.noperands d 2);
+  Alcotest.(check int) "halt operands" 0 (Ff_vm.Decode.noperands d 3)
 
+(* Walking every member site of every class visits each site exactly
+   once, and as many as the closed-form count names. *)
 let test_count_matches_iter () =
   let g = golden pipeline_src in
   Array.iter
     (fun section ->
       let counted = Site.count_section section Site.default_bits in
-      let iterated = ref 0 in
-      Site.iter_section section Site.default_bits (fun _ -> incr iterated);
-      Alcotest.(check int) "count = iteration" counted !iterated)
+      let seen = Hashtbl.create 256 in
+      List.iter
+        (fun cls ->
+          Array.iter
+            (fun (s, dyn) ->
+              let key = (s, dyn, Eqclass.pc cls, Eqclass.operand cls, cls.Eqclass.bit) in
+              if Hashtbl.mem seen key then Alcotest.fail "site visited twice";
+              Hashtbl.add seen key ())
+            (Eqclass.members cls))
+        (Eqclass.for_section section Site.default_bits);
+      Alcotest.(check int) "count = iteration" counted (Hashtbl.length seen))
     g.Golden.sections
 
 let test_sites_scale_with_bits () =
@@ -74,25 +94,39 @@ let test_sites_scale_with_bits () =
 let test_site_fields_valid () =
   let g = golden pipeline_src in
   let section = g.Golden.sections.(1) in
-  Site.iter_section section Site.default_bits (fun site ->
+  List.iter
+    (fun cls ->
+      let site = Eqclass.pilot cls in
       if site.Site.section <> 1 then Alcotest.fail "wrong section index";
       if site.Site.dyn < 0 || site.Site.dyn >= section.Golden.dyn_count then
         Alcotest.fail "dyn out of range";
       if site.Site.bit < 0 || site.Site.bit > 63 then Alcotest.fail "bit out of range";
       if site.Site.pc.Site.kernel <> section.Golden.kernel_index then
         Alcotest.fail "wrong kernel index")
+    (Eqclass.for_section section Site.default_bits)
 
 (* --- equivalence classes ---------------------------------------------------- *)
 
+(* The closed-form count and the class enumeration agree on every
+   model's sites. *)
 let test_classes_partition_sites () =
   let g = golden pipeline_src in
-  Array.iter
-    (fun section ->
-      let classes = Eqclass.for_section section Site.default_bits in
-      Alcotest.(check int) "class members cover all sites"
-        (Site.count_section section Site.default_bits)
-        (Eqclass.total_sites classes))
-    g.Golden.sections
+  List.iter
+    (fun model ->
+      Array.iter
+        (fun section ->
+          let classes = Eqclass.for_section ~model section Site.default_bits in
+          Alcotest.(check int)
+            (Fault_model.to_string model ^ ": class members cover all sites")
+            (Site.count_section ~model section Site.default_bits)
+            (Eqclass.total_sites classes))
+        g.Golden.sections)
+    [
+      Fault_model.Bitflip { burst = 1 };
+      Fault_model.Skip;
+      Fault_model.Opcode;
+      Fault_model.Memflip { burst = 1 };
+    ]
 
 let test_program_classes_cover_everything () =
   let g = golden pipeline_src in

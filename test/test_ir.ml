@@ -133,7 +133,11 @@ let test_kernel_validate_ok () =
 let test_kernel_validate_empty () = expect_invalid "empty kernel" (kernel [])
 
 let test_kernel_validate_no_terminator () =
-  expect_invalid "missing terminator" (kernel [ Instr.Iconst (0, 0L) ])
+  match Kernel.validate (kernel [ Instr.Iconst (0, 0L) ]) with
+  | Error { Kernel.instr_index = Some 0; message = "kernel does not end with a terminator" }
+    ->
+    ()
+  | _ -> Alcotest.fail "missing terminator: expected an error at the last instruction"
 
 let test_kernel_validate_bad_register () =
   expect_invalid "register out of range" (kernel [ Instr.Mov (9, 0); Instr.Halt ])

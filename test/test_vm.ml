@@ -243,10 +243,10 @@ let test_golden_entry_snapshots () =
 
 let test_golden_exit_state () =
   let golden = Golden.run (compile pipeline_src) in
-  let exit0 = Golden.exit_state golden 0 in
+  let exit0 = Golden.state golden 1 in
   Alcotest.(check (float 0.0)) "exit of s0 = entry of s1" 4.0
     (match (Ustate.values exit0 1).(1) with Value.Float f -> f | Value.Int _ -> nan);
-  let exit1 = Golden.exit_state golden 1 in
+  let exit1 = Golden.state golden 2 in
   Alcotest.(check (float 0.0)) "exit of last = final" 5.0
     (match (Ustate.values exit1 2).(1) with Value.Float f -> f | Value.Int _ -> nan)
 
