@@ -484,18 +484,9 @@ let store_stat_cmd =
     Term.(const run $ store_pos_arg)
 
 let store_compact_cmd =
-  let shards_arg =
-    Arg.(value & opt (some int) None & info [ "shards" ] ~docv:"N"
-           ~doc:"Reshard to $(docv) shards (1 to 64; default: keep the current width).               A fresh store is created 16 shards wide; this is the one way to               choose another width.")
-  in
-  let run path shards =
+  let run path =
     let open Fastflip.Persist in
-    (match shards with
-    | Some n when n < 1 || n > max_shards ->
-      Printf.eprintf "fastflip: --shards: %d is outside [1, %d]\n" n max_shards;
-      exit Cmd.Exit.cli_error
-    | _ -> ());
-    match compact ?shards ~path () with
+    match compact ~path with
     | Error e ->
       Printf.eprintf "fastflip: %s: %s\n" path e;
       exit 1
@@ -505,8 +496,8 @@ let store_compact_cmd =
   in
   Cmd.v
     (Cmd.info "compact"
-       ~doc:"Rewrite a store down to its live records under the shard locks.               $(b,--shards) reshards to a new layout width. Only FFSTORE4               stores are accepted; a legacy FFSTORE1/FFSTORE2/FFSTORE3 file is               refused (re-run the analysis to rebuild it).")
-    Term.(const run $ store_pos_arg $ shards_arg)
+       ~doc:"Rewrite a store's shard logs down to their live records under the               shard locks, keeping its width; a kill at any point loses no               record. Only FFSTORE4 stores are accepted; a legacy               FFSTORE1/FFSTORE2/FFSTORE3 file is refused (re-run the analysis               to rebuild it).")
+    Term.(const run $ store_pos_arg)
 
 let store_cmd =
   Cmd.group

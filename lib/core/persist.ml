@@ -24,11 +24,6 @@ let magic_progress = "FFPROGL1"
 let default_shards = 16
 let max_shards = 64
 
-(* A shard log is compacted during a save once it holds at least this
-   many frames and more than twice as many as the records believed live
-   in it (dead-record ratio > 1/2). *)
-let compact_min_frames = 8
-
 (* --- file primitives -------------------------------------------------------- *)
 
 let read_file path =
@@ -149,10 +144,6 @@ let shard_of ~shards (key : Store.key) =
   Hashing.add_int64 h key.Store.config_hash;
   Int64.to_int (Hashing.value h) land max_int mod shards
 
-let check_shards who shards =
-  if shards < 1 || shards > max_shards then
-    invalid_arg (Printf.sprintf "%s: shard count %d outside [1, %d]" who shards max_shards)
-
 let has_magic data magic =
   String.length data >= String.length magic
   && String.equal (String.sub data 0 (String.length magic)) magic
@@ -184,8 +175,10 @@ let classify path =
    content-changing save, and the record-frame count of each shard log.
    The declared counts catch what frame CRCs cannot: a clean truncation
    that removes whole trailing frames from a log. Writers append shard
-   data before declaring it, so at every instant declared <= actual for
-   a log — a reader racing a save never sees phantom corruption. *)
+   data before declaring it, and a rewrite declares a shrinking log's
+   smaller count before replacing it, so at every instant declared <=
+   actual for a log — a reader racing a save never sees phantom
+   corruption. *)
 let manifest_version = 1
 
 type manifest = {
@@ -235,10 +228,11 @@ let next_generation g = Int64.succ (max 0L g)
 (* --- crash-test hook --------------------------------------------------------- *)
 
 (* FF_PERSIST_KILL_AFTER=k SIGKILLs the process right after the k-th
-   log write of this process (data fsynced, manifest not yet updated) —
-   the window the store-recovery smoke test aims at. Progress-log
-   appends count too, so the crash-recovery smoke uses it to kill a
-   checkpointed campaign right after a batch is durable. *)
+   durable write of this process: a log write (data fsynced, manifest
+   not yet updated) — the window the store-recovery smoke test aims at —
+   or a manifest write of a whole-log rewrite. Progress-log appends
+   count too, so the crash-recovery smoke uses it to kill a checkpointed
+   campaign right after a batch is durable. *)
 let kill_after_env () =
   match Sys.getenv_opt "FF_PERSIST_KILL_AFTER" with
   | None -> None
@@ -277,13 +271,6 @@ let append_log ~magic ~spath blob =
       Unix.fsync fd);
   kill_tick ()
 
-let write_shard ~spath records =
-  let buf = Buffer.create 4096 in
-  Buffer.add_string buf magic_shard;
-  List.iter (fun record -> Buffer.add_string buf (record_frame record)) records;
-  write_atomic ~path:spath (Buffer.contents buf);
-  kill_tick ()
-
 (* Decode a log's frame payloads with [read], in file order; corrupt or
    trailing-garbage payloads count as skips. *)
 let decode_payloads read payloads =
@@ -315,16 +302,22 @@ type shard_info = {
   sh_skipped : int;
 }
 
+(* A shard log's valid frames in file order, each payload with its
+   record, and its corrupt regions (a missing magic counts as one). *)
+let decode_log data =
+  let magic_ok = has_magic data magic_shard in
+  let pos = if magic_ok then String.length magic_shard else 0 in
+  let frames, frame_skips = Wire.read_frames ~pos data in
+  let entries, decode_skips = decode_payloads Wire.r_record frames in
+  (entries, Bool.to_int (not magic_ok) + frame_skips + decode_skips)
+
 let load_shard store ~index ~declared spath =
   match read_file spath with
   | Error _ ->
     { sh_index = index; sh_bytes = 0; sh_frames = 0; sh_live = 0;
       sh_skipped = (if declared > 0 then declared else 0) }
   | Ok data ->
-    let magic_ok = has_magic data magic_shard in
-    let pos = if magic_ok then String.length magic_shard else 0 in
-    let frames, frame_skips = Wire.read_frames ~pos data in
-    let entries, decode_skips = decode_payloads Wire.r_record frames in
+    let entries, skips = decode_log data in
     let keys = Hashtbl.create 16 in
     List.iter
       (fun (_, (record : Store.section_record)) ->
@@ -337,15 +330,12 @@ let load_shard store ~index ~declared spath =
       sh_bytes = String.length data;
       sh_frames = actual;
       sh_live = Hashtbl.length keys;
-      sh_skipped =
-        (if magic_ok then 0 else 1)
-        + frame_skips + decode_skips
-        + max 0 (declared - actual) }
+      sh_skipped = skips + max 0 (declared - actual) }
 
 (* --- load -------------------------------------------------------------------- *)
 
-(* One full decode of whatever sits at [path], shared by [load]/[stat]/
-   [compact]. *)
+(* One full decode of whatever sits at [path], shared by [load], [stat]
+   and the rebuild of a save. *)
 type scan = {
   sc_store : Store.t;
   sc_generation : int64;
@@ -481,49 +471,76 @@ let stat ~path =
 type save_stats = {
   sv_appended : int;
   sv_live : int;
-  sv_compacted : int;
   sv_generation : int64;
 }
 
-(* Rewrite shard [i] down to its live records. The new content is staged
-   in memory here and only renamed into place after the manifest already
-   declares the smaller count, preserving declared <= actual for any
-   concurrent reader. The surviving records keep their original payload
-   bytes — compaction never re-encodes. *)
-let stage_compaction path i =
-  let spath = shard_path path i in
-  match read_file spath with
-  | Error _ -> None
-  | Ok data ->
-    let pos = if has_magic data magic_shard then String.length magic_shard else 0 in
-    let frames, _ = Wire.read_frames ~pos data in
-    let entries, _ = decode_payloads Wire.r_record frames in
-    let last = Hashtbl.create 64 in
-    List.iteri
-      (fun idx (payload, (record : Store.section_record)) ->
-        Hashtbl.replace last record.Store.rec_key (idx, payload))
-      entries;
-    let live = Hashtbl.fold (fun _ entry acc -> entry :: acc) last [] in
-    let live = List.sort (fun (a, _) (b, _) -> compare (a : int) b) live in
-    let buf = Buffer.create (String.length data) in
-    Buffer.add_string buf magic_shard;
-    List.iter (fun (_, payload) -> Wire.add_frame buf payload) live;
-    Some (i, Buffer.contents buf, List.length live)
+(* The one whole-log rewrite, run under every shard lock of [old]'s
+   layout: [counts] are the frame counts to declare per shard, [logs] the
+   logs to replace, each with a function that builds its new content (a
+   rebuild holds one log in memory at a time). A log whose count falls
+   (a compaction) is only replaced once the manifest declares the
+   smaller of its old and new counts, so after every write declared <=
+   actual for each log, and each log is whole in its old content or its
+   new one — a rewrite killed at any point loses no record. Returns the
+   new generation. *)
+let rewrite ~path ~(old : manifest) counts logs =
+  let gen = next_generation old.mf_generation in
+  let declare frames =
+    let mf = { old with mf_generation = gen; mf_frames = frames } in
+    with_lock ~lockfile:(path ^ ".lock") (fun () -> write_atomic ~path (encode_manifest mf));
+    kill_tick ()
+  in
+  if Array.exists2 (fun o n -> n < o) old.mf_frames counts then
+    declare (Array.map2 min old.mf_frames counts);
+  List.iter
+    (fun (i, content) ->
+      write_atomic ~path:(shard_path path i) (content ());
+      kill_tick ())
+    logs;
+  declare counts;
+  gen
 
-(* Incremental path: [path] already holds a store with layout [mf0].
-   Appends the dirty records to their shard logs under the per-shard
-   locks, then folds the frame-count deltas into the manifest under the
-   manifest lock — O(dirty) I/O, no read of the existing records.
-   [`Retry] means the layout changed underneath us (a concurrent reshard)
-   and the caller should re-classify; nothing was cleaned, so no record
-   is lost. *)
+let empty_manifest shards =
+  { mf_shards = shards; mf_generation = 0L; mf_frames = Array.make shards 0 }
+
+(* The layout width of the store at [path], read without decoding a
+   record. It is fixed for a store's life: the one its manifest
+   declares; without one, [default_shards] — a killed first save leaves
+   only logs below it — unless a log sits past it, left by a wider store
+   that lost its manifest. *)
+let layout_width path =
+  match read_manifest path with
+  | Some mf -> mf.mf_shards
+  | None ->
+    let rec widest i =
+      if i <= default_shards || Sys.file_exists (shard_path path (i - 1)) then
+        max i default_shards
+      else widest (i - 1)
+    in
+    widest max_shards
+
+(* Run [f shards m] under every shard lock of the store at [path], [m]
+   its manifest as read under them. A manifest that appeared meanwhile
+   at another width is retried under that width's locks. *)
+let rec with_layout ~path f =
+  let shards = layout_width path in
+  let locked () =
+    match read_manifest path with
+    | Some mf when mf.mf_shards <> shards -> None
+    | m -> Some (f shards m)
+  in
+  match with_locks (List.init shards (shard_lockfile path)) locked with
+  | Some v -> v
+  | None -> with_layout ~path f
+
+(* Append the dirty records to their shard logs under the per-shard locks,
+   then fold the frame-count deltas into the manifest under the manifest
+   lock — O(dirty) I/O, no read of the existing records. *)
 let save_append store ~path (mf0 : manifest) =
   let shards = mf0.mf_shards in
   let dirty = Store.dirty_records store in
   if dirty = [] then
-    `Done
-      { sv_appended = 0; sv_live = Store.size store; sv_compacted = 0;
-        sv_generation = mf0.mf_generation }
+    { sv_appended = 0; sv_live = Store.size store; sv_generation = mf0.mf_generation }
   else begin
     let buckets = Array.make shards [] in
     List.iter
@@ -531,24 +548,11 @@ let save_append store ~path (mf0 : manifest) =
         let i = shard_of ~shards record.Store.rec_key in
         buckets.(i) <- record :: buckets.(i))
       dirty;
-    let dirty_shards = ref [] in
-    for i = shards - 1 downto 0 do
-      if buckets.(i) <> [] then dirty_shards := i :: !dirty_shards
-    done;
-    let dirty_shards = !dirty_shards in
-    (* What the in-memory store believes lives in each dirty shard — the
-       compaction trigger's live-count estimate. *)
-    let live_est = Array.make shards 0 in
-    List.iter
-      (fun (record : Store.section_record) ->
-        let i = shard_of ~shards record.Store.rec_key in
-        live_est.(i) <- live_est.(i) + 1)
-      (Store.records store);
-    with_locks (List.map (shard_lockfile path) dirty_shards) @@ fun () ->
-    match read_manifest path with
-    | None -> `Retry
-    | Some mf when mf.mf_shards <> shards -> `Retry
-    | Some mf ->
+    let dirty_shards =
+      List.filter (fun i -> buckets.(i) <> []) (List.init shards Fun.id)
+    in
+    let gen =
+      with_locks (List.map (shard_lockfile path) dirty_shards) @@ fun () ->
       List.iter
         (fun i ->
           let blob = String.concat "" (List.rev_map record_frame buckets.(i)) in
@@ -556,129 +560,86 @@ let save_append store ~path (mf0 : manifest) =
           Telemetry.incr m_appends)
         dirty_shards;
       Telemetry.add m_appended (List.length dirty);
-      let staged =
-        List.filter_map
-          (fun i ->
-            let count = mf.mf_frames.(i) + List.length buckets.(i) in
-            if count >= compact_min_frames && count > 2 * live_est.(i) then
-              stage_compaction path i
-            else None)
-          dirty_shards
-      in
-      let outcome =
-        with_lock ~lockfile:(path ^ ".lock") @@ fun () ->
+      with_lock ~lockfile:(path ^ ".lock") @@ fun () ->
+      (* A manifest that is unreadable here was corrupted underneath us:
+         restore our last-known view plus the deltas rather than lose the
+         layout. *)
+      let cur =
         match read_manifest path with
-        | Some cur when cur.mf_shards <> shards -> `Retry
-        | current ->
-          (* [None] here means the manifest was corrupted underneath us
-             (a crashed writer): restore our last-known view plus the
-             deltas rather than lose the layout. *)
-          let cur = match current with Some cur -> cur | None -> mf in
-          let frames = Array.copy cur.mf_frames in
-          List.iter
-            (fun i -> frames.(i) <- frames.(i) + List.length buckets.(i))
-            dirty_shards;
-          List.iter (fun (i, _, live) -> frames.(i) <- live) staged;
-          let gen = Int64.add cur.mf_generation 1L in
-          write_atomic ~path
-            (encode_manifest { mf_shards = shards; mf_generation = gen; mf_frames = frames });
-          `Gen gen
+        | Some cur when cur.mf_shards = shards -> cur
+        | Some _ | None -> mf0
       in
-      (match outcome with
-      | `Retry -> `Retry
-      | `Gen gen ->
-        List.iter
-          (fun (i, content, _) ->
-            write_atomic ~path:(shard_path path i) content;
-            Telemetry.incr m_compactions)
-          staged;
-        Store.clean store dirty;
-        `Done
-          { sv_appended = List.length dirty;
-            sv_live = Store.size store;
-            sv_compacted = List.length staged;
-            sv_generation = gen })
+      let frames = Array.copy cur.mf_frames in
+      List.iter
+        (fun i -> frames.(i) <- frames.(i) + List.length buckets.(i))
+        dirty_shards;
+      let gen = Int64.add cur.mf_generation 1L in
+      write_atomic ~path
+        (encode_manifest { mf_shards = shards; mf_generation = gen; mf_frames = frames });
+      gen
+    in
+    Store.clean store dirty;
+    { sv_appended = List.length dirty; sv_live = Store.size store; sv_generation = gen }
   end
 
-(* Full-write path: fresh stores, salvage of a store whose manifest was
-   destroyed or never written, and reshards. Writes every shard
-   log of the target layout (so stale logs from a previous layout cannot
-   resurrect deleted records), then declares them in the manifest. *)
-let write_full ~path ~shards ~gen records =
-  let buckets = Array.make shards [] in
-  List.iter
-    (fun (record : Store.section_record) ->
-      let i = shard_of ~shards record.Store.rec_key in
-      buckets.(i) <- record :: buckets.(i))
-    records;
-  let frames = Array.make shards 0 in
-  for i = 0 to shards - 1 do
-    let rs = List.rev buckets.(i) in
-    frames.(i) <- List.length rs;
-    write_shard ~spath:(shard_path path i) rs
-  done;
-  for i = shards to max_shards - 1 do
-    try Sys.remove (shard_path path i) with Sys_error _ -> ()
-  done;
-  with_lock ~lockfile:(path ^ ".lock") (fun () ->
-      write_atomic ~path (encode_manifest { mf_shards = shards; mf_generation = gen; mf_frames = frames }))
-
-(* Rebuild the whole layout, merging whatever [read_store] can still
-   read at [path] — a healthy store written since we loaded, or shard
-   logs orphaned by a crash before the first manifest write — with our
-   records winning on collisions. Anything unreadable is replaced. *)
-let save_rebuild ~shards ~lock_hi store ~path =
-  with_locks (List.init lock_hi (shard_lockfile path)) @@ fun () ->
-  let ours = Store.records store in
-  let records, gen =
-    match read_store ~path with
-    | Error _ -> (ours, 1L)
-    | Ok sc ->
-      Telemetry.incr m_loads;
-      let mine = Hashtbl.create 64 in
-      List.iter
-        (fun (record : Store.section_record) -> Hashtbl.replace mine record.Store.rec_key ())
-        ours;
-      let extra =
-        List.filter
-          (fun (record : Store.section_record) -> not (Hashtbl.mem mine record.Store.rec_key))
-          (Store.records sc.sc_store)
-      in
-      if extra <> [] then Telemetry.add m_merged (List.length extra);
-      (extra @ ours, next_generation sc.sc_generation)
-  in
-  write_full ~path ~shards ~gen records;
-  Store.clean store records;
-  { sv_appended = List.length records;
-    sv_live = Store.size store;
-    sv_compacted = 0;
-    sv_generation = gen }
-
-let save ?(shards = default_shards) store ~path =
-  check_shards "Persist.save" shards;
+let save store ~path =
   Telemetry.incr m_saves;
-  let rebuild lock_hi = save_rebuild ~shards ~lock_hi store ~path in
-  let rec attempt tries =
-    match classify path with
-    | D_store -> (
-      match read_manifest path with
-      | Some mf -> (
-        match save_append store ~path mf with
-        | `Done stats -> stats
-        | `Retry when tries > 0 -> attempt (tries - 1)
-        | `Retry -> (
-          match read_manifest path with
-          | Some mf -> rebuild (max shards mf.mf_shards)
-          | None -> rebuild max_shards))
-      | None ->
-        (* Store magic but an unreadable manifest frame: rebuild the layout,
-           salvaging whatever the shard logs still hold. *)
-        rebuild max_shards)
-    | D_missing | D_other _ -> rebuild shards
+  let rec go () =
+    match read_manifest path with
+    | Some mf -> save_append store ~path mf
+    | None -> (
+      let locked shards = function None -> rebuild shards | Some _ -> None in
+      match with_layout ~path locked with
+      | Some stats -> stats
+      | None -> go () (* a concurrent first save created the store: append to it *))
+  (* No readable store at [path]: write every shard log of the layout,
+     merging whatever [read_store] can still read there — shard logs
+     orphaned by a crash before the first manifest write — with our
+     records winning on collisions. Anything unreadable is replaced. *)
+  and rebuild shards =
+    let ours = Store.records store in
+    let records =
+      match read_store ~path with
+      | Error _ -> ours
+      | Ok sc ->
+        Telemetry.incr m_loads;
+        let mine = Hashtbl.create 64 in
+        List.iter
+          (fun (record : Store.section_record) -> Hashtbl.replace mine record.Store.rec_key ())
+          ours;
+        let extra =
+          List.filter
+            (fun (record : Store.section_record) -> not (Hashtbl.mem mine record.Store.rec_key))
+            (Store.records sc.sc_store)
+        in
+        if extra <> [] then Telemetry.add m_merged (List.length extra);
+        extra @ ours
+    in
+    let buckets = Array.make shards [] in
+    List.iter
+      (fun (record : Store.section_record) ->
+        let i = shard_of ~shards record.Store.rec_key in
+        buckets.(i) <- record :: buckets.(i))
+      records;
+    let log i () =
+      let buf = Buffer.create 4096 in
+      Buffer.add_string buf magic_shard;
+      List.iter
+        (fun record -> Buffer.add_string buf (record_frame record))
+        (List.rev buckets.(i));
+      Buffer.contents buf
+    in
+    let gen =
+      rewrite ~path ~old:(empty_manifest shards)
+        (Array.map List.length buckets)
+        (List.init shards (fun i -> (i, log i)))
+    in
+    Store.clean store records;
+    Some { sv_appended = List.length records; sv_live = Store.size store; sv_generation = gen }
   in
-  attempt 4
+  go ()
 
-(* --- explicit compaction ------------------------------------------------------ *)
+(* --- compaction ----------------------------------------------------------------- *)
 
 type compact_stats = {
   cp_live : int;
@@ -687,33 +648,54 @@ type compact_stats = {
   cp_generation : int64;
 }
 
-let compact ?shards ~path () =
-  (match shards with Some s -> check_shards "Persist.compact" s | None -> ());
+(* Each log keeps the last frame of each key, in file order, with its
+   original payload bytes — compaction never re-encodes. A log already
+   down to its live frames is not rewritten, and one that cannot be read
+   is left as it is and declared empty. *)
+let compact ~path =
   match classify path with
   | D_missing -> Error (path ^ ": no such store")
   | D_other prefix -> Error (not_a_store prefix)
   | D_store ->
-    let current =
-      match read_manifest path with Some mf -> Some mf.mf_shards | None -> None
+    with_layout ~path @@ fun shards m ->
+    let old = Option.value m ~default:(empty_manifest shards) in
+    let keys = Hashtbl.create 64 in
+    let frames = ref 0 in
+    let counts = Array.make old.mf_shards 0 in
+    let logs =
+      List.filter_map
+        (fun i ->
+          match read_file (shard_path path i) with
+          | Error _ -> None
+          | Ok data ->
+            let entries, _ = decode_log data in
+            let last = Hashtbl.create 16 in
+            List.iteri
+              (fun idx (_, (record : Store.section_record)) ->
+                Hashtbl.replace last record.Store.rec_key idx;
+                Hashtbl.replace keys record.Store.rec_key ())
+              entries;
+            let buf = Buffer.create (String.length data) in
+            Buffer.add_string buf magic_shard;
+            List.iteri
+              (fun idx (payload, (record : Store.section_record)) ->
+                if Hashtbl.find last record.Store.rec_key = idx then
+                  Wire.add_frame buf payload)
+              entries;
+            frames := !frames + List.length entries;
+            counts.(i) <- Hashtbl.length last;
+            let content = Buffer.contents buf in
+            if String.equal content data then None else Some (i, Fun.const content))
+        (List.init old.mf_shards Fun.id)
     in
-    let target =
-      match (shards, current) with
-      | Some s, _ -> s
-      | None, Some n -> n
-      | None, None -> default_shards
-    in
-    let lock_hi = match current with Some n -> max n target | None -> max_shards in
-    with_locks (List.init lock_hi (shard_lockfile path)) @@ fun () ->
-    (match read_store ~path with
-    | Error e -> Error e
-    | Ok sc ->
-      let records = Store.records sc.sc_store in
-      let live = List.length records in
-      let frames = List.fold_left (fun acc s -> acc + s.sh_frames) 0 sc.sc_per_shard in
-      let gen = next_generation sc.sc_generation in
-      write_full ~path ~shards:target ~gen records;
-      Telemetry.add m_compactions target;
-      Ok { cp_live = live; cp_dropped = max 0 (frames - live); cp_shards = target; cp_generation = gen })
+    let gen = rewrite ~path ~old counts logs in
+    Telemetry.add m_compactions (List.length logs);
+    let live = Hashtbl.length keys in
+    Ok
+      { cp_live = live;
+        cp_dropped = !frames - live;
+        cp_shards = old.mf_shards;
+        cp_generation = gen }
 
 (* --- campaign progress log ------------------------------------------------------ *)
 

@@ -42,21 +42,30 @@
        truncation that CRCs cannot; a destroyed manifest degrades to
        probing the logs directly.}
     {- {b Crashes}: log appends are fsynced before the manifest declares
-       them, and manifest/compaction rewrites go through
-       temp-fsync-rename, so at every instant declared <= actual — a
-       reader racing a save or a crash never sees phantom corruption and
-       never loses an acknowledged record.}
+       them, and every file is replaced temp-fsync-rename, so at every
+       instant declared <= actual — a reader racing a save or a crash
+       never sees phantom corruption and never loses an acknowledged
+       record.}
+    {- {b One rewrite}: a save only appends, except into a path holding
+       no readable store, where it writes every log of the layout. That
+       and {!compact} are the one whole-log rewrite: each record stays in
+       the shard it hashes to; a log whose frame count falls is renamed
+       into place only after the manifest declares the smaller of its
+       old and new counts, then the new counts are declared. A rewrite
+       killed after any of its writes leaves every record loadable and
+       nothing skipped.}
+    {- {b Fixed width}: a fresh store is {!default_shards} wide, and
+       nothing changes a store's width after that. Without a manifest
+       the width is read from the log names: {!default_shards}, unless a
+       log sits past it. A manifest declaring any width up to
+       {!max_shards} is read.}
     {- {b Concurrent writers}: each log has its own advisory lock
        ([path.sNN.lock], paired with an in-process mutex so domains and
        threads are excluded too); writers touching disjoint shards
        append in parallel. Lock order is shard locks ascending, then the
        manifest lock ([path.lock]) — deadlock-free by construction.
        Blind appends make merge-don't-clobber the default: nobody
-       overwrites records it has not seen.}
-    {- {b Compaction}: a save that leaves a log with at least 8 frames
-       and more than twice its live records rewrites just that log down
-       to the live set (original payload bytes preserved); {!compact}
-       does it store-wide and can reshard.}}
+       overwrites records it has not seen.}}
 
     [FFSTORE4] is the only format read or written: a file holding an
     older encoding — the monolithic [FFSTORE1]/[FFSTORE2], or [FFSTORE3]
@@ -65,11 +74,10 @@
     store. *)
 
 val default_shards : int
-(** Layout width given to newly created stores when [?shards] is omitted
-    (16). *)
+(** Layout width of a newly created store (16). *)
 
 val max_shards : int
-(** Upper bound on a layout width (64). *)
+(** Upper bound on a layout width a manifest may declare (64). *)
 
 val shard_of : shards:int -> Store.key -> int
 (** The shard index [key] hashes to in a [shards]-wide layout (stable
@@ -84,26 +92,23 @@ val shard_path : string -> int -> string
 type save_stats = {
   sv_appended : int;  (** records written by this save *)
   sv_live : int;  (** records in the in-memory store after the save *)
-  sv_compacted : int;  (** shard logs compacted as a side effect *)
   sv_generation : int64;  (** the store's generation after the save *)
 }
 
-val save : ?shards:int -> Store.t -> path:string -> save_stats
+val save : Store.t -> path:string -> save_stats
 (** Persist [store]'s dirty records to the store at [path] and mark them
     clean.
 
     Over an existing store this appends the dirty records to their shard
-    logs and bumps the manifest — O(dirty) work; the layout width on disk
-    wins and [?shards] is ignored. Otherwise it writes a fresh
-    [?shards]-wide store (default {!default_shards}) holding every record,
+    logs and bumps the manifest — O(dirty) work, never a rewrite.
+    Otherwise it writes every log of the layout, holding every record,
     merged (ours winning on collisions) with whatever {!load} can still
     read at [path] — e.g. shard logs whose manifest a crash never wrote.
     A file that is not a readable store (including a legacy
     [FFSTORE1]/[FFSTORE2]/[FFSTORE3] file) is replaced.
 
-    Raises [Sys_error] / [Unix.Unix_error] on I/O failure and
-    [Invalid_argument] on a [?shards] outside [1, {!max_shards}] — never
-    leaves a store unloadable. *)
+    Raises [Sys_error] / [Unix.Unix_error] on I/O failure — never leaves
+    a store unloadable. *)
 
 (** {1 Loading} *)
 
@@ -165,13 +170,13 @@ type compact_stats = {
   cp_generation : int64;
 }
 
-val compact : ?shards:int -> path:string -> unit -> (compact_stats, string) result
-(** Rewrite the whole store down to its live records, under every shard
-    lock. [?shards] reshards to a new layout width; omitted, the current
-    width is kept ({!default_shards} if the manifest is unreadable).
-    [Error] for a missing path or a file that is not a store, legacy
-    formats named as for {!load}. Concurrent readers may transiently
-    over-count [skipped] during a reshard; they never lose records. *)
+val compact : path:string -> (compact_stats, string) result
+(** Rewrite each shard log that holds superseded or corrupt frames down
+    to its live records, under every shard lock, keeping the store's
+    width, and declare the logs' real frame counts. [Error] for a
+    missing path or a file that is not a store, legacy formats named as
+    for {!load}. Concurrent readers may transiently over-count
+    [skipped]; they never lose records. *)
 
 (** {1 Campaign progress}
 

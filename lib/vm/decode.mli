@@ -1,9 +1,9 @@
 (** One-time pre-decoding of a kernel into a flat, int-coded form.
 
-    The boxed interpreter ({!Machine}) re-discovers everything about an
-    instruction — constructor, sub-operation, operand registers — on
-    every dynamic execution. A campaign replays the same kernel thousands
-    of times, so this module pays that discovery cost once: the code
+    Executing a {!Ff_ir.Instr.t} directly would re-discover everything
+    about an instruction — constructor, sub-operation, operand registers —
+    on every dynamic execution. A campaign replays the same kernel
+    thousands of times, so this module pays that discovery cost once: the code
     array is compiled into one packed int array (opcode, up to three
     operands, destination per instruction) and an immediate-payload
     array, plus per-instruction source register arrays for the injection

@@ -37,10 +37,6 @@ type t = {
   tags : Bytes.t array;
 }
 
-let word_of_value = function
-  | Value.Int w -> Int64.float_of_bits w
-  | Value.Float x -> x
-
 let tag_of_value = function Value.Int _ -> tag_int | Value.Float _ -> tag_float
 
 let value_of word tag =

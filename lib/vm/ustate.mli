@@ -31,7 +31,6 @@ type t = {
   tags : Bytes.t array;  (** per program buffer: element type tags *)
 }
 
-val word_of_value : Ff_ir.Value.t -> float
 val tag_of_value : Ff_ir.Value.t -> char
 val value_of : float -> char -> Ff_ir.Value.t
 

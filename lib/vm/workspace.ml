@@ -52,24 +52,11 @@ let create (golden : Golden.t) =
    workers each reuse their own workspace across every replay they run,
    with no locking on the replay path. Ephemerons on the golden run, so
    the cache keeps neither it nor its workspace alive. *)
-let dls_key : (Golden.t, t) Ephemeron.K1.t list ref Domain.DLS.key =
-  Domain.DLS.new_key (fun () -> ref [])
-
-let workspace_cache_cap = 4
+let dls_key = Domain.DLS.new_key (fun () -> Ff_support.Ephemeron_cache.create 4)
 
 let get golden =
-  let cache = Domain.DLS.get dls_key in
-  match List.find_map (fun e -> Ephemeron.K1.query e golden) !cache with
-  | Some ws -> ws
-  | None ->
-    let ws = create golden in
-    let kept =
-      if List.length !cache >= workspace_cache_cap then
-        List.filteri (fun i _ -> i < workspace_cache_cap - 1) !cache
-      else !cache
-    in
-    cache := Ephemeron.K1.make golden ws :: kept;
-    ws
+  Ff_support.Ephemeron_cache.find_or_compute (Domain.DLS.get dls_key) golden (fun () ->
+      create golden)
 
 let load_entry ws i =
   Ustate.blit ~src:ws.golden.Golden.sections.(i).Golden.entry ~dst:ws.state

@@ -5,7 +5,12 @@
 # before the manifest declares it — the worst-timed real kill), then
 # verify the torn store salvages: `store stat` still reads it, and a
 # rerun reuses the salvaged sections and produces an analysis identical
-# to the uninterrupted run. Exercised at 1 and 4 domains.
+# to the uninterrupted run. A daemon that loaded the torn store before
+# the rerun saved then saves the same sections again, leaving dead
+# frames; SIGKILL `store compact` on that store right after each of its
+# writes: every killed store must still read whole, and a rerun on it
+# must match the uninterrupted run.
+# Exercised at 1 and 4 domains.
 # Also available as a dune alias: dune build @store-smoke
 set -eu
 
@@ -25,7 +30,13 @@ else
 fi
 
 WORK=$(mktemp -d)
-trap 'rm -rf "$WORK"' EXIT INT TERM
+SOCK="$WORK/serve.sock"
+SERVER_PID=
+cleanup() {
+  [ -z "$SERVER_PID" ] || kill "$SERVER_PID" 2>/dev/null || true
+  rm -rf "$WORK"
+}
+trap cleanup EXIT INT TERM
 
 # The lines that legitimately differ between a cold run and a resumed
 # one (load/save banners, reuse and work accounting) are dropped; every
@@ -62,7 +73,19 @@ for j in 1 4; do
   grep -q 'FFSTORE4' "$WORK/stat.out" \
     || fail "-j $j: stat did not identify the salvaged layout"
 
-  # 4. Rerun on the torn store: the salvaged section records are reused
+  # 4. A daemon loads the torn store before the rerun below saves it
+  #    (step 6 has it save too).
+  $FASTFLIP serve "$SOCK" --store "$WORK/crash.store" -j $j >/dev/null 2>&1 &
+  SERVER_PID=$!
+  tries=0
+  while [ ! -S "$SOCK" ]; do
+    tries=$((tries + 1))
+    [ "$tries" -le 100 ] || fail "-j $j: daemon did not create $SOCK within 10s"
+    kill -0 "$SERVER_PID" 2>/dev/null || fail "-j $j: daemon died on startup"
+    sleep 0.1
+  done
+
+  #    Rerun on the torn store: the salvaged section records are reused
   #    (not recomputed), the save completes, and the analysis matches
   #    the uninterrupted run exactly.
   $FASTFLIP $ARGS --store "$WORK/crash.store" \
@@ -74,13 +97,65 @@ for j in 1 4; do
   diff -u "$WORK/ref.norm" "$WORK/resumed.norm" \
     || fail "-j $j: resumed analysis differs from the uninterrupted run"
 
-  # 5. After the clean finish the store is whole again.
+  # 5. After the clean finish the store is whole again, at the default
+  #    width whatever number of logs the killed save left.
   $FASTFLIP store stat "$WORK/crash.store" >"$WORK/stat2.out" 2>/dev/null \
     || fail "-j $j: store stat failed after resume"
   grep -q '^records:    3 live' "$WORK/stat2.out" \
     || fail "-j $j: resumed store is not whole"
+  grep -q '^shards:     16$' "$WORK/stat2.out" \
+    || fail "-j $j: resumed store is not at the default width"
 
-  rm -f "$WORK"/ref.store* "$WORK"/crash.store* "$WORK"/*.out "$WORK"/*.norm
+  # 6. Dead frames as racing writers leave them: the daemon, which loaded
+  #    the store before the rerun saved, analyzes the same program and at
+  #    shutdown appends the sections the rerun saved once more, declared
+  #    in the manifest.
+  $FASTFLIP query "$SOCK" examples/pipeline.ff --samples 40 >/dev/null \
+    || fail "-j $j: query failed"
+  $FASTFLIP shutdown "$SOCK" >/dev/null || fail "-j $j: shutdown failed"
+  wait "$SERVER_PID" || fail "-j $j: daemon exited non-zero"
+  SERVER_PID=
+  $FASTFLIP store stat "$WORK/crash.store" >"$WORK/stat3.out" 2>/dev/null \
+    || fail "-j $j: store stat failed on the store with dead frames"
+  grep -q '^records:    3 live, [1-9] dead' "$WORK/stat3.out" \
+    || fail "-j $j: the daemon's save left no dead frame to compact"
+
+  # 7. Kill `store compact` on a copy of that store right after its k-th
+  #    write, for every k until the compaction finishes: the killed store
+  #    must read 3 live records and no skipped region, --strict-store must
+  #    accept it, and the rerun must match the uninterrupted run.
+  k=1
+  while :; do
+    rm -f "$WORK"/kill.store*
+    for f in "$WORK"/crash.store "$WORK"/crash.store.s[0-9][0-9]; do
+      cp "$f" "$WORK/kill.store${f#"$WORK"/crash.store}"
+    done
+    status=0
+    FF_PERSIST_KILL_AFTER=$k $FASTFLIP store compact "$WORK/kill.store" \
+      >/dev/null 2>&1 || status=$?
+    [ "$status" -eq 0 ] || [ "$status" -eq 137 ] \
+      || fail "-j $j: store compact exited $status"
+    $FASTFLIP store stat "$WORK/kill.store" >"$WORK/stat4.out" 2>/dev/null \
+      || fail "-j $j: store stat refused the store compact killed after $k write(s)"
+    grep -q '^records:    3 live' "$WORK/stat4.out" \
+      || fail "-j $j: store compact killed after $k write(s) lost records"
+    ! grep -q '^skipped:' "$WORK/stat4.out" \
+      || fail "-j $j: store compact killed after $k write(s) left a skipped region"
+    $FASTFLIP $ARGS --store "$WORK/kill.store" --strict-store >"$WORK/rerun.out" \
+      2>/dev/null || fail "-j $j: rerun on the store compact killed after $k write(s) failed"
+    normalize "$WORK/rerun.out" >"$WORK/rerun.norm"
+    diff -u "$WORK/ref.norm" "$WORK/rerun.norm" \
+      || fail "-j $j: rerun after store compact killed after $k write(s) differs"
+    [ "$status" -ne 0 ] || break
+    [ "$k" -lt 64 ] || fail "-j $j: store compact never finished"
+    k=$((k + 1))
+  done
+  [ "$k" -gt 2 ] || fail "-j $j: no kill landed inside store compact"
+  grep -q '^records:    3 live, 0 dead' "$WORK/stat4.out" \
+    || fail "-j $j: the finished compaction left dead frames"
+
+  rm -f "$WORK"/ref.store* "$WORK"/crash.store* "$WORK"/kill.store* "$WORK"/*.out \
+    "$WORK"/*.norm
 done
 
-echo "store smoke: OK (killed mid-save, salvaged, resumed bit-identical at -j 1 and -j 4)"
+echo "store smoke: OK (killed mid-save and mid-compaction, salvaged, resumed bit-identical at -j 1 and -j 4)"

@@ -2,8 +2,8 @@
 # Every analysis command refuses an invalid --bits, --epsilon or
 # --samples before it does any work: exit status 124 and exactly one
 # stderr line "fastflip: --OPTION: ..." that names the option. The edges
-# of each range are accepted. store compact refuses a --shards width
-# outside [1, 64] the same way. protect --seed-security refuses a file that
+# of each range are accepted. store compact, which keeps a store's
+# width, refuses --shards as an unknown option. protect --seed-security refuses a file that
 # is not a whole security export the same way, naming the file. Runs under `dune runtest`; by hand:
 #   sh test/cli_options.sh _build/default/bin/fastflip_cli.exe examples/pipeline.ff
 set -eu
@@ -46,8 +46,12 @@ bench FFT | $bad_bits
 security $program | $bad_bits $bad_epsilon
 protect $program | $bad_bits $bad_epsilon
 query $work/no.sock $program | $bad_bits $bad_epsilon
-store compact $work/store.bin | --shards=0:shards --shards=65:shards
 ROWS
+
+status=0
+"$fastflip" store compact "$work/store.bin" --shards 8 >/dev/null 2>"$work/err" || status=$?
+[ "$status" -eq 124 ] && grep -q "unknown option '--shards'" "$work/err" \
+  || fail "store compact --shards 8 was not refused as an unknown option (exit $status)"
 
 "$fastflip" analyze "$program" --bits=0,63 --samples=0 --epsilon=0 >/dev/null \
   || fail "the range edges --bits=0,63 --samples=0 --epsilon=0 were refused"

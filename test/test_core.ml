@@ -627,24 +627,35 @@ let spit path data =
   output_string oc data;
   close_out oc
 
-(* One analyzed store and the pristine bytes of its single-shard image
-   (manifest, shard log), shared by the corruption fuzz below (the
-   analysis is the expensive part). One shard puts every record behind
-   one manifest entry; test_store3.ml fuzzes the multi-shard layout. *)
+(* One analyzed store, the log that holds most of its records, and the
+   pristine bytes of its image (manifest, shard logs), shared by the
+   corruption fuzz below (the analysis is the expensive part). The fuzz
+   damages the manifest or that log, so the frames after the damage in
+   the same log must resync; test_store3.ml fuzzes every shard. *)
 let pristine = lazy (
   let store = Store.create () in
   let _ = Pipeline.analyze ~store quick_config (compile program_src) in
   let path = Filename.temp_file "ffstore" ".bin" in
   Sys.remove path;
-  let _ = Persist.save store ~path ~shards:1 in
-  let files = (slurp path, slurp (Persist.shard_path path 0)) in
+  let _ = Persist.save store ~path in
+  let held = Array.make Persist.default_shards 0 in
+  List.iter
+    (fun r ->
+      let i = Persist.shard_of ~shards:Persist.default_shards r.Store.rec_key in
+      held.(i) <- held.(i) + 1)
+    (Store.records store);
+  let victim = ref 0 in
+  Array.iteri (fun i n -> if n > held.(!victim) then victim := i) held;
+  let victim = !victim in
+  let logs = Array.init Persist.default_shards (fun i -> slurp (Persist.shard_path path i)) in
+  let files = (slurp path, logs) in
   Kill_resume.remove_store path;
-  (store, files))
+  (store, victim, files))
 
-let load_files (manifest, log) =
+let load_files (manifest, logs) =
   let path = Filename.temp_file "fffuzz" ".bin" in
   spit path manifest;
-  spit (Persist.shard_path path 0) log;
+  Array.iteri (fun i log -> spit (Persist.shard_path path i) log) logs;
   let result = Persist.load ~path in
   Kill_resume.remove_store path;
   result
@@ -665,8 +676,8 @@ let prop_corrupt_store_salvage =
     QCheck2.Gen.(
       quad bool (int_range 0 3) (float_bound_exclusive 1.0) (int_range 0 255))
     (fun (hit_manifest, kind, frac, byte) ->
-      let store, (manifest, log) = Lazy.force pristine in
-      let data0 = if hit_manifest then manifest else log in
+      let store, victim, (manifest, logs) = Lazy.force pristine in
+      let data0 = if hit_manifest then manifest else logs.(victim) in
       let n = String.length data0 in
       let off = min (n - 1) (int_of_float (frac *. float_of_int n)) in
       let data =
@@ -691,7 +702,10 @@ let prop_corrupt_store_salvage =
           ^ String.make 5 (Char.chr byte)
           ^ String.sub data0 off (n - off)
       in
-      let files = if hit_manifest then (data, log) else (manifest, data) in
+      let files =
+        if hit_manifest then (data, logs)
+        else (manifest, Array.mapi (fun i log -> if i = victim then data else log) logs)
+      in
       match load_files files with
       | Error _ -> true (* magic destroyed: refusing the store outright is fine *)
       | Ok (loaded, skipped) ->
@@ -870,15 +884,15 @@ let test_progress_log_format_refused () =
    and compact answer exactly as they do without it, compaction leaves
    it in place, and a progress log alone is no store. *)
 let test_progress_log_invisible_to_store () =
-  let store, _ = Lazy.force pristine in
+  let store, _, _ = Lazy.force pristine in
   let path = Filename.temp_file "ffsibling" ".bin" in
   Sys.remove path;
   let ok what = function Ok v -> v | Error e -> Alcotest.failf "%s: %s" what e in
   let observe () =
-    let _ = Persist.save store ~path ~shards:4 in
+    let _ = Persist.save store ~path in
     let loaded, skipped = ok "load" (Persist.load ~path) in
     let info = ok "stat" (Persist.stat ~path) in
-    let compacted = ok "compact" (Persist.compact ~path ()) in
+    let compacted = ok "compact" (Persist.compact ~path) in
     let compacted_info = ok "stat" (Persist.stat ~path) in
     Kill_resume.remove_store ~keep_progress:true path;
     (List.map (fun r -> r.Store.rec_key) (Store.records loaded), skipped, info, compacted,

@@ -306,12 +306,17 @@ let test_persist_rejects_garbage () =
       in
       named "load" (Persist.load ~path);
       named "stat" (Persist.stat ~path);
-      named "compact" (Persist.compact ~path ()))
+      named "compact" (Persist.compact ~path))
     [ "FFSTORE1"; "FFSTORE2"; "FFSTORE3" ];
   Kill_resume.remove_store path;
   match Persist.load ~path:"/nonexistent/nope.bin" with
   | Ok _ -> Alcotest.fail "missing file accepted"
   | Error _ -> ()
+
+(* The shard log that holds [store]'s first record. *)
+let first_log store ~path =
+  Persist.shard_path path
+    (Persist.shard_of ~shards:Persist.default_shards (List.hd (Store.records store)).Store.rec_key)
 
 (* [Persist.open_store], the one store-open path of the CLI, the daemon
    and the bench, over its four cases: nothing at the path, a clean
@@ -320,7 +325,6 @@ let test_persist_rejects_garbage () =
 let test_open_store () =
   let path = Filename.temp_file "ffstore" ".bin" in
   Sys.remove path;
-  let log = Persist.shard_path path 0 in
   let opened ~strict = Persist.open_store ~strict ~path in
   List.iter
     (fun strict ->
@@ -330,7 +334,8 @@ let test_open_store () =
     [ false; true ];
   let store = Store.create () in
   let _ = Pipeline.analyze ~store quick_config (compile chain_src) in
-  let _ = Persist.save store ~path ~shards:1 in
+  let _ = Persist.save store ~path in
+  let log = first_log store ~path in
   (match opened ~strict:true with
   | Ok (Some loaded, None) ->
     Alcotest.(check int) "clean store loads whole" (Store.size store) (Store.size loaded)
@@ -382,8 +387,8 @@ let test_persist_salvages_truncation () =
   let _ = Pipeline.analyze ~store quick_config (compile chain_src) in
   let path = Filename.temp_file "ffstore" ".bin" in
   Sys.remove path;
-  let _ = Persist.save store ~path ~shards:1 in
-  let log = Persist.shard_path path 0 in
+  let _ = Persist.save store ~path in
+  let log = first_log store ~path in
   let ic = open_in_bin log in
   let n = in_channel_length ic in
   let data = really_input_string ic (n - 16) in

@@ -72,6 +72,9 @@ let slurp path =
   close_in ic;
   data
 
+let log_bytes path =
+  Array.init Persist.default_shards (fun i -> slurp (Persist.shard_path path i))
+
 let spit path data =
   let oc = open_out_bin path in
   output_string oc data;
@@ -91,30 +94,31 @@ let check_records_match ~msg expected loaded =
 
 let test_sharded_layout_and_stat () =
   with_temp_store @@ fun path ->
+  let shards = Persist.default_shards in
   let store = Store.create () in
   let records = List.init 20 mk_record in
   List.iter (Store.add store) records;
-  let s = Persist.save store ~path ~shards:4 in
+  let s = Persist.save store ~path in
   Alcotest.(check int) "all appended" 20 s.Persist.sv_appended;
   Alcotest.(check int) "all live" 20 s.Persist.sv_live;
   Alcotest.(check bool) "manifest exists" true (Sys.file_exists path);
-  for i = 0 to 3 do
+  for i = 0 to shards - 1 do
     Alcotest.(check bool) (Printf.sprintf "shard %d exists" i) true
       (Sys.file_exists (Persist.shard_path path i))
   done;
   Alcotest.(check bool) "no shard beyond the layout" false
-    (Sys.file_exists (Persist.shard_path path 4));
+    (Sys.file_exists (Persist.shard_path path shards));
   (* [stat] must agree with [shard_of] about where every key lives. *)
-  let expected = Array.make 4 0 in
+  let expected = Array.make shards 0 in
   List.iter
     (fun (r : Store.section_record) ->
-      let i = Persist.shard_of ~shards:4 r.Store.rec_key in
+      let i = Persist.shard_of ~shards r.Store.rec_key in
       expected.(i) <- expected.(i) + 1)
     records;
   (match Persist.stat ~path with
   | Error e -> Alcotest.failf "stat failed: %s" e
   | Ok info ->
-    Alcotest.(check int) "shards" 4 info.Persist.st_shards;
+    Alcotest.(check int) "shards" shards info.Persist.st_shards;
     Alcotest.(check int) "live" 20 info.Persist.st_live;
     Alcotest.(check int) "no dead frames" 0 info.Persist.st_dead;
     Alcotest.(check int) "nothing skipped" 0 info.Persist.st_skipped;
@@ -130,6 +134,70 @@ let test_sharded_layout_and_stat () =
     Alcotest.(check int) "pristine" 0 skipped;
     Alcotest.(check int) "size" 20 (Store.size loaded);
     check_records_match ~msg:"roundtrip" records loaded
+
+(* A store of another width, built by hand with [Wire] as [Persist] lays
+   one out (saves only ever create the default width): it is read, and
+   saves and compaction keep its width. *)
+let write_store_by_hand ~path ~shards records =
+  let logs = Array.make shards [] in
+  List.iter
+    (fun (r : Store.section_record) ->
+      let i = Persist.shard_of ~shards r.Store.rec_key in
+      logs.(i) <- r :: logs.(i))
+    records;
+  Array.iteri
+    (fun i rs ->
+      let buf = Buffer.create 4096 in
+      Buffer.add_string buf "FFSHARD2";
+      List.iter
+        (fun r ->
+          let payload = Buffer.create 1024 in
+          Wire.w_record payload r;
+          Wire.add_frame buf (Buffer.contents payload))
+        (List.rev rs);
+      spit (Persist.shard_path path i) (Buffer.contents buf))
+    logs;
+  let payload = Buffer.create 64 in
+  Wire.w_int payload 1;
+  Wire.w_int payload shards;
+  Wire.w_int64 payload 1L;
+  Wire.w_array payload Wire.w_int (Array.map List.length logs);
+  let buf = Buffer.create 128 in
+  Buffer.add_string buf "FFSTORE4";
+  Wire.add_frame buf (Buffer.contents payload);
+  spit path (Buffer.contents buf)
+
+let test_any_width_is_read_and_kept () =
+  with_temp_store @@ fun path ->
+  let shards = 4 in
+  let records = List.init 12 mk_record in
+  write_store_by_hand ~path ~shards records;
+  let check_store msg expected =
+    (match Persist.stat ~path with
+    | Error e -> Alcotest.failf "%s: stat failed: %s" msg e
+    | Ok info -> Alcotest.(check int) (msg ^ ": width kept") shards info.Persist.st_shards);
+    Alcotest.(check bool) (msg ^ ": no shard beyond the layout") false
+      (Sys.file_exists (Persist.shard_path path shards));
+    match Persist.load ~path with
+    | Error e -> Alcotest.failf "%s: load failed: %s" msg e
+    | Ok (loaded, skipped) ->
+      Alcotest.(check int) (msg ^ ": pristine") 0 skipped;
+      Alcotest.(check int) (msg ^ ": size") (List.length expected) (Store.size loaded);
+      check_records_match ~msg expected loaded;
+      loaded
+  in
+  let loaded = check_store "hand-built" records in
+  let extra = List.init 4 (fun i -> mk_record (12 + i)) in
+  List.iter (Store.add loaded) (extra @ [ List.hd records ]);
+  let s = Persist.save loaded ~path in
+  Alcotest.(check int) "the save appends" 5 s.Persist.sv_appended;
+  ignore (check_store "after a save" (records @ extra));
+  (match Persist.compact ~path with
+  | Error e -> Alcotest.failf "compact failed: %s" e
+  | Ok cp ->
+    Alcotest.(check int) "compact keeps the width" shards cp.Persist.cp_shards;
+    Alcotest.(check int) "the superseded frame is dropped" 1 cp.Persist.cp_dropped);
+  ignore (check_store "after compaction" (records @ extra))
 
 (* --- O(dirty) saves -------------------------------------------------------- *)
 
@@ -564,16 +632,16 @@ let test_rebase_keeps_members_shared () =
 
 (* --- corruption ------------------------------------------------------------ *)
 
-(* Pristine 4-shard image shared by the corruption fuzz: the records,
-   the manifest bytes, and each shard log's bytes. *)
+(* Pristine image shared by the corruption fuzz: the records, the
+   manifest bytes, and each shard log's bytes. *)
 let sharded_pristine = lazy (
   let store = Store.create () in
   List.iter (Store.add store) (List.init 32 mk_record);
   let path = Filename.temp_file "ffs3fix" ".bin" in
   Sys.remove path;
-  let _ = Persist.save store ~path ~shards:4 in
+  let _ = Persist.save store ~path in
   let manifest = slurp path in
-  let shards = Array.init 4 (fun i -> slurp (Persist.shard_path path i)) in
+  let shards = log_bytes path in
   Kill_resume.remove_store path;
   (store, manifest, shards))
 
@@ -599,7 +667,7 @@ let prop_corrupt_shard_salvage =
   QCheck2.Test.make ~count:100
     ~name:"corrupt shard: load never raises, siblings survive intact"
     QCheck2.Gen.(
-      quad (int_range 0 3) (int_range 0 3) (float_bound_exclusive 1.0)
+      quad (int_range 0 (Persist.default_shards - 1)) (int_range 0 3) (float_bound_exclusive 1.0)
         (int_range 0 255))
     (fun (victim, kind, frac, byte) ->
       let store, manifest, shards = Lazy.force sharded_pristine in
@@ -620,7 +688,7 @@ let prop_corrupt_shard_salvage =
            survives byte-identically. *)
         List.for_all
           (fun (r : Store.section_record) ->
-            Persist.shard_of ~shards:4 r.Store.rec_key = victim
+            Persist.shard_of ~shards:Persist.default_shards r.Store.rec_key = victim
             ||
             match Store.find loaded r.Store.rec_key with
             | Some found -> Persist.roundtrip_equal r found
@@ -641,7 +709,7 @@ let test_manifest_corruption_salvages_from_shards () =
   let store = Store.create () in
   let records = List.init 12 mk_record in
   List.iter (Store.add store) records;
-  let _ = Persist.save store ~path ~shards:4 in
+  let _ = Persist.save store ~path in
   let manifest = slurp path in
   (* Tear the manifest's tail: the frame is damaged but the magic
      survives, so the loader falls back to probing the logs. *)
@@ -670,7 +738,7 @@ let test_missing_manifest_salvages_from_shards () =
   let store = Store.create () in
   let records = List.init 9 mk_record in
   List.iter (Store.add store) records;
-  let _ = Persist.save store ~path ~shards:4 in
+  let _ = Persist.save store ~path in
   Sys.remove path;
   (match Persist.load ~path with
   | Error e -> Alcotest.failf "missing manifest should salvage: %s" e
@@ -710,31 +778,111 @@ let test_save_over_orphaned_logs_keeps_them () =
     Alcotest.(check int) "orphaned records survive" 11 (Store.size loaded);
     check_records_match ~msg:"orphaned logs" (extra :: records) loaded
 
+(* Run [f ()] in a forked child that [FF_PERSIST_KILL_AFTER] SIGKILLs
+   right after its [k]-th durable write; true if the kill landed, false
+   if [f] finished first. Forking tests must run before any test of this
+   executable spawns a domain. *)
+let killed_after k f =
+  match Unix.fork () with
+  | 0 ->
+    Unix.putenv "FF_PERSIST_KILL_AFTER" (string_of_int k);
+    Unix._exit (match f () with () -> 0 | exception _ -> 2)
+  | pid -> (
+    match Unix.waitpid [] pid with
+    | _, Unix.WSIGNALED s when s = Sys.sigkill -> true
+    | _, Unix.WEXITED 0 -> false
+    | _ -> Alcotest.failf "killed after %d writes: the child failed" k)
+
+let test_killed_first_save_keeps_the_width () =
+  (* A first save killed after k of its log writes leaves k orphaned
+     logs and no manifest. The next save rebuilds at the default width
+     whatever k is, keeps every orphaned record, and loses none of them
+     when it is killed in turn after any of its own writes. *)
+  let records = List.init 24 mk_record in
+  let extra = mk_record 24 in
+  let save rs path () =
+    let store = Store.create () in
+    List.iter (Store.add store) rs;
+    ignore (Persist.save store ~path)
+  in
+  List.iter
+    (fun k ->
+      let orphaned path =
+        Alcotest.(check bool) (Printf.sprintf "k=%d: the first save was killed" k) true
+          (killed_after k (save records path));
+        match Persist.load ~path with
+        | Error e -> Alcotest.failf "k=%d: the orphaned logs do not load: %s" k e
+        | Ok (salvaged, _) -> Store.records salvaged
+      in
+      let rec recover j =
+        with_temp_store @@ fun path ->
+        let salvaged = orphaned path in
+        let msg = Printf.sprintf "k=%d, recovery killed after %d writes" k j in
+        if killed_after j (save [ extra ] path) then begin
+          (match Persist.load ~path with
+          | Error e -> Alcotest.failf "%s: load failed: %s" msg e
+          | Ok (loaded, _) -> check_records_match ~msg salvaged loaded);
+          if j > 2 * Persist.default_shards then Alcotest.failf "%s: never finished" msg;
+          recover (j + 1)
+        end
+        else begin
+          let msg = Printf.sprintf "k=%d, recovered" k in
+          (match Persist.stat ~path with
+          | Error e -> Alcotest.failf "%s: stat failed: %s" msg e
+          | Ok info ->
+            Alcotest.(check int) (msg ^ ": default width") Persist.default_shards
+              info.Persist.st_shards);
+          match Persist.load ~path with
+          | Error e -> Alcotest.failf "%s: load failed: %s" msg e
+          | Ok (loaded, skipped) ->
+            Alcotest.(check int) (msg ^ ": pristine") 0 skipped;
+            Alcotest.(check int) (msg ^ ": size") (List.length salvaged + 1) (Store.size loaded);
+            check_records_match ~msg (extra :: salvaged) loaded
+        end
+      in
+      recover 1)
+    [ 1; 2; Persist.default_shards / 2; Persist.default_shards - 1 ]
+
 (* --- compaction ------------------------------------------------------------ *)
 
-let test_compaction_auto () =
+let test_saves_only_append () =
   with_temp_store @@ fun path ->
   let store = Store.create () in
   let r0 = mk_record 0 and r1 = mk_record 1 in
   Store.add store r0;
   Store.add store r1;
-  let _ = Persist.save store ~path ~shards:1 in
-  (* Each wave supersedes both records; the lone shard log accumulates
-     dead frames until the save-time threshold rewrites it. *)
-  let compacted = ref 0 in
-  for _ = 1 to 6 do
+  let _ = Persist.save store ~path in
+  (* Each wave supersedes both records; no save rewrites a log, so the
+     superseded frames stay until an explicit compaction. *)
+  for wave = 1 to 8 do
+    let before = log_bytes path in
     Store.add store r0;
     Store.add store r1;
-    let s = Persist.save store ~path in
-    compacted := !compacted + s.Persist.sv_compacted
+    let _ = Persist.save store ~path in
+    Array.iteri
+      (fun i after ->
+        let b = before.(i) in
+        Alcotest.(check bool)
+          (Printf.sprintf "wave %d: log %d starts with the previous save's bytes" wave i)
+          true
+          (String.length after >= String.length b
+          && String.equal (String.sub after 0 (String.length b)) b))
+      (log_bytes path)
   done;
-  Alcotest.(check bool) "auto-compaction fired" true (!compacted > 0);
-  (match Persist.stat ~path with
-  | Error e -> Alcotest.failf "stat failed: %s" e
-  | Ok info ->
-    Alcotest.(check int) "live" 2 info.Persist.st_live;
-    Alcotest.(check bool) "dead frames bounded by the threshold" true
-      (info.Persist.st_dead < 8));
+  let stat () =
+    match Persist.stat ~path with
+    | Error e -> Alcotest.failf "stat failed: %s" e
+    | Ok info ->
+      Alcotest.(check int) "live" 2 info.Persist.st_live;
+      info.Persist.st_dead
+  in
+  Alcotest.(check int) "superseded frames are dead" 16 (stat ());
+  (match Persist.compact ~path with
+  | Error e -> Alcotest.failf "compact failed: %s" e
+  | Ok cp ->
+    Alcotest.(check int) "compact keeps the live records" 2 cp.Persist.cp_live;
+    Alcotest.(check int) "compact drops the dead frames" 16 cp.Persist.cp_dropped);
+  Alcotest.(check int) "compact clears the dead frames" 0 (stat ());
   match Persist.load ~path with
   | Error e -> Alcotest.failf "load failed: %s" e
   | Ok (loaded, skipped) ->
@@ -742,45 +890,82 @@ let test_compaction_auto () =
     Alcotest.(check int) "two live records" 2 (Store.size loaded);
     check_records_match ~msg:"compacted log" [ r0; r1 ] loaded
 
-let test_compact_reshards () =
+let test_compact_keeps_width () =
   with_temp_store @@ fun path ->
   let store = Store.create () in
   let records = List.init 24 mk_record in
   List.iter (Store.add store) records;
-  let _ = Persist.save store ~path ~shards:4 in
-  (* Supersede everything once: 24 dead frames, below the auto
-     threshold (12 frames vs 2*6 live per shard), so they persist until
-     the explicit compact. *)
+  let _ = Persist.save store ~path in
+  (* Supersede everything once: 24 dead frames. *)
   List.iter (Store.add store) records;
   let _ = Persist.save store ~path in
-  (match Persist.compact ~path ~shards:8 () with
+  (match Persist.compact ~path with
   | Error e -> Alcotest.failf "compact failed: %s" e
   | Ok cp ->
     Alcotest.(check int) "live" 24 cp.Persist.cp_live;
     Alcotest.(check int) "dead frames dropped" 24 cp.Persist.cp_dropped;
-    Alcotest.(check int) "resharded" 8 cp.Persist.cp_shards);
+    Alcotest.(check int) "width kept" Persist.default_shards cp.Persist.cp_shards);
   (match Persist.stat ~path with
   | Error e -> Alcotest.failf "stat failed: %s" e
   | Ok info ->
-    Alcotest.(check int) "new layout" 8 info.Persist.st_shards;
+    Alcotest.(check int) "layout" Persist.default_shards info.Persist.st_shards;
     Alcotest.(check int) "live" 24 info.Persist.st_live;
     Alcotest.(check int) "no dead frames" 0 info.Persist.st_dead);
-  Alcotest.(check bool) "old layout has no stale extra logs" true
-    (Sys.file_exists (Persist.shard_path path 7));
+  Alcotest.(check bool) "no log beyond the layout" false
+    (Sys.file_exists (Persist.shard_path path Persist.default_shards));
   match Persist.load ~path with
   | Error e -> Alcotest.failf "load failed: %s" e
   | Ok (loaded, skipped) ->
     Alcotest.(check int) "pristine" 0 skipped;
     Alcotest.(check int) "size" 24 (Store.size loaded);
-    check_records_match ~msg:"resharded" records loaded
+    check_records_match ~msg:"compacted" records loaded
+
+(* SIGKILL a compaction right after each of its writes, as
+   FF_PERSIST_KILL_AFTER does to the CLI: every killed store loads every
+   live record with nothing skipped, so --strict-store opens it. *)
+let test_killed_compaction_loses_nothing () =
+  let records = List.init 24 mk_record in
+  (* Superseding a third of the records leaves dead frames in some logs
+     and none in others. *)
+  let build path =
+    let store = Store.create () in
+    List.iter (Store.add store) records;
+    let _ = Persist.save store ~path in
+    List.iteri (fun i r -> if i mod 3 = 0 then Store.add store r) records;
+    ignore (Persist.save store ~path)
+  in
+  let compact_killed_after k =
+    with_temp_store @@ fun path ->
+    build path;
+    let killed =
+      killed_after k (fun () ->
+          match Persist.compact ~path with Ok _ -> () | Error e -> failwith e)
+    in
+    let msg = Printf.sprintf "killed after %d writes" k in
+    (match Persist.load ~path with
+    | Error e -> Alcotest.failf "%s: load failed: %s" msg e
+    | Ok (loaded, skipped) ->
+      Alcotest.(check int) (msg ^ ": nothing skipped") 0 skipped;
+      Alcotest.(check int) (msg ^ ": every live record") 24 (Store.size loaded);
+      check_records_match ~msg records loaded);
+    (match Persist.open_store ~strict:true ~path with
+    | Ok (Some _, None) -> ()
+    | Ok _ | Error _ -> Alcotest.failf "%s: --strict-store refused the store" msg);
+    killed
+  in
+  let rec go k =
+    if k > 4 * Persist.default_shards then Alcotest.fail "the compaction never finished";
+    if compact_killed_after k then go (k + 1) else k
+  in
+  Alcotest.(check bool) "a kill landed before the compaction finished" true (go 1 > 2)
 
 (* --- concurrency ------------------------------------------------------------ *)
 
 let test_concurrent_writers_and_reader () =
   (* Four domains race incremental saves — writers 0 and 1 share five
      keys (overlapping shards), the rest are disjoint — while a reader
-     domain loads continuously. Re-adding the same keys each wave piles
-     up superseded frames, so auto-compaction also runs under the race.
+     domain loads continuously and a fifth domain compacts. Re-adding
+     the same keys each wave piles up superseded frames for it to drop.
      The reader must never see an error or a distorted record; the
      final store must hold exactly the union. *)
   with_temp_store @@ fun path ->
@@ -796,12 +981,12 @@ let test_concurrent_writers_and_reader () =
         (fun (r : Store.section_record) -> Hashtbl.replace union r.Store.rec_key r)
         (records_for d))
     [ 0; 1; 2; 3 ];
-  (* Seed the v3 layout before the race so every writer appends. *)
+  (* Seed the layout before the race so every writer appends. *)
   let seed_record = mk_record 299 in
   Hashtbl.replace union seed_record.Store.rec_key seed_record;
   let seed = Store.create () in
   Store.add seed seed_record;
-  let _ = Persist.save seed ~path ~shards:4 in
+  let _ = Persist.save seed ~path in
   let stop = Atomic.make false in
   let reader_ok = Atomic.make true in
   let reader =
@@ -830,10 +1015,19 @@ let test_concurrent_writers_and_reader () =
             done))
       [ 0; 1; 2; 3 ]
   in
+  let compactor =
+    Domain.spawn (fun () ->
+        while not (Atomic.get stop) do
+          match Persist.compact ~path with
+          | Ok _ -> ()
+          | Error _ -> Atomic.set reader_ok false
+        done)
+  in
   List.iter Domain.join writers;
   Atomic.set stop true;
   Domain.join reader;
-  Alcotest.(check bool) "reader never saw an error or a bad record" true
+  Domain.join compactor;
+  Alcotest.(check bool) "reader and compactor never saw an error or a bad record" true
     (Atomic.get reader_ok);
   match Persist.load ~path with
   | Error e -> Alcotest.failf "final load failed: %s" e
@@ -858,6 +1052,8 @@ let () =
           Alcotest.test_case "sharded layout and stat" `Quick
             test_sharded_layout_and_stat;
           Alcotest.test_case "save is O(dirty)" `Quick test_save_is_o_dirty;
+          Alcotest.test_case "any width is read and kept" `Quick
+            test_any_width_is_read_and_kept;
         ] );
       ( "reload",
         [
@@ -894,13 +1090,16 @@ let () =
             test_missing_manifest_salvages_from_shards;
           Alcotest.test_case "save over orphaned shard logs keeps them" `Quick
             test_save_over_orphaned_logs_keeps_them;
+          Alcotest.test_case "killed first save keeps the width" `Quick
+            test_killed_first_save_keeps_the_width;
         ] );
       ( "compaction",
         [
-          Alcotest.test_case "auto-compaction at save time" `Quick
-            test_compaction_auto;
-          Alcotest.test_case "explicit compact reshards" `Quick
-            test_compact_reshards;
+          Alcotest.test_case "killed compact loses nothing" `Quick
+            test_killed_compaction_loses_nothing;
+          Alcotest.test_case "saves only append" `Quick test_saves_only_append;
+          Alcotest.test_case "explicit compact keeps the width" `Quick
+            test_compact_keeps_width;
         ] );
       ( "concurrency",
         [
