@@ -13,11 +13,14 @@
      dune exec bench/main.exe -- quick --metrics mx.json   # telemetry export
      dune exec bench/main.exe -- quick table3 --store s.bin  # persistent store
 
-   Campaigns and sensitivity sampling run on FF_DOMAINS domains (default:
-   the recommended domain count); every artifact is bit-identical to the
-   serial run. Timings use the monotonic clock. A run that includes
-   `parallel` overwrites BENCH_parallel.json with its serial-vs-parallel
-   phases and the time of every artifact it ran.
+   Every artifact, paper tables included, prints its title and text
+   tables and writes its fields to BENCH_<name>.json (schema
+   fastflip.bench.<name>/1) in the current directory; the table headers
+   are the JSON keys. Campaigns and sensitivity sampling run on
+   FF_DOMAINS domains (default: the recommended domain count); every
+   artifact is bit-identical to the serial run. Timings use the monotonic
+   clock. A run that includes `parallel` also records in
+   BENCH_parallel.json the time of every artifact it ran.
 
    Exit status: 1 when a row of [floors] fails for an artifact that ran
    (after every BENCH_*.json is written), 2 on an unknown argument. *)
@@ -89,68 +92,39 @@ let run_for config bench =
 
 let all_runs config = List.map (run_for config) Registry.all
 
-let campipe_run config =
-  match Registry.find "Campipe" with
-  | Some bench -> run_for config bench
-  | None -> failwith "Campipe benchmark missing"
+let builtin name = Option.get (Registry.find name)
 
-let lud_run config =
-  match Registry.find "LUD" with
-  | Some bench -> run_for config bench
-  | None -> failwith "LUD benchmark missing"
+let table2 config =
+  Ff_harness.Tables.table2
+    (fun run result -> Ff_harness.Experiments.utility_rows run result)
+    (all_runs config)
 
-let print_table1 config = print_endline (Ff_harness.Tables.table1 (all_runs config))
-
-let print_table2 config =
-  print_endline
-    (Ff_harness.Tables.table2
-       (fun run result -> Ff_harness.Experiments.utility_rows run result)
-       (all_runs config))
-
-let print_table3 config = print_endline (Ff_harness.Tables.table3 (all_runs config))
-
-let print_table4 config = print_endline (Ff_harness.Tables.table4 (campipe_run config))
-
-let print_table5 config =
+let table5 config =
   (* Section 6.4: SDCs up to 0.01 are acceptable for every benchmark but
      SHA2 (whose output must be exact). Relabeling reuses the stored
      outcomes; no new injections run. *)
-  print_endline
-    (Ff_harness.Tables.table2
-       ~epsilon_label:"eps = 0.01 (small SDCs acceptable; SHA2 keeps eps = 0)"
-       (fun run result ->
-         let epsilon = run.Ff_harness.Experiments.bench.Defs.epsilon_good in
-         Ff_harness.Experiments.utility_rows_at ~epsilon run result)
-       (all_runs config))
+  Ff_harness.Tables.table2
+    ~epsilon_label:"eps = 0.01 (small SDCs acceptable; SHA2 keeps eps = 0)"
+    (fun run result ->
+      let epsilon = run.Ff_harness.Experiments.bench.Defs.epsilon_good in
+      Ff_harness.Experiments.utility_rows_at ~epsilon run result)
+    (all_runs config)
 
-let print_figure1 config = print_endline (Ff_harness.Tables.figure1 (lud_run config))
+let evolution config =
+  let steps =
+    timed "evolution chain (8 commits, FastFlip + per-commit ground truth)" (fun () ->
+        Ff_harness.Evolution.run ~config (builtin "LUD"))
+  in
+  Ff_harness.Evolution.fields steps
 
-let print_ablations config =
-  print_endline (Ff_harness.Ablations.cost_models (all_runs config));
-  (match Registry.find "LUD" with
-  | Some bench -> print_endline (Ff_harness.Ablations.burst ~config bench)
-  | None -> ());
-  print_endline (Ff_harness.Ablations.pruning (all_runs config))
+(* --- results: one field list each ---------------------------------------- *)
 
-let print_evolution config =
-  match Registry.find "LUD" with
-  | Some bench ->
-    let steps =
-      timed "evolution chain (8 commits, FastFlip + per-commit ground truth)"
-        (fun () -> Ff_harness.Evolution.run ~config bench)
-    in
-    print_endline (Ff_harness.Evolution.render steps)
-  | None -> ()
-
-(* --- measured results: one field list each ------------------------------- *)
-
-(* A measured artifact returns a title and its result, said once as named
+(* Every artifact returns a title and its result, said once as named
    fields: [report] prints them as text tables, [write_json] writes them to
    BENCH_<artifact>.json, and every row of [floors] reads its value by key. *)
-type field = string * Json.t
+type field = Ff_harness.Tables.field
 
-(* A table's rows, one object each. *)
-let objects rows = Arr (List.map (fun row -> Obj row) rows)
+let objects = Ff_harness.Tables.objects
 
 let scalar = function
   | Int i -> string_of_int i
@@ -225,7 +199,7 @@ let same a b = Stdlib.compare a b = 0
 
 let measure_parallel config =
   let p = Lazy.force pool in
-  let bench = Option.get (Registry.find "LUD") in
+  let bench = builtin "LUD" in
   let program = Ff_lang.Frontend.compile_exn (bench.Defs.source Defs.V_none) in
   let golden = Ff_vm.Golden.run program in
   let campaign_config = config.Pipeline.campaign in
@@ -287,7 +261,7 @@ let measure_vm config =
      replays/s compare the engines end to end (state reset, execution,
      classification). Identity of the two result arrays is a gated row
      of [floors]. *)
-  let bench = Option.get (Registry.find "LUD") in
+  let bench = builtin "LUD" in
   let program = Ff_lang.Frontend.compile_exn (bench.Defs.source Defs.V_none) in
   let golden = Ff_vm.Golden.run program in
   let { Campaign.bits; model; timeout_factor; _ } = config.Pipeline.campaign in
@@ -477,7 +451,7 @@ let measure_faults config =
      abstains wholesale on non-register models, so their prune ratio is
      structurally 0. *)
   let p = Lazy.force pool in
-  let bench = Option.get (Registry.find "LUD") in
+  let bench = builtin "LUD" in
   let program = Ff_lang.Frontend.compile_exn (bench.Defs.source Defs.V_none) in
   let golden = Ff_vm.Golden.run program in
   let nsections = Array.length golden.Ff_vm.Golden.sections in
@@ -583,7 +557,7 @@ let measure_detect config =
   let rows =
     List.map
       (fun name ->
-        let bench = Option.get (Registry.find name) in
+        let bench = builtin name in
         let program =
           Ff_lang.Frontend.compile_exn (bench.Defs.source Defs.V_large)
         in
@@ -661,7 +635,7 @@ let measure_server config =
      for the same request; a divergence fails the gate. *)
   let module Protocol = Ff_serve.Protocol in
   let module Client = Ff_serve.Client in
-  let bench = Option.get (Registry.find "LUD") in
+  let bench = builtin "LUD" in
   let source = bench.Defs.source Defs.V_none in
   let bits =
     match config.Pipeline.campaign.Campaign.bits with
@@ -760,7 +734,7 @@ let measure_store config =
   (* One real quick-config record, cloned under synthetic keys: the
      persistence layer sees realistic record bytes at service-scale
      store size without paying for thousands of campaigns. *)
-  let bench = Option.get (Registry.find "LUD") in
+  let bench = builtin "LUD" in
   let program = Ff_lang.Frontend.compile_exn (bench.Defs.source Defs.V_none) in
   let proto_store = Store.create () in
   let _ = Pipeline.analyze ~store:proto_store config program in
@@ -1147,27 +1121,26 @@ let violation fields f =
   in
   Option.map (Printf.sprintf "bench gate: %s: %s: %s" f.artifact f.label) verdict
 
-type artifact =
-  | Paper of (Pipeline.config -> unit)  (** a deterministic table of the paper *)
-  | Measured of (Pipeline.config -> string * field list)
-
-let artifacts =
+let artifacts : (string * (Pipeline.config -> string * field list)) list =
+  let open Ff_harness in
   [
-    ("table1", Paper print_table1);
-    ("table2", Paper print_table2);
-    ("table3", Paper print_table3);
-    ("table4", Paper print_table4);
-    ("table5", Paper print_table5);
-    ("figure1", Paper print_figure1);
-    ("ablations", Paper print_ablations);
-    ("evolution", Paper print_evolution);
-    ("parallel", Measured measure_parallel);
-    ("vm", Measured measure_vm);
-    ("prune", Measured measure_prune);
-    ("faults", Measured measure_faults);
-    ("detect", Measured measure_detect);
-    ("server", Measured measure_server);
-    ("store", Measured measure_store);
+    ("table1", fun config -> Tables.table1 (all_runs config));
+    ("table2", table2);
+    ("table3", fun config -> Tables.table3 (all_runs config));
+    ("table4", fun config -> Tables.table4 (run_for config (builtin "Campipe")));
+    ("table5", table5);
+    ("figure1", fun config -> Tables.figure1 (run_for config (builtin "LUD")));
+    ( "ablations",
+      fun config ->
+        Tables.ablations ~config ~burst_on:(builtin "LUD") (all_runs config) );
+    ("evolution", evolution);
+    ("parallel", measure_parallel);
+    ("vm", measure_vm);
+    ("prune", measure_prune);
+    ("faults", measure_faults);
+    ("detect", measure_detect);
+    ("server", measure_server);
+    ("store", measure_store);
   ]
 
 (* Arguments are [quick], [micro], artifact names, [--metrics FILE]
@@ -1230,12 +1203,9 @@ let () =
   let run name =
     let (), s =
       wall (fun () ->
-          match List.assoc name artifacts with
-          | Paper print -> print config
-          | Measured measure ->
-            let title, fields = measure config in
-            report title fields;
-            results := (name, fields) :: !results)
+          let title, fields = List.assoc name artifacts config in
+          report title fields;
+          results := (name, fields) :: !results)
     in
     timings := (name, s) :: !timings
   in

@@ -3,7 +3,6 @@ module Pipeline = Fastflip.Pipeline
 module Baseline = Fastflip.Baseline
 module Adjust = Fastflip.Adjust
 module Valuation = Fastflip.Valuation
-module Table = Ff_support.Table
 
 type step = {
   commit : int;
@@ -144,40 +143,33 @@ let run ?(config = Pipeline.default_config) ?(p_adj = 3) ?(commits = 8) bench =
   done;
   List.rev !steps
 
-let render steps =
-  let t =
-    Table.create
-      ~title:
-        "Evolution experiment: a chain of bit-identical commits, FastFlip with\n\
-         adjusted-target reuse (refresh every P_adj commits) vs re-running the\n\
-         monolithic baseline each time."
-      [
-        ("Commit", Table.Right);
-        ("Edited kernel", Table.Left);
-        ("Reused", Table.Right);
-        ("FastFlip work", Table.Right);
-        ("Baseline work", Table.Right);
-        ("Refresh", Table.Center);
-        ("v_achv@0.90", Table.Right);
-      ]
-  in
-  List.iter
-    (fun s ->
-      Table.add_row t
-        [
-          string_of_int s.commit;
-          s.edited_kernel;
-          Printf.sprintf "%d/%d" s.sections_reused s.sections_total;
-          string_of_int s.ff_work;
-          string_of_int s.base_work;
-          (if s.refreshed then "yes" else "");
-          Printf.sprintf "%.3f" s.achieved;
-        ])
-    steps;
-  let ff_total = List.fold_left (fun acc s -> acc + s.ff_work) 0 steps in
-  let base_total = List.fold_left (fun acc s -> acc + s.base_work) 0 steps in
-  Table.render t
-  ^ Printf.sprintf
-      "\ncumulative work: FastFlip %d vs baseline %d  ->  %.1fx cheaper over the history\n"
-      ff_total base_total
-      (float_of_int base_total /. float_of_int (max 1 ff_total))
+let fields steps =
+  let open Ff_support.Json in
+  let total work = List.fold_left (fun acc s -> acc + work s) 0 steps in
+  let ff_total = total (fun s -> s.ff_work) in
+  let base_total = total (fun s -> s.base_work) in
+  ( "Evolution experiment: a chain of bit-identical commits, FastFlip with\n\
+     adjusted-target reuse (refresh every P_adj commits) vs re-running the\n\
+     monolithic baseline each time.\n\
+     cumulative speedup = how many times cheaper FastFlip was over the history.",
+    [
+      ( "steps",
+        Tables.objects
+          (List.map
+             (fun s ->
+               [
+                 ("commit", Int s.commit);
+                 ("edited_kernel", Str s.edited_kernel);
+                 ("reused", Int s.sections_reused);
+                 ("sections", Int s.sections_total);
+                 ("fastflip_work", Int s.ff_work);
+                 ("baseline_work", Int s.base_work);
+                 ("refresh", Bool s.refreshed);
+                 ("v_achv@0.90", Float (s.achieved, 3));
+               ])
+             steps) );
+      ("cumulative work fastflip", Int ff_total);
+      ("cumulative work baseline", Int base_total);
+      ( "cumulative speedup",
+        Float (float_of_int base_total /. float_of_int (max 1 ff_total), 1) );
+    ] )

@@ -32,5 +32,7 @@ val run :
     benchmark's kernels, each inserting a store of an unchanged value
     (bit-identical outputs, different code hash). *)
 
-val render : step list -> string
-(** Text table plus the cumulative work ratio. *)
+val fields : step list -> string * Tables.field list
+(** The title and one row object per commit ([steps]), plus the
+    [cumulative work fastflip] and [cumulative work baseline] sums and
+    the [cumulative speedup] (baseline over FastFlip). *)

@@ -43,17 +43,14 @@ let adjusted_targets_for ~ff ~ground_truth =
       (target, Adjust.compute_adjusted_target ~ff ~ground_truth ~target))
     standard_targets
 
-let run_benchmark ?(config = Pipeline.default_config) ?(versions = Defs.all_versions)
-    ?pool ?store bench =
+let run_benchmark ?(config = Pipeline.default_config) ?pool ?store bench =
   let store =
     match store with Some store -> store | None -> Fastflip.Store.create ()
   in
-  let results = List.map (run_version ?pool config store bench) versions in
+  let results = List.map (run_version ?pool config store bench) Defs.all_versions in
+  let first = List.hd results in
   let adjusted_targets =
-    match results with
-    | [] -> List.map (fun t -> (t, t)) standard_targets
-    | first :: _ ->
-      adjusted_targets_for ~ff:first.ff ~ground_truth:first.base.Baseline.valuation
+    adjusted_targets_for ~ff:first.ff ~ground_truth:first.base.Baseline.valuation
   in
   { bench; results; adjusted_targets }
 
@@ -65,22 +62,14 @@ let utility_rows ?(adjusted = true) run result =
   Compare.rows ~ff:result.ff ~base:result.base ~inaccuracy:run.bench.Defs.inaccuracy
     ~targets
 
-let utility_rows_at ?(adjusted = true) ~epsilon run result =
+let utility_rows_at ~epsilon run result =
   let relabel (r : version_result) =
     ( Pipeline.revaluate r.ff ~epsilon,
       Baseline.revaluate r.base ~epsilon )
   in
   let ff, base = relabel result in
-  let targets =
-    if not adjusted then List.map (fun t -> (t, t)) standard_targets
-    else begin
-      match run.results with
-      | [] -> List.map (fun t -> (t, t)) standard_targets
-      | first :: _ ->
-        let ff0, base0 = relabel first in
-        adjusted_targets_for ~ff:ff0 ~ground_truth:base0.Baseline.valuation
-    end
-  in
+  let ff0, base0 = relabel (List.hd run.results) in
+  let targets = adjusted_targets_for ~ff:ff0 ~ground_truth:base0.Baseline.valuation in
   Compare.rows ~ff ~base ~inaccuracy:run.bench.Defs.inaccuracy ~targets
 
 let speedup result =

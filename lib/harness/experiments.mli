@@ -24,13 +24,12 @@ val standard_targets : float list
 
 val run_benchmark :
   ?config:Fastflip.Pipeline.config ->
-  ?versions:Ff_benchmarks.Defs.version list ->
   ?pool:Ff_support.Pool.t ->
   ?store:Fastflip.Store.t ->
   Ff_benchmarks.Defs.t ->
   benchmark_run
-(** Analyze the requested versions (default: all three) sharing one
-    incremental store; compute adjusted targets on the first version.
+(** Analyze the three versions sharing one incremental store; compute
+    adjusted targets on the first (unmodified) version.
     [pool] parallelizes both analyses; results are identical to the
     serial run for any pool width. [store] substitutes a caller-owned
     store (e.g. one loaded from disk by the bench harness's [--store])
@@ -44,7 +43,7 @@ val utility_rows :
     false — the Table 4 ablation). *)
 
 val utility_rows_at :
-  ?adjusted:bool -> epsilon:float -> benchmark_run -> version_result ->
+  epsilon:float -> benchmark_run -> version_result ->
   Fastflip.Compare.row list
 (** Same, after re-labeling both analyses under a different ε (§6.4).
     Adjusted targets are recomputed on the unmodified version's ε-relabeled

@@ -426,10 +426,36 @@ let test_evolution_smoke () =
         Alcotest.(check bool) "later commits reuse sections" true
           (s.Ff_harness.Evolution.sections_reused > 0))
     steps;
-  (* The rendered table mentions the cumulative ratio. *)
-  let rendered = Ff_harness.Evolution.render steps in
-  Alcotest.(check bool) "render mentions cumulative work" true
-    (String.length rendered > 0)
+  (* The cumulative fields are the sums of the steps' work, and their
+     ratio. *)
+  let module Json = Ff_support.Json in
+  let _, fields = Ff_harness.Evolution.fields steps in
+  let int key members =
+    match List.assoc_opt key members with
+    | Some (Json.Int i) -> i
+    | _ -> Alcotest.failf "%s is not an int" key
+  in
+  let rows =
+    match List.assoc_opt "steps" fields with
+    | Some (Json.Arr rows) ->
+      List.map
+        (function Json.Obj row -> row | _ -> Alcotest.fail "a step is not an object")
+        rows
+    | _ -> Alcotest.fail "steps is not a table"
+  in
+  Alcotest.(check int) "one row per step" (List.length steps) (List.length rows);
+  let sum key = List.fold_left (fun acc row -> acc + int key row) 0 rows in
+  let ff = sum "fastflip_work" and base = sum "baseline_work" in
+  Alcotest.(check int) "cumulative FastFlip work" ff
+    (int "cumulative work fastflip" fields);
+  Alcotest.(check int) "cumulative baseline work" base
+    (int "cumulative work baseline" fields);
+  match List.assoc_opt "cumulative speedup" fields with
+  | Some (Json.Float (x, _)) ->
+    Alcotest.(check (float 0.0)) "cumulative speedup"
+      (float_of_int base /. float_of_int ff)
+      x
+  | _ -> Alcotest.fail "cumulative speedup is not a float"
 
 let () =
   Alcotest.run "extensions"
