@@ -105,10 +105,12 @@ let table5 config =
      outcomes; no new injections run. *)
   Ff_harness.Tables.table2
     ~epsilon_label:"eps = 0.01 (small SDCs acceptable; SHA2 keeps eps = 0)"
-    (fun run result ->
-      let epsilon = run.Ff_harness.Experiments.bench.Defs.epsilon_good in
-      Ff_harness.Experiments.utility_rows_at ~epsilon run result)
-    (all_runs config)
+    (fun run result -> Ff_harness.Experiments.utility_rows run result)
+    (List.map
+       (fun run ->
+         Ff_harness.Experiments.at_epsilon
+           ~epsilon:run.Ff_harness.Experiments.bench.Defs.epsilon_good run)
+       (all_runs config))
 
 let evolution config =
   let steps =

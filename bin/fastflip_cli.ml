@@ -67,10 +67,9 @@ let check_options ~bits ~samples ~epsilon =
 (* The option-to-config mapping lives in Ff_serve.Engine so the one-shot
    commands and the daemon build the exact same configuration — the
    byte-identity contract between [analyze] and [query] depends on it. *)
-let config_of ?(epsilon = 0.0) ?model ?safety_factor ~bits ~samples ~no_prove () =
+let config_of ?(epsilon = 0.0) ?model ~bits ~samples ~no_prove () =
   check_options ~bits ~samples ~epsilon;
-  Ff_serve.Engine.config_of ?model ?safety_factor ~bits ~samples ~epsilon
-    ~prove:(not no_prove) ()
+  Ff_serve.Engine.config_of ?model ~bits ~samples ~epsilon ~prove:(not no_prove) ()
 
 (* --- arguments ----------------------------------------------------------- *)
 
@@ -113,10 +112,6 @@ let bits_arg =
 let samples_arg =
   Arg.(value & opt int 200 & info [ "samples"; "sens-samples" ] ~docv:"N"
          ~doc:"Sensitivity-analysis samples per input buffer (at least 0). The telemetry               counters $(b,sensitivity.samples_used) and $(b,sensitivity.work) in               $(b,--metrics) report how many were actually consumed and what they               cost.")
-
-let safety_factor_arg =
-  Arg.(value & opt (some float) None & info [ "sens-safety-factor" ] ~docv:"F"
-         ~doc:"Safety factor applied to sensitivity Lipschitz estimates (and to               synthesized detector thresholds, which inherit it). Default 1.25.               Part of the store key: runs with different factors never share               cached section records.")
 
 let epsilon_arg =
   Arg.(value & opt float 0.0 & info [ "epsilon" ] ~docv:"E"
@@ -188,28 +183,19 @@ let with_store ~strict store_path k =
 
 let checkpoint_every_arg =
   Arg.(value & opt int 0 & info [ "checkpoint-every" ] ~docv:"N"
-         ~doc:"Checkpoint campaign progress every $(docv) equivalence classes to               a progress log next to the store ($(b,--store) required); a killed run               restarted with $(b,--resume) replays only the unfinished classes.               0 (the default) disables checkpointing.")
-
-let resume_arg =
-  Arg.(value & flag & info [ "resume" ]
-         ~doc:"Resume from the checkpoint progress log left by a killed run               (requires $(b,--checkpoint-every)). Results are bit-identical to               an uninterrupted run.")
+         ~doc:"Checkpoint campaign progress every $(docv) equivalence classes to               a progress log next to the store ($(b,--store) required); a killed run,               restarted with the same command, restores the classes the log holds               and replays only the unfinished ones, bit-identically to an               uninterrupted run. 0 (the default) disables checkpointing.")
 
 (* The progress log outlives the process on a crash by design; it is
    removed only after [k] returns, i.e. after the store save inside it
-   succeeded. Progress chatter goes to stderr so resumed stdout diffs
-   clean against an uninterrupted run. *)
-let with_checkpoint ~store_path ~every ~resume k =
+   succeeded, so a log found on disk is a killed run's and is resumed.
+   Progress chatter goes to stderr so resumed stdout diffs clean against
+   an uninterrupted run. *)
+let with_checkpoint ~store_path ~every k =
   if every < 0 then begin
     Printf.eprintf "fastflip: --checkpoint-every must be >= 0\n";
     exit 1
   end;
-  if every = 0 then begin
-    if resume then begin
-      Printf.eprintf "fastflip: --resume requires --checkpoint-every\n";
-      exit 1
-    end;
-    k None
-  end
+  if every = 0 then k None
   else
     match store_path with
     | None ->
@@ -217,12 +203,12 @@ let with_checkpoint ~store_path ~every ~resume k =
       exit 1
     | Some path -> (
       let lpath = Fastflip.Persist.progress_path path in
-      match Fastflip.Persist.open_progress ~path ~every ~resume with
+      match Fastflip.Persist.open_progress ~path ~every with
       | Error e ->
         Printf.eprintf "fastflip: cannot open progress log %s: %s\n" lpath e;
         exit 1
       | Ok (progress, loaded, skipped) ->
-        if resume then
+        if loaded > 0 || skipped > 0 then
           Printf.eprintf "resuming: %d class outcome(s) restored from %s%s\n%!" loaded lpath
             (match skipped with
             | 0 -> ""
@@ -266,14 +252,14 @@ let run_cmd =
 (* --- analyze ---------------------------------------------------------------- *)
 
 let analyze_cmd =
-  let run path target bits samples safety_factor epsilon store_path strict jobs metrics
-      every resume no_prove model =
-    let config = config_of ~epsilon ~model ?safety_factor ~bits ~samples ~no_prove () in
+  let run path target bits samples epsilon store_path strict jobs metrics every no_prove
+      model =
+    let config = config_of ~epsilon ~model ~bits ~samples ~no_prove () in
     let analysis =
       with_metrics metrics (fun () ->
           let program = compile_file path in
           with_jobs jobs (fun pool ->
-              with_checkpoint ~store_path ~every ~resume (fun journal ->
+              with_checkpoint ~store_path ~every (fun journal ->
                   with_store ~strict store_path (fun store ->
                       Pipeline.analyze ~store ~pool ?journal config program))))
     in
@@ -282,7 +268,7 @@ let analyze_cmd =
   Cmd.v
     (Cmd.info "analyze"
        ~doc:"Run the full FastFlip analysis on a program and print the selection.")
-    Term.(const run $ file_arg $ target_arg $ bits_arg $ samples_arg $ safety_factor_arg $ epsilon_arg $ store_arg $ strict_store_arg $ jobs_arg $ metrics_arg $ checkpoint_every_arg $ resume_arg $ no_prove_arg $ fault_model_arg)
+    Term.(const run $ file_arg $ target_arg $ bits_arg $ samples_arg $ epsilon_arg $ store_arg $ strict_store_arg $ jobs_arg $ metrics_arg $ checkpoint_every_arg $ no_prove_arg $ fault_model_arg)
 
 (* --- compare ----------------------------------------------------------------- *)
 
@@ -520,8 +506,13 @@ let security_cmd =
     Arg.(value & opt (some string) None & info [ "json" ] ~docv:"FILE"
            ~doc:"Also write the findings as deterministic JSON to $(docv):                 per-finding pc (kernel/instr), attack-outcome kind, silent-damage                 site counts, and the campaign totals. The export seeds                 $(b,fastflip protect --seed-security).")
   in
-  let run name target bits samples epsilon jobs metrics no_prove model json =
-    let config = config_of ~epsilon ~model ~bits ~samples ~no_prove () in
+  let run name target bits epsilon jobs metrics model json =
+    (* The campaign is the monolithic baseline's: no sensitivity
+       sampling and no prover, so only its bits and model matter. *)
+    let config =
+      config_of ~epsilon ~model ~bits
+        ~samples:Pipeline.default_config.Pipeline.sensitivity_samples ~no_prove:false ()
+    in
     let result =
       with_metrics metrics (fun () ->
           let program = compile_program name in
@@ -542,7 +533,7 @@ let security_cmd =
   Cmd.v
     (Cmd.info "security"
        ~doc:"Attack-surface campaign: inject an attacker-style fault model               (instruction skip by default) end to end, report which sites let a               fault bypass a comparison or silently corrupt state, and what the               knapsack would protect first under that threat model.")
-    Term.(const run $ target_pos_arg $ target_arg $ bits_arg $ samples_arg $ epsilon_arg $ jobs_arg $ metrics_arg $ no_prove_arg $ security_model_arg $ json_arg)
+    Term.(const run $ target_pos_arg $ target_arg $ bits_arg $ epsilon_arg $ jobs_arg $ metrics_arg $ security_model_arg $ json_arg)
 
 (* --- protect --------------------------------------------------------------------- *)
 
@@ -567,9 +558,9 @@ let protect_cmd =
     Arg.(value & opt int 8 & info [ "max-detectors" ] ~docv:"N"
            ~doc:"Global candidate-detector pool size (the mixed optimizer                 enumerates its subsets; hard limit 16).")
   in
-  let run name target bits samples safety_factor epsilon store_path strict jobs metrics
-      no_prove model detectors pareto seed_security max_detectors =
-    let config = config_of ~epsilon ~model ?safety_factor ~bits ~samples ~no_prove () in
+  let run name target bits samples epsilon store_path strict jobs metrics no_prove model
+      detectors pareto seed_security max_detectors =
+    let config = config_of ~epsilon ~model ~bits ~samples ~no_prove () in
     let focus =
       Option.map
         (fun path ->
@@ -602,7 +593,7 @@ let protect_cmd =
   Cmd.v
     (Cmd.info "protect"
        ~doc:"Protection planning with learned runtime detectors: synthesize               range/finiteness/linear-invariant checks on section outputs from the               golden trace and benign perturbed runs, measure which SDC-Bad               equivalence classes each check actually catches by re-injecting their               pilots, and report the Pareto front where shared detectors compete               with per-instruction duplication. Deterministic for any $(b,--jobs)               width; coverage replays are cached in $(b,--store).")
-    Term.(const run $ target_pos_arg $ target_arg $ bits_arg $ samples_arg $ safety_factor_arg $ epsilon_arg $ store_arg $ strict_store_arg $ jobs_arg $ metrics_arg $ no_prove_arg $ fault_model_arg $ detectors_arg $ pareto_arg $ seed_security_arg $ max_detectors_arg)
+    Term.(const run $ target_pos_arg $ target_arg $ bits_arg $ samples_arg $ epsilon_arg $ store_arg $ strict_store_arg $ jobs_arg $ metrics_arg $ no_prove_arg $ fault_model_arg $ detectors_arg $ pareto_arg $ seed_security_arg $ max_detectors_arg)
 
 (* --- list ---------------------------------------------------------------------- *)
 

@@ -43,9 +43,6 @@ let fresh ?(p_adj = 5) ~ff ~ground_truth ~target () =
     p_adj;
   }
 
-let identity ~target =
-  { original_target = target; adjusted_target = target; m_adj = 0; p_adj = max_int }
-
 let after_modification state = { state with m_adj = state.m_adj + 1 }
 
 let needs_refresh state = state.m_adj >= state.p_adj

@@ -30,9 +30,6 @@ val fresh :
 (** Adjustment computed from a fresh simultaneous ground-truth run;
     [p_adj] defaults to 5. *)
 
-val identity : target:float -> state
-(** No adjustment (v'_trgt = v_trgt) — the §6.3 ablation. *)
-
 val after_modification : state -> state
 (** Reuse the adjusted target for a modified version; bumps m_adj. *)
 

@@ -699,7 +699,7 @@ let compact ~path =
 
 (* --- campaign progress log ------------------------------------------------------ *)
 
-(* In-flight campaign outcomes for [--checkpoint-every]/[--resume]: a
+(* In-flight campaign outcomes for [--checkpoint-every]: a
    sibling log at [path.progress] framed like a shard log under its own
    magic, appended by [append_log] under its own lock and read by the
    same salvaging frame reader. One frame is one batch: a store key plus
@@ -734,10 +734,11 @@ let read_progress lpath pg_done =
     (* A log of the earlier format (shard-log magic, fixed-width
        outcomes) would decode to garbage: refuse it by name. *)
     Error
-      (if has_magic data magic_shard then
-         Printf.sprintf "unsupported progress-log format %s (only %s is read)" magic_shard
-           magic_progress
-       else "not a FastFlip progress log")
+      ((if has_magic data magic_shard then
+          Printf.sprintf "unsupported progress-log format %s (only %s is read)" magic_shard
+            magic_progress
+        else "not a FastFlip progress log")
+      ^ "; delete it to start afresh")
   | Ok data ->
     let frames, frame_skips = Wire.read_frames ~pos:(String.length magic_progress) data in
     let batches, decode_skips = decode_payloads r_batch frames in
@@ -747,18 +748,14 @@ let read_progress lpath pg_done =
       batches;
     Ok (frame_skips + decode_skips)
 
-let open_progress ~path ~every ~resume =
+let open_progress ~path ~every =
   if every < 1 then invalid_arg "Persist.open_progress: every must be >= 1";
   let lpath = progress_path path in
   let lockfile = lpath ^ ".lock" in
   let pg_done = Hashtbl.create 256 in
   match
     with_lock ~lockfile @@ fun () ->
-    if resume && Sys.file_exists lpath then read_progress lpath pg_done
-    else begin
-      (try Sys.remove lpath with Sys_error _ -> ());
-      Ok 0
-    end
+    if Sys.file_exists lpath then read_progress lpath pg_done else Ok 0
   with
   | exception Unix.Unix_error (e, _, _) -> Error (lockfile ^ ": " ^ Unix.error_message e)
   | Error e -> Error e

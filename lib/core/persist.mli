@@ -194,15 +194,16 @@ val progress_path : string -> string
 (** [progress_path path] is the progress-log file name [path.progress]. *)
 
 val open_progress :
-  path:string -> every:int -> resume:bool -> (progress * int * int, string) result
+  path:string -> every:int -> (progress * int * int, string) result
 (** Open the progress log of the store at [path], checkpointing every
-    [every] classes ([Invalid_argument] unless [every >= 1]). With
-    [resume = false] (or no log on disk) any leftover log is discarded;
-    with [resume = true] every batch the salvaging frame reader recovers
-    is loaded and new batches are appended after it. Returns the handle,
-    the class outcomes restored and the corrupt regions skipped. [Error]
-    for an unreadable log, a file that is not a progress log, or a lock
-    file that cannot be created. *)
+    [every] classes ([Invalid_argument] unless [every >= 1]). A log left
+    by a killed run is resumed: every batch the salvaging frame reader
+    recovers is loaded and new batches are appended after it (batches
+    are keyed by store key, so those of another program or
+    configuration are never used). Returns the handle, the class
+    outcomes restored and the corrupt regions skipped. [Error] for an
+    unreadable log, a file that is not a progress log (the message says
+    to delete it), or a lock file that cannot be created. *)
 
 val progress_journal : progress -> key:Store.key -> Ff_inject.Campaign.journal
 (** One section's campaign view: its restored outcomes as [j_done], and a

@@ -96,22 +96,6 @@ let of_baseline golden ~baseline ~epsilon =
   in
   finish golden epsilon labels
 
-let with_untested t untested =
-  let add_value values (pc, count) =
-    let rec go = function
-      | [] -> [ (pc, count) ]
-      | (p, v) :: rest when p = pc -> (p, v + count) :: rest
-      | entry :: rest -> entry :: go rest
-    in
-    go values
-  in
-  let values =
-    List.fold_left add_value t.values untested
-    |> List.sort (fun (a, _) (b, _) -> Site.compare_pc a b)
-  in
-  let extra = List.fold_left (fun acc (_, c) -> acc + c) 0 untested in
-  { t with values; total_value = t.total_value + extra }
-
 let bad_labels_in_section t ~section =
   List.filter
     (fun { cls; bad } -> bad && fst cls.Eqclass.group.Eqclass.g_representative = section)

@@ -46,15 +46,6 @@ val of_baseline :
   epsilon:float ->
   t
 
-val with_untested : t -> (Ff_inject.Site.pc * int) list -> t
-(** §4.9 untested error sites: the special section s⊥. Each (pc, count)
-    adds [count] sites at [pc] that are conservatively assumed to always
-    produce an SDC-Bad outcome (O(j) = (∞, …, ∞)); they join the value
-    mass (and, if the pc is new, the cost table keeps its real dynamic
-    count of 0 — protecting an untested site is free only if it never
-    executes, which cannot happen for a real pc, so callers normally pass
-    pcs already present in the trace). *)
-
 val bad_labels_in_section : t -> section:int -> class_label list
 (** The SDC-Bad labelled classes whose pilot lives in schedule section
     [section], in label order — the per-section work list for

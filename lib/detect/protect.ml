@@ -27,7 +27,7 @@ let synth_seed (config : Pipeline.config) =
   Hashing.combine config.Pipeline.seed 0x6465746563L
 
 let run ?(pool = Pool.serial) ?backing ?(detectors_enabled = true)
-    ?max_detectors ?train ?validate ?focus (config : Pipeline.config)
+    ?max_detectors ?focus (config : Pipeline.config)
     (analysis : Pipeline.analysis) ~target =
   Telemetry.span "detect.protect" @@ fun () ->
   Telemetry.incr m_runs;
@@ -42,8 +42,7 @@ let run ?(pool = Pool.serial) ?backing ?(detectors_enabled = true)
           analysis.Pipeline.sections
       in
       let synth =
-        Synthesize.run ~pool ?train ?validate
-          ~max_perturbation:config.Pipeline.max_perturbation
+        Synthesize.run ~pool ~max_perturbation:config.Pipeline.max_perturbation
           ~safety_factor:config.Pipeline.safety_factor ?focus
           ~seed:(synth_seed config) golden ~specs
       in

@@ -25,15 +25,14 @@ val run :
   ?backing:Fastflip.Pipeline.backing ->
   ?detectors_enabled:bool ->
   ?max_detectors:int ->
-  ?train:int ->
-  ?validate:int ->
   ?focus:Ff_inject.Site.pc list ->
   Fastflip.Pipeline.config ->
   Fastflip.Pipeline.analysis ->
   target:float ->
   t
 (** Synthesis seeds from [config]'s perturbation magnitude, safety
-    factor, and RNG seed, so the whole protect run is a pure function
+    factor, and RNG seed, with {!Synthesize.run}'s default training and
+    validation run counts, so the whole protect run is a pure function
     of (program, config, target, focus) — byte-identical at any pool
     width. [target] is converted by {!Fastflip.Knapsack.integer_target}.
     Coverage replays go through [backing] when given, reusing cached

@@ -37,22 +37,35 @@ let run_version ?pool config store bench version =
     base_work = base.Baseline.work;
   }
 
-let adjusted_targets_for ~ff ~ground_truth =
-  List.map
-    (fun target ->
-      (target, Adjust.compute_adjusted_target ~ff ~ground_truth ~target))
-    standard_targets
+(* Adjusted targets come from the first (unmodified) version. *)
+let of_results bench results =
+  let first = List.hd results in
+  let adjusted_targets =
+    List.map
+      (fun target ->
+        ( target,
+          Adjust.compute_adjusted_target ~ff:first.ff
+            ~ground_truth:first.base.Baseline.valuation ~target ))
+      standard_targets
+  in
+  { bench; results; adjusted_targets }
 
 let run_benchmark ?(config = Pipeline.default_config) ?pool ?store bench =
   let store =
     match store with Some store -> store | None -> Fastflip.Store.create ()
   in
-  let results = List.map (run_version ?pool config store bench) Defs.all_versions in
-  let first = List.hd results in
-  let adjusted_targets =
-    adjusted_targets_for ~ff:first.ff ~ground_truth:first.base.Baseline.valuation
-  in
-  { bench; results; adjusted_targets }
+  of_results bench (List.map (run_version ?pool config store bench) Defs.all_versions)
+
+let at_epsilon ~epsilon run =
+  of_results run.bench
+    (List.map
+       (fun r ->
+         {
+           r with
+           ff = Pipeline.revaluate r.ff ~epsilon;
+           base = Baseline.revaluate r.base ~epsilon;
+         })
+       run.results)
 
 let utility_rows ?(adjusted = true) run result =
   let targets =
@@ -61,16 +74,6 @@ let utility_rows ?(adjusted = true) run result =
   in
   Compare.rows ~ff:result.ff ~base:result.base ~inaccuracy:run.bench.Defs.inaccuracy
     ~targets
-
-let utility_rows_at ~epsilon run result =
-  let relabel (r : version_result) =
-    ( Pipeline.revaluate r.ff ~epsilon,
-      Baseline.revaluate r.base ~epsilon )
-  in
-  let ff, base = relabel result in
-  let ff0, base0 = relabel (List.hd run.results) in
-  let targets = adjusted_targets_for ~ff:ff0 ~ground_truth:base0.Baseline.valuation in
-  Compare.rows ~ff ~base ~inaccuracy:run.bench.Defs.inaccuracy ~targets
 
 let speedup result =
   if result.ff_work = 0 then infinity

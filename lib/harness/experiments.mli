@@ -36,18 +36,17 @@ val run_benchmark :
     for the default fresh one — a warm store turns repeat analyses into
     pure reuse, which changes the work accounting the tables report. *)
 
+val at_epsilon : epsilon:float -> benchmark_run -> benchmark_run
+(** The run re-labeled under a different ε (§6.4): each version's two
+    analyses relabeled once from their stored outcomes (no injection
+    runs), and the adjusted targets recomputed on the unmodified
+    version's relabeled analyses. *)
+
 val utility_rows :
   ?adjusted:bool -> benchmark_run -> version_result -> Fastflip.Compare.row list
 (** The Table 2 rows of one version: one row per standard target, using
     the run's adjusted targets (or the raw targets when [adjusted] is
     false — the Table 4 ablation). *)
-
-val utility_rows_at :
-  epsilon:float -> benchmark_run -> version_result ->
-  Fastflip.Compare.row list
-(** Same, after re-labeling both analyses under a different ε (§6.4).
-    Adjusted targets are recomputed on the unmodified version's ε-relabeled
-    analyses. *)
 
 val speedup : version_result -> float
 (** base_work / ff_work. *)

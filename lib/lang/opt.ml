@@ -204,61 +204,6 @@ let remove_unreachable (kernel : Kernel.t) =
   visit 0;
   if Array.for_all Fun.id reachable then kernel else filter_code kernel reachable
 
-(* --- common subexpression elimination ------------------------------------ *)
-
-(* Available-expression key: the instruction with its destination field
-   normalized away. *)
-let cse_key instr =
-  match (instr : Instr.t) with
-  | Instr.Ibin (op, _, a, b) -> Some (Instr.Ibin (op, 0, a, b))
-  | Instr.Fbin (op, _, a, b) -> Some (Instr.Fbin (op, 0, a, b))
-  | Instr.Iun (op, _, a) -> Some (Instr.Iun (op, 0, a))
-  | Instr.Fun1 (op, _, a) -> Some (Instr.Fun1 (op, 0, a))
-  | Instr.Icmp (c, _, a, b) -> Some (Instr.Icmp (c, 0, a, b))
-  | Instr.Fcmp (c, _, a, b) -> Some (Instr.Fcmp (c, 0, a, b))
-  | Instr.Cast (c, _, a) -> Some (Instr.Cast (c, 0, a))
-  | Instr.Select (_, c, a, b) -> Some (Instr.Select (0, c, a, b))
-  | Instr.Iconst (_, v) -> Some (Instr.Iconst (0, v))
-  | Instr.Fconst (_, v) -> Some (Instr.Fconst (0, v))
-  (* Loads are not CSE'd: a Store in between may change the element, and
-     tracking buffer aliasing is not worth it at this scale. *)
-  | Instr.Mov _ | Instr.Load _ | Instr.Store _ | Instr.Jmp _ | Instr.Br _ | Instr.Halt ->
-    None
-
-let common_subexpressions (kernel : Kernel.t) =
-  let code = Array.copy kernel.Kernel.code in
-  let n = Array.length code in
-  let targets = branch_targets code in
-  let available : (Instr.t, Instr.reg) Hashtbl.t = Hashtbl.create 64 in
-  let invalidate r =
-    (* Drop every available expression that reads or is held in r. *)
-    let stale =
-      Hashtbl.fold
-        (fun key holder acc ->
-          if holder = r || List.mem r (Instr.srcs key) then key :: acc else acc)
-        available []
-    in
-    List.iter (Hashtbl.remove available) stale
-  in
-  for i = 0 to n - 1 do
-    if targets.(i) then Hashtbl.reset available;
-    let instr = code.(i) in
-    (match (cse_key instr, Instr.dst instr) with
-    | Some key, Some d -> (
-      match Hashtbl.find_opt available key with
-      | Some holder when holder <> d ->
-        code.(i) <- Instr.Mov (d, holder);
-        invalidate d
-      | Some _ | None ->
-        invalidate d;
-        (* Only register the value if the destination is not one of its
-           own operands (else the source value is gone). *)
-        if not (List.mem d (Instr.srcs key)) then Hashtbl.replace available key d)
-    | _, Some d -> invalidate d
-    | _, None -> ())
-  done;
-  { kernel with Kernel.code = code }
-
 (* --- dead code elimination ---------------------------------------------- *)
 
 let is_pure = function

@@ -32,15 +32,6 @@ val simplify_jumps : Ff_ir.Kernel.t -> Ff_ir.Kernel.t
 val remove_unreachable : Ff_ir.Kernel.t -> Ff_ir.Kernel.t
 (** Delete instructions not reachable from the entry, remapping labels. *)
 
-val common_subexpressions : Ff_ir.Kernel.t -> Ff_ir.Kernel.t
-(** Local (basic-block) common-subexpression elimination: a pure
-    instruction recomputing an available (opcode, operands) value becomes
-    a [Mov] from the register that already holds it. NOT part of
-    {!optimize}: the paper's Small modifications are hand-applied CSE, and
-    folding it into the default pipeline would erase the very difference
-    between the None and Small benchmark versions. Offered for clients
-    that want a more aggressive compiler. *)
-
 (** Static backward register liveness over a kernel's CFG (use/def from
     {!Ff_ir.Instr.srcs}/{!Ff_ir.Instr.dst}, the fall-through or branch
     targets as successors). Its one user is {!dead_code_elimination}.

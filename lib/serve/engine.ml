@@ -17,8 +17,8 @@ let m_slow_path = Telemetry.counter "serve.slow_path"
 let m_latency = Telemetry.histogram ~volatile:true "serve.latency_us"
 let m_warm_latency = Telemetry.histogram ~volatile:true "serve.warm_latency_us"
 
-let config_of ?(model = Ff_inject.Fault_model.default) ?safety_factor ~bits
-    ~samples ~epsilon ~prove () =
+let config_of ?(model = Ff_inject.Fault_model.default) ~bits ~samples ~epsilon ~prove
+    () =
   let bit_list =
     match bits with
     | [] -> Site.default_bits
@@ -32,9 +32,6 @@ let config_of ?(model = Ff_inject.Fault_model.default) ?safety_factor ~bits
     Pipeline.campaign =
       { Campaign.default_config with Campaign.bits = bit_list; model; prove };
     sensitivity_samples = samples;
-    safety_factor =
-      Option.value ~default:Pipeline.default_config.Pipeline.safety_factor
-        safety_factor;
     epsilon;
   }
 

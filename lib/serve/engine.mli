@@ -67,7 +67,6 @@ val cache_size : t -> int
 
 val config_of :
   ?model:Ff_inject.Fault_model.t ->
-  ?safety_factor:float ->
   bits:int list ->
   samples:int ->
   epsilon:float ->
@@ -78,8 +77,9 @@ val config_of :
     and the daemon so both sides of the byte-identity contract build the
     exact same analysis configuration. [bits = []] means the default
     stratified subset; [model] defaults to single-bit register flips;
-    [safety_factor] defaults to the pipeline's 1.25 sensitivity margin.
-    It does not validate: callers that take options from a user run
+    every other field is {!Fastflip.Pipeline.default_config}'s, so each
+    option that changes the analysis is a {!Protocol.query} field. It
+    does not validate: callers that take options from a user run
     {!check_options} first. *)
 
 val check_options :

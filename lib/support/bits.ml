@@ -2,17 +2,6 @@ let flip w b =
   assert (b >= 0 && b < 64);
   Int64.logxor w (Int64.shift_left 1L b)
 
-let test w b =
-  assert (b >= 0 && b < 64);
-  Int64.logand (Int64.shift_right_logical w b) 1L = 1L
-
-let float_of_bits = Int64.float_of_bits
 let bits_of_float = Int64.bits_of_float
 
-let flip_float x b = float_of_bits (flip (bits_of_float x) b)
-
-let popcount w =
-  let rec go acc w = if w = 0L then acc else go (acc + 1) (Int64.logand w (Int64.sub w 1L)) in
-  go 0 w
-
-let hamming a b = popcount (Int64.logxor a b)
+let flip_float x b = Int64.float_of_bits (flip (bits_of_float x) b)

@@ -8,20 +8,8 @@ val flip : int64 -> int -> int64
 (** [flip w b] toggles bit [b] (0 = least significant) of [w].
     Requires [0 <= b < 64]. *)
 
-val test : int64 -> int -> bool
-(** [test w b] is the value of bit [b] of [w]. *)
-
-val float_of_bits : int64 -> float
-(** IEEE-754 reinterpretation, inverse of {!bits_of_float}. *)
-
 val bits_of_float : float -> int64
 (** IEEE-754 reinterpretation of a double. *)
 
 val flip_float : float -> int -> float
 (** [flip_float x b] flips bit [b] of the IEEE-754 representation of [x]. *)
-
-val popcount : int64 -> int
-(** Number of set bits. *)
-
-val hamming : int64 -> int64 -> int
-(** Hamming distance between two words. *)

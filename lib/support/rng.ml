@@ -4,8 +4,6 @@ let golden_gamma = 0x9E3779B97F4A7C15L
 
 let create seed = { state = seed }
 
-let copy t = { state = t.state }
-
 let mix z =
   let z = Int64.mul (Int64.logxor z (Int64.shift_right_logical z 30)) 0xBF58476D1CE4E5B9L in
   let z = Int64.mul (Int64.logxor z (Int64.shift_right_logical z 27)) 0x94D049BB133111EBL in
@@ -14,15 +12,6 @@ let mix z =
 let int64 t =
   t.state <- Int64.add t.state golden_gamma;
   mix t.state
-
-let split t =
-  let seed = int64 t in
-  { state = mix (Int64.logxor seed 0xA5A5A5A5A5A5A5A5L) }
-
-let bits t n =
-  if n <= 0 then 0L
-  else if n >= 64 then int64 t
-  else Int64.logand (int64 t) (Int64.sub (Int64.shift_left 1L n) 1L)
 
 let int t bound =
   assert (bound > 0);

@@ -1,7 +1,3 @@
-let mean = function
-  | [] -> 0.0
-  | xs -> List.fold_left ( +. ) 0.0 xs /. float_of_int (List.length xs)
-
 let geomean = function
   | [] -> 0.0
   | xs ->
@@ -13,15 +9,6 @@ let geomean = function
         0.0 xs
     in
     exp (log_sum /. float_of_int (List.length xs))
-
-let variance xs =
-  match xs with
-  | [] | [ _ ] -> 0.0
-  | _ ->
-    let m = mean xs in
-    mean (List.map (fun x -> (x -. m) *. (x -. m)) xs)
-
-let stddev xs = sqrt (variance xs)
 
 let min_max = function
   | [] -> invalid_arg "Stats.min_max: empty list"
@@ -39,23 +26,3 @@ let percentile p = function
     arr.(max 0 (min (n - 1) (rank - 1)))
 
 let median xs = percentile 50.0 xs
-
-type summary = {
-  count : int;
-  mean : float;
-  stddev : float;
-  min : float;
-  max : float;
-  median : float;
-}
-
-let summarize xs =
-  let lo, hi = min_max xs in
-  {
-    count = List.length xs;
-    mean = mean xs;
-    stddev = stddev xs;
-    min = lo;
-    max = hi;
-    median = median xs;
-  }

@@ -1,18 +1,9 @@
-(** Small statistics toolkit used by the sensitivity analysis and the
-    experiment harness (geomeans, percentiles, summaries). *)
-
-val mean : float list -> float
-(** Arithmetic mean; 0 on the empty list. *)
+(** Small statistics toolkit used by the experiment harness, the bench
+    and the repository benchmark (geomeans, extremes, percentiles). *)
 
 val geomean : float list -> float
 (** Geometric mean of strictly positive values; 0 on the empty list.
     Raises [Invalid_argument] if any value is not positive. *)
-
-val variance : float list -> float
-(** Population variance; 0 on lists shorter than 2. *)
-
-val stddev : float list -> float
-(** Population standard deviation. *)
 
 val min_max : float list -> float * float
 (** Smallest and largest value. Raises [Invalid_argument] on []. *)
@@ -23,16 +14,3 @@ val percentile : float -> float list -> float
 
 val median : float list -> float
 (** 50th percentile. *)
-
-type summary = {
-  count : int;
-  mean : float;
-  stddev : float;
-  min : float;
-  max : float;
-  median : float;
-}
-(** One-shot descriptive summary of a sample. *)
-
-val summarize : float list -> summary
-(** Raises [Invalid_argument] on []. *)

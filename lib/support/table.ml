@@ -1,12 +1,10 @@
 type align = Left | Right | Center
 
-type row = Cells of string list | Separator
-
 type t = {
   title : string option;
   headers : string list;
   aligns : align list;
-  mutable rows : row list; (* reversed *)
+  mutable rows : string list list; (* reversed *)
 }
 
 let create ?title cols =
@@ -15,9 +13,7 @@ let create ?title cols =
 let add_row t cells =
   if List.length cells <> List.length t.headers then
     invalid_arg "Table.add_row: arity mismatch";
-  t.rows <- Cells cells :: t.rows
-
-let add_separator t = t.rows <- Separator :: t.rows
+  t.rows <- cells :: t.rows
 
 let pad align width s =
   let n = String.length s in
@@ -31,16 +27,10 @@ let pad align width s =
       String.make l ' ' ^ s ^ String.make (width - n - l) ' '
 
 let render t =
-  (* A separator right before the closing rule would render as a double
-     line; drop trailing separators. *)
-  let rec strip = function Separator :: tl -> strip tl | rows -> rows in
-  let rows = List.rev (strip t.rows) in
+  let rows = List.rev t.rows in
   let widths = Array.of_list (List.map String.length t.headers) in
   List.iter
-    (function
-      | Separator -> ()
-      | Cells cs ->
-        List.iteri (fun i c -> widths.(i) <- max widths.(i) (String.length c)) cs)
+    (List.iteri (fun i c -> widths.(i) <- max widths.(i) (String.length c)))
     rows;
   let rule =
     "+"
@@ -66,8 +56,8 @@ let render t =
   Buffer.add_string buf rule;
   Buffer.add_char buf '\n';
   List.iter
-    (fun r ->
-      (match r with Separator -> Buffer.add_string buf rule | Cells cs -> Buffer.add_string buf (line cs));
+    (fun cs ->
+      Buffer.add_string buf (line cs);
       Buffer.add_char buf '\n')
     rows;
   Buffer.add_string buf rule;

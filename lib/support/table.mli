@@ -15,9 +15,6 @@ val add_row : t -> string list -> unit
 (** Append a data row. Raises [Invalid_argument] if the arity differs
     from the header. *)
 
-val add_separator : t -> unit
-(** Append a horizontal rule between data rows. *)
-
 val render : t -> string
 (** Lay out the table with box-drawing rules and aligned cells. *)
 

@@ -2,11 +2,7 @@ let truthy = function
   | "1" | "true" | "yes" | "on" -> true
   | _ -> false
 
-let enabled_cell =
-  Atomic.make
-    (match Sys.getenv_opt "FF_TELEMETRY" with
-    | Some v -> truthy v
-    | None -> false)
+let enabled_cell = Atomic.make false
 
 let enabled () = Atomic.get enabled_cell
 let set_enabled v = Atomic.set enabled_cell v

@@ -19,10 +19,10 @@
     {- {b progress}: a rate-limited [done/total + ETA] stderr line for
        long campaigns.}}
 
-    {b Disabled-path cost.} The registry starts disabled (unless the
-    [FF_TELEMETRY] environment variable is truthy) and every probe
-    checks one atomic boolean first: a disabled counter bump or span is
-    a single load-and-branch. Handles are interned once at module
+    {b Disabled-path cost.} The registry starts disabled ({!set_enabled}
+    turns it on; the CLI's and the bench's [--metrics] do) and every
+    probe checks one atomic boolean first: a disabled counter bump or
+    span is a single load-and-branch. Handles are interned once at module
     initialization, never on the hot path.
 
     {b Determinism.} Deterministic quantities (counters, histograms,
@@ -37,8 +37,7 @@ type counter
 type histogram
 
 val enabled : unit -> bool
-(** Whether probes currently record. Initially the truthiness of the
-    [FF_TELEMETRY] environment variable ([1]/[true]/[yes]/[on]). *)
+(** Whether probes currently record. Initially [false]. *)
 
 val set_enabled : bool -> unit
 

@@ -2,8 +2,9 @@
 # Crash-recovery smoke: run the CLI analysis once for reference, run it
 # again with checkpointing enabled and SIGKILL it mid-campaign (the
 # FF_PERSIST_KILL_AFTER hook kills the process right after a progress-log
-# append reaches the disk — the worst-timed real kill), then resume and
-# require the resumed stdout and every file of the resumed store to be
+# append reaches the disk — the worst-timed real kill), then rerun the
+# same command, which resumes from the progress log, and require the
+# resumed stdout and every file of the resumed store to be
 # identical to the uninterrupted run's.
 # Also available as a dune alias: dune build @crash-smoke
 set -eu
@@ -42,8 +43,9 @@ FF_PERSIST_KILL_AFTER=2 $FASTFLIP $ARGS \
 [ -s "$WORK/crash.store.progress" ] || fail "no progress log survived the kill"
 [ ! -e "$WORK/crash.store" ] || fail "killed run should not have saved a store"
 
-# 3. Resume: replay only the unfinished classes, finish, save, clean up.
-$FASTFLIP $ARGS --store "$WORK/crash.store" --checkpoint-every 2 --resume \
+# 3. The same command again resumes: it replays only the unfinished
+#    classes, finishes, saves and cleans up.
+$FASTFLIP $ARGS --store "$WORK/crash.store" --checkpoint-every 2 \
   >"$WORK/resumed.out" 2>"$WORK/resume.err" || fail "resumed run failed"
 grep -q "^resuming: [1-9][0-9]* class outcome(s) restored from $WORK/crash.store.progress" \
   "$WORK/resume.err" || fail "resume did not restore progress-log outcomes"

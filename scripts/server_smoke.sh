@@ -7,6 +7,8 @@
 #     prints (a failed compile is never cached),
 #   - a non-finite target refused and a huge one clamped to 1.0, by
 #     both the CLI and the daemon,
+#   - the same report from both off the default options (every analyze
+#     option that changes the analysis is a query field),
 #   - a clean shutdown on SIGTERM (store saved, socket removed),
 #   - a BENCH_server.json from the bench harness, which checks its own
 #     floors (among them a warm p50 at least 10x below the cold request).
@@ -137,7 +139,16 @@ for out in huge_oneshot huge_query; do
     || fail "$out: -t 1e300 report differs from -t 1.0"
 done
 
-# 7. Clean SIGTERM shutdown: daemon saves its store, removes the socket,
+# 7. Off the defaults: epsilon, prover, fault model and target all reach
+#    the daemon, so query still reports exactly what analyze does.
+OFF="examples/pipeline.ff --epsilon 0.01 --no-prove --fault-model bitflip:2 -t 0.95"
+$FASTFLIP analyze $OFF >"$WORK/off_oneshot.out" 2>/dev/null \
+  || fail "analyze off the defaults failed"
+$FASTFLIP query "$SOCK" $OFF >"$WORK/off_query.out" || fail "query off the defaults failed"
+diff -u "$WORK/off_oneshot.out" "$WORK/off_query.out" >&2 \
+  || fail "query off the defaults differs from one-shot analyze"
+
+# 8. Clean SIGTERM shutdown: daemon saves its store, removes the socket,
 #    and exits 0.
 kill -TERM "$SERVER_PID"
 tries=0
@@ -153,7 +164,7 @@ grep -q "shut down cleanly" "$WORK/server.out" || fail "daemon did not report a 
 [ ! -e "$SOCK" ] || fail "daemon left its socket behind"
 [ -s "$WORK/serve.store" ] || fail "daemon did not save its store on shutdown"
 
-# 8. Bench artifact: honest cold/warm numbers over the same transport.
+# 9. Bench artifact: honest cold/warm numbers over the same transport.
 #    The bench exits 1 when a floor fails (warm p50 at least 10x below
 #    cold, among others), after writing the JSON, which is kept either way.
 ROOT=$(pwd)
@@ -164,4 +175,4 @@ bench_status=0
 [ "$bench_status" -eq 0 ] \
   || { cat "$WORK/bench.out" >&2; fail "bench server artifact failed"; }
 
-echo "server smoke: OK (cold ${cold_ms}ms, 4 warm clients ${warm4_ms}ms, byte-identical, compile errors identical, targets clamped, clean SIGTERM)"
+echo "server smoke: OK (cold ${cold_ms}ms, 4 warm clients ${warm4_ms}ms, byte-identical, compile errors identical, targets clamped, off-default options identical, clean SIGTERM)"

@@ -24,9 +24,9 @@ let crashing ~after progress =
     }
 
 (* Open the progress log of the store at [path], checkpointing every 2
-   classes. *)
-let open_progress ~path ~resume =
-  match Persist.open_progress ~path ~every:2 ~resume with
+   classes; a log already there is resumed. *)
+let open_progress ~path =
+  match Persist.open_progress ~path ~every:2 with
   | Ok opened -> opened
   | Error e -> Alcotest.failf "open_progress %s: %s" path e
 
@@ -41,10 +41,10 @@ let remove_store ?(keep_progress = false) path =
       List.iter (fun f -> try Sys.remove f with Sys_error _ -> ()) [ f; f ^ ".lock" ])
     ((path :: progress) @ shards)
 
-(* The killed run: a fresh progress log, then a crash right after the
-   [after]-th durable batch. *)
+(* The killed run, on a store path with no progress log yet: a crash
+   right after the [after]-th durable batch. *)
 let kill ?pool ~after ~path config program =
-  let progress, _, _ = open_progress ~path ~resume:false in
+  let progress, _, _ = open_progress ~path in
   match Pipeline.analyze ?pool ~journal:(crashing ~after progress) config program with
   | _ -> Alcotest.failf "%s: expected the simulated crash" path
   | exception Crash -> ()
@@ -53,7 +53,7 @@ let kill ?pool ~after ~path config program =
    (as the CLI does after its store save). Returns the analysis and the
    restored and skipped counts. *)
 let resume ?pool ~path config program =
-  let progress, loaded, skipped = open_progress ~path ~resume:true in
+  let progress, loaded, skipped = open_progress ~path in
   let analysis = Pipeline.analyze ?pool ~journal:(journal_of progress) config program in
   Persist.remove_progress progress;
   if Sys.file_exists (Persist.progress_path path) then

@@ -846,36 +846,37 @@ let test_checkpoint_survives_torn_tail () =
   (* A crash between the log's creation and its first write leaves it
      empty: that resumes as an empty log, not an error. *)
   spit lpath "";
-  let _, loaded, skipped = Kill_resume.open_progress ~path ~resume:true in
+  let _, loaded, skipped = Kill_resume.open_progress ~path in
   Alcotest.(check (pair int int)) "empty log resumes empty" (0, 0) (loaded, skipped);
   Kill_resume.remove_store path
 
 (* A progress log keeps its own magic: a log of the earlier format (the
-   shard-log magic, fixed-width outcomes) or a foreign file is refused on
-   resume with one line, never misread; a fresh run discards either. *)
+   shard-log magic, fixed-width outcomes) or a foreign file is refused
+   with one line that says to delete it, never misread, and left as it
+   was. *)
 let test_progress_log_format_refused () =
   let path = Filename.temp_file "ffprogress" ".bin" in
   let lpath = Persist.progress_path path in
   let refused data expected =
     spit lpath data;
-    (match Persist.open_progress ~path ~every:2 ~resume:true with
+    (match Persist.open_progress ~path ~every:2 with
     | Error e -> Alcotest.(check string) "refusal" expected e
     | Ok _ -> Alcotest.failf "%S resumed" (String.sub data 0 8));
-    let _, loaded, _ = Kill_resume.open_progress ~path ~resume:false in
-    Alcotest.(check int) "a fresh run discards it" 0 loaded;
-    Alcotest.(check bool) "discarded" false (Sys.file_exists lpath)
+    Alcotest.(check string) "left in place" data (slurp lpath);
+    Sys.remove lpath
   in
   refused
     ("FFSHARD2" ^ Wire.frame "batch")
-    "unsupported progress-log format FFSHARD2 (only FFPROGL1 is read)";
-  refused "FFSTORE4 not a log" "not a FastFlip progress log";
-  let progress, _, _ = Kill_resume.open_progress ~path ~resume:false in
+    "unsupported progress-log format FFSHARD2 (only FFPROGL1 is read); delete it to start \
+     afresh";
+  refused "FFSTORE4 not a log" "not a FastFlip progress log; delete it to start afresh";
+  let progress, _, _ = Kill_resume.open_progress ~path in
   let key = { Store.code_hash = 1L; input_hash = 2L; config_hash = 3L } in
   (Persist.progress_journal progress ~key).Campaign.j_append
     [ (0, Ff_inject.Outcome.S_detected Ff_inject.Outcome.Crash, 5) ];
   Alcotest.(check string) "a new log starts with its magic" "FFPROGL1"
     (String.sub (slurp lpath) 0 8);
-  let progress, loaded, skipped = Kill_resume.open_progress ~path ~resume:true in
+  let progress, loaded, skipped = Kill_resume.open_progress ~path in
   Alcotest.(check (pair int int)) "and resumes" (1, 0) (loaded, skipped);
   Persist.remove_progress progress;
   Kill_resume.remove_store path
@@ -899,7 +900,7 @@ let test_progress_log_invisible_to_store () =
      compacted_info)
   in
   let without_log = observe () in
-  let progress, _, _ = Kill_resume.open_progress ~path ~resume:false in
+  let progress, _, _ = Kill_resume.open_progress ~path in
   let key = (List.hd (Store.records store)).Store.rec_key in
   (Persist.progress_journal progress ~key).Campaign.j_append
     [ (0, Ff_inject.Outcome.S_detected Ff_inject.Outcome.Crash, 7) ];
@@ -941,12 +942,6 @@ let test_crash_safety_counters_in_metrics () =
     ]
 
 (* --- adjust / compare --------------------------------------------------------- *)
-
-let test_adjust_identity () =
-  let st = Adjust.identity ~target:0.9 in
-  Alcotest.(check (float 0.0)) "no adjustment" 0.9 st.Adjust.adjusted_target;
-  Alcotest.(check bool) "never refreshes" false
-    (Adjust.needs_refresh (Adjust.after_modification st))
 
 let test_adjust_refresh_counter () =
   let a = Lazy.force analysis in
@@ -1050,7 +1045,6 @@ let () =
         ] );
       ( "adjust/compare",
         [
-          Alcotest.test_case "identity" `Quick test_adjust_identity;
           Alcotest.test_case "refresh counter" `Quick test_adjust_refresh_counter;
           Alcotest.test_case "adjusted target achieves" `Quick test_adjusted_target_achieves;
           Alcotest.test_case "compare row" `Quick test_compare_row_fields;

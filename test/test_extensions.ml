@@ -1,5 +1,6 @@
 (* Tests for the extension features: burst error model, cost models,
-   common-subexpression elimination, untested sites, store persistence,
+   the optimizer keeping the None and Small versions apart (Small is
+   hand-applied CSE), the empty untested-site set, store persistence,
    and the evolution experiment. *)
 
 module Site = Ff_inject.Site
@@ -8,7 +9,6 @@ module Fault_model = Ff_inject.Fault_model
 module Machine = Ff_vm.Machine
 module Golden = Ff_vm.Golden
 module Frontend = Ff_lang.Frontend
-module Opt = Ff_lang.Opt
 open Fastflip
 
 let compile src = Result.get_ok (Frontend.compile src)
@@ -152,53 +152,6 @@ let test_expand_block_selection () =
 
 (* --- CSE ----------------------------------------------------------------------- *)
 
-let test_cse_removes_duplicate_computation () =
-  let src =
-    {|output buffer res : float[2] = zeros;
-kernel k(x: float, out res: float[]) {
-  res[0] = x * x + 1.0;
-  res[1] = x * x + 2.0;
-}
-schedule { call k(1.5, res); }|}
-  in
-  let program = compile src in
-  let k = Option.get (Ff_ir.Program.find_kernel program "k") in
-  let count_mul kernel =
-    Array.fold_left
-      (fun acc i ->
-        match i with Ff_ir.Instr.Fbin (Ff_ir.Instr.Fmul, _, _, _) -> acc + 1 | _ -> acc)
-      0 kernel.Ff_ir.Kernel.code
-  in
-  Alcotest.(check int) "two multiplies before CSE" 2 (count_mul k);
-  let after = Opt.dead_code_elimination (Opt.copy_propagate (Opt.common_subexpressions k)) in
-  Alcotest.(check int) "one multiply after CSE" 1 (count_mul after);
-  (match Ff_ir.Kernel.validate after with
-  | Ok () -> ()
-  | Error { Ff_ir.Kernel.message; _ } -> Alcotest.failf "invalid after CSE: %s" message)
-
-let test_cse_preserves_semantics () =
-  List.iter
-    (fun b ->
-      let src = b.Ff_benchmarks.Defs.source Ff_benchmarks.Defs.V_none in
-      let program = compile src in
-      let cse_program =
-        {
-          program with
-          Ff_ir.Program.kernels =
-            List.map
-              (fun k ->
-                Opt.dead_code_elimination
-                  (Opt.copy_propagate (Opt.common_subexpressions k)))
-              program.Ff_ir.Program.kernels;
-        }
-      in
-      let out g =
-        Golden.outputs g |> List.map (fun (_, n, v) -> (n, Array.to_list v))
-      in
-      if out (Golden.run program) <> out (Golden.run cse_program) then
-        Alcotest.failf "%s: CSE changed outputs" b.Ff_benchmarks.Defs.name)
-    Ff_benchmarks.Registry.all
-
 let test_cse_not_in_default_pipeline () =
   (* The BScholes Small modification IS hand-applied CSE; the default
      pipeline must not collapse None into it. *)
@@ -213,31 +166,45 @@ let test_cse_not_in_default_pipeline () =
 
 (* --- untested sites -------------------------------------------------------------- *)
 
-let test_untested_sites_add_value () =
-  let a = Lazy.force analysis in
-  let v = a.Pipeline.valuation in
-  let pc = fst (List.hd v.Valuation.values) in
-  let v' = Valuation.with_untested v [ (pc, 100) ] in
-  Alcotest.(check int) "total grows" (v.Valuation.total_value + 100) v'.Valuation.total_value;
-  Alcotest.(check int) "pc value grows" (Valuation.value_of v pc + 100)
-    (Valuation.value_of v' pc);
-  (* A fresh pc gets its own entry. *)
-  let ghost = { Site.kernel = 7; instr = 99 } in
-  let v'' = Valuation.with_untested v [ (ghost, 5) ] in
-  Alcotest.(check int) "fresh pc value" 5 (Valuation.value_of v'' ghost)
-
-let test_untested_sites_affect_selection () =
-  let a = Lazy.force analysis in
-  let v = a.Pipeline.valuation in
-  (* Give one pc a dominating untested mass: any selection achieving 90%
-     must include it. *)
-  let pc = fst (List.hd v.Valuation.values) in
-  let v' = Valuation.with_untested v [ (pc, v.Valuation.total_value * 10) ] in
-  let sol = Knapsack.solve (Knapsack.items_of_valuation v') in
-  let target = int_of_float (0.9 *. float_of_int (Knapsack.max_value sol)) in
-  let sel = Knapsack.select sol ~target in
-  Alcotest.(check bool) "dominating untested pc selected" true
-    (List.mem pc sel.Knapsack.pcs)
+(* §4.9 sends error sites the campaigns never reach to a section s⊥.
+   Golden.run executes nothing but the schedule's kernel calls, so every
+   dynamic instruction lies in a section and s⊥ is empty. *)
+let test_no_untested_sites () =
+  let check name program =
+    let g = Golden.run program in
+    Alcotest.(check int)
+      (name ^ ": one section per call")
+      (List.length program.Ff_ir.Program.schedule)
+      (Array.length g.Golden.sections);
+    Array.iter
+      (fun (s : Golden.section_run) ->
+        Alcotest.(check int) (name ^ ": trace length") s.Golden.dyn_count
+          (Array.length s.Golden.trace);
+        Array.iter
+          (fun pc ->
+            if pc < 0 || pc >= Array.length s.Golden.kernel.Ff_ir.Kernel.code then
+              Alcotest.failf "%s: section %d traces pc %d outside its kernel" name
+                s.Golden.section_index pc)
+          s.Golden.trace)
+      g.Golden.sections;
+    Alcotest.(check int)
+      (name ^ ": total_dyn is the sections' sum")
+      g.Golden.total_dyn
+      (Array.fold_left (fun acc s -> acc + s.Golden.dyn_count) 0 g.Golden.sections)
+  in
+  List.iter
+    (fun (b : Ff_benchmarks.Defs.t) ->
+      List.iter
+        (fun v ->
+          check
+            (b.Ff_benchmarks.Defs.name ^ "/" ^ Ff_benchmarks.Defs.version_name v)
+            (compile (b.Ff_benchmarks.Defs.source v)))
+        Ff_benchmarks.Defs.all_versions)
+    Ff_benchmarks.Registry.all;
+  let path =
+    List.find Sys.file_exists [ "../examples/pipeline.ff"; "examples/pipeline.ff" ]
+  in
+  check "pipeline.ff" (compile (In_channel.with_open_bin path In_channel.input_all))
 
 (* --- persistence ------------------------------------------------------------------- *)
 
@@ -477,14 +444,12 @@ let () =
         ] );
       ( "cse",
         [
-          Alcotest.test_case "removes duplicates" `Quick test_cse_removes_duplicate_computation;
-          Alcotest.test_case "preserves semantics" `Quick test_cse_preserves_semantics;
           Alcotest.test_case "not in default pipeline" `Quick test_cse_not_in_default_pipeline;
         ] );
       ( "untested sites",
         [
-          Alcotest.test_case "adds value" `Quick test_untested_sites_add_value;
-          Alcotest.test_case "affects selection" `Quick test_untested_sites_affect_selection;
+          Alcotest.test_case "every dynamic instruction lies in a section" `Quick
+            test_no_untested_sites;
         ] );
       ( "persistence",
         [

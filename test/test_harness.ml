@@ -76,10 +76,23 @@ let test_utility_rows_arity () =
       Alcotest.(check int) "three rows per version" 3
         (List.length (Experiments.utility_rows run result));
       Alcotest.(check int) "three unadjusted rows" 3
-        (List.length (Experiments.utility_rows ~adjusted:false run result));
+        (List.length (Experiments.utility_rows ~adjusted:false run result)))
+    run.Experiments.results;
+  let relabeled = Experiments.at_epsilon ~epsilon:0.01 run in
+  List.iter
+    (fun result ->
       Alcotest.(check int) "three epsilon rows" 3
-        (List.length (Experiments.utility_rows_at ~epsilon:0.01 run result)))
-    run.Experiments.results
+        (List.length (Experiments.utility_rows relabeled result)))
+    relabeled.Experiments.results;
+  (* Relabeling at the run's own ε changes nothing. *)
+  let same = Experiments.at_epsilon ~epsilon:quick_config.Pipeline.epsilon run in
+  Alcotest.(check bool) "same adjusted targets" true
+    (same.Experiments.adjusted_targets = run.Experiments.adjusted_targets);
+  List.iter2
+    (fun r s ->
+      Alcotest.(check bool) "same rows" true
+        (Experiments.utility_rows run r = Experiments.utility_rows same s))
+    run.Experiments.results same.Experiments.results
 
 let test_speedup_positive () =
   let run = Lazy.force bscholes_run in
